@@ -33,7 +33,6 @@ from .solver import (
     SolutionRun,
     convergence_study,
     default_bump,
-    detect_blowup,
     duhamel_apply,
     lifespan_sweep,
     linear_propagator,
@@ -66,7 +65,6 @@ __all__ = [
     "SolutionRun",
     "convergence_study",
     "default_bump",
-    "detect_blowup",
     "duhamel_apply",
     "lifespan_sweep",
     "linear_propagator",

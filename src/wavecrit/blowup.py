@@ -62,28 +62,22 @@ def exponent_sequences(n: int, J: int):
 class IterationConstants:
     """Calibration bundle for the growth ledger and the onset predictor.
 
+    ``c0`` and ``m0`` scale the amplitude recursion and its growth floor,
+    ``c6`` and ``c7`` the onset predictor's time scale and base, and
+    ``epsilon_exp`` is the small exponent loss in the onset's tau(t).
     The constants are existential in the analysis; the defaults make the
     ledger well defined, and onset times computed from them are meaningful
     for ordering modulus families, not as absolute lifespans.
     """
 
     c0: float = 1.0
-    c1: float = 1.0
-    c2: float = 1.0
-    c3: float = 1.0
     c6: float = 1.0
     c7: float = 1.0
     m0: float = 1.0
-    cl: float = 1.0
-    t0: float = 1.0
     epsilon_exp: float = 0.01
-    support_radius: float = 1.0
-    lambda0: float = 1.0
 
     def __post_init__(self):
-        positives = (self.c0, self.c1, self.c2, self.c3, self.c6, self.c7,
-                     self.m0, self.cl, self.t0, self.support_radius, self.lambda0)
-        if any(v <= 0.0 for v in positives):
+        if any(v <= 0.0 for v in (self.c0, self.c6, self.c7, self.m0)):
             raise ValueError("iteration constants must be strictly positive")
         if not 0.0 < self.epsilon_exp <= 0.1:
             raise ValueError("epsilon_exp is a small exponent; need 0 < eps <= 0.1")

@@ -143,10 +143,10 @@ def _svg_heatmap(path: Path, matrix, title: str, max_cells=120) -> None:
     path.write_text("\n".join(parts) + "\n")
 
 
-def _persist(args, command: str, parameters: dict, writers) -> Path:
+def _persist(args, parameters: dict, writers) -> Path:
     """Run the file writers in a fresh result directory and write the manifest."""
     started = _dt.datetime.now(_dt.timezone.utc).isoformat()
-    out = _result_dir(_out_root(args), command)
+    out = _result_dir(_out_root(args), args.command)
     written = []
     for name, writer in writers:
         writer(out / name)
@@ -155,7 +155,7 @@ def _persist(args, command: str, parameters: dict, writers) -> Path:
         json.dumps(parameters, sort_keys=True).encode()
     ).hexdigest()
     manifest = {
-        "command": command,
+        "command": args.command,
         "parameters": parameters,
         "artifact_version": __version__,
         "started_utc": started,
@@ -228,9 +228,9 @@ def _spec_from_args(parser, args):
 
 
 # --------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (payload, manifest parameters, writers, exit code)
 
-def _cmd_exponents(parser, args) -> int:
+def _cmd_exponents(parser, args):
     if args.n == 1:
         payload = {"n": 1, "p_strauss": "infinite", "p_conjugate": 1.0,
                    "q": None, "kappa": None}
@@ -238,14 +238,10 @@ def _cmd_exponents(parser, args) -> int:
         es = exponent_set(args.n)
         payload = {"n": es.n, "p_strauss": es.p_strauss,
                    "p_conjugate": es.p_conjugate, "q": es.q, "kappa": es.kappa}
-    if not args.quiet:
-        print(json.dumps(payload, sort_keys=True))
-    _persist(args, "exponents", {"n": args.n},
-             [("exponents.json", lambda p: _write_json(p, payload))])
-    return 0
+    return payload, {"n": args.n}, [("exponents.json", lambda p: _write_json(p, payload))], 0
 
 
-def _cmd_mu(parser, args) -> int:
+def _cmd_mu(parser, args):
     if args.action != "check":
         parser.error(f"unknown mu action {args.action!r}")
     params = _parse_params(parser, args.params)
@@ -268,16 +264,14 @@ def _cmd_mu(parser, args) -> int:
         "threshold_estimate": None if math.isinf(verdict.estimate) else verdict.estimate,
         "loglog_bound_pass": bool(loglog.passed),
     }
-    if not args.quiet:
-        print(json.dumps(payload, sort_keys=True))
-    _persist(args, "mu", {"family": args.family, **params},
-             [("report.json", lambda p: _write_json(p, payload)),
-              ("threshold_samples.csv",
-               lambda p: _write_csv(p, ("tau", "product"), verdict.samples))])
-    return 0 if payload["axioms_pass"] and payload["g_convex"] else 2
+    writers = [("report.json", lambda p: _write_json(p, payload)),
+               ("threshold_samples.csv",
+                lambda p: _write_csv(p, ("tau", "product"), verdict.samples))]
+    code = 0 if payload["axioms_pass"] and payload["g_convex"] else 2
+    return payload, {"family": args.family, **params}, writers, code
 
 
-def _cmd_lemmas(parser, args) -> int:
+def _cmd_lemmas(parser, args):
     if args.action != "verify":
         parser.error(f"unknown lemmas action {args.action!r}")
     if args.n < 2:
@@ -302,58 +296,42 @@ def _cmd_lemmas(parser, args) -> int:
                    "region": report.region, "pass": bool(report.passed)}
         rows = report.samples
         header = report.columns
-    if not args.quiet:
-        print(json.dumps(payload, sort_keys=True))
-    _persist(args, "lemmas", {"which": args.which, "n": args.n},
-             [("report.json", lambda p: _write_json(p, payload)),
-              ("ratios.csv", lambda p: _write_csv(p, header, rows))])
-    return 0 if payload["pass"] else 2
+    writers = [("report.json", lambda p: _write_json(p, payload)),
+               ("ratios.csv", lambda p: _write_csv(p, header, rows))]
+    return payload, {"which": args.which, "n": args.n}, writers, 0 if payload["pass"] else 2
 
 
-def _cmd_sequences(parser, args) -> int:
+def _cmd_sequences(parser, args):
     if args.n < 2:
         parser.error("--n must be at least 2")
     ledger = build_ledger(args.n, IterationConstants(), args.J)
     rows = ledger.rows
     payload = {"n": args.n, "J": args.J, "rows": len(rows),
                "log_c5": ledger.log_c5, "j1": ledger.j1}
-    if not args.quiet:
-        print(json.dumps(payload, sort_keys=True))
-    _persist(args, "sequences", {"n": args.n, "J": args.J},
-             [("ledger.csv", lambda p: _write_csv(
-                 p, ("j", "ell_2j", "a_j", "b_j", "sigma_j", "log_m_j"), rows))])
-    return 0
+    writers = [("ledger.csv", lambda p: _write_csv(
+        p, ("j", "ell_2j", "a_j", "b_j", "sigma_j", "log_m_j"), rows))]
+    return payload, {"n": args.n, "J": args.J}, writers, 0
 
 
-def _cmd_onset(parser, args) -> int:
+def _cmd_onset(parser, args):
     spec = _spec_from_args(parser, args)
     onset = divergence_onset(3, IterationConstants(c6=args.c6, c7=args.c7),
                              spec, args.tmax)
     payload = {"family": args.family, "tmax": args.tmax, "onset_t": onset}
-    if not args.quiet:
-        print(json.dumps(payload, sort_keys=True))
-    _persist(args, "onset",
-             {"family": args.family, "tmax": args.tmax, "c6": args.c6, "c7": args.c7},
-             [("onset.json", lambda p: _write_json(p, payload))])
-    return 0
+    params = {"family": args.family, "tmax": args.tmax, "c6": args.c6, "c7": args.c7}
+    return payload, params, [("onset.json", lambda p: _write_json(p, payload))], 0
 
 
-def _run_solve(parser, args):
+def _cmd_solve(parser, args):
     spec = _spec_from_args(parser, args)
     data = default_bump(args.eps)
     grid = CharacteristicGrid.cover(args.h, args.horizon, data.support_radius)
-    return march(data, spec, grid, cap=args.cap), spec
-
-
-def _cmd_solve(parser, args) -> int:
-    try:
-        run, _ = _run_solve(parser, args)
-    except ValueError as exc:
-        parser.error(str(exc))
+    run = march(data, spec, grid, cap=args.cap)
     params = {"family": args.family, "eps": args.eps, "h": args.h,
               "horizon": args.horizon, "cap": args.cap}
-    payload = dict(run.manifest)
-    payload["status"] = run.status
+    payload = {"h": grid.h, "t_levels": grid.t_levels, "r_nodes": grid.r_nodes,
+               "cap": args.cap, "amplitude": data.amplitude, "status": run.status,
+               "t_detect": run.t_detect}
     n_levels = run.field.shape[0]
     keep = sorted(set(np.linspace(0, n_levels - 1, min(25, n_levels)).astype(int)))
     rows = []
@@ -361,17 +339,14 @@ def _cmd_solve(parser, args) -> int:
         t = float(run.times[i])
         for j in range(0, run.grid.r_nodes, max(1, run.grid.r_nodes // 200)):
             rows.append((t, float(run.radii[j]), float(run.field[i, j])))
-    if not args.quiet:
-        print(json.dumps(payload, sort_keys=True))
-    _persist(args, "solve", params,
-             [("run.json", lambda p: _write_json(p, payload)),
-              ("field.csv", lambda p: _write_csv(p, ("t", "r", "u"), rows)),
-              ("field.svg", lambda p: _svg_heatmap(
-                  p, np.abs(run.field), f"|u|, status={run.status}"))])
-    return 0
+    writers = [("run.json", lambda p: _write_json(p, payload)),
+               ("field.csv", lambda p: _write_csv(p, ("t", "r", "u"), rows)),
+               ("field.svg", lambda p: _svg_heatmap(
+                   p, np.abs(run.field), f"|u|, status={run.status}"))]
+    return payload, params, writers, 0
 
 
-def _cmd_lifespan(parser, args) -> int:
+def _cmd_lifespan(parser, args):
     spec = _spec_from_args(parser, args)
     try:
         eps_list = [float(v) for v in args.eps_list.split(",")]
@@ -384,18 +359,15 @@ def _cmd_lifespan(parser, args) -> int:
              for r in rows]
     payload = {"rows": [{"eps": r.eps, "t_detect": r.t_detect, "status": r.status}
                         for r in rows]}
-    if not args.quiet:
-        print(json.dumps(payload, sort_keys=True))
-    _persist(args, "lifespan",
-             {"family": args.family, "eps_list": eps_list, "h": args.h,
-              "horizon": args.horizon, "cap": args.cap},
-             [("lifespan.csv", lambda p: _write_csv(p, ("eps", "t", "status"), table)),
-              ("lifespan.svg", lambda p: _svg_polyline(
-                  p, [(a, b) for a, b, _ in table], "detection time vs amplitude"))])
-    return 0
+    params = {"family": args.family, "eps_list": eps_list, "h": args.h,
+              "horizon": args.horizon, "cap": args.cap}
+    writers = [("lifespan.csv", lambda p: _write_csv(p, ("eps", "t", "status"), table)),
+               ("lifespan.svg", lambda p: _svg_polyline(
+                   p, [(a, b) for a, b, _ in table], "detection time vs amplitude"))]
+    return payload, params, writers, 0
 
 
-def _cmd_verify_global(parser, args) -> int:
+def _cmd_verify_global(parser, args):
     spec = _spec_from_args(parser, args)
     verdict = classify_strauss_threshold(spec, 3)
     data = default_bump(args.eps)
@@ -434,20 +406,15 @@ def _cmd_verify_global(parser, args) -> int:
         "pass": not failures,
         "failures": failures,
     }
-    if not args.quiet:
-        print(json.dumps(payload, sort_keys=True))
     writers = [("report.json", lambda p: _write_json(p, payload))]
     if profile is not None:
         writers.append(("profile.csv", lambda p: _write_csv(
             p, profile.columns, profile.samples)))
-    _persist(args, "verify-global",
-             {"family": args.family, "eps": args.eps, "h": args.h,
-              "horizon": args.horizon},
-             writers)
-    return 0 if not failures else 2
+    params = {"family": args.family, "eps": args.eps, "h": args.h, "horizon": args.horizon}
+    return payload, params, writers, 0 if not failures else 2
 
 
-def _cmd_key_integral(parser, args) -> int:
+def _cmd_key_integral(parser, args):
     spec = _spec_from_args(parser, args)
     try:
         xi_list = [float(v) for v in args.xi_list.split(",")]
@@ -460,13 +427,9 @@ def _cmd_key_integral(parser, args) -> int:
     ratios = [r for _, _, r in rows if r > 0.0]
     payload = {"family": args.family, "eps0": args.eps0,
                "max_min_ratio": (max(ratios) / min(ratios)) if ratios else None}
-    if not args.quiet:
-        print(json.dumps(payload, sort_keys=True))
-    _persist(args, "key-integral",
-             {"family": args.family, "xi_list": xi_list, "eps0": args.eps0},
-             [("key_integral.csv", lambda p: _write_csv(p, ("xi", "I", "ratio"), rows)),
-              ("summary.json", lambda p: _write_json(p, payload))])
-    return 0
+    writers = [("key_integral.csv", lambda p: _write_csv(p, ("xi", "I", "ratio"), rows)),
+               ("summary.json", lambda p: _write_json(p, payload))]
+    return payload, {"family": args.family, "xi_list": xi_list, "eps0": args.eps0}, writers, 0
 
 
 # --------------------------------------------------------------------------
@@ -476,15 +439,13 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out-dir", default=argparse.SUPPRESS,
                         help="output root (default: $WAVECRIT_OUT or ./results)")
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS,
-                        help="recorded hint; numerics are numpy-internal")
     common.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS)
 
     parser = argparse.ArgumentParser(
         prog="wavecrit",
         description="numerical laboratory for critical-regularity wave equations",
     )
-    parser.set_defaults(out_dir=None, threads=None, quiet=False)
+    parser.set_defaults(out_dir=None, quiet=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_family(p, need_n=True):
@@ -563,7 +524,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(parser, args)
+        payload, parameters, writers, code = args.func(parser, args)
+        if not args.quiet:
+            print(json.dumps(payload, sort_keys=True))
+        _persist(args, parameters, writers)
+        return code
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -30,7 +30,7 @@ level whose max exceeds the cap or goes non-finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -140,8 +140,8 @@ class SolutionRun:
     """A marched field with its provenance.
 
     ``field`` holds u(t_i, r_j) for the stored levels; when the run blew
-    up storage ends at the detection level.  status is one of
-    "completed", "blew_up", "failed".
+    up storage ends at the detection level.  status is "completed" or
+    "blew_up".
     """
 
     grid: CharacteristicGrid
@@ -150,8 +150,6 @@ class SolutionRun:
     field: np.ndarray
     status: str
     t_detect: Optional[float] = None
-    failure: Optional[str] = None
-    manifest: dict = field(default_factory=dict)
 
     @property
     def times(self) -> np.ndarray:
@@ -160,10 +158,6 @@ class SolutionRun:
     @property
     def radii(self) -> np.ndarray:
         return self.grid.h * np.arange(self.grid.r_nodes)
-
-    @property
-    def horizon(self) -> float:
-        return self.times[-1] if self.field.size else 0.0
 
     def level_index(self, t: float) -> int:
         i = int(round(t / self.grid.h))
@@ -175,80 +169,91 @@ class SolutionRun:
 # --------------------------------------------------------------------------
 # free propagator
 
-def _u1_prefix_fine(data: RadialData, points: int = 20001):
-    """Cumulative integral of (rho/2) u1(rho) on a fine grid over the support."""
-    top = data.support_radius
-    rho = np.linspace(0.0, top, points)
-    vals = 0.5 * rho * data.amplitude * np.asarray([data.u1(x) for x in rho])
-    pref = np.concatenate([[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(rho))])
-    return rho, pref
+def _free_wave(data: RadialData, t: float, r: np.ndarray, xp: np.ndarray,
+               xm: np.ndarray, window) -> np.ndarray:
+    """Free solution at time t on radii r >= 0 by the two-point formula
 
+        r v = H0(xp) - H0(xm) + W1(xm, xp),   H0(x) = (x/2) u0(|x|),
 
-def linear_field(data: RadialData, t: float, r) -> np.ndarray:
-    """Free solution at time t on an array of radii (fine-table quadrature).
-
-    Used by the weighted-norm checks, which need off-lattice evaluation;
-    the lattice path inside ``march`` shares the same two-point formula but
-    integrates u1 with the grid-step trapezoid.
+    where xp = t + r and xm = t - r are the characteristic feet (passed in
+    so the lattice can hand exact node values h (i +- j)) and
+    ``window(xm, xp)`` is W1, the integral of (rho/2) u1(|rho|) over
+    (xm, xp).  For r < 1e-7 the differences lose about 1e-16/r to
+    cancellation while the axis limit u0(t) + t u0'(t) + t u1(t) is within
+    O(r^2), so the limit is used there.
     """
-    r_arr = np.abs(np.atleast_1d(np.asarray(r, dtype=float)))
     eps = data.amplitude
-    rho, pref = _u1_prefix_fine(data)
 
-    def q1(x):
-        return np.interp(np.abs(x), rho, pref, right=pref[-1])
+    def u0e(x):
+        return eps * np.asarray([data.u0(abs(v)) for v in x])
 
-    def h0(x):
-        ax = np.abs(x)
-        return 0.5 * x * eps * np.asarray([data.u0(a) for a in np.atleast_1d(ax)])
-
-    out = np.empty_like(r_arr)
-    on_axis = r_arr < 1e-12
+    out = np.empty_like(r)
+    on_axis = r < 1e-7
     if np.any(on_axis):
-        out[on_axis] = (
-            eps * data.u0(t)
-            + t * eps * data.u0_derivative(t)
-            + t * eps * data.u1(t)
-        )
+        out[on_axis] = eps * (data.u0(t) + t * data.u0_derivative(t) + t * data.u1(t))
     off = ~on_axis
     if np.any(off):
-        ro = r_arr[off]
-        out[off] = (h0(t + ro) - h0(t - ro) + q1(t + ro) - q1(np.abs(t - ro))) / ro
+        xp, xm, ro = xp[off], xm[off], r[off]
+        two_point = 0.5 * (xp * u0e(xp) - xm * u0e(xm)) / ro
+        out[off] = two_point + window(xm, xp) / ro
     return out
 
 
-def linear_propagator(data: RadialData, t: float, r: float, step: Optional[float] = None) -> float:
-    """Free solution at a single point.
+def _u1_window(data: RadialData, rho: np.ndarray):
+    """W1 for ``_free_wave`` as Q1(|xp|) - Q1(|xm|), Q1 the cumulative
+    trapezoid of (rho/2) u1 on the increasing nodes ``rho`` (rho[0] = 0),
+    constant beyond the last node.
 
-    With ``step`` the u1 term uses the lattice trapezoid (matching the
-    marched scheme); without it adaptive quadrature is used, which serves
-    as the independent route in the tests.
+    Between nodes Q1 integrates the linear interpolant of the integrand
+    exactly, so the table error stays O(step^2) after the 1/r of the
+    two-point formula even for r far below the step; at a node Q1 is the
+    trapezoid sum itself.
     """
+    vals = 0.5 * rho * data.amplitude * np.asarray([data.u1(x) for x in rho])
+    step = np.diff(rho)
+    pref = np.concatenate([[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * step)])
+    half_slope = np.append(0.5 * np.diff(vals) / step, 0.0)
+    index = np.arange(len(rho), dtype=float)
+
+    def window(xm, xp):
+        x = np.abs(np.concatenate([xp, xm]))
+        k = np.interp(x, rho, index).astype(int)  # exact on nodes, last node past the end
+        d = np.minimum(x, rho[-1]) - rho[k]
+        q1 = pref[k] + d * (vals[k] + half_slope[k] * d)
+        return q1[:len(xp)] - q1[len(xp):]
+
+    return window
+
+
+def linear_field(data: RadialData, t: float, r) -> np.ndarray:
+    """Free solution at time t on an array of radii, off the lattice.
+
+    The two-point path of ``march`` with feet t +- r and a 20001-node u1
+    table over the support; the weighted-norm checks use it.
+    """
+    r_arr = np.abs(np.atleast_1d(np.asarray(r, dtype=float)))
+    window = _u1_window(data, np.linspace(0.0, data.support_radius, 20001))
+    return _free_wave(data, t, r_arr, t + r_arr, t - r_arr, window)
+
+
+def linear_propagator(data: RadialData, t: float, r: float) -> float:
+    """Free solution at a single point with the u1 window integrated by
+    adaptive quadrature: the independent oracle the tests compare the
+    lattice and fine-table paths against."""
     if t < 0.0:
         raise ValueError("time must be non-negative")
-    eps = data.amplitude
     ra = abs(r)
-    if ra < 1e-12:
-        return eps * (data.u0(t) + t * data.u0_derivative(t) + t * data.u1(t))
-
-    two_point = 0.5 * (
-        (t + ra) * eps * data.u0(abs(t + ra)) - (t - ra) * eps * data.u0(abs(t - ra))
-    ) / ra
 
     def h1(x):
-        return 0.5 * x * eps * data.u1(abs(x))
+        return 0.5 * x * data.amplitude * data.u1(abs(x))
 
-    if step is None:
-        lo, hi = t - ra, t + ra
+    def window(xm, xp):
+        lo, hi = xm[0], xp[0]
         pts = [x for x in (-data.support_radius, 0.0, data.support_radius) if lo < x < hi]
-        integral = integrate.quad(h1, lo, hi, points=pts or None, limit=200)[0]
-    else:
-        m = int(round(ra / step))
-        i = int(round(t / step))
-        nodes = step * np.arange(i - m, i + m + 1)
-        vals = np.asarray([h1(x) for x in nodes])
-        integral = float(np.trapezoid(vals, dx=step))
-    return two_point + integral / ra
+        return integrate.quad(h1, lo, hi, points=pts or None, limit=200)[0]
+
+    return float(_free_wave(data, t, np.array([ra]), np.array([t + ra]),
+                            np.array([t - ra]), window)[0])
 
 
 # --------------------------------------------------------------------------
@@ -353,21 +358,13 @@ def march(
     nr = grid.r_nodes
     nt = grid.t_levels
     p = strauss_exponent(3)
-    eps = data.amplitude
     r = h * np.arange(nr)
+    window = _u1_window(data, r)
 
-    u0v = eps * np.asarray([data.u0(x) for x in r])
-    u1v = eps * np.asarray([data.u1(x) for x in r])
-    hu1 = 0.5 * r * u1v
-    q1 = np.concatenate([[0.0], np.cumsum(0.5 * (hu1[1:] + hu1[:-1]) * h)])
-
-    def u0e(x):
-        return eps * np.asarray([data.u0(abs(v)) for v in x])
-
-    field_levels = [u0v]
+    field_levels = [data.amplitude * np.asarray([data.u0(x) for x in r])]
     g_levels = []
     prefixes = []
-    status, t_detect, failure = "completed", None, None
+    status, t_detect = "completed", None
 
     j = np.arange(nr)
     for i in range(1, nt + 1):
@@ -376,15 +373,7 @@ def march(
         g_levels.append(g)
         prefixes.append(_history_prefix(grid, g))
 
-        # free part on this level
-        level = np.empty(nr)
-        xp = h * (i + j[1:])
-        xm = h * (i - j[1:])
-        two_point = 0.5 * (xp * u0e(xp) - xm * u0e(xm)) / r[1:]
-        hi = np.minimum(i + j[1:], nr - 1)
-        lo = np.minimum(np.abs(i - j[1:]), nr - 1)
-        level[1:] = two_point + (q1[hi] - q1[lo]) / r[1:]
-        level[0] = eps * (data.u0(t) + t * data.u0_derivative(t) + t * data.u1(t))
+        level = _free_wave(data, t, r, h * (i + j), h * (i - j), window)
 
         # forcing part from strictly earlier levels
         duh = _duhamel_level(grid, prefixes, g_levels, i)
@@ -398,30 +387,14 @@ def march(
             t_detect = t
             break
 
-    run = SolutionRun(
+    return SolutionRun(
         grid=grid,
         data=data,
         spec=spec,
         field=np.asarray(field_levels),
         status=status,
         t_detect=t_detect,
-        failure=failure,
     )
-    run.manifest = {
-        "h": h,
-        "t_levels": nt,
-        "r_nodes": nr,
-        "cap": cap,
-        "amplitude": eps,
-        "status": status,
-        "t_detect": t_detect,
-    }
-    return run
-
-
-def detect_blowup(run: SolutionRun) -> Optional[float]:
-    """First level time at which the cap was exceeded, if any."""
-    return run.t_detect if run.status == "blew_up" else None
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,15 @@ def test_lemma_dimension_rejected(tmp_path):
     assert exc.value.code == 2
 
 
+def test_solve_runtime_error_exits_one(capsys, tmp_path):
+    # iterlog's modulus has no continuation past tau0: march raises mid-run
+    code = main(["solve", "--family", "iterlog", "--gamma", "1", "--eps", "1",
+                 "--h", "0.05", "--horizon", "2", "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error:" in err and "usage:" not in err
+
+
 def test_missing_family_value_rejected(tmp_path):
     with pytest.raises(SystemExit):
         main(["solve", "--family", "logpower", "--eps", "1", "--h", "0.05",
