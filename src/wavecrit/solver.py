@@ -15,13 +15,33 @@ two-point formula for r * v, and L accumulates the forcing history
 
 with u extended evenly in rho, so the inner integrand is odd.  Because the
 window endpoints t-s±r land exactly on lattice nodes, the inner integral
-is a difference of cumulative trapezoid sums and the odd part of any
-window cancels identically; the s = t slice vanishes, so the marching is
-explicit level by level.  On the axis the 1/r singularity is replaced by
-the analytic limits
+is a difference of cumulative trapezoid sums Q_k (the prefix of level k,
+constant past its last node) and the odd part of any window cancels
+identically; the s = t slice vanishes, so the marching is explicit level
+by level.  With w_0 = h/2 and w_k = h the outer trapezoid weights,
+
+    W_i(j) = r_j (Lu)(t_i, r_j) = sum over k < i of
+             w_k [Q_k(i-k+j) - Q_k(|i-k-j|)].
+
+In index arithmetic every term with k <= i-2 satisfies d'Alembert's
+parallelogram identity, so ``march`` advances the lattice recurrence
+
+    W_i(j) = W_{i-1}(j-1) + W_{i-1}(j+1) - W_{i-2}(j)
+             + w_{i-1} [Q_{i-1}(j+1) - Q_{i-1}(j-1)]
+
+with W(., 0) = 0 and one ghost node at j = r_nodes, identically 0 because
+it lies outside the light cone of the data.  On the axis the 1/r
+singularity is replaced by the analytic limits
 
     v(t, 0)  = u0(t) + t u0'(t) + t u1(t)
-    Lu(t, 0) = integral of (t-s) |u(s, t-s)|^p mu(|u(s, t-s)|) d s.
+    Lu(t, 0) = integral of (t-s) |u(s, t-s)|^p mu(|u(s, t-s)|) d s,
+
+the second accumulated forward: each new level k adds w_k m h g_k(m) to
+the axis slot of level k + m.  The feet t ± r of the free part are lattice
+nodes, so u0 is sampled once per march on h·n, n = 0..t_levels+r_nodes.
+A march therefore costs O(t_levels · r_nodes).  ``duhamel_apply`` re-sums
+the whole history at one level; it is the slow oracle the tests hold the
+recurrence to.
 
 Blow-up is detected by a cap on the sup norm: marching stops at the first
 level whose max exceeds the cap or goes non-finite.
@@ -30,6 +50,7 @@ level whose max exceeds the cap or goes non-finite.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -68,7 +89,8 @@ class RadialData:
         if self.u0_prime is not None:
             return self.u0_prime(r)
         h = 1e-6 * max(1.0, self.support_radius)
-        return (self.u0(r + h) - self.u0(max(r - h, 0.0) if r < h else r - h)) / (2.0 * h)
+        lo = max(r - h, 0.0)
+        return (self.u0(r + h) - self.u0(lo)) / ((r + h) - lo)
 
     def with_amplitude(self, eps: float) -> "RadialData":
         return replace(self, amplitude=eps)
@@ -110,7 +132,9 @@ class CharacteristicGrid:
     """Lattice with the same step in t and r.
 
     ``r_nodes`` must cover the forward light cone of the data support at
-    the last stored level: (r_nodes - 1) h >= support + t_levels h.
+    the last stored level: (r_nodes - 1) h >= support + t_levels h.  A grid
+    whose stored field, (t_levels + 1) r_nodes doubles, exceeds physical
+    memory is refused before anything is allocated.
     """
 
     h: float
@@ -120,6 +144,13 @@ class CharacteristicGrid:
     def __post_init__(self):
         if self.h <= 0.0 or self.t_levels < 1 or self.r_nodes < 2:
             raise ValueError("need h > 0, t_levels >= 1, r_nodes >= 2")
+        field_bytes = (self.t_levels + 1) * self.r_nodes * 8
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if field_bytes > memory:
+            raise ValueError(
+                f"grid of {self.t_levels + 1} x {self.r_nodes} levels stores "
+                f"{field_bytes} bytes, more than the {memory} bytes of physical memory"
+            )
 
     @classmethod
     def cover(cls, h: float, horizon: float, support_radius: float) -> "CharacteristicGrid":
@@ -170,33 +201,35 @@ class SolutionRun:
 # free propagator
 
 def _free_wave(data: RadialData, t: float, r: np.ndarray, xp: np.ndarray,
-               xm: np.ndarray, window) -> np.ndarray:
+               xm: np.ndarray, u0_at, window) -> np.ndarray:
     """Free solution at time t on radii r >= 0 by the two-point formula
 
         r v = H0(xp) - H0(xm) + W1(xm, xp),   H0(x) = (x/2) u0(|x|),
 
     where xp = t + r and xm = t - r are the characteristic feet (passed in
-    so the lattice can hand exact node values h (i +- j)) and
-    ``window(xm, xp)`` is W1, the integral of (rho/2) u1(|rho|) over
-    (xm, xp).  For r < 1e-7 the differences lose about 1e-16/r to
-    cancellation while the axis limit u0(t) + t u0'(t) + t u1(t) is within
-    O(r^2), so the limit is used there.
+    so the lattice can hand exact node values h (i +- j)), ``u0_at(x)`` is
+    the unscaled profile u0(|x|) on an array of feet and ``window(xm, xp)``
+    is W1, the integral of (rho/2) u1(|rho|) over (xm, xp).  For r < 1e-7
+    the differences lose about 1e-16/r to cancellation while the axis limit
+    u0(t) + t u0'(t) + t u1(t) is within O(r^2), so the limit is used there.
     """
     eps = data.amplitude
-
-    def u0e(x):
-        return eps * np.asarray([data.u0(abs(v)) for v in x])
-
     out = np.empty_like(r)
     on_axis = r < 1e-7
     if np.any(on_axis):
-        out[on_axis] = eps * (data.u0(t) + t * data.u0_derivative(t) + t * data.u1(t))
+        u0_t = u0_at(np.array([t]))[0]
+        out[on_axis] = eps * (u0_t + t * data.u0_derivative(t) + t * data.u1(t))
     off = ~on_axis
     if np.any(off):
         xp, xm, ro = xp[off], xm[off], r[off]
-        two_point = 0.5 * (xp * u0e(xp) - xm * u0e(xm)) / ro
+        two_point = 0.5 * (xp * (eps * u0_at(xp)) - xm * (eps * u0_at(xm))) / ro
         out[off] = two_point + window(xm, xp) / ro
     return out
+
+
+def _u0_callback(data: RadialData):
+    """``u0_at`` for ``_free_wave`` off the lattice: one call per foot."""
+    return lambda x: np.asarray([data.u0(abs(v)) for v in x], dtype=float)
 
 
 def _u1_window(data: RadialData, rho: np.ndarray):
@@ -233,7 +266,7 @@ def linear_field(data: RadialData, t: float, r) -> np.ndarray:
     """
     r_arr = np.abs(np.atleast_1d(np.asarray(r, dtype=float)))
     window = _u1_window(data, np.linspace(0.0, data.support_radius, 20001))
-    return _free_wave(data, t, r_arr, t + r_arr, t - r_arr, window)
+    return _free_wave(data, t, r_arr, t + r_arr, t - r_arr, _u0_callback(data), window)
 
 
 def linear_propagator(data: RadialData, t: float, r: float) -> float:
@@ -253,7 +286,7 @@ def linear_propagator(data: RadialData, t: float, r: float) -> float:
         return integrate.quad(h1, lo, hi, points=pts or None, limit=200)[0]
 
     return float(_free_wave(data, t, np.array([ra]), np.array([t + ra]),
-                            np.array([t - ra]), window)[0])
+                            np.array([t - ra]), _u0_callback(data), window)[0])
 
 
 # --------------------------------------------------------------------------
@@ -303,25 +336,28 @@ def _duhamel_level(
     return out
 
 
-def duhamel_apply(run: SolutionRun, t_level: int, r: float) -> float:
-    """Forcing term Lu at stored level ``t_level`` and lattice radius r.
+def duhamel_apply(run: SolutionRun, t_level: int, r):
+    """Forcing term Lu at stored level ``t_level`` and lattice radius r, or
+    at an array of lattice radii (returning an array of the same shape).
 
-    Every level strictly below must already be computed (it is, for any
-    completed or blown-up run).  r must sit on the lattice.
+    The slow oracle for ``march``: every term of the forcing history is
+    summed afresh.  Every level strictly below must already be computed
+    (it is, for any completed or blown-up run).
     """
     grid = run.grid
     if not 0 <= t_level < run.field.shape[0]:
         raise ValueError(f"level {t_level} not stored")
-    j = int(round(r / grid.h))
-    if abs(r - j * grid.h) > 1e-9 * max(1.0, abs(r)) or not 0 <= j < grid.r_nodes:
+    r_arr = np.asarray(r, dtype=float)
+    j = np.rint(r_arr / grid.h).astype(int)
+    if np.any(np.abs(r_arr - j * grid.h) > 1e-9 * np.maximum(1.0, np.abs(r_arr))) \
+            or np.any((j < 0) | (j >= grid.r_nodes)):
         raise ValueError(f"radius {r} is not a lattice node")
     p = strauss_exponent(3)
     g_levels = [_forcing(run.spec, p, run.field[k]) for k in range(t_level)]
     prefixes = [_history_prefix(grid, g) for g in g_levels]
     out = _duhamel_level(grid, prefixes, g_levels, t_level)
-    if j == 0:
-        return float(out[0])
-    return float(out[j] / (j * grid.h))
+    lu = np.where(j == 0, out[0], out[j] / (np.maximum(j, 1) * grid.h))
+    return float(lu) if lu.ndim == 0 else lu
 
 
 def _validate_data(data: RadialData, grid: CharacteristicGrid):
@@ -360,25 +396,39 @@ def march(
     p = strauss_exponent(3)
     r = h * np.arange(nr)
     window = _u1_window(data, r)
+    # every foot h (i +- j) is a lattice node, so u0 is sampled once
+    u0_table = np.asarray([data.u0(x) for x in h * np.arange(nt + nr + 1)], dtype=float)
 
-    field_levels = [data.amplitude * np.asarray([data.u0(x) for x in r])]
-    g_levels = []
-    prefixes = []
+    def u0_at(x):
+        return u0_table[np.rint(np.abs(x) / h).astype(int)]
+
+    field_levels = [data.amplitude * u0_table[:nr]]
     status, t_detect = "completed", None
 
+    # rlu and rlu_prev hold W_{i-1} and W_{i-2} (W = r Lu) on nodes 0..nr:
+    # node 0 is the axis, where W = 0, and node nr a ghost outside the light
+    # cone, where W = 0 too
+    rlu = np.zeros(nr + 1)
+    rlu_prev = np.zeros(nr + 1)
+    axis = np.zeros(nt + 1)  # axis[i] = sum over k < i of w_k (i-k) h g_k[i-k]
     j = np.arange(nr)
     for i in range(1, nt + 1):
         t = i * h
+        # level i - 1 joins the history with trapezoid weight w_{i-1}
         g = _forcing(spec, p, field_levels[-1])
-        g_levels.append(g)
-        prefixes.append(_history_prefix(grid, g))
+        q = _history_prefix(grid, g)
+        weight = 0.5 * h if i == 1 else h
+        m_top = min(nt - (i - 1), nr - 1)
+        axis[i:i + m_top] += weight * (h * np.arange(1, m_top + 1)) * g[1:m_top + 1]
 
-        level = _free_wave(data, t, r, h * (i + j), h * (i - j), window)
+        rlu_next = np.zeros(nr + 1)
+        rlu_next[1:nr] = (rlu[:nr - 1] + rlu[2:] - rlu_prev[1:nr]
+                          + weight * (np.append(q[2:], q[-1]) - q[:nr - 1]))
+        rlu_prev, rlu = rlu, rlu_next
 
-        # forcing part from strictly earlier levels
-        duh = _duhamel_level(grid, prefixes, g_levels, i)
-        level[0] += duh[0]
-        level[1:] += duh[1:] / r[1:]
+        level = _free_wave(data, t, r, h * (i + j), h * (i - j), u0_at, window)
+        level[0] += axis[i]
+        level[1:] += rlu[1:nr] / r[1:]
 
         field_levels.append(level)
         peak = np.max(np.abs(level))

@@ -60,6 +60,14 @@ def test_solve_runtime_error_exits_one(capsys, tmp_path):
     assert "error:" in err and "usage:" not in err
 
 
+def test_solve_grid_beyond_memory_exits_one(capsys, tmp_path):
+    code = main(["solve", "--family", "powerlaw", "--eps", "0.01", "--h", "1e-6",
+                 "--horizon", "1e6", "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error:" in err and "bytes" in err and "usage:" not in err
+
+
 def test_missing_family_value_rejected(tmp_path):
     with pytest.raises(SystemExit):
         main(["solve", "--family", "logpower", "--eps", "1", "--h", "0.05",

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wavecrit.modulus import LogPower, PowerLaw, make_spec, mu_eval
+from wavecrit.modulus import LogOnePlus, LogPower, PowerLaw, make_spec, mu_eval
 from wavecrit.solver import (
     CharacteristicGrid,
     RadialData,
@@ -116,6 +118,16 @@ def test_march_linear_probe_matches_oracle(velocity_probes, h, t, r):
     assert abs(run.field[i, j] - oracle) <= 0.5 * h * h
 
 
+def test_u0_derivative_fallback_spans_the_sampled_points():
+    ramp = RadialData(u0=lambda r: r, u1=lambda r: 0.0, support_radius=1.0)
+    for r in (0.0, 2e-7, 5e-7, 1e-6, 0.3):
+        assert abs(ramp.u0_derivative(r) - 1.0) <= 1e-12
+    bump = replace(default_bump(1.0), u0_prime=None)
+    for r in (0.0, 5e-7, 0.3, 0.7, 0.99, 1.5):
+        exact = -6.0 * r * (1.0 - r * r) ** 2 if r < 1.0 else 0.0
+        assert abs(bump.u0_derivative(r) - exact) <= 1e-5
+
+
 # ------------------------------------------------------------------ duhamel
 
 def flat_run(c, h=0.05, levels=40, radius=50.0):
@@ -194,6 +206,48 @@ def test_march_linear_probe_matches_propagator():
             assert abs(run.field[i, j] - linear_propagator(data, t, r)) < 1e-12
 
 
+# differential: the diamond recurrence of march against the history re-sum
+# of duhamel_apply on the run's own field; bounds fixed from measurements
+FAMILIES = {"powerlaw": PowerLaw(1.0), "log1p": LogOnePlus(1.0),
+            "logpower": LogPower(0.2, 10.0)}
+
+
+@settings(max_examples=12, deadline=None)
+@given(family=st.sampled_from(sorted(FAMILIES)), eps=st.floats(0.01, 6.0),
+       h=st.sampled_from([1 / 16, 1 / 20, 1 / 32]), horizon=st.floats(0.5, 4.0))
+def test_march_matches_history_oracle(family, eps, h, horizon):
+    grid = CharacteristicGrid.cover(h, horizon, 1.0)
+    cap = 1e6
+    run = march(default_bump(eps), make_spec(FAMILIES[family]), grid, cap=cap)
+    free = march(default_bump(eps), None, grid).field
+    status, t_detect = "completed", None
+    for i in range(1, run.field.shape[0]):
+        oracle = free[i] + duhamel_apply(run, i, run.radii)
+        peak = np.max(np.abs(run.field[i]))
+        if run.status == "completed":
+            assert np.max(np.abs(run.field[i] - oracle)) <= 1e-13 * np.max(np.abs(run.field))
+        elif peak <= 10.0:
+            assert np.max(np.abs(run.field[i] - oracle)) <= 1e-12 * peak
+        oracle_peak = np.max(np.abs(oracle))
+        if not np.isfinite(oracle_peak) or oracle_peak > cap:
+            status, t_detect = "blew_up", i * h
+            break
+    assert (status, t_detect) == (run.status, run.t_detect)
+
+
+def test_march_samples_u0_once_per_lattice_node():
+    calls = []
+    base = default_bump(0.5)
+
+    def u0(r):
+        calls.append(r)
+        return base.u0(r)
+
+    grid = CharacteristicGrid.cover(0.05, 3.0, 1.0)
+    march(replace(base, u0=u0), make_spec(PowerLaw(1.0)), grid)
+    assert len(calls) <= grid.t_levels + grid.r_nodes + 8
+
+
 def test_march_small_data_completes():
     run = march(default_bump(0.05), make_spec(PowerLaw(1.0)),
                 CharacteristicGrid.cover(0.05, 10.0, 1.0))
@@ -209,6 +263,11 @@ def test_march_blows_up_for_large_data():
     assert run.t_detect is not None and run.t_detect < 15.0
     # detection at level boundary: t_detect is an integer multiple of h
     assert abs(run.t_detect / run.grid.h - round(run.t_detect / run.grid.h)) < 1e-9
+
+
+def test_grid_beyond_memory_rejected_before_allocation():
+    with pytest.raises(ValueError, match="bytes"):
+        CharacteristicGrid.cover(1e-6, 1e6, 1.0)
 
 
 def test_march_validates_grid_resolution():
