@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import datetime as _dt
 import hashlib
 import json
@@ -44,11 +45,17 @@ from .weights import (
     data_norms,
     decay_profile_check,
     key_integral,
-    weighted_sup_norm,
     zone_bound_check,
 )
 
-_FAMILIES = ("powerlaw", "log1p", "logpower", "iterlog", "doublelog", "triplelog")
+_FAMILIES = {
+    "powerlaw": PowerLaw,
+    "log1p": LogOnePlus,
+    "logpower": LogPower,
+    "iterlog": IteratedLogBlowup,
+    "doublelog": DoubleLogGlobal,
+    "triplelog": TripleLogGlobal,
+}
 
 
 # --------------------------------------------------------------------------
@@ -173,30 +180,20 @@ def _persist(args, parameters: dict, writers) -> Path:
 # family construction
 
 def _family_from_args(parser, args):
-    name = args.family
-    gamma = args.gamma
+    """The family named by --family, built from the fields whose flags are
+    set; every other field takes its default in ``modulus``."""
+    family = _FAMILIES[args.family]
+    values = {}
+    for f in dataclasses.fields(family):
+        value = getattr(args, f.name)
+        if value is not None:
+            values[f.name] = value
+        elif f.default is dataclasses.MISSING:
+            parser.error(f"--{f.name} is required for family {args.family!r}")
     try:
-        if name == "powerlaw":
-            return PowerLaw(gamma if gamma is not None else 1.0)
-        if name == "log1p":
-            return LogOnePlus(gamma if gamma is not None else 1.0)
-        if name == "logpower":
-            if gamma is None:
-                parser.error("--gamma is required for family 'logpower'")
-            return LogPower(gamma, args.cl)
-        if name == "iterlog":
-            if gamma is None:
-                parser.error("--gamma is required for family 'iterlog'")
-            return IteratedLogBlowup(gamma, args.k if args.k else 2, args.n)
-        if name == "doublelog":
-            return DoubleLogGlobal(gamma if gamma is not None else -1.0, args.n)
-        if name == "triplelog":
-            if gamma is None:
-                parser.error("--gamma is required for family 'triplelog'")
-            return TripleLogGlobal(gamma, args.k if args.k else 3, args.n)
+        return family(**values)
     except ValueError as exc:
         parser.error(str(exc))
-    parser.error(f"unknown family {name!r}")
 
 
 def _parse_params(parser, text):
@@ -389,8 +386,8 @@ def _cmd_verify_global(parser, args):
             profile = None
             norm = None
         else:
-            norm = weighted_sup_norm(run)
             profile = decay_profile_check(run)
+            norm = max(level for _, level in profile.samples)
             if not profile.passed:
                 failures.append("decay profile grew over the outer half")
             if not math.isfinite(norm):
@@ -448,14 +445,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.set_defaults(out_dir=None, quiet=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_family(p, need_n=True):
+    def add_family(p):
         p.add_argument("--family", choices=_FAMILIES, required=True)
         p.add_argument("--gamma", type=float, default=None)
-        p.add_argument("--cl", type=float, default=1.0)
+        p.add_argument("--cl", type=float, default=None)
         p.add_argument("--k", type=int, default=None)
         p.add_argument("--tau0", type=float, default=None)
-        if need_n:
-            p.add_argument("--n", type=int, default=3)
+        p.add_argument("--n", type=int, default=3)
 
     p = sub.add_parser("exponents", parents=[common], help="exponent set for a dimension")
     p.add_argument("--n", type=int, required=True)

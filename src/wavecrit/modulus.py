@@ -164,36 +164,25 @@ def _default_tau0(family) -> float:
 
 @dataclass(frozen=True)
 class ModulusSpec:
-    """A family plus its near-zero cutoff and continuation choice."""
+    """A family plus its near-zero cutoff.
+
+    Past tau0 only LogPower continues, by a monotone cubic bridge: it is the
+    one family the solver drives to large arguments.
+    """
 
     family: object
     tau0: float
-    continuation: str = "none"  # "none" | "monotone_hermite"
 
     def __post_init__(self):
-        if self.continuation not in ("none", "monotone_hermite"):
-            raise ValueError(f"unknown continuation: {self.continuation!r}")
-        if self.continuation == "monotone_hermite" and not isinstance(
-            self.family, LogPower
-        ):
-            raise ValueError(
-                "monotone continuation is only implemented for the LogPower family"
-            )
         if not self.tau0 > 0.0:
             raise ValueError(f"tau0 must be positive, got {self.tau0}")
 
 
-def make_spec(family, tau0: float | None = None, continuation: str | None = None) -> ModulusSpec:
-    """Build a spec with family-appropriate defaults.
-
-    LogPower gets the monotone continuation by default because it is the one
-    family the solver drives to large arguments.
-    """
+def make_spec(family, tau0: float | None = None) -> ModulusSpec:
+    """Build a spec with the family's default near-zero cutoff."""
     if tau0 is None:
         tau0 = _default_tau0(family)
-    if continuation is None:
-        continuation = "monotone_hermite" if isinstance(family, LogPower) else "none"
-    return ModulusSpec(family=family, tau0=tau0, continuation=continuation)
+    return ModulusSpec(family=family, tau0=tau0)
 
 
 def _family_p(family) -> float:
@@ -290,7 +279,7 @@ def mu_eval(spec: ModulusSpec, tau):
             L = -np.log(arr[near])
         out[near] = np.exp(_log_mu_from_loginv(spec.family, L))
     if np.any(far):
-        if spec.continuation != "monotone_hermite":
+        if not isinstance(spec.family, LogPower):
             raise ValueError(
                 f"mu argument beyond tau0={spec.tau0:g} needs a continuation"
             )

@@ -69,8 +69,10 @@ class RadialData:
 
     Profiles are callables of the radius; evenness in r is automatic since
     every evaluation goes through |r|.  ``u0_prime`` may be omitted, in
-    which case a centered difference is used.  ``amplitude`` scales both
-    profiles (the small parameter of the global-existence runs).
+    which case a difference quotient is used: centred, or second-order
+    one-sided within one difference step of the axis.  ``amplitude``
+    scales both profiles (the small parameter of the global-existence
+    runs).
     """
 
     u0: Callable[[float], float]
@@ -89,8 +91,10 @@ class RadialData:
         if self.u0_prime is not None:
             return self.u0_prime(r)
         h = 1e-6 * max(1.0, self.support_radius)
-        lo = max(r - h, 0.0)
-        return (self.u0(r + h) - self.u0(lo)) / ((r + h) - lo)
+        if r < h:  # second-order one-sided: a centred quotient would cross the axis
+            return (4.0 * self.u0(r + h) - 3.0 * self.u0(r) - self.u0(r + 2.0 * h)) / (
+                (r + 2.0 * h) - r)
+        return (self.u0(r + h) - self.u0(r - h)) / ((r + h) - (r - h))
 
     def with_amplitude(self, eps: float) -> "RadialData":
         return replace(self, amplitude=eps)
@@ -258,15 +262,24 @@ def _u1_window(data: RadialData, rho: np.ndarray):
     return window
 
 
-def linear_field(data: RadialData, t: float, r) -> np.ndarray:
-    """Free solution at time t on an array of radii, off the lattice.
-
-    The two-point path of ``march`` with feet t +- r and a 20001-node u1
-    table over the support; the weighted-norm checks use it.
-    """
-    r_arr = np.abs(np.atleast_1d(np.asarray(r, dtype=float)))
+def _off_lattice(data: RadialData):
+    """The free solution off the lattice as a function of (t, r): the
+    two-point path of ``march`` with feet t +- r and a 20001-node u1 table
+    over the support, built once for every (t, r) asked of it."""
     window = _u1_window(data, np.linspace(0.0, data.support_radius, 20001))
-    return _free_wave(data, t, r_arr, t + r_arr, t - r_arr, _u0_callback(data), window)
+    u0_at = _u0_callback(data)
+
+    def field(t: float, r) -> np.ndarray:
+        r_arr = np.abs(np.atleast_1d(np.asarray(r, dtype=float)))
+        return _free_wave(data, t, r_arr, t + r_arr, t - r_arr, u0_at, window)
+
+    return field
+
+
+def linear_field(data: RadialData, t: float, r) -> np.ndarray:
+    """Free solution at time t on an array of radii, off the lattice, by
+    ``_off_lattice``; the weighted-norm checks use that directly."""
+    return _off_lattice(data)(t, r)
 
 
 def linear_propagator(data: RadialData, t: float, r: float) -> float:
@@ -402,7 +415,8 @@ def march(
     def u0_at(x):
         return u0_table[np.rint(np.abs(x) / h).astype(int)]
 
-    field_levels = [data.amplitude * u0_table[:nr]]
+    field = np.empty((nt + 1, nr))
+    field[0] = data.amplitude * u0_table[:nr]
     status, t_detect = "completed", None
 
     # rlu and rlu_prev hold W_{i-1} and W_{i-2} (W = r Lu) on nodes 0..nr:
@@ -415,7 +429,7 @@ def march(
     for i in range(1, nt + 1):
         t = i * h
         # level i - 1 joins the history with trapezoid weight w_{i-1}
-        g = _forcing(spec, p, field_levels[-1])
+        g = _forcing(spec, p, field[i - 1])
         q = _history_prefix(grid, g)
         weight = 0.5 * h if i == 1 else h
         m_top = min(nt - (i - 1), nr - 1)
@@ -430,7 +444,7 @@ def march(
         level[0] += axis[i]
         level[1:] += rlu[1:nr] / r[1:]
 
-        field_levels.append(level)
+        field[i] = level
         peak = np.max(np.abs(level))
         if not np.isfinite(peak) or peak > cap:
             status = "blew_up"
@@ -441,7 +455,7 @@ def march(
         grid=grid,
         data=data,
         spec=spec,
-        field=np.asarray(field_levels),
+        field=field[:i + 1],  # i is the last level filled
         status=status,
         t_detect=t_detect,
     )

@@ -11,6 +11,7 @@ from scipy import integrate
 from .exponents import strauss_exponent
 from .modulus import ModulusSpec, mu_eval, threshold_product
 from .reporting import WeightReport
+from .solver import _off_lattice
 
 
 def bracket(y):
@@ -37,14 +38,44 @@ def _cone_weight(t, r):
     return log_weight(tmr) * tpr * tmr ** inv_p
 
 
-def weighted_sup_norm(run) -> float:
-    """Sup over the stored grid of the cone-weighted field."""
+def _weighted_field(run) -> np.ndarray:
+    """The cone-weighted |u| over the stored grid of ``run``."""
     field = np.asarray(run.field)
     if field.size == 0:
         raise ValueError("run stores no levels")
-    t = run.times[:, None]
-    r = run.radii[None, :]
-    return float(np.max(_cone_weight(t, r) * np.abs(field)))
+    return _cone_weight(run.times[:, None], run.radii[None, :]) * np.abs(field)
+
+
+def weighted_sup_norm(run) -> float:
+    """Sup over the stored grid of the cone-weighted field."""
+    return float(np.max(_weighted_field(run)))
+
+
+def _decay_report(times, level_max, level_argmax_r, denom: float, region: str) -> WeightReport:
+    """The decay rule shared by marched and free fields.
+
+    ``level_max`` holds the cone-weighted maximum of each level at
+    ``times`` and ``level_argmax_r`` the radius where it sits.  The running
+    sup divided by the data norms ``denom`` is the fitted constant; the
+    check passes when the final running sup exceeds its value at the first
+    level at or past half the last time by no more than 20%.  Zero data
+    pass vacuously with constant 0.
+    """
+    samples = [(float(t), float(m)) for t, m in zip(times, level_max)]
+    if denom == 0.0:
+        return WeightReport(region=region, fitted_constant=0.0, worst_point=(),
+                            passed=True, columns=("t", "weighted_max"), samples=samples)
+    running = np.maximum.accumulate(level_max)
+    half = running[np.searchsorted(times, times[-1] / 2.0)]
+    k = int(np.argmax(level_max))
+    return WeightReport(
+        region=region,
+        fitted_constant=float(running[-1] / denom),
+        worst_point=(float(times[k]), float(level_argmax_r[k])),
+        passed=bool(running[-1] <= 1.2 * half),
+        columns=("t", "weighted_max"),
+        samples=samples,
+    )
 
 
 def data_norms(data, grid_points: int = 4097):
@@ -72,48 +103,22 @@ def linear_decay_check(data, horizon: float, step: float = 0.5) -> WeightReport:
     """Verify the weighted boundedness of the linear evolution of ``data``.
 
     Evaluates the cone-weighted free solution on a grid refined 4x near the
-    light cone, divides by the data norms and passes when the running sup
-    does not grow more than 20% over the outer half of the horizon.
+    light cone and applies the decay rule shared with ``decay_profile_check``.
     """
-    from .solver import linear_field  # local import; solver pulls in more machinery
-
-    a_norm, b_norm = data_norms(data)
-    denom = a_norm + b_norm
-    rows = []
-    sup = 0.0
-    sup_half = None
-    worst = (0.0, 0.0)
+    free = _off_lattice(data)
     times = np.arange(0.0, horizon + 0.5 * step, step)
-    for t in times:
+    level_max = np.empty(len(times))
+    level_argmax_r = np.empty(len(times))
+    for i, t in enumerate(times):
         r_base = np.arange(0.0, t + data.support_radius + 2.0, step)
         lo, hi = max(0.0, t - 4.0), t + 4.0
         r_fine = np.arange(lo, hi, step / 4.0)
         r = np.unique(np.concatenate([r_base, r_fine]))
-        v = linear_field(data, t, r)
-        weighted = _cone_weight(t, r) * np.abs(v)
+        weighted = _cone_weight(t, r) * np.abs(free(t, r))
         k = int(np.argmax(weighted))
-        level = float(weighted[k])
-        if level > sup:
-            sup, worst = level, (float(t), float(r[k]))
-        rows.append((float(t), level))
-        if sup_half is None and t >= horizon / 2.0:
-            sup_half = sup
-    if denom == 0.0:
-        return WeightReport(
-            region=f"t in [0, {horizon:g}]", fitted_constant=0.0,
-            worst_point=worst, passed=True,
-            columns=("t", "weighted_max"), samples=rows,
-        )
-    fitted = sup / denom
-    passed = sup <= 1.2 * (sup_half if sup_half else sup)
-    return WeightReport(
-        region=f"t in [0, {horizon:g}], step {step:g} (cone refined 4x)",
-        fitted_constant=fitted,
-        worst_point=worst,
-        passed=passed,
-        columns=("t", "weighted_max"),
-        samples=rows,
-    )
+        level_max[i], level_argmax_r[i] = weighted[k], r[k]
+    return _decay_report(times, level_max, level_argmax_r, sum(data_norms(data)),
+                         f"t in [0, {horizon:g}], step {step:g} (cone refined 4x)")
 
 
 class KeyIntegralResult(NamedTuple):
@@ -201,13 +206,7 @@ def zone_bound_check(spec: ModulusSpec, eps0: float, region_samples) -> WeightRe
 
         pts = [0.0] if t - r < 0.0 < t + r else None
         integral, err = integrate.quad(integrand, t - r, t + r, points=pts, limit=400)
-        value = (
-            log_weight(bracket(t - r))
-            * bracket(t + r)
-            * bracket(t - r) ** (1.0 / p)
-            / r
-            * integral
-        )
+        value = _cone_weight(t, r) / r * integral
         stable = err <= 1e-6 * abs(integral) + 1e-12
         ok = ok and math.isfinite(value) and stable
         sup[zone] = max(sup[zone], value)
@@ -227,36 +226,15 @@ def zone_bound_check(spec: ModulusSpec, eps0: float, region_samples) -> WeightRe
 def decay_profile_check(run) -> WeightReport:
     """Pointwise-decay verification on a completed run.
 
-    Computes the cone-weighted sup of the field level by level, divides by
-    the data norms, and passes when the running constant grows by no more
-    than 20% across the outer half of the horizon.  By construction the
-    final constant times the data norms equals the weighted sup norm.
+    Takes the cone-weighted sup of the field level by level and applies the
+    decay rule of ``_decay_report``.  By construction the final constant
+    times the data norms equals the weighted sup norm, the largest entry of
+    the ``weighted_max`` column.
     """
     if run.status == "blew_up":
         raise ValueError("decay profile is undefined for a run that blew up")
-    a_norm, b_norm = data_norms(run.data)
-    denom = a_norm + b_norm
-    field = np.asarray(run.field)
+    weighted = _weighted_field(run)
+    j = np.argmax(weighted, axis=1)
     t = run.times
-    r = run.radii
-    weighted = _cone_weight(t[:, None], r[None, :]) * np.abs(field)
-    level_max = weighted.max(axis=1)
-    running = np.maximum.accumulate(level_max)
-    if denom == 0.0:
-        return WeightReport(
-            region=f"{len(t)} levels", fitted_constant=0.0, worst_point=(),
-            passed=True, columns=("t", "weighted_max"),
-            samples=[(float(a), float(b)) for a, b in zip(t, level_max)],
-        )
-    half = running[len(t) // 2]
-    fitted = float(running[-1] / denom)
-    k = int(np.argmax(level_max))
-    j = int(np.argmax(weighted[k]))
-    return WeightReport(
-        region=f"t in [0, {t[-1]:g}], {len(t)} levels",
-        fitted_constant=fitted,
-        worst_point=(float(t[k]), float(r[j])),
-        passed=bool(running[-1] <= 1.2 * half),
-        columns=("t", "weighted_max"),
-        samples=[(float(a), float(b)) for a, b in zip(t, level_max)],
-    )
+    return _decay_report(t, weighted[np.arange(len(j)), j], run.radii[j],
+                         sum(data_norms(run.data)), f"t in [0, {t[-1]:g}], {len(t)} levels")

@@ -74,6 +74,14 @@ def test_missing_family_value_rejected(tmp_path):
               "--horizon", "1", "--out-dir", str(tmp_path)])
 
 
+def test_family_field_out_of_range_rejected(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["mu", "check", "--family", "iterlog", "--gamma", "1", "--k", "0",
+              "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "k >= 2" in capsys.readouterr().err
+
+
 # -------------------------------------------------------------- persistence
 
 def test_sequences_writes_ledger(tmp_path):

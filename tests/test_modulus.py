@@ -45,7 +45,7 @@ def test_power_law_point():
 
 def test_log_power_point():
     # log(1/tau) = 1 at tau = 1/e, so the power factor drops out
-    spec = make_spec(LogPower(0.3, 7.0), tau0=0.4, continuation="none")
+    spec = make_spec(LogPower(0.3, 7.0), tau0=0.4)
     assert abs(mu_eval(spec, math.exp(-1.0)) - 7.0) < 1e-12
 
 
@@ -80,7 +80,7 @@ def test_family_parameter_validation():
     with pytest.raises(ValueError):
         DoubleLogGlobal(-0.5)
     with pytest.raises(ValueError):
-        ModulusSpec(PowerLaw(1.0), tau0=1.0, continuation="bogus")
+        ModulusSpec(PowerLaw(1.0), tau0=0.0)
 
 
 def test_continuation_matches_paperless_recipe():
@@ -130,7 +130,7 @@ def test_convexity_power_law():
 
 
 def test_convexity_log_power_near_zero():
-    spec = make_spec(LogPower(0.2, 100.0), tau0=1.0 / 3.0, continuation="none")
+    spec = make_spec(LogPower(0.2, 100.0), tau0=1.0 / 3.0)
     report = convexity_check(spec, 3, np.linspace(-1.0 / 3.0, 1.0 / 3.0, 201))
     assert report.passed
 
@@ -211,6 +211,6 @@ def test_jensen_never_violated():
 
 def test_jensen_log_power_small_range():
     # restrict v to the concave near-zero regime where g passed convexity
-    spec = make_spec(LogPower(0.2, 1.0), tau0=1.0 / 3.0, continuation="none")
+    spec = make_spec(LogPower(0.2, 1.0), tau0=1.0 / 3.0)
     margin = jensen_margin(spec, 3, trials=3000, seed=11, v_max=1.0 / 3.0)
     assert margin <= 1e-12

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -248,6 +249,26 @@ def test_march_samples_u0_once_per_lattice_node():
     assert len(calls) <= grid.t_levels + grid.r_nodes + 8
 
 
+def test_march_stores_the_field_once():
+    grid = CharacteristicGrid.cover(1 / 16, 25.0, 1.0)
+    tracemalloc.start()
+    try:
+        run = march(default_bump(0.01), make_spec(PowerLaw(1.0)), grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run.status == "completed"
+    assert peak <= 1.25 * run.field.nbytes
+
+
+def test_march_without_u0_prime_matches_exact_derivative():
+    grid = CharacteristicGrid.cover(0.05, 3.0, 1.0)
+    spec = make_spec(PowerLaw(1.0))
+    exact = march(default_bump(0.5), spec, grid).field
+    quotient = march(replace(default_bump(0.5), u0_prime=None), spec, grid).field
+    assert np.max(np.abs(quotient - exact)) <= 1e-9 * np.max(np.abs(exact))
+
+
 def test_march_small_data_completes():
     run = march(default_bump(0.05), make_spec(PowerLaw(1.0)),
                 CharacteristicGrid.cover(0.05, 10.0, 1.0))
@@ -263,6 +284,8 @@ def test_march_blows_up_for_large_data():
     assert run.t_detect is not None and run.t_detect < 15.0
     # detection at level boundary: t_detect is an integer multiple of h
     assert abs(run.t_detect / run.grid.h - round(run.t_detect / run.grid.h)) < 1e-9
+    # storage ends at the detection level
+    assert run.field.shape[0] == round(run.t_detect / run.grid.h) + 1
 
 
 def test_grid_beyond_memory_rejected_before_allocation():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -135,6 +136,18 @@ def test_linear_decay_zero_data_vacuous():
                       u0_prime=lambda r: 0.0)
     report = linear_decay_check(zero, horizon=10.0)
     assert report.passed and report.fitted_constant == 0.0
+
+
+def test_linear_decay_builds_the_u1_table_once():
+    calls = []
+    base = default_bump(0.01)
+
+    def u1(r):
+        calls.append(r)
+        return base.u1(r)
+
+    assert linear_decay_check(replace(base, u1=u1), 100.0).passed
+    assert len(calls) < 30000
 
 
 def test_linear_decay_stable_under_longer_horizon():
