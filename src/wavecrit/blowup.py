@@ -16,7 +16,8 @@ import numpy as np
 
 from .exponents import strauss_exponent
 from .kernels import KernelConfig, data_kernel, source_kernel
-from .modulus import ModulusSpec, mu_eval, threshold_product
+from .modulus import ModulusSpec, convex_companion, threshold_product
+from .solver import _forcing
 
 
 def slicing_level(j: int) -> float:
@@ -88,7 +89,6 @@ class GrowthLedger:
     """log of the amplitude sequence plus its guaranteed growth floor."""
 
     log_m: np.ndarray
-    log_c4: float
     log_c5: float
     j1: int
     floor_margin: np.ndarray  # log_m[j] - p^j log_c5 for j >= j1
@@ -122,17 +122,14 @@ def growth_sequence(n: int, constants: IterationConstants, J: int) -> GrowthLedg
     pj = p ** np.arange(J + 1, dtype=float)
     margin = log_m - pj * log_c5
     return GrowthLedger(
-        log_m=log_m, log_c4=log_c4, log_c5=log_c5, j1=j1,
-        floor_margin=margin,
+        log_m=log_m, log_c5=log_c5, j1=j1, floor_margin=margin,
     )
 
 
 @dataclass
 class IterationLedger:
-    """Rows (j, ell_{2j}, a_j, b_j, sigma_j, log_m_j) plus the constants."""
+    """Rows (j, ell_{2j}, a_j, b_j, sigma_j, log_m_j) plus the growth floor."""
 
-    n: int
-    constants: IterationConstants
     rows: list = field(default_factory=list)
     log_c5: float = 0.0
     j1: int = 0
@@ -145,8 +142,7 @@ def build_ledger(n: int, constants: IterationConstants, J: int) -> IterationLedg
         (j, slicing_level(2 * j), float(a[j]), float(b[j]), float(s[j]), float(growth.log_m[j]))
         for j in range(J + 1)
     ]
-    return IterationLedger(n=n, constants=constants, rows=rows,
-                           log_c5=growth.log_c5, j1=growth.j1)
+    return IterationLedger(rows=rows, log_c5=growth.log_c5, j1=growth.j1)
 
 
 # --------------------------------------------------------------------------
@@ -161,11 +157,9 @@ def weighted_functional(run, cfg: KernelConfig, q: float, t: float) -> float:
     if run.spec is None:
         raise ValueError("functional needs a modulus-bearing run")
     i = run.level_index(t)
-    p = strauss_exponent(3)
     r = run.radii
-    u = run.field[i]
     kernel = source_kernel(cfg, q, t, t, r)
-    vals = u * mu_eval(run.spec, np.abs(u)) ** (1.0 / p) * kernel * 4.0 * math.pi * r * r
+    vals = convex_companion(run.spec, 3, run.field[i]) * kernel * 4.0 * math.pi * r * r
     return float(np.trapezoid(vals, dx=run.grid.h))
 
 
@@ -185,23 +179,22 @@ def integral_identity_residual(run, cfg: KernelConfig, q: float, t: float) -> fl
     meas = 4.0 * math.pi * r * r
     eps = run.data.amplitude
 
-    lhs = float(np.trapezoid(run.field[i] * source_kernel(cfg, q, t, t, r) * meas, dx=h))
+    # one row per level time s_k = k h; the last row at exactly t (s <= t)
+    s = h * np.arange(i + 1)
+    s[i] = t
+    eta = source_kernel(cfg, q, t, s, r)
+    lhs = float(np.trapezoid(run.field[i] * eta[i] * meas, dx=h))
 
     u0v = eps * np.asarray([run.data.u0(x) for x in r])
     u1v = eps * np.asarray([run.data.u1(x) for x in r])
     data_term = float(np.trapezoid(u0v * data_kernel(cfg, q, t, r) * meas, dx=h))
-    vel_term = t * float(np.trapezoid(u1v * source_kernel(cfg, q, t, 0.0, r) * meas, dx=h))
+    vel_term = t * float(np.trapezoid(u1v * eta[0] * meas, dx=h))
 
-    duhamel = 0.0
-    for k in range(i + 1):
-        s = k * h
-        w = 0.5 * h if k in (0, i) else h
-        if k == i:
-            continue  # (t - s) factor vanishes at s = t
-        u = run.field[k]
-        forc = np.abs(u) ** p * mu_eval(run.spec, np.abs(u)) if run.spec else np.zeros_like(u)
-        inner = float(np.trapezoid(forc * source_kernel(cfg, q, t, s, r) * meas, dx=h))
-        duhamel += w * (t - s) * inner
+    # trapezoid in s over levels 0..i; the level-i term has (t - s) = 0
+    inner = np.trapezoid(_forcing(run.spec, p, run.field[:i]) * eta[:i] * meas, dx=h, axis=1)
+    w = np.full(i, h)
+    w[:1] = 0.5 * h
+    duhamel = float((w * (t - s[:i])) @ inner)
     return lhs - (data_term + vel_term + duhamel)
 
 

@@ -178,8 +178,19 @@ class ModulusSpec:
             raise ValueError(f"tau0 must be positive, got {self.tau0}")
 
 
+# largest k whose iterated-log domain guard exp(-tower(k)) is a positive
+# double: tower(4) = e**e**e = 3.8e6, so exp(-tower(4)) underflows to 0
+_MAX_TOWER_K = 3
+
+
 def make_spec(family, tau0: float | None = None) -> ModulusSpec:
     """Build a spec with the family's default near-zero cutoff."""
+    k = getattr(family, "k", None)
+    if k is not None and k > _MAX_TOWER_K:
+        raise ValueError(
+            f"k={k} is out of range: the e-tower guard exp(-tower(k)) is not a "
+            f"positive float; the largest admissible k is {_MAX_TOWER_K}"
+        )
     if tau0 is None:
         tau0 = _default_tau0(family)
     return ModulusSpec(family=family, tau0=tau0)

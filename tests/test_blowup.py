@@ -16,7 +16,7 @@ from wavecrit.blowup import (
     weighted_functional,
 )
 from wavecrit.exponents import kernel_exponent, strauss_exponent
-from wavecrit.kernels import KernelConfig, source_kernel
+from wavecrit.kernels import KernelConfig, data_kernel, source_kernel
 from wavecrit.modulus import LogPower, PowerLaw, make_spec, mu_eval
 from wavecrit.solver import CharacteristicGrid, RadialData, SolutionRun, default_bump, march
 
@@ -173,6 +173,58 @@ def test_identity_residual_shrinks_under_refinement():
         run = march(default_bump(0.5), spec, CharacteristicGrid.cover(h, 5.0, 1.0))
         residuals.append(abs(integral_identity_residual(run, CFG, Q3, 5.0)))
     assert residuals[0] / residuals[1] >= 3.0
+
+
+def _residual_by_levels(run, cfg, q, t):
+    """Reference: the identity summed level by level with scalar-s kernels."""
+    i = run.level_index(t)
+    h = run.grid.h
+    r = run.radii
+    meas = 4.0 * math.pi * r * r
+    eps = run.data.amplitude
+
+    def integral(values, s):
+        return float(np.trapezoid(values * source_kernel(cfg, q, t, s, r) * meas, dx=h))
+
+    u0v = eps * np.asarray([run.data.u0(x) for x in r])
+    u1v = eps * np.asarray([run.data.u1(x) for x in r])
+    total = float(np.trapezoid(u0v * data_kernel(cfg, q, t, r) * meas, dx=h))
+    total += t * integral(u1v, 0.0)
+    for k in range(i):
+        u = np.abs(run.field[k])
+        w = 0.5 * h if k == 0 else h
+        total += w * (t - k * h) * integral(u**P3 * mu_eval(run.spec, u), k * h)
+    return integral(run.field[i], t) - total
+
+
+@pytest.mark.parametrize("levels", [0, 1, 2, 20])
+def test_identity_matches_level_by_level_sum(levels):
+    # t = 0 has no history and t = h a single level
+    h = 0.0625
+    run = march(default_bump(0.5), make_spec(PowerLaw(1.0)), CharacteristicGrid.cover(h, 2.0, 1.0))
+    t = levels * h
+    got = integral_identity_residual(run, CFG, Q3, t)
+    ref = _residual_by_levels(run, CFG, Q3, t)
+    scale = abs(np.trapezoid(run.field[levels] * source_kernel(CFG, Q3, t, t, run.radii)
+                             * 4.0 * math.pi * run.radii**2, dx=h))
+    assert abs(got - ref) <= 1e-13 * scale
+
+
+def test_identity_builds_the_kernel_tables_once(monkeypatch):
+    import wavecrit.kernels as kernels
+
+    calls = []
+    original = kernels.laplace_eigenfunction
+
+    def counted(n, r):
+        calls.append(n)
+        return original(n, r)
+
+    run = march(default_bump(0.5), make_spec(PowerLaw(1.0)),
+                CharacteristicGrid.cover(0.03125, 5.0, 1.0))
+    monkeypatch.setattr(kernels, "laplace_eigenfunction", counted)
+    integral_identity_residual(run, CFG, Q3, 5.0)
+    assert len(calls) <= 4  # one table and one phi(0) per kernel call
 
 
 def test_identity_time_bounds():

@@ -75,11 +75,17 @@ def test_missing_family_value_rejected(tmp_path):
 
 
 def test_family_field_out_of_range_rejected(capsys, tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["mu", "check", "--family", "iterlog", "--gamma", "1", "--k", "0",
-              "--out-dir", str(tmp_path)])
-    assert exc.value.code == 2
-    assert "k >= 2" in capsys.readouterr().err
+    # k = 4 underflows the e-tower guard exp(-tower(k)), k = 5 overflows tower(k)
+    for family, k, message in (
+        (["iterlog", "--gamma", "1"], "0", "k >= 2"),
+        (["triplelog", "--gamma", "-0.5"], "4", "largest admissible k is 3"),
+        (["triplelog", "--gamma", "-0.5"], "5", "largest admissible k is 3"),
+        (["iterlog", "--gamma", "1"], "5", "largest admissible k is 3"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["mu", "check", "--family", *family, "--k", k, "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 # -------------------------------------------------------------- persistence

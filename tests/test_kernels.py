@@ -12,6 +12,7 @@ from wavecrit.kernels import (
     free_wave_ball_integral,
     kernel_bounds_check,
     laplace_eigenfunction,
+    log_laplace_eigenfunction,
     sinh_over_z,
     source_kernel,
     sphere_area,
@@ -62,6 +63,26 @@ def test_eigenfunction_monotone():
 def test_eigenfunction_rejects_negative_radius():
     with pytest.raises(ValueError):
         laplace_eigenfunction(3, -1.0)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_eigenfunction_general_dimension_elementwise(n):
+    # the Gauss-Jacobi branch must broadcast over a lam x r table
+    radii = np.array([[0.0, 0.5, 2.0], [3.0, 7.5, 40.0]])
+    for fn in (laplace_eigenfunction, log_laplace_eigenfunction):
+        got = fn(n, radii)
+        scalar = np.array([[fn(n, x) for x in row] for row in radii])
+        assert got.shape == radii.shape
+        assert np.max(np.abs(got - scalar) / np.abs(scalar)) <= 1e-14
+
+
+def test_data_kernel_general_dimension_matches_scalar_calls():
+    cfg = KernelConfig(n=4, lambda0=1.0, R=1.0, quad_points=64)
+    q = kernel_exponent(4)
+    radii = np.linspace(0.0, 2.0, 5)
+    got = data_kernel(cfg, q, 1.5, radii)
+    scalar = np.array([data_kernel(cfg, q, 1.5, x) for x in radii])
+    assert np.max(np.abs(got - scalar) / scalar) <= 1e-14
 
 
 def test_growth_ratio_three_dim():
@@ -142,6 +163,23 @@ def test_kernels_coincide_at_origin_time():
     assert source_kernel(CFG, Q3, 0.0, 0.0, 0.0) == data_kernel(CFG, Q3, 0.0, 0.0)
 
 
+def test_source_kernel_rows_match_scalar_calls():
+    # one row per s, including s = 0 and s = t; t = 800 puts lam (t - s)
+    # past sinh's overflow, where only the difference form is finite
+    radii = np.linspace(0.0, 3.0, 7)
+    for t in (2.5, 800.0):
+        s = np.array([0.0, 1e-6, 0.3 * t, t - 5e-5, t])
+        rows = source_kernel(CFG, Q3, t, s, radii)
+        assert rows.shape == (s.size, radii.size) and np.all(np.isfinite(rows))
+        for row, sk in zip(rows, s):
+            scalar = source_kernel(CFG, Q3, t, sk, radii)
+            assert np.max(np.abs(row - scalar) / np.abs(scalar)) <= 1e-14
+        column = source_kernel(CFG, Q3, t, s, 0.7)
+        scalar = np.array([source_kernel(CFG, Q3, t, sk, 0.7) for sk in s])
+        assert column.shape == s.shape
+        assert np.max(np.abs(column - scalar) / scalar) <= 1e-14
+
+
 def test_source_kernel_diagonal_formula():
     # at s = t the time factor is identically 1
     t, r = 3.0, 0.8
@@ -155,6 +193,8 @@ def test_source_kernel_diagonal_formula():
 def test_source_kernel_domain_errors():
     with pytest.raises(ValueError):
         source_kernel(CFG, Q3, 1.0, 2.0, 0.0)
+    with pytest.raises(ValueError):
+        source_kernel(CFG, Q3, 1.0, np.array([0.0, 1.0 + 1e-12]), 0.0)
     with pytest.raises(ValueError):
         data_kernel(CFG, -1.0, 0.0, 0.0)
     with pytest.raises(ValueError):
