@@ -33,9 +33,7 @@ from .solver import (
     SolutionRun,
     convergence_study,
     default_bump,
-    duhamel_apply,
     lifespan_sweep,
-    linear_propagator,
     march,
 )
 
@@ -65,8 +63,6 @@ __all__ = [
     "SolutionRun",
     "convergence_study",
     "default_bump",
-    "duhamel_apply",
     "lifespan_sweep",
-    "linear_propagator",
     "march",
 ]

@@ -153,6 +153,7 @@ def _svg_heatmap(path: Path, matrix, title: str, max_cells=120) -> None:
 def _persist(args, parameters: dict, writers) -> Path:
     """Run the file writers in a fresh result directory and write the manifest."""
     started = _dt.datetime.now(_dt.timezone.utc).isoformat()
+    parameters = {**args.modulus, **parameters}
     out = _result_dir(_out_root(args), args.command)
     written = []
     for name, writer in writers:
@@ -196,32 +197,16 @@ def _family_from_args(parser, args):
         parser.error(str(exc))
 
 
-def _parse_params(parser, text):
-    """Parse 'k=v,k=v' pairs; unknown keys are usage errors naming the key."""
-    allowed = {"gamma": float, "cl": float, "k": int, "n": int, "tau0": float}
-    out = {}
-    if not text:
-        return out
-    for item in text.split(","):
-        if "=" not in item:
-            parser.error(f"malformed parameter {item!r}; expected key=value")
-        key, value = item.split("=", 1)
-        key = key.strip()
-        if key not in allowed:
-            parser.error(f"unknown parameter key {key!r}")
-        try:
-            out[key] = allowed[key](value)
-        except ValueError:
-            parser.error(f"parameter {key!r} has a bad value {value!r}")
-    return out
-
-
 def _spec_from_args(parser, args):
+    """The spec of the family flags; the family, its fields and the spec's
+    tau0 join the manifest parameters as ``args.modulus``."""
     family = _family_from_args(parser, args)
     try:
-        return make_spec(family, tau0=args.tau0)
+        spec = make_spec(family, tau0=args.tau0)
     except ValueError as exc:
         parser.error(str(exc))
+    args.modulus = {"family": args.family, **dataclasses.asdict(family), "tau0": spec.tau0}
+    return spec
 
 
 # --------------------------------------------------------------------------
@@ -239,11 +224,6 @@ def _cmd_exponents(parser, args):
 
 
 def _cmd_mu(parser, args):
-    if args.action != "check":
-        parser.error(f"unknown mu action {args.action!r}")
-    params = _parse_params(parser, args.params)
-    for key, value in params.items():
-        setattr(args, key, value)
     spec = _spec_from_args(parser, args)
     n = args.n
     axioms = axioms_check(spec)
@@ -265,12 +245,10 @@ def _cmd_mu(parser, args):
                ("threshold_samples.csv",
                 lambda p: _write_csv(p, ("tau", "product"), verdict.samples))]
     code = 0 if payload["axioms_pass"] and payload["g_convex"] else 2
-    return payload, {"family": args.family, **params}, writers, code
+    return payload, {"n": n}, writers, code
 
 
 def _cmd_lemmas(parser, args):
-    if args.action != "verify":
-        parser.error(f"unknown lemmas action {args.action!r}")
     if args.n < 2:
         parser.error("--n must be at least 2 for the kernel bound checks")
     if args.which == "ball-integral":
@@ -315,7 +293,7 @@ def _cmd_onset(parser, args):
     onset = divergence_onset(3, IterationConstants(c6=args.c6, c7=args.c7),
                              spec, args.tmax)
     payload = {"family": args.family, "tmax": args.tmax, "onset_t": onset}
-    params = {"family": args.family, "tmax": args.tmax, "c6": args.c6, "c7": args.c7}
+    params = {"tmax": args.tmax, "c6": args.c6, "c7": args.c7}
     return payload, params, [("onset.json", lambda p: _write_json(p, payload))], 0
 
 
@@ -324,8 +302,7 @@ def _cmd_solve(parser, args):
     data = default_bump(args.eps)
     grid = CharacteristicGrid.cover(args.h, args.horizon, data.support_radius)
     run = march(data, spec, grid, cap=args.cap)
-    params = {"family": args.family, "eps": args.eps, "h": args.h,
-              "horizon": args.horizon, "cap": args.cap}
+    params = {"eps": args.eps, "h": args.h, "horizon": args.horizon, "cap": args.cap}
     payload = {"h": grid.h, "t_levels": grid.t_levels, "r_nodes": grid.r_nodes,
                "cap": args.cap, "amplitude": data.amplitude, "status": run.status,
                "t_detect": run.t_detect}
@@ -356,8 +333,7 @@ def _cmd_lifespan(parser, args):
              for r in rows]
     payload = {"rows": [{"eps": r.eps, "t_detect": r.t_detect, "status": r.status}
                         for r in rows]}
-    params = {"family": args.family, "eps_list": eps_list, "h": args.h,
-              "horizon": args.horizon, "cap": args.cap}
+    params = {"eps_list": eps_list, "h": args.h, "horizon": args.horizon, "cap": args.cap}
     writers = [("lifespan.csv", lambda p: _write_csv(p, ("eps", "t", "status"), table)),
                ("lifespan.svg", lambda p: _svg_polyline(
                    p, [(a, b) for a, b, _ in table], "detection time vs amplitude"))]
@@ -407,7 +383,7 @@ def _cmd_verify_global(parser, args):
     if profile is not None:
         writers.append(("profile.csv", lambda p: _write_csv(
             p, profile.columns, profile.samples)))
-    params = {"family": args.family, "eps": args.eps, "h": args.h, "horizon": args.horizon}
+    params = {"eps": args.eps, "h": args.h, "horizon": args.horizon}
     return payload, params, writers, 0 if not failures else 2
 
 
@@ -426,7 +402,7 @@ def _cmd_key_integral(parser, args):
                "max_min_ratio": (max(ratios) / min(ratios)) if ratios else None}
     writers = [("key_integral.csv", lambda p: _write_csv(p, ("xi", "I", "ratio"), rows)),
                ("summary.json", lambda p: _write_json(p, payload))]
-    return payload, {"family": args.family, "xi_list": xi_list, "eps0": args.eps0}, writers, 0
+    return payload, {"xi_list": xi_list, "eps0": args.eps0}, writers, 0
 
 
 # --------------------------------------------------------------------------
@@ -442,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="wavecrit",
         description="numerical laboratory for critical-regularity wave equations",
     )
-    parser.set_defaults(out_dir=None, quiet=False)
+    parser.set_defaults(out_dir=None, quiet=False, modulus={})
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_family(p):
@@ -460,7 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mu", parents=[common], help="modulus family checks")
     p.add_argument("action", choices=["check"])
     add_family(p)
-    p.add_argument("--params", default=None, help="comma list key=value; keys gamma,cl,k,n,tau0")
     p.set_defaults(func=_cmd_mu)
 
     p = sub.add_parser("lemmas", parents=[common], help="kernel and ball-integral bound sweeps")

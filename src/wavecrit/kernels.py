@@ -1,8 +1,9 @@
 """Test-function kernels and numerical verification of their sharp bounds.
 
 The machinery rests on the positive eigenfunction of the Laplacian built
-from the spherical average of ``exp(x . w)``.  Two one-parameter transforms
-of it appear everywhere downstream:
+from the spherical average of ``exp(x . w)``; in closed form it is
+(2 pi)^{n/2} r^{1-n/2} I_{n/2-1}(r) (DLMF 10.39).  Two one-parameter
+transforms of it appear everywhere downstream:
 
 * the data kernel, weighting initial data (cosh time factor), and
 * the source kernel, weighting the forcing history (sinh time factor).
@@ -35,19 +36,14 @@ def sphere_area(m: int) -> float:
     return 2.0 * math.pi ** ((m + 1) / 2.0) / math.gamma((m + 1) / 2.0)
 
 
-def _jacobi_rule(n: int, points: int = 96):
-    # exact for the (1 - s^2)**((n-3)/2) weight of the 1-d sphere reduction
-    alpha = (n - 3) / 2.0
-    nodes, weights = sc.roots_jacobi(points, alpha, alpha)
-    return nodes, weights
-
-
 def laplace_eigenfunction(n: int, r):
     """Radial profile of the positive eigenfunction of the Laplacian.
 
     Spherical average of exp(x . w) at radius r; smooth, increasing, and
-    asymptotically r**(-(n-1)/2) e**r up to a constant.  Closed forms for
-    n = 2, 3, Gauss-Jacobi reduction for other n.
+    asymptotically r**(-(n-1)/2) e**r up to a constant.  Closed forms:
+    2 pi I_0(r) for n = 2, 4 pi sinh(r)/r for n = 3, and
+    (2 pi)^{n/2} r^{-nu} I_nu(r), nu = n/2 - 1, for n >= 4, with the
+    two-term series of r^{-nu} I_nu(r) below r = 1e-6.
     """
     arr = np.asarray(r, dtype=float)
     scalar = arr.ndim == 0
@@ -65,8 +61,14 @@ def laplace_eigenfunction(n: int, r):
     elif n == 2:
         out = 2.0 * math.pi * sc.i0(arr)
     elif n >= 4:
-        nodes, weights = _jacobi_rule(n)
-        out = sphere_area(n - 2) * (np.exp(arr[..., None] * nodes) @ weights)
+        nu = 0.5 * n - 1.0
+        small = arr < 1e-6
+        safe = np.where(small, 1.0, arr)
+        out = (2.0 * math.pi) ** (0.5 * n) * np.where(
+            small,
+            (1.0 + arr * arr / (4.0 * (nu + 1.0))) / (2.0 ** nu * math.gamma(nu + 1.0)),
+            sc.iv(nu, safe) / safe ** nu,
+        )
     else:
         raise ValueError(f"eigenfunction needs n >= 2, got n={n}")
     return float(out[0]) if scalar else out
@@ -90,9 +92,13 @@ def log_laplace_eigenfunction(n: int, r):
     elif n == 2:
         out = math.log(2.0 * math.pi) + arr + np.log(sc.i0e(arr))
     elif n >= 4:
-        nodes, weights = _jacobi_rule(n)
-        out = math.log(sphere_area(n - 2)) + sc.logsumexp(
-            arr[..., None] * nodes, b=weights, axis=-1
+        nu = 0.5 * n - 1.0
+        small = arr < 1e-6
+        safe = np.where(small, 1.0, arr)
+        out = 0.5 * n * math.log(2.0 * math.pi) + np.where(
+            small,
+            np.log1p(arr * arr / (4.0 * (nu + 1.0))) - nu * math.log(2.0) - math.lgamma(nu + 1.0),
+            arr + np.log(sc.ive(nu, safe)) - nu * np.log(safe),
         )
     else:
         raise ValueError(f"eigenfunction needs n >= 2, got n={n}")

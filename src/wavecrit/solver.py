@@ -39,9 +39,8 @@ singularity is replaced by the analytic limits
 the second accumulated forward: each new level k adds w_k m h g_k(m) to
 the axis slot of level k + m.  The feet t ± r of the free part are lattice
 nodes, so u0 is sampled once per march on h·n, n = 0..t_levels+r_nodes.
-A march therefore costs O(t_levels · r_nodes).  ``duhamel_apply`` re-sums
-the whole history at one level; it is the slow oracle the tests hold the
-recurrence to.
+A march therefore costs O(t_levels · r_nodes).  The slow oracles the
+tests hold the recurrence and the free part to live in ``tests/oracles.py``.
 
 Blow-up is detected by a cap on the sup norm: marching stops at the first
 level whose max exceeds the cap or goes non-finite.
@@ -55,7 +54,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate
 
 from .exponents import strauss_exponent
 from .modulus import ModulusSpec, mu_eval
@@ -282,26 +280,6 @@ def linear_field(data: RadialData, t: float, r) -> np.ndarray:
     return _off_lattice(data)(t, r)
 
 
-def linear_propagator(data: RadialData, t: float, r: float) -> float:
-    """Free solution at a single point with the u1 window integrated by
-    adaptive quadrature: the independent oracle the tests compare the
-    lattice and fine-table paths against."""
-    if t < 0.0:
-        raise ValueError("time must be non-negative")
-    ra = abs(r)
-
-    def h1(x):
-        return 0.5 * x * data.amplitude * data.u1(abs(x))
-
-    def window(xm, xp):
-        lo, hi = xm[0], xp[0]
-        pts = [x for x in (-data.support_radius, 0.0, data.support_radius) if lo < x < hi]
-        return integrate.quad(h1, lo, hi, points=pts or None, limit=200)[0]
-
-    return float(_free_wave(data, t, np.array([ra]), np.array([t + ra]),
-                            np.array([t - ra]), _u0_callback(data), window)[0])
-
-
 # --------------------------------------------------------------------------
 # forcing history
 
@@ -317,60 +295,6 @@ def _history_prefix(grid: CharacteristicGrid, g_level: np.ndarray) -> np.ndarray
     h = grid.h
     hvals = 0.5 * (h * np.arange(grid.r_nodes)) * g_level
     return np.concatenate([[0.0], np.cumsum(0.5 * (hvals[1:] + hvals[:-1]) * h)])
-
-
-def _duhamel_level(
-    grid: CharacteristicGrid,
-    prefixes: list,
-    g_levels: list,
-    i: int,
-) -> np.ndarray:
-    """Forcing contribution at level i from all strictly earlier levels.
-
-    Returns r * Lu at the off-axis nodes and Lu itself at the axis node.
-    """
-    h = grid.h
-    nr = grid.r_nodes
-    j = np.arange(nr)
-    acc = np.zeros(nr)
-    axis = 0.0
-    for k in range(i):
-        w = 0.5 * h if k == 0 else h
-        m = i - k
-        qk = prefixes[k]
-        hi = np.minimum(m + j, nr - 1)
-        lo = np.minimum(np.abs(m - j), nr - 1)
-        acc += w * (qk[hi] - qk[lo])
-        if m < nr:
-            axis += w * (m * h) * g_levels[k][m]
-    out = np.empty(nr)
-    out[0] = axis
-    out[1:] = acc[1:]
-    return out
-
-
-def duhamel_apply(run: SolutionRun, t_level: int, r):
-    """Forcing term Lu at stored level ``t_level`` and lattice radius r, or
-    at an array of lattice radii (returning an array of the same shape).
-
-    The slow oracle for ``march``: every term of the forcing history is
-    summed afresh.  Every level strictly below must already be computed
-    (it is, for any completed or blown-up run).
-    """
-    grid = run.grid
-    if not 0 <= t_level < run.field.shape[0]:
-        raise ValueError(f"level {t_level} not stored")
-    r_arr = np.asarray(r, dtype=float)
-    j = np.rint(r_arr / grid.h).astype(int)
-    if np.any(np.abs(r_arr - j * grid.h) > 1e-9 * np.maximum(1.0, np.abs(r_arr))) \
-            or np.any((j < 0) | (j >= grid.r_nodes)):
-        raise ValueError(f"radius {r} is not a lattice node")
-    p = strauss_exponent(3)
-    g_levels = [_forcing(run.spec, p, run.field[k]) for k in range(t_level)]
-    prefixes = [_history_prefix(grid, g) for g in g_levels]
-    out = _duhamel_level(grid, prefixes, g_levels, t_level)
-    lu = np.where(j == 0, out[0], out[j] / (np.maximum(j, 1) * grid.h))
-    return float(lu) if lu.ndim == 0 else lu
 
 
 def _validate_data(data: RadialData, grid: CharacteristicGrid):

@@ -40,7 +40,6 @@ from wavecrit.solver import (
     RadialData,
     convergence_study,
     default_bump,
-    linear_propagator,
     march,
     velocity_bump,
 )
@@ -51,6 +50,8 @@ from wavecrit.weights import (
     zone_bound_check,
 )
 from wavecrit.modulus import mu_eval
+
+from oracles import linear_propagator
 
 P3 = strauss_exponent(3)
 Q3 = kernel_exponent(3)

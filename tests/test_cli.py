@@ -36,14 +36,6 @@ def test_unknown_flag_rejected():
         build_parser().parse_args(["exponents", "--n", "3", "--bogus", "1"])
 
 
-def test_unknown_param_key_named(capsys, tmp_path):
-    with pytest.raises(SystemExit):
-        main(["mu", "check", "--family", "logpower", "--params", "gamm=0.2",
-              "--out-dir", str(tmp_path)])
-    err = capsys.readouterr().err
-    assert "gamm" in err
-
-
 def test_lemma_dimension_rejected(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["lemmas", "verify", "--which", "kernel-bounds", "--n", "1",
@@ -154,7 +146,7 @@ def test_key_integral_csv(tmp_path):
 
 def test_mu_check_report_keys(tmp_path):
     assert run_cli(
-        ["mu", "check", "--family", "powerlaw", "--params", "gamma=1", "--quiet"],
+        ["mu", "check", "--family", "powerlaw", "--gamma", "1", "--quiet"],
         tmp_path,
     ) == 0
     payload = json.loads((latest(tmp_path, "mu") / "report.json").read_text())
@@ -180,3 +172,17 @@ def test_manifest_lists_every_output(tmp_path):
     on_disk = sorted(p.name for p in out.iterdir())
     assert manifest["outputs"] == on_disk
     assert "lifespan.csv" in on_disk and "lifespan.svg" in on_disk
+
+
+def test_manifest_records_the_modulus(tmp_path):
+    # the family fields and tau0 change the result, so they enter the digest
+    manifests = []
+    for gamma in ("0.2", "0.3"):
+        run_cli(["onset", "--family", "logpower", "--gamma", gamma, "--cl", "5",
+                 "--quiet"], tmp_path)
+        manifests.append(json.loads((latest(tmp_path, "onset") / "manifest.json").read_text()))
+    first, second = (m["parameters"] for m in manifests)
+    assert first["family"] == "logpower" and first["cl"] == 5.0
+    assert (first["gamma"], second["gamma"]) == (0.2, 0.3)
+    assert first["tau0"] > 0.0
+    assert manifests[0]["input_digest"] != manifests[1]["input_digest"]

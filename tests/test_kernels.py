@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -46,12 +47,19 @@ def test_eigenfunction_two_dim_against_angle_integral():
     assert abs(laplace_eigenfunction(2, r) - oracle) < 1e-10 * oracle
 
 
-def test_eigenfunction_general_dimension():
-    r = 3.0
-    oracle = sphere_area(2) * integrate.quad(
-        lambda s: math.exp(r * s) * math.sqrt(1.0 - s * s), -1.0, 1.0
+@pytest.mark.parametrize("r", [0.0, 1e-3, 3.0, 40.0])
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_eigenfunction_general_dimension(n, r):
+    # oracle: the 1-d sphere reduction |S^{n-2}| int e^{r s} (1 - s^2)^{(n-3)/2} ds,
+    # adaptively, with the algebraic endpoint weight and e^r taken out
+    alpha = 0.5 * (n - 3)
+    oracle = sphere_area(n - 2) * math.exp(r) * integrate.quad(
+        lambda s: math.exp(r * (s - 1.0)), -1.0, 1.0, weight="alg",
+        wvar=(alpha, alpha), epsabs=0.0, epsrel=1e-13,
     )[0]
-    assert abs(laplace_eigenfunction(4, r) - oracle) < 1e-8 * oracle
+    assert abs(laplace_eigenfunction(n, r) - oracle) <= 1e-12 * oracle
+    assert abs(log_laplace_eigenfunction(n, r) - math.log(oracle)) <= 1e-12 * max(
+        1.0, abs(math.log(oracle)))
 
 
 def test_eigenfunction_monotone():
@@ -67,13 +75,25 @@ def test_eigenfunction_rejects_negative_radius():
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_eigenfunction_general_dimension_elementwise(n):
-    # the Gauss-Jacobi branch must broadcast over a lam x r table
+    # the Bessel branch must broadcast over a lam x r table
     radii = np.array([[0.0, 0.5, 2.0], [3.0, 7.5, 40.0]])
     for fn in (laplace_eigenfunction, log_laplace_eigenfunction):
         got = fn(n, radii)
         scalar = np.array([[fn(n, x) for x in row] for row in radii])
         assert got.shape == radii.shape
         assert np.max(np.abs(got - scalar) / np.abs(scalar)) <= 1e-14
+
+
+def test_data_kernel_general_dimension_memory():
+    # the n >= 4 eigenfunction is elementwise: no per-radius quadrature array
+    radii = np.linspace(0.0, 2.0, 100)
+    tracemalloc.start()
+    try:
+        data_kernel(KernelConfig(n=4), kernel_exponent(4), 1.0, radii)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6
 
 
 def test_data_kernel_general_dimension_matches_scalar_calls():
@@ -89,6 +109,14 @@ def test_growth_ratio_three_dim():
     assert abs(eigenfunction_growth_ratio(3, 20.0) - 2.0 * math.pi) < 1e-8
     big = eigenfunction_growth_ratio(3, 5000.0)  # far beyond naive overflow
     assert abs(big - 2.0 * math.pi) < 1e-10
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_growth_ratio_general_dimension_far_out(n):
+    # phi_n(r) r^{(n-1)/2} e^{-r} -> (2 pi)^{(n-1)/2}, with a relative O(1/r)
+    # correction of (n^2 - 4n + 3) / (8r), at most 6e-4 for n <= 7 at r = 5000
+    limit = (2.0 * math.pi) ** (0.5 * (n - 1))
+    assert abs(eigenfunction_growth_ratio(n, 5000.0) / limit - 1.0) <= 1e-3
 
 
 def test_growth_ratio_two_dim_stabilizes():

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -5,20 +8,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import wavecrit
 from wavecrit.modulus import LogOnePlus, LogPower, PowerLaw, make_spec, mu_eval
 from wavecrit.solver import (
     CharacteristicGrid,
     RadialData,
     convergence_study,
     default_bump,
-    duhamel_apply,
     lifespan_sweep,
     linear_field,
-    linear_propagator,
     march,
     velocity_bump,
 )
 from wavecrit.exponents import strauss_exponent
+
+from oracles import duhamel_apply, linear_propagator
 
 P3 = strauss_exponent(3)
 
@@ -423,3 +427,14 @@ def test_blowup_time_stable_under_refinement():
     fine = march(default_bump(5.0), spec, CharacteristicGrid.cover(0.01, 10.0, 1.0), cap=1e6)
     assert coarse.status == fine.status == "blew_up"
     assert abs(fine.t_detect - coarse.t_detect) <= 0.1 * coarse.t_detect
+
+
+def test_import_loads_no_scipy():
+    # the package front door is numpy only; scipy loads with kernels/weights
+    src = os.path.dirname(os.path.dirname(wavecrit.__file__))
+    probe = ("import sys, wavecrit; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
