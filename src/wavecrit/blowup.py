@@ -191,7 +191,8 @@ def integral_identity_residual(run, cfg: KernelConfig, q: float, t: float) -> fl
     vel_term = t * float(np.trapezoid(u1v * eta[0] * meas, dx=h))
 
     # trapezoid in s over levels 0..i; the level-i term has (t - s) = 0
-    inner = np.trapezoid(_forcing(run.spec, p, run.field[:i]) * eta[:i] * meas, dx=h, axis=1)
+    forcing = _forcing(run.spec, p, np.abs(run.field[:i]))
+    inner = np.trapezoid(forcing * eta[:i] * meas, dx=h, axis=1)
     w = np.full(i, h)
     w[:1] = 0.5 * h
     duhamel = float((w * (t - s[:i])) @ inner)

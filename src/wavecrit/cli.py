@@ -273,7 +273,8 @@ def _cmd_lemmas(parser, args):
         header = report.columns
     writers = [("report.json", lambda p: _write_json(p, payload)),
                ("ratios.csv", lambda p: _write_csv(p, header, rows))]
-    return payload, {"which": args.which, "n": args.n}, writers, 0 if payload["pass"] else 2
+    params = {"which": args.which, "n": args.n, "lambda0": args.lambda0}
+    return payload, params, writers, 0 if payload["pass"] else 2
 
 
 def _cmd_sequences(parser, args):
@@ -345,6 +346,7 @@ def _cmd_verify_global(parser, args):
     verdict = classify_strauss_threshold(spec, 3)
     data = default_bump(args.eps)
     grid = CharacteristicGrid.cover(args.h, args.horizon, data.support_radius)
+    norms = data_norms(data)
     failures = []
     zones = None
     if verdict.threshold_class != "zero":
@@ -362,18 +364,17 @@ def _cmd_verify_global(parser, args):
             profile = None
             norm = None
         else:
-            profile = decay_profile_check(run)
+            profile = decay_profile_check(run, norms)
             norm = max(level for _, level in profile.samples)
             if not profile.passed:
                 failures.append("decay profile grew over the outer half")
             if not math.isfinite(norm):
                 failures.append("weighted norm not finite")
-    a_norm, b_norm = data_norms(data)
     payload = {
         "family": args.family,
         "threshold_class": verdict.threshold_class,
         "weighted_sup_norm": norm,
-        "data_norms": [a_norm, b_norm],
+        "data_norms": list(norms),
         "decay_constant": profile.fitted_constant if profile else None,
         "zone_sups": zones.region if zones else None,
         "pass": not failures,
@@ -383,7 +384,8 @@ def _cmd_verify_global(parser, args):
     if profile is not None:
         writers.append(("profile.csv", lambda p: _write_csv(
             p, profile.columns, profile.samples)))
-    params = {"eps": args.eps, "h": args.h, "horizon": args.horizon}
+    params = {"eps": args.eps, "h": args.h, "horizon": args.horizon,
+              "eps0": args.eps0, "cap": args.cap}
     return payload, params, writers, 0 if not failures else 2
 
 

@@ -280,16 +280,11 @@ def mu_eval(spec: ModulusSpec, tau):
 
     out = np.zeros_like(arr)
     pos = arr > 0.0
-    if isinstance(spec.family, _GLOBAL_DOMAIN):
-        near = pos  # formula valid on all of [0, inf)
-    else:
-        near = pos & (arr <= spec.tau0)
-    far = pos & ~near
-    if np.any(near):
-        with np.errstate(divide="ignore"):
-            L = -np.log(arr[near])
-        out[near] = np.exp(_log_mu_from_loginv(spec.family, L))
-    if np.any(far):
+    far = None if isinstance(spec.family, _GLOBAL_DOMAIN) else arr > spec.tau0
+    has_far = far is not None and bool(far.any())
+    near = pos & ~far if has_far else pos
+    out[near] = np.exp(_log_mu_from_loginv(spec.family, -np.log(arr[near])))
+    if has_far:
         if not isinstance(spec.family, LogPower):
             raise ValueError(
                 f"mu argument beyond tau0={spec.tau0:g} needs a continuation"

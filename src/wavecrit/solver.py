@@ -37,9 +37,19 @@ singularity is replaced by the analytic limits
     Lu(t, 0) = integral of (t-s) |u(s, t-s)|^p mu(|u(s, t-s)|) d s,
 
 the second accumulated forward: each new level k adds w_k m h g_k(m) to
-the axis slot of level k + m.  The feet t ± r of the free part are lattice
-nodes, so u0 is sampled once per march on h·n, n = 0..t_levels+r_nodes.
-A march therefore costs O(t_levels · r_nodes).  The slow oracles the
+the axis slot of level k + m.  Off the axis the free part is the
+two-point formula of ``_two_point``,
+
+    r v(t, r) = (P(t+r) - P(t-r)) / 2 + Q1(|t+r|) - Q1(|t-r|),
+
+P(x) = x u0(|x|) odd and Q1 the cumulative trapezoid of (rho/2) u1.  On
+the lattice its feet h (i ± j) are nodes, so ``march`` reads them from two
+tables built once (u0 sampled on h·n, n = 0..t_levels+r_nodes, and the u1
+prefix on the radial nodes, clamped at the last one) as one forward and
+one reversed slice each; ``linear_field`` feeds the same formula from
+callbacks off the lattice.  Each level is written in place into the stored
+field from preallocated buffers, so a march costs O(t_levels · r_nodes)
+in a fixed number of numpy calls per level.  The slow oracles the
 tests hold the recurrence and the free part to live in ``tests/oracles.py``.
 
 Blow-up is detected by a cap on the sup norm: marching stops at the first
@@ -202,74 +212,87 @@ class SolutionRun:
 # --------------------------------------------------------------------------
 # free propagator
 
-def _free_wave(data: RadialData, t: float, r: np.ndarray, xp: np.ndarray,
-               xm: np.ndarray, u0_at, window) -> np.ndarray:
-    """Free solution at time t on radii r >= 0 by the two-point formula
+def _two_point(p_plus, p_minus, q_plus, q_minus, r, out=None) -> np.ndarray:
+    """Free solution on radii r > 0 from its values at the feet t +- r:
 
-        r v = H0(xp) - H0(xm) + W1(xm, xp),   H0(x) = (x/2) u0(|x|),
+        v = (P(t+r) - P(t-r)) / (2 r) + (Q1(|t+r|) - Q1(|t-r|)) / r,
 
-    where xp = t + r and xm = t - r are the characteristic feet (passed in
-    so the lattice can hand exact node values h (i +- j)), ``u0_at(x)`` is
-    the unscaled profile u0(|x|) on an array of feet and ``window(xm, xp)``
-    is W1, the integral of (rho/2) u1(|rho|) over (xm, xp).  For r < 1e-7
-    the differences lose about 1e-16/r to cancellation while the axis limit
-    u0(t) + t u0'(t) + t u1(t) is within O(r^2), so the limit is used there.
+    with P(x) = x eps u0(|x|) (odd in x) and Q1 the u1 prefix of
+    ``_u1_prefix``.  The one formula of both the lattice, whose feet are
+    table slices, and ``_off_lattice``, whose feet are callbacks; written
+    into ``out`` when given.
     """
-    eps = data.amplitude
-    out = np.empty_like(r)
-    on_axis = r < 1e-7
-    if np.any(on_axis):
-        u0_t = u0_at(np.array([t]))[0]
-        out[on_axis] = eps * (u0_t + t * data.u0_derivative(t) + t * data.u1(t))
-    off = ~on_axis
-    if np.any(off):
-        xp, xm, ro = xp[off], xm[off], r[off]
-        two_point = 0.5 * (xp * (eps * u0_at(xp)) - xm * (eps * u0_at(xm))) / ro
-        out[off] = two_point + window(xm, xp) / ro
+    out = np.subtract(p_plus, p_minus, out=out)
+    out *= 0.5
+    out /= r
+    window = np.subtract(q_plus, q_minus)
+    window /= r
+    out += window
     return out
 
 
-def _u0_callback(data: RadialData):
-    """``u0_at`` for ``_free_wave`` off the lattice: one call per foot."""
-    return lambda x: np.asarray([data.u0(abs(v)) for v in x], dtype=float)
+def _axis_limit(data: RadialData, t: float, u0_t: float) -> float:
+    """v(t, 0) = eps (u0(t) + t u0'(t) + t u1(t)), the limit of the two-point
+    formula on the axis; ``u0_t`` is the unscaled u0(t)."""
+    return data.amplitude * (u0_t + t * data.u0_derivative(t) + t * data.u1(t))
 
 
-def _u1_window(data: RadialData, rho: np.ndarray):
-    """W1 for ``_free_wave`` as Q1(|xp|) - Q1(|xm|), Q1 the cumulative
-    trapezoid of (rho/2) u1 on the increasing nodes ``rho`` (rho[0] = 0),
-    constant beyond the last node.
+def _u1_prefix(data: RadialData, rho: np.ndarray):
+    """The nodal integrand (rho/2) eps u1 on the increasing nodes ``rho``
+    (rho[0] = 0) and its cumulative trapezoid Q1 on them."""
+    vals = 0.5 * rho * data.amplitude * np.asarray([data.u1(x) for x in rho])
+    step = np.diff(rho)
+    pref = np.concatenate([[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * step)])
+    return vals, pref
+
+
+def _u1_reader(rho: np.ndarray, vals: np.ndarray, pref: np.ndarray):
+    """Q1(|x|) off the nodes, constant beyond the last node.
 
     Between nodes Q1 integrates the linear interpolant of the integrand
     exactly, so the table error stays O(step^2) after the 1/r of the
     two-point formula even for r far below the step; at a node Q1 is the
     trapezoid sum itself.
     """
-    vals = 0.5 * rho * data.amplitude * np.asarray([data.u1(x) for x in rho])
-    step = np.diff(rho)
-    pref = np.concatenate([[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * step)])
-    half_slope = np.append(0.5 * np.diff(vals) / step, 0.0)
+    half_slope = np.append(0.5 * np.diff(vals) / np.diff(rho), 0.0)
     index = np.arange(len(rho), dtype=float)
 
-    def window(xm, xp):
-        x = np.abs(np.concatenate([xp, xm]))
+    def q1(x):
+        x = np.abs(x)
         k = np.interp(x, rho, index).astype(int)  # exact on nodes, last node past the end
         d = np.minimum(x, rho[-1]) - rho[k]
-        q1 = pref[k] + d * (vals[k] + half_slope[k] * d)
-        return q1[:len(xp)] - q1[len(xp):]
+        return pref[k] + d * (vals[k] + half_slope[k] * d)
 
-    return window
+    return q1
 
 
 def _off_lattice(data: RadialData):
-    """The free solution off the lattice as a function of (t, r): the
-    two-point path of ``march`` with feet t +- r and a 20001-node u1 table
-    over the support, built once for every (t, r) asked of it."""
-    window = _u1_window(data, np.linspace(0.0, data.support_radius, 20001))
-    u0_at = _u0_callback(data)
+    """The free solution off the lattice as a function of (t, r): feet
+    t +- r through u0 callbacks and a 20001-node u1 table over the support,
+    built once for every (t, r) asked of it.  For r < 1e-7 the differences
+    of the two-point formula lose about 1e-16/r to cancellation while the
+    axis limit is within O(r^2), so the limit is used there.
+    """
+    rho = np.linspace(0.0, data.support_radius, 20001)
+    q1 = _u1_reader(rho, *_u1_prefix(data, rho))
+    eps = data.amplitude
+
+    def u0_at(x):
+        return np.asarray([data.u0(abs(v)) for v in x], dtype=float)
 
     def field(t: float, r) -> np.ndarray:
         r_arr = np.abs(np.atleast_1d(np.asarray(r, dtype=float)))
-        return _free_wave(data, t, r_arr, t + r_arr, t - r_arr, u0_at, window)
+        out = np.empty_like(r_arr)
+        on_axis = r_arr < 1e-7
+        if np.any(on_axis):
+            out[on_axis] = _axis_limit(data, t, data.u0(abs(t)))
+        off = ~on_axis
+        if np.any(off):
+            ro = r_arr[off]
+            xp, xm = t + ro, t - ro
+            out[off] = _two_point(xp * (eps * u0_at(xp)), xm * (eps * u0_at(xm)),
+                                  q1(xp), q1(xm), ro)
+        return out
 
     return field
 
@@ -283,18 +306,18 @@ def linear_field(data: RadialData, t: float, r) -> np.ndarray:
 # --------------------------------------------------------------------------
 # forcing history
 
-def _forcing(spec: Optional[ModulusSpec], p: float, level: np.ndarray) -> np.ndarray:
+def _forcing(spec: Optional[ModulusSpec], p: float, abs_u: np.ndarray,
+             out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The forcing |u|^p mu(|u|) from ``abs_u`` = |u|; 0 when ``spec`` is
+    None.  Written into ``out`` when given."""
+    if out is None:
+        out = np.empty_like(abs_u)
     if spec is None:
-        return np.zeros_like(level)
-    a = np.abs(level)
-    return a ** p * mu_eval(spec, a)
-
-
-def _history_prefix(grid: CharacteristicGrid, g_level: np.ndarray) -> np.ndarray:
-    """Cumulative lattice trapezoid of (rho/2) g(rho); constant beyond support."""
-    h = grid.h
-    hvals = 0.5 * (h * np.arange(grid.r_nodes)) * g_level
-    return np.concatenate([[0.0], np.cumsum(0.5 * (hvals[1:] + hvals[:-1]) * h)])
+        out.fill(0.0)
+    else:
+        np.power(abs_u, p, out=out)
+        out *= mu_eval(spec, abs_u)
+    return out
 
 
 def _validate_data(data: RadialData, grid: CharacteristicGrid):
@@ -330,47 +353,72 @@ def march(
     h = grid.h
     nr = grid.r_nodes
     nt = grid.t_levels
+    eps = data.amplitude
     p = strauss_exponent(3)
     r = h * np.arange(nr)
-    window = _u1_window(data, r)
-    # every foot h (i +- j) is a lattice node, so u0 is sampled once
+    # every foot h (i +- j) is a lattice node n, |n| < nt + nr, so the free
+    # part reads two tables at offset nr - 1 (n = -(nr - 1)..nt + nr - 1):
+    # P(hn) = hn eps u0(h|n|), odd in n, and the u1 prefix Q1(h|n|),
+    # constant past the last radial node
     u0_table = np.asarray([data.u0(x) for x in h * np.arange(nt + nr + 1)], dtype=float)
-
-    def u0_at(x):
-        return u0_table[np.rint(np.abs(x) / h).astype(int)]
+    feet = np.arange(-(nr - 1), nt + nr)
+    p_table = (h * feet) * (eps * u0_table[np.abs(feet)])
+    q_table = _u1_prefix(data, r)[1][np.minimum(np.abs(feet), nr - 1)]
 
     field = np.empty((nt + 1, nr))
-    field[0] = data.amplitude * u0_table[:nr]
+    field[0] = eps * u0_table[:nr]
     status, t_detect = "completed", None
 
     # rlu and rlu_prev hold W_{i-1} and W_{i-2} (W = r Lu) on nodes 0..nr:
     # node 0 is the axis, where W = 0, and node nr a ghost outside the light
-    # cone, where W = 0 too
+    # cone, where W = 0 too; q is the prefix of the newest level, with the
+    # same ghost node holding its last value
     rlu = np.zeros(nr + 1)
     rlu_prev = np.zeros(nr + 1)
+    q = np.zeros(nr + 1)
     axis = np.zeros(nt + 1)  # axis[i] = sum over k < i of w_k (i-k) h g_k[i-k]
-    j = np.arange(nr)
+    half_r = 0.5 * r
+    abs_level = np.abs(field[0])
+    g = np.empty(nr)
+    work = np.empty(nr)
+    trap = np.empty(nr - 1)
     for i in range(1, nt + 1):
         t = i * h
         # level i - 1 joins the history with trapezoid weight w_{i-1}
-        g = _forcing(spec, p, field[i - 1])
-        q = _history_prefix(grid, g)
+        _forcing(spec, p, abs_level, out=g)
+        np.multiply(half_r, g, out=work)
+        np.add(work[1:], work[:-1], out=trap)
+        trap *= 0.5
+        trap *= h
+        trap.cumsum(out=q[1:nr])
+        q[nr] = q[nr - 1]
         weight = 0.5 * h if i == 1 else h
         m_top = min(nt - (i - 1), nr - 1)
-        axis[i:i + m_top] += weight * (h * np.arange(1, m_top + 1)) * g[1:m_top + 1]
+        tail = np.multiply(r[1:m_top + 1], weight, out=work[:m_top])  # w m h
+        tail *= g[1:m_top + 1]
+        axis[i:i + m_top] += tail
 
-        rlu_next = np.zeros(nr + 1)
-        rlu_next[1:nr] = (rlu[:nr - 1] + rlu[2:] - rlu_prev[1:nr]
-                          + weight * (np.append(q[2:], q[-1]) - q[:nr - 1]))
-        rlu_prev, rlu = rlu, rlu_next
+        # W_i overwrites W_{i-2}
+        np.add(rlu[:nr - 1], rlu[2:], out=work[1:])
+        np.subtract(work[1:], rlu_prev[1:nr], out=rlu_prev[1:nr])
+        step = np.subtract(q[2:], q[:nr - 1], out=work[1:])
+        step *= weight
+        rlu_prev[1:nr] += step
+        rlu_prev, rlu = rlu, rlu_prev
 
-        level = _free_wave(data, t, r, h * (i + j), h * (i - j), u0_at, window)
-        level[0] += axis[i]
-        level[1:] += rlu[1:nr] / r[1:]
+        # nodes j = 1..nr-1: feet i + j read forward, feet i - j reversed
+        level = field[i]
+        base = nr - 1 + i
+        _two_point(p_table[base + 1:base + nr], p_table[base - 1:i - 1:-1],
+                   q_table[base + 1:base + nr], q_table[base - 1:i - 1:-1], r[1:],
+                   out=level[1:])
+        level[0] = _axis_limit(data, t, u0_table[i]) + axis[i]
+        np.divide(rlu[1:nr], r[1:], out=work[1:])
+        level[1:] += work[1:]
 
-        field[i] = level
-        peak = np.max(np.abs(level))
-        if not np.isfinite(peak) or peak > cap:
+        np.abs(level, out=abs_level)  # the cap check and the next forcing
+        peak = abs_level.max()
+        if not math.isfinite(peak) or peak > cap:
             status = "blew_up"
             t_detect = t
             break

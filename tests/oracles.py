@@ -17,9 +17,6 @@ from wavecrit.solver import (
     RadialData,
     SolutionRun,
     _forcing,
-    _free_wave,
-    _history_prefix,
-    _u0_callback,
 )
 
 
@@ -30,18 +27,25 @@ def linear_propagator(data: RadialData, t: float, r: float) -> float:
     if t < 0.0:
         raise ValueError("time must be non-negative")
     ra = abs(r)
+    eps = data.amplitude
+    if ra < 1e-7:  # the two-point formula's limit on the axis
+        return eps * (data.u0(t) + t * data.u0_derivative(t) + t * data.u1(t))
 
     def h1(x):
-        return 0.5 * x * data.amplitude * data.u1(abs(x))
+        return 0.5 * x * eps * data.u1(abs(x))
 
-    def window(xm, xp):
-        lo, hi = xm[0], xp[0]
-        pts = [x for x in (-data.support_radius, 0.0, data.support_radius) if lo < x < hi]
-        return integrate.quad(h1, lo, hi, points=pts or None, limit=200)[0]
+    xp, xm = t + ra, t - ra
+    pts = [x for x in (-data.support_radius, 0.0, data.support_radius) if xm < x < xp]
+    window = integrate.quad(h1, xm, xp, points=pts or None, limit=200)[0]
+    two_point = 0.5 * (xp * (eps * data.u0(abs(xp))) - xm * (eps * data.u0(abs(xm)))) / ra
+    return float(two_point + window / ra)
 
-    return float(_free_wave(data, t, np.array([ra]), np.array([t + ra]),
-                            np.array([t - ra]), _u0_callback(data), window)[0])
 
+def _history_prefix(grid: CharacteristicGrid, g_level: np.ndarray) -> np.ndarray:
+    """Cumulative lattice trapezoid of (rho/2) g(rho); constant beyond support."""
+    h = grid.h
+    hvals = 0.5 * (h * np.arange(grid.r_nodes)) * g_level
+    return np.concatenate([[0.0], np.cumsum(0.5 * (hvals[1:] + hvals[:-1]) * h)])
 
 
 def _duhamel_level(
@@ -91,7 +95,7 @@ def duhamel_apply(run: SolutionRun, t_level: int, r):
             or np.any((j < 0) | (j >= grid.r_nodes)):
         raise ValueError(f"radius {r} is not a lattice node")
     p = strauss_exponent(3)
-    g_levels = [_forcing(run.spec, p, run.field[k]) for k in range(t_level)]
+    g_levels = [_forcing(run.spec, p, np.abs(run.field[k])) for k in range(t_level)]
     prefixes = [_history_prefix(grid, g) for g in g_levels]
     out = _duhamel_level(grid, prefixes, g_levels, t_level)
     lu = np.where(j == 0, out[0], out[j] / (np.maximum(j, 1) * grid.h))

@@ -186,3 +186,21 @@ def test_manifest_records_the_modulus(tmp_path):
     assert (first["gamma"], second["gamma"]) == (0.2, 0.3)
     assert first["tau0"] > 0.0
     assert manifests[0]["input_digest"] != manifests[1]["input_digest"]
+
+
+@pytest.mark.parametrize("command, flag, values", [
+    (["verify-global", "--family", "powerlaw", "--horizon", "5"], "--eps0", ("0.05", "0.5")),
+    (["verify-global", "--family", "powerlaw", "--horizon", "5"], "--cap", ("1e6", "1e7")),
+    (["lemmas", "verify", "--which", "kernel-bounds", "--n", "2"], "--lambda0", ("1", "2")),
+], ids=["eps0", "cap", "lambda0"])
+def test_manifest_digest_covers_result_flags(tmp_path, command, flag, values):
+    # each flag changes the written results, so runs differing only in it
+    # must not share an input digest
+    manifests = []
+    for value in values:
+        run_cli(command + [flag, value, "--quiet"], tmp_path)
+        out = latest(tmp_path, command[0])
+        manifests.append(json.loads((out / "manifest.json").read_text()))
+    name = flag.lstrip("-")
+    assert [m["parameters"][name] for m in manifests] == [float(v) for v in values]
+    assert manifests[0]["input_digest"] != manifests[1]["input_digest"]

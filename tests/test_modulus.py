@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wavecrit.exponents import strauss_exponent
 from wavecrit.modulus import (
@@ -214,3 +215,34 @@ def test_jensen_log_power_small_range():
     spec = make_spec(LogPower(0.2, 1.0), tau0=1.0 / 3.0)
     margin = jensen_margin(spec, 3, trials=3000, seed=11, v_max=1.0 / 3.0)
     assert margin <= 1e-12
+
+
+# mu_eval on an array against mu_eval one element at a time; appending an
+# argument past tau0 changes the near-zero mask but not the values under it
+def _mu_arguments(spec):
+    near = st.one_of(st.just(5e-324), st.floats(0.0, 320.0).map(
+        lambda k: min(spec.tau0, 1.0) * 10.0 ** -k))
+    parts = [st.just(0.0), near]
+    if math.isinf(spec.tau0):
+        parts.append(st.floats(0.0, 1e6))
+    elif isinstance(spec.family, LogPower):
+        parts += [st.floats(spec.tau0, 3.0), st.floats(3.0, 1e6)]  # bridge, top
+    return st.lists(st.one_of(*parts), min_size=1, max_size=40)
+
+
+@pytest.mark.parametrize("spec", ALL_DEFAULT_SPECS, ids=lambda s: type(s.family).__name__)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mu_eval_array_equals_elementwise(spec, data):
+    taus = np.array(data.draw(_mu_arguments(spec)))
+    got = mu_eval(spec, taus)
+    assert np.array_equal(got, [mu_eval(spec, x) for x in taus])
+    assert np.all(got[taus == 0.0] == 0.0)
+    if isinstance(spec.family, LogPower):  # the same arguments beside a far one
+        assert np.array_equal(mu_eval(spec, np.append(taus, 10.0))[:-1], got)
+    with pytest.raises(ValueError, match="non-negative"):
+        mu_eval(spec, np.append(taus, -data.draw(st.floats(5e-324, 1e6))))
+    if not math.isinf(spec.tau0) and not isinstance(spec.family, LogPower):
+        past = data.draw(st.floats(spec.tau0, 1e6, exclude_min=True))
+        with pytest.raises(ValueError, match="beyond tau0"):
+            mu_eval(spec, np.append(taus, past))

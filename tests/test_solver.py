@@ -123,6 +123,16 @@ def test_march_linear_probe_matches_oracle(velocity_probes, h, t, r):
     assert abs(run.field[i, j] - oracle) <= 0.5 * h * h
 
 
+def test_lattice_free_part_matches_linear_field():
+    # the two feet paths of the two-point formula: lattice table slices in
+    # march and u0 callbacks in linear_field, at every node, axis included
+    data = default_bump(0.7)
+    run = march(data, None, CharacteristicGrid.cover(0.05, 4.0, 1.0))
+    off = np.array([linear_field(data, t, run.radii) for t in run.times])
+    assert np.max(np.abs(run.field - off)) <= 1e-13 * np.max(np.abs(run.field))
+    assert np.array_equal(run.field[:, 0], off[:, 0])
+
+
 def test_u0_derivative_fallback_spans_the_sampled_points():
     ramp = RadialData(u0=lambda r: r, u1=lambda r: 0.0, support_radius=1.0)
     for r in (0.0, 2e-7, 5e-7, 1e-6, 0.3):

@@ -240,6 +240,8 @@ def test_decay_profile_small_data_run():
     # definitional identity with the weighted sup norm
     a, b = data_norms(run.data)
     assert abs(report.fitted_constant * (a + b) - weighted_sup_norm(run)) < 1e-9
+    # norms handed in by the caller give the same report
+    assert decay_profile_check(run, (a, b)) == report
 
 
 def test_decay_profile_rejects_blown_up_run():
