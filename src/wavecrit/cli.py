@@ -1,11 +1,17 @@
 """Command-line front end: configuration, persistence, reports and plots.
 
-Every subcommand writes a manifest plus CSV/SVG artifacts into a
-timestamped directory under the output root (--out-dir, the WAVECRIT_OUT
-environment variable, or ./results).  Exit codes: 0 on success, 2 on a
-verification failure (and argparse usage errors), 1 on runtime errors.
-Numeric outputs are deterministic: rerunning with the same parameters
-reproduces byte-identical CSV files.
+Each subcommand is declared once, in ``build_parser``, and its parsed
+options are its manifest ``parameters``: the family flags enter resolved
+(the family, every field of it and the modulus cutoff tau0 actually used),
+so a new flag reaches the ``input_digest`` with no further edit.  A command
+returns its payload and the content of each file; ``_persist`` renders them
+all before it creates the timestamped result directory under the output
+root (--out-dir, the WAVECRIT_OUT environment variable, or ./results), so a
+failure while building a file leaves no result directory.  Exit codes: 0 on
+success, 2 on a verification failure (and argparse usage errors, among them
+a family flag the family does not have), 1 on runtime errors.  Numeric
+outputs are deterministic: rerunning with the same parameters reproduces
+byte-identical CSV files.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import csv
 import dataclasses
 import datetime as _dt
 import hashlib
+import io
 import json
 import math
 import os
@@ -58,13 +65,19 @@ _FAMILIES = {
 }
 
 
+# the family group's flags for fields of a family, with their types;
+# --family and --tau0 complete the group
+_FIELD_FLAGS = {"gamma": float, "cl": float, "k": int}
+
+
 # --------------------------------------------------------------------------
 # persistence helpers
 
-def _out_root(args) -> Path:
-    if args.out_dir:
-        return Path(args.out_dir)
-    return Path(os.environ.get("WAVECRIT_OUT", "results"))
+# parsed options that are not manifest parameters: the output flags, the
+# parser's bookkeeping, and the raw family flags, which enter resolved as
+# args.modulus
+_NOT_PARAMETERS = {"out_dir", "quiet", "command", "action", "func", "modulus",
+                   "family", "tau0", *_FIELD_FLAGS}
 
 
 def _result_dir(root: Path, command: str) -> Path:
@@ -78,16 +91,17 @@ def _result_dir(root: Path, command: str) -> Path:
     return path
 
 
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=True) + "\n")
+def _json_text(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=True) + "\n"
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+def _csv_text(table) -> str:
+    header, rows = table
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([_fmt(x) for x in row] for row in rows)
+    return buf.getvalue()
 
 
 def _fmt(x):
@@ -96,11 +110,14 @@ def _fmt(x):
     return x
 
 
-def _svg_polyline(path: Path, points, title: str, width=640, height=400) -> None:
+# one writer per file format, picked by the file name's suffix
+_RENDER = {".json": _json_text, ".csv": _csv_text, ".svg": str}
+
+
+def _svg_polyline(points, title: str, width=640, height=400) -> str:
     pts = [(float(x), float(y)) for x, y in points if math.isfinite(y)]
     if not pts:
-        path.write_text(f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}"/>\n')
-        return
+        return f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}"/>\n'
     xs, ys = zip(*pts)
     x0, x1 = min(xs), max(xs) or 1.0
     y0, y1 = min(ys), max(ys)
@@ -117,7 +134,7 @@ def _svg_polyline(path: Path, points, title: str, width=640, height=400) -> None
         return height - pad - (y - y0) / (y1 - y0) * (height - 2 * pad)
 
     poly = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pts)
-    path.write_text(
+    return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">\n'
         f'<rect width="100%" height="100%" fill="white"/>\n'
         f'<text x="{width // 2}" y="20" text-anchor="middle" font-size="14">{title}</text>\n'
@@ -126,12 +143,16 @@ def _svg_polyline(path: Path, points, title: str, width=640, height=400) -> None
     )
 
 
-def _svg_heatmap(path: Path, matrix, title: str, max_cells=120) -> None:
+def _svg_heatmap(matrix, title: str, max_cells=120) -> str:
+    """Shade each cell by its share of the largest finite value; a cell that
+    is not finite (a blown-up run's last levels) gets the full shade."""
     m = np.asarray(matrix, dtype=float)
     si = max(1, m.shape[0] // max_cells)
     sj = max(1, m.shape[1] // max_cells)
     m = m[::si, ::sj]
-    top = float(np.max(m)) or 1.0
+    finite = np.isfinite(m)
+    top = float(np.max(m, where=finite, initial=0.0)) or 1.0
+    share = np.where(finite, m, top) / top
     cell = 4
     h, w = m.shape
     parts = [
@@ -140,25 +161,27 @@ def _svg_heatmap(path: Path, matrix, title: str, max_cells=120) -> None:
     ]
     for i in range(h):
         for j in range(w):
-            v = m[i, j] / top
-            shade = int(255 * (1.0 - v))
+            shade = int(255 * (1.0 - share[i, j]))
             parts.append(
                 f'<rect x="{j * cell}" y="{(h - 1 - i) * cell + 24}" width="{cell}" '
                 f'height="{cell}" fill="rgb({shade},{shade},255)"/>'
             )
     parts.append("</svg>")
-    path.write_text("\n".join(parts) + "\n")
+    return "\n".join(parts) + "\n"
 
 
-def _persist(args, parameters: dict, writers) -> Path:
-    """Run the file writers in a fresh result directory and write the manifest."""
+def _persist(args, files: dict) -> None:
+    """Render every file, then write them and the manifest into a fresh
+    result directory.  The manifest parameters are the resolved family
+    (``args.modulus``) and every other parsed option."""
     started = _dt.datetime.now(_dt.timezone.utc).isoformat()
-    parameters = {**args.modulus, **parameters}
-    out = _result_dir(_out_root(args), args.command)
-    written = []
-    for name, writer in writers:
-        writer(out / name)
-        written.append(name)
+    texts = {name: _RENDER[Path(name).suffix](content) for name, content in files.items()}
+    parameters = {**args.modulus, **{key: value for key, value in vars(args).items()
+                                     if key not in _NOT_PARAMETERS}}
+    root = Path(args.out_dir or os.environ.get("WAVECRIT_OUT", "results"))
+    out = _result_dir(root, args.command)
+    for name, text in texts.items():
+        (out / name).write_text(text, newline="")
     digest = hashlib.sha256(
         json.dumps(parameters, sort_keys=True).encode()
     ).hexdigest()
@@ -169,39 +192,35 @@ def _persist(args, parameters: dict, writers) -> Path:
         "started_utc": started,
         "finished_utc": _dt.datetime.now(_dt.timezone.utc).isoformat(),
         "input_digest": digest,
-        "outputs": sorted(written + ["manifest.json"]),
+        "outputs": sorted([*texts, "manifest.json"]),
     }
-    _write_json(out / "manifest.json", manifest)
+    (out / "manifest.json").write_text(_json_text(manifest), newline="")
     if not args.quiet:
         print(f"results written to {out}", file=sys.stderr)
-    return out
 
 
 # --------------------------------------------------------------------------
 # family construction
 
-def _family_from_args(parser, args):
-    """The family named by --family, built from the fields whose flags are
-    set; every other field takes its default in ``modulus``."""
+def _spec_from_args(parser, args):
+    """The spec of the family flags.  An unset field takes its default in
+    ``modulus``; a flag for a field the family does not have is a usage
+    error.  The family, its fields and the spec's tau0 become
+    ``args.modulus``."""
     family = _FAMILIES[args.family]
+    fields = {f.name: f for f in dataclasses.fields(family)}
+    for name in _FIELD_FLAGS:
+        if getattr(args, name) is not None and name not in fields:
+            parser.error(f"--{name} does not apply to family {args.family!r}")
     values = {}
-    for f in dataclasses.fields(family):
-        value = getattr(args, f.name)
+    for f in fields.values():
+        value = getattr(args, f.name, None)  # only `mu check` has --n
         if value is not None:
             values[f.name] = value
         elif f.default is dataclasses.MISSING:
             parser.error(f"--{f.name} is required for family {args.family!r}")
     try:
-        return family(**values)
-    except ValueError as exc:
-        parser.error(str(exc))
-
-
-def _spec_from_args(parser, args):
-    """The spec of the family flags; the family, its fields and the spec's
-    tau0 join the manifest parameters as ``args.modulus``."""
-    family = _family_from_args(parser, args)
-    try:
+        family = family(**values)
         spec = make_spec(family, tau0=args.tau0)
     except ValueError as exc:
         parser.error(str(exc))
@@ -210,9 +229,11 @@ def _spec_from_args(parser, args):
 
 
 # --------------------------------------------------------------------------
-# subcommands: each returns (payload, manifest parameters, writers, exit code)
+# subcommands: each takes the parsed options and the family's spec (None for
+# a command without --family) and returns (payload, files, exit code); files
+# maps each file name to its JSON payload, CSV (header, rows) or SVG text
 
-def _cmd_exponents(parser, args):
+def _cmd_exponents(args, spec):
     if args.n == 1:
         payload = {"n": 1, "p_strauss": "infinite", "p_conjugate": 1.0,
                    "q": None, "kappa": None}
@@ -220,11 +241,10 @@ def _cmd_exponents(parser, args):
         es = exponent_set(args.n)
         payload = {"n": es.n, "p_strauss": es.p_strauss,
                    "p_conjugate": es.p_conjugate, "q": es.q, "kappa": es.kappa}
-    return payload, {"n": args.n}, [("exponents.json", lambda p: _write_json(p, payload))], 0
+    return payload, {"exponents.json": payload}, 0
 
 
-def _cmd_mu(parser, args):
-    spec = _spec_from_args(parser, args)
+def _cmd_mu(args, spec):
     n = args.n
     axioms = axioms_check(spec)
     # convexity of the companion is the near-zero hypothesis; stay within tau0
@@ -241,16 +261,12 @@ def _cmd_mu(parser, args):
         "threshold_estimate": None if math.isinf(verdict.estimate) else verdict.estimate,
         "loglog_bound_pass": bool(loglog.passed),
     }
-    writers = [("report.json", lambda p: _write_json(p, payload)),
-               ("threshold_samples.csv",
-                lambda p: _write_csv(p, ("tau", "product"), verdict.samples))]
-    code = 0 if payload["axioms_pass"] and payload["g_convex"] else 2
-    return payload, {"n": n}, writers, code
+    files = {"report.json": payload,
+             "threshold_samples.csv": (("tau", "product"), verdict.samples)}
+    return payload, files, 0 if payload["axioms_pass"] and payload["g_convex"] else 2
 
 
-def _cmd_lemmas(parser, args):
-    if args.n < 2:
-        parser.error("--n must be at least 2 for the kernel bound checks")
+def _cmd_lemmas(args, spec):
     if args.which == "ball-integral":
         ratios = []
         for t in np.linspace(0.0, 100.0, 201):
@@ -261,49 +277,38 @@ def _cmd_lemmas(parser, args):
         payload = {"which": "ball-integral", "n": args.n, "bracket_low": lo,
                    "bracket_high": hi, "dynamic_range": hi / lo,
                    "pass": bool(hi / lo <= 20.0)}
-        rows = ratios
-        header = ("t", "ratio")
+        table = (("t", "ratio"), ratios)
     else:
         cfg = KernelConfig(n=args.n, lambda0=args.lambda0, R=1.0, quad_points=1024)
         report = kernel_bounds_check(cfg, kernel_exponent(args.n))
         payload = {"which": "kernel-bounds", "n": args.n, "a0": report.a0,
                    "b0": report.b0, "b1": report.b1, "b2": report.b2,
                    "region": report.region, "pass": bool(report.passed)}
-        rows = report.samples
-        header = report.columns
-    writers = [("report.json", lambda p: _write_json(p, payload)),
-               ("ratios.csv", lambda p: _write_csv(p, header, rows))]
-    params = {"which": args.which, "n": args.n, "lambda0": args.lambda0}
-    return payload, params, writers, 0 if payload["pass"] else 2
+        table = (report.columns, report.samples)
+    files = {"report.json": payload, "ratios.csv": table}
+    return payload, files, 0 if payload["pass"] else 2
 
 
-def _cmd_sequences(parser, args):
-    if args.n < 2:
-        parser.error("--n must be at least 2")
+def _cmd_sequences(args, spec):
     ledger = build_ledger(args.n, IterationConstants(), args.J)
     rows = ledger.rows
     payload = {"n": args.n, "J": args.J, "rows": len(rows),
                "log_c5": ledger.log_c5, "j1": ledger.j1}
-    writers = [("ledger.csv", lambda p: _write_csv(
-        p, ("j", "ell_2j", "a_j", "b_j", "sigma_j", "log_m_j"), rows))]
-    return payload, {"n": args.n, "J": args.J}, writers, 0
+    header = ("j", "ell_2j", "a_j", "b_j", "sigma_j", "log_m_j")
+    return payload, {"ledger.csv": (header, rows)}, 0
 
 
-def _cmd_onset(parser, args):
-    spec = _spec_from_args(parser, args)
+def _cmd_onset(args, spec):
     onset = divergence_onset(3, IterationConstants(c6=args.c6, c7=args.c7),
                              spec, args.tmax)
     payload = {"family": args.family, "tmax": args.tmax, "onset_t": onset}
-    params = {"tmax": args.tmax, "c6": args.c6, "c7": args.c7}
-    return payload, params, [("onset.json", lambda p: _write_json(p, payload))], 0
+    return payload, {"onset.json": payload}, 0
 
 
-def _cmd_solve(parser, args):
-    spec = _spec_from_args(parser, args)
+def _cmd_solve(args, spec):
     data = default_bump(args.eps)
     grid = CharacteristicGrid.cover(args.h, args.horizon, data.support_radius)
     run = march(data, spec, grid, cap=args.cap)
-    params = {"eps": args.eps, "h": args.h, "horizon": args.horizon, "cap": args.cap}
     payload = {"h": grid.h, "t_levels": grid.t_levels, "r_nodes": grid.r_nodes,
                "cap": args.cap, "amplitude": data.amplitude, "status": run.status,
                "t_detect": run.t_detect}
@@ -314,35 +319,27 @@ def _cmd_solve(parser, args):
         t = float(run.times[i])
         for j in range(0, run.grid.r_nodes, max(1, run.grid.r_nodes // 200)):
             rows.append((t, float(run.radii[j]), float(run.field[i, j])))
-    writers = [("run.json", lambda p: _write_json(p, payload)),
-               ("field.csv", lambda p: _write_csv(p, ("t", "r", "u"), rows)),
-               ("field.svg", lambda p: _svg_heatmap(
-                   p, np.abs(run.field), f"|u|, status={run.status}"))]
-    return payload, params, writers, 0
+    files = {"run.json": payload,
+             "field.csv": (("t", "r", "u"), rows),
+             "field.svg": _svg_heatmap(np.abs(run.field), f"|u|, status={run.status}")}
+    return payload, files, 0
 
 
-def _cmd_lifespan(parser, args):
-    spec = _spec_from_args(parser, args)
-    try:
-        eps_list = [float(v) for v in args.eps_list.split(",")]
-    except ValueError:
-        parser.error(f"bad --eps-list {args.eps_list!r}")
+def _cmd_lifespan(args, spec):
     data = default_bump(1.0)
     grid = CharacteristicGrid.cover(args.h, args.horizon, data.support_radius)
-    rows = lifespan_sweep(data, spec, eps_list, grid, cap=args.cap)
+    rows = lifespan_sweep(data, spec, args.eps_list, grid, cap=args.cap)
     table = [(r.eps, r.t_detect if r.t_detect is not None else args.horizon, r.status)
              for r in rows]
     payload = {"rows": [{"eps": r.eps, "t_detect": r.t_detect, "status": r.status}
                         for r in rows]}
-    params = {"eps_list": eps_list, "h": args.h, "horizon": args.horizon, "cap": args.cap}
-    writers = [("lifespan.csv", lambda p: _write_csv(p, ("eps", "t", "status"), table)),
-               ("lifespan.svg", lambda p: _svg_polyline(
-                   p, [(a, b) for a, b, _ in table], "detection time vs amplitude"))]
-    return payload, params, writers, 0
+    files = {"lifespan.csv": (("eps", "t", "status"), table),
+             "lifespan.svg": _svg_polyline([(a, b) for a, b, _ in table],
+                                           "detection time vs amplitude")}
+    return payload, files, 0
 
 
-def _cmd_verify_global(parser, args):
-    spec = _spec_from_args(parser, args)
+def _cmd_verify_global(args, spec):
     verdict = classify_strauss_threshold(spec, 3)
     data = default_bump(args.eps)
     grid = CharacteristicGrid.cover(args.h, args.horizon, data.support_radius)
@@ -380,41 +377,53 @@ def _cmd_verify_global(parser, args):
         "pass": not failures,
         "failures": failures,
     }
-    writers = [("report.json", lambda p: _write_json(p, payload))]
+    files = {"report.json": payload}
     if profile is not None:
-        writers.append(("profile.csv", lambda p: _write_csv(
-            p, profile.columns, profile.samples)))
-    params = {"eps": args.eps, "h": args.h, "horizon": args.horizon,
-              "eps0": args.eps0, "cap": args.cap}
-    return payload, params, writers, 0 if not failures else 2
+        files["profile.csv"] = (profile.columns, profile.samples)
+    return payload, files, 0 if not failures else 2
 
 
-def _cmd_key_integral(parser, args):
-    spec = _spec_from_args(parser, args)
-    try:
-        xi_list = [float(v) for v in args.xi_list.split(",")]
-    except ValueError:
-        parser.error(f"bad --xi-list {args.xi_list!r}")
+def _cmd_key_integral(args, spec):
     rows = []
-    for xi in xi_list:
+    for xi in args.xi_list:
         res = key_integral(xi, args.eps0, spec)
         rows.append((xi, res.value, res.ratio))
     ratios = [r for _, _, r in rows if r > 0.0]
     payload = {"family": args.family, "eps0": args.eps0,
                "max_min_ratio": (max(ratios) / min(ratios)) if ratios else None}
-    writers = [("key_integral.csv", lambda p: _write_csv(p, ("xi", "I", "ratio"), rows)),
-               ("summary.json", lambda p: _write_json(p, payload))]
-    return payload, {"xi_list": xi_list, "eps0": args.eps0}, writers, 0
+    files = {"key_integral.csv": (("xi", "I", "ratio"), rows), "summary.json": payload}
+    return payload, files, 0
 
 
 # --------------------------------------------------------------------------
-# parser
+# parser: the single declaration of every subcommand and of its manifest
+# parameters
+
+def _float_list(text: str) -> list:
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of numbers: {text!r}") from None
+
+
+def _dimension(text: str) -> int:
+    if not text.isdecimal() or int(text) < 2:
+        raise argparse.ArgumentTypeError(f"not an integer of at least 2: {text!r}")
+    return int(text)
+
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out-dir", default=argparse.SUPPRESS,
                         help="output root (default: $WAVECRIT_OUT or ./results)")
     common.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS)
+
+    family = argparse.ArgumentParser(add_help=False)
+    family.add_argument("--family", choices=_FAMILIES, required=True)
+    for name, kind in _FIELD_FLAGS.items():
+        family.add_argument(f"--{name}", type=kind)
+    family.add_argument("--tau0", type=float)
 
     parser = argparse.ArgumentParser(
         prog="wavecrit",
@@ -423,72 +432,56 @@ def build_parser() -> argparse.ArgumentParser:
     parser.set_defaults(out_dir=None, quiet=False, modulus={})
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_family(p):
-        p.add_argument("--family", choices=_FAMILIES, required=True)
-        p.add_argument("--gamma", type=float, default=None)
-        p.add_argument("--cl", type=float, default=None)
-        p.add_argument("--k", type=int, default=None)
-        p.add_argument("--tau0", type=float, default=None)
-        p.add_argument("--n", type=int, default=3)
+    def command(name, func, help, *parents):
+        p = sub.add_parser(name, parents=[common, *parents], help=help)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("exponents", parents=[common], help="exponent set for a dimension")
+    p = command("exponents", _cmd_exponents, "exponent set for a dimension")
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_exponents)
 
-    p = sub.add_parser("mu", parents=[common], help="modulus family checks")
+    p = command("mu", _cmd_mu, "modulus family checks", family)
     p.add_argument("action", choices=["check"])
-    add_family(p)
-    p.set_defaults(func=_cmd_mu)
+    p.add_argument("--n", type=_dimension, default=3)
 
-    p = sub.add_parser("lemmas", parents=[common], help="kernel and ball-integral bound sweeps")
+    p = command("lemmas", _cmd_lemmas, "kernel and ball-integral bound sweeps")
     p.add_argument("action", choices=["verify"])
     p.add_argument("--which", choices=["ball-integral", "kernel-bounds"], required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_dimension, required=True)
     p.add_argument("--lambda0", type=float, default=1.0)
-    p.set_defaults(func=_cmd_lemmas)
 
-    p = sub.add_parser("sequences", parents=[common], help="iteration ledger CSV")
-    p.add_argument("--n", type=int, required=True)
+    p = command("sequences", _cmd_sequences, "iteration ledger CSV")
+    p.add_argument("--n", type=_dimension, required=True)
     p.add_argument("--J", type=int, default=30)
-    p.set_defaults(func=_cmd_sequences)
 
-    p = sub.add_parser("onset", parents=[common], help="divergence onset prediction")
-    add_family(p)
+    p = command("onset", _cmd_onset, "divergence onset prediction", family)
     p.add_argument("--tmax", type=float, default=1e6)
     p.add_argument("--c6", type=float, default=1.0)
     p.add_argument("--c7", type=float, default=1.0)
-    p.set_defaults(func=_cmd_onset)
 
-    p = sub.add_parser("solve", parents=[common], help="march one run and persist the field")
-    add_family(p)
+    p = command("solve", _cmd_solve, "march one run and persist the field", family)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--horizon", type=float, required=True)
     p.add_argument("--cap", type=float, default=1e6)
-    p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("lifespan", parents=[common], help="detection-time sweep over amplitudes")
-    add_family(p)
-    p.add_argument("--eps-list", required=True)
+    p = command("lifespan", _cmd_lifespan, "detection-time sweep over amplitudes", family)
+    p.add_argument("--eps-list", type=_float_list, required=True)
     p.add_argument("--h", type=float, default=0.02)
     p.add_argument("--horizon", type=float, default=15.0)
     p.add_argument("--cap", type=float, default=1e6)
-    p.set_defaults(func=_cmd_lifespan)
 
-    p = sub.add_parser("verify-global", parents=[common], help="global-side weighted decay verification")
-    add_family(p)
+    p = command("verify-global", _cmd_verify_global,
+                "global-side weighted decay verification", family)
     p.add_argument("--eps", type=float, default=0.01)
     p.add_argument("--eps0", type=float, default=0.05)
     p.add_argument("--h", type=float, default=0.0625)
     p.add_argument("--horizon", type=float, default=100.0)
     p.add_argument("--cap", type=float, default=1e6)
-    p.set_defaults(func=_cmd_verify_global)
 
-    p = sub.add_parser("key-integral", parents=[common], help="cone-interaction integral sweep")
-    add_family(p)
-    p.add_argument("--xi-list", required=True)
+    p = command("key-integral", _cmd_key_integral, "cone-interaction integral sweep", family)
+    p.add_argument("--xi-list", type=_float_list, required=True)
     p.add_argument("--eps0", type=float, default=0.05)
-    p.set_defaults(func=_cmd_key_integral)
 
     return parser
 
@@ -497,10 +490,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        payload, parameters, writers, code = args.func(parser, args)
+        spec = _spec_from_args(parser, args) if "family" in vars(args) else None
+        payload, files, code = args.func(args, spec)
         if not args.quiet:
             print(json.dumps(payload, sort_keys=True))
-        _persist(args, parameters, writers)
+        _persist(args, files)
         return code
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
