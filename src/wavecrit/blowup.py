@@ -185,8 +185,8 @@ def integral_identity_residual(run, cfg: KernelConfig, q: float, t: float) -> fl
     eta = source_kernel(cfg, q, t, s, r)
     lhs = float(np.trapezoid(run.field[i] * eta[i] * meas, dx=h))
 
-    u0v = eps * np.asarray([run.data.u0(x) for x in r])
-    u1v = eps * np.asarray([run.data.u1(x) for x in r])
+    u0v = eps * run.data.u0(r)
+    u1v = eps * run.data.u1(r)
     data_term = float(np.trapezoid(u0v * data_kernel(cfg, q, t, r) * meas, dx=h))
     vel_term = t * float(np.trapezoid(u1v * eta[0] * meas, dx=h))
 
@@ -204,7 +204,6 @@ def divergence_onset(
     constants: IterationConstants,
     spec: ModulusSpec,
     t_max: float,
-    grid_points: int = 512,
 ) -> Optional[float]:
     """Earliest time at which the iterated lower bound starts to diverge.
 
@@ -226,7 +225,7 @@ def divergence_onset(
         tau = (constants.c6 * t) ** (-alpha)
         return constants.c7 * threshold_product(spec, n, tau) ** (p / (p - 1.0))
 
-    ts = np.geomspace(t_lo, t_max, grid_points)
+    ts = np.geomspace(t_lo, t_max, 512)
     values = np.asarray([base(t) for t in ts])
     above = np.nonzero(values > 1.0)[0]
     if len(above) == 0:

@@ -8,8 +8,8 @@ returns its payload and the content of each file; ``_persist`` renders them
 all before it creates the timestamped result directory under the output
 root (--out-dir, the WAVECRIT_OUT environment variable, or ./results), so a
 failure while building a file leaves no result directory.  Exit codes: 0 on
-success, 2 on a verification failure (and argparse usage errors, among them
-a family flag the family does not have), 1 on runtime errors.  Numeric
+success, 2 on a verification failure or a usage error (each printed with
+its subcommand's usage line), 1 on runtime errors.  Numeric
 outputs are deterministic: rerunning with the same parameters reproduces
 byte-identical CSV files.
 """
@@ -76,8 +76,8 @@ _FIELD_FLAGS = {"gamma": float, "cl": float, "k": int}
 # parsed options that are not manifest parameters: the output flags, the
 # parser's bookkeeping, and the raw family flags, which enter resolved as
 # args.modulus
-_NOT_PARAMETERS = {"out_dir", "quiet", "command", "action", "func", "modulus",
-                   "family", "tau0", *_FIELD_FLAGS}
+_NOT_PARAMETERS = {"out_dir", "quiet", "command", "action", "func", "parser",
+                   "modulus", "family", "tau0", *_FIELD_FLAGS}
 
 
 def _result_dir(root: Path, command: str) -> Path:
@@ -202,28 +202,28 @@ def _persist(args, files: dict) -> None:
 # --------------------------------------------------------------------------
 # family construction
 
-def _spec_from_args(parser, args):
+def _spec_from_args(args):
     """The spec of the family flags.  An unset field takes its default in
     ``modulus``; a flag for a field the family does not have is a usage
-    error.  The family, its fields and the spec's tau0 become
-    ``args.modulus``."""
+    error of the subcommand.  The family, its fields and the spec's tau0
+    become ``args.modulus``."""
     family = _FAMILIES[args.family]
     fields = {f.name: f for f in dataclasses.fields(family)}
     for name in _FIELD_FLAGS:
         if getattr(args, name) is not None and name not in fields:
-            parser.error(f"--{name} does not apply to family {args.family!r}")
+            args.parser.error(f"--{name} does not apply to family {args.family!r}")
     values = {}
     for f in fields.values():
         value = getattr(args, f.name, None)  # only `mu check` has --n
         if value is not None:
             values[f.name] = value
         elif f.default is dataclasses.MISSING:
-            parser.error(f"--{f.name} is required for family {args.family!r}")
+            args.parser.error(f"--{f.name} is required for family {args.family!r}")
     try:
         family = family(**values)
         spec = make_spec(family, tau0=args.tau0)
     except ValueError as exc:
-        parser.error(str(exc))
+        args.parser.error(str(exc))
     args.modulus = {"family": args.family, **dataclasses.asdict(family), "tau0": spec.tau0}
     return spec
 
@@ -407,10 +407,13 @@ def _float_list(text: str) -> list:
             f"not a comma-separated list of numbers: {text!r}") from None
 
 
-def _dimension(text: str) -> int:
-    if not text.isdecimal() or int(text) < 2:
-        raise argparse.ArgumentTypeError(f"not an integer of at least 2: {text!r}")
-    return int(text)
+def _integer_at_least(least: int):
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < least:
+            raise argparse.ArgumentTypeError(f"not an integer of at least {least}: {text!r}")
+        return int(text)
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -434,24 +437,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name, func, help, *parents):
         p = sub.add_parser(name, parents=[common, *parents], help=help)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, parser=p)
         return p
 
     p = command("exponents", _cmd_exponents, "exponent set for a dimension")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_integer_at_least(1), required=True)  # n = 1 is special-cased
 
     p = command("mu", _cmd_mu, "modulus family checks", family)
     p.add_argument("action", choices=["check"])
-    p.add_argument("--n", type=_dimension, default=3)
+    p.add_argument("--n", type=_integer_at_least(2), default=3)
 
     p = command("lemmas", _cmd_lemmas, "kernel and ball-integral bound sweeps")
     p.add_argument("action", choices=["verify"])
     p.add_argument("--which", choices=["ball-integral", "kernel-bounds"], required=True)
-    p.add_argument("--n", type=_dimension, required=True)
+    p.add_argument("--n", type=_integer_at_least(2), required=True)
     p.add_argument("--lambda0", type=float, default=1.0)
 
     p = command("sequences", _cmd_sequences, "iteration ledger CSV")
-    p.add_argument("--n", type=_dimension, required=True)
+    p.add_argument("--n", type=_integer_at_least(2), required=True)
     p.add_argument("--J", type=int, default=30)
 
     p = command("onset", _cmd_onset, "divergence onset prediction", family)
@@ -487,10 +490,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:  # reported by the subcommand, like its other usage errors
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
-        spec = _spec_from_args(parser, args) if "family" in vars(args) else None
+        spec = _spec_from_args(args) if "family" in vars(args) else None
         payload, files, code = args.func(args, spec)
         if not args.quiet:
             print(json.dumps(payload, sort_keys=True))

@@ -119,17 +119,15 @@ def eigenfunction_growth_ratio(n: int, r):
     return float(out[0]) if scalar else out
 
 
-def free_wave_ball_integral(n: int, R: float, t: float, num: int = 4097) -> float:
+def free_wave_ball_integral(n: int, R: float, t: float) -> float:
     """Integral over the ball of radius R+t of the decaying free-wave
-    solution e^{-t} phi(|x|); composite Simpson in the radius.
+    solution e^{-t} phi(|x|); composite Simpson in the radius on 4097 points.
 
     Grows like (R+t)^{(n-1)/2} within fixed constants.
     """
     if R <= 0.0 or t < 0.0:
         raise ValueError("need R > 0 and t >= 0")
-    if num % 2 == 0:
-        num += 1
-    zeta = np.linspace(0.0, R + t, num)
+    zeta = np.linspace(0.0, R + t, 4097)  # odd, as Simpson needs
     vals = sphere_area(n - 1) * zeta ** (n - 1) * np.exp(
         log_laplace_eigenfunction(n, zeta) - t
     )
@@ -256,10 +254,7 @@ class KernelBoundsReport:
     samples: list = field(default_factory=list)
 
 
-def kernel_bounds_check(
-    cfg: KernelConfig, q: float, t_max: float = 50.0, nt: int = 41,
-    ns: int = 21, nfrac: int = 9,
-) -> KernelBoundsReport:
+def kernel_bounds_check(cfg: KernelConfig, q: float) -> KernelBoundsReport:
     """Sweep the three kernel estimates and fit their constants.
 
     (i)   data kernel >= a0 on |r| <= R, and the source kernel at s=0
@@ -273,8 +268,8 @@ def kernel_bounds_check(
     n = cfg.n
     if q <= max(-1.0, (n - 3) / 2.0):
         raise ValueError("bounds need q > max(-1, (n-3)/2)")
-    t_grid = np.linspace(0.0, t_max, nt)
-    fracs = np.linspace(0.0, 1.0, nfrac)
+    t_grid = np.linspace(0.0, 50.0, 41)
+    fracs = np.linspace(0.0, 1.0, 9)  # of each disc's radius
     samples = []
 
     a0 = math.inf
@@ -286,7 +281,7 @@ def kernel_bounds_check(
         a0 = min(a0, float(np.min(data_kernel(cfg, q, t, r_in))))
         b0 = min(b0, float(np.min(source_kernel(cfg, q, t, 0.0, r_in) * bracket(t))))
 
-        for s in np.linspace(0.0, 0.95 * t, ns) if t > 0 else []:
+        for s in np.linspace(0.0, 0.95 * t, 21) if t > 0 else []:
             r_s = fracs * (cfg.R + s)
             ratio = source_kernel(cfg, q, t, s, r_s) * bracket(t) * bracket(s) ** q
             k = int(np.argmin(ratio))
@@ -303,7 +298,7 @@ def kernel_bounds_check(
     constants = (a0, b0, b1, b2)
     passed = all(math.isfinite(c) and c > 0.0 for c in constants)
     return KernelBoundsReport(
-        region=f"n={n}, q={q:.6g}, t in [0, {t_max:g}], lam0={cfg.lambda0:g}, R={cfg.R:g}",
+        region=f"n={n}, q={q:.6g}, t in [0, 50], lam0={cfg.lambda0:g}, R={cfg.R:g}",
         a0=a0,
         b0=b0,
         b1=b1,

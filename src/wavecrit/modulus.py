@@ -375,25 +375,26 @@ class ThresholdVerdict:
     samples: tuple  # ((tau, product), ...) along decreasing tau
 
 
-def classify_strauss_threshold(
-    spec: ModulusSpec, n: int, decades: int = 40, trend_window: int = 10,
-    trend_tol: float = 0.05,
-) -> ThresholdVerdict:
+# the threshold scans: 40 decades of tau, the trend read over the last 10
+_DECADES, _TREND_WINDOW, _TREND_TOL = 40, 10, 0.05
+
+
+def classify_strauss_threshold(spec: ModulusSpec, n: int) -> ThresholdVerdict:
     """Classify the small-argument limit of the threshold product.
 
-    Samples tau on `decades` decades below min(tau0, 1/e) and compares the
-    last sample against `trend_window` decades earlier: growth beyond
-    `trend_tol` means the limit is infinite, decay beyond it means zero,
-    anything else is reported finite with the last sample as estimate.
+    Samples tau on 40 decades below min(tau0, 1/e) and compares the last
+    sample against 10 decades earlier: growth beyond 5% means the limit is
+    infinite, decay beyond it means zero, anything else is reported finite
+    with the last sample as estimate.
     """
     p = strauss_exponent(n)
     start = min(spec.tau0, math.exp(-1.0))
-    L = -math.log(start) + _LN10 * np.arange(decades + 1, dtype=float)
+    L = -math.log(start) + _LN10 * np.arange(_DECADES + 1, dtype=float)
     log_y = _log_mu_from_loginv(spec.family, L) + np.log(L) / p
-    growth = log_y[-1] - log_y[-(trend_window + 1)]
-    if growth > math.log1p(trend_tol):
+    growth = log_y[-1] - log_y[-(_TREND_WINDOW + 1)]
+    if growth > math.log1p(_TREND_TOL):
         cls, estimate = "infinite", math.inf
-    elif growth < -math.log1p(trend_tol):
+    elif growth < -math.log1p(_TREND_TOL):
         cls, estimate = "zero", float(np.exp(log_y[-1]))
     else:
         cls, estimate = "finite", float(np.exp(log_y[-1]))
@@ -403,43 +404,37 @@ def classify_strauss_threshold(
     return ThresholdVerdict(threshold_class=cls, estimate=estimate, samples=samples)
 
 
-def loglog_bound_check(
-    spec: ModulusSpec, grid=None, declared_bound: float = 50.0,
-    trend_window: int = 10, trend_tol: float = 0.05,
-) -> WeightReport:
+def loglog_bound_check(spec: ModulusSpec) -> WeightReport:
     """Check that threshold_product(tau) * loglog(1/tau) stays bounded.
 
-    Pass needs the sup over the grid below `declared_bound` **and** a
-    non-growing tail; a declared constant alone cannot distinguish slowly
+    Samples tau on 40 decades below min(tau0, e**-e).  Pass needs the sup
+    over the grid below 50 **and** a tail that grows by at most 5% over its
+    last 10 decades; a declared constant alone cannot distinguish slowly
     divergent products at finite depth.
     """
-    if grid is None:
-        start = min(spec.tau0, math.exp(-_tower(2)) * 0.999)
-        grid = start * 10.0 ** (-np.arange(41.0))
-    taus = np.sort(np.asarray(grid, dtype=float))[::-1]
-    if np.any(taus >= math.exp(-_tower(2))) or np.any(taus <= 0.0):
-        raise ValueError("grid must lie in (0, e**-e) so loglog is positive")
+    start = min(spec.tau0, math.exp(-_tower(2)) * 0.999)
+    taus = start * 10.0 ** (-np.arange(_DECADES + 1.0))
+    if taus[-1] <= 0.0:
+        raise ValueError(f"tau0 = {spec.tau0:g} leaves no positive tau grid below it")
     L = -np.log(taus)
     values = threshold_product(spec, getattr(spec.family, "n", 3), taus) * np.log(L)
     sup = float(np.max(values))
     k = int(np.argmax(values))
-    tail_ok = True
-    if len(values) > trend_window:
-        tail_ok = values[-1] <= values[-(trend_window + 1)] * (1.0 + trend_tol)
+    tail_ok = values[-1] <= values[-(_TREND_WINDOW + 1)] * (1.0 + _TREND_TOL)
     return WeightReport(
         region=f"tau in [{taus[-1]:.3g}, {taus[0]:.3g}], {len(taus)} samples",
         fitted_constant=sup,
         worst_point=(float(taus[k]),),
-        passed=bool(sup <= declared_bound and tail_ok),
+        passed=bool(sup <= 50.0 and tail_ok),
         columns=("tau", "product"),
         samples=[(float(t), float(v)) for t, v in zip(taus, values)],
     )
 
 
-def axioms_check(spec: ModulusSpec, points: int = 1000) -> WeightReport:
+def axioms_check(spec: ModulusSpec) -> WeightReport:
     """Monotonicity + midpoint concavity of mu on a log grid in (0, tau0]."""
     top = min(spec.tau0, 0.99)
-    taus = np.minimum(np.exp(np.linspace(math.log(top) - 12.0, math.log(top), points)), top)
+    taus = np.minimum(np.exp(np.linspace(math.log(top) - 12.0, math.log(top), 1000)), top)
     vals = mu_eval(spec, taus)
     increasing = bool(np.all(np.diff(vals) > 0.0))
     scale = float(np.max(vals))
@@ -450,7 +445,7 @@ def axioms_check(spec: ModulusSpec, points: int = 1000) -> WeightReport:
     zero_exact = mu_eval(spec, 0.0) == 0.0
     passed = increasing and zero_exact and concave_margin <= 1e-12 * scale
     return WeightReport(
-        region=f"log grid (0, {top:g}], {points} points",
+        region=f"log grid (0, {top:g}], 1000 points",
         fitted_constant=max(concave_margin, 0.0),
         worst_point=(),
         passed=passed,

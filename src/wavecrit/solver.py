@@ -47,7 +47,7 @@ the lattice its feet h (i ± j) are nodes, so ``march`` reads them from two
 tables built once (u0 sampled on h·n, n = 0..t_levels+r_nodes, and the u1
 prefix on the radial nodes, clamped at the last one) as one forward and
 one reversed slice each; ``linear_field`` feeds the same formula from
-callbacks off the lattice.  Each level is written in place into the stored
+u0 samples off the lattice.  Each level is written in place into the stored
 field from preallocated buffers, so a march costs O(t_levels · r_nodes)
 in a fixed number of numpy calls per level.  The slow oracles the
 tests hold the recurrence and the free part to live in ``tests/oracles.py``.
@@ -75,18 +75,19 @@ DEFAULT_CAP = 1e6
 class RadialData:
     """Radial Cauchy data: profiles of |x| with compact support.
 
-    Profiles are callables of the radius; evenness in r is automatic since
-    every evaluation goes through |r|.  ``u0_prime`` may be omitted, in
-    which case a difference quotient is used: centred, or second-order
-    one-sided within one difference step of the axis.  ``amplitude``
-    scales both profiles (the small parameter of the global-existence
-    runs).
+    Each profile maps an array of radii to an array of the same shape (a
+    scalar radius works too), so a consumer samples a whole grid in one
+    call; profiles are called on radii >= 0 only, so evenness is automatic.
+    ``u0_prime`` may be omitted, in which case a difference quotient is
+    used: centred, or second-order one-sided within one difference step of
+    the axis.  ``amplitude`` scales both profiles (the small parameter of
+    the global-existence runs).
     """
 
-    u0: Callable[[float], float]
-    u1: Callable[[float], float]
+    u0: Callable[[np.ndarray], np.ndarray]
+    u1: Callable[[np.ndarray], np.ndarray]
     support_radius: float
-    u0_prime: Optional[Callable[[float], float]] = None
+    u0_prime: Optional[Callable[[np.ndarray], np.ndarray]] = None
     amplitude: float = 1.0
 
     def __post_init__(self):
@@ -95,17 +96,24 @@ class RadialData:
         if self.amplitude < 0.0:
             raise ValueError("amplitude must be non-negative")
 
-    def u0_derivative(self, r: float) -> float:
+    def u0_derivative(self, r):
         if self.u0_prime is not None:
             return self.u0_prime(r)
         h = 1e-6 * max(1.0, self.support_radius)
-        if r < h:  # second-order one-sided: a centred quotient would cross the axis
-            return (4.0 * self.u0(r + h) - 3.0 * self.u0(r) - self.u0(r + 2.0 * h)) / (
-                (r + 2.0 * h) - r)
-        return (self.u0(r + h) - self.u0(r - h)) / ((r + h) - (r - h))
+        # second-order one-sided within h of the axis: a centred quotient would cross it
+        one_sided = (4.0 * self.u0(r + h) - 3.0 * self.u0(r) - self.u0(r + 2.0 * h)) / (
+            (r + 2.0 * h) - r)
+        centred = (self.u0(r + h) - self.u0(np.abs(r - h))) / ((r + h) - (r - h))
+        return np.where(r < h, one_sided, centred)
 
     def with_amplitude(self, eps: float) -> "RadialData":
         return replace(self, amplitude=eps)
+
+
+def _bump(r):
+    """(1 - r^2)^3 on |r| < 1, 0 beyond."""
+    s = 1.0 - r * r
+    return np.where(np.abs(r) < 1.0, s * s * s, 0.0)
 
 
 def default_bump(amplitude: float = 1.0) -> RadialData:
@@ -115,28 +123,19 @@ def default_bump(amplitude: float = 1.0) -> RadialData:
     support edge; a square would not be.
     """
 
-    def u0(r: float) -> float:
+    def u0p(r):
         s = 1.0 - r * r
-        return s * s * s if abs(r) < 1.0 else 0.0
+        return np.where(np.abs(r) < 1.0, -6.0 * r * s * s, 0.0)
 
-    def u0p(r: float) -> float:
-        s = 1.0 - r * r
-        return -6.0 * r * s * s if abs(r) < 1.0 else 0.0
-
-    return RadialData(u0=u0, u1=lambda r: 0.0, support_radius=1.0,
+    return RadialData(u0=_bump, u1=np.zeros_like, support_radius=1.0,
                       u0_prime=u0p, amplitude=amplitude)
 
 
 def velocity_bump(amplitude: float = 1.0) -> RadialData:
     """Datum with zero displacement and a C^2 velocity bump (for the
     quadrature-bearing branch of the free propagator)."""
-
-    def u1(r: float) -> float:
-        s = 1.0 - r * r
-        return s * s * s if abs(r) < 1.0 else 0.0
-
-    return RadialData(u0=lambda r: 0.0, u1=u1, support_radius=1.0,
-                      u0_prime=lambda r: 0.0, amplitude=amplitude)
+    return RadialData(u0=np.zeros_like, u1=_bump, support_radius=1.0,
+                      u0_prime=np.zeros_like, amplitude=amplitude)
 
 
 @dataclass(frozen=True)
@@ -219,7 +218,7 @@ def _two_point(p_plus, p_minus, q_plus, q_minus, r, out=None) -> np.ndarray:
 
     with P(x) = x eps u0(|x|) (odd in x) and Q1 the u1 prefix of
     ``_u1_prefix``.  The one formula of both the lattice, whose feet are
-    table slices, and ``_off_lattice``, whose feet are callbacks; written
+    table slices, and ``_off_lattice``, whose feet are u0 samples; written
     into ``out`` when given.
     """
     out = np.subtract(p_plus, p_minus, out=out)
@@ -231,16 +230,16 @@ def _two_point(p_plus, p_minus, q_plus, q_minus, r, out=None) -> np.ndarray:
     return out
 
 
-def _axis_limit(data: RadialData, t: float, u0_t: float) -> float:
-    """v(t, 0) = eps (u0(t) + t u0'(t) + t u1(t)), the limit of the two-point
-    formula on the axis; ``u0_t`` is the unscaled u0(t)."""
-    return data.amplitude * (u0_t + t * data.u0_derivative(t) + t * data.u1(t))
+def _axis_limit(data: RadialData, t):
+    """v(t, 0) = eps (u0(t) + t u0'(t) + t u1(t)) at times t >= 0, the limit
+    of the two-point formula on the axis."""
+    return data.amplitude * (data.u0(t) + t * data.u0_derivative(t) + t * data.u1(t))
 
 
 def _u1_prefix(data: RadialData, rho: np.ndarray):
     """The nodal integrand (rho/2) eps u1 on the increasing nodes ``rho``
     (rho[0] = 0) and its cumulative trapezoid Q1 on them."""
-    vals = 0.5 * rho * data.amplitude * np.asarray([data.u1(x) for x in rho])
+    vals = 0.5 * rho * data.amplitude * data.u1(rho)
     step = np.diff(rho)
     pref = np.concatenate([[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * step)])
     return vals, pref
@@ -268,7 +267,7 @@ def _u1_reader(rho: np.ndarray, vals: np.ndarray, pref: np.ndarray):
 
 def _off_lattice(data: RadialData):
     """The free solution off the lattice as a function of (t, r): feet
-    t +- r through u0 callbacks and a 20001-node u1 table over the support,
+    t +- r through u0 samples and a 20001-node u1 table over the support,
     built once for every (t, r) asked of it.  For r < 1e-7 the differences
     of the two-point formula lose about 1e-16/r to cancellation while the
     axis limit is within O(r^2), so the limit is used there.
@@ -277,21 +276,16 @@ def _off_lattice(data: RadialData):
     q1 = _u1_reader(rho, *_u1_prefix(data, rho))
     eps = data.amplitude
 
-    def u0_at(x):
-        return np.asarray([data.u0(abs(v)) for v in x], dtype=float)
-
     def field(t: float, r) -> np.ndarray:
         r_arr = np.abs(np.atleast_1d(np.asarray(r, dtype=float)))
         out = np.empty_like(r_arr)
         on_axis = r_arr < 1e-7
-        if np.any(on_axis):
-            out[on_axis] = _axis_limit(data, t, data.u0(abs(t)))
+        out[on_axis] = _axis_limit(data, t)
         off = ~on_axis
-        if np.any(off):
-            ro = r_arr[off]
-            xp, xm = t + ro, t - ro
-            out[off] = _two_point(xp * (eps * u0_at(xp)), xm * (eps * u0_at(xm)),
-                                  q1(xp), q1(xm), ro)
+        ro = r_arr[off]
+        xp, xm = t + ro, t - ro
+        out[off] = _two_point(xp * (eps * data.u0(np.abs(xp))), xm * (eps * data.u0(np.abs(xm))),
+                              q1(xp), q1(xm), ro)
         return out
 
     return field
@@ -328,12 +322,22 @@ def _validate_data(data: RadialData, grid: CharacteristicGrid):
         )
     if not grid.covers(data.support_radius):
         raise ValueError("grid does not cover the forward light cone of the data")
-    if abs(data.u0_derivative(0.0)) > 1e-6:
+    # one array probe of every profile: the axis, then three radii beyond the support
+    probe = data.support_radius * np.array([0.0, 1.0 + 1e-9, 1.5, 2.0])
+    sampled = {}
+    for name, profile in (("u0", data.u0), ("u1", data.u1), ("u0_prime", data.u0_derivative)):
+        try:
+            sampled[name] = np.asarray(profile(probe), dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"profile {name} does not take an array of radii: {exc}") from exc
+        if sampled[name].shape != probe.shape:
+            raise ValueError(f"profile {name} returns shape {sampled[name].shape} for "
+                             f"{probe.size} radii, not one value per radius")
+    if abs(sampled["u0_prime"][0]) > 1e-6:
         raise ValueError("radial C^2 data needs u0'(0) = 0")
-    probe = data.support_radius * np.array([1.0 + 1e-9, 1.5, 2.0])
-    for x in probe:
-        if abs(data.u0(x)) > 0.0 or abs(data.u1(x)) > 0.0:
-            raise ValueError(f"data do not vanish beyond the support at r={x:g}")
+    outside = (np.abs(sampled["u0"][1:]) > 0.0) | (np.abs(sampled["u1"][1:]) > 0.0)
+    if np.any(outside):
+        raise ValueError(f"data do not vanish beyond the support at r={probe[1:][outside][0]:g}")
 
 
 def march(
@@ -360,10 +364,11 @@ def march(
     # part reads two tables at offset nr - 1 (n = -(nr - 1)..nt + nr - 1):
     # P(hn) = hn eps u0(h|n|), odd in n, and the u1 prefix Q1(h|n|),
     # constant past the last radial node
-    u0_table = np.asarray([data.u0(x) for x in h * np.arange(nt + nr + 1)], dtype=float)
+    u0_table = data.u0(h * np.arange(nt + nr + 1))
     feet = np.arange(-(nr - 1), nt + nr)
     p_table = (h * feet) * (eps * u0_table[np.abs(feet)])
     q_table = _u1_prefix(data, r)[1][np.minimum(np.abs(feet), nr - 1)]
+    axis_free = _axis_limit(data, h * np.arange(nt + 1))  # v on the axis, every level
 
     field = np.empty((nt + 1, nr))
     field[0] = eps * u0_table[:nr]
@@ -382,46 +387,47 @@ def march(
     g = np.empty(nr)
     work = np.empty(nr)
     trap = np.empty(nr - 1)
-    for i in range(1, nt + 1):
-        t = i * h
-        # level i - 1 joins the history with trapezoid weight w_{i-1}
-        _forcing(spec, p, abs_level, out=g)
-        np.multiply(half_r, g, out=work)
-        np.add(work[1:], work[:-1], out=trap)
-        trap *= 0.5
-        trap *= h
-        trap.cumsum(out=q[1:nr])
-        q[nr] = q[nr - 1]
-        weight = 0.5 * h if i == 1 else h
-        m_top = min(nt - (i - 1), nr - 1)
-        tail = np.multiply(r[1:m_top + 1], weight, out=work[:m_top])  # w m h
-        tail *= g[1:m_top + 1]
-        axis[i:i + m_top] += tail
+    # |u| past ~4.8e127 overflows |u|^p: the non-finite level is the stop "blew_up"
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, nt + 1):
+            # level i - 1 joins the history with trapezoid weight w_{i-1}
+            _forcing(spec, p, abs_level, out=g)
+            np.multiply(half_r, g, out=work)
+            np.add(work[1:], work[:-1], out=trap)
+            trap *= 0.5
+            trap *= h
+            trap.cumsum(out=q[1:nr])
+            q[nr] = q[nr - 1]
+            weight = 0.5 * h if i == 1 else h
+            m_top = min(nt - (i - 1), nr - 1)
+            tail = np.multiply(r[1:m_top + 1], weight, out=work[:m_top])  # w m h
+            tail *= g[1:m_top + 1]
+            axis[i:i + m_top] += tail
 
-        # W_i overwrites W_{i-2}
-        np.add(rlu[:nr - 1], rlu[2:], out=work[1:])
-        np.subtract(work[1:], rlu_prev[1:nr], out=rlu_prev[1:nr])
-        step = np.subtract(q[2:], q[:nr - 1], out=work[1:])
-        step *= weight
-        rlu_prev[1:nr] += step
-        rlu_prev, rlu = rlu, rlu_prev
+            # W_i overwrites W_{i-2}
+            np.add(rlu[:nr - 1], rlu[2:], out=work[1:])
+            np.subtract(work[1:], rlu_prev[1:nr], out=rlu_prev[1:nr])
+            step = np.subtract(q[2:], q[:nr - 1], out=work[1:])
+            step *= weight
+            rlu_prev[1:nr] += step
+            rlu_prev, rlu = rlu, rlu_prev
 
-        # nodes j = 1..nr-1: feet i + j read forward, feet i - j reversed
-        level = field[i]
-        base = nr - 1 + i
-        _two_point(p_table[base + 1:base + nr], p_table[base - 1:i - 1:-1],
-                   q_table[base + 1:base + nr], q_table[base - 1:i - 1:-1], r[1:],
-                   out=level[1:])
-        level[0] = _axis_limit(data, t, u0_table[i]) + axis[i]
-        np.divide(rlu[1:nr], r[1:], out=work[1:])
-        level[1:] += work[1:]
+            # nodes j = 1..nr-1: feet i + j read forward, feet i - j reversed
+            level = field[i]
+            base = nr - 1 + i
+            _two_point(p_table[base + 1:base + nr], p_table[base - 1:i - 1:-1],
+                       q_table[base + 1:base + nr], q_table[base - 1:i - 1:-1], r[1:],
+                       out=level[1:])
+            level[0] = axis_free[i] + axis[i]
+            np.divide(rlu[1:nr], r[1:], out=work[1:])
+            level[1:] += work[1:]
 
-        np.abs(level, out=abs_level)  # the cap check and the next forcing
-        peak = abs_level.max()
-        if not math.isfinite(peak) or peak > cap:
-            status = "blew_up"
-            t_detect = t
-            break
+            np.abs(level, out=abs_level)  # the cap check and the next forcing
+            peak = abs_level.max()
+            if not math.isfinite(peak) or peak > cap:
+                status = "blew_up"
+                t_detect = i * h
+                break
 
     return SolutionRun(
         grid=grid,

@@ -78,21 +78,21 @@ def _decay_report(times, level_max, level_argmax_r, denom: float, region: str) -
     )
 
 
-def data_norms(data, grid_points: int = 4097):
+def data_norms(data):
     """Grid-sup data norms: (weighted sup of u0 and u0', weighted sup of u1).
 
     The first norm weights the profile with <r>^kappa and its derivative
     with <r>^{kappa+1}; the second weights u1 with <r>^{kappa+1}.  The sup
-    is scanned on [0, support_radius + 1]; the weights grow in r but the
-    profiles vanish beyond the support, so nothing is lost.
+    is scanned on 4097 radii of [0, support_radius + 1]; the weights grow
+    in r but the profiles vanish beyond the support, so nothing is lost.
     """
     kappa = 1.0 + 1.0 / strauss_exponent(3)
-    r = np.linspace(0.0, data.support_radius + 1.0, grid_points)
+    r = np.linspace(0.0, data.support_radius + 1.0, 4097)
     w = log_weight(bracket(r))
     eps = data.amplitude
-    u0 = eps * np.asarray([data.u0(x) for x in r])
-    du0 = eps * np.asarray([data.u0_derivative(x) for x in r])
-    u1 = eps * np.asarray([data.u1(x) for x in r])
+    u0 = eps * data.u0(r)
+    du0 = eps * data.u0_derivative(r)
+    u1 = eps * data.u1(r)
     a_norm = float(np.max(w * bracket(r) ** kappa * np.abs(u0))
                    + np.max(w * bracket(r) ** (kappa + 1.0) * np.abs(du0)))
     b_norm = float(np.max(w * bracket(r) ** (kappa + 1.0) * np.abs(u1)))
@@ -230,7 +230,7 @@ def decay_profile_check(run, norms=None) -> WeightReport:
     decay rule of ``_decay_report``.  By construction the final constant
     times the data norms equals the weighted sup norm, the largest entry of
     the ``weighted_max`` column.  ``norms`` is ``data_norms(run.data)`` when
-    the caller already has it (each evaluation makes 3 * 4097 callbacks).
+    the caller already has it (each evaluation samples three profiles).
     """
     if run.status == "blew_up":
         raise ValueError("decay profile is undefined for a run that blew up")

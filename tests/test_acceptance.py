@@ -129,8 +129,8 @@ def test_criterion_06_linear_exactness_and_order():
     result = convergence_study(velocity_bump(1.0), None, [0.05, 0.025, 0.0125], t_check=2.0)
     assert 1.7 <= result.order <= 2.3
 
-    zero = RadialData(u0=lambda r: 0.0, u1=lambda r: 0.0, support_radius=1.0,
-                      u0_prime=lambda r: 0.0)
+    zero = RadialData(u0=np.zeros_like, u1=np.zeros_like, support_radius=1.0,
+                      u0_prime=np.zeros_like)
     zrun = march(zero, None, CharacteristicGrid.cover(0.05, 2.0, 1.0))
     assert np.max(np.abs(zrun.field)) == 0.0
     report(6, f"linear probe matches propagator to {worst:.2e}; order {result.order:.2f}; zero data exact")
@@ -151,19 +151,19 @@ def test_criterion_07_structural_invariants():
     rho0 = 0.5
 
     def outer(r):
-        return 40.0 * (r - rho0) ** 3 * (1.0 - r) ** 3 if rho0 < r < 1.0 else 0.0
+        return np.where((rho0 < r) & (r < 1.0), 40.0 * (r - rho0) ** 3 * (1.0 - r) ** 3, 0.0)
 
     def outer_prime(r):
-        if rho0 < r < 1.0:
-            return 40.0 * (3 * (r - rho0) ** 2 * (1 - r) ** 3 - 3 * (r - rho0) ** 3 * (1 - r) ** 2)
-        return 0.0
+        return np.where(
+            (rho0 < r) & (r < 1.0),
+            40.0 * (3 * (r - rho0) ** 2 * (1 - r) ** 3 - 3 * (r - rho0) ** 3 * (1 - r) ** 2), 0.0)
 
     base = default_bump(0.5)
     # the amplitude multiplies the whole profile, so fold the bump in at
     # twice its size to survive the 0.5 scaling
     perturbed = RadialData(
         u0=lambda r: base.u0(r) + 2.0 * outer(r),
-        u1=lambda r: 0.0,
+        u1=np.zeros_like,
         support_radius=1.0,
         u0_prime=lambda r: base.u0_prime(r) + 2.0 * outer_prime(r),
         amplitude=0.5,

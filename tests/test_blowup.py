@@ -155,8 +155,8 @@ def test_functional_requires_modulus():
 
 
 def test_identity_zero_run():
-    zero = RadialData(u0=lambda r: 0.0, u1=lambda r: 0.0,
-                      support_radius=1.0, u0_prime=lambda r: 0.0)
+    zero = RadialData(u0=np.zeros_like, u1=np.zeros_like,
+                      support_radius=1.0, u0_prime=np.zeros_like)
     run = march(zero, make_spec(PowerLaw(1.0)), CharacteristicGrid.cover(0.05, 2.0, 1.0))
     assert integral_identity_residual(run, CFG, Q3, 2.0) == 0.0
 

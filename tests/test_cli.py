@@ -33,6 +33,12 @@ def test_parse_solve_flags():
     assert args.family == "logpower" and args.cl == 10.0 and args.eps == 5.0
 
 
+def test_exponents_in_one_dimension(tmp_path):
+    assert run_cli(["exponents", "--n", "1", "--quiet"], tmp_path) == 0
+    payload = json.loads((latest(tmp_path, "exponents") / "exponents.json").read_text())
+    assert payload["p_strauss"] == "infinite"
+
+
 def test_unknown_flag_rejected():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["exponents", "--n", "3", "--bogus", "1"])
@@ -72,14 +78,19 @@ def test_solve_grid_beyond_memory_exits_one(capsys, tmp_path):
     (["key-integral", "--family", "powerlaw", "--xi-list", "10,,100"], "argument --xi-list"),
     (["sequences", "--n", "1"], "argument --n"),
     (["mu", "check", "--family", "powerlaw", "--n", "1"], "argument --n"),
-], ids=["stray-cl", "stray-k", "3d-command-n", "eps-list", "xi-list", "sequences-n", "mu-n"])
+    (["exponents", "--n", "0"], "argument --n"),
+], ids=["stray-cl", "stray-k", "3d-command-n", "eps-list", "xi-list", "sequences-n", "mu-n",
+        "exponents-n"])
 def test_usage_error_names_the_flag(capsys, tmp_path, argv, message):
     # a flag the family lacks, --n on a 3-D command, a bad list or dimension:
-    # exit 2 naming the flag, before any result directory exists
+    # exit 2 naming the flag in the subcommand's usage, before any result
+    # directory exists
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out-dir", str(tmp_path)])
     assert exc.value.code == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"usage: wavecrit {argv[0]} " in err
+    assert f"wavecrit {argv[0]}: error: " in err and message in err
     assert not any(tmp_path.iterdir())
 
 
@@ -128,6 +139,7 @@ def test_solve_records_blowup(tmp_path):
     assert (out / "field.svg").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("cap", ["1e300", "inf"])
 def test_solve_nonfinite_field_is_persisted(tmp_path, cap):
     # past a huge cap the march stores inf/nan levels before it stops; the

@@ -28,13 +28,13 @@ P3 = strauss_exponent(3)
 
 
 def zero_data():
-    return RadialData(u0=lambda r: 0.0, u1=lambda r: 0.0,
-                      support_radius=1.0, u0_prime=lambda r: 0.0)
+    return RadialData(u0=np.zeros_like, u1=np.zeros_like,
+                      support_radius=1.0, u0_prime=np.zeros_like)
 
 
 def bump_profile(r):
     s = 1.0 - r * r
-    return s**3 if abs(r) < 1.0 else 0.0
+    return np.where(np.abs(r) < 1.0, s**3, 0.0)
 
 
 # ------------------------------------------------------------- propagator
@@ -131,6 +131,32 @@ def test_lattice_free_part_matches_linear_field():
     off = np.array([linear_field(data, t, run.radii) for t in run.times])
     assert np.max(np.abs(run.field - off)) <= 1e-13 * np.max(np.abs(run.field))
     assert np.array_equal(run.field[:, 0], off[:, 0])
+
+
+def test_profiles_on_an_array_equal_the_scalar_calls():
+    # one sampling call per grid must give the per-point values bit for bit
+    radii = np.concatenate([np.linspace(0.0, 1.5, 301), [1e-7, 5e-7, 1.0 - 1e-12, 1.0]])
+    quotient = replace(default_bump(1.0), u0_prime=None)
+    for profile in (default_bump().u0, default_bump().u1, default_bump().u0_prime,
+                    velocity_bump().u0, velocity_bump().u1, velocity_bump().u0_prime,
+                    default_bump().u0_derivative, quotient.u0_derivative):
+        sampled = profile(radii)
+        assert sampled.shape == radii.shape
+        pointwise = np.array([float(profile(float(x))) for x in radii])
+        assert sampled.tobytes() == pointwise.tobytes()
+
+
+def test_march_refuses_a_profile_without_one_value_per_radius():
+    grid = CharacteristicGrid.cover(0.05, 1.0, 1.0)
+    base = default_bump(0.5)
+
+    def scalar_only(r):
+        return 0.0 if abs(r) >= 1.0 else 1.0 - r * r
+
+    for name, profile in (("u0", lambda r: 0.0), ("u1", lambda r: 0.0),
+                          ("u0_prime", lambda r: np.zeros(3)), ("u0", scalar_only)):
+        with pytest.raises(ValueError, match=f"profile {name} "):
+            march(replace(base, **{name: profile}), None, grid)
 
 
 def test_u0_derivative_fallback_spans_the_sampled_points():
@@ -319,9 +345,9 @@ def test_march_validates_cone_cover():
 
 
 def test_march_validates_support():
-    bad = RadialData(u0=lambda r: 1.0, u1=lambda r: 0.0,
-                     support_radius=1.0, u0_prime=lambda r: 0.0)
-    with pytest.raises(ValueError):
+    bad = RadialData(u0=np.ones_like, u1=np.zeros_like,
+                     support_radius=1.0, u0_prime=np.zeros_like)
+    with pytest.raises(ValueError, match="do not vanish"):
         march(bad, None, CharacteristicGrid.cover(0.05, 1.0, 1.0))
 
 
@@ -334,29 +360,26 @@ def test_finite_propagation_speed():
     grid = CharacteristicGrid.cover(0.025, 0.4, 1.0)
 
     def outer_bump(r):
-        if rho0 < r < 1.0:
-            return 40.0 * (r - rho0) ** 3 * (1.0 - r) ** 3
-        return 0.0
+        return np.where((rho0 < r) & (r < 1.0), 40.0 * (r - rho0) ** 3 * (1.0 - r) ** 3, 0.0)
 
     def outer_bump_prime(r):
-        if rho0 < r < 1.0:
-            return 40.0 * (3 * (r - rho0) ** 2 * (1 - r) ** 3
-                           - 3 * (r - rho0) ** 3 * (1 - r) ** 2)
-        return 0.0
+        return np.where((rho0 < r) & (r < 1.0),
+                        40.0 * (3 * (r - rho0) ** 2 * (1 - r) ** 3
+                                - 3 * (r - rho0) ** 3 * (1 - r) ** 2), 0.0)
+
+    def bump_prime(r):
+        return np.where(np.abs(r) < 1, -6.0 * r * (1 - r * r) ** 2, 0.0)
 
     base = default_bump(0.5)
     perturbed = RadialData(
         u0=lambda r: base.amplitude * (bump_profile(r)) + outer_bump(r),
-        u1=lambda r: 0.0,
+        u1=np.zeros_like,
         support_radius=1.0,
-        u0_prime=lambda r: base.amplitude * (-6.0 * r * (1 - r * r) ** 2
-                                             if abs(r) < 1 else 0.0) + outer_bump_prime(r),
+        u0_prime=lambda r: base.amplitude * bump_prime(r) + outer_bump_prime(r),
         amplitude=1.0,
     )
-    inner = RadialData(u0=lambda r: 0.5 * bump_profile(r), u1=lambda r: 0.0,
-                       support_radius=1.0,
-                       u0_prime=lambda r: 0.5 * (-6.0 * r * (1 - r * r) ** 2
-                                                 if abs(r) < 1 else 0.0))
+    inner = RadialData(u0=lambda r: 0.5 * bump_profile(r), u1=np.zeros_like,
+                       support_radius=1.0, u0_prime=lambda r: 0.5 * bump_prime(r))
     run_a = march(inner, spec, grid)
     run_b = march(perturbed, spec, grid)
     scale = np.max(np.abs(run_b.field))

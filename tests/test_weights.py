@@ -96,8 +96,8 @@ def test_sup_norm_monotone_under_domination():
 # --------------------------------------------------------------- data norms
 
 def test_data_norms_zero():
-    zero = RadialData(u0=lambda r: 0.0, u1=lambda r: 0.0, support_radius=1.0,
-                      u0_prime=lambda r: 0.0)
+    zero = RadialData(u0=np.zeros_like, u1=np.zeros_like, support_radius=1.0,
+                      u0_prime=np.zeros_like)
     assert data_norms(zero) == (0.0, 0.0)
 
 
@@ -132,8 +132,8 @@ def test_linear_decay_default_datum():
 
 
 def test_linear_decay_zero_data_vacuous():
-    zero = RadialData(u0=lambda r: 0.0, u1=lambda r: 0.0, support_radius=1.0,
-                      u0_prime=lambda r: 0.0)
+    zero = RadialData(u0=np.zeros_like, u1=np.zeros_like, support_radius=1.0,
+                      u0_prime=np.zeros_like)
     report = linear_decay_check(zero, horizon=10.0)
     assert report.passed and report.fitted_constant == 0.0
 
@@ -225,8 +225,8 @@ def test_zone_bound_rejects_axis_sample():
 # ------------------------------------------------------------- decay profile
 
 def test_decay_profile_zero_run():
-    zero = RadialData(u0=lambda r: 0.0, u1=lambda r: 0.0, support_radius=1.0,
-                      u0_prime=lambda r: 0.0)
+    zero = RadialData(u0=np.zeros_like, u1=np.zeros_like, support_radius=1.0,
+                      u0_prime=np.zeros_like)
     run = march(zero, make_spec(PowerLaw(1.0)), CharacteristicGrid.cover(0.0625, 5.0, 1.0))
     report = decay_profile_check(run)
     assert report.passed and report.fitted_constant == 0.0
