@@ -114,7 +114,13 @@ def _fmt(x):
 _RENDER = {".json": _json_text, ".csv": _csv_text, ".svg": str}
 
 
-def _svg_polyline(points, title: str, width=640, height=400) -> str:
+# the line plot's canvas in pixels; the heatmap strides a field down to at
+# most this many cells per axis
+_SVG_WIDTH, _SVG_HEIGHT, _HEATMAP_CELLS = 640, 400, 120
+
+
+def _svg_polyline(points, title: str) -> str:
+    width, height = _SVG_WIDTH, _SVG_HEIGHT
     pts = [(float(x), float(y)) for x, y in points if math.isfinite(y)]
     if not pts:
         return f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}"/>\n'
@@ -143,12 +149,12 @@ def _svg_polyline(points, title: str, width=640, height=400) -> str:
     )
 
 
-def _svg_heatmap(matrix, title: str, max_cells=120) -> str:
+def _svg_heatmap(matrix, title: str) -> str:
     """Shade each cell by its share of the largest finite value; a cell that
     is not finite (a blown-up run's last levels) gets the full shade."""
     m = np.asarray(matrix, dtype=float)
-    si = max(1, m.shape[0] // max_cells)
-    sj = max(1, m.shape[1] // max_cells)
+    si = max(1, m.shape[0] // _HEATMAP_CELLS)
+    sj = max(1, m.shape[1] // _HEATMAP_CELLS)
     m = m[::si, ::sj]
     finite = np.isfinite(m)
     top = float(np.max(m, where=finite, initial=0.0)) or 1.0
@@ -455,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("sequences", _cmd_sequences, "iteration ledger CSV")
     p.add_argument("--n", type=_integer_at_least(2), required=True)
-    p.add_argument("--J", type=int, default=30)
+    p.add_argument("--J", type=_integer_at_least(0), default=30)
 
     p = command("onset", _cmd_onset, "divergence onset prediction", family)
     p.add_argument("--tmax", type=float, default=1e6)

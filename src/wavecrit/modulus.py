@@ -129,18 +129,6 @@ class TripleLogGlobal:
 _GLOBAL_DOMAIN = (PowerLaw, LogOnePlus)
 
 
-def _axioms_hold(family, tau0: float, points: int = 160) -> bool:
-    """Monotone + midpoint-concave on a 12-e-fold log grid below tau0."""
-    taus = np.exp(np.linspace(math.log(tau0) - 12.0, math.log(tau0), points))
-    with np.errstate(divide="ignore"):
-        vals = np.exp(_log_mu_from_loginv(family, -np.log(taus)))
-    if not np.all(np.diff(vals) > 0.0):
-        return False
-    mid = np.exp(_log_mu_from_loginv(family, -np.log(0.5 * (taus[:, None] + taus[None, :]))))
-    margin = float(np.max(0.5 * (vals[:, None] + vals[None, :]) - mid))
-    return margin <= 1e-12 * float(np.max(vals))
-
-
 def _default_tau0(family) -> float:
     if isinstance(family, _GLOBAL_DOMAIN):
         return math.inf
@@ -156,7 +144,9 @@ def _default_tau0(family) -> float:
     # shrink below the iterated-log domain guard until the modulus axioms hold
     tau0 = guard * 0.999
     for _ in range(200):
-        if _axioms_hold(family, tau0):
+        taus = np.exp(np.linspace(math.log(tau0) - 12.0, math.log(tau0), 160))
+        increasing, concave, _ = _monotone_concave(family, taus)
+        if increasing and concave:
             return tau0
         tau0 *= 0.5
     raise ValueError(f"no admissible near-zero regime found for {family!r}")
@@ -227,6 +217,22 @@ def _log_mu_from_loginv(family, L):
             + family.gamma * np.log(iterated_log(L, family.k - 1))
         )
     raise TypeError(f"unknown modulus family: {family!r}")
+
+
+def _monotone_concave(family, taus):
+    """(increasing, concave, margin) of mu's near-zero formula on ``taus``.
+
+    The margin is the largest (mu(a) + mu(b))/2 - mu((a + b)/2) over all
+    grid pairs; concave means it is within 1e-12 of the largest value.  A
+    grid that is not increasing returns at once, with margin nan.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = np.exp(_log_mu_from_loginv(family, -np.log(taus)))
+    if not np.all(np.diff(vals) > 0.0):
+        return False, False, math.nan
+    mid = np.exp(_log_mu_from_loginv(family, -np.log(0.5 * (taus[:, None] + taus[None, :]))))
+    margin = float(np.max(0.5 * (vals[:, None] + vals[None, :]) - mid))
+    return True, margin <= 1e-12 * float(np.max(vals)), margin
 
 
 @functools.lru_cache(maxsize=None)
@@ -327,24 +333,14 @@ def convexity_check(spec: ModulusSpec, n: int, grid) -> WeightReport:
     scale = float(np.max(np.abs(vals))) if len(vals) else 1.0
     slack = 1e-12 * max(scale, 1e-300)
     mid = convex_companion(spec, n, 0.5 * (pos[:, None] + pos[None, :]))
-    margin = mid - 0.5 * (vals[:, None] + vals[None, :])
-    worst = float(np.max(margin))
-    i, j = np.unravel_index(int(np.argmax(margin)), margin.shape)
+    worst = float(np.max(mid - 0.5 * (vals[:, None] + vals[None, :])))
     odd_defect = float(
         np.max(np.abs(convex_companion(spec, n, s) + convex_companion(spec, n, -s)))
     )
-    order = np.argsort(margin.ravel())[::-1][:20]
-    rows = [
-        (float(pos[k // len(pos)]), float(pos[k % len(pos)]), float(margin.ravel()[k]))
-        for k in order
-    ]
     return WeightReport(
         region=f"pairs from [0, {pos[-1]:g}] plus sign symmetry on [{s[0]:g}, {s[-1]:g}]",
         fitted_constant=max(worst, 0.0),
-        worst_point=(float(pos[i]), float(pos[j])),
         passed=worst <= slack and odd_defect <= slack,
-        columns=("a", "b", "midpoint_margin"),
-        samples=rows,
     )
 
 
@@ -419,15 +415,11 @@ def loglog_bound_check(spec: ModulusSpec) -> WeightReport:
     L = -np.log(taus)
     values = threshold_product(spec, getattr(spec.family, "n", 3), taus) * np.log(L)
     sup = float(np.max(values))
-    k = int(np.argmax(values))
     tail_ok = values[-1] <= values[-(_TREND_WINDOW + 1)] * (1.0 + _TREND_TOL)
     return WeightReport(
         region=f"tau in [{taus[-1]:.3g}, {taus[0]:.3g}], {len(taus)} samples",
         fitted_constant=sup,
-        worst_point=(float(taus[k]),),
         passed=bool(sup <= 50.0 and tail_ok),
-        columns=("tau", "product"),
-        samples=[(float(t), float(v)) for t, v in zip(taus, values)],
     )
 
 
@@ -435,22 +427,11 @@ def axioms_check(spec: ModulusSpec) -> WeightReport:
     """Monotonicity + midpoint concavity of mu on a log grid in (0, tau0]."""
     top = min(spec.tau0, 0.99)
     taus = np.minimum(np.exp(np.linspace(math.log(top) - 12.0, math.log(top), 1000)), top)
-    vals = mu_eval(spec, taus)
-    increasing = bool(np.all(np.diff(vals) > 0.0))
-    scale = float(np.max(vals))
-    mid = mu_eval(spec, 0.5 * (taus[:, None] + taus[None, :]))
-    concave_margin = float(
-        np.max(0.5 * (vals[:, None] + vals[None, :]) - mid)
-    )
-    zero_exact = mu_eval(spec, 0.0) == 0.0
-    passed = increasing and zero_exact and concave_margin <= 1e-12 * scale
+    increasing, concave, margin = _monotone_concave(spec.family, taus)
     return WeightReport(
         region=f"log grid (0, {top:g}], 1000 points",
-        fitted_constant=max(concave_margin, 0.0),
-        worst_point=(),
-        passed=passed,
-        columns=("tau", "mu"),
-        samples=[(float(t), float(v)) for t, v in zip(taus[::100], vals[::100])],
+        fitted_constant=max(margin, 0.0),
+        passed=increasing and concave and mu_eval(spec, 0.0) == 0.0,
     )
 
 

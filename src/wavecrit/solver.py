@@ -93,8 +93,8 @@ class RadialData:
     def __post_init__(self):
         if self.support_radius <= 0.0:
             raise ValueError("support radius must be positive")
-        if self.amplitude < 0.0:
-            raise ValueError("amplitude must be non-negative")
+        if not 0.0 <= self.amplitude < math.inf:
+            raise ValueError(f"amplitude must be finite and non-negative, got {self.amplitude}")
 
     def u0_derivative(self, r):
         if self.u0_prime is not None:
@@ -351,8 +351,10 @@ def march(
     ``spec=None`` disables the nonlinearity (linear probe mode).  Levels
     are filled in increasing time; the run stops early with status
     "blew_up" at the first level whose max modulus exceeds ``cap`` or is
-    not finite.
+    not finite; ``cap = inf`` stops on a non-finite level only.
     """
+    if not cap > 0.0:
+        raise ValueError(f"cap must be positive, got {cap}")
     _validate_data(data, grid)
     h = grid.h
     nr = grid.r_nodes
@@ -454,10 +456,11 @@ def lifespan_sweep(
     cap: float = DEFAULT_CAP,
 ) -> list:
     """One march per amplitude; rows report detection time or completion."""
+    epsilons = list(epsilons)  # refused before the first march, not aggregated
+    if not (cap > 0.0 and all(0.0 < eps < math.inf for eps in epsilons)):
+        raise ValueError("lifespans need positive finite amplitudes and a positive cap")
     rows = []
     for eps in epsilons:
-        if eps <= 0.0:
-            raise ValueError("amplitudes must be positive")
         try:
             run = march(data_template.with_amplitude(eps), spec, grid, cap=cap)
             rows.append(LifespanRow(float(eps), run.t_detect, run.status))

@@ -51,30 +51,23 @@ def weighted_sup_norm(run) -> float:
     return float(np.max(_weighted_field(run)))
 
 
-def _decay_report(times, level_max, level_argmax_r, denom: float, region: str) -> WeightReport:
+def _decay_report(times, level_max, denom: float, region: str) -> WeightReport:
     """The decay rule shared by marched and free fields.
 
     ``level_max`` holds the cone-weighted maximum of each level at
-    ``times`` and ``level_argmax_r`` the radius where it sits.  The running
-    sup divided by the data norms ``denom`` is the fitted constant; the
-    check passes when the final running sup exceeds its value at the first
-    level at or past half the last time by no more than 20%.  Zero data
-    pass vacuously with constant 0.
+    ``times``.  The running sup divided by the data norms ``denom`` is the
+    fitted constant; the check passes when the final running sup exceeds
+    its value at the first level at or past half the last time by no more
+    than 20%.  Zero data pass vacuously with constant 0.
     """
-    samples = [(float(t), float(m)) for t, m in zip(times, level_max)]
-    if denom == 0.0:
-        return WeightReport(region=region, fitted_constant=0.0, worst_point=(),
-                            passed=True, columns=("t", "weighted_max"), samples=samples)
     running = np.maximum.accumulate(level_max)
     half = running[np.searchsorted(times, times[-1] / 2.0)]
-    k = int(np.argmax(level_max))
     return WeightReport(
         region=region,
-        fitted_constant=float(running[-1] / denom),
-        worst_point=(float(times[k]), float(level_argmax_r[k])),
-        passed=bool(running[-1] <= 1.2 * half),
+        fitted_constant=float(running[-1] / denom) if denom != 0.0 else 0.0,
+        passed=bool(denom == 0.0 or running[-1] <= 1.2 * half),
         columns=("t", "weighted_max"),
-        samples=samples,
+        samples=[(float(t), float(m)) for t, m in zip(times, level_max)],
     )
 
 
@@ -108,16 +101,13 @@ def linear_decay_check(data, horizon: float, step: float = 0.5) -> WeightReport:
     free = _off_lattice(data)
     times = np.arange(0.0, horizon + 0.5 * step, step)
     level_max = np.empty(len(times))
-    level_argmax_r = np.empty(len(times))
     for i, t in enumerate(times):
         r_base = np.arange(0.0, t + data.support_radius + 2.0, step)
         lo, hi = max(0.0, t - 4.0), t + 4.0
         r_fine = np.arange(lo, hi, step / 4.0)
         r = np.unique(np.concatenate([r_base, r_fine]))
-        weighted = _cone_weight(t, r) * np.abs(free(t, r))
-        k = int(np.argmax(weighted))
-        level_max[i], level_argmax_r[i] = weighted[k], r[k]
-    return _decay_report(times, level_max, level_argmax_r, sum(data_norms(data)),
+        level_max[i] = np.max(_cone_weight(t, r) * np.abs(free(t, r)))
+    return _decay_report(times, level_max, sum(data_norms(data)),
                          f"t in [0, {horizon:g}], step {step:g} (cone refined 4x)")
 
 
@@ -187,8 +177,6 @@ def zone_bound_check(spec: ModulusSpec, eps0: float, region_samples) -> WeightRe
     p = strauss_exponent(3)
     rows = []
     sup = {name: 0.0 for name in _ZONES}
-    worst = (0.0, 0.0)
-    top = 0.0
     ok = True
     for t, r in region_samples:
         if r <= 0.0:
@@ -210,13 +198,10 @@ def zone_bound_check(spec: ModulusSpec, eps0: float, region_samples) -> WeightRe
         stable = err <= 1e-6 * abs(integral) + 1e-12
         ok = ok and math.isfinite(value) and stable
         sup[zone] = max(sup[zone], value)
-        if value > top:
-            top, worst = value, (float(t), float(r))
         rows.append((zone, float(t), float(r), float(value)))
     return WeightReport(
         region="zones " + ", ".join(f"{z}: sup={sup[z]:.4g}" for z in sup),
-        fitted_constant=top,
-        worst_point=worst,
+        fitted_constant=max(sup.values()),
         passed=ok,
         columns=("zone", "t", "r", "bound_value"),
         samples=rows,
@@ -234,9 +219,7 @@ def decay_profile_check(run, norms=None) -> WeightReport:
     """
     if run.status == "blew_up":
         raise ValueError("decay profile is undefined for a run that blew up")
-    weighted = _weighted_field(run)
-    j = np.argmax(weighted, axis=1)
     t = run.times
-    return _decay_report(t, weighted[np.arange(len(j)), j], run.radii[j],
+    return _decay_report(t, _weighted_field(run).max(axis=1),
                          sum(norms or data_norms(run.data)),
                          f"t in [0, {t[-1]:g}], {len(t)} levels")

@@ -60,6 +60,24 @@ def test_solve_runtime_error_exits_one(capsys, tmp_path):
     assert "error:" in err and "usage:" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["lifespan", "--eps-list", "nan,2"],
+    ["lifespan", "--eps-list", "2,inf"],
+    ["lifespan", "--eps-list", "2", "--cap", "0"],
+    ["solve", "--eps", "nan", "--h", "0.05"],
+    ["solve", "--eps", "inf", "--h", "0.05"],
+    ["solve", "--eps", "1", "--h", "0.05", "--cap", "-1"],
+], ids=["lifespan-nan", "lifespan-inf", "lifespan-cap", "solve-nan", "solve-inf", "solve-cap"])
+def test_nonfinite_amplitude_or_nonpositive_cap_exits_one(capsys, tmp_path, argv):
+    # each of these used to report a blow-up at the first level and exit 0
+    code = main(argv[:1] + ["--family", "logpower", "--gamma", "0.2", "--cl", "10",
+                            "--horizon", "2", *argv[1:], "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error:" in err and "usage:" not in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_solve_grid_beyond_memory_exits_one(capsys, tmp_path):
     code = main(["solve", "--family", "powerlaw", "--eps", "0.01", "--h", "1e-6",
                  "--horizon", "1e6", "--out-dir", str(tmp_path)])
@@ -77,10 +95,11 @@ def test_solve_grid_beyond_memory_exits_one(capsys, tmp_path):
       "--eps-list", "2,x"], "argument --eps-list"),
     (["key-integral", "--family", "powerlaw", "--xi-list", "10,,100"], "argument --xi-list"),
     (["sequences", "--n", "1"], "argument --n"),
+    (["sequences", "--n", "3", "--J", "-1"], "argument --J"),
     (["mu", "check", "--family", "powerlaw", "--n", "1"], "argument --n"),
     (["exponents", "--n", "0"], "argument --n"),
-], ids=["stray-cl", "stray-k", "3d-command-n", "eps-list", "xi-list", "sequences-n", "mu-n",
-        "exponents-n"])
+], ids=["stray-cl", "stray-k", "3d-command-n", "eps-list", "xi-list", "sequences-n",
+        "sequences-J", "mu-n", "exponents-n"])
 def test_usage_error_names_the_flag(capsys, tmp_path, argv, message):
     # a flag the family lacks, --n on a 3-D command, a bad list or dimension:
     # exit 2 naming the flag in the subcommand's usage, before any result

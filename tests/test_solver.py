@@ -344,6 +344,20 @@ def test_march_validates_cone_cover():
         march(default_bump(1.0), None, grid)
 
 
+@pytest.mark.parametrize("amplitude", [float("nan"), float("inf"), -1.0])
+def test_radial_data_refuses_a_nonfinite_or_negative_amplitude(amplitude):
+    with pytest.raises(ValueError, match="amplitude"):
+        default_bump(amplitude)
+
+
+@pytest.mark.parametrize("cap", [0.0, -1.0, float("nan")])
+def test_march_refuses_a_cap_that_is_not_positive(cap):
+    # every such cap used to stop the march at its first level
+    with pytest.raises(ValueError, match="cap"):
+        march(default_bump(1.0), make_spec(PowerLaw(1.0)),
+              CharacteristicGrid.cover(0.05, 1.0, 1.0), cap=cap)
+
+
 def test_march_validates_support():
     bad = RadialData(u0=np.ones_like, u1=np.zeros_like,
                      support_radius=1.0, u0_prime=np.zeros_like)
@@ -419,11 +433,13 @@ def test_lifespan_global_family_reaches_horizon():
     assert all(r.status == "completed" and r.t_detect is None for r in rows)
 
 
-def test_lifespan_rejects_nonpositive_amplitude():
+@pytest.mark.parametrize("eps", [-1.0, float("nan"), float("inf")])
+def test_lifespan_rejects_nonpositive_amplitude(eps):
+    # a NaN amplitude used to pass the check and "blow up" at t = h
     spec = make_spec(PowerLaw(1.0))
     grid = CharacteristicGrid.cover(0.05, 1.0, 1.0)
     with pytest.raises(ValueError):
-        lifespan_sweep(default_bump(1.0), spec, [-1.0], grid)
+        lifespan_sweep(default_bump(1.0), spec, [eps], grid)
 
 
 # ------------------------------------------------------------- convergence
