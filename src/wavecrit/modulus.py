@@ -174,7 +174,9 @@ _MAX_TOWER_K = 3
 
 
 def make_spec(family, tau0: float | None = None) -> ModulusSpec:
-    """Build a spec with the family's default near-zero cutoff."""
+    """Build a spec with the family's default near-zero cutoff, or with
+    ``tau0`` when given: a cutoff at which the near-zero formula is not
+    finite (past the domain of its logarithms) is refused."""
     k = getattr(family, "k", None)
     if k is not None and k > _MAX_TOWER_K:
         raise ValueError(
@@ -183,6 +185,15 @@ def make_spec(family, tau0: float | None = None) -> ModulusSpec:
         )
     if tau0 is None:
         tau0 = _default_tau0(family)
+    elif tau0 > 0.0 and not isinstance(family, _GLOBAL_DOMAIN):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            try:
+                finite = bool(np.isfinite(_log_mu_from_loginv(family, -math.log(tau0))))
+            except ValueError:  # an iterated log left its domain
+                finite = False
+        if not finite:
+            raise ValueError(f"tau0={tau0:g} is past the near-zero domain of "
+                             f"{type(family).__name__}: mu(tau0) is not finite")
     return ModulusSpec(family=family, tau0=tau0)
 
 

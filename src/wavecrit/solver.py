@@ -44,13 +44,14 @@ two-point formula of ``_two_point``,
 
 P(x) = x u0(|x|) odd and Q1 the cumulative trapezoid of (rho/2) u1.  On
 the lattice its feet h (i ± j) are nodes, so ``march`` reads them from two
-tables built once (u0 sampled on h·n, n = 0..t_levels+r_nodes, and the u1
-prefix on the radial nodes, clamped at the last one) as one forward and
-one reversed slice each; ``linear_field`` feeds the same formula from
-u0 samples off the lattice.  Each level is written in place into the stored
-field from preallocated buffers, so a march costs O(t_levels · r_nodes)
-in a fixed number of numpy calls per level.  The slow oracles the
-tests hold the recurrence and the free part to live in ``tests/oracles.py``.
+tables that ``_free_tables`` builds once (u0 sampled on h·n, n =
+0..t_levels+r_nodes, and the u1 prefix on the radial nodes, clamped at the
+last one) as one forward and one reversed slice each;
+``weights.linear_decay_check`` reads the same tables at chosen nodes.  Each
+level is written in place into the stored field from preallocated buffers,
+so a march costs O(t_levels · r_nodes) in a fixed number of numpy calls per
+level.  The slow oracles the tests hold the recurrence and the free part to
+live in ``tests/oracles.py``.
 
 Blow-up is detected by a cap on the sup norm: marching stops at the first
 level whose max exceeds the cap or goes non-finite.
@@ -216,10 +217,9 @@ def _two_point(p_plus, p_minus, q_plus, q_minus, r, out=None) -> np.ndarray:
 
         v = (P(t+r) - P(t-r)) / (2 r) + (Q1(|t+r|) - Q1(|t-r|)) / r,
 
-    with P(x) = x eps u0(|x|) (odd in x) and Q1 the u1 prefix of
-    ``_u1_prefix``.  The one formula of both the lattice, whose feet are
-    table slices, and ``_off_lattice``, whose feet are u0 samples; written
-    into ``out`` when given.
+    with P(x) = x eps u0(|x|) (odd in x) and Q1 the u1 prefix, both read
+    from the tables of ``_free_tables``: the one free-wave formula of the
+    package.  Written into ``out`` when given.
     """
     out = np.subtract(p_plus, p_minus, out=out)
     out *= 0.5
@@ -236,65 +236,25 @@ def _axis_limit(data: RadialData, t):
     return data.amplitude * (data.u0(t) + t * data.u0_derivative(t) + t * data.u1(t))
 
 
-def _u1_prefix(data: RadialData, rho: np.ndarray):
-    """The nodal integrand (rho/2) eps u1 on the increasing nodes ``rho``
-    (rho[0] = 0) and its cumulative trapezoid Q1 on them."""
+def _free_tables(data: RadialData, grid: CharacteristicGrid):
+    """The inputs of the free part on ``grid``, built once.
+
+    Every foot h (i +- j) of a lattice node is a node n, |n| < t_levels +
+    r_nodes, so the feet are read from two tables at offset r_nodes - 1
+    (n = -(r_nodes - 1)..t_levels + r_nodes - 1): P(hn) = hn eps u0(h|n|),
+    odd in n, and the u1 prefix Q1(h|n|), the cumulative trapezoid of
+    (rho/2) eps u1 on the radial nodes, constant past the last one.
+    Returns the u0 samples on h n, n = 0..t_levels + r_nodes, and the P and
+    Q1 tables.
+    """
+    h, nt, nr = grid.h, grid.t_levels, grid.r_nodes
+    u0 = data.u0(h * np.arange(nt + nr + 1))
+    feet = np.arange(-(nr - 1), nt + nr)
+    p_table = (h * feet) * (data.amplitude * u0[np.abs(feet)])
+    rho = h * np.arange(nr)
     vals = 0.5 * rho * data.amplitude * data.u1(rho)
-    step = np.diff(rho)
-    pref = np.concatenate([[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * step)])
-    return vals, pref
-
-
-def _u1_reader(rho: np.ndarray, vals: np.ndarray, pref: np.ndarray):
-    """Q1(|x|) off the nodes, constant beyond the last node.
-
-    Between nodes Q1 integrates the linear interpolant of the integrand
-    exactly, so the table error stays O(step^2) after the 1/r of the
-    two-point formula even for r far below the step; at a node Q1 is the
-    trapezoid sum itself.
-    """
-    half_slope = np.append(0.5 * np.diff(vals) / np.diff(rho), 0.0)
-    index = np.arange(len(rho), dtype=float)
-
-    def q1(x):
-        x = np.abs(x)
-        k = np.interp(x, rho, index).astype(int)  # exact on nodes, last node past the end
-        d = np.minimum(x, rho[-1]) - rho[k]
-        return pref[k] + d * (vals[k] + half_slope[k] * d)
-
-    return q1
-
-
-def _off_lattice(data: RadialData):
-    """The free solution off the lattice as a function of (t, r): feet
-    t +- r through u0 samples and a 20001-node u1 table over the support,
-    built once for every (t, r) asked of it.  For r < 1e-7 the differences
-    of the two-point formula lose about 1e-16/r to cancellation while the
-    axis limit is within O(r^2), so the limit is used there.
-    """
-    rho = np.linspace(0.0, data.support_radius, 20001)
-    q1 = _u1_reader(rho, *_u1_prefix(data, rho))
-    eps = data.amplitude
-
-    def field(t: float, r) -> np.ndarray:
-        r_arr = np.abs(np.atleast_1d(np.asarray(r, dtype=float)))
-        out = np.empty_like(r_arr)
-        on_axis = r_arr < 1e-7
-        out[on_axis] = _axis_limit(data, t)
-        off = ~on_axis
-        ro = r_arr[off]
-        xp, xm = t + ro, t - ro
-        out[off] = _two_point(xp * (eps * data.u0(np.abs(xp))), xm * (eps * data.u0(np.abs(xm))),
-                              q1(xp), q1(xm), ro)
-        return out
-
-    return field
-
-
-def linear_field(data: RadialData, t: float, r) -> np.ndarray:
-    """Free solution at time t on an array of radii, off the lattice, by
-    ``_off_lattice``; the weighted-norm checks use that directly."""
-    return _off_lattice(data)(t, r)
+    q1 = np.concatenate([[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(rho))])
+    return u0, p_table, q1[np.minimum(np.abs(feet), nr - 1)]
 
 
 # --------------------------------------------------------------------------
@@ -362,14 +322,7 @@ def march(
     eps = data.amplitude
     p = strauss_exponent(3)
     r = h * np.arange(nr)
-    # every foot h (i +- j) is a lattice node n, |n| < nt + nr, so the free
-    # part reads two tables at offset nr - 1 (n = -(nr - 1)..nt + nr - 1):
-    # P(hn) = hn eps u0(h|n|), odd in n, and the u1 prefix Q1(h|n|),
-    # constant past the last radial node
-    u0_table = data.u0(h * np.arange(nt + nr + 1))
-    feet = np.arange(-(nr - 1), nt + nr)
-    p_table = (h * feet) * (eps * u0_table[np.abs(feet)])
-    q_table = _u1_prefix(data, r)[1][np.minimum(np.abs(feet), nr - 1)]
+    u0_table, p_table, q_table = _free_tables(data, grid)
     axis_free = _axis_limit(data, h * np.arange(nt + 1))  # v on the axis, every level
 
     field = np.empty((nt + 1, nr))
@@ -455,16 +408,22 @@ def lifespan_sweep(
     grid: CharacteristicGrid,
     cap: float = DEFAULT_CAP,
 ) -> list:
-    """One march per amplitude; rows report detection time or completion."""
-    epsilons = list(epsilons)  # refused before the first march, not aggregated
+    """One march per amplitude; rows report detection time or completion.
+
+    Errors every rung shares (amplitudes, cap, grid, data) are raised before
+    the first march; an error of one rung alone, such as a modulus argument
+    past tau0, becomes that rung's "failed: ..." row.
+    """
+    epsilons = list(epsilons)
     if not (cap > 0.0 and all(0.0 < eps < math.inf for eps in epsilons)):
         raise ValueError("lifespans need positive finite amplitudes and a positive cap")
+    _validate_data(data_template, grid)  # the amplitude does not enter it
     rows = []
     for eps in epsilons:
         try:
             run = march(data_template.with_amplitude(eps), spec, grid, cap=cap)
             rows.append(LifespanRow(float(eps), run.t_detect, run.status))
-        except (ValueError, FloatingPointError) as exc:  # aggregate per-run failures
+        except (ValueError, FloatingPointError) as exc:
             rows.append(LifespanRow(float(eps), None, f"failed: {exc}"))
     return rows
 

@@ -1,7 +1,8 @@
 """Slow, independent oracles that the tests hold the solver to.
 
-``linear_propagator`` evaluates the free solution at one point with the u1
-window integrated by adaptive quadrature; ``duhamel_apply`` re-sums the
+``linear_propagator`` evaluates the free solution at one point, off the
+lattice, with the u1 window integrated by adaptive quadrature instead of
+read from a trapezoid table; ``duhamel_apply`` re-sums the
 whole forcing history at one level instead of advancing the lattice
 recurrence of ``wavecrit.solver.march``.  Neither is part of the package.
 """
@@ -22,8 +23,8 @@ from wavecrit.solver import (
 
 def linear_propagator(data: RadialData, t: float, r: float) -> float:
     """Free solution at a single point with the u1 window integrated by
-    adaptive quadrature: the independent oracle the tests compare the
-    lattice and fine-table paths against."""
+    adaptive quadrature: the independent oracle the tests hold the lattice's
+    foot tables, in ``march`` and in ``linear_decay_check``, to."""
     if t < 0.0:
         raise ValueError("time must be non-negative")
     ra = abs(r)

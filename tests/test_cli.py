@@ -113,6 +113,29 @@ def test_usage_error_names_the_flag(capsys, tmp_path, argv, message):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("family", [["iterlog", "--gamma", "1"], ["doublelog"]],
+                         ids=["iterlog", "doublelog"])
+def test_tau0_past_the_log_domain_is_a_usage_error(capsys, tmp_path, family):
+    # mu's near-zero formula is not finite at tau0 = 0.5 for these families:
+    # refused as bad input, before any check evaluates it
+    with pytest.raises(SystemExit) as exc:
+        main(["mu", "check", "--family", *family, "--tau0", "0.5", "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "wavecrit mu: error: tau0=0.5" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_lifespan_grid_error_exits_one(capsys, tmp_path):
+    # an error every rung shares is the command's error, not a failed row each
+    code = main(["lifespan", "--family", "logpower", "--gamma", "0.2", "--cl", "10",
+                 "--eps-list", "2,3", "--h", "0.1", "--horizon", "2", "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error: grid step 0.1 does not resolve the support" in err and "usage:" not in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_missing_family_value_rejected(tmp_path):
     with pytest.raises(SystemExit):
         main(["solve", "--family", "logpower", "--eps", "1", "--h", "0.05",

@@ -84,6 +84,28 @@ def test_family_parameter_validation():
         ModulusSpec(PowerLaw(1.0), tau0=0.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("family, tau0", [
+    (IteratedLogBlowup(1.0), 0.5),
+    (DoubleLogGlobal(-1.0), 0.5),
+    (TripleLogGlobal(-0.5), 0.5),
+    (LogPower(0.2, 10.0), 1.0),
+    (LogPower(0.2, 10.0), math.inf),
+], ids=["iterlog", "doublelog", "triplelog", "logpower-one", "logpower-inf"])
+def test_make_spec_refuses_tau0_past_the_log_domain(family, tau0):
+    # mu's near-zero formula is not finite at such a cutoff
+    with pytest.raises(ValueError, match="tau0"):
+        make_spec(family, tau0=tau0)
+
+
+def test_make_spec_keeps_admissible_tau0():
+    for family, tau0 in ((DoubleLogGlobal(-1.0), math.exp(-math.e)), (LogPower(0.3, 7.0), 0.4),
+                         (PowerLaw(1.0), 5.0), (LogOnePlus(1.0), 1e300)):
+        assert make_spec(family, tau0=tau0).tau0 == tau0
+    for spec in ALL_DEFAULT_SPECS:  # every default, set explicitly
+        assert make_spec(spec.family, tau0=spec.tau0) == spec
+
+
 def test_continuation_matches_paperless_recipe():
     # continuous at tau0 and 3, strictly increasing over the bridge
     spec = make_spec(LogPower(0.2, 10.0))

@@ -9,14 +9,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wavecrit
-from wavecrit.modulus import LogOnePlus, LogPower, PowerLaw, make_spec, mu_eval
+from wavecrit.modulus import (
+    IteratedLogBlowup,
+    LogOnePlus,
+    LogPower,
+    PowerLaw,
+    make_spec,
+    mu_eval,
+)
 from wavecrit.solver import (
     CharacteristicGrid,
     RadialData,
     convergence_study,
     default_bump,
     lifespan_sweep,
-    linear_field,
     march,
     velocity_bump,
 )
@@ -84,23 +90,9 @@ def test_propagator_lattice_vs_adaptive():
         assert abs(lattice - adaptive) < 1e-3
 
 
-# differential: the two-point path (fine table, lattice table) against the
-# adaptive-quadrature oracle at drawn points; bounds fixed from measurements
+# differential: the lattice path against the adaptive-quadrature oracle at
+# drawn points; bounds fixed from measurements
 feet = dict(t=st.floats(0.0, 6.0), r=st.floats(0.0, 8.0))
-
-
-@settings(max_examples=60, deadline=None)
-@given(**feet)
-def test_linear_field_matches_oracle_displacement(t, r):
-    data = default_bump(1.0)
-    assert abs(linear_field(data, t, r)[0] - linear_propagator(data, t, r)) <= 1e-12
-
-
-@settings(max_examples=60, deadline=None)
-@given(**feet)
-def test_linear_field_matches_oracle_velocity(t, r):
-    data = velocity_bump(1.0)
-    assert abs(linear_field(data, t, r)[0] - linear_propagator(data, t, r)) <= 1e-8
 
 
 @pytest.fixture(scope="module")
@@ -123,14 +115,14 @@ def test_march_linear_probe_matches_oracle(velocity_probes, h, t, r):
     assert abs(run.field[i, j] - oracle) <= 0.5 * h * h
 
 
-def test_lattice_free_part_matches_linear_field():
-    # the two feet paths of the two-point formula: lattice table slices in
-    # march and u0 callbacks in linear_field, at every node, axis included
+def test_lattice_free_part_matches_propagator_oracle():
+    # u1 = 0: the two-point formula from the march's foot tables against the
+    # oracle's u0 samples at the feet, at every node, axis included
     data = default_bump(0.7)
     run = march(data, None, CharacteristicGrid.cover(0.05, 4.0, 1.0))
-    off = np.array([linear_field(data, t, run.radii) for t in run.times])
-    assert np.max(np.abs(run.field - off)) <= 1e-13 * np.max(np.abs(run.field))
-    assert np.array_equal(run.field[:, 0], off[:, 0])
+    oracle = np.array([[linear_propagator(data, t, r) for r in run.radii] for t in run.times])
+    assert np.max(np.abs(run.field - oracle)) <= 1e-13 * np.max(np.abs(run.field))
+    assert np.array_equal(run.field[:, 0], oracle[:, 0])
 
 
 def test_profiles_on_an_array_equal_the_scalar_calls():
@@ -431,6 +423,19 @@ def test_lifespan_global_family_reaches_horizon():
     grid = CharacteristicGrid.cover(0.05, 3.0, 1.0)
     rows = lifespan_sweep(default_bump(1.0), spec, [0.001, 0.01], grid)
     assert all(r.status == "completed" and r.t_detect is None for r in rows)
+
+
+def test_lifespan_input_errors_are_raised_not_rows():
+    # a grid that does not resolve the support fails every rung alike: raised
+    # once, before the first march; an error of one rung alone stays its row
+    spec = make_spec(LogPower(0.2, 10.0))
+    with pytest.raises(ValueError, match="does not resolve the support"):
+        lifespan_sweep(default_bump(1.0), spec, [2.0, 3.0],
+                       CharacteristicGrid.cover(0.1, 2.0, 1.0))
+    rows = lifespan_sweep(default_bump(1.0), make_spec(IteratedLogBlowup(1.0)), [1e-9, 1.0],
+                          CharacteristicGrid.cover(0.05, 2.0, 1.0))
+    assert rows[0].status == "completed"
+    assert rows[1].status.startswith("failed: mu argument beyond tau0")
 
 
 @pytest.mark.parametrize("eps", [-1.0, float("nan"), float("inf")])
