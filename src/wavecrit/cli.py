@@ -20,6 +20,7 @@ import argparse
 import csv
 import dataclasses
 import datetime as _dt
+import functools
 import hashlib
 import io
 import json
@@ -422,6 +423,7 @@ def _integer_at_least(least: int):
     return parse
 
 
+@functools.cache  # built once per process; ``modulus={}`` is only ever replaced
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out-dir", default=argparse.SUPPRESS,

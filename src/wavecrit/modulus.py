@@ -286,33 +286,29 @@ def _bridge_eval(spec: ModulusSpec, tau):
 def mu_eval(spec: ModulusSpec, tau):
     """Evaluate mu at tau (scalar or array); mu(0) == 0 exactly.
 
-    Raises on negative arguments and on arguments beyond the near-zero
-    regime when no continuation is available.
+    Raises on negative or NaN arguments and on arguments beyond the
+    near-zero regime when no continuation is available.
     """
     arr = np.asarray(tau, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    if np.any(arr < 0.0):
+    if arr.size and not arr.min() >= 0.0:  # refuses nan too
         raise ValueError("mu is defined for non-negative arguments only")
-
-    out = np.zeros_like(arr)
-    pos = arr > 0.0
-    far = None if isinstance(spec.family, _GLOBAL_DOMAIN) else arr > spec.tau0
-    has_far = far is not None and bool(far.any())
-    near = pos & ~far if has_far else pos
-    out[near] = np.exp(_log_mu_from_loginv(spec.family, -np.log(arr[near])))
+    has_far = not isinstance(spec.family, _GLOBAL_DOMAIN) and arr.size and arr.max() > spec.tau0
+    if has_far and not isinstance(spec.family, LogPower):
+        raise ValueError(f"mu argument beyond tau0={spec.tau0:g} needs a continuation")
+    # the near formula on every entry; those at 0 and past tau0 are overwritten
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        out = np.exp(_log_mu_from_loginv(spec.family, -np.log(arr)))
+    out[arr <= 0.0] = 0.0
     if has_far:
-        if not isinstance(spec.family, LogPower):
-            raise ValueError(
-                f"mu argument beyond tau0={spec.tau0:g} needs a continuation"
-            )
-        fam = spec.family
+        far = arr > spec.tau0
         mid = far & (arr < 3.0)
         top = far & (arr >= 3.0)
-        if np.any(mid):
+        if mid.any():
             out[mid] = _bridge_eval(spec, arr[mid])
-        if np.any(top):
-            out[top] = fam.cl * np.log(arr[top]) ** fam.gamma
+        if top.any():
+            out[top] = spec.family.cl * np.log(arr[top]) ** spec.family.gamma
     return float(out[0]) if scalar else out
 
 

@@ -46,12 +46,15 @@ P(x) = x u0(|x|) odd and Q1 the cumulative trapezoid of (rho/2) u1.  On
 the lattice its feet h (i ± j) are nodes, so ``march`` reads them from two
 tables that ``_free_tables`` builds once (u0 sampled on h·n, n =
 0..t_levels+r_nodes, and the u1 prefix on the radial nodes, clamped at the
-last one) as one forward and one reversed slice each;
-``weights.linear_decay_check`` reads the same tables at chosen nodes.  Each
-level is written in place into the stored field from preallocated buffers,
-so a march costs O(t_levels · r_nodes) in a fixed number of numpy calls per
-level.  The slow oracles the tests hold the recurrence and the free part to
-live in ``tests/oracles.py``.
+last one), the feet i - j from reversed copies, all as forward slices;
+``weights.linear_decay_check`` reads the same tables at chosen nodes.  For
+data supported in r <= R, with c = ceil(R/h) + 1, u is exactly 0 past the
+cone edge e_i = c + i (``_cone_edge``) and v off the Huygens band
+|i - j| <= c, so level i computes nodes 0..e_i, v on the band only, and
+writes 0 elsewhere, in place from preallocated buffers: a march costs
+about t_levels (t_levels / 2 + R / h) node updates in a fixed number of
+numpy calls per level.  The slow oracles the tests hold the recurrence and
+the free part to live in ``tests/oracles.py``.
 
 Blow-up is detected by a cap on the sup norm: marching stops at the first
 level whose max exceeds the cap or goes non-finite.
@@ -176,6 +179,11 @@ class CharacteristicGrid:
 
     def covers(self, support_radius: float) -> bool:
         return (self.r_nodes - 1) * self.h >= support_radius + self.horizon - 1e-9
+
+
+def _cone_edge(grid: CharacteristicGrid, data: RadialData, i: int) -> int:
+    """ceil(R/h) + 1 + i: the last node of level i in the data's cone, one node of margin."""
+    return min(math.ceil(data.support_radius / grid.h) + 1 + i, grid.r_nodes - 1)
 
 
 @dataclass
@@ -323,16 +331,17 @@ def march(
     p = strauss_exponent(3)
     r = h * np.arange(nr)
     u0_table, p_table, q_table = _free_tables(data, grid)
+    p_rev, q_rev = p_table[::-1].copy(), q_table[::-1].copy()  # feet i - j, read forward
     axis_free = _axis_limit(data, h * np.arange(nt + 1))  # v on the axis, every level
+    reach = _cone_edge(grid, data, 0)  # half-width of the Huygens band, in nodes
 
     field = np.empty((nt + 1, nr))
     field[0] = eps * u0_table[:nr]
     status, t_detect = "completed", None
 
-    # rlu and rlu_prev hold W_{i-1} and W_{i-2} (W = r Lu) on nodes 0..nr:
-    # node 0 is the axis, where W = 0, and node nr a ghost outside the light
-    # cone, where W = 0 too; q is the prefix of the newest level, with the
-    # same ghost node holding its last value
+    # rlu and rlu_prev hold W_{i-1} and W_{i-2} (W = r Lu) on nodes 0..nr; W = 0 on the axis
+    # (node 0) and past the cone edge, where nothing is written (node nr is a ghost); q is the
+    # prefix of the newest level, read up to one node past the edge, where it is constant
     rlu = np.zeros(nr + 1)
     rlu_prev = np.zeros(nr + 1)
     q = np.zeros(nr + 1)
@@ -345,40 +354,43 @@ def march(
     # |u| past ~4.8e127 overflows |u|^p: the non-finite level is the stop "blew_up"
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, nt + 1):
+            e = _cone_edge(grid, data, i)  # nodes 0..e of level i; u = 0 past e
+            n = e + 1
             # level i - 1 joins the history with trapezoid weight w_{i-1}
-            _forcing(spec, p, abs_level, out=g)
-            np.multiply(half_r, g, out=work)
-            np.add(work[1:], work[:-1], out=trap)
-            trap *= 0.5
-            trap *= h
-            trap.cumsum(out=q[1:nr])
-            q[nr] = q[nr - 1]
+            _forcing(spec, p, abs_level[:n], out=g[:n])
+            np.multiply(half_r[:n], g[:n], out=work[:n])
+            tr = np.add(work[1:n], work[:e], out=trap[:e])
+            tr *= 0.5
+            tr *= h
+            tr.cumsum(out=q[1:n])
+            q[n] = q[e]
             weight = 0.5 * h if i == 1 else h
-            m_top = min(nt - (i - 1), nr - 1)
+            m_top = min(nt - (i - 1), e)
             tail = np.multiply(r[1:m_top + 1], weight, out=work[:m_top])  # w m h
             tail *= g[1:m_top + 1]
             axis[i:i + m_top] += tail
 
             # W_i overwrites W_{i-2}
-            np.add(rlu[:nr - 1], rlu[2:], out=work[1:])
-            np.subtract(work[1:], rlu_prev[1:nr], out=rlu_prev[1:nr])
-            step = np.subtract(q[2:], q[:nr - 1], out=work[1:])
+            w = np.add(rlu[:e], rlu[2:n + 1], out=work[1:n])
+            np.subtract(w, rlu_prev[1:n], out=rlu_prev[1:n])
+            step = np.subtract(q[2:n + 1], q[:e], out=w)
             step *= weight
-            rlu_prev[1:nr] += step
+            rlu_prev[1:n] += step
             rlu_prev, rlu = rlu, rlu_prev
 
-            # nodes j = 1..nr-1: feet i + j read forward, feet i - j reversed
+            # v on the Huygens band, nodes lo..e: feet i + j and i - j both read forward
             level = field[i]
-            base = nr - 1 + i
-            _two_point(p_table[base + 1:base + nr], p_table[base - 1:i - 1:-1],
-                       q_table[base + 1:base + nr], q_table[base - 1:i - 1:-1], r[1:],
-                       out=level[1:])
+            lo = max(1, i - reach)
+            level[1:lo] = level[n:] = 0.0  # v = 0 off the band, u = 0 past the cone
+            plus, minus = nr - 1 + i, nt + nr - 1 - i
+            _two_point(p_table[plus + lo:plus + n], p_rev[minus + lo:minus + n],
+                       q_table[plus + lo:plus + n], q_rev[minus + lo:minus + n], r[lo:n],
+                       out=level[lo:n])
             level[0] = axis_free[i] + axis[i]
-            np.divide(rlu[1:nr], r[1:], out=work[1:])
-            level[1:] += work[1:]
+            level[1:n] += np.divide(rlu[1:n], r[1:n], out=w)
 
-            np.abs(level, out=abs_level)  # the cap check and the next forcing
-            peak = abs_level.max()
+            np.abs(level[:n], out=abs_level[:n])  # the cap check and the next forcing
+            peak = abs_level[:n].max()
             if not math.isfinite(peak) or peak > cap:
                 status = "blew_up"
                 t_detect = i * h

@@ -11,10 +11,12 @@ from scipy import integrate
 from .exponents import strauss_exponent
 from .modulus import ModulusSpec, mu_eval, threshold_product
 from .reporting import WeightReport
-from .solver import CharacteristicGrid, _axis_limit, _free_tables, _two_point, _validate_data
+from .solver import (CharacteristicGrid, _axis_limit, _cone_edge, _free_tables, _two_point,
+                     _validate_data)
 
 _DECAY_STEP = 0.5  # time between the levels ``linear_decay_check`` samples
 _DECAY_DR = 0.125  # radius between its samples in the Huygens band
+_BLOCK_LEVELS = 64  # levels per block of the weighted reduction of a marched field
 
 
 def bracket(y):
@@ -41,17 +43,24 @@ def _cone_weight(t, r):
     return log_weight(tmr) * tpr * tmr ** inv_p
 
 
-def _weighted_field(run) -> np.ndarray:
-    """The cone-weighted |u| over the stored grid of ``run``."""
-    field = np.asarray(run.field)
-    if field.size == 0:
+def _level_maxima(run) -> np.ndarray:
+    """The cone-weighted max of |u| on each stored level of ``run``, reduced
+    over blocks of _BLOCK_LEVELS levels, each cut at the cone edge of its
+    last level (the field is 0 past it): temporaries scale with the block."""
+    if run.field.size == 0:
         raise ValueError("run stores no levels")
-    return _cone_weight(run.times[:, None], run.radii[None, :]) * np.abs(field)
+    t, r, field = run.times, run.radii, run.field
+    out = np.empty(len(field))
+    for a in range(0, len(field), _BLOCK_LEVELS):
+        b = min(a + _BLOCK_LEVELS, len(field))
+        n = _cone_edge(run.grid, run.data, b - 1) + 1
+        out[a:b] = (_cone_weight(t[a:b, None], r[None, :n]) * np.abs(field[a:b, :n])).max(axis=1)
+    return out
 
 
 def weighted_sup_norm(run) -> float:
-    """Sup over the stored grid of the cone-weighted field."""
-    return float(np.max(_weighted_field(run)))
+    """Sup of the cone-weighted field, reduced block by block inside the light cone."""
+    return float(np.max(_level_maxima(run)))
 
 
 def _decay_report(times, level_max, denom: float, region: str) -> WeightReport:
@@ -234,15 +243,14 @@ def zone_bound_check(spec: ModulusSpec, eps0: float, region_samples) -> WeightRe
 def decay_profile_check(run, norms=None) -> WeightReport:
     """Pointwise-decay verification on a completed run.
 
-    Takes the cone-weighted sup of the field level by level and applies the
-    decay rule of ``_decay_report``.  By construction the final constant
-    times the data norms equals the weighted sup norm, the largest entry of
-    the ``weighted_max`` column.  ``norms`` is ``data_norms(run.data)`` when
-    the caller already has it (each evaluation samples three profiles).
+    Applies the decay rule of ``_decay_report`` to the level maxima that
+    ``weighted_sup_norm`` reduces too, so the final constant times the data
+    norms is the weighted sup norm, the largest entry of the ``weighted_max``
+    column.  ``norms`` is ``data_norms(run.data)`` when the caller already
+    has it (each evaluation samples three profiles).
     """
     if run.status == "blew_up":
         raise ValueError("decay profile is undefined for a run that blew up")
     t = run.times
-    return _decay_report(t, _weighted_field(run).max(axis=1),
-                         sum(norms or data_norms(run.data)),
+    return _decay_report(t, _level_maxima(run), sum(norms or data_norms(run.data)),
                          f"t in [0, {t[-1]:g}], {len(t)} levels")

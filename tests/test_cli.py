@@ -371,3 +371,18 @@ def test_every_option_is_a_pinned_parameter():
         assert dests - OUTPUT_FLAGS - FAMILY_FLAGS <= pinned[command], command
         if "family" in dests:
             assert {"family", "tau0"} <= pinned[command], command
+
+
+def test_parser_built_once_keeps_runs_independent(tmp_path):
+    # one parser serves every call of the process; family commands and
+    # commands without a family, interleaved, each write their own manifest
+    assert build_parser() is build_parser()
+    order = ["mu", "exponents", "onset-iterlog", "sequences", "onset-logpower", "exponents",
+             "key-integral", "lemmas-ball-integral", "mu"]
+    for k, name in enumerate(order):
+        argv, parameters = PINNED_MANIFESTS[name]
+        out_dir = tmp_path / str(k)
+        run_cli(argv + ["--quiet"], out_dir)
+        manifest = json.loads((latest(out_dir, argv[0]) / "manifest.json").read_text())
+        assert manifest["parameters"] == parameters, name
+    assert build_parser().parse_args(["exponents", "--n", "3"]).modulus == {}

@@ -239,6 +239,17 @@ def test_jensen_log_power_small_range():
     assert margin <= 1e-12
 
 
+@pytest.mark.parametrize("spec", ALL_DEFAULT_SPECS, ids=repr)
+def test_mu_eval_refuses_nan(spec):
+    # a NaN argument is refused as a negative one is, never read as 0
+    with pytest.raises(ValueError, match="non-negative"):
+        mu_eval(spec, math.nan)
+    with pytest.raises(ValueError, match="non-negative"):
+        mu_eval(spec, np.array([0.0, 0.5 * min(spec.tau0, 1.0), math.nan]))
+    with pytest.raises(ValueError, match="non-negative"):
+        mu_eval(spec, np.array([math.nan]))
+
+
 # mu_eval on an array against mu_eval one element at a time; appending an
 # argument past tau0 changes the near-zero mask but not the values under it
 def _mu_arguments(spec):

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -10,10 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 import wavecrit
 from wavecrit.modulus import (
+    DoubleLogGlobal,
     IteratedLogBlowup,
     LogOnePlus,
     LogPower,
     PowerLaw,
+    TripleLogGlobal,
     make_spec,
     mu_eval,
 )
@@ -394,6 +397,30 @@ def test_finite_propagation_speed():
         if np.any(mask):
             diff = np.max(np.abs(run_a.field[i, mask] - run_b.field[i, mask]))
             assert diff <= 1e-12 * scale
+
+
+# every family, and the linear mode; the iterated-log families take data
+# below their tau0, which they have no continuation past
+CONE_SPECS = {"linear": None, **{name: make_spec(family) for name, family in {
+    "powerlaw": PowerLaw(1.0), "log1p": LogOnePlus(1.0), "logpower": LogPower(0.2, 10.0),
+    "iterlog": IteratedLogBlowup(1.0), "doublelog": DoubleLogGlobal(-1.0),
+    "triplelog": TripleLogGlobal(-0.5, 3)}.items()}}
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(CONE_SPECS)), velocity=st.booleans(),
+       scale=st.floats(0.01, 6.0), h=st.sampled_from([0.01, 0.05, 1 / 16]),
+       horizon=st.floats(0.5, 3.0))
+def test_field_is_positive_zero_past_the_cone_edge(name, velocity, scale, h, horizon):
+    spec = CONE_SPECS[name]
+    eps = 0.01 * scale * spec.tau0 if name in ("iterlog", "doublelog", "triplelog") else scale
+    data = (velocity_bump if velocity else default_bump)(eps)
+    grid = CharacteristicGrid.cover(h, horizon, data.support_radius)
+    run = march(data, spec, grid, cap=1e6)
+    reach = math.ceil(data.support_radius / h) + 1
+    for i, level in enumerate(run.field):
+        past = level[reach + i + 1:]
+        assert np.all(past == 0.0) and not np.any(np.signbit(past)), (i, run.status)
 
 
 def test_support_grows_at_unit_speed():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -294,3 +295,61 @@ def test_decay_profile_rejects_blown_up_run():
     assert run.status == "blew_up"
     with pytest.raises(ValueError):
         decay_profile_check(run)
+
+
+# the per-level maxima are reduced in blocks cut at the light cone; they
+# must equal the full-field formula bit for bit
+def _full_field_maxima(run):
+    return (_cone_weight(run.times[:, None], run.radii[None, :]) * np.abs(run.field)).max(axis=1)
+
+
+@pytest.mark.parametrize("data, h, horizon", [
+    (default_bump(0.3), 0.05, 7.0),  # three blocks, the last one partial
+    (default_bump(0.01), 1 / 16, 12.5),
+    (velocity_bump(0.5), 1 / 24, 4.0),
+], ids=["h0.05", "h1_16", "velocity-h1_24"])
+def test_level_maxima_equal_the_full_field_formula(data, h, horizon):
+    run = march(data, make_spec(PowerLaw(1.0)), CharacteristicGrid.cover(h, horizon, 1.0))
+    assert run.status == "completed"
+    full = _full_field_maxima(run)
+    assert [m for _, m in decay_profile_check(run).samples] == full.tolist()
+    assert weighted_sup_norm(run) == full.max()
+
+
+def test_level_maxima_read_up_to_the_cone_edge():
+    # a field that is 0 past the cone edge ceil(R/h) + 1 + i and largest on it
+    h = 0.05
+    grid = CharacteristicGrid.cover(h, 7.5, 1.0)
+    field = np.random.default_rng(7).uniform(-1.0, 1.0, (grid.t_levels + 1, grid.r_nodes))
+    for i, level in enumerate(field):
+        edge = min(math.ceil(1.0 / h) + 1 + i, grid.r_nodes - 1)
+        level[edge] = 2.0
+        level[edge + 1:] = 0.0
+    run = SolutionRun(grid=grid, data=default_bump(1.0), spec=None, field=field,
+                      status="completed")
+    full = _full_field_maxima(run)
+    assert [m for _, m in decay_profile_check(run).samples] == full.tolist()
+    assert weighted_sup_norm(run) == full.max()
+
+
+@pytest.mark.parametrize("cap", [1e6, math.inf])  # inf: the last level holds nan
+def test_sup_norm_of_a_blown_up_run_equals_the_full_field_formula(cap):
+    run = march(default_bump(1.75), make_spec(LogPower(0.2, 10.0)),
+                CharacteristicGrid.cover(0.02, 10.0, 1.0), cap=cap)
+    assert run.status == "blew_up" and run.field.shape[0] > 2 * 64
+    assert np.array_equal([weighted_sup_norm(run)], [_full_field_maxima(run).max()],
+                          equal_nan=True)
+
+
+def test_decay_reduction_allocates_by_block():
+    # temporaries scale with a block of levels, not with the stored field
+    run = march(default_bump(0.01), make_spec(PowerLaw(1.0)),
+                CharacteristicGrid.cover(1 / 16, 100.0, 1.0))
+    norms = data_norms(run.data)
+    tracemalloc.start()
+    try:
+        decay_profile_check(run, norms)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * run.field.nbytes
