@@ -59,29 +59,12 @@ def exponent_sequences(n: int, J: int):
     return a, b, s
 
 
-@dataclass(frozen=True)
-class IterationConstants:
-    """Calibration bundle for the growth ledger and the onset predictor.
-
-    ``c0`` and ``m0`` scale the amplitude recursion and its growth floor,
-    ``c6`` and ``c7`` the onset predictor's time scale and base, and
-    ``epsilon_exp`` is the small exponent loss in the onset's tau(t).
-    The constants are existential in the analysis; the defaults make the
-    ledger well defined, and onset times computed from them are meaningful
-    for ordering modulus families, not as absolute lifespans.
-    """
-
-    c0: float = 1.0
-    c6: float = 1.0
-    c7: float = 1.0
-    m0: float = 1.0
-    epsilon_exp: float = 0.01
-
-    def __post_init__(self):
-        if any(v <= 0.0 for v in (self.c0, self.c6, self.c7, self.m0)):
-            raise ValueError("iteration constants must be strictly positive")
-        if not 0.0 < self.epsilon_exp <= 0.1:
-            raise ValueError("epsilon_exp is a small exponent; need 0 < eps <= 0.1")
+# Existential constants of the analysis: C0 and M0 scale the amplitude recursion
+# and its growth floor, EPSILON_EXP is the exponent loss in the onset's tau(t).
+# Onset times computed from them order modulus families; they are not lifespans.
+C0 = 1.0
+M0 = 1.0
+EPSILON_EXP = 0.01
 
 
 @dataclass(frozen=True)
@@ -94,27 +77,27 @@ class GrowthLedger:
     floor_margin: np.ndarray  # log_m[j] - p^j log_c5 for j >= j1
 
 
-def growth_sequence(n: int, constants: IterationConstants, J: int) -> GrowthLedger:
+def growth_sequence(n: int, J: int) -> GrowthLedger:
     """Amplitude recursion in log space with its closed growth floor.
 
-    log M_{j+1} = p log M_j + log(c0 2^{-(2j+3)} / (3 ell_{2j+2} (a_j p + 1))),
+    log M_{j+1} = p log M_j + log(C0 2^{-(2j+3)} / (3 ell_{2j+2} (a_j p + 1))),
     and the floor log M_j >= p^j log C5 holds for every j >= j1 where
-        C4 = c0 (p-1) / (12 p),
-        C5 = m0 (4p)^{-p/(p-1)^2} C4^{1/(p-1)},
+        C4 = C0 (p-1) / (12 p),
+        C5 = M0 (4p)^{-p/(p-1)^2} C4^{1/(p-1)},
         j1 = ceil(log C4 / log(4p) - p/(p-1)).
     """
     p = strauss_exponent(n)
     a, _, _ = exponent_sequences(n, max(J, 1))
     log_m = np.empty(J + 1)
-    log_m[0] = math.log(constants.m0)
+    log_m[0] = math.log(M0)
     for j in range(J):
-        coeff = math.log(constants.c0) - (2 * j + 3) * math.log(2.0) - math.log(
+        coeff = math.log(C0) - (2 * j + 3) * math.log(2.0) - math.log(
             3.0 * slicing_level(2 * j + 2) * (a[j] * p + 1.0)
         )
         log_m[j + 1] = p * log_m[j] + coeff
-    log_c4 = math.log(constants.c0 * (p - 1.0) / (12.0 * p))
+    log_c4 = math.log(C0 * (p - 1.0) / (12.0 * p))
     log_c5 = (
-        math.log(constants.m0)
+        math.log(M0)
         - p * math.log(4.0 * p) / (p - 1.0) ** 2
         + log_c4 / (p - 1.0)
     )
@@ -135,9 +118,9 @@ class IterationLedger:
     j1: int = 0
 
 
-def build_ledger(n: int, constants: IterationConstants, J: int) -> IterationLedger:
+def build_ledger(n: int, J: int) -> IterationLedger:
     a, b, s = exponent_sequences(n, J)
-    growth = growth_sequence(n, constants, J)
+    growth = growth_sequence(n, J)
     rows = [
         (j, slicing_level(2 * j), float(a[j]), float(b[j]), float(s[j]), float(growth.log_m[j]))
         for j in range(J + 1)
@@ -199,31 +182,29 @@ def integral_identity_residual(run, cfg: KernelConfig, q: float, t: float) -> fl
     return lhs - (data_term + vel_term + duhamel)
 
 
-def divergence_onset(
-    n: int,
-    constants: IterationConstants,
-    spec: ModulusSpec,
-    t_max: float,
-) -> Optional[float]:
+def divergence_onset(n: int, spec: ModulusSpec, t_max: float,
+                     c6: float = 1.0, c7: float = 1.0) -> Optional[float]:
     """Earliest time at which the iterated lower bound starts to diverge.
 
     The iteration's base is c7 * K(tau(t))**(p/(p-1)) with
-    tau(t) = (c6 t)^{-((n-1)/2 + 1/p + eps)} and K the threshold product;
-    once the base exceeds 1, the j -> infinity limit of the lower-bound
-    sequence blows up.  Returns None when the base never exceeds 1 up to
-    t_max (the global-existence-side prediction).
+    tau(t) = (c6 t)^{-((n-1)/2 + 1/p + EPSILON_EXP)}, K the threshold
+    product and c6, c7 > 0; once the base exceeds 1, the j -> infinity limit
+    of the lower-bound sequence blows up.  Returns None when the base never
+    exceeds 1 up to t_max (the global-existence-side prediction).
     """
+    if not (c6 > 0.0 and c7 > 0.0):
+        raise ValueError(f"onset constants must be strictly positive, got c6={c6}, c7={c7}")
     p = strauss_exponent(n)
-    alpha = (n - 1.0) / 2.0 + 1.0 / p + constants.epsilon_exp
+    alpha = (n - 1.0) / 2.0 + 1.0 / p + EPSILON_EXP
     tau_cap = min(spec.tau0, math.exp(-1.0))
     # nudge inside the admissible regime so rounding cannot push tau past tau0
-    t_lo = tau_cap ** (-1.0 / alpha) / constants.c6 * (1.0 + 1e-9)
+    t_lo = tau_cap ** (-1.0 / alpha) / c6 * (1.0 + 1e-9)
     if t_lo > t_max:
         return None
 
     def base(t: float) -> float:
-        tau = (constants.c6 * t) ** (-alpha)
-        return constants.c7 * threshold_product(spec, n, tau) ** (p / (p - 1.0))
+        tau = (c6 * t) ** (-alpha)
+        return c7 * threshold_product(spec, n, tau) ** (p / (p - 1.0))
 
     ts = np.geomspace(t_lo, t_max, 512)
     values = np.asarray([base(t) for t in ts])

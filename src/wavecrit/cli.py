@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .blowup import IterationConstants, build_ledger, divergence_onset
+from .blowup import build_ledger, divergence_onset
 from .exponents import exponent_set, kernel_exponent
 from .kernels import KernelConfig, free_wave_ball_integral, kernel_bounds_check
 from .modulus import (
@@ -259,7 +259,7 @@ def _cmd_mu(args, spec):
     grid = np.linspace(-top, top, 201)
     convex = convexity_check(spec, n, grid)
     verdict = classify_strauss_threshold(spec, n)
-    loglog = loglog_bound_check(spec)
+    loglog = loglog_bound_check(spec, n)
     payload = {
         "family": args.family,
         "axioms_pass": bool(axioms.passed),
@@ -297,7 +297,7 @@ def _cmd_lemmas(args, spec):
 
 
 def _cmd_sequences(args, spec):
-    ledger = build_ledger(args.n, IterationConstants(), args.J)
+    ledger = build_ledger(args.n, args.J)
     rows = ledger.rows
     payload = {"n": args.n, "J": args.J, "rows": len(rows),
                "log_c5": ledger.log_c5, "j1": ledger.j1}
@@ -306,8 +306,7 @@ def _cmd_sequences(args, spec):
 
 
 def _cmd_onset(args, spec):
-    onset = divergence_onset(3, IterationConstants(c6=args.c6, c7=args.c7),
-                             spec, args.tmax)
+    onset = divergence_onset(3, spec, args.tmax, c6=args.c6, c7=args.c7)
     payload = {"family": args.family, "tmax": args.tmax, "onset_t": onset}
     return payload, {"onset.json": payload}, 0
 

@@ -276,10 +276,11 @@ def _bridge_eval(spec: ModulusSpec, tau):
     a, b, v0, v1, d0, d1 = _hermite_bridge(spec)
     w = b - a
     s = (np.asarray(tau, dtype=float) - a) / w
-    h00 = (1.0 + 2.0 * s) * (1.0 - s) ** 2
-    h10 = s * (1.0 - s) ** 2
-    h01 = s * s * (3.0 - 2.0 * s)
-    h11 = s * s * (s - 1.0)
+    left, right = s * s, (1.0 - s) ** 2
+    h00 = (1.0 + 2.0 * s) * right
+    h10 = s * right
+    h01 = left * (3.0 - 2.0 * s)
+    h11 = left * (s - 1.0)
     return h00 * v0 + h10 * w * d0 + h01 * v1 + h11 * w * d1
 
 
@@ -407,8 +408,9 @@ def classify_strauss_threshold(spec: ModulusSpec, n: int) -> ThresholdVerdict:
     return ThresholdVerdict(threshold_class=cls, estimate=estimate, samples=samples)
 
 
-def loglog_bound_check(spec: ModulusSpec) -> WeightReport:
-    """Check that threshold_product(tau) * loglog(1/tau) stays bounded.
+def loglog_bound_check(spec: ModulusSpec, n: int) -> WeightReport:
+    """Check that threshold_product(tau) * loglog(1/tau) stays bounded in
+    dimension n.
 
     Samples tau on 40 decades below min(tau0, e**-e).  Pass needs the sup
     over the grid below 50 **and** a tail that grows by at most 5% over its
@@ -420,7 +422,7 @@ def loglog_bound_check(spec: ModulusSpec) -> WeightReport:
     if taus[-1] <= 0.0:
         raise ValueError(f"tau0 = {spec.tau0:g} leaves no positive tau grid below it")
     L = -np.log(taus)
-    values = threshold_product(spec, getattr(spec.family, "n", 3), taus) * np.log(L)
+    values = threshold_product(spec, n, taus) * np.log(L)
     sup = float(np.max(values))
     tail_ok = values[-1] <= values[-(_TREND_WINDOW + 1)] * (1.0 + _TREND_TOL)
     return WeightReport(

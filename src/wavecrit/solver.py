@@ -36,9 +36,10 @@ singularity is replaced by the analytic limits
     v(t, 0)  = u0(t) + t u0'(t) + t u1(t)
     Lu(t, 0) = integral of (t-s) |u(s, t-s)|^p mu(|u(s, t-s)|) d s,
 
-the second accumulated forward: each new level k adds w_k m h g_k(m) to
-the axis slot of level k + m.  Off the axis the free part is the
-two-point formula of ``_two_point``,
+the first from the exact u0' that ``RadialData`` requires, the second
+accumulated forward: each new level k adds w_k m h g_k(m) to the axis slot
+of level k + m.  Off the axis the free part is the two-point formula of
+``_two_point``,
 
     r v(t, r) = (P(t+r) - P(t-r)) / 2 + Q1(|t+r|) - Q1(|t-r|),
 
@@ -82,16 +83,15 @@ class RadialData:
     Each profile maps an array of radii to an array of the same shape (a
     scalar radius works too), so a consumer samples a whole grid in one
     call; profiles are called on radii >= 0 only, so evenness is automatic.
-    ``u0_prime`` may be omitted, in which case a difference quotient is
-    used: centred, or second-order one-sided within one difference step of
-    the axis.  ``amplitude`` scales both profiles (the small parameter of
-    the global-existence runs).
+    ``u0_prime`` is the exact derivative of ``u0``, which the axis limit of
+    the free wave and the data norms read.  ``amplitude`` scales both
+    profiles (the small parameter of the global-existence runs).
     """
 
     u0: Callable[[np.ndarray], np.ndarray]
     u1: Callable[[np.ndarray], np.ndarray]
     support_radius: float
-    u0_prime: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    u0_prime: Callable[[np.ndarray], np.ndarray]
     amplitude: float = 1.0
 
     def __post_init__(self):
@@ -99,19 +99,6 @@ class RadialData:
             raise ValueError("support radius must be positive")
         if not 0.0 <= self.amplitude < math.inf:
             raise ValueError(f"amplitude must be finite and non-negative, got {self.amplitude}")
-
-    def u0_derivative(self, r):
-        if self.u0_prime is not None:
-            return self.u0_prime(r)
-        h = 1e-6 * max(1.0, self.support_radius)
-        # second-order one-sided within h of the axis: a centred quotient would cross it
-        one_sided = (4.0 * self.u0(r + h) - 3.0 * self.u0(r) - self.u0(r + 2.0 * h)) / (
-            (r + 2.0 * h) - r)
-        centred = (self.u0(r + h) - self.u0(np.abs(r - h))) / ((r + h) - (r - h))
-        return np.where(r < h, one_sided, centred)
-
-    def with_amplitude(self, eps: float) -> "RadialData":
-        return replace(self, amplitude=eps)
 
 
 def _bump(r):
@@ -241,7 +228,7 @@ def _two_point(p_plus, p_minus, q_plus, q_minus, r, out=None) -> np.ndarray:
 def _axis_limit(data: RadialData, t):
     """v(t, 0) = eps (u0(t) + t u0'(t) + t u1(t)) at times t >= 0, the limit
     of the two-point formula on the axis."""
-    return data.amplitude * (data.u0(t) + t * data.u0_derivative(t) + t * data.u1(t))
+    return data.amplitude * (data.u0(t) + t * data.u0_prime(t) + t * data.u1(t))
 
 
 def _free_tables(data: RadialData, grid: CharacteristicGrid):
@@ -293,11 +280,11 @@ def _validate_data(data: RadialData, grid: CharacteristicGrid):
     # one array probe of every profile: the axis, then three radii beyond the support
     probe = data.support_radius * np.array([0.0, 1.0 + 1e-9, 1.5, 2.0])
     sampled = {}
-    for name, profile in (("u0", data.u0), ("u1", data.u1), ("u0_prime", data.u0_derivative)):
+    for name, profile in (("u0", data.u0), ("u1", data.u1), ("u0_prime", data.u0_prime)):
         try:
             sampled[name] = np.asarray(profile(probe), dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"profile {name} does not take an array of radii: {exc}") from exc
+        except (TypeError, ValueError) as exc:  # None, or a profile of scalars only
+            raise ValueError(f"profile {name} cannot be called on an array of radii: {exc}") from exc
         if sampled[name].shape != probe.shape:
             raise ValueError(f"profile {name} returns shape {sampled[name].shape} for "
                              f"{probe.size} radii, not one value per radius")
@@ -433,7 +420,7 @@ def lifespan_sweep(
     rows = []
     for eps in epsilons:
         try:
-            run = march(data_template.with_amplitude(eps), spec, grid, cap=cap)
+            run = march(replace(data_template, amplitude=eps), spec, grid, cap=cap)
             rows.append(LifespanRow(float(eps), run.t_detect, run.status))
         except (ValueError, FloatingPointError) as exc:
             rows.append(LifespanRow(float(eps), None, f"failed: {exc}"))
@@ -452,7 +439,6 @@ def convergence_study(
     spec: Optional[ModulusSpec],
     h_list,
     t_check: float,
-    cap: float = DEFAULT_CAP,
 ) -> ConvergenceResult:
     """Observed order from successive max-norm differences at a fixed time.
 
@@ -468,7 +454,7 @@ def convergence_study(
     fields = []
     for h in h_list:
         grid = CharacteristicGrid.cover(h, t_check, data.support_radius)
-        run = march(data, spec, grid, cap=cap)
+        run = march(data, spec, grid)
         if run.status != "completed":
             raise ValueError(f"run at h={h} did not complete")
         stride = int(round(h_list[0] / h))

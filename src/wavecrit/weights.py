@@ -96,7 +96,7 @@ def data_norms(data):
     w = log_weight(bracket(r))
     eps = data.amplitude
     u0 = eps * data.u0(r)
-    du0 = eps * data.u0_derivative(r)
+    du0 = eps * data.u0_prime(r)
     u1 = eps * data.u1(r)
     a_norm = float(np.max(w * bracket(r) ** kappa * np.abs(u0))
                    + np.max(w * bracket(r) ** (kappa + 1.0) * np.abs(du0)))

@@ -30,7 +30,7 @@ def linear_propagator(data: RadialData, t: float, r: float) -> float:
     ra = abs(r)
     eps = data.amplitude
     if ra < 1e-7:  # the two-point formula's limit on the axis
-        return eps * (data.u0(t) + t * data.u0_derivative(t) + t * data.u1(t))
+        return eps * (data.u0(t) + t * data.u0_prime(t) + t * data.u1(t))
 
     def h1(x):
         return 0.5 * x * eps * data.u1(abs(x))

@@ -5,8 +5,8 @@ import pytest
 from scipy import integrate
 
 from wavecrit.blowup import (
+    M0,
     GrowthLedger,
-    IterationConstants,
     build_ledger,
     divergence_onset,
     exponent_sequences,
@@ -69,9 +69,8 @@ def test_recursion_shift_identities():
 
 
 def test_growth_seed_and_one_step():
-    const = IterationConstants()
-    ledger = growth_sequence(3, const, 1)
-    assert ledger.log_m[0] == math.log(const.m0) == 0.0
+    ledger = growth_sequence(3, 1)
+    assert ledger.log_m[0] == math.log(M0) == 0.0
     expected = math.log(2.0**-3 / (3.0 * slicing_level(2) * (P3 + 1.0)))
     assert abs(ledger.log_m[1] - expected) < 1e-12
 
@@ -79,7 +78,7 @@ def test_growth_seed_and_one_step():
 def test_growth_floor_rowwise():
     for n in (2, 3, 4):
         p = strauss_exponent(n)
-        ledger = growth_sequence(n, IterationConstants(), 30)
+        ledger = growth_sequence(n, 30)
         assert isinstance(ledger, GrowthLedger)
         pj = p ** np.arange(31, dtype=float)
         rows = slice(ledger.j1, None)
@@ -90,7 +89,7 @@ def test_growth_step_is_exact_in_log_space():
     # log M_{j+1} - p log M_j equals the explicit coefficient, by construction
     p = P3
     a, _, _ = exponent_sequences(3, 12)
-    ledger = growth_sequence(3, IterationConstants(), 12)
+    ledger = growth_sequence(3, 12)
     for j in range(12):
         coeff = math.log(1.0) - (2 * j + 3) * math.log(2.0) - math.log(
             3.0 * slicing_level(2 * j + 2) * (a[j] * p + 1.0)
@@ -100,14 +99,15 @@ def test_growth_step_is_exact_in_log_space():
 
 
 def test_constants_validation():
+    spec = make_spec(LogPower(1.0 / P3, 5.0))
     with pytest.raises(ValueError):
-        IterationConstants(c0=-1.0)
+        divergence_onset(3, spec, 1e6, c6=-1.0)
     with pytest.raises(ValueError):
-        IterationConstants(epsilon_exp=0.5)
+        divergence_onset(3, spec, 1e6, c7=0.0)
 
 
 def test_ledger_rows():
-    ledger = build_ledger(3, IterationConstants(), 8)
+    ledger = build_ledger(3, 8)
     assert len(ledger.rows) == 9
     j, ell, a, b, s, logm = ledger.rows[0]
     assert (j, ell, a, b) == (0, 1.5, 1.0, 0.0)
@@ -238,17 +238,16 @@ def test_identity_time_bounds():
 
 def test_onset_finite_for_threshold_family():
     spec = make_spec(LogPower(1.0 / P3, 5.0))
-    constants = IterationConstants()
-    base = constants.c7 * 5.0 ** (P3 / (P3 - 1.0))
+    base = 5.0 ** (P3 / (P3 - 1.0))  # c7 = 1
     assert base > 1.0  # the premise of the finite-onset example
-    onset = divergence_onset(3, constants, spec, 1e6)
+    onset = divergence_onset(3, spec, 1e6)
     assert onset is not None and 0.0 < onset < 1e6
 
 
 def test_onset_none_for_global_family():
-    assert divergence_onset(3, IterationConstants(), make_spec(PowerLaw(1.0)), 1e6) is None
+    assert divergence_onset(3, make_spec(PowerLaw(1.0)), 1e6) is None
 
 
 def test_onset_none_for_tiny_calibration():
     spec = make_spec(LogPower(1.0 / P3, 5.0))
-    assert divergence_onset(3, IterationConstants(c7=1e-12), spec, 1e6) is None
+    assert divergence_onset(3, spec, 1e6, c7=1e-12) is None

@@ -248,6 +248,22 @@ def test_mu_check_report_keys(tmp_path):
     assert payload["threshold_class"] == "zero"
 
 
+def test_mu_check_loglog_bound_in_the_dimension_asked(tmp_path):
+    # LogPower(0.45, 3) has gamma > 1/p(2), so its loglog bound holds in two dimensions
+    assert run_cli(["mu", "check", "--family", "logpower", "--gamma", "0.45", "--cl", "3",
+                    "--n", "2", "--quiet"], tmp_path) == 0
+    payload = json.loads((latest(tmp_path, "mu") / "report.json").read_text())
+    assert payload["loglog_bound_pass"] is True
+
+
+@pytest.mark.parametrize("flag", [["--c6", "-1"], ["--c7", "0"]], ids=["c6", "c7"])
+def test_onset_nonpositive_constant_exits_one(capsys, tmp_path, flag):
+    code = main(["onset", "--family", "powerlaw", *flag, "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error:" in err and "usage:" not in err
+
+
 def test_determinism_byte_identical_csv(tmp_path):
     run_cli(["sequences", "--n", "2", "--J", "20", "--quiet"], tmp_path)
     run_cli(["sequences", "--n", "2", "--J", "20", "--quiet"], tmp_path)

@@ -218,11 +218,11 @@ def test_finite_class_estimates_cl():
 
 
 def test_loglog_bound():
-    assert loglog_bound_check(make_spec(PowerLaw(1.0))).passed
-    rep = loglog_bound_check(make_spec(DoubleLogGlobal(-1.0)))
+    assert loglog_bound_check(make_spec(PowerLaw(1.0)), 3).passed
+    rep = loglog_bound_check(make_spec(DoubleLogGlobal(-1.0)), 3)
     assert rep.passed
     assert abs(rep.fitted_constant - 1.0) < 1e-9  # exact cancellation
-    assert not loglog_bound_check(make_spec(LogPower(1.0 / P3, 5.0))).passed
+    assert not loglog_bound_check(make_spec(LogPower(1.0 / P3, 5.0)), 3).passed
 
 
 # ------------------------------------------------------------------- jensen

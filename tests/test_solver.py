@@ -131,10 +131,8 @@ def test_lattice_free_part_matches_propagator_oracle():
 def test_profiles_on_an_array_equal_the_scalar_calls():
     # one sampling call per grid must give the per-point values bit for bit
     radii = np.concatenate([np.linspace(0.0, 1.5, 301), [1e-7, 5e-7, 1.0 - 1e-12, 1.0]])
-    quotient = replace(default_bump(1.0), u0_prime=None)
     for profile in (default_bump().u0, default_bump().u1, default_bump().u0_prime,
-                    velocity_bump().u0, velocity_bump().u1, velocity_bump().u0_prime,
-                    default_bump().u0_derivative, quotient.u0_derivative):
+                    velocity_bump().u0, velocity_bump().u1, velocity_bump().u0_prime):
         sampled = profile(radii)
         assert sampled.shape == radii.shape
         pointwise = np.array([float(profile(float(x))) for x in radii])
@@ -154,14 +152,11 @@ def test_march_refuses_a_profile_without_one_value_per_radius():
             march(replace(base, **{name: profile}), None, grid)
 
 
-def test_u0_derivative_fallback_spans_the_sampled_points():
-    ramp = RadialData(u0=lambda r: r, u1=lambda r: 0.0, support_radius=1.0)
-    for r in (0.0, 2e-7, 5e-7, 1e-6, 0.3):
-        assert abs(ramp.u0_derivative(r) - 1.0) <= 1e-12
-    bump = replace(default_bump(1.0), u0_prime=None)
-    for r in (0.0, 5e-7, 0.3, 0.7, 0.99, 1.5):
-        exact = -6.0 * r * (1.0 - r * r) ** 2 if r < 1.0 else 0.0
-        assert abs(bump.u0_derivative(r) - exact) <= 1e-5
+def test_data_without_an_exact_derivative_are_refused():
+    with pytest.raises(TypeError, match="u0_prime"):
+        RadialData(u0=np.zeros_like, u1=np.zeros_like, support_radius=1.0)
+    with pytest.raises(ValueError, match="u0_prime"):
+        march(replace(default_bump(), u0_prime=None), None, CharacteristicGrid.cover(0.05, 1.0, 1.0))
 
 
 # ------------------------------------------------------------------ duhamel
@@ -294,14 +289,6 @@ def test_march_stores_the_field_once():
         tracemalloc.stop()
     assert run.status == "completed"
     assert peak <= 1.25 * run.field.nbytes
-
-
-def test_march_without_u0_prime_matches_exact_derivative():
-    grid = CharacteristicGrid.cover(0.05, 3.0, 1.0)
-    spec = make_spec(PowerLaw(1.0))
-    exact = march(default_bump(0.5), spec, grid).field
-    quotient = march(replace(default_bump(0.5), u0_prime=None), spec, grid).field
-    assert np.max(np.abs(quotient - exact)) <= 1e-9 * np.max(np.abs(exact))
 
 
 def test_march_small_data_completes():
