@@ -127,6 +127,7 @@ class TripleLogGlobal:
 
 
 _GLOBAL_DOMAIN = (PowerLaw, LogOnePlus)
+_ITERATED_LOG = (IteratedLogBlowup, DoubleLogGlobal, TripleLogGlobal)
 
 
 def _default_tau0(family) -> float:
@@ -252,7 +253,8 @@ def _hermite_bridge(spec: ModulusSpec):
 
     Matches value and slope of the near-zero branch at tau0 and value and
     slope of cl*(log tau)**gamma at 3; slopes are clamped (Fritsch-Carlson)
-    so the cubic stays monotone.
+    so the cubic stays monotone.  Returns tau0, the width 3 - tau0 and the
+    cubic's monomial coefficients c0..c3 in s = (tau - tau0) / (3 - tau0).
     """
     fam = spec.family
     a, b = spec.tau0, 3.0
@@ -269,19 +271,32 @@ def _hermite_bridge(spec: ModulusSpec):
     if norm > 9.0:
         scale = 3.0 / math.sqrt(norm)
         alpha, beta = scale * alpha, scale * beta
-    return a, b, v0, v1, alpha * delta, beta * delta
+    m0, m1 = (b - a) * alpha * delta, (b - a) * beta * delta  # the end slopes in s
+    return a, b - a, v0, m0, 3.0 * (v1 - v0) - 2.0 * m0 - m1, 2.0 * (v0 - v1) + m0 + m1
 
 
-def _bridge_eval(spec: ModulusSpec, tau):
-    a, b, v0, v1, d0, d1 = _hermite_bridge(spec)
-    w = b - a
-    s = (np.asarray(tau, dtype=float) - a) / w
-    left, right = s * s, (1.0 - s) ** 2
-    h00 = (1.0 + 2.0 * s) * right
-    h10 = s * right
-    h01 = left * (3.0 - 2.0 * s)
-    h11 = left * (s - 1.0)
-    return h00 * v0 + h10 * w * d0 + h01 * v1 + h11 * w * d1
+def _bridge_eval(spec: ModulusSpec, tau: np.ndarray) -> np.ndarray:
+    """LogPower's mu on an array of arguments past tau0: the bridge cubic,
+    in Horner form, below 3 and cl*(log tau)**gamma from 3 on."""
+    a, w, c0, c1, c2, c3 = _hermite_bridge(spec)
+    s = (np.minimum(tau, 3.0) - a) / w  # s <= 1: the cubic stays finite where the top takes over
+    out = ((c3 * s + c2) * s + c1) * s + c0
+    top = tau >= 3.0
+    if top.any():
+        out[top] = spec.family.cl * np.log(tau[top]) ** spec.family.gamma
+    return out
+
+
+def _past_tau0(spec: ModulusSpec, arr: np.ndarray) -> bool:
+    """Whether some entry of ``arr`` takes LogPower's continuation; refuses
+    negative and NaN entries, and entries past tau0 of the other log types."""
+    if arr.size and not arr.min() >= 0.0:  # refuses nan too
+        raise ValueError("mu is defined for non-negative arguments only")
+    if isinstance(spec.family, _GLOBAL_DOMAIN) or not (arr.size and arr.max() > spec.tau0):
+        return False
+    if not isinstance(spec.family, LogPower):
+        raise ValueError(f"mu argument beyond tau0={spec.tau0:g} needs a continuation")
+    return True
 
 
 def mu_eval(spec: ModulusSpec, tau):
@@ -293,24 +308,33 @@ def mu_eval(spec: ModulusSpec, tau):
     arr = np.asarray(tau, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    if arr.size and not arr.min() >= 0.0:  # refuses nan too
-        raise ValueError("mu is defined for non-negative arguments only")
-    has_far = not isinstance(spec.family, _GLOBAL_DOMAIN) and arr.size and arr.max() > spec.tau0
-    if has_far and not isinstance(spec.family, LogPower):
-        raise ValueError(f"mu argument beyond tau0={spec.tau0:g} needs a continuation")
+    far = _past_tau0(spec, arr)
     # the near formula on every entry; those at 0 and past tau0 are overwritten
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = np.exp(_log_mu_from_loginv(spec.family, -np.log(arr)))
+    if far:
+        past = arr > spec.tau0
+        out[past] = _bridge_eval(spec, arr[past])
     out[arr <= 0.0] = 0.0
-    if has_far:
-        far = arr > spec.tau0
-        mid = far & (arr < 3.0)
-        top = far & (arr >= 3.0)
-        if mid.any():
-            out[mid] = _bridge_eval(spec, arr[mid])
-        if top.any():
-            out[top] = spec.family.cl * np.log(arr[top]) ** spec.family.gamma
     return float(out[0]) if scalar else out
+
+
+def mu_power(spec: ModulusSpec, p: float, abs_u: np.ndarray, out=None) -> np.ndarray:
+    """|u|^p mu(|u|) for ``abs_u`` = |u| (any shape) in log space, exp(log
+    mu(-lu) + p lu) with lu = log|u|; 0 at |u| = 0, LogPower's continuation
+    past tau0, and ``mu_eval``'s refusals and messages.  Written into ``out``
+    when given."""
+    out = np.empty_like(abs_u) if out is None else out
+    far = _past_tau0(spec, abs_u)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lu = np.log(abs_u)
+        np.exp(_log_mu_from_loginv(spec.family, -lu) + p * lu, out=out)
+    if isinstance(spec.family, _ITERATED_LOG):
+        out[abs_u == 0.0] = 0.0  # their formula reads -inf + inf there
+    if far:
+        past = abs_u > spec.tau0
+        out[past] = abs_u[past] ** p * _bridge_eval(spec, abs_u[past])
+    return out
 
 
 def convex_companion(spec: ModulusSpec, n: int, tau):

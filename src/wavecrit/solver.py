@@ -54,8 +54,9 @@ cone edge e_i = c + i (``_cone_edge``) and v off the Huygens band
 |i - j| <= c, so level i computes nodes 0..e_i, v on the band only, and
 writes 0 elsewhere, in place from preallocated buffers: a march costs
 about t_levels (t_levels / 2 + R / h) node updates in a fixed number of
-numpy calls per level.  The slow oracles the tests hold the recurrence and
-the free part to live in ``tests/oracles.py``.
+numpy calls per level, the forcing by ``modulus.mu_power`` in log space.
+The slow oracles the tests hold the recurrence, the forcing and the free
+part to live in ``tests/oracles.py``.
 
 Blow-up is detected by a cap on the sup norm: marching stops at the first
 level whose max exceeds the cap or goes non-finite.
@@ -71,7 +72,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .exponents import strauss_exponent
-from .modulus import ModulusSpec, mu_eval
+from .modulus import ModulusSpec, mu_power
 
 DEFAULT_CAP = 1e6
 
@@ -257,15 +258,12 @@ def _free_tables(data: RadialData, grid: CharacteristicGrid):
 
 def _forcing(spec: Optional[ModulusSpec], p: float, abs_u: np.ndarray,
              out: Optional[np.ndarray] = None) -> np.ndarray:
-    """The forcing |u|^p mu(|u|) from ``abs_u`` = |u|; 0 when ``spec`` is
-    None.  Written into ``out`` when given."""
-    if out is None:
-        out = np.empty_like(abs_u)
-    if spec is None:
-        out.fill(0.0)
-    else:
-        np.power(abs_u, p, out=out)
-        out *= mu_eval(spec, abs_u)
+    """The forcing |u|^p mu(|u|) from ``abs_u`` = |u| by ``modulus.mu_power``,
+    or 0 when ``spec`` is None; written into ``out`` when given."""
+    if spec is not None:
+        return mu_power(spec, p, abs_u, out)
+    out = np.empty_like(abs_u) if out is None else out
+    out.fill(0.0)
     return out
 
 

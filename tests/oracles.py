@@ -2,9 +2,11 @@
 
 ``linear_propagator`` evaluates the free solution at one point, off the
 lattice, with the u1 window integrated by adaptive quadrature instead of
-read from a trapezoid table; ``duhamel_apply`` re-sums the
-whole forcing history at one level instead of advancing the lattice
-recurrence of ``wavecrit.solver.march``.  Neither is part of the package.
+read from a trapezoid table; ``duhamel_apply`` re-sums the whole forcing
+history at one level, with the forcing from the direct formula
+|u|^p mu(|u|), instead of advancing the lattice recurrence of
+``wavecrit.solver.march`` with its log-space forcing.  Neither is part of
+the package.
 """
 
 from __future__ import annotations
@@ -13,12 +15,8 @@ import numpy as np
 from scipy import integrate
 
 from wavecrit.exponents import strauss_exponent
-from wavecrit.solver import (
-    CharacteristicGrid,
-    RadialData,
-    SolutionRun,
-    _forcing,
-)
+from wavecrit.modulus import mu_eval
+from wavecrit.solver import CharacteristicGrid, RadialData, SolutionRun
 
 
 def linear_propagator(data: RadialData, t: float, r: float) -> float:
@@ -96,7 +94,10 @@ def duhamel_apply(run: SolutionRun, t_level: int, r):
             or np.any((j < 0) | (j >= grid.r_nodes)):
         raise ValueError(f"radius {r} is not a lattice node")
     p = strauss_exponent(3)
-    g_levels = [_forcing(run.spec, p, np.abs(run.field[k])) for k in range(t_level)]
+    g_levels = []
+    for k in range(t_level):  # the direct formula, not the march's log-space kernel
+        a = np.abs(run.field[k])
+        g_levels.append(a ** p * mu_eval(run.spec, a) if run.spec else np.zeros_like(a))
     prefixes = [_history_prefix(grid, g) for g in g_levels]
     out = _duhamel_level(grid, prefixes, g_levels, t_level)
     lu = np.where(j == 0, out[0], out[j] / (np.maximum(j, 1) * grid.h))

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -23,6 +24,7 @@ from wavecrit.modulus import (
 from wavecrit.solver import (
     CharacteristicGrid,
     RadialData,
+    _forcing,
     convergence_study,
     default_bump,
     lifespan_sweep,
@@ -418,6 +420,70 @@ def test_support_grows_at_unit_speed():
         outside = run.radii > 1.0 + t + 1e-9
         if np.any(outside):
             assert np.max(np.abs(run.field[i, outside])) <= 1e-12 * scale
+
+
+# ----------------------------------------------------------------- forcing
+
+# the log-space forcing of march against its direct formula |u|^p mu(|u|);
+# arguments stay above 1e-12 tau0, where the forcing is a normal float whose
+# log is below 1e2 in size, so exp's argument error stays under 1e-13 relative
+def _forcing_arguments(spec):
+    top = 1e6 if spec is None or math.isinf(spec.tau0) else spec.tau0
+    parts = [st.just(0.0), st.just(top), st.floats(0.0, 12.0).map(lambda k: top * 10.0 ** -k)]
+    if spec is not None and isinstance(spec.family, LogPower):
+        # just past tau0, the bridge, 3 and the top, as far as |u|^p stays finite
+        parts += [st.just(math.nextafter(top, math.inf)), st.floats(top, 3.0),
+                  st.just(3.0), st.floats(3.0, 1e120)]
+    return st.lists(st.one_of(*parts), min_size=2, max_size=40)
+
+
+@pytest.mark.parametrize("name", sorted(CONE_SPECS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_forcing_matches_the_direct_formula(name, data):
+    spec = CONE_SPECS[name]
+    abs_u = np.array(data.draw(_forcing_arguments(spec)))
+    if data.draw(st.booleans()):  # a block of levels, as the identity residual passes
+        abs_u = abs_u[:len(abs_u) // 2 * 2].reshape(2, -1)
+    want = np.zeros_like(abs_u) if spec is None else abs_u ** P3 * mu_eval(spec, abs_u)
+    got = _forcing(spec, P3, abs_u)
+    out = np.full_like(abs_u, np.nan)
+    assert _forcing(spec, P3, abs_u, out=out) is out and np.array_equal(out, got)
+    zero = want == 0.0
+    assert np.array_equal(zero, abs_u == 0.0) or spec is None
+    assert np.all(got[zero] == 0.0) and not np.any(np.signbit(got[zero]))
+    assert np.all(np.abs(got[~zero] - want[~zero]) <= 1e-13 * want[~zero])
+
+
+@pytest.mark.parametrize("name", sorted(set(CONE_SPECS) - {"linear"}))
+def test_forcing_refuses_what_mu_eval_refuses(name):
+    spec = CONE_SPECS[name]
+    bad = {"non-negative": [np.array([0.0, math.nan]), np.array([[0.0], [-1e-300]])]}
+    if name in ("iterlog", "doublelog", "triplelog"):
+        bad["beyond tau0"] = [np.array([0.0, math.nextafter(spec.tau0, 1.0)]),
+                              np.array([[spec.tau0], [3.0]])]
+    for kind, args in bad.items():
+        for abs_u in args:
+            with pytest.raises(ValueError, match=kind) as refused:
+                mu_eval(spec, abs_u)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
+                _forcing(spec, P3, abs_u)
+
+
+@pytest.mark.parametrize("family, tau0", [(PowerLaw(1.0), 5.0), (LogOnePlus(1.0), 0.5)])
+def test_global_families_take_no_cutoff_from_tau0(family, tau0):
+    # a global family's formula holds on [0, inf): an explicit tau0 (the CLI's
+    # --tau0) is no domain end, and mu, the forcing and the march past it are
+    # those of the default tau0 = inf
+    spec, default = make_spec(family, tau0=tau0), make_spec(family)
+    abs_u = np.array([[0.0, 0.5 * tau0, tau0], [math.nextafter(tau0, 7.0), 6.0, 40.0]])
+    assert np.array_equal(mu_eval(spec, abs_u), mu_eval(default, abs_u))
+    assert mu_eval(spec, 6.0) == mu_eval(default, 6.0)
+    assert np.array_equal(_forcing(spec, P3, abs_u), _forcing(default, P3, abs_u))
+    data, grid = default_bump(2.0 * tau0), CharacteristicGrid.cover(1 / 16, 1.0, 1.0)
+    run = march(data, spec, grid)
+    assert np.max(np.abs(run.field)) > tau0
+    assert np.array_equal(run.field, march(data, default, grid).field)
 
 
 # --------------------------------------------------------------- lifespans
