@@ -16,8 +16,7 @@ import numpy as np
 
 from .exponents import strauss_exponent
 from .kernels import KernelConfig, data_kernel, source_kernel
-from .modulus import ModulusSpec, convex_companion, threshold_product
-from .solver import _forcing
+from .modulus import ModulusSpec, convex_companion, mu_power, threshold_product
 
 
 def slicing_level(j: int) -> float:
@@ -174,7 +173,8 @@ def integral_identity_residual(run, cfg: KernelConfig, q: float, t: float) -> fl
     vel_term = t * float(np.trapezoid(u1v * eta[0] * meas, dx=h))
 
     # trapezoid in s over levels 0..i; the level-i term has (t - s) = 0
-    forcing = _forcing(run.spec, p, np.abs(run.field[:i]))
+    abs_u = np.abs(run.field[:i])
+    forcing = np.zeros_like(abs_u) if run.spec is None else mu_power(run.spec, p, abs_u)
     inner = np.trapezoid(forcing * eta[:i] * meas, dx=h, axis=1)
     w = np.full(i, h)
     w[:1] = 0.5 * h

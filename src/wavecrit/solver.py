@@ -38,20 +38,17 @@ singularity is replaced by the analytic limits
 
 the first from the exact u0' that ``RadialData`` requires, the second
 accumulated forward: each new level k adds w_k m h g_k(m) to the axis slot
-of level k + m.  Off the axis the free part is the two-point formula of
-``_two_point``,
+of level k + m.  Off the axis the free part is the two-point formula
 
     r v(t, r) = (P(t+r) - P(t-r)) / 2 + Q1(|t+r|) - Q1(|t-r|),
 
 P(x) = x u0(|x|) odd and Q1 the cumulative trapezoid of (rho/2) u1.  On
-the lattice its feet h (i ± j) are nodes, so ``march`` reads them from two
-tables that ``_free_tables`` builds once (u0 sampled on h·n, n =
-0..t_levels+r_nodes, and the u1 prefix on the radial nodes, clamped at the
-last one), the feet i - j from reversed copies, all as forward slices;
-``weights.linear_decay_check`` reads the same tables at chosen nodes.  For
-data supported in r <= R, with c = ceil(R/h) + 1, u is exactly 0 past the
-cone edge e_i = c + i (``_cone_edge``) and v off the Huygens band
-|i - j| <= c, so level i computes nodes 0..e_i, v on the band only, and
+the lattice its feet h (i ± j) are nodes, so ``FreeWave`` reads them as
+forward slices of two tables built once per (data, grid): ``march`` reads
+every node of the Huygens band below, ``weights.linear_decay_check`` every
+m-th.  For data supported in r <= R, with c = ceil(R/h) + 1, u is exactly
+0 past the cone edge e_i = c + i (``cone_edge``) and v off the Huygens
+band |i - j| <= c, so level i computes nodes 0..e_i, v on the band only, and
 writes 0 elsewhere, in place from preallocated buffers: a march costs
 about t_levels (t_levels / 2 + R / h) node updates in a fixed number of
 numpy calls per level, the forcing by ``modulus.mu_power`` in log space.
@@ -169,7 +166,7 @@ class CharacteristicGrid:
         return (self.r_nodes - 1) * self.h >= support_radius + self.horizon - 1e-9
 
 
-def _cone_edge(grid: CharacteristicGrid, data: RadialData, i: int) -> int:
+def cone_edge(grid: CharacteristicGrid, data: RadialData, i: int) -> int:
     """ceil(R/h) + 1 + i: the last node of level i in the data's cone, one node of margin."""
     return min(math.ceil(data.support_radius / grid.h) + 1 + i, grid.r_nodes - 1)
 
@@ -208,65 +205,6 @@ class SolutionRun:
 # --------------------------------------------------------------------------
 # free propagator
 
-def _two_point(p_plus, p_minus, q_plus, q_minus, r, out=None) -> np.ndarray:
-    """Free solution on radii r > 0 from its values at the feet t +- r:
-
-        v = (P(t+r) - P(t-r)) / (2 r) + (Q1(|t+r|) - Q1(|t-r|)) / r,
-
-    with P(x) = x eps u0(|x|) (odd in x) and Q1 the u1 prefix, both read
-    from the tables of ``_free_tables``: the one free-wave formula of the
-    package.  Written into ``out`` when given.
-    """
-    out = np.subtract(p_plus, p_minus, out=out)
-    out *= 0.5
-    out /= r
-    window = np.subtract(q_plus, q_minus)
-    window /= r
-    out += window
-    return out
-
-
-def _axis_limit(data: RadialData, t):
-    """v(t, 0) = eps (u0(t) + t u0'(t) + t u1(t)) at times t >= 0, the limit
-    of the two-point formula on the axis."""
-    return data.amplitude * (data.u0(t) + t * data.u0_prime(t) + t * data.u1(t))
-
-
-def _free_tables(data: RadialData, grid: CharacteristicGrid):
-    """The inputs of the free part on ``grid``, built once.
-
-    Every foot h (i +- j) of a lattice node is a node n, |n| < t_levels +
-    r_nodes, so the feet are read from two tables at offset r_nodes - 1
-    (n = -(r_nodes - 1)..t_levels + r_nodes - 1): P(hn) = hn eps u0(h|n|),
-    odd in n, and the u1 prefix Q1(h|n|), the cumulative trapezoid of
-    (rho/2) eps u1 on the radial nodes, constant past the last one.
-    Returns the u0 samples on h n, n = 0..t_levels + r_nodes, and the P and
-    Q1 tables.
-    """
-    h, nt, nr = grid.h, grid.t_levels, grid.r_nodes
-    u0 = data.u0(h * np.arange(nt + nr + 1))
-    feet = np.arange(-(nr - 1), nt + nr)
-    p_table = (h * feet) * (data.amplitude * u0[np.abs(feet)])
-    rho = h * np.arange(nr)
-    vals = 0.5 * rho * data.amplitude * data.u1(rho)
-    q1 = np.concatenate([[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(rho))])
-    return u0, p_table, q1[np.minimum(np.abs(feet), nr - 1)]
-
-
-# --------------------------------------------------------------------------
-# forcing history
-
-def _forcing(spec: Optional[ModulusSpec], p: float, abs_u: np.ndarray,
-             out: Optional[np.ndarray] = None) -> np.ndarray:
-    """The forcing |u|^p mu(|u|) from ``abs_u`` = |u| by ``modulus.mu_power``,
-    or 0 when ``spec`` is None; written into ``out`` when given."""
-    if spec is not None:
-        return mu_power(spec, p, abs_u, out)
-    out = np.empty_like(abs_u) if out is None else out
-    out.fill(0.0)
-    return out
-
-
 def _validate_data(data: RadialData, grid: CharacteristicGrid):
     if grid.h * 16 > data.support_radius:
         raise ValueError(
@@ -293,6 +231,60 @@ def _validate_data(data: RadialData, grid: CharacteristicGrid):
         raise ValueError(f"data do not vanish beyond the support at r={probe[1:][outside][0]:g}")
 
 
+class FreeWave:
+    """The free wave v of ``data`` on the lattice of ``grid``, built once;
+    data ``march`` refuses are refused.
+
+    Every foot h (i +- j) of a lattice node is a node n = -(r_nodes -
+    1)..t_levels + r_nodes - 1, so v is read from two tables at offset
+    r_nodes - 1: P(hn) = hn eps u0(h|n|), odd in n, and the u1 prefix
+    Q1(h|n|), the cumulative trapezoid of (rho/2) eps u1 on the radial
+    nodes, constant past the last one; the feet i - j are read from reversed
+    copies, so every read is a forward slice.  ``u0`` holds the u0 samples on h n,
+    n = 0..t_levels + r_nodes, ``r`` the radial nodes and ``axis`` the limit
+    v(t_i, 0) = eps (u0(t) + t u0'(t) + t u1(t)) on every level.
+    """
+
+    def __init__(self, data: RadialData, grid: CharacteristicGrid):
+        _validate_data(data, grid)
+        h, nt, nr, eps = grid.h, grid.t_levels, grid.r_nodes, data.amplitude
+        self.grid = grid
+        self.u0 = data.u0(h * np.arange(nt + nr + 1))
+        t = h * np.arange(nt + 1)
+        self.axis = eps * (data.u0(t) + t * data.u0_prime(t) + t * data.u1(t))
+        feet = np.arange(-(nr - 1), nt + nr)
+        self._p = (h * feet) * (eps * self.u0[np.abs(feet)])
+        self.r = h * np.arange(nr)
+        vals = 0.5 * self.r * eps * data.u1(self.r)
+        q1 = np.concatenate([[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(self.r))])
+        self._q = q1[np.minimum(np.abs(feet), nr - 1)]
+        self._p_rev, self._q_rev = self._p[::-1].copy(), self._q[::-1].copy()
+
+    def level(self, i: int, lo: int, stop: int, step: int = 1, out=None) -> np.ndarray:
+        """v(t_i, r_j) on the nodes j = lo, lo + step, ... < stop off the axis,
+        by the two-point formula
+
+            v = (P(t+r) - P(t-r)) / (2 r) + (Q1(|t+r|) - Q1(|t-r|)) / r,
+
+        the one free-wave formula of the package.  Written into ``out`` when
+        given; a level or node range off the grid is refused.
+        """
+        nt, nr = self.grid.t_levels, self.grid.r_nodes
+        if not (0 <= i <= nt and 1 <= lo and stop <= nr):
+            raise ValueError(f"free wave on nodes {lo}..{stop - 1} of level {i}: the grid "
+                             f"has levels 0..{nt} and off-axis nodes 1..{nr - 1}")
+        plus = slice(nr - 1 + i + lo, nr - 1 + i + stop, step)
+        minus = slice(nt + nr - 1 - i + lo, nt + nr - 1 - i + stop, step)
+        r = self.r[lo:stop:step]
+        out = np.subtract(self._p[plus], self._p_rev[minus], out=out)
+        out *= 0.5
+        out /= r
+        window = np.subtract(self._q[plus], self._q_rev[minus])
+        window /= r
+        out += window
+        return out
+
+
 def march(
     data: RadialData,
     spec: Optional[ModulusSpec],
@@ -308,20 +300,16 @@ def march(
     """
     if not cap > 0.0:
         raise ValueError(f"cap must be positive, got {cap}")
-    _validate_data(data, grid)
+    free = FreeWave(data, grid)
     h = grid.h
     nr = grid.r_nodes
     nt = grid.t_levels
-    eps = data.amplitude
     p = strauss_exponent(3)
-    r = h * np.arange(nr)
-    u0_table, p_table, q_table = _free_tables(data, grid)
-    p_rev, q_rev = p_table[::-1].copy(), q_table[::-1].copy()  # feet i - j, read forward
-    axis_free = _axis_limit(data, h * np.arange(nt + 1))  # v on the axis, every level
-    reach = _cone_edge(grid, data, 0)  # half-width of the Huygens band, in nodes
+    r = free.r
+    reach = cone_edge(grid, data, 0)  # half-width of the Huygens band, in nodes
 
     field = np.empty((nt + 1, nr))
-    field[0] = eps * u0_table[:nr]
+    field[0] = data.amplitude * free.u0[:nr]
     status, t_detect = "completed", None
 
     # rlu and rlu_prev hold W_{i-1} and W_{i-2} (W = r Lu) on nodes 0..nr; W = 0 on the axis
@@ -333,16 +321,17 @@ def march(
     axis = np.zeros(nt + 1)  # axis[i] = sum over k < i of w_k (i-k) h g_k[i-k]
     half_r = 0.5 * r
     abs_level = np.abs(field[0])
-    g = np.empty(nr)
+    g = np.zeros(nr)  # the forcing; it stays 0 in linear mode
     work = np.empty(nr)
     trap = np.empty(nr - 1)
     # |u| past ~4.8e127 overflows |u|^p: the non-finite level is the stop "blew_up"
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(1, nt + 1):
-            e = _cone_edge(grid, data, i)  # nodes 0..e of level i; u = 0 past e
+            e = cone_edge(grid, data, i)  # nodes 0..e of level i; u = 0 past e
             n = e + 1
             # level i - 1 joins the history with trapezoid weight w_{i-1}
-            _forcing(spec, p, abs_level[:n], out=g[:n])
+            if spec is not None:
+                mu_power(spec, p, abs_level[:n], out=g[:n])
             np.multiply(half_r[:n], g[:n], out=work[:n])
             tr = np.add(work[1:n], work[:e], out=trap[:e])
             tr *= 0.5
@@ -363,15 +352,12 @@ def march(
             rlu_prev[1:n] += step
             rlu_prev, rlu = rlu, rlu_prev
 
-            # v on the Huygens band, nodes lo..e: feet i + j and i - j both read forward
+            # v on the Huygens band, nodes lo..e
             level = field[i]
             lo = max(1, i - reach)
             level[1:lo] = level[n:] = 0.0  # v = 0 off the band, u = 0 past the cone
-            plus, minus = nr - 1 + i, nt + nr - 1 - i
-            _two_point(p_table[plus + lo:plus + n], p_rev[minus + lo:minus + n],
-                       q_table[plus + lo:plus + n], q_rev[minus + lo:minus + n], r[lo:n],
-                       out=level[lo:n])
-            level[0] = axis_free[i] + axis[i]
+            free.level(i, lo, n, out=level[lo:n])
+            level[0] = free.axis[i] + axis[i]
             level[1:n] += np.divide(rlu[1:n], r[1:n], out=w)
 
             np.abs(level[:n], out=abs_level[:n])  # the cap check and the next forcing

@@ -11,8 +11,7 @@ from scipy import integrate
 from .exponents import strauss_exponent
 from .modulus import ModulusSpec, mu_eval, threshold_product
 from .reporting import WeightReport
-from .solver import (CharacteristicGrid, _axis_limit, _cone_edge, _free_tables, _two_point,
-                     _validate_data)
+from .solver import CharacteristicGrid, FreeWave, cone_edge
 
 _DECAY_STEP = 0.5  # time between the levels ``linear_decay_check`` samples
 _DECAY_DR = 0.125  # radius between its samples in the Huygens band
@@ -53,7 +52,7 @@ def _level_maxima(run) -> np.ndarray:
     out = np.empty(len(field))
     for a in range(0, len(field), _BLOCK_LEVELS):
         b = min(a + _BLOCK_LEVELS, len(field))
-        n = _cone_edge(run.grid, run.data, b - 1) + 1
+        n = cone_edge(run.grid, run.data, b - 1) + 1
         out[a:b] = (_cone_weight(t[a:b, None], r[None, :n]) * np.abs(field[a:b, :n])).max(axis=1)
     return out
 
@@ -112,9 +111,9 @@ def linear_decay_check(data, horizon: float) -> WeightReport:
     integer with 16 h <= R (the resolution ``march`` asks of the support
     radius R); data ``march`` refuses are refused.  By the strong Huygens
     principle the free wave vanishes off the band t - R <= r <= t + R, so
-    each level reads every m-th node of the band (r >= 0), through
-    ``_two_point`` on the march's foot tables and ``_axis_limit`` on the
-    axis, and applies the decay rule shared with ``decay_profile_check``.
+    each level reads every m-th node of the band (r >= 0) from the march's
+    ``solver.FreeWave``, its axis value included, and applies the decay rule
+    shared with ``decay_profile_check``.
     """
     radius = data.support_radius
     m = math.ceil(2.0 / radius)
@@ -122,21 +121,17 @@ def linear_decay_check(data, horizon: float) -> WeightReport:
         m += 1
     h = _DECAY_DR / m
     times = np.arange(0.0, horizon + 0.5 * _DECAY_STEP, _DECAY_STEP)
-    grid = CharacteristicGrid.cover(h, times[-1], radius)
-    _validate_data(data, grid)
-    _, p_table, q_table = _free_tables(data, grid)
-    axis = _axis_limit(data, times)
+    free = FreeWave(data, CharacteristicGrid.cover(h, times[-1], radius))
     levels_per_time = round(_DECAY_STEP / h)
     half_band = m * math.floor(radius / _DECAY_DR)  # in nodes
     level_max = np.empty(len(times))
     for k, t in enumerate(times):
         i = k * levels_per_time
-        j = np.arange(max(i - half_band, m), i + half_band + 1, m)  # off the axis
-        plus, minus = grid.r_nodes - 1 + i + j, grid.r_nodes - 1 + i - j  # foot rows
-        v = _two_point(p_table[plus], p_table[minus], q_table[plus], q_table[minus], h * j)
-        weighted = _cone_weight(t, h * j) * np.abs(v)
+        lo, stop = max(i - half_band, m), i + half_band + 1  # off the axis
+        v = free.level(i, lo, stop, m)
+        weighted = _cone_weight(t, free.r[lo:stop:m]) * np.abs(v)
         if i <= half_band:  # the band reaches the axis
-            weighted = np.append(weighted, _cone_weight(t, 0.0) * abs(axis[k]))
+            weighted = np.append(weighted, _cone_weight(t, 0.0) * abs(free.axis[i]))
         level_max[k] = np.max(weighted)
     return _decay_report(times, level_max, sum(data_norms(data)),
                          f"t in [0, {horizon:g}], step {_DECAY_STEP:g}, "

@@ -21,8 +21,9 @@ from wavecrit.solver import CharacteristicGrid, RadialData, SolutionRun
 
 def linear_propagator(data: RadialData, t: float, r: float) -> float:
     """Free solution at a single point with the u1 window integrated by
-    adaptive quadrature: the independent oracle the tests hold the lattice's
-    foot tables, in ``march`` and in ``linear_decay_check``, to."""
+    adaptive quadrature: the independent oracle the tests hold
+    ``wavecrit.solver.FreeWave``, which ``march`` and ``linear_decay_check``
+    read, to."""
     if t < 0.0:
         raise ValueError("time must be non-negative")
     ra = abs(r)
