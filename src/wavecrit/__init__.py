@@ -4,9 +4,7 @@ semilinear wave equations with modulus-modulated nonlinearities."""
 __version__ = "0.1.0"
 
 from .exponents import (
-    ExponentSet,
     exponent_identities_report,
-    exponent_set,
     kernel_exponent,
     strauss_exponent,
     strauss_residual,
@@ -38,9 +36,7 @@ from .solver import (
 )
 
 __all__ = [
-    "ExponentSet",
     "exponent_identities_report",
-    "exponent_set",
     "kernel_exponent",
     "strauss_exponent",
     "strauss_residual",

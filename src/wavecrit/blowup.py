@@ -1,6 +1,7 @@
 """Iteration apparatus for the blow-up side: slicing levels, exponent
-recursions with closed forms, the doubly-exponential growth ledger, the
-weighted solution functional and a divergence-onset predictor.
+recursions with closed forms, the iteration ledger (one record: the
+exponent rows, the doubly-exponential amplitudes and their growth floor),
+the weighted solution functional and a divergence-onset predictor.
 
 All growth arithmetic lives in log space; the amplitude sequence grows like
 p**j in the exponent and would overflow floats within a handful of steps.
@@ -9,7 +10,7 @@ p**j in the exponent and would overflow floats within a handful of steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -67,26 +68,30 @@ EPSILON_EXP = 0.01
 
 
 @dataclass(frozen=True)
-class GrowthLedger:
-    """log of the amplitude sequence plus its guaranteed growth floor."""
+class IterationLedger:
+    """Rows (j, ell_{2j}, a_j, b_j, sigma_j, log M_j) for j = 0..J, and the
+    growth floor log M_j >= p^j log C5 for j >= j1, with floor_margin[j] =
+    log M_j - p^j log C5."""
 
-    log_m: np.ndarray
+    rows: tuple
     log_c5: float
     j1: int
-    floor_margin: np.ndarray  # log_m[j] - p^j log_c5 for j >= j1
+    floor_margin: np.ndarray
 
 
-def growth_sequence(n: int, J: int) -> GrowthLedger:
-    """Amplitude recursion in log space with its closed growth floor.
+def build_ledger(n: int, J: int) -> IterationLedger:
+    """The iteration ledger: exponent sequences and amplitude recursion in
+    log space, with the closed growth floor.
 
-    log M_{j+1} = p log M_j + log(C0 2^{-(2j+3)} / (3 ell_{2j+2} (a_j p + 1))),
-    and the floor log M_j >= p^j log C5 holds for every j >= j1 where
+    log M_{j+1} = p log M_j + log(C0 2^{-(2j+3)} / (3 ell_{2j+2} (a_j p + 1)))
+    from log M_0 = log M0, and the floor log M_j >= p^j log C5 holds for every
+    j >= j1 where
         C4 = C0 (p-1) / (12 p),
         C5 = M0 (4p)^{-p/(p-1)^2} C4^{1/(p-1)},
         j1 = ceil(log C4 / log(4p) - p/(p-1)).
     """
     p = strauss_exponent(n)
-    a, _, _ = exponent_sequences(n, max(J, 1))
+    a, b, s = exponent_sequences(n, J)
     log_m = np.empty(J + 1)
     log_m[0] = math.log(M0)
     for j in range(J):
@@ -101,30 +106,12 @@ def growth_sequence(n: int, J: int) -> GrowthLedger:
         + log_c4 / (p - 1.0)
     )
     j1 = max(0, math.ceil(log_c4 / math.log(4.0 * p) - p / (p - 1.0)))
-    pj = p ** np.arange(J + 1, dtype=float)
-    margin = log_m - pj * log_c5
-    return GrowthLedger(
-        log_m=log_m, log_c5=log_c5, j1=j1, floor_margin=margin,
-    )
-
-
-@dataclass
-class IterationLedger:
-    """Rows (j, ell_{2j}, a_j, b_j, sigma_j, log_m_j) plus the growth floor."""
-
-    rows: list = field(default_factory=list)
-    log_c5: float = 0.0
-    j1: int = 0
-
-
-def build_ledger(n: int, J: int) -> IterationLedger:
-    a, b, s = exponent_sequences(n, J)
-    growth = growth_sequence(n, J)
-    rows = [
-        (j, slicing_level(2 * j), float(a[j]), float(b[j]), float(s[j]), float(growth.log_m[j]))
+    rows = tuple(
+        (j, slicing_level(2 * j), float(a[j]), float(b[j]), float(s[j]), float(log_m[j]))
         for j in range(J + 1)
-    ]
-    return IterationLedger(rows=rows, log_c5=growth.log_c5, j1=growth.j1)
+    )
+    margin = log_m - p ** np.arange(J + 1, dtype=float) * log_c5
+    return IterationLedger(rows=rows, log_c5=log_c5, j1=j1, floor_margin=margin)
 
 
 # --------------------------------------------------------------------------

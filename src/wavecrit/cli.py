@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .blowup import build_ledger, divergence_onset
-from .exponents import exponent_set, kernel_exponent
+from .exponents import holder_conjugate, kernel_exponent, strauss_exponent, weight_exponent
 from .kernels import KernelConfig, free_wave_ball_integral, kernel_bounds_check
 from .modulus import (
     DoubleLogGlobal,
@@ -241,13 +241,14 @@ def _spec_from_args(args):
 # maps each file name to its JSON payload, CSV (header, rows) or SVG text
 
 def _cmd_exponents(args, spec):
-    if args.n == 1:
+    n = args.n
+    if n == 1:  # p(1) = +infinity by convention: no float, so reported by name
         payload = {"n": 1, "p_strauss": "infinite", "p_conjugate": 1.0,
                    "q": None, "kappa": None}
     else:
-        es = exponent_set(args.n)
-        payload = {"n": es.n, "p_strauss": es.p_strauss,
-                   "p_conjugate": es.p_conjugate, "q": es.q, "kappa": es.kappa}
+        p = strauss_exponent(n)
+        payload = {"n": n, "p_strauss": p, "p_conjugate": holder_conjugate(p),
+                   "q": kernel_exponent(n), "kappa": weight_exponent(n)}
     return payload, {"exponents.json": payload}, 0
 
 

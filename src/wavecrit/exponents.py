@@ -1,32 +1,16 @@
-"""Exponent algebra underpinning the whole laboratory.
-
-Everything downstream (kernels, iteration ledgers, weighted norms) consumes
-the numbers computed here: the Strauss exponent p(n), its Holder conjugate,
-the kernel exponent q = (n-1)/2 - 1/p and the weight exponent 1 + 1/p.
+"""Exponent algebra of the laboratory: the Strauss exponent p(n), its Holder
+conjugate, the kernel exponent q = (n-1)/2 - 1/p and the weight exponent
+1 + 1/p, one function each, plus a check of the exponent identities the
+iteration uses.  Each is defined for n >= 2; the one-dimensional convention
+p(1) = +infinity is no float, so ``strauss_exponent(1)`` raises and no
+infinite p can reach a formula (the CLI's ``exponents --n 1`` reports it).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .reporting import WeightReport
-
-
-class InfiniteExponent:
-    """Tagged marker for the one-dimensional convention p = +infinity.
-
-    Supports no arithmetic on purpose, so it cannot silently leak into
-    formulas that divide by p.
-    """
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "InfiniteExponent()"
-
-
-STRAUSS_INFINITE = InfiniteExponent()
 
 
 def strauss_residual(n: int, p: float) -> float:
@@ -34,16 +18,12 @@ def strauss_residual(n: int, p: float) -> float:
     return (n - 1.0) * p * p - (n + 1.0) * p - 2.0
 
 
-def strauss_exponent(n: int):
-    """Positive root of (n-1)p^2 - (n+1)p - 2 = 0 for n >= 2.
-
-    For n == 1 the conventional infinite marker is returned.  Uses the
-    cancellation-free quadratic branch.
-    """
-    if n <= 0:
-        raise ValueError(f"dimension must be positive, got n={n}")
-    if n == 1:
-        return STRAUSS_INFINITE
+def strauss_exponent(n: int) -> float:
+    """Positive root of (n-1)p^2 - (n+1)p - 2 = 0 for n >= 2, by the
+    cancellation-free quadratic branch."""
+    if n < 2:
+        raise ValueError(f"the Strauss exponent needs n >= 2, got n={n} "
+                         f"(p(1) is +infinity by convention)")
     a, b, c = n - 1.0, -(n + 1.0), -2.0
     disc = math.sqrt(b * b - 4.0 * a * c)
     # q-form of the quadratic formula; the subtraction below never cancels.
@@ -63,38 +43,12 @@ def kernel_exponent(n: int) -> float:
     q = (n-1)/2 - 1/p(n); non-negative, and q - (n-3)/2 = 1 - 1/p > 0, which
     is what the kernel bound checks require.
     """
-    if n < 2:
-        raise ValueError(f"kernel exponent needs n >= 2, got n={n}")
     return (n - 1.0) / 2.0 - 1.0 / strauss_exponent(n)
 
 
 def weight_exponent(n: int = 3) -> float:
     """Exponent 1 + 1/p(n) of the light-cone weight (equals sqrt(2) at n=3)."""
     return 1.0 + 1.0 / strauss_exponent(n)
-
-
-@dataclass(frozen=True)
-class ExponentSet:
-    """Algebraic backbone consumed by every other module."""
-
-    n: int
-    p_strauss: float
-    p_conjugate: float
-    q: float
-    kappa: float
-
-
-def exponent_set(n: int) -> ExponentSet:
-    if n < 2:
-        raise ValueError(f"exponent set needs n >= 2, got n={n}")
-    p = strauss_exponent(n)
-    return ExponentSet(
-        n=n,
-        p_strauss=p,
-        p_conjugate=holder_conjugate(p),
-        q=kernel_exponent(n),
-        kappa=weight_exponent(n),
-    )
 
 
 def exponent_identities_report(n: int) -> WeightReport:
@@ -104,8 +58,6 @@ def exponent_identities_report(n: int) -> WeightReport:
       q/(p-1) - (n-1)/2 * p' + (n-1)  ==  p'/p
       -q - (n-1)(p/2 - 1)             ==  -1
     """
-    if n < 2:
-        raise ValueError(f"identities need n >= 2, got n={n}")
     p = strauss_exponent(n)
     pc = holder_conjugate(p)
     q = kernel_exponent(n)

@@ -5,7 +5,9 @@ A modulus here is a continuous, concave, increasing function mu with
 mu(0) = 0 that multiplies the critical power nonlinearity.  Six closed-form
 families are supported; the log-type ones are defined near zero only and
 can be continued monotonically to [0, inf) when a solver needs large
-arguments.  The quantity that separates the blow-up families from the
+arguments.  ``mu_power`` is the one evaluation of mu: it gives |u|^p mu(|u|)
+in log space, the solver's forcing, and ``mu_eval`` is it at p = 0.  The
+quantity that separates the blow-up families from the
 global-existence ones is the small-argument limit of
 
     mu(tau) * log(1/tau)**(1/p(n)),
@@ -299,42 +301,35 @@ def _past_tau0(spec: ModulusSpec, arr: np.ndarray) -> bool:
     return True
 
 
-def mu_eval(spec: ModulusSpec, tau):
-    """Evaluate mu at tau (scalar or array); mu(0) == 0 exactly.
-
-    Raises on negative or NaN arguments and on arguments beyond the
-    near-zero regime when no continuation is available.
-    """
-    arr = np.asarray(tau, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    far = _past_tau0(spec, arr)
-    # the near formula on every entry; those at 0 and past tau0 are overwritten
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = np.exp(_log_mu_from_loginv(spec.family, -np.log(arr)))
-    if far:
-        past = arr > spec.tau0
-        out[past] = _bridge_eval(spec, arr[past])
-    out[arr <= 0.0] = 0.0
-    return float(out[0]) if scalar else out
-
-
 def mu_power(spec: ModulusSpec, p: float, abs_u: np.ndarray, out=None) -> np.ndarray:
     """|u|^p mu(|u|) for ``abs_u`` = |u| (any shape) in log space, exp(log
-    mu(-lu) + p lu) with lu = log|u|; 0 at |u| = 0, LogPower's continuation
-    past tau0, and ``mu_eval``'s refusals and messages.  Written into ``out``
-    when given."""
+    mu(-lu) + p lu) with lu = log|u|: the package's one evaluation of mu.
+    It is 0 at |u| = 0 and takes LogPower's continuation past tau0; negative
+    and NaN arguments are refused, and so are arguments past tau0 of the
+    other log types.  Written into ``out`` when given."""
     out = np.empty_like(abs_u) if out is None else out
     far = _past_tau0(spec, abs_u)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # log 0 is -inf, and past tau0 the near formula (overwritten below) may be nan or overflow
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lu = np.log(abs_u)
-        np.exp(_log_mu_from_loginv(spec.family, -lu) + p * lu, out=out)
+        log_mu = _log_mu_from_loginv(spec.family, -lu)
+        if p != 0.0:  # 0 * lu would be nan at |u| = 0
+            log_mu += p * lu
+        np.exp(log_mu, out=out)
     if isinstance(spec.family, _ITERATED_LOG):
         out[abs_u == 0.0] = 0.0  # their formula reads -inf + inf there
     if far:
         past = abs_u > spec.tau0
         out[past] = abs_u[past] ** p * _bridge_eval(spec, abs_u[past])
     return out
+
+
+def mu_eval(spec: ModulusSpec, tau):
+    """mu at tau (scalar or array): ``mu_power`` at p = 0, so mu(0) == 0
+    exactly, with its continuation and refusals; a scalar gives a float."""
+    arr = np.asarray(tau, dtype=float)
+    out = mu_power(spec, 0.0, np.atleast_1d(arr))
+    return float(out[0]) if arr.ndim == 0 else out
 
 
 def convex_companion(spec: ModulusSpec, n: int, tau):

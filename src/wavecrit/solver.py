@@ -413,9 +413,8 @@ def lifespan_sweep(
 
 @dataclass(frozen=True)
 class ConvergenceResult:
-    order: Optional[float]
+    order: Optional[float]  # None when a difference is 0 or fails to shrink
     diffs: tuple
-    inconclusive: bool
 
 
 def convergence_study(
@@ -426,7 +425,8 @@ def convergence_study(
 ) -> ConvergenceResult:
     """Observed order from successive max-norm differences at a fixed time.
 
-    Requires at least three steps, each half the previous; fields are
+    Requires at least three steps, each half the previous, and a ``t_check``
+    that is a level of the coarsest grid, so of every grid; fields are
     compared on the common (coarsest) radial nodes.
     """
     h_list = list(h_list)
@@ -435,6 +435,9 @@ def convergence_study(
     for a, b in zip(h_list, h_list[1:]):
         if abs(a / b - 2.0) > 1e-12:
             raise ValueError("each step must be half the previous")
+    if abs(round(t_check / h_list[0]) * h_list[0] - t_check) > 1e-9 * max(1.0, t_check):
+        raise ValueError(f"t_check={t_check:g} is not a level of the coarsest grid, "
+                         f"h={h_list[0]:g}")
     fields = []
     for h in h_list:
         grid = CharacteristicGrid.cover(h, t_check, data.support_radius)
@@ -449,9 +452,7 @@ def convergence_study(
         float(np.max(np.abs(fields[k][:n_common] - fields[k + 1][:n_common])))
         for k in range(len(fields) - 1)
     )
-    if any(d == 0.0 for d in diffs):
-        return ConvergenceResult(order=None, diffs=diffs, inconclusive=True)
-    if any(d2 >= d1 for d1, d2 in zip(diffs, diffs[1:])):
-        return ConvergenceResult(order=None, diffs=diffs, inconclusive=True)
+    if any(d == 0.0 for d in diffs) or any(d2 >= d1 for d1, d2 in zip(diffs, diffs[1:])):
+        return ConvergenceResult(order=None, diffs=diffs)
     orders = [math.log2(d1 / d2) for d1, d2 in zip(diffs, diffs[1:])]
-    return ConvergenceResult(order=float(np.mean(orders)), diffs=diffs, inconclusive=False)
+    return ConvergenceResult(order=float(np.mean(orders)), diffs=diffs)

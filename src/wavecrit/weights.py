@@ -8,7 +8,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import integrate
 
-from .exponents import strauss_exponent
+from .exponents import strauss_exponent, weight_exponent
 from .modulus import ModulusSpec, mu_eval, threshold_product
 from .reporting import WeightReport
 from .solver import CharacteristicGrid, FreeWave, cone_edge
@@ -90,7 +90,7 @@ def data_norms(data):
     is scanned on 4097 radii of [0, support_radius + 1]; the weights grow
     in r but the profiles vanish beyond the support, so nothing is lost.
     """
-    kappa = 1.0 + 1.0 / strauss_exponent(3)
+    kappa = weight_exponent(3)
     r = np.linspace(0.0, data.support_radius + 1.0, 4097)
     w = log_weight(bracket(r))
     eps = data.amplitude
@@ -112,8 +112,8 @@ def linear_decay_check(data, horizon: float) -> WeightReport:
     radius R); data ``march`` refuses are refused.  By the strong Huygens
     principle the free wave vanishes off the band t - R <= r <= t + R, so
     each level reads every m-th node of the band (r >= 0) from the march's
-    ``solver.FreeWave``, its axis value included, and applies the decay rule
-    shared with ``decay_profile_check``.
+    ``solver.FreeWave``, its axis value included, weighs them in one array
+    call and applies the decay rule shared with ``decay_profile_check``.
     """
     radius = data.support_radius
     m = math.ceil(2.0 / radius)
@@ -127,12 +127,11 @@ def linear_decay_check(data, horizon: float) -> WeightReport:
     level_max = np.empty(len(times))
     for k, t in enumerate(times):
         i = k * levels_per_time
-        lo, stop = max(i - half_band, m), i + half_band + 1  # off the axis
-        v = free.level(i, lo, stop, m)
-        weighted = _cone_weight(t, free.r[lo:stop:m]) * np.abs(v)
-        if i <= half_band:  # the band reaches the axis
-            weighted = np.append(weighted, _cone_weight(t, 0.0) * abs(free.axis[i]))
-        level_max[k] = np.max(weighted)
+        lo, stop = max(i - half_band, 0), i + half_band + 1
+        v = np.abs(free.level(i, max(lo, m), stop, m))
+        if lo == 0:  # the band reaches the axis
+            v = np.concatenate(([abs(free.axis[i])], v))
+        level_max[k] = np.max(_cone_weight(t, free.r[lo:stop:m]) * v)
     return _decay_report(times, level_max, sum(data_norms(data)),
                          f"t in [0, {horizon:g}], step {_DECAY_STEP:g}, "
                          f"r step {_DECAY_DR:g} over the Huygens band")

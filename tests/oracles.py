@@ -1,22 +1,98 @@
-"""Slow, independent oracles that the tests hold the solver to.
+"""Slow, independent oracles that the tests hold the package to.
 
+``mu_direct`` evaluates mu from each family's closed form as its docstring
+writes it, and LogPower's continuation in the cubic Hermite basis, instead
+of in log space and Horner form as ``wavecrit.modulus.mu_power`` does;
 ``linear_propagator`` evaluates the free solution at one point, off the
 lattice, with the u1 window integrated by adaptive quadrature instead of
 read from a trapezoid table; ``duhamel_apply`` re-sums the whole forcing
-history at one level, with the forcing from the direct formula
-|u|^p mu(|u|), instead of advancing the lattice recurrence of
-``wavecrit.solver.march`` with its log-space forcing.  Neither is part of
-the package.
+history at one level, with the forcing |u|^p ``mu_direct``(|u|), instead of
+advancing the lattice recurrence of ``wavecrit.solver.march`` with its
+log-space forcing.  None is part of the package.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy import integrate
 
 from wavecrit.exponents import strauss_exponent
-from wavecrit.modulus import mu_eval
+from wavecrit.modulus import (
+    DoubleLogGlobal,
+    IteratedLogBlowup,
+    LogOnePlus,
+    LogPower,
+    ModulusSpec,
+    PowerLaw,
+    TripleLogGlobal,
+)
 from wavecrit.solver import CharacteristicGrid, RadialData, SolutionRun
+
+
+def _near(family, tau: np.ndarray) -> np.ndarray:
+    """The family's near-zero closed form on an array of 0 < tau <= tau0."""
+    if isinstance(family, PowerLaw):
+        return tau ** family.gamma
+    if isinstance(family, LogOnePlus):
+        return np.log1p(tau) ** family.gamma
+    L = -np.log(tau)  # log(1/tau), with no overflow of 1/tau at subnormal tau
+    if isinstance(family, LogPower):
+        return family.cl * L ** -family.gamma
+    p = strauss_exponent(family.n)
+    if isinstance(family, DoubleLogGlobal):
+        return L ** (-1.0 / p) * np.log(L) ** family.gamma
+    logk = L  # log^k(1/tau), k logs of 1/tau
+    for _ in range(family.k - 1):
+        logk = np.log(logk)
+    if isinstance(family, IteratedLogBlowup):
+        return L ** (-1.0 / p) * logk ** family.gamma
+    if isinstance(family, TripleLogGlobal):
+        return L ** (-1.0 / p) / np.log(L) * logk ** family.gamma
+    raise TypeError(f"unknown modulus family: {family!r}")
+
+
+def _logpower_far(spec: ModulusSpec, tau: np.ndarray) -> np.ndarray:
+    """LogPower on an array of tau > tau0: cl (log tau)^gamma from 3 on, and
+    below 3 the cubic Hermite interpolant on [tau0, 3] of the end values and
+    slopes of the two branches, its slopes clamped to the Fritsch-Carlson
+    circle alpha^2 + beta^2 <= 9 (in units of the secant) so that it stays
+    monotone."""
+    cl, gamma = spec.family.cl, spec.family.gamma
+    a, b = spec.tau0, 3.0
+    y0, y1 = cl * math.log(1.0 / a) ** -gamma, cl * math.log(b) ** gamma
+    d0 = cl * gamma * math.log(1.0 / a) ** (-gamma - 1.0) / a  # d/dtau of cl log(1/tau)^-gamma
+    d1 = cl * gamma * math.log(b) ** (gamma - 1.0) / b  # d/dtau of cl log(tau)^gamma
+    secant = (y1 - y0) / (b - a)
+    alpha, beta = max(d0 / secant, 0.0), max(d1 / secant, 0.0)
+    if alpha * alpha + beta * beta > 9.0:
+        shrink = 3.0 / math.hypot(alpha, beta)
+        alpha, beta = shrink * alpha, shrink * beta
+    s = (np.minimum(tau, b) - a) / (b - a)
+    h00, h10 = 2 * s**3 - 3 * s**2 + 1, s**3 - 2 * s**2 + s
+    h01, h11 = -2 * s**3 + 3 * s**2, s**3 - s**2
+    bridge = y0 * h00 + y1 * h01 + (b - a) * secant * (alpha * h10 + beta * h11)
+    return np.where(tau >= b, cl * np.log(np.maximum(tau, b)) ** gamma, bridge)
+
+
+def mu_direct(spec: ModulusSpec, tau):
+    """mu at tau >= 0 (scalar or array): 0 at 0, the near-zero closed form
+    up to tau0 (everywhere for the global families) and, for LogPower, its
+    continuation past tau0.  Arguments past tau0 of the other log types are
+    refused."""
+    arr = np.atleast_1d(np.asarray(tau, dtype=float))
+    far = arr > spec.tau0
+    if isinstance(spec.family, (PowerLaw, LogOnePlus)):
+        far[:] = False
+    elif far.any() and not isinstance(spec.family, LogPower):
+        raise ValueError(f"an argument is past tau0 = {spec.tau0} of {spec.family!r}")
+    near = (arr > 0.0) & ~far
+    out = np.zeros_like(arr)
+    out[near] = _near(spec.family, arr[near])
+    if far.any():
+        out[far] = _logpower_far(spec, arr[far])
+    return float(out[0]) if np.ndim(tau) == 0 else out
 
 
 def linear_propagator(data: RadialData, t: float, r: float) -> float:
@@ -98,7 +174,7 @@ def duhamel_apply(run: SolutionRun, t_level: int, r):
     g_levels = []
     for k in range(t_level):  # the direct formula, not the march's log-space kernel
         a = np.abs(run.field[k])
-        g_levels.append(a ** p * mu_eval(run.spec, a) if run.spec else np.zeros_like(a))
+        g_levels.append(a ** p * mu_direct(run.spec, a) if run.spec else np.zeros_like(a))
     prefixes = [_history_prefix(grid, g) for g in g_levels]
     out = _duhamel_level(grid, prefixes, g_levels, t_level)
     lu = np.where(j == 0, out[0], out[j] / (np.maximum(j, 1) * grid.h))

@@ -10,8 +10,8 @@ import math
 import numpy as np
 
 from wavecrit.blowup import (
+    build_ledger,
     exponent_sequences,
-    growth_sequence,
     integral_identity_residual,
 )
 from wavecrit.exponents import (
@@ -82,7 +82,7 @@ def test_criterion_03_iteration_ledger():
         assert np.max(np.abs(a - (p / (p - 1) * pj - 1 / (p - 1))) / pj) < 1e-9
         assert np.max(np.abs(b - (pj - 1.0)) / np.maximum(pj, 1.0)) < 1e-9
         assert np.max(np.abs(s - (p / (p - 1) * pj - 1 / ((p - 1) * p))) / pj) < 1e-9
-        ledger = growth_sequence(n, 30)
+        ledger = build_ledger(n, 30)
         rows = slice(ledger.j1, None)
         assert np.all(ledger.floor_margin[rows] >= -1e-9 * pj[rows])
     report(3, "recursions match closed forms to 1e-9 (j<=30, n=2,3,4); growth floor holds row-wise")

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from wavecrit.blowup import build_ledger, exponent_sequences, slicing_level
 from wavecrit.cli import build_parser, main
+from wavecrit.exponents import holder_conjugate, kernel_exponent, strauss_exponent, weight_exponent
 
 
 def run_cli(args, tmp_path):
@@ -34,9 +36,19 @@ def test_parse_solve_flags():
 
 
 def test_exponents_in_one_dimension(tmp_path):
+    # p(1) = +infinity is no float: the payload names it, and q and kappa have none
     assert run_cli(["exponents", "--n", "1", "--quiet"], tmp_path) == 0
     payload = json.loads((latest(tmp_path, "exponents") / "exponents.json").read_text())
-    assert payload["p_strauss"] == "infinite"
+    assert payload == {"n": 1, "p_strauss": "infinite", "p_conjugate": 1.0,
+                       "q": None, "kappa": None}
+
+
+def test_exponents_in_three_dimensions(tmp_path):
+    assert run_cli(["exponents", "--n", "3", "--quiet"], tmp_path) == 0
+    payload = json.loads((latest(tmp_path, "exponents") / "exponents.json").read_text())
+    p = strauss_exponent(3)
+    assert payload == {"n": 3, "p_strauss": p, "p_conjugate": holder_conjugate(p),
+                       "q": kernel_exponent(3), "kappa": weight_exponent(3)}
 
 
 def test_unknown_flag_rejected():
@@ -158,13 +170,19 @@ def test_family_field_out_of_range_rejected(capsys, tmp_path):
 
 # -------------------------------------------------------------- persistence
 
-def test_sequences_writes_ledger(tmp_path):
-    assert run_cli(["sequences", "--n", "3", "--J", "12", "--quiet"], tmp_path) == 0
-    out = latest(tmp_path, "sequences")
-    with (out / "ledger.csv").open() as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["j", "ell_2j", "a_j", "b_j", "sigma_j", "log_m_j"]
-    assert len(rows) - 1 == 13
+def test_sequences_writes_ledger(capsys, tmp_path):
+    # each row is (j, ell_2j, a_j, b_j, sigma_j, log_m_j) of the exponent
+    # recursions and the ledger, and the payload carries the ledger's floor
+    assert run_cli(["sequences", "--n", "3", "--J", "30"], tmp_path) == 0
+    payload = json.loads(capsys.readouterr().out)
+    with (latest(tmp_path, "sequences") / "ledger.csv").open() as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["j", "ell_2j", "a_j", "b_j", "sigma_j", "log_m_j"]
+    a, b, s = exponent_sequences(3, 30)
+    ledger = build_ledger(3, 30)
+    assert [[int(j), *map(float, rest)] for j, *rest in rows] == [
+        [j, slicing_level(2 * j), a[j], b[j], s[j], ledger.rows[j][-1]] for j in range(31)]
+    assert payload == {"n": 3, "J": 30, "rows": 31, "log_c5": ledger.log_c5, "j1": ledger.j1}
 
 
 def test_solve_records_blowup(tmp_path):

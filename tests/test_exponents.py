@@ -4,10 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wavecrit.exponents import (
-    STRAUSS_INFINITE,
-    InfiniteExponent,
     exponent_identities_report,
-    exponent_set,
     holder_conjugate,
     kernel_exponent,
     strauss_exponent,
@@ -38,12 +35,11 @@ def test_two_dimensional_root_closed_form_and_bisection():
     assert abs(p - bisect_root(2)) < 1e-12
 
 
-def test_one_dimensional_marker():
-    marker = strauss_exponent(1)
-    assert marker is STRAUSS_INFINITE
-    assert isinstance(marker, InfiniteExponent)
-    with pytest.raises(TypeError):
-        1.0 / marker  # the marker must not behave like a number
+def test_one_dimensional_exponent_refused():
+    # p(1) = +infinity by convention is no float: refused, by every function of p
+    for of_n in (strauss_exponent, kernel_exponent, weight_exponent, exponent_identities_report):
+        with pytest.raises(ValueError, match="n >= 2, got n=1"):
+            of_n(1)
 
 
 @pytest.mark.parametrize("n", [0, -1])
@@ -88,15 +84,6 @@ def test_kernel_exponent_values():
 def test_weight_exponent_is_sqrt_two_at_three():
     assert abs(weight_exponent(3) - math.sqrt(2.0)) < 1e-12
     assert weight_exponent(3) > 1.0
-
-
-def test_exponent_set_fields():
-    es = exponent_set(3)
-    assert es.n == 3
-    assert abs(es.p_conjugate - es.p_strauss / (es.p_strauss - 1.0)) < 1e-14
-    assert abs(es.q - kernel_exponent(3)) == 0.0
-    with pytest.raises(ValueError):
-        exponent_set(1)
 
 
 @pytest.mark.parametrize("n", [2, 3, 10])

@@ -24,6 +24,8 @@ from wavecrit.modulus import (
     threshold_product,
 )
 
+from oracles import mu_direct
+
 P3 = strauss_exponent(3)
 
 ALL_DEFAULT_SPECS = [
@@ -279,3 +281,33 @@ def test_mu_eval_array_equals_elementwise(spec, data):
         past = data.draw(st.floats(spec.tau0, 1e6, exclude_min=True))
         with pytest.raises(ValueError, match="beyond tau0"):
             mu_eval(spec, np.append(taus, past))
+
+
+# mu_eval, on arrays and on scalars, against the closed forms of
+# tests/oracles.py; arguments stay above 1e-12 min(tau0, 1e6), where mu is a
+# normal float whose log is below 1e2 in size, so the log-space evaluation is
+# within the forcing test's 1e-13 relative
+def _oracle_arguments(spec):
+    top = min(spec.tau0, 1e6)
+    parts = [st.just(0.0), st.just(top), st.floats(0.0, 12.0).map(lambda k: top * 10.0 ** -k)]
+    if math.isinf(spec.tau0):
+        parts.append(st.floats(0.0, 1e6))
+    elif isinstance(spec.family, LogPower):  # just past tau0, the bridge, 3 and the top
+        parts += [st.just(math.nextafter(top, math.inf)), st.floats(top, 3.0),
+                  st.just(3.0), st.floats(3.0, 1e6)]
+    return st.lists(st.one_of(*parts), min_size=1, max_size=40)
+
+
+@pytest.mark.parametrize("spec", ALL_DEFAULT_SPECS, ids=lambda s: type(s.family).__name__)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mu_eval_matches_the_closed_forms(spec, data):
+    taus = np.array(data.draw(_oracle_arguments(spec)))
+    want = mu_direct(spec, taus)
+    zero = taus == 0.0
+    assert np.array_equal(want == 0.0, zero)
+    scalars = [mu_eval(spec, x) for x in taus.tolist()]
+    assert all(type(value) is float for value in scalars)
+    for got in (mu_eval(spec, taus), np.array(scalars)):
+        assert np.all(got[zero] == 0.0) and not np.any(np.signbit(got[zero]))
+        assert np.all(np.abs(got[~zero] - want[~zero]) <= 1e-13 * want[~zero])

@@ -34,7 +34,7 @@ from wavecrit.solver import (
 )
 from wavecrit.exponents import strauss_exponent
 
-from oracles import duhamel_apply, linear_propagator
+from oracles import duhamel_apply, linear_propagator, mu_direct
 
 P3 = strauss_exponent(3)
 
@@ -439,7 +439,8 @@ def test_support_grows_at_unit_speed():
 
 # ----------------------------------------------------------------- forcing
 
-# the log-space forcing of march against its direct formula |u|^p mu(|u|);
+# the log-space forcing of march against its direct formula |u|^p mu(|u|),
+# mu from the closed forms of tests/oracles.py;
 # arguments stay above 1e-12 tau0, where the forcing is a normal float whose
 # log is below 1e2 in size, so exp's argument error stays under 1e-13 relative
 def _forcing_arguments(spec):
@@ -460,7 +461,7 @@ def test_forcing_matches_the_direct_formula(name, data):
     abs_u = np.array(data.draw(_forcing_arguments(spec)))
     if data.draw(st.booleans()):  # a block of levels, as the identity residual passes
         abs_u = abs_u[:len(abs_u) // 2 * 2].reshape(2, -1)
-    want = abs_u ** P3 * mu_eval(spec, abs_u)
+    want = abs_u ** P3 * mu_direct(spec, abs_u)
     got = mu_power(spec, P3, abs_u)
     out = np.full_like(abs_u, np.nan)
     assert mu_power(spec, P3, abs_u, out=out) is out and np.array_equal(out, got)
@@ -546,13 +547,13 @@ def test_lifespan_rejects_nonpositive_amplitude(eps):
 
 def test_convergence_linear_second_order():
     result = convergence_study(velocity_bump(1.0), None, [0.05, 0.025, 0.0125], t_check=2.0)
-    assert not result.inconclusive
+    assert result.order is not None
     assert 1.7 <= result.order <= 2.3
 
 
 def test_convergence_zero_data_exact():
     result = convergence_study(zero_data(), None, [0.05, 0.025, 0.0125], t_check=1.0)
-    assert result.inconclusive
+    assert result.order is None
     assert all(d == 0.0 for d in result.diffs)
 
 
@@ -568,6 +569,15 @@ def test_convergence_requires_halving():
         convergence_study(zero_data(), None, [0.05, 0.03, 0.02], t_check=1.0)
     with pytest.raises(ValueError):
         convergence_study(zero_data(), None, [0.05, 0.025], t_check=1.0)
+
+
+def test_convergence_refuses_a_time_off_the_coarsest_grid():
+    # t = 0.1 is no level of h = 1/16: rounding it to each grid would compare
+    # t = 0.125, 0.094, 0.094 and 0.102; a level of the coarsest grid is one of all
+    h_list = [1 / 16, 1 / 32, 1 / 64, 1 / 128]
+    with pytest.raises(ValueError, match="t_check=0.1 is not a level of the coarsest grid"):
+        convergence_study(velocity_bump(1.0), None, h_list, t_check=0.1)
+    assert convergence_study(velocity_bump(1.0), None, h_list, t_check=0.125).order is not None
 
 
 def test_blowup_time_stable_under_refinement():

@@ -181,7 +181,8 @@ def scaled(data, radius):
 def test_linear_decay_reads_the_march_free_part(data, m):
     # the check and a linear march share one free-wave reader: the same level
     # maxima, bit for bit, on every m-th node (h = 1/(8m)) of the band of
-    # half-width floor(8R)/8, the axis included where the band reaches it
+    # half-width floor(8R)/8, the axis included where the band reaches it and
+    # weighed with the rest of the band in one array call
     report = linear_decay_check(data, horizon=10.0)
     h = 0.125 / m
     run = march(data, None, CharacteristicGrid.cover(h, 10.0, data.support_radius))
@@ -191,10 +192,7 @@ def test_linear_decay_reads_the_march_free_part(data, m):
         i = run.level_index(t)
         band = (np.abs(nodes - i) <= half_band) & (nodes % m == 0)
         level, r = run.field[i, band], run.radii[band]
-        weighted = _cone_weight(t, r[r > 0.0]) * np.abs(level[r > 0.0])
-        if r[0] == 0.0:  # the axis weight is a scalar in the check, as here
-            weighted = np.append(weighted, _cone_weight(t, 0.0) * abs(level[0]))
-        assert level_max == np.max(weighted)
+        assert level_max == np.max(_cone_weight(t, r) * np.abs(level))
 
 
 def test_linear_decay_velocity_near_oracle():
