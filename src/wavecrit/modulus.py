@@ -6,7 +6,8 @@ mu(0) = 0 that multiplies the critical power nonlinearity.  Six closed-form
 families are supported; the log-type ones are defined near zero only and
 can be continued monotonically to [0, inf) when a solver needs large
 arguments.  ``mu_power`` is the one evaluation of mu: it gives |u|^p mu(|u|)
-in log space, the solver's forcing, and ``mu_eval`` is it at p = 0.  The
+in log space, the solver's forcing, and ``mu_eval`` is it at p = 0;
+``past_tau0`` is its one refusal rule, judged on the largest argument.  The
 quantity that separates the blow-up families from the
 global-existence ones is the small-argument limit of
 
@@ -289,26 +290,38 @@ def _bridge_eval(spec: ModulusSpec, tau: np.ndarray) -> np.ndarray:
     return out
 
 
-def _past_tau0(spec: ModulusSpec, arr: np.ndarray) -> bool:
-    """Whether some entry of ``arr`` takes LogPower's continuation; refuses
-    negative and NaN entries, and entries past tau0 of the other log types."""
-    if arr.size and not arr.min() >= 0.0:  # refuses nan too
+def past_tau0(spec: ModulusSpec, peak: float) -> bool:
+    """Whether arguments of mu as large as ``peak`` take LogPower's
+    continuation past tau0: the forcing's one refusal rule.  A negative or
+    NaN peak is refused, and so is a peak past tau0 of the other log types,
+    or of LogPower when its bridge is not increasing.  ``mu_power`` judges
+    its arguments by it, ``march`` each level by the peak of its cap check
+    and a lifespan ladder each rung by its own peak."""
+    if not peak >= 0.0:  # refuses nan too
         raise ValueError("mu is defined for non-negative arguments only")
-    if isinstance(spec.family, _GLOBAL_DOMAIN) or not (arr.size and arr.max() > spec.tau0):
+    if not peak > spec.tau0 or isinstance(spec.family, _GLOBAL_DOMAIN):
         return False
     if not isinstance(spec.family, LogPower):
         raise ValueError(f"mu argument beyond tau0={spec.tau0:g} needs a continuation")
+    _hermite_bridge(spec)  # refuses a bridge that is not increasing
     return True
 
 
-def mu_power(spec: ModulusSpec, p: float, abs_u: np.ndarray, out=None) -> np.ndarray:
+def mu_power(spec: ModulusSpec, p: float, abs_u: np.ndarray, out=None, peak=None) -> np.ndarray:
     """|u|^p mu(|u|) for ``abs_u`` = |u| (any shape) in log space, exp(log
     mu(-lu) + p lu) with lu = log|u|: the package's one evaluation of mu.
-    It is 0 at |u| = 0 and takes LogPower's continuation past tau0; negative
-    and NaN arguments are refused, and so are arguments past tau0 of the
-    other log types.  Written into ``out`` when given."""
+    It is 0 at |u| = 0 and takes LogPower's continuation past tau0; the
+    arguments ``past_tau0`` refuses are refused.  ``peak`` is the largest
+    entry of a non-negative ``abs_u`` when the caller has taken it;
+    otherwise the least and the largest entry are judged.  Written into
+    ``out`` when given."""
     out = np.empty_like(abs_u) if out is None else out
-    far = _past_tau0(spec, abs_u)
+    if peak is None:
+        peak = 0.0
+        if abs_u.size:
+            past_tau0(spec, abs_u.min())
+            peak = abs_u.max()
+    far = past_tau0(spec, peak)
     # log 0 is -inf, and past tau0 the near formula (overwritten below) may be nan or overflow
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lu = np.log(abs_u)

@@ -56,20 +56,27 @@ The slow oracles the tests hold the recurrence, the forcing and the free
 part to live in ``tests/oracles.py``.
 
 Blow-up is detected by a cap on the sup norm: marching stops at the first
-level whose max exceeds the cap or goes non-finite.
+level whose max exceeds the cap or goes non-finite.  That max also judges
+the next level's forcing by ``modulus.past_tau0``, so a level is reduced
+once.  There is one level loop: ``march`` runs it on a 1-D state and stores
+the field; ``lifespan_sweep`` runs every amplitude of a ladder as a column
+of one (nodes x rungs) state, stores no field and drops a rung's column
+when it stops, so a ladder pays the fixed cost per level once, not once
+per rung: its numpy calls are those of its longest rung alone.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .exponents import strauss_exponent
-from .modulus import ModulusSpec, mu_power
+from .modulus import ModulusSpec, mu_power, past_tau0
 
 DEFAULT_CAP = 1e6
 
@@ -242,23 +249,46 @@ class FreeWave:
     nodes, constant past the last one; the feet i - j are read from reversed
     copies, so every read is a forward slice.  ``u0`` holds the u0 samples on h n,
     n = 0..t_levels + r_nodes, ``r`` the radial nodes and ``axis`` the limit
-    v(t_i, 0) = eps (u0(t) + t u0'(t) + t u1(t)) on every level.
+    v(t_i, 0) = eps (u0(t) + t u0'(t) + t u1(t)) on every level.  A lifespan
+    ladder stacks one wave per amplitude: its tables and ``axis`` gain a
+    trailing rung axis, each rung's entries bit for bit those of its own
+    wave.
     """
 
     def __init__(self, data: RadialData, grid: CharacteristicGrid):
+        self._build(data, grid, data.amplitude)
+
+    @classmethod
+    def _ladder(cls, data: RadialData, grid: CharacteristicGrid, amplitudes: np.ndarray):
+        wave = cls.__new__(cls)
+        wave._build(data, grid, amplitudes)
+        return wave
+
+    def _build(self, data, grid, eps):
         _validate_data(data, grid)
-        h, nt, nr, eps = grid.h, grid.t_levels, grid.r_nodes, data.amplitude
+        h, nt, nr = grid.h, grid.t_levels, grid.r_nodes
+
+        def col(x):  # a value per node, against tables with one column per rung
+            return x[:, None] if np.ndim(eps) else x
+
         self.grid = grid
         self.u0 = data.u0(h * np.arange(nt + nr + 1))
         t = h * np.arange(nt + 1)
-        self.axis = eps * (data.u0(t) + t * data.u0_prime(t) + t * data.u1(t))
+        self.axis = np.multiply.outer(data.u0(t) + t * data.u0_prime(t) + t * data.u1(t), eps)
         feet = np.arange(-(nr - 1), nt + nr)
-        self._p = (h * feet) * (eps * self.u0[np.abs(feet)])
+        self._p = col(h * feet) * np.multiply.outer(self.u0[np.abs(feet)], eps)
         self.r = h * np.arange(nr)
-        vals = 0.5 * self.r * eps * data.u1(self.r)
-        q1 = np.concatenate([[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(self.r))])
+        self._r = col(self.r)
+        vals = np.multiply.outer(0.5 * self.r, eps) * col(data.u1(self.r))
+        q1 = np.zeros_like(vals)
+        np.cumsum(0.5 * (vals[1:] + vals[:-1]) * col(np.diff(self.r)), axis=0, out=q1[1:])
         self._q = q1[np.minimum(np.abs(feet), nr - 1)]
         self._p_rev, self._q_rev = self._p[::-1].copy(), self._q[::-1].copy()
+
+    def _keep(self, keep: np.ndarray) -> None:
+        """Keeps the waves of a ladder's rungs ``keep`` only, in the tables' own memory."""
+        self._p, self._q, self._p_rev, self._q_rev, self.axis = (
+            _columns(table, keep) for table in (self._p, self._q, self._p_rev, self._q_rev, self.axis))
 
     def level(self, i: int, lo: int, stop: int, step: int = 1, out=None) -> np.ndarray:
         """v(t_i, r_j) on the nodes j = lo, lo + step, ... < stop off the axis,
@@ -266,8 +296,9 @@ class FreeWave:
 
             v = (P(t+r) - P(t-r)) / (2 r) + (Q1(|t+r|) - Q1(|t-r|)) / r,
 
-        the one free-wave formula of the package.  Written into ``out`` when
-        given; a level or node range off the grid is refused.
+        the one free-wave formula of the package, for every rung of a ladder.
+        Written into ``out`` when given; a level or node range off the grid
+        is refused.
         """
         nt, nr = self.grid.t_levels, self.grid.r_nodes
         if not (0 <= i <= nt and 1 <= lo and stop <= nr):
@@ -275,7 +306,7 @@ class FreeWave:
                              f"has levels 0..{nt} and off-axis nodes 1..{nr - 1}")
         plus = slice(nr - 1 + i + lo, nr - 1 + i + stop, step)
         minus = slice(nt + nr - 1 - i + lo, nt + nr - 1 - i + stop, step)
-        r = self.r[lo:stop:step]
+        r = self._r[lo:stop:step]
         out = np.subtract(self._p[plus], self._p_rev[minus], out=out)
         out *= 0.5
         out /= r
@@ -296,85 +327,154 @@ def march(
     ``spec=None`` disables the nonlinearity (linear probe mode).  Levels
     are filled in increasing time; the run stops early with status
     "blew_up" at the first level whose max modulus exceeds ``cap`` or is
-    not finite; ``cap = inf`` stops on a non-finite level only.
+    not finite; ``cap = inf`` stops on a non-finite level only.  A forcing
+    argument ``modulus.past_tau0`` refuses is raised.
     """
     if not cap > 0.0:
         raise ValueError(f"cap must be positive, got {cap}")
     free = FreeWave(data, grid)
-    h = grid.h
-    nr = grid.r_nodes
-    nt = grid.t_levels
-    p = strauss_exponent(3)
-    r = free.r
-    reach = cone_edge(grid, data, 0)  # half-width of the Huygens band, in nodes
-
-    field = np.empty((nt + 1, nr))
-    field[0] = data.amplitude * free.u0[:nr]
-    status, t_detect = "completed", None
-
-    # rlu and rlu_prev hold W_{i-1} and W_{i-2} (W = r Lu) on nodes 0..nr; W = 0 on the axis
-    # (node 0) and past the cone edge, where nothing is written (node nr is a ghost); q is the
-    # prefix of the newest level, read up to one node past the edge, where it is constant
-    rlu = np.zeros(nr + 1)
-    rlu_prev = np.zeros(nr + 1)
-    q = np.zeros(nr + 1)
-    axis = np.zeros(nt + 1)  # axis[i] = sum over k < i of w_k (i-k) h g_k[i-k]
-    half_r = 0.5 * r
-    abs_level = np.abs(field[0])
-    g = np.zeros(nr)  # the forcing; it stays 0 in linear mode
-    work = np.empty(nr)
-    trap = np.empty(nr - 1)
-    # |u| past ~4.8e127 overflows |u|^p: the non-finite level is the stop "blew_up"
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, nt + 1):
-            e = cone_edge(grid, data, i)  # nodes 0..e of level i; u = 0 past e
-            n = e + 1
-            # level i - 1 joins the history with trapezoid weight w_{i-1}
-            if spec is not None:
-                mu_power(spec, p, abs_level[:n], out=g[:n])
-            np.multiply(half_r[:n], g[:n], out=work[:n])
-            tr = np.add(work[1:n], work[:e], out=trap[:e])
-            tr *= 0.5
-            tr *= h
-            tr.cumsum(out=q[1:n])
-            q[n] = q[e]
-            weight = 0.5 * h if i == 1 else h
-            m_top = min(nt - (i - 1), e)
-            tail = np.multiply(r[1:m_top + 1], weight, out=work[:m_top])  # w m h
-            tail *= g[1:m_top + 1]
-            axis[i:i + m_top] += tail
-
-            # W_i overwrites W_{i-2}
-            w = np.add(rlu[:e], rlu[2:n + 1], out=work[1:n])
-            np.subtract(w, rlu_prev[1:n], out=rlu_prev[1:n])
-            step = np.subtract(q[2:n + 1], q[:e], out=w)
-            step *= weight
-            rlu_prev[1:n] += step
-            rlu_prev, rlu = rlu, rlu_prev
-
-            # v on the Huygens band, nodes lo..e
-            level = field[i]
-            lo = max(1, i - reach)
-            level[1:lo] = level[n:] = 0.0  # v = 0 off the band, u = 0 past the cone
-            free.level(i, lo, n, out=level[lo:n])
-            level[0] = free.axis[i] + axis[i]
-            level[1:n] += np.divide(rlu[1:n], r[1:n], out=w)
-
-            np.abs(level[:n], out=abs_level[:n])  # the cap check and the next forcing
-            peak = abs_level[:n].max()
-            if not math.isfinite(peak) or peak > cap:
-                status = "blew_up"
-                t_detect = i * h
-                break
-
+    field = np.empty((grid.t_levels + 1, grid.r_nodes))
+    field[0] = data.amplitude * free.u0[:grid.r_nodes]
+    stops = _march_levels(free, spec, data, cap, field)
+    status, last = stops.get(0, ("completed", grid.t_levels))
     return SolutionRun(
         grid=grid,
         data=data,
         spec=spec,
-        field=field[:i + 1],  # i is the last level filled
+        field=field[:last + 1],  # the last level filled
         status=status,
-        t_detect=t_detect,
+        t_detect=last * grid.h if status == "blew_up" else None,
     )
+
+
+def _march_levels(free, spec, data, cap, field) -> dict:
+    """Levels 1..t_levels of the march: the package's one level update.
+
+    One run when ``free`` is one wave: ``field`` holds level 0 and level i
+    is written to field[i].  A ladder when ``free`` stacks one wave per
+    rung: ``field`` holds level 0 with one column per rung and serves as
+    the level buffer, so no field is stored.  Returns {row: (status,
+    level)} for the rows that stopped: ("blew_up", i) at the first level
+    i >= 1 whose max modulus exceeds ``cap`` or is not finite, and for a
+    ladder's rung whose forcing ``past_tau0`` refuses ("failed: ...",
+    None); one run raises that refusal.  A stopped rung leaves the state.
+    """
+    grid = free.grid
+    h, nt, nr = grid.h, grid.t_levels, grid.r_nodes
+    p = strauss_exponent(3)
+    r = free._r  # the radial nodes, a column against a ladder's state
+    reach = cone_edge(grid, data, 0)  # half-width of the Huygens band, in nodes
+    one = free.axis.ndim == 1
+    rungs = free.axis.shape[1:]  # () for one run, (rungs,) for a ladder
+    ids = None if one else np.arange(rungs[0])  # the rungs still marching
+    limit = min(cap, sys.float_info.max)  # peak <= limit is False past the cap, at inf and at nan
+    stops = {}
+
+    # rlu and rlu_prev hold W_{i-1} and W_{i-2} (W = r Lu) on nodes 0..nr; W = 0 on the axis
+    # (node 0) and past the cone edge, where nothing is written (node nr is a ghost); q is the
+    # prefix of the newest level, read up to one node past the edge, where it is constant.
+    # Every state array is indexed by node first, so x[a:b] is nodes a..b-1 of every rung
+    rlu = np.zeros((nr + 1,) + rungs)
+    rlu_prev = np.zeros((nr + 1,) + rungs)
+    q = np.zeros((nr + 1,) + rungs)
+    axis = np.zeros((nt + 1,) + rungs)  # axis[i] = sum over k < i of w_k (i-k) h g_k[i-k]
+    half_r = 0.5 * r
+    abs_level = np.abs(field[0]) if one else np.abs(field, out=field)
+    g = np.zeros((nr,) + rungs)  # the forcing; it stays 0 in linear mode
+    work = np.empty((nr,) + rungs)
+    trap = np.empty((nr - 1,) + rungs)
+    n = cone_edge(grid, data, 1) + 1  # the nodes of level 0 that level 1 forces
+    # |u| past ~4.8e127 overflows |u|^p: the non-finite level is the stop "blew_up"
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(nt + 1):
+            if i:
+                e = cone_edge(grid, data, i)  # nodes 0..e of level i; u = 0 past e
+                n = e + 1
+                # level i - 1 joins the history with trapezoid weight w_{i-1}
+                if spec is not None:
+                    mu_power(spec, p, abs_level[:n], out=g[:n], peak=peak)
+                np.multiply(half_r[:n], g[:n], out=work[:n])
+                tr = np.add(work[1:n], work[:e], out=trap[:e])
+                tr *= 0.5
+                tr *= h
+                tr.cumsum(axis=0, out=q[1:n])
+                q[n] = q[e]
+                weight = 0.5 * h if i == 1 else h
+                m_top = min(nt - (i - 1), e)
+                tail = np.multiply(r[1:m_top + 1], weight, out=work[:m_top])  # w m h
+                tail *= g[1:m_top + 1]
+                axis[i:i + m_top] += tail
+
+                # W_i overwrites W_{i-2}
+                w = np.add(rlu[:e], rlu[2:n + 1], out=work[1:n])
+                np.subtract(w, rlu_prev[1:n], out=rlu_prev[1:n])
+                step = np.subtract(q[2:n + 1], q[:e], out=w)
+                step *= weight
+                rlu_prev[1:n] += step
+                rlu_prev, rlu = rlu, rlu_prev
+
+                # v on the Huygens band, nodes lo..e
+                level = field[i] if one else abs_level
+                lo = max(1, i - reach)
+                level[1:lo] = level[n:] = 0.0  # v = 0 off the band, u = 0 past the cone
+                free.level(i, lo, n, out=level[lo:n])
+                level[0] = free.axis[i] + axis[i]
+                level[1:n] += np.divide(rlu[1:n], r[1:n], out=w)
+
+                np.abs(level[:n], out=abs_level[:n])  # the cap check and the next forcing
+            peak = abs_level[:n].max(axis=0)
+            if one:
+                if i and not peak <= limit:
+                    stops[0] = ("blew_up", i)
+                    break
+                continue
+            go, peak = _rungs_going_on(spec, peak, limit, i, nt, ids, stops)
+            if not go.all():
+                keep = np.flatnonzero(go)
+                if not keep.size:
+                    break
+                ids = ids[keep]
+                rlu, rlu_prev, q, axis, abs_level, g, work, trap = (
+                    _columns(a, keep) for a in (rlu, rlu_prev, q, axis, abs_level, g, work, trap))
+                free._keep(keep)
+    return stops
+
+
+def _columns(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The columns ``keep`` of the C-contiguous 2-D ``a``, moved to the front
+    of its memory as one C-contiguous array: a ladder sheds a stopped rung
+    without a second copy of its state."""
+    kept = a.take(keep, axis=1)
+    out = a.reshape(-1)[:kept.size].reshape(kept.shape)
+    out[...] = kept
+    return out
+
+
+def _rungs_going_on(spec, peaks, limit, i, nt, ids, stops):
+    """Which rungs of a ladder go on past level i, whose peaks are ``peaks``,
+    and the largest peak among them, for the forcing.
+
+    A rung stops where a march of it alone would: first at the cap check
+    (levels >= 1), recorded as ("blew_up", i); then, on every level but the
+    last, which is never forced, at a peak ``past_tau0`` refuses, recorded
+    as ("failed: ...", None).
+    """
+    go = peaks <= limit if i else np.full(peaks.shape, True)
+    for j in np.flatnonzero(~go):
+        stops[int(ids[j])] = ("blew_up", i)
+    top = peaks.max(where=go, initial=0.0)
+    if spec is not None and i < nt:
+        try:  # the rule refuses the largest peak, or a nan, whenever it refuses any
+            past_tau0(spec, top)
+        except ValueError:
+            for j in np.flatnonzero(go):
+                try:
+                    past_tau0(spec, peaks[j])
+                except ValueError as exc:
+                    go[j] = False
+                    stops[int(ids[j])] = (f"failed: {exc}", None)
+            top = peaks.max(where=go, initial=0.0)
+    return go, top
 
 
 @dataclass(frozen=True)
@@ -391,23 +491,26 @@ def lifespan_sweep(
     grid: CharacteristicGrid,
     cap: float = DEFAULT_CAP,
 ) -> list:
-    """One march per amplitude; rows report detection time or completion.
+    """One row per amplitude: its detection time, or completion.
 
-    Errors every rung shares (amplitudes, cap, grid, data) are raised before
-    the first march; an error of one rung alone, such as a modulus argument
-    past tau0, becomes that rung's "failed: ..." row.
+    The rungs march as the columns of one (nodes x rungs) state, through
+    ``march``'s level loop, and no field is stored.  Errors every rung shares (amplitudes,
+    cap, grid, data) are raised before the first level; a rung whose
+    forcing argument ``modulus.past_tau0`` refuses (a modulus argument
+    past tau0) becomes that rung's "failed: ..." row, and the other rungs
+    go on.  Every row is the one a march of its amplitude alone gives.
     """
     epsilons = list(epsilons)
     if not (cap > 0.0 and all(0.0 < eps < math.inf for eps in epsilons)):
         raise ValueError("lifespans need positive finite amplitudes and a positive cap")
-    _validate_data(data_template, grid)  # the amplitude does not enter it
+    amplitudes = np.array(epsilons, dtype=float)
+    free = FreeWave._ladder(data_template, grid, amplitudes)  # checks the data once, for every rung
+    levels = np.multiply.outer(free.u0[:grid.r_nodes], amplitudes)
+    stops = _march_levels(free, spec, data_template, cap, levels) if epsilons else {}
     rows = []
-    for eps in epsilons:
-        try:
-            run = march(replace(data_template, amplitude=eps), spec, grid, cap=cap)
-            rows.append(LifespanRow(float(eps), run.t_detect, run.status))
-        except (ValueError, FloatingPointError) as exc:
-            rows.append(LifespanRow(float(eps), None, f"failed: {exc}"))
+    for j, eps in enumerate(epsilons):
+        status, level = stops.get(j, ("completed", None))
+        rows.append(LifespanRow(float(eps), None if level is None else level * grid.h, status))
     return rows
 
 

@@ -25,6 +25,7 @@ from wavecrit.modulus import (
 from wavecrit.solver import (
     CharacteristicGrid,
     FreeWave,
+    LifespanRow,
     RadialData,
     convergence_study,
     default_bump,
@@ -465,6 +466,8 @@ def test_forcing_matches_the_direct_formula(name, data):
     got = mu_power(spec, P3, abs_u)
     out = np.full_like(abs_u, np.nan)
     assert mu_power(spec, P3, abs_u, out=out) is out and np.array_equal(out, got)
+    # the march hands in the peak its cap check took, in place of the reductions
+    assert np.array_equal(mu_power(spec, P3, abs_u, peak=abs_u.max()), got)
     zero = want == 0.0
     assert np.array_equal(zero, abs_u == 0.0)
     assert np.all(got[zero] == 0.0) and not np.any(np.signbit(got[zero]))
@@ -523,7 +526,7 @@ def test_lifespan_global_family_reaches_horizon():
 
 def test_lifespan_input_errors_are_raised_not_rows():
     # a grid that does not resolve the support fails every rung alike: raised
-    # once, before the first march; an error of one rung alone stays its row
+    # once, before any rung marches; an error of one rung alone stays its row
     spec = make_spec(LogPower(0.2, 10.0))
     with pytest.raises(ValueError, match="does not resolve the support"):
         lifespan_sweep(default_bump(1.0), spec, [2.0, 3.0],
@@ -541,6 +544,94 @@ def test_lifespan_rejects_nonpositive_amplitude(eps):
     grid = CharacteristicGrid.cover(0.05, 1.0, 1.0)
     with pytest.raises(ValueError):
         lifespan_sweep(default_bump(1.0), spec, [eps], grid)
+
+
+# differential: the batched ladder against one march per amplitude, each
+# rung's row built as lifespans were built before the rungs shared a march
+ITERATED = ("iterlog", "doublelog", "triplelog")
+
+
+def one_rung_row(data, spec, eps, grid, cap=1e6):
+    try:
+        run = march(replace(data, amplitude=eps), spec, grid, cap=cap)
+    except ValueError as exc:
+        return LifespanRow(float(eps), None, f"failed: {exc}")
+    return LifespanRow(float(eps), run.t_detect, run.status)
+
+
+def assert_rows_are_one_rung_marches(data, spec, ladder, grid, cap=1e6):
+    rows = lifespan_sweep(data, spec, ladder, grid, cap=cap)
+    assert rows == [one_rung_row(data, spec, eps, grid, cap) for eps in ladder]
+    return [row.status.split(":")[0] for row in rows]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_ladder_rows_equal_one_rung_marches(data):
+    # the iterated-log families take amplitudes around their tau0, so their
+    # ladders straddle it; a cap near the amplitudes stops rungs at level 1
+    name = data.draw(st.sampled_from(sorted(set(CONE_SPECS) - {"linear"})))
+    spec = CONE_SPECS[name]
+    scale = spec.tau0 if name in ITERATED else 1.0
+    amplitude = st.floats(-2.0, 1.1).map(lambda k: scale * 10.0 ** k)
+    ladder = data.draw(st.lists(amplitude, min_size=1, max_size=6))
+    ladder = data.draw(st.permutations(ladder + data.draw(st.lists(st.sampled_from(ladder),
+                                                                   max_size=3))))
+    cap = data.draw(st.one_of(st.just(math.inf), st.floats(-0.5, 6.0).map(lambda k: scale * 10.0 ** k)))
+    datum = data.draw(st.sampled_from([default_bump, velocity_bump]))(1.0)
+    grid = CharacteristicGrid.cover(data.draw(st.sampled_from([0.05, 1 / 16])),
+                                    data.draw(st.floats(0.5, 3.0)), 1.0)
+    assert_rows_are_one_rung_marches(datum, spec, ladder, grid, cap)
+
+
+@pytest.mark.parametrize("name", ITERATED)
+def test_ladder_straddling_tau0_refuses_only_its_rungs_past_it(name):
+    # rungs from far below to far above tau0; velocity data start at 0, so
+    # their rungs pass tau0 at a later level, while the others march on
+    spec = CONE_SPECS[name]
+    ladder = [spec.tau0 * f for f in (0.01, 3.0, 0.5, 30.0, 0.01, 300.0, 3.0)]
+    grid = CharacteristicGrid.cover(0.05, 2.0, 1.0)
+    for datum in (default_bump(1.0), velocity_bump(1.0)):
+        statuses = assert_rows_are_one_rung_marches(datum, spec, ladder, grid)
+        assert statuses[0] == "completed" and statuses[3] == "failed", statuses
+
+
+def velocity_rung_passing_tau0(spec, h=0.05):
+    """A velocity-data amplitude whose peak rises to twice tau0, and the
+    first level k whose peak passes tau0, with every earlier level at or
+    below it."""
+    grid = CharacteristicGrid.cover(h, 2.0, 1.0)
+    eps = 2.0 * spec.tau0 / np.max(np.abs(march(velocity_bump(1.0), None, grid).field))
+    peaks = np.max(np.abs(march(velocity_bump(eps), None, grid).field), axis=1)
+    k = int(np.argmax(peaks > spec.tau0))
+    assert k >= 2 and peaks[k] > spec.tau0 >= np.max(peaks[:k])
+    return eps, k
+
+
+@pytest.mark.parametrize("name", ITERATED)
+def test_ladder_stops_where_a_one_rung_march_stops(name):
+    spec, h = CONE_SPECS[name], 0.05
+    eps, k = velocity_rung_passing_tau0(spec, h)
+    below = 0.1 * eps  # a rung that completes beside the others
+    # the last level is never forced: a rung whose last level passes tau0 completes
+    last = CharacteristicGrid.cover(h, k * h, 1.0)
+    run = march(velocity_bump(eps), spec, last)
+    assert run.status == "completed" and np.max(np.abs(run.field[-1])) > spec.tau0
+    assert assert_rows_are_one_rung_marches(velocity_bump(1.0), spec, [eps, below], last) == [
+        "completed", "completed"]
+    # one level more and that level is forced: the rung fails, its neighbour goes on
+    longer = CharacteristicGrid.cover(h, (k + 1) * h, 1.0)
+    assert assert_rows_are_one_rung_marches(velocity_bump(1.0), spec, [eps, below], longer) == [
+        "failed", "completed"]
+    # the cap check comes first: crossing the cap at the level that passes tau0 is a blow-up
+    rows = lifespan_sweep(velocity_bump(1.0), spec, [eps, below], longer, cap=spec.tau0)
+    assert rows[0] == LifespanRow(eps, k * h, "blew_up") == one_rung_row(
+        velocity_bump(1.0), spec, eps, longer, cap=spec.tau0)
+    assert rows[1].status == "completed"
+    # a rung with eps > tau0 fails at level 1: on a grid of one level already
+    one_level = CharacteristicGrid(h=h, t_levels=1, r_nodes=CharacteristicGrid.cover(h, h, 1.0).r_nodes)
+    assert assert_rows_are_one_rung_marches(default_bump(1.0), spec, [0.5 * spec.tau0, eps],
+                                            one_level) == ["completed", "failed"]
 
 
 # ------------------------------------------------------------- convergence
