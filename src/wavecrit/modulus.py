@@ -278,10 +278,11 @@ def _hermite_bridge(spec: ModulusSpec):
     return a, b - a, v0, m0, 3.0 * (v1 - v0) - 2.0 * m0 - m1, 2.0 * (v0 - v1) + m0 + m1
 
 
-def _bridge_eval(spec: ModulusSpec, tau: np.ndarray) -> np.ndarray:
-    """LogPower's mu on an array of arguments past tau0: the bridge cubic,
-    in Horner form, below 3 and cl*(log tau)**gamma from 3 on."""
-    a, w, c0, c1, c2, c3 = _hermite_bridge(spec)
+def _bridge_eval(spec: ModulusSpec, bridge: tuple, tau: np.ndarray) -> np.ndarray:
+    """LogPower's mu on an array of arguments past tau0: the ``bridge`` cubic
+    ``past_tau0`` returned, in Horner form, below 3 and cl*(log tau)**gamma
+    from 3 on."""
+    a, w, c0, c1, c2, c3 = bridge
     s = (np.minimum(tau, 3.0) - a) / w  # s <= 1: the cubic stays finite where the top takes over
     out = ((c3 * s + c2) * s + c1) * s + c0
     top = tau >= 3.0
@@ -290,21 +291,21 @@ def _bridge_eval(spec: ModulusSpec, tau: np.ndarray) -> np.ndarray:
     return out
 
 
-def past_tau0(spec: ModulusSpec, peak: float) -> bool:
-    """Whether arguments of mu as large as ``peak`` take LogPower's
-    continuation past tau0: the forcing's one refusal rule.  A negative or
-    NaN peak is refused, and so is a peak past tau0 of the other log types,
-    or of LogPower when its bridge is not increasing.  ``mu_power`` judges
-    its arguments by it, ``march`` each level by the peak of its cap check
-    and a lifespan ladder each rung by its own peak."""
+def past_tau0(spec: ModulusSpec, peak: float):
+    """LogPower's bridge coefficients when arguments of mu as large as
+    ``peak`` take its continuation past tau0, None when none does: the
+    forcing's one refusal rule.  A negative or NaN peak is refused, and so
+    is a peak past tau0 of the other log types, or of LogPower when its
+    bridge is not increasing.  ``mu_power`` judges its arguments by it, a
+    march each level by the peak of its cap check and, when that is
+    refused, each rung by its own peak."""
     if not peak >= 0.0:  # refuses nan too
         raise ValueError("mu is defined for non-negative arguments only")
     if not peak > spec.tau0 or isinstance(spec.family, _GLOBAL_DOMAIN):
-        return False
+        return None
     if not isinstance(spec.family, LogPower):
         raise ValueError(f"mu argument beyond tau0={spec.tau0:g} needs a continuation")
-    _hermite_bridge(spec)  # refuses a bridge that is not increasing
-    return True
+    return _hermite_bridge(spec)  # refuses a bridge that is not increasing
 
 
 def mu_power(spec: ModulusSpec, p: float, abs_u: np.ndarray, out=None, peak=None) -> np.ndarray:
@@ -321,7 +322,7 @@ def mu_power(spec: ModulusSpec, p: float, abs_u: np.ndarray, out=None, peak=None
         if abs_u.size:
             past_tau0(spec, abs_u.min())
             peak = abs_u.max()
-    far = past_tau0(spec, peak)
+    bridge = past_tau0(spec, peak)
     # log 0 is -inf, and past tau0 the near formula (overwritten below) may be nan or overflow
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lu = np.log(abs_u)
@@ -331,9 +332,9 @@ def mu_power(spec: ModulusSpec, p: float, abs_u: np.ndarray, out=None, peak=None
         np.exp(log_mu, out=out)
     if isinstance(spec.family, _ITERATED_LOG):
         out[abs_u == 0.0] = 0.0  # their formula reads -inf + inf there
-    if far:
+    if bridge is not None:
         past = abs_u > spec.tau0
-        out[past] = abs_u[past] ** p * _bridge_eval(spec, abs_u[past])
+        out[past] = abs_u[past] ** p * _bridge_eval(spec, bridge, abs_u[past])
     return out
 
 

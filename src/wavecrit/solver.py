@@ -58,11 +58,13 @@ part to live in ``tests/oracles.py``.
 Blow-up is detected by a cap on the sup norm: marching stops at the first
 level whose max exceeds the cap or goes non-finite.  That max also judges
 the next level's forcing by ``modulus.past_tau0``, so a level is reduced
-once.  There is one level loop: ``march`` runs it on a 1-D state and stores
-the field; ``lifespan_sweep`` runs every amplitude of a ladder as a column
-of one (nodes x rungs) state, stores no field and drops a rung's column
-when it stops, so a ladder pays the fixed cost per level once, not once
-per rung: its numpy calls are those of its longest rung alone.
+once.  There is one level loop, and a march is a ladder of one rung: the
+state has shape (nodes,) + shape(eps), 1-D for ``march``'s amplitude,
+which stores the field, and (nodes x rungs) for ``lifespan_sweep``'s
+ladder, which stores none.  Only when the max stops the level are the
+rungs judged one at a time, and a rung that stops leaves the state, so a
+ladder pays the fixed cost per level once, not once per rung: its numpy
+calls are those of its longest rung alone.
 """
 
 from __future__ import annotations
@@ -140,8 +142,7 @@ class CharacteristicGrid:
 
     ``r_nodes`` must cover the forward light cone of the data support at
     the last stored level: (r_nodes - 1) h >= support + t_levels h.  A grid
-    whose stored field, (t_levels + 1) r_nodes doubles, exceeds physical
-    memory is refused before anything is allocated.
+    stores nothing: what a march on it allocates is judged by the march.
     """
 
     h: float
@@ -151,13 +152,6 @@ class CharacteristicGrid:
     def __post_init__(self):
         if self.h <= 0.0 or self.t_levels < 1 or self.r_nodes < 2:
             raise ValueError("need h > 0, t_levels >= 1, r_nodes >= 2")
-        field_bytes = (self.t_levels + 1) * self.r_nodes * 8
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if field_bytes > memory:
-            raise ValueError(
-                f"grid of {self.t_levels + 1} x {self.r_nodes} levels stores "
-                f"{field_bytes} bytes, more than the {memory} bytes of physical memory"
-            )
 
     @classmethod
     def cover(cls, h: float, horizon: float, support_radius: float) -> "CharacteristicGrid":
@@ -238,6 +232,18 @@ def _validate_data(data: RadialData, grid: CharacteristicGrid):
         raise ValueError(f"data do not vanish beyond the support at r={probe[1:][outside][0]:g}")
 
 
+def _refuse_beyond_memory(grid: CharacteristicGrid, rungs: int, stored_levels: int) -> None:
+    """Refuses, before anything is allocated, a march whose stored levels
+    and the four foot tables of its ``rungs`` free waves exceed physical
+    memory."""
+    nt, nr = grid.t_levels, grid.r_nodes
+    nbytes = 8 * (stored_levels * nr + 4 * (nt + 2 * nr - 1) * rungs)
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > memory:
+        raise ValueError(f"a march of {nt + 1} x {nr} levels allocates {nbytes} bytes, "
+                         f"more than the {memory} bytes of physical memory")
+
+
 class FreeWave:
     """The free wave v of ``data`` on the lattice of ``grid``, built once;
     data ``march`` refuses are refused.
@@ -249,24 +255,16 @@ class FreeWave:
     nodes, constant past the last one; the feet i - j are read from reversed
     copies, so every read is a forward slice.  ``u0`` holds the u0 samples on h n,
     n = 0..t_levels + r_nodes, ``r`` the radial nodes and ``axis`` the limit
-    v(t_i, 0) = eps (u0(t) + t u0'(t) + t u1(t)) on every level.  A lifespan
-    ladder stacks one wave per amplitude: its tables and ``axis`` gain a
-    trailing rung axis, each rung's entries bit for bit those of its own
-    wave.
+    v(t_i, 0) = eps (u0(t) + t u0'(t) + t u1(t)) on every level.  ``eps``
+    is the data's amplitude, or a lifespan ladder's vector of amplitudes:
+    then the tables and ``axis`` gain a trailing rung axis, each rung's
+    entries bit for bit those of its own wave.
     """
 
-    def __init__(self, data: RadialData, grid: CharacteristicGrid):
-        self._build(data, grid, data.amplitude)
-
-    @classmethod
-    def _ladder(cls, data: RadialData, grid: CharacteristicGrid, amplitudes: np.ndarray):
-        wave = cls.__new__(cls)
-        wave._build(data, grid, amplitudes)
-        return wave
-
-    def _build(self, data, grid, eps):
+    def __init__(self, data: RadialData, grid: CharacteristicGrid, eps=None):
         _validate_data(data, grid)
         h, nt, nr = grid.h, grid.t_levels, grid.r_nodes
+        self._eps = eps = data.amplitude if eps is None else eps
 
         def col(x):  # a value per node, against tables with one column per rung
             return x[:, None] if np.ndim(eps) else x
@@ -287,6 +285,7 @@ class FreeWave:
 
     def _keep(self, keep: np.ndarray) -> None:
         """Keeps the waves of a ladder's rungs ``keep`` only, in the tables' own memory."""
+        self._eps = self._eps[keep]
         self._p, self._q, self._p_rev, self._q_rev, self.axis = (
             _columns(table, keep) for table in (self._p, self._q, self._p_rev, self._q_rev, self.axis))
 
@@ -322,21 +321,24 @@ def march(
     grid: CharacteristicGrid,
     cap: float = DEFAULT_CAP,
 ) -> SolutionRun:
-    """Causal characteristic marching of the integral equation.
+    """Causal characteristic marching of the integral equation: a ladder of
+    one rung, the data's amplitude, whose levels are stored.
 
     ``spec=None`` disables the nonlinearity (linear probe mode).  Levels
     are filled in increasing time; the run stops early with status
     "blew_up" at the first level whose max modulus exceeds ``cap`` or is
     not finite; ``cap = inf`` stops on a non-finite level only.  A forcing
-    argument ``modulus.past_tau0`` refuses is raised.
+    argument ``modulus.past_tau0`` refuses is raised, and so is a grid
+    whose field and foot tables exceed physical memory.
     """
     if not cap > 0.0:
         raise ValueError(f"cap must be positive, got {cap}")
+    _refuse_beyond_memory(grid, 1, grid.t_levels + 1)
     free = FreeWave(data, grid)
     field = np.empty((grid.t_levels + 1, grid.r_nodes))
-    field[0] = data.amplitude * free.u0[:grid.r_nodes]
-    stops = _march_levels(free, spec, data, cap, field)
-    status, last = stops.get(0, ("completed", grid.t_levels))
+    status, last = _march_levels(free, spec, data, cap, field).get(0, ("completed", grid.t_levels))
+    if isinstance(status, ValueError):
+        raise status
     return SolutionRun(
         grid=grid,
         data=data,
@@ -347,26 +349,25 @@ def march(
     )
 
 
-def _march_levels(free, spec, data, cap, field) -> dict:
-    """Levels 1..t_levels of the march: the package's one level update.
+def _march_levels(free, spec, data, cap, field=None) -> dict:
+    """Levels 0..t_levels of the march of every rung of ``free``: the
+    package's one level update.
 
-    One run when ``free`` is one wave: ``field`` holds level 0 and level i
-    is written to field[i].  A ladder when ``free`` stacks one wave per
-    rung: ``field`` holds level 0 with one column per rung and serves as
-    the level buffer, so no field is stored.  Returns {row: (status,
-    level)} for the rows that stopped: ("blew_up", i) at the first level
-    i >= 1 whose max modulus exceeds ``cap`` or is not finite, and for a
-    ladder's rung whose forcing ``past_tau0`` refuses ("failed: ...",
-    None); one run raises that refusal.  A stopped rung leaves the state.
+    The state holds a value per node and rung, shape (nodes,) + the shape
+    of the wave's amplitude: 1-D for ``march``'s scalar.  Level i is written to
+    field[i] when a ``field`` is given, else to the reused |level| buffer,
+    so no field is stored.  Returns {rung: (status, level)} for the rungs
+    that stopped, each leaving the state: ("blew_up", i) at the first level
+    i >= 1 whose max modulus exceeds ``cap`` or is not finite, and (the
+    ValueError, None) for a rung whose next forcing ``past_tau0`` refuses.
     """
     grid = free.grid
     h, nt, nr = grid.h, grid.t_levels, grid.r_nodes
     p = strauss_exponent(3)
     r = free._r  # the radial nodes, a column against a ladder's state
     reach = cone_edge(grid, data, 0)  # half-width of the Huygens band, in nodes
-    one = free.axis.ndim == 1
-    rungs = free.axis.shape[1:]  # () for one run, (rungs,) for a ladder
-    ids = None if one else np.arange(rungs[0])  # the rungs still marching
+    rungs = np.shape(free._eps)  # () for one amplitude, (rungs,) for a ladder
+    ids = np.arange(np.size(free._eps))  # the rungs still marching
     limit = min(cap, sys.float_info.max)  # peak <= limit is False past the cap, at inf and at nan
     stops = {}
 
@@ -379,20 +380,19 @@ def _march_levels(free, spec, data, cap, field) -> dict:
     q = np.zeros((nr + 1,) + rungs)
     axis = np.zeros((nt + 1,) + rungs)  # axis[i] = sum over k < i of w_k (i-k) h g_k[i-k]
     half_r = 0.5 * r
-    abs_level = np.abs(field[0]) if one else np.abs(field, out=field)
+    abs_level = np.empty((nr,) + rungs)  # |u| on level i, the cap check and the next forcing
+    level = np.multiply.outer(free.u0[:nr], free._eps, out=abs_level if field is None else field[0])
+    np.abs(level, out=abs_level)
     g = np.zeros((nr,) + rungs)  # the forcing; it stays 0 in linear mode
     work = np.empty((nr,) + rungs)
     trap = np.empty((nr - 1,) + rungs)
-    n = cone_edge(grid, data, 1) + 1  # the nodes of level 0 that level 1 forces
+    n = cone_edge(grid, data, 1) + 1  # the nodes of level 1: those level 0 forces
     # |u| past ~4.8e127 overflows |u|^p: the non-finite level is the stop "blew_up"
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(nt + 1):
             if i:
-                e = cone_edge(grid, data, i)  # nodes 0..e of level i; u = 0 past e
-                n = e + 1
+                e = n - 1  # nodes 0..e of level i; u = 0 past e
                 # level i - 1 joins the history with trapezoid weight w_{i-1}
-                if spec is not None:
-                    mu_power(spec, p, abs_level[:n], out=g[:n], peak=peak)
                 np.multiply(half_r[:n], g[:n], out=work[:n])
                 tr = np.add(work[1:n], work[:e], out=trap[:e])
                 tr *= 0.5
@@ -414,29 +414,44 @@ def _march_levels(free, spec, data, cap, field) -> dict:
                 rlu_prev, rlu = rlu, rlu_prev
 
                 # v on the Huygens band, nodes lo..e
-                level = field[i] if one else abs_level
+                level = abs_level if field is None else field[i]
                 lo = max(1, i - reach)
                 level[1:lo] = level[n:] = 0.0  # v = 0 off the band, u = 0 past the cone
                 free.level(i, lo, n, out=level[lo:n])
                 level[0] = free.axis[i] + axis[i]
                 level[1:n] += np.divide(rlu[1:n], r[1:n], out=w)
+                np.abs(level[:n], out=abs_level[:n])
+                n = cone_edge(grid, data, i + 1) + 1  # the nodes of level i + 1; |u| = 0 on node e + 1
 
-                np.abs(level[:n], out=abs_level[:n])  # the cap check and the next forcing
-            peak = abs_level[:n].max(axis=0)
-            if one:
-                if i and not peak <= limit:
-                    stops[0] = ("blew_up", i)
-                    break
-                continue
-            go, peak = _rungs_going_on(spec, peak, limit, i, nt, ids, stops)
-            if not go.all():
-                keep = np.flatnonzero(go)
+            # one reduction judges the cap and the next level's forcing; only when it stops
+            # a rung are the rungs judged one at a time, and the stopped ones leave the state
+            peak = abs_level[:n].max()
+            forced = spec is not None and i < nt  # the last level is never forced
+            stopped = i > 0 and not peak <= limit
+            if forced and not stopped:
+                try:
+                    mu_power(spec, p, abs_level[:n], out=g[:n], peak=peak)
+                except ValueError:
+                    stopped = True
+            if stopped:
+                peaks = np.atleast_1d(abs_level[:n].max(axis=0))
+                for rung, top in zip(ids.tolist(), peaks.tolist()):
+                    if i > 0 and not top <= limit:
+                        stops[rung] = ("blew_up", i)
+                    elif forced:
+                        try:
+                            past_tau0(spec, top)
+                        except ValueError as exc:
+                            stops[rung] = (exc, None)
+                keep = np.flatnonzero([rung not in stops for rung in ids.tolist()])
                 if not keep.size:
                     break
                 ids = ids[keep]
                 rlu, rlu_prev, q, axis, abs_level, g, work, trap = (
                     _columns(a, keep) for a in (rlu, rlu_prev, q, axis, abs_level, g, work, trap))
                 free._keep(keep)
+                if forced:
+                    mu_power(spec, p, abs_level[:n], out=g[:n], peak=peaks[keep].max())
     return stops
 
 
@@ -448,33 +463,6 @@ def _columns(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
     out = a.reshape(-1)[:kept.size].reshape(kept.shape)
     out[...] = kept
     return out
-
-
-def _rungs_going_on(spec, peaks, limit, i, nt, ids, stops):
-    """Which rungs of a ladder go on past level i, whose peaks are ``peaks``,
-    and the largest peak among them, for the forcing.
-
-    A rung stops where a march of it alone would: first at the cap check
-    (levels >= 1), recorded as ("blew_up", i); then, on every level but the
-    last, which is never forced, at a peak ``past_tau0`` refuses, recorded
-    as ("failed: ...", None).
-    """
-    go = peaks <= limit if i else np.full(peaks.shape, True)
-    for j in np.flatnonzero(~go):
-        stops[int(ids[j])] = ("blew_up", i)
-    top = peaks.max(where=go, initial=0.0)
-    if spec is not None and i < nt:
-        try:  # the rule refuses the largest peak, or a nan, whenever it refuses any
-            past_tau0(spec, top)
-        except ValueError:
-            for j in np.flatnonzero(go):
-                try:
-                    past_tau0(spec, peaks[j])
-                except ValueError as exc:
-                    go[j] = False
-                    stops[int(ids[j])] = (f"failed: {exc}", None)
-            top = peaks.max(where=go, initial=0.0)
-    return go, top
 
 
 @dataclass(frozen=True)
@@ -494,22 +482,24 @@ def lifespan_sweep(
     """One row per amplitude: its detection time, or completion.
 
     The rungs march as the columns of one (nodes x rungs) state, through
-    ``march``'s level loop, and no field is stored.  Errors every rung shares (amplitudes,
-    cap, grid, data) are raised before the first level; a rung whose
-    forcing argument ``modulus.past_tau0`` refuses (a modulus argument
-    past tau0) becomes that rung's "failed: ..." row, and the other rungs
-    go on.  Every row is the one a march of its amplitude alone gives.
+    ``march``'s level loop, and no field is stored.  Errors every rung
+    shares (amplitudes, cap, data, a grid whose foot tables exceed physical
+    memory) are raised before the first level; a rung whose forcing
+    argument ``modulus.past_tau0`` refuses (a modulus argument past tau0)
+    becomes that rung's "failed: ..." row, and the other rungs go on.
+    Every row is the one a march of its amplitude alone gives.
     """
     epsilons = list(epsilons)
     if not (cap > 0.0 and all(0.0 < eps < math.inf for eps in epsilons)):
         raise ValueError("lifespans need positive finite amplitudes and a positive cap")
-    amplitudes = np.array(epsilons, dtype=float)
-    free = FreeWave._ladder(data_template, grid, amplitudes)  # checks the data once, for every rung
-    levels = np.multiply.outer(free.u0[:grid.r_nodes], amplitudes)
-    stops = _march_levels(free, spec, data_template, cap, levels) if epsilons else {}
+    _refuse_beyond_memory(grid, len(epsilons), 0)
+    free = FreeWave(data_template, grid, np.array(epsilons, dtype=float))  # checks the data once
+    stops = _march_levels(free, spec, data_template, cap) if epsilons else {}
     rows = []
     for j, eps in enumerate(epsilons):
         status, level = stops.get(j, ("completed", None))
+        if isinstance(status, ValueError):
+            status = f"failed: {status}"
         rows.append(LifespanRow(float(eps), None if level is None else level * grid.h, status))
     return rows
 

@@ -255,20 +255,30 @@ def test_march_linear_probe_matches_propagator():
             assert abs(run.field[i, j] - linear_propagator(data, t, r)) < 1e-12
 
 
+# every family, and the linear mode; the iterated-log families take data
+# below their tau0, which they have no continuation past
+CONE_SPECS = {"linear": None, **{name: make_spec(family) for name, family in {
+    "powerlaw": PowerLaw(1.0), "log1p": LogOnePlus(1.0), "logpower": LogPower(0.2, 10.0),
+    "iterlog": IteratedLogBlowup(1.0), "doublelog": DoubleLogGlobal(-1.0),
+    "triplelog": TripleLogGlobal(-0.5, 3)}.items()}}
+ITERATED = ("iterlog", "doublelog", "triplelog")
+
+
 # differential: the diamond recurrence of march against the history re-sum
-# of duhamel_apply on the run's own field; bounds fixed from measurements
-FAMILIES = {"powerlaw": PowerLaw(1.0), "log1p": LogOnePlus(1.0),
-            "logpower": LogPower(0.2, 10.0)}
-
-
-@settings(max_examples=12, deadline=None)
-@given(family=st.sampled_from(sorted(FAMILIES)), eps=st.floats(0.01, 6.0),
-       h=st.sampled_from([1 / 16, 1 / 20, 1 / 32]), horizon=st.floats(0.5, 4.0))
-def test_march_matches_history_oracle(family, eps, h, horizon):
+# of duhamel_apply on the run's own field, for every family and both data
+# shapes; bounds fixed from measurements
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(set(CONE_SPECS) - {"linear"})), velocity=st.booleans(),
+       scale=st.floats(0.01, 6.0), h=st.sampled_from([1 / 16, 1 / 20, 1 / 32]),
+       horizon=st.floats(0.5, 4.0))
+def test_march_matches_history_oracle(name, velocity, scale, h, horizon):
+    spec = CONE_SPECS[name]
+    eps = 0.01 * scale * spec.tau0 if name in ITERATED else scale
+    data = (velocity_bump if velocity else default_bump)(eps)
     grid = CharacteristicGrid.cover(h, horizon, 1.0)
     cap = 1e6
-    run = march(default_bump(eps), make_spec(FAMILIES[family]), grid, cap=cap)
-    free = march(default_bump(eps), None, grid).field
+    run = march(data, spec, grid, cap=cap)
+    free = march(data, None, grid).field
     status, t_detect = "completed", None
     for i in range(1, run.field.shape[0]):
         oracle = free[i] + duhamel_apply(run, i, run.radii)
@@ -329,8 +339,23 @@ def test_march_blows_up_for_large_data():
 
 
 def test_grid_beyond_memory_rejected_before_allocation():
+    grid = CharacteristicGrid.cover(1e-6, 1e6, 1.0)
     with pytest.raises(ValueError, match="bytes"):
-        CharacteristicGrid.cover(1e-6, 1e6, 1.0)
+        march(default_bump(0.01), make_spec(PowerLaw(1.0)), grid)
+    with pytest.raises(ValueError, match="bytes"):
+        lifespan_sweep(default_bump(1.0), make_spec(PowerLaw(1.0)), [0.01, 0.1], grid)
+
+
+def test_ladder_stores_no_field_so_its_grid_may_exceed_memory():
+    # the field of this grid alone would take 320 GB; a ladder stores only its
+    # foot tables, and its rows are those of a grid that ends past the blow-ups
+    spec = make_spec(LogPower(0.2, 10.0))
+    grid = CharacteristicGrid.cover(0.01, 2000.0, 1.0)
+    assert 8 * (grid.t_levels + 1) * grid.r_nodes > 3e11
+    rows = lifespan_sweep(default_bump(1.0), spec, [2.0, 5.0], grid)
+    assert [row.status for row in rows] == ["blew_up", "blew_up"]
+    assert rows == lifespan_sweep(default_bump(1.0), spec, [2.0, 5.0],
+                                  CharacteristicGrid.cover(0.01, 10.0, 1.0))
 
 
 def test_march_validates_grid_resolution():
@@ -402,14 +427,6 @@ def test_finite_propagation_speed():
         if np.any(mask):
             diff = np.max(np.abs(run_a.field[i, mask] - run_b.field[i, mask]))
             assert diff <= 1e-12 * scale
-
-
-# every family, and the linear mode; the iterated-log families take data
-# below their tau0, which they have no continuation past
-CONE_SPECS = {"linear": None, **{name: make_spec(family) for name, family in {
-    "powerlaw": PowerLaw(1.0), "log1p": LogOnePlus(1.0), "logpower": LogPower(0.2, 10.0),
-    "iterlog": IteratedLogBlowup(1.0), "doublelog": DoubleLogGlobal(-1.0),
-    "triplelog": TripleLogGlobal(-0.5, 3)}.items()}}
 
 
 @settings(max_examples=40, deadline=None)
@@ -547,8 +564,10 @@ def test_lifespan_rejects_nonpositive_amplitude(eps):
 
 
 # differential: the batched ladder against one march per amplitude, each
-# rung's row built as lifespans were built before the rungs shared a march
-ITERATED = ("iterlog", "doublelog", "triplelog")
+# rung's row built as lifespans were built before the rungs shared a march;
+# LogPower with tau0 = 0.9 has a bridge that is not increasing, refused past tau0
+LADDER_SPECS = {**{name: spec for name, spec in CONE_SPECS.items() if spec is not None},
+                "logpower-tau0.9": make_spec(LogPower(0.2, 10.0), tau0=0.9)}
 
 
 def one_rung_row(data, spec, eps, grid, cap=1e6):
@@ -570,8 +589,8 @@ def assert_rows_are_one_rung_marches(data, spec, ladder, grid, cap=1e6):
 def test_ladder_rows_equal_one_rung_marches(data):
     # the iterated-log families take amplitudes around their tau0, so their
     # ladders straddle it; a cap near the amplitudes stops rungs at level 1
-    name = data.draw(st.sampled_from(sorted(set(CONE_SPECS) - {"linear"})))
-    spec = CONE_SPECS[name]
+    name = data.draw(st.sampled_from(sorted(LADDER_SPECS)))
+    spec = LADDER_SPECS[name]
     scale = spec.tau0 if name in ITERATED else 1.0
     amplitude = st.floats(-2.0, 1.1).map(lambda k: scale * 10.0 ** k)
     ladder = data.draw(st.lists(amplitude, min_size=1, max_size=6))
@@ -582,6 +601,17 @@ def test_ladder_rows_equal_one_rung_marches(data):
     grid = CharacteristicGrid.cover(data.draw(st.sampled_from([0.05, 1 / 16])),
                                     data.draw(st.floats(0.5, 3.0)), 1.0)
     assert_rows_are_one_rung_marches(datum, spec, ladder, grid, cap)
+
+
+def test_ladder_rung_refused_by_a_bridge_that_is_not_increasing():
+    # no iterated-log tau0 crossing: LogPower's bridge from tau0 = 0.9 is refused,
+    # and the rung past it fails with the message its own march raises
+    spec = LADDER_SPECS["logpower-tau0.9"]
+    grid = CharacteristicGrid.cover(0.05, 3.0, 1.0)
+    with pytest.raises(ValueError, match="not increasing") as refused:
+        march(default_bump(2.0), spec, grid)
+    rows = lifespan_sweep(default_bump(1.0), spec, [0.5, 2.0, 0.8], grid)
+    assert [row.status for row in rows] == ["completed", f"failed: {refused.value}", "completed"]
 
 
 @pytest.mark.parametrize("name", ITERATED)
