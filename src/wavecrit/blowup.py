@@ -177,10 +177,13 @@ def divergence_onset(n: int, spec: ModulusSpec, t_max: float,
     tau(t) = (c6 t)^{-((n-1)/2 + 1/p + EPSILON_EXP)}, K the threshold
     product and c6, c7 > 0; once the base exceeds 1, the j -> infinity limit
     of the lower-bound sequence blows up.  Returns None when the base never
-    exceeds 1 up to t_max (the global-existence-side prediction).
+    exceeds 1 up to t_max (the global-existence-side prediction), which
+    must be positive and finite.
     """
     if not (c6 > 0.0 and c7 > 0.0):
         raise ValueError(f"onset constants must be strictly positive, got c6={c6}, c7={c7}")
+    if not 0.0 < t_max < math.inf:  # refuses nan too
+        raise ValueError(f"t_max must be positive and finite, got t_max={t_max}")
     p = strauss_exponent(n)
     alpha = (n - 1.0) / 2.0 + 1.0 / p + EPSILON_EXP
     tau_cap = min(spec.tau0, math.exp(-1.0))

@@ -48,7 +48,7 @@ from .modulus import (
     loglog_bound_check,
     make_spec,
 )
-from .solver import CharacteristicGrid, default_bump, lifespan_sweep, march
+from .solver import DEFAULT_CAP, CharacteristicGrid, default_bump, lifespan_sweep, march
 from .weights import (
     data_norms,
     decay_profile_check,
@@ -276,6 +276,8 @@ def _cmd_mu(args, spec):
 
 def _cmd_lemmas(args, spec):
     if args.which == "ball-integral":
+        if "lambda0" in vars(args):
+            args.parser.error("--lambda0 applies to --which kernel-bounds only")
         ratios = []
         for t in np.linspace(0.0, 100.0, 201):
             value = free_wave_ball_integral(args.n, 1.0, float(t))
@@ -287,6 +289,7 @@ def _cmd_lemmas(args, spec):
                    "pass": bool(hi / lo <= 20.0)}
         table = (("t", "ratio"), ratios)
     else:
+        args.lambda0 = getattr(args, "lambda0", 1.0)  # the default enters the manifest too
         cfg = KernelConfig(n=args.n, lambda0=args.lambda0, R=1.0, quad_points=1024)
         report = kernel_bounds_check(cfg, kernel_exponent(args.n))
         payload = {"which": "kernel-bounds", "n": args.n, "a0": report.a0,
@@ -459,7 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["verify"])
     p.add_argument("--which", choices=["ball-integral", "kernel-bounds"], required=True)
     p.add_argument("--n", type=_integer_at_least(2), required=True)
-    p.add_argument("--lambda0", type=float, default=1.0)
+    # read by kernel-bounds only, which sets its default 1.0; ball-integral refuses it
+    p.add_argument("--lambda0", type=float, default=argparse.SUPPRESS)
 
     p = command("sequences", _cmd_sequences, "iteration ledger CSV")
     p.add_argument("--n", type=_integer_at_least(2), required=True)
@@ -474,13 +478,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--horizon", type=float, required=True)
-    p.add_argument("--cap", type=float, default=1e6)
+    p.add_argument("--cap", type=float, default=DEFAULT_CAP)
 
     p = command("lifespan", _cmd_lifespan, "detection-time sweep over amplitudes", family)
     p.add_argument("--eps-list", type=_float_list, required=True)
     p.add_argument("--h", type=float, default=0.02)
     p.add_argument("--horizon", type=float, default=15.0)
-    p.add_argument("--cap", type=float, default=1e6)
+    p.add_argument("--cap", type=float, default=DEFAULT_CAP)
 
     p = command("verify-global", _cmd_verify_global,
                 "global-side weighted decay verification", family)
@@ -488,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps0", type=float, default=0.05)
     p.add_argument("--h", type=float, default=0.0625)
     p.add_argument("--horizon", type=float, default=100.0)
-    p.add_argument("--cap", type=float, default=1e6)
+    p.add_argument("--cap", type=float, default=DEFAULT_CAP)
 
     p = command("key-integral", _cmd_key_integral, "cone-interaction integral sweep", family)
     p.add_argument("--xi-list", type=_float_list, required=True)

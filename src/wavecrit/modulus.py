@@ -5,7 +5,9 @@ A modulus here is a continuous, concave, increasing function mu with
 mu(0) = 0 that multiplies the critical power nonlinearity.  Six closed-form
 families are supported; the log-type ones are defined near zero only and
 can be continued monotonically to [0, inf) when a solver needs large
-arguments.  ``mu_power`` is the one evaluation of mu: it gives |u|^p mu(|u|)
+arguments.  Each family's near-zero law is its method ``log_mu(L)``, log mu
+as a function of L = log(1/tau), and every reader of the law calls it.
+``mu_power`` is the one evaluation of mu: it gives |u|^p mu(|u|)
 in log space, the solver's forcing, and ``mu_eval`` is it at p = 0;
 ``past_tau0`` is its one refusal rule, judged on the largest argument.  The
 quantity that separates the blow-up families from the
@@ -39,18 +41,9 @@ def _tower(k: int) -> float:
     return value
 
 
-def iterated_log(x, k: int):
-    """k-fold composed logarithm; raises if any intermediate is non-positive."""
-    value = np.asarray(x, dtype=float)
-    for _ in range(k):
-        if np.any(value <= 0.0):
-            raise ValueError(f"iterated log undefined after {k} applications")
-        value = np.log(value)
-    return value
-
-
 # --------------------------------------------------------------------------
-# families
+# families: each one's log_mu(L) is log mu at L = log(1/tau) on its
+# near-zero branch
 
 @dataclass(frozen=True)
 class PowerLaw:
@@ -62,6 +55,9 @@ class PowerLaw:
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("PowerLaw needs gamma in (0, 1]")
 
+    def log_mu(self, L):
+        return -self.gamma * L
+
 
 @dataclass(frozen=True)
 class LogOnePlus:
@@ -72,6 +68,13 @@ class LogOnePlus:
     def __post_init__(self):
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError("LogOnePlus needs gamma in (0, 1]")
+
+    def log_mu(self, L):
+        tau = np.exp(-L)
+        with np.errstate(divide="ignore"):
+            out = self.gamma * np.log(np.log1p(tau))
+        # underflowed tau: log1p(tau) ~ tau, so log mu ~ -gamma*L
+        return np.where(tau > 0.0, out, -self.gamma * L)
 
 
 @dataclass(frozen=True)
@@ -89,18 +92,29 @@ class LogPower:
         if self.gamma <= 0.0 or self.cl <= 0.0:
             raise ValueError("LogPower needs gamma > 0 and cl > 0")
 
+    def log_mu(self, L):
+        return math.log(self.cl) - self.gamma * np.log(L)
+
 
 @dataclass(frozen=True)
 class IteratedLogBlowup:
-    """mu = log(1/tau)**(-1/p(n)) * (log^k(1/tau))**gamma, gamma > 0, k >= 2."""
+    """mu = log(1/tau)**(-1/p(n)) * (log^k(1/tau))**gamma, gamma > 0, k in {2, 3}."""
 
     gamma: float
     k: int = 2
     n: int = 3
 
     def __post_init__(self):
-        if self.gamma <= 0.0 or self.k < 2 or self.n < 2:
-            raise ValueError("IteratedLogBlowup needs gamma > 0, k >= 2, n >= 2")
+        # k <= 3: the domain guard exp(-tower(k)) of k = 4 underflows to 0
+        if self.gamma <= 0.0 or not 2 <= self.k <= 3 or self.n < 2:
+            raise ValueError("IteratedLogBlowup needs gamma > 0, k >= 2 and n >= 2; "
+                             "the largest admissible k is 3")
+
+    def log_mu(self, L):
+        logk = L  # log^(k-1)(L) = log^k(1/tau)
+        for _ in range(self.k - 1):
+            logk = np.log(logk)
+        return -np.log(L) / strauss_exponent(self.n) + self.gamma * np.log(logk)
 
 
 @dataclass(frozen=True)
@@ -114,19 +128,34 @@ class DoubleLogGlobal:
         if self.gamma > -1.0 or self.n < 2:
             raise ValueError("DoubleLogGlobal needs gamma <= -1 and n >= 2")
 
+    def log_mu(self, L):
+        return -np.log(L) / strauss_exponent(self.n) + self.gamma * np.log(np.log(L))
+
 
 @dataclass(frozen=True)
 class TripleLogGlobal:
     """mu = log(1/tau)**(-1/p(n)) * (loglog 1/tau)**(-1) * (log^k 1/tau)**gamma,
-    gamma < 0, k >= 3."""
+    gamma < 0, k = 3."""
 
     gamma: float
     k: int = 3
     n: int = 3
 
     def __post_init__(self):
-        if self.gamma >= 0.0 or self.k < 3 or self.n < 2:
-            raise ValueError("TripleLogGlobal needs gamma < 0, k >= 3, n >= 2")
+        # k <= 3: the domain guard exp(-tower(k)) of k = 4 underflows to 0
+        if self.gamma >= 0.0 or self.k != 3 or self.n < 2:
+            raise ValueError("TripleLogGlobal needs gamma < 0, k >= 3 and n >= 2; "
+                             "the largest admissible k is 3")
+
+    def log_mu(self, L):
+        logk = L  # log^(k-1)(L) = log^k(1/tau)
+        for _ in range(self.k - 1):
+            logk = np.log(logk)
+        return (
+            -np.log(L) / strauss_exponent(self.n)
+            - np.log(np.log(L))
+            + self.gamma * np.log(logk)
+        )
 
 
 _GLOBAL_DOMAIN = (PowerLaw, LogOnePlus)
@@ -139,14 +168,10 @@ def _default_tau0(family) -> float:
     if isinstance(family, LogPower):
         # keep the near-zero branch concave: mu'' <= 0 needs log(1/tau) >= 1+gamma
         return min(1.0 / 3.0, math.exp(-(1.0 + family.gamma)))
-    if isinstance(family, DoubleLogGlobal):
-        guard = math.exp(-_tower(2))
-    elif isinstance(family, (IteratedLogBlowup, TripleLogGlobal)):
-        guard = math.exp(-_tower(family.k))
-    else:
-        raise TypeError(f"unknown modulus family: {family!r}")
-    # shrink below the iterated-log domain guard until the modulus axioms hold
-    tau0 = guard * 0.999
+    # shrink below the iterated-log domain guard exp(-tower(k)) until the
+    # modulus axioms hold; DoubleLogGlobal's is k = 2's
+    k = 2 if isinstance(family, DoubleLogGlobal) else family.k
+    tau0 = math.exp(-_tower(k)) * 0.999
     for _ in range(200):
         taus = np.exp(np.linspace(math.log(tau0) - 12.0, math.log(tau0), 160))
         increasing, concave, _ = _monotone_concave(family, taus)
@@ -172,66 +197,21 @@ class ModulusSpec:
             raise ValueError(f"tau0 must be positive, got {self.tau0}")
 
 
-# largest k whose iterated-log domain guard exp(-tower(k)) is a positive
-# double: tower(4) = e**e**e = 3.8e6, so exp(-tower(4)) underflows to 0
-_MAX_TOWER_K = 3
-
-
 def make_spec(family, tau0: float | None = None) -> ModulusSpec:
     """Build a spec with the family's default near-zero cutoff, or with
     ``tau0`` when given: a cutoff at which the near-zero formula is not
     finite (past the domain of its logarithms) is refused."""
-    k = getattr(family, "k", None)
-    if k is not None and k > _MAX_TOWER_K:
-        raise ValueError(
-            f"k={k} is out of range: the e-tower guard exp(-tower(k)) is not a "
-            f"positive float; the largest admissible k is {_MAX_TOWER_K}"
-        )
+    if not isinstance(family, (*_GLOBAL_DOMAIN, LogPower, *_ITERATED_LOG)):
+        raise TypeError(f"unknown modulus family: {family!r}")
     if tau0 is None:
         tau0 = _default_tau0(family)
     elif tau0 > 0.0 and not isinstance(family, _GLOBAL_DOMAIN):
         with np.errstate(divide="ignore", invalid="ignore"):
-            try:
-                finite = bool(np.isfinite(_log_mu_from_loginv(family, -math.log(tau0))))
-            except ValueError:  # an iterated log left its domain
-                finite = False
+            finite = bool(np.isfinite(family.log_mu(-math.log(tau0))))
         if not finite:
             raise ValueError(f"tau0={tau0:g} is past the near-zero domain of "
                              f"{type(family).__name__}: mu(tau0) is not finite")
     return ModulusSpec(family=family, tau0=tau0)
-
-
-def _family_p(family) -> float:
-    return strauss_exponent(getattr(family, "n", 3))
-
-
-def _log_mu_from_loginv(family, L):
-    """log mu evaluated from L = log(1/tau) on the near-zero branch."""
-    L = np.asarray(L, dtype=float)
-    if isinstance(family, PowerLaw):
-        return -family.gamma * L
-    if isinstance(family, LogOnePlus):
-        tau = np.exp(-L)
-        with np.errstate(divide="ignore"):
-            out = family.gamma * np.log(np.log1p(tau))
-        # underflowed tau: log1p(tau) ~ tau, so log mu ~ -gamma*L
-        return np.where(tau > 0.0, out, -family.gamma * L)
-    if isinstance(family, LogPower):
-        return math.log(family.cl) - family.gamma * np.log(L)
-    if isinstance(family, IteratedLogBlowup):
-        p = _family_p(family)
-        return -np.log(L) / p + family.gamma * np.log(iterated_log(L, family.k - 1))
-    if isinstance(family, DoubleLogGlobal):
-        p = _family_p(family)
-        return -np.log(L) / p + family.gamma * np.log(np.log(L))
-    if isinstance(family, TripleLogGlobal):
-        p = _family_p(family)
-        return (
-            -np.log(L) / p
-            - np.log(np.log(L))
-            + family.gamma * np.log(iterated_log(L, family.k - 1))
-        )
-    raise TypeError(f"unknown modulus family: {family!r}")
 
 
 def _monotone_concave(family, taus):
@@ -242,10 +222,10 @@ def _monotone_concave(family, taus):
     grid that is not increasing returns at once, with margin nan.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.exp(_log_mu_from_loginv(family, -np.log(taus)))
+        vals = np.exp(family.log_mu(-np.log(taus)))
     if not np.all(np.diff(vals) > 0.0):
         return False, False, math.nan
-    mid = np.exp(_log_mu_from_loginv(family, -np.log(0.5 * (taus[:, None] + taus[None, :]))))
+    mid = np.exp(family.log_mu(-np.log(0.5 * (taus[:, None] + taus[None, :]))))
     margin = float(np.max(0.5 * (vals[:, None] + vals[None, :]) - mid))
     return True, margin <= 1e-12 * float(np.max(vals)), margin
 
@@ -326,7 +306,7 @@ def mu_power(spec: ModulusSpec, p: float, abs_u: np.ndarray, out=None, peak=None
     # log 0 is -inf, and past tau0 the near formula (overwritten below) may be nan or overflow
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lu = np.log(abs_u)
-        log_mu = _log_mu_from_loginv(spec.family, -lu)
+        log_mu = spec.family.log_mu(-lu)
         if p != 0.0:  # 0 * lu would be nan at |u| = 0
             log_mu += p * lu
         np.exp(log_mu, out=out)
@@ -388,9 +368,13 @@ def convexity_check(spec: ModulusSpec, n: int, grid) -> WeightReport:
 # --------------------------------------------------------------------------
 # threshold quantities
 
+def _log_threshold_product(spec: ModulusSpec, n: int, L):
+    """log(mu * L**(1/p(n))) at L = log(1/tau): the threshold product's log."""
+    return spec.family.log_mu(L) + np.log(L) / strauss_exponent(n)
+
+
 def threshold_product(spec: ModulusSpec, n: int, tau):
     """mu(tau) * log(1/tau)**(1/p(n)), evaluated in log space."""
-    p = strauss_exponent(n)
     arr = np.asarray(tau, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
@@ -399,7 +383,7 @@ def threshold_product(spec: ModulusSpec, n: int, tau):
     if np.any(arr > spec.tau0):
         raise ValueError("threshold product is a near-zero quantity; tau > tau0")
     L = -np.log(arr)
-    out = np.exp(_log_mu_from_loginv(spec.family, L) + np.log(L) / p)
+    out = np.exp(_log_threshold_product(spec, n, L))
     return float(out[0]) if scalar else out
 
 
@@ -424,10 +408,9 @@ def classify_strauss_threshold(spec: ModulusSpec, n: int) -> ThresholdVerdict:
     infinite, decay beyond it means zero, anything else is reported finite
     with the last sample as estimate.
     """
-    p = strauss_exponent(n)
     start = min(spec.tau0, math.exp(-1.0))
     L = -math.log(start) + _LN10 * np.arange(_DECADES + 1, dtype=float)
-    log_y = _log_mu_from_loginv(spec.family, L) + np.log(L) / p
+    log_y = _log_threshold_product(spec, n, L)
     growth = log_y[-1] - log_y[-(_TREND_WINDOW + 1)]
     if growth > math.log1p(_TREND_TOL):
         cls, estimate = "infinite", math.inf

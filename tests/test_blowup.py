@@ -107,6 +107,9 @@ def test_constants_validation():
         divergence_onset(3, spec, 1e6, c6=-1.0)
     with pytest.raises(ValueError):
         divergence_onset(3, spec, 1e6, c7=0.0)
+    for t_max in (math.nan, math.inf, -5.0, 0.0):
+        with pytest.raises(ValueError, match="t_max"):
+            divergence_onset(3, spec, t_max)
 
 
 def test_ledger_rows():

@@ -110,8 +110,10 @@ def test_solve_grid_beyond_memory_exits_one(capsys, tmp_path):
     (["sequences", "--n", "3", "--J", "-1"], "argument --J"),
     (["mu", "check", "--family", "powerlaw", "--n", "1"], "argument --n"),
     (["exponents", "--n", "0"], "argument --n"),
+    (["lemmas", "verify", "--which", "ball-integral", "--n", "2", "--lambda0", "5"],
+     "--lambda0 applies to --which kernel-bounds only"),
 ], ids=["stray-cl", "stray-k", "3d-command-n", "eps-list", "xi-list", "sequences-n",
-        "sequences-J", "mu-n", "exponents-n"])
+        "sequences-J", "mu-n", "exponents-n", "ball-integral-lambda0"])
 def test_usage_error_names_the_flag(capsys, tmp_path, argv, message):
     # a flag the family lacks, --n on a 3-D command, a bad list or dimension:
     # exit 2 naming the flag in the subcommand's usage, before any result
@@ -274,12 +276,18 @@ def test_mu_check_loglog_bound_in_the_dimension_asked(tmp_path):
     assert payload["loglog_bound_pass"] is True
 
 
-@pytest.mark.parametrize("flag", [["--c6", "-1"], ["--c7", "0"]], ids=["c6", "c7"])
-def test_onset_nonpositive_constant_exits_one(capsys, tmp_path, flag):
-    code = main(["onset", "--family", "powerlaw", *flag, "--out-dir", str(tmp_path)])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert "error:" in err and "usage:" not in err
+@pytest.mark.parametrize("flag, name", [
+    (["--c6", "-1"], "c6"), (["--c7", "0"], "c7"),
+    (["--tmax", "nan"], "t_max"), (["--tmax", "inf"], "t_max"), (["--tmax", "-5"], "t_max"),
+], ids=["c6", "c7", "tmax-nan", "tmax-inf", "tmax-negative"])
+def test_onset_nonpositive_constant_exits_one(capsys, tmp_path, flag, name):
+    # a blow-up family too, whose onset an unchecked t_max would still predict
+    for family in (["powerlaw"], ["logpower", "--gamma", "0.2", "--cl", "10"]):
+        code = main(["onset", "--family", *family, *flag, "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error:" in err and name in err and "usage:" not in err
+        assert not any(tmp_path.iterdir())
 
 
 def test_determinism_byte_identical_csv(tmp_path):
@@ -344,7 +352,7 @@ PINNED_MANIFESTS = {
          "tau0": 0.30119421191220214}),
     "lemmas-ball-integral": (
         ["lemmas", "verify", "--which", "ball-integral", "--n", "2"],
-        {"lambda0": 1.0, "n": 2, "which": "ball-integral"}),
+        {"n": 2, "which": "ball-integral"}),
     "lemmas-kernel-bounds-n3": (
         ["lemmas", "verify", "--which", "kernel-bounds", "--n", "3"],
         {"lambda0": 1.0, "n": 3, "which": "kernel-bounds"}),

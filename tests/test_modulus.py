@@ -84,6 +84,17 @@ def test_family_parameter_validation():
         DoubleLogGlobal(-0.5)
     with pytest.raises(ValueError):
         ModulusSpec(PowerLaw(1.0), tau0=0.0)
+    # the e-tower domain guard exp(-tower(4)) underflows to 0
+    with pytest.raises(ValueError, match="largest admissible k is 3"):
+        IteratedLogBlowup(1.0, k=4)
+    with pytest.raises(ValueError, match="largest admissible k is 3"):
+        TripleLogGlobal(-0.5, k=4)
+
+
+def test_make_spec_refuses_a_non_family():
+    for tau0 in (None, 0.1):
+        with pytest.raises(TypeError, match="unknown modulus family"):
+            make_spec(object(), tau0=tau0)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
