@@ -27,6 +27,7 @@ def slicing_level(j: int) -> float:
     return 2.0 - 2.0 ** (-(j + 1))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow fails the drift check
 def exponent_sequences(n: int, J: int):
     """Recursions a_{j+1} = 1 + a_j p, b_{j+1} = p-1 + b_j p,
     s_{j+1} = 1/p + s_j p from (1, 0, 1 + 1/p); rows 0..J.
@@ -35,7 +36,7 @@ def exponent_sequences(n: int, J: int):
         a_j = (p/(p-1)) p^j - 1/(p-1),
         b_j = p^j - 1,
         s_j = (p/(p-1)) p^j - 1/((p-1) p),
-    and a drift beyond 1e-9 relative raises.
+    and a drift beyond 1e-9 relative, or a nan one (p^J overflows), raises.
     """
     if J < 0:
         raise ValueError("J must be non-negative")
@@ -54,8 +55,8 @@ def exponent_sequences(n: int, J: int):
     s_closed = p / (p - 1.0) * pj - 1.0 / ((p - 1.0) * p)
     for rec, closed, name in ((a, a_closed, "a"), (b, b_closed, "b"), (s, s_closed, "sigma")):
         drift = np.max(np.abs(rec - closed) / np.maximum(np.abs(closed), 1.0))
-        if drift > 1e-9:
-            raise ArithmeticError(f"{name}-sequence drifted from closed form: {drift:g}")
+        if not drift <= 1e-9:
+            raise ArithmeticError(f"{name}-sequence drifted from closed form at J={J}: {drift:g}")
     return a, b, s
 
 
@@ -79,6 +80,7 @@ class IterationLedger:
     floor_margin: np.ndarray
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused at the end
 def build_ledger(n: int, J: int) -> IterationLedger:
     """The iteration ledger: exponent sequences and amplitude recursion in
     log space, with the closed growth floor.
@@ -111,6 +113,8 @@ def build_ledger(n: int, J: int) -> IterationLedger:
         for j in range(J + 1)
     )
     margin = log_m - p ** np.arange(J + 1, dtype=float) * log_c5
+    if not np.isfinite(margin[-1]):  # log M_J ~ -c p^J overflows before p^J does
+        raise ArithmeticError(f"J={J} overflows the ledger: log M_J is {log_m[-1]:g}")
     return IterationLedger(rows=rows, log_c5=log_c5, j1=j1, floor_margin=margin)
 
 
@@ -180,8 +184,8 @@ def divergence_onset(n: int, spec: ModulusSpec, t_max: float,
     exceeds 1 up to t_max (the global-existence-side prediction), which
     must be positive and finite.
     """
-    if not (c6 > 0.0 and c7 > 0.0):
-        raise ValueError(f"onset constants must be strictly positive, got c6={c6}, c7={c7}")
+    if not (0.0 < c6 < math.inf and 0.0 < c7 < math.inf):  # refuses nan too
+        raise ValueError(f"onset constants must be positive and finite, got c6={c6}, c7={c7}")
     if not 0.0 < t_max < math.inf:  # refuses nan too
         raise ValueError(f"t_max must be positive and finite, got t_max={t_max}")
     p = strauss_exponent(n)

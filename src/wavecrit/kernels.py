@@ -147,8 +147,9 @@ class KernelConfig:
     quad_points: int = 2048
 
     def __post_init__(self):
-        if self.lambda0 <= 0.0 or self.R <= 0.0:
-            raise ValueError("lambda0 and R must be positive")
+        if not (0.0 < self.lambda0 < math.inf and 0.0 < self.R < math.inf):  # refuses nan too
+            raise ValueError(f"lambda0 and R must be positive and finite, "
+                             f"got lambda0={self.lambda0}, R={self.R}")
         if self.quad_points < 16:
             raise ValueError("quad_points must be at least 16")
 

@@ -7,6 +7,8 @@ families are supported; the log-type ones are defined near zero only and
 can be continued monotonically to [0, inf) when a solver needs large
 arguments.  Each family's near-zero law is its method ``log_mu(L)``, log mu
 as a function of L = log(1/tau), and every reader of the law calls it.
+A family's fields are its free parameters, each refused outside its range
+(NaN and +-inf too); the iterated-log global families fix k as a constant.
 ``mu_power`` is the one evaluation of mu: it gives |u|^p mu(|u|)
 in log space, the solver's forcing, and ``mu_eval`` is it at p = 0;
 ``past_tau0`` is its one refusal rule, judged on the largest argument.  The
@@ -89,8 +91,8 @@ class LogPower:
     cl: float = 1.0
 
     def __post_init__(self):
-        if self.gamma <= 0.0 or self.cl <= 0.0:
-            raise ValueError("LogPower needs gamma > 0 and cl > 0")
+        if not (0.0 < self.gamma < math.inf and 0.0 < self.cl < math.inf):  # refuses nan too
+            raise ValueError("LogPower needs finite gamma > 0 and cl > 0")
 
     def log_mu(self, L):
         return math.log(self.cl) - self.gamma * np.log(L)
@@ -106,8 +108,8 @@ class IteratedLogBlowup:
 
     def __post_init__(self):
         # k <= 3: the domain guard exp(-tower(k)) of k = 4 underflows to 0
-        if self.gamma <= 0.0 or not 2 <= self.k <= 3 or self.n < 2:
-            raise ValueError("IteratedLogBlowup needs gamma > 0, k >= 2 and n >= 2; "
+        if not 0.0 < self.gamma < math.inf or not 2 <= self.k <= 3 or self.n < 2:
+            raise ValueError("IteratedLogBlowup needs finite gamma > 0, k >= 2 and n >= 2; "
                              "the largest admissible k is 3")
 
     def log_mu(self, L):
@@ -121,12 +123,13 @@ class IteratedLogBlowup:
 class DoubleLogGlobal:
     """mu = log(1/tau)**(-1/p(n)) * (loglog(1/tau))**gamma, gamma <= -1."""
 
+    k = 2  # loglog; the default cutoff's domain guard exp(-tower(k)) reads it
     gamma: float = -1.0
     n: int = 3
 
     def __post_init__(self):
-        if self.gamma > -1.0 or self.n < 2:
-            raise ValueError("DoubleLogGlobal needs gamma <= -1 and n >= 2")
+        if not -math.inf < self.gamma <= -1.0 or self.n < 2:
+            raise ValueError("DoubleLogGlobal needs finite gamma <= -1 and n >= 2")
 
     def log_mu(self, L):
         return -np.log(L) / strauss_exponent(self.n) + self.gamma * np.log(np.log(L))
@@ -134,28 +137,20 @@ class DoubleLogGlobal:
 
 @dataclass(frozen=True)
 class TripleLogGlobal:
-    """mu = log(1/tau)**(-1/p(n)) * (loglog 1/tau)**(-1) * (log^k 1/tau)**gamma,
-    gamma < 0, k = 3."""
+    """mu = log(1/tau)**(-1/p(n)) * (loglog 1/tau)**(-1) * (logloglog 1/tau)**gamma,
+    gamma < 0."""
 
+    k = 3  # logloglog; the default cutoff's domain guard exp(-tower(k)) reads it
     gamma: float
-    k: int = 3
     n: int = 3
 
     def __post_init__(self):
-        # k <= 3: the domain guard exp(-tower(k)) of k = 4 underflows to 0
-        if self.gamma >= 0.0 or self.k != 3 or self.n < 2:
-            raise ValueError("TripleLogGlobal needs gamma < 0, k >= 3 and n >= 2; "
-                             "the largest admissible k is 3")
+        if not -math.inf < self.gamma < 0.0 or self.n < 2:
+            raise ValueError("TripleLogGlobal needs finite gamma < 0 and n >= 2")
 
     def log_mu(self, L):
-        logk = L  # log^(k-1)(L) = log^k(1/tau)
-        for _ in range(self.k - 1):
-            logk = np.log(logk)
-        return (
-            -np.log(L) / strauss_exponent(self.n)
-            - np.log(np.log(L))
-            + self.gamma * np.log(logk)
-        )
+        loglog = np.log(np.log(L))  # loglog(L) = logloglog(1/tau)
+        return -np.log(L) / strauss_exponent(self.n) - loglog + self.gamma * np.log(loglog)
 
 
 _GLOBAL_DOMAIN = (PowerLaw, LogOnePlus)
@@ -169,9 +164,8 @@ def _default_tau0(family) -> float:
         # keep the near-zero branch concave: mu'' <= 0 needs log(1/tau) >= 1+gamma
         return min(1.0 / 3.0, math.exp(-(1.0 + family.gamma)))
     # shrink below the iterated-log domain guard exp(-tower(k)) until the
-    # modulus axioms hold; DoubleLogGlobal's is k = 2's
-    k = 2 if isinstance(family, DoubleLogGlobal) else family.k
-    tau0 = math.exp(-_tower(k)) * 0.999
+    # modulus axioms hold
+    tau0 = math.exp(-_tower(family.k)) * 0.999
     for _ in range(200):
         taus = np.exp(np.linspace(math.log(tau0) - 12.0, math.log(tau0), 160))
         increasing, concave, _ = _monotone_concave(family, taus)
@@ -336,32 +330,25 @@ def convex_companion(spec: ModulusSpec, n: int, tau):
 
 
 def convexity_check(spec: ModulusSpec, n: int, grid) -> WeightReport:
-    """Midpoint-convexity sweep of the convex companion.
+    """Midpoint-convexity sweep of the convex companion on every pair of
+    the grid's non-negative points.
 
-    The companion is odd, so convexity is checked on pairs from the
-    non-negative half of the (symmetric) grid, with the sign symmetry
-    g(-tau) == -g(tau) verified separately on the whole grid.
+    The companion is odd by construction (tau * f(|tau|)), so its negative
+    half mirrors the non-negative one and the grid's negative points are
+    not read.
     """
     g = np.asarray(grid, dtype=float)
-    if g.ndim != 1 or len(g) < 3:
-        raise ValueError("need a 1-d grid with at least three points")
-    s = np.sort(g)
-    if np.max(np.abs(s + s[::-1])) > 1e-12 * max(1.0, np.max(np.abs(s))):
-        raise ValueError("convexity grid must be symmetric about 0")
-
-    pos = s[s >= 0.0]
+    pos = np.sort(g[g >= 0.0])
+    if len(pos) < 2:
+        raise ValueError("need a grid with at least two non-negative points")
     vals = convex_companion(spec, n, pos)
-    scale = float(np.max(np.abs(vals))) if len(vals) else 1.0
-    slack = 1e-12 * max(scale, 1e-300)
+    slack = 1e-12 * max(float(np.max(np.abs(vals))), 1e-300)
     mid = convex_companion(spec, n, 0.5 * (pos[:, None] + pos[None, :]))
     worst = float(np.max(mid - 0.5 * (vals[:, None] + vals[None, :])))
-    odd_defect = float(
-        np.max(np.abs(convex_companion(spec, n, s) + convex_companion(spec, n, -s)))
-    )
     return WeightReport(
-        region=f"pairs from [0, {pos[-1]:g}] plus sign symmetry on [{s[0]:g}, {s[-1]:g}]",
+        region=f"pairs from [{pos[0]:g}, {pos[-1]:g}]",
         fitted_constant=max(worst, 0.0),
-        passed=worst <= slack and odd_defect <= slack,
+        passed=worst <= slack,
     )
 
 
@@ -400,6 +387,11 @@ class ThresholdVerdict:
 _DECADES, _TREND_WINDOW, _TREND_TOL = 40, 10, 0.05
 
 
+def _decades_below(start: float) -> np.ndarray:
+    """L = log(1/tau) at the 41 points tau = start * 10**-k, k = 0..40."""
+    return -math.log(start) + _LN10 * np.arange(_DECADES + 1, dtype=float)
+
+
 def classify_strauss_threshold(spec: ModulusSpec, n: int) -> ThresholdVerdict:
     """Classify the small-argument limit of the threshold product.
 
@@ -408,8 +400,7 @@ def classify_strauss_threshold(spec: ModulusSpec, n: int) -> ThresholdVerdict:
     infinite, decay beyond it means zero, anything else is reported finite
     with the last sample as estimate.
     """
-    start = min(spec.tau0, math.exp(-1.0))
-    L = -math.log(start) + _LN10 * np.arange(_DECADES + 1, dtype=float)
+    L = _decades_below(min(spec.tau0, math.exp(-1.0)))
     log_y = _log_threshold_product(spec, n, L)
     growth = log_y[-1] - log_y[-(_TREND_WINDOW + 1)]
     if growth > math.log1p(_TREND_TOL):
@@ -428,21 +419,18 @@ def loglog_bound_check(spec: ModulusSpec, n: int) -> WeightReport:
     """Check that threshold_product(tau) * loglog(1/tau) stays bounded in
     dimension n.
 
-    Samples tau on 40 decades below min(tau0, e**-e).  Pass needs the sup
-    over the grid below 50 **and** a tail that grows by at most 5% over its
-    last 10 decades; a declared constant alone cannot distinguish slowly
-    divergent products at finite depth.
+    Samples tau on 40 decades below min(tau0, e**-e), in L = log(1/tau) as
+    ``classify_strauss_threshold`` does, so no tau0 is too small.  Pass
+    needs the sup over the grid below 50 **and** a tail that grows by at
+    most 5% over its last 10 decades; a declared constant alone cannot
+    distinguish slowly divergent products at finite depth.
     """
-    start = min(spec.tau0, math.exp(-_tower(2)) * 0.999)
-    taus = start * 10.0 ** (-np.arange(_DECADES + 1.0))
-    if taus[-1] <= 0.0:
-        raise ValueError(f"tau0 = {spec.tau0:g} leaves no positive tau grid below it")
-    L = -np.log(taus)
-    values = threshold_product(spec, n, taus) * np.log(L)
+    L = _decades_below(min(spec.tau0, math.exp(-_tower(2)) * 0.999))
+    values = np.exp(_log_threshold_product(spec, n, L)) * np.log(L)
     sup = float(np.max(values))
     tail_ok = values[-1] <= values[-(_TREND_WINDOW + 1)] * (1.0 + _TREND_TOL)
     return WeightReport(
-        region=f"tau in [{taus[-1]:.3g}, {taus[0]:.3g}], {len(taus)} samples",
+        region=f"log(1/tau) in [{L[0]:.3g}, {L[-1]:.3g}], {len(L)} samples",
         fitted_constant=sup,
         passed=bool(sup <= 50.0 and tail_ok),
     )

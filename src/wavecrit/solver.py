@@ -150,11 +150,14 @@ class CharacteristicGrid:
     r_nodes: int
 
     def __post_init__(self):
-        if self.h <= 0.0 or self.t_levels < 1 or self.r_nodes < 2:
+        if not 0.0 < self.h < math.inf or self.t_levels < 1 or self.r_nodes < 2:
             raise ValueError("need h > 0, t_levels >= 1, r_nodes >= 2")
 
     @classmethod
     def cover(cls, h: float, horizon: float, support_radius: float) -> "CharacteristicGrid":
+        for name, value in (("h", h), ("horizon", horizon)):
+            if not 0.0 < value < math.inf:  # refuses nan too
+                raise ValueError(f"{name} must be positive and finite, got {name}={value}")
         t_levels = int(round(horizon / h))
         r_nodes = int(math.ceil((support_radius + t_levels * h) / h)) + 2
         return cls(h=h, t_levels=t_levels, r_nodes=r_nodes)

@@ -153,6 +153,8 @@ def key_integral(xi: float, eps0: float, spec: ModulusSpec) -> KeyIntegralResult
     """
     if not 0.0 < eps0 < 1.0:
         raise ValueError("eps0 must lie in (0, 1)")
+    if not math.isfinite(xi):
+        raise ValueError(f"xi must be finite, got xi={xi}")
     p = strauss_exponent(3)
     if xi == 0.0:
         return KeyIntegralResult(0.0, 0.0)

@@ -253,7 +253,7 @@ def test_criterion_11_threshold_classifier():
         (LogOnePlus(1.0), "zero"),
         (LogPower(0.8, 1.0), "zero"),
         (DoubleLogGlobal(-1.0), "zero"),
-        (TripleLogGlobal(-0.5, 3), "zero"),
+        (TripleLogGlobal(-0.5), "zero"),
     ]
     for family, expected in blow_up + finite + global_side:
         verdict = classify_strauss_threshold(make_spec(family), 3)

@@ -110,6 +110,20 @@ def test_constants_validation():
     for t_max in (math.nan, math.inf, -5.0, 0.0):
         with pytest.raises(ValueError, match="t_max"):
             divergence_onset(3, spec, t_max)
+    for constants in ({"c6": math.inf}, {"c7": math.inf}, {"c6": math.nan}):
+        with pytest.raises(ValueError, match="positive and finite"):
+            divergence_onset(3, spec, 1e6, **constants)
+
+
+def test_ledger_refuses_an_overflowing_J():
+    # log M_J ~ -4.6 p^J is the last finite float at J = 802 in three
+    # dimensions; past it the ledger, and from J = 805 a_J, overflow
+    assert math.isfinite(build_ledger(3, 802).rows[-1][-1])
+    for J in (803, 805, 2000):
+        with pytest.raises(ArithmeticError, match=f"J={J}"):
+            build_ledger(3, J)
+    with pytest.raises(ArithmeticError, match="J=2000"):
+        exponent_sequences(3, 2000)
 
 
 def test_ledger_rows():

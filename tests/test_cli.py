@@ -112,12 +112,23 @@ def test_solve_grid_beyond_memory_exits_one(capsys, tmp_path):
     (["exponents", "--n", "0"], "argument --n"),
     (["lemmas", "verify", "--which", "ball-integral", "--n", "2", "--lambda0", "5"],
      "--lambda0 applies to --which kernel-bounds only"),
+    # a nan or infinite family field: these ran, a nan gamma as a global-side
+    # onset or a failed check, an infinite cl as a rung that blew up at once
+    (["onset", "--family", "logpower", "--gamma", "nan", "--cl", "2"], "finite gamma > 0"),
+    (["mu", "check", "--family", "logpower", "--gamma", "nan"], "finite gamma > 0"),
+    (["lifespan", "--family", "logpower", "--gamma", "0.2", "--cl", "inf", "--eps-list", "2"],
+     "and cl > 0"),
+    (["mu", "check", "--family", "iterlog", "--gamma", "inf"], "finite gamma > 0"),
+    (["mu", "check", "--family", "doublelog", "--gamma=-inf"], "finite gamma <= -1"),
+    (["mu", "check", "--family", "triplelog", "--gamma", "nan"], "finite gamma < 0"),
 ], ids=["stray-cl", "stray-k", "3d-command-n", "eps-list", "xi-list", "sequences-n",
-        "sequences-J", "mu-n", "exponents-n", "ball-integral-lambda0"])
+        "sequences-J", "mu-n", "exponents-n", "ball-integral-lambda0", "logpower-gamma-nan-onset",
+        "logpower-gamma-nan-mu", "logpower-cl-inf-lifespan", "iterlog-gamma-inf",
+        "doublelog-gamma-inf", "triplelog-gamma-nan"])
 def test_usage_error_names_the_flag(capsys, tmp_path, argv, message):
-    # a flag the family lacks, --n on a 3-D command, a bad list or dimension:
-    # exit 2 naming the flag in the subcommand's usage, before any result
-    # directory exists
+    # a flag the family lacks or a field out of range, --n on a 3-D command, a
+    # bad list or dimension: exit 2 naming the flag in the subcommand's usage,
+    # before any result directory exists
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out-dir", str(tmp_path)])
     assert exc.value.code == 2
@@ -157,17 +168,43 @@ def test_missing_family_value_rejected(tmp_path):
 
 
 def test_family_field_out_of_range_rejected(capsys, tmp_path):
-    # k = 4 underflows the e-tower guard exp(-tower(k)), k = 5 overflows tower(k)
+    # k = 4 underflows the e-tower guard exp(-tower(k)), k = 5 overflows tower(k);
+    # triplelog's k is fixed at 3, so it has no --k
     for family, k, message in (
         (["iterlog", "--gamma", "1"], "0", "k >= 2"),
-        (["triplelog", "--gamma", "-0.5"], "4", "largest admissible k is 3"),
-        (["triplelog", "--gamma", "-0.5"], "5", "largest admissible k is 3"),
+        (["triplelog", "--gamma", "-0.5"], "3", "--k does not apply"),
+        (["triplelog", "--gamma", "-0.5"], "4", "--k does not apply"),
         (["iterlog", "--gamma", "1"], "5", "largest admissible k is 3"),
     ):
         with pytest.raises(SystemExit) as exc:
             main(["mu", "check", "--family", *family, "--k", k, "--out-dir", str(tmp_path)])
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["lifespan", "--family", "logpower", "--gamma", "0.2", "--cl", "10", "--eps-list", "2",
+      "--h", "nan"], "h="),
+    (["solve", "--family", "powerlaw", "--eps", "1", "--h", "0.05", "--horizon", "inf"],
+     "horizon="),
+    (["verify-global", "--family", "powerlaw", "--horizon", "nan"], "horizon="),
+    (["key-integral", "--family", "powerlaw", "--xi-list", "nan,100"], "xi="),
+    (["key-integral", "--family", "powerlaw", "--xi-list", "inf"], "xi="),
+    (["lemmas", "verify", "--which", "kernel-bounds", "--n", "3", "--lambda0", "nan"],
+     "lambda0="),
+    (["lemmas", "verify", "--which", "kernel-bounds", "--n", "3", "--lambda0", "inf"],
+     "lambda0="),
+    (["sequences", "--n", "3", "--J", "2000"], "J=2000"),
+    (["sequences", "--n", "3", "--J", "803"], "J=803"),
+], ids=["lifespan-h-nan", "solve-horizon-inf", "verify-global-horizon-nan", "xi-nan",
+        "xi-inf", "lambda0-nan", "lambda0-inf", "sequences-J-2000", "sequences-J-803"])
+def test_nonfinite_run_input_exits_one(capsys, tmp_path, argv, name):
+    # refused by name as a runtime error, before any result directory exists
+    code = main(argv + ["--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error:" in err and name in err and "usage:" not in err
+    assert not any(tmp_path.iterdir())
 
 
 # -------------------------------------------------------------- persistence
@@ -279,7 +316,8 @@ def test_mu_check_loglog_bound_in_the_dimension_asked(tmp_path):
 @pytest.mark.parametrize("flag, name", [
     (["--c6", "-1"], "c6"), (["--c7", "0"], "c7"),
     (["--tmax", "nan"], "t_max"), (["--tmax", "inf"], "t_max"), (["--tmax", "-5"], "t_max"),
-], ids=["c6", "c7", "tmax-nan", "tmax-inf", "tmax-negative"])
+    (["--c6", "inf"], "c6"), (["--c7", "inf"], "c7"),
+], ids=["c6", "c7", "tmax-nan", "tmax-inf", "tmax-negative", "c6-inf", "c7-inf"])
 def test_onset_nonpositive_constant_exits_one(capsys, tmp_path, flag, name):
     # a blow-up family too, whose onset an unchecked t_max would still predict
     for family in (["powerlaw"], ["logpower", "--gamma", "0.2", "--cl", "10"]):
@@ -387,6 +425,10 @@ PINNED_MANIFESTS = {
          "--eps0", "0.05"],
         {"eps0": 0.05, "family": "doublelog", "gamma": -1.0, "n": 3,
          "tau0": 0.03296102390473361, "xi_list": [10.0, 100.0, 1000.0, 10000.0]}),
+    # triplelog's k is a class constant: no field, so not a parameter
+    "mu-triplelog": (
+        ["mu", "check", "--family", "triplelog", "--gamma", "-0.5"],
+        {"family": "triplelog", "gamma": -0.5, "n": 3, "tau0": 2.6191056620718964e-07}),
 }
 OUTPUT_FLAGS = {"help", "out_dir", "quiet"}
 FAMILY_FLAGS = {"family", "gamma", "cl", "k", "tau0"}

@@ -228,6 +228,12 @@ def test_source_kernel_domain_errors():
         data_kernel(CFG, Q3, -0.5, 0.0)
 
 
+def test_config_refuses_nonfinite_lambda0_or_radius():
+    for fields in ({"lambda0": math.nan}, {"lambda0": math.inf}, {"R": math.nan}, {"R": 0.0}):
+        with pytest.raises(ValueError, match="positive and finite"):
+            KernelConfig(**fields)
+
+
 def test_sinh_ratio_seam():
     # series and direct paths agree across the switch point
     for z in np.geomspace(1e-5, 1e-3, 25):

@@ -36,7 +36,7 @@ ALL_DEFAULT_SPECS = [
     make_spec(LogPower(1.0 / P3, 5.0)),
     make_spec(IteratedLogBlowup(1.0, 2)),
     make_spec(DoubleLogGlobal(-1.0)),
-    make_spec(TripleLogGlobal(-0.5, 3)),
+    make_spec(TripleLogGlobal(-0.5)),
 ]
 
 
@@ -87,8 +87,21 @@ def test_family_parameter_validation():
     # the e-tower domain guard exp(-tower(4)) underflows to 0
     with pytest.raises(ValueError, match="largest admissible k is 3"):
         IteratedLogBlowup(1.0, k=4)
-    with pytest.raises(ValueError, match="largest admissible k is 3"):
+    # the iterated-log depth of the two global families is fixed, not a field
+    assert (DoubleLogGlobal.k, TripleLogGlobal.k) == (2, 3)
+    with pytest.raises(TypeError):
         TripleLogGlobal(-0.5, k=4)
+    # a field out of range by being nan or infinite is refused as well
+    for family, fields in (
+        (PowerLaw, (math.nan,)), (LogOnePlus, (math.nan,)),
+        (LogPower, (math.nan,)), (LogPower, (math.inf,)),
+        (LogPower, (0.2, math.nan)), (LogPower, (0.2, math.inf)),
+        (IteratedLogBlowup, (math.nan,)), (IteratedLogBlowup, (math.inf,)),
+        (DoubleLogGlobal, (math.nan,)), (DoubleLogGlobal, (-math.inf,)),
+        (TripleLogGlobal, (math.nan,)), (TripleLogGlobal, (-math.inf,)),
+    ):
+        with pytest.raises(ValueError, match="gamma" if len(fields) == 1 else "cl"):
+            family(*fields)
 
 
 def test_make_spec_refuses_a_non_family():
@@ -179,9 +192,28 @@ def test_convexity_reports_zero_violation_when_strictly_convex():
     assert report.fitted_constant == 0.0
 
 
-def test_convexity_needs_symmetric_grid():
-    with pytest.raises(ValueError):
-        convexity_check(make_spec(PowerLaw(1.0)), 3, np.linspace(0.0, 1.0, 11))
+def test_convexity_needs_two_nonnegative_points():
+    spec = make_spec(PowerLaw(1.0))
+    for grid in (np.linspace(-1.0, 0.0, 11), np.linspace(-1.0, -0.1, 10), [0.5], []):
+        with pytest.raises(ValueError, match="two non-negative points"):
+            convexity_check(spec, 3, grid)
+
+
+@pytest.mark.parametrize("spec", ALL_DEFAULT_SPECS, ids=repr)
+def test_convexity_reads_the_nonnegative_half(spec):
+    # the companion is odd, so any grid gives the verdict and margin of its
+    # non-negative points: the symmetric grid of `mu check`, the half alone,
+    # and that half shuffled among arbitrary negative points
+    top = min(spec.tau0, 2.0)
+    symmetric = np.linspace(-top, top, 201)
+    half = symmetric[symmetric >= 0.0]
+    rng = np.random.default_rng(3)
+    negatives = -top * rng.uniform(0.0, 1.0, 37)
+    expected = convexity_check(spec, 3, symmetric)
+    for grid in (half, rng.permutation(np.concatenate([half, negatives]))):
+        report = convexity_check(spec, 3, grid)
+        assert (report.passed, report.fitted_constant) == (expected.passed,
+                                                           expected.fitted_constant)
 
 
 # ------------------------------------------------------------- classification
@@ -210,7 +242,7 @@ def test_threshold_product_domain():
         (LogOnePlus(1.0), "zero"),
         (LogPower(0.8, 1.0), "zero"),
         (DoubleLogGlobal(-1.0), "zero"),
-        (TripleLogGlobal(-0.5, 3), "zero"),
+        (TripleLogGlobal(-0.5), "zero"),
         (LogPower(0.2, 1.0), "infinite"),
         (IteratedLogBlowup(1.0, 2), "infinite"),
     ],
@@ -236,6 +268,15 @@ def test_loglog_bound():
     assert rep.passed
     assert abs(rep.fitted_constant - 1.0) < 1e-9  # exact cancellation
     assert not loglog_bound_check(make_spec(LogPower(1.0 / P3, 5.0)), 3).passed
+
+
+def test_loglog_bound_below_a_tiny_tau0():
+    # its 40 decades run in L = log(1/tau), so tau = 1e-330 below this cutoff
+    # does not underflow; the double-log product cancels exactly at n = 3
+    rep = loglog_bound_check(make_spec(DoubleLogGlobal(-1.0), tau0=1e-290), 3)
+    assert rep.passed
+    assert abs(rep.fitted_constant - 1.0) < 1e-9
+    assert loglog_bound_check(make_spec(PowerLaw(1.0), tau0=1e-290), 3).passed
 
 
 # ------------------------------------------------------------------- jensen

@@ -260,7 +260,7 @@ def test_march_linear_probe_matches_propagator():
 CONE_SPECS = {"linear": None, **{name: make_spec(family) for name, family in {
     "powerlaw": PowerLaw(1.0), "log1p": LogOnePlus(1.0), "logpower": LogPower(0.2, 10.0),
     "iterlog": IteratedLogBlowup(1.0), "doublelog": DoubleLogGlobal(-1.0),
-    "triplelog": TripleLogGlobal(-0.5, 3)}.items()}}
+    "triplelog": TripleLogGlobal(-0.5)}.items()}}
 ITERATED = ("iterlog", "doublelog", "triplelog")
 
 
@@ -336,6 +336,15 @@ def test_march_blows_up_for_large_data():
     assert abs(run.t_detect / run.grid.h - round(run.t_detect / run.grid.h)) < 1e-9
     # storage ends at the detection level
     assert run.field.shape[0] == round(run.t_detect / run.grid.h) + 1
+
+
+@pytest.mark.parametrize("h, horizon, name", [
+    (math.nan, 10.0, "h"), (math.inf, 10.0, "h"), (0.05, math.nan, "horizon"),
+    (0.05, math.inf, "horizon"), (0.05, -1.0, "horizon"),
+])
+def test_grid_cover_refuses_a_bad_step_or_horizon(h, horizon, name):
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+        CharacteristicGrid.cover(h, horizon, 1.0)
 
 
 def test_grid_beyond_memory_rejected_before_allocation():

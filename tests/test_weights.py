@@ -251,6 +251,12 @@ def test_key_integral_validates_eps0():
         key_integral(10.0, 1.5, make_spec(PowerLaw(1.0)))
 
 
+def test_key_integral_refuses_nonfinite_xi():
+    for xi in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="xi must be finite"):
+            key_integral(xi, 0.05, make_spec(PowerLaw(1.0)))
+
+
 def test_key_integral_domain_propagates():
     # double-log family with eps0 too large pushes the modulus argument
     # beyond its near-zero regime
