@@ -9,11 +9,14 @@ arguments.  Each family's near-zero law is its method ``log_mu(L)``, log mu
 as a function of L = log(1/tau), and every reader of the law calls it.
 A family's fields are its free parameters, each refused outside its range
 (NaN and +-inf too); the iterated-log global families fix k as a constant.
-``mu_power`` is the one evaluation of mu: it gives |u|^p mu(|u|)
-in log space, the solver's forcing, and ``mu_eval`` is it at p = 0;
-``past_tau0`` is its one refusal rule, judged on the largest argument.  The
-quantity that separates the blow-up families from the
-global-existence ones is the small-argument limit of
+``forcing(spec, p)`` is the one evaluation of mu: it resolves a spec once
+(the family's law, whether the formula needs a zero mask, whether a peak
+can pass tau0) into a kernel that gives |u|^p mu(|u|) in log space, the
+solver's forcing at every level; ``mu_power`` is that kernel applied once,
+and ``mu_eval`` is ``mu_power`` at p = 0.  ``past_tau0`` is its one
+refusal rule, judged on the largest argument.  The quantity that separates
+the blow-up families from the global-existence ones is the small-argument
+limit of
 
     mu(tau) * log(1/tau)**(1/p(n)),
 
@@ -162,7 +165,11 @@ def _default_tau0(family) -> float:
         return math.inf
     if isinstance(family, LogPower):
         # keep the near-zero branch concave: mu'' <= 0 needs log(1/tau) >= 1+gamma
-        return min(1.0 / 3.0, math.exp(-(1.0 + family.gamma)))
+        tau0 = min(1.0 / 3.0, math.exp(-(1.0 + family.gamma)))
+        if tau0 == 0.0:
+            raise ValueError(f"LogPower's default tau0 = exp(-(1 + gamma)) underflows to 0 at "
+                             f"gamma={family.gamma:g}; give a smaller gamma or a tau0")
+        return tau0
     # shrink below the iterated-log domain guard exp(-tower(k)) until the
     # modulus axioms hold
     tau0 = math.exp(-_tower(family.k)) * 0.999
@@ -172,7 +179,9 @@ def _default_tau0(family) -> float:
         if increasing and concave:
             return tau0
         tau0 *= 0.5
-    raise ValueError(f"no admissible near-zero regime found for {family!r}")
+    raise ValueError(f"no admissible near-zero regime found for {type(family).__name__} at "
+                     f"gamma={family.gamma:g}: mu is not increasing and concave below any "
+                     f"tau0 tried")
 
 
 @dataclass(frozen=True)
@@ -213,12 +222,13 @@ def _monotone_concave(family, taus):
 
     The margin is the largest (mu(a) + mu(b))/2 - mu((a + b)/2) over all
     grid pairs; concave means it is within 1e-12 of the largest value.  A
-    grid that is not increasing returns at once, with margin nan.
+    grid that is not increasing returns at once, with margin nan; so does
+    one on which mu overflows (an extreme gamma), whose differences are nan.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         vals = np.exp(family.log_mu(-np.log(taus)))
-    if not np.all(np.diff(vals) > 0.0):
-        return False, False, math.nan
+        if not np.all(np.diff(vals) > 0.0):
+            return False, False, math.nan
     mid = np.exp(family.log_mu(-np.log(0.5 * (taus[:, None] + taus[None, :]))))
     margin = float(np.max(0.5 * (vals[:, None] + vals[None, :]) - mid))
     return True, margin <= 1e-12 * float(np.max(vals)), margin
@@ -270,9 +280,9 @@ def past_tau0(spec: ModulusSpec, peak: float):
     ``peak`` take its continuation past tau0, None when none does: the
     forcing's one refusal rule.  A negative or NaN peak is refused, and so
     is a peak past tau0 of the other log types, or of LogPower when its
-    bridge is not increasing.  ``mu_power`` judges its arguments by it, a
-    march each level by the peak of its cap check and, when that is
-    refused, each rung by its own peak."""
+    bridge is not increasing.  A ``forcing`` kernel judges by it a peak
+    past tau0; a march so judges each level's cap-check peak and, when that
+    is refused, each rung's own peak."""
     if not peak >= 0.0:  # refuses nan too
         raise ValueError("mu is defined for non-negative arguments only")
     if not peak > spec.tau0 or isinstance(spec.family, _GLOBAL_DOMAIN):
@@ -282,34 +292,53 @@ def past_tau0(spec: ModulusSpec, peak: float):
     return _hermite_bridge(spec)  # refuses a bridge that is not increasing
 
 
+def forcing(spec: ModulusSpec, p: float):
+    """The kernel ``(abs_u, out, peak) -> out`` that writes |u|^p mu(|u|)
+    for ``abs_u`` = |u| into ``out`` in log space, exp(log mu(-lu) + p lu)
+    with lu = log|u|: the package's one evaluation of mu.  The spec is
+    resolved once, not per call: the family's law, the zero mask the
+    iterated-log laws need (they read -inf + inf at |u| = 0), and the tau0
+    (none for PowerLaw and LogOnePlus) past which ``past_tau0`` judges
+    ``peak``, the largest entry of ``abs_u``, and LogPower's continuation
+    overwrites the entries past it.  The caller ignores divide, invalid
+    and over in np.errstate."""
+    family, tau0 = spec.family, spec.tau0
+    law = family.log_mu
+    zero_mask = isinstance(family, _ITERATED_LOG)
+    judged = math.inf if isinstance(family, _GLOBAL_DOMAIN) else tau0
+
+    def kernel(abs_u: np.ndarray, out: np.ndarray, peak: float) -> np.ndarray:
+        bridge = None if 0.0 <= peak <= judged else past_tau0(spec, peak)
+        lu = np.log(abs_u)
+        log_mu = law(-lu)
+        if p != 0.0:  # 0 * lu would be nan at |u| = 0
+            log_mu += np.multiply(lu, p, out=lu)
+        np.exp(log_mu, out=out)
+        if zero_mask:
+            out[abs_u == 0.0] = 0.0
+        if bridge is not None:
+            past = abs_u > tau0
+            out[past] = abs_u[past] ** p * _bridge_eval(spec, bridge, abs_u[past])
+        return out
+
+    return kernel
+
+
 def mu_power(spec: ModulusSpec, p: float, abs_u: np.ndarray, out=None, peak=None) -> np.ndarray:
-    """|u|^p mu(|u|) for ``abs_u`` = |u| (any shape) in log space, exp(log
-    mu(-lu) + p lu) with lu = log|u|: the package's one evaluation of mu.
-    It is 0 at |u| = 0 and takes LogPower's continuation past tau0; the
-    arguments ``past_tau0`` refuses are refused.  ``peak`` is the largest
-    entry of a non-negative ``abs_u`` when the caller has taken it;
-    otherwise the least and the largest entry are judged.  Written into
-    ``out`` when given."""
+    """|u|^p mu(|u|) for ``abs_u`` = |u| (any shape): the ``forcing`` kernel
+    of ``spec`` applied once.  It is 0 at |u| = 0 and takes LogPower's
+    continuation past tau0; the arguments ``past_tau0`` refuses are
+    refused.  ``peak`` is the largest entry of a non-negative ``abs_u``
+    when the caller has taken it; otherwise the least and the largest entry
+    are judged.  Written into ``out`` when given."""
     out = np.empty_like(abs_u) if out is None else out
     if peak is None:
         peak = 0.0
         if abs_u.size:
             past_tau0(spec, abs_u.min())
             peak = abs_u.max()
-    bridge = past_tau0(spec, peak)
-    # log 0 is -inf, and past tau0 the near formula (overwritten below) may be nan or overflow
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        lu = np.log(abs_u)
-        log_mu = spec.family.log_mu(-lu)
-        if p != 0.0:  # 0 * lu would be nan at |u| = 0
-            log_mu += p * lu
-        np.exp(log_mu, out=out)
-    if isinstance(spec.family, _ITERATED_LOG):
-        out[abs_u == 0.0] = 0.0  # their formula reads -inf + inf there
-    if bridge is not None:
-        past = abs_u > spec.tau0
-        out[past] = abs_u[past] ** p * _bridge_eval(spec, bridge, abs_u[past])
-    return out
+        return forcing(spec, p)(abs_u, out, peak)
 
 
 def mu_eval(spec: ModulusSpec, tau):

@@ -43,17 +43,30 @@ of level k + m.  Off the axis the free part is the two-point formula
     r v(t, r) = (P(t+r) - P(t-r)) / 2 + Q1(|t+r|) - Q1(|t-r|),
 
 P(x) = x u0(|x|) odd and Q1 the cumulative trapezoid of (rho/2) u1.  On
-the lattice its feet h (i ± j) are nodes, so ``FreeWave`` reads them as
-forward slices of two tables built once per (data, grid): ``march`` reads
-every node of the Huygens band below, ``weights.linear_decay_check`` every
-m-th.  For data supported in r <= R, with c = ceil(R/h) + 1, u is exactly
-0 past the cone edge e_i = c + i (``cone_edge``) and v off the Huygens
-band |i - j| <= c, so level i computes nodes 0..e_i, v on the band only, and
-writes 0 elsewhere, in place from preallocated buffers: a march costs
-about t_levels (t_levels / 2 + R / h) node updates in a fixed number of
-numpy calls per level, the forcing by ``modulus.mu_power`` in log space.
-The slow oracles the tests hold the recurrence, the forcing and the free
-part to live in ``tests/oracles.py``.
+the lattice its feet h (i ± j) are nodes, so ``FreeWave`` reads them from
+two tables built once per (data, grid), the feet i + j as forward slices
+and i - j as backward ones: ``march`` reads every node of the Huygens band
+below, ``weights.linear_decay_check`` every m-th.  For data supported in
+r <= R, with c = ceil(R/h) + 1, u is exactly 0 past the cone edge
+e_i = c + i (``cone_edge``) and v off the Huygens band |i - j| <= c, so
+level i computes nodes 0..e_i and v on the band only, in place from
+preallocated buffers; ``march``'s field is zero-filled, so nothing is
+written off the band or past the cone.  A march costs about
+t_levels (t_levels / 2 + R / h) node updates.
+
+A level pays only for what the state changes.  The forcing kernel is
+resolved once per march by ``modulus.forcing``, so below tau0 a level's
+forcing is its ufuncs alone; the axis weights r h/2 and r h are tables;
+and the free part, which no state changes, is computed ahead for a block
+of stored levels at once: on the band the foot t + r of node i - c + k is
+the table node 2i + k - c and the foot t - r the node c - k on every
+level, so ``FreeWave.band`` evaluates the two-point formula's six
+operations on strided views of the tables, straight into the field, for
+blocks that stay within the size of one foot table.  A stored level then
+pays 6 numpy calls for the history prefix, 2 for the axis term, 5 for the
+W recurrence, 2 for u = v + W/r, 2 for its modulus and max and 6 (PowerLaw)
+to 8 (LogPower) for the next forcing.  The slow oracles the tests hold the
+recurrence, the forcing and the free part to live in ``tests/oracles.py``.
 
 Blow-up is detected by a cap on the sup norm: marching stops at the first
 level whose max exceeds the cap or goes non-finite.  That max also judges
@@ -61,10 +74,11 @@ the next level's forcing by ``modulus.past_tau0``, so a level is reduced
 once.  There is one level loop, and a march is a ladder of one rung: the
 state has shape (nodes,) + shape(eps), 1-D for ``march``'s amplitude,
 which stores the field, and (nodes x rungs) for ``lifespan_sweep``'s
-ladder, which stores none.  Only when the max stops the level are the
-rungs judged one at a time, and a rung that stops leaves the state, so a
-ladder pays the fixed cost per level once, not once per rung: its numpy
-calls are those of its longest rung alone.
+ladder, which stores none and so reads its free part level by level.
+Only when the max stops the level are the rungs judged one at a time, and
+a rung that stops leaves the state, so a ladder pays the fixed cost per
+level once, not once per rung: its numpy calls are those of its longest
+rung alone.
 """
 
 from __future__ import annotations
@@ -78,7 +92,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .exponents import strauss_exponent
-from .modulus import ModulusSpec, mu_power, past_tau0
+from .modulus import ModulusSpec, forcing, past_tau0
 
 DEFAULT_CAP = 1e6
 
@@ -159,6 +173,9 @@ class CharacteristicGrid:
             if not 0.0 < value < math.inf:  # refuses nan too
                 raise ValueError(f"{name} must be positive and finite, got {name}={value}")
         t_levels = int(round(horizon / h))
+        if t_levels < 1:
+            raise ValueError(f"horizon={horizon:g} rounds to no level at h={h:g}: "
+                             f"a grid needs a horizon above h/2")
         r_nodes = int(math.ceil((support_radius + t_levels * h) / h)) + 2
         return cls(h=h, t_levels=t_levels, r_nodes=r_nodes)
 
@@ -235,16 +252,44 @@ def _validate_data(data: RadialData, grid: CharacteristicGrid):
         raise ValueError(f"data do not vanish beyond the support at r={probe[1:][outside][0]:g}")
 
 
-def _refuse_beyond_memory(grid: CharacteristicGrid, rungs: int, stored_levels: int) -> None:
-    """Refuses, before anything is allocated, a march whose stored levels
-    and the four foot tables of its ``rungs`` free waves exceed physical
-    memory."""
-    nt, nr = grid.t_levels, grid.r_nodes
-    nbytes = 8 * (stored_levels * nr + 4 * (nt + 2 * nr - 1) * rungs)
+def _band_rows(grid: CharacteristicGrid, reach: int) -> int:
+    """Levels per block of a march's free band: as many as keep the block,
+    2 reach + 1 nodes a level, within the size of one foot table."""
+    return max(1, (grid.t_levels + 2 * grid.r_nodes - 1) // (2 * reach + 1))
+
+
+def _refuse_beyond_memory(grid: CharacteristicGrid, data: RadialData, rungs: int,
+                          stored_levels: int) -> None:
+    """Refuses, before anything is allocated, a march whose stored levels,
+    the two foot tables of its ``rungs`` free waves and, when it stores
+    levels, one block of its free band exceed physical memory."""
+    nt, nr, reach = grid.t_levels, grid.r_nodes, cone_edge(grid, data, 0)
+    block = _band_rows(grid, reach) * (2 * reach + 1) if stored_levels else 0
+    nbytes = 8 * (stored_levels * nr + 2 * (nt + 2 * nr - 1) * rungs + block)
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if nbytes > memory:
         raise ValueError(f"a march of {nt + 1} x {nr} levels allocates {nbytes} bytes, "
                          f"more than the {memory} bytes of physical memory")
+
+
+def _rows(a: np.ndarray, start: int, rows: int, width: int, step: int) -> np.ndarray:
+    """The view of the C-contiguous ``a`` whose row b holds its entries
+    start + b step .. start + b step + width - 1 along the first axis;
+    numpy refuses a view past the end of ``a``."""
+    s = a.strides[0]
+    return np.ndarray((rows, width) + a.shape[1:], a.dtype, a, start * s, (step * s,) + a.strides)
+
+
+def _two_point(p_plus, p_minus, q_plus, q_minus, r, out=None) -> np.ndarray:
+    """(P(t+r) - P(t-r)) / (2 r) + (Q1(|t+r|) - Q1(|t-r|)) / r from the
+    feet's table entries, in the one order of operations of every reader."""
+    out = np.subtract(p_plus, p_minus, out=out)
+    out *= 0.5
+    out /= r
+    window = np.subtract(q_plus, q_minus)
+    window /= r
+    out += window
+    return out
 
 
 class FreeWave:
@@ -255,9 +300,11 @@ class FreeWave:
     1)..t_levels + r_nodes - 1, so v is read from two tables at offset
     r_nodes - 1: P(hn) = hn eps u0(h|n|), odd in n, and the u1 prefix
     Q1(h|n|), the cumulative trapezoid of (rho/2) eps u1 on the radial
-    nodes, constant past the last one; the feet i - j are read from reversed
-    copies, so every read is a forward slice.  ``u0`` holds the u0 samples on h n,
-    n = 0..t_levels + r_nodes, ``r`` the radial nodes and ``axis`` the limit
+    nodes, constant past the last one.  The feet i + j of a level's nodes
+    are a forward slice of a table, the feet i - j a backward one, so
+    neither table is copied; ``level`` reads the nodes of one level,
+    ``band`` the Huygens bands of a block of levels.  ``u0`` holds the u0 samples on h n, n =
+    0..t_levels + r_nodes, ``r`` the radial nodes and ``axis`` the limit
     v(t_i, 0) = eps (u0(t) + t u0'(t) + t u1(t)) on every level.  ``eps``
     is the data's amplitude, or a lifespan ladder's vector of amplitudes:
     then the tables and ``axis`` gain a trailing rung axis, each rung's
@@ -284,13 +331,11 @@ class FreeWave:
         q1 = np.zeros_like(vals)
         np.cumsum(0.5 * (vals[1:] + vals[:-1]) * col(np.diff(self.r)), axis=0, out=q1[1:])
         self._q = q1[np.minimum(np.abs(feet), nr - 1)]
-        self._p_rev, self._q_rev = self._p[::-1].copy(), self._q[::-1].copy()
 
     def _keep(self, keep: np.ndarray) -> None:
         """Keeps the waves of a ladder's rungs ``keep`` only, in the tables' own memory."""
         self._eps = self._eps[keep]
-        self._p, self._q, self._p_rev, self._q_rev, self.axis = (
-            _columns(table, keep) for table in (self._p, self._q, self._p_rev, self._q_rev, self.axis))
+        self._p, self._q, self.axis = (_columns(table, keep) for table in (self._p, self._q, self.axis))
 
     def level(self, i: int, lo: int, stop: int, step: int = 1, out=None) -> np.ndarray:
         """v(t_i, r_j) on the nodes j = lo, lo + step, ... < stop off the axis,
@@ -307,15 +352,29 @@ class FreeWave:
             raise ValueError(f"free wave on nodes {lo}..{stop - 1} of level {i}: the grid "
                              f"has levels 0..{nt} and off-axis nodes 1..{nr - 1}")
         plus = slice(nr - 1 + i + lo, nr - 1 + i + stop, step)
-        minus = slice(nt + nr - 1 - i + lo, nt + nr - 1 - i + stop, step)
-        r = self._r[lo:stop:step]
-        out = np.subtract(self._p[plus], self._p_rev[minus], out=out)
-        out *= 0.5
-        out /= r
-        window = np.subtract(self._q[plus], self._q_rev[minus])
-        window /= r
-        out += window
-        return out
+        end = nr - 1 + i - stop  # the foot of node stop, -1 at the table's start
+        minus = slice(nr - 1 + i - lo, end if end >= 0 else None, -step)
+        return _two_point(self._p[plus], self._p[minus], self._q[plus], self._q[minus],
+                          self._r[lo:stop:step], out)
+
+    def band(self, i0: int, i1: int, reach: int, out=None) -> np.ndarray:
+        """v on the Huygens bands of the levels i0..i1 - 1 at once: row i - i0,
+        column k holds v(t_i, r_j) at j = i - reach + k, k = 0..2 reach, by
+        ``level``'s formula and operations, so bit for bit ``level``'s
+        values.  The foot i + j = 2i - reach + k is a view of the table
+        whose rows step by 2, the foot i - j = reach - k one window shared
+        by every level.  Written into ``out`` when given; a band that
+        leaves the off-axis nodes is refused.
+        """
+        nt, nr = self.grid.t_levels, self.grid.r_nodes
+        if not reach < i0 < i1 <= min(nt + 1, nr - reach):
+            raise ValueError(f"free band of half-width {reach} on levels {i0}..{i1 - 1}: "
+                             f"the grid has levels 0..{nt} and off-axis nodes 1..{nr - 1}")
+        rows, width, plus = i1 - i0, 2 * reach + 1, nr - 1 - reach + 2 * i0
+        minus = slice(nr - 1 - reach, nr + reach)
+        return _two_point(_rows(self._p, plus, rows, width, 2), self._p[minus][::-1],
+                          _rows(self._q, plus, rows, width, 2), self._q[minus][::-1],
+                          _rows(self._r, i0 - reach, rows, width, 1), out)
 
 
 def march(
@@ -332,13 +391,13 @@ def march(
     "blew_up" at the first level whose max modulus exceeds ``cap`` or is
     not finite; ``cap = inf`` stops on a non-finite level only.  A forcing
     argument ``modulus.past_tau0`` refuses is raised, and so is a grid
-    whose field and foot tables exceed physical memory.
+    whose field, foot tables and band block exceed physical memory.
     """
     if not cap > 0.0:
         raise ValueError(f"cap must be positive, got {cap}")
-    _refuse_beyond_memory(grid, 1, grid.t_levels + 1)
+    _refuse_beyond_memory(grid, data, 1, grid.t_levels + 1)
     free = FreeWave(data, grid)
-    field = np.empty((grid.t_levels + 1, grid.r_nodes))
+    field = np.zeros((grid.t_levels + 1, grid.r_nodes))  # +0.0 off the band and past the cone
     status, last = _march_levels(free, spec, data, cap, field).get(0, ("completed", grid.t_levels))
     if isinstance(status, ValueError):
         raise status
@@ -358,15 +417,15 @@ def _march_levels(free, spec, data, cap, field=None) -> dict:
 
     The state holds a value per node and rung, shape (nodes,) + the shape
     of the wave's amplitude: 1-D for ``march``'s scalar.  Level i is written to
-    field[i] when a ``field`` is given, else to the reused |level| buffer,
-    so no field is stored.  Returns {rung: (status, level)} for the rungs
+    field[i] when a zero-filled ``field`` is given, else to the reused |level|
+    buffer, so no field is stored.  Returns {rung: (status, level)} for the rungs
     that stopped, each leaving the state: ("blew_up", i) at the first level
     i >= 1 whose max modulus exceeds ``cap`` or is not finite, and (the
     ValueError, None) for a rung whose next forcing ``past_tau0`` refuses.
     """
     grid = free.grid
     h, nt, nr = grid.h, grid.t_levels, grid.r_nodes
-    p = strauss_exponent(3)
+    force = None if spec is None else forcing(spec, strauss_exponent(3))  # resolved once
     r = free._r  # the radial nodes, a column against a ladder's state
     reach = cone_edge(grid, data, 0)  # half-width of the Huygens band, in nodes
     rungs = np.shape(free._eps)  # () for one amplitude, (rungs,) for a ladder
@@ -383,15 +442,21 @@ def _march_levels(free, spec, data, cap, field=None) -> dict:
     q = np.zeros((nr + 1,) + rungs)
     axis = np.zeros((nt + 1,) + rungs)  # axis[i] = sum over k < i of w_k (i-k) h g_k[i-k]
     half_r = 0.5 * r
+    axis_weights = (r * (0.5 * h), r * h)  # w_k m h on node m: w_0 = h/2, then h
     abs_level = np.empty((nr,) + rungs)  # |u| on level i, the cap check and the next forcing
     level = np.multiply.outer(free.u0[:nr], free._eps, out=abs_level if field is None else field[0])
     np.abs(level, out=abs_level)
     g = np.zeros((nr,) + rungs)  # the forcing; it stays 0 in linear mode
     work = np.empty((nr,) + rungs)
     trap = np.empty((nr - 1,) + rungs)
-    n = cone_edge(grid, data, 1) + 1  # the nodes of level 1: those level 0 forces
-    # |u| past ~4.8e127 overflows |u|^p: the non-finite level is the stop "blew_up"
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a stored level whose band lies whole in nodes 1..nr-1 finds its free part in the field,
+    # written there a block of levels at a time: ``banded`` is the first level not yet written
+    blocked = range(reach + 1, min(nt, nr - 1 - reach) + 1) if field is not None else range(0)
+    block, banded = _band_rows(grid, reach), 0
+    n = min(reach + 2, nr)  # the nodes of level 1 (cone_edge + 1): those level 0 forces
+    # the forcing takes log 0; |u| past ~4.8e127 overflows |u|^p, and that non-finite
+    # level is the stop "blew_up"
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i in range(nt + 1):
             if i:
                 e = n - 1  # nodes 0..e of level i; u = 0 past e
@@ -400,40 +465,47 @@ def _march_levels(free, spec, data, cap, field=None) -> dict:
                 tr = np.add(work[1:n], work[:e], out=trap[:e])
                 tr *= 0.5
                 tr *= h
-                tr.cumsum(axis=0, out=q[1:n])
+                np.add.accumulate(tr, axis=0, out=q[1:n])  # cumsum, without its wrapper
                 q[n] = q[e]
                 weight = 0.5 * h if i == 1 else h
                 m_top = min(nt - (i - 1), e)
-                tail = np.multiply(r[1:m_top + 1], weight, out=work[:m_top])  # w m h
-                tail *= g[1:m_top + 1]
+                tail = np.multiply(axis_weights[i > 1][1:m_top + 1], g[1:m_top + 1], out=work[:m_top])
                 axis[i:i + m_top] += tail
 
                 # W_i overwrites W_{i-2}
                 w = np.add(rlu[:e], rlu[2:n + 1], out=work[1:n])
-                np.subtract(w, rlu_prev[1:n], out=rlu_prev[1:n])
+                new = rlu_prev[1:n]
+                np.subtract(w, new, out=new)
                 step = np.subtract(q[2:n + 1], q[:e], out=w)
                 step *= weight
-                rlu_prev[1:n] += step
+                new += step
                 rlu_prev, rlu = rlu, rlu_prev
 
-                # v on the Huygens band, nodes lo..e
+                # v on the Huygens band, nodes lo..e, then u = v + W/r
                 level = abs_level if field is None else field[i]
-                lo = max(1, i - reach)
-                level[1:lo] = level[n:] = 0.0  # v = 0 off the band, u = 0 past the cone
-                free.level(i, lo, n, out=level[lo:n])
+                if i >= banded:
+                    if i in blocked:
+                        banded = min(i + block, blocked.stop)
+                        free.band(i, banded, reach, out=_rows(
+                            field.reshape(-1), i * (nr + 1) - reach, banded - i, 2 * reach + 1, nr + 1))
+                    else:
+                        lo = max(1, i - reach)
+                        level[1:lo] = 0.0  # v = 0 off the band; the ladder's buffer holds |u|
+                        free.level(i, lo, n, out=level[lo:n])
                 level[0] = free.axis[i] + axis[i]
                 level[1:n] += np.divide(rlu[1:n], r[1:n], out=w)
                 np.abs(level[:n], out=abs_level[:n])
-                n = cone_edge(grid, data, i + 1) + 1  # the nodes of level i + 1; |u| = 0 on node e + 1
+                n = min(reach + i + 2, nr)  # the nodes of level i + 1; |u| = 0 on node e + 1
 
             # one reduction judges the cap and the next level's forcing; only when it stops
             # a rung are the rungs judged one at a time, and the stopped ones leave the state
-            peak = abs_level[:n].max()
-            forced = spec is not None and i < nt  # the last level is never forced
+            reads = abs_level[:n]  # |u| on the nodes the next level reads
+            peak = reads.max()
+            forced = force is not None and i < nt  # the last level is never forced
             stopped = i > 0 and not peak <= limit
             if forced and not stopped:
                 try:
-                    mu_power(spec, p, abs_level[:n], out=g[:n], peak=peak)
+                    force(reads, g[:n], peak)
                 except ValueError:
                     stopped = True
             if stopped:
@@ -454,7 +526,7 @@ def _march_levels(free, spec, data, cap, field=None) -> dict:
                     _columns(a, keep) for a in (rlu, rlu_prev, q, axis, abs_level, g, work, trap))
                 free._keep(keep)
                 if forced:
-                    mu_power(spec, p, abs_level[:n], out=g[:n], peak=peaks[keep].max())
+                    force(abs_level[:n], g[:n], peaks[keep].max())
     return stops
 
 
@@ -495,7 +567,7 @@ def lifespan_sweep(
     epsilons = list(epsilons)
     if not (cap > 0.0 and all(0.0 < eps < math.inf for eps in epsilons)):
         raise ValueError("lifespans need positive finite amplitudes and a positive cap")
-    _refuse_beyond_memory(grid, len(epsilons), 0)
+    _refuse_beyond_memory(grid, data_template, len(epsilons), 0)
     free = FreeWave(data_template, grid, np.array(epsilons, dtype=float))  # checks the data once
     stops = _march_levels(free, spec, data_template, cap) if epsilons else {}
     rows = []

@@ -151,6 +151,33 @@ def test_tau0_past_the_log_domain_is_a_usage_error(capsys, tmp_path, family):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv, message", [
+    # exp(-(1 + gamma)) underflows to 0: was "tau0 must be positive, got 0.0"
+    (["mu", "check", "--family", "logpower", "--gamma", "1e300"],
+     "LogPower's default tau0 = exp(-(1 + gamma)) underflows to 0 at gamma=1e+300"),
+    # mu overflows on every candidate grid: was an overflow traceback under -W error
+    (["mu", "check", "--family", "iterlog", "--gamma", "1e300"],
+     "no admissible near-zero regime found for IteratedLogBlowup at gamma=1e+300"),
+], ids=["logpower-tau0-underflow", "iterlog-gamma-overflow"])
+def test_extreme_gamma_is_refused_by_name(capsys, tmp_path, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"wavecrit {argv[0]}: error: {message}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_horizon_of_no_level_exits_one(capsys, tmp_path):
+    # a horizon that rounds to no level names --horizon and --h, as a nan horizon does
+    code = main(["lifespan", "--family", "powerlaw", "--eps-list", "2", "--horizon", "0.001",
+                 "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error: horizon=0.001 rounds to no level at h=0.02" in err and "usage:" not in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_lifespan_grid_error_exits_one(capsys, tmp_path):
     # an error every rung shares is the command's error, not a failed row each
     code = main(["lifespan", "--family", "logpower", "--gamma", "0.2", "--cl", "10",

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wavecrit
+from wavecrit import modulus
 from wavecrit.modulus import (
     DoubleLogGlobal,
     IteratedLogBlowup,
@@ -18,9 +19,11 @@ from wavecrit.modulus import (
     LogPower,
     PowerLaw,
     TripleLogGlobal,
+    forcing,
     make_spec,
     mu_eval,
     mu_power,
+    past_tau0,
 )
 from wavecrit.solver import (
     CharacteristicGrid,
@@ -109,6 +112,53 @@ def test_free_wave_refuses_nodes_off_the_grid():
     for i, lo, stop in [(0, 1, nr + 1), (nt, 0, nr), (nt + 1, 1, nr), (-1, 1, 5)]:
         with pytest.raises(ValueError, match="free wave on nodes"):
             free.level(i, lo, stop)
+
+
+@pytest.mark.parametrize("eps", [None, np.array([0.5, 2.0, 1.0])], ids=["wave", "ladder"])
+@pytest.mark.parametrize("datum", [default_bump, velocity_bump])
+def test_free_band_is_the_level_reads_bit_for_bit(datum, eps):
+    # a block of bands reads the feet through strided views; every entry is
+    # the one ``level`` gives, sign bits included
+    grid = CharacteristicGrid.cover(0.05, 4.0, 1.0)
+    free = FreeWave(datum(1.0), grid, eps)
+    nt, nr, reach = grid.t_levels, grid.r_nodes, 21
+    i0, i1 = reach + 1, min(nt + 1, nr - reach)
+    band = free.band(i0, i1, reach)
+    assert band.shape == (i1 - i0, 2 * reach + 1) + np.shape(eps)
+    for i in range(i0, i1):
+        level = free.level(i, i - reach, i + reach + 1)
+        assert level.tobytes() == band[i - i0].tobytes()
+    for a, b in [(reach, i1), (i0, nt + 2), (i0, i0), (i0, nr - reach + 1)]:
+        with pytest.raises(ValueError, match="free band of half-width"):
+            free.band(a, b, reach)
+
+
+def test_memory_guard_counts_what_a_march_allocates(monkeypatch):
+    # with the memory made tiny the guard refuses every grid and names its count:
+    # the stored field, the two foot tables and the largest block of the free band
+    # a march holds; a ladder holds the tables of its rungs only
+    data, spec = default_bump(0.5), make_spec(PowerLaw(1.0))
+    grid = CharacteristicGrid.cover(0.05, 4.0, 1.0)
+    blocks = []
+    band = FreeWave.band
+
+    def spy(self, i0, i1, reach, out=None):
+        blocks.append(out.nbytes)
+        return band(self, i0, i1, reach, out)
+
+    monkeypatch.setattr(FreeWave, "band", spy)
+    run = march(data, spec, grid)
+    tables = FreeWave(data, grid)._p.nbytes + FreeWave(data, grid)._q.nbytes
+    assert len(blocks) > 1 and run.field.base.nbytes == 8 * (grid.t_levels + 1) * grid.r_nodes
+    allocated = run.field.base.nbytes + tables + max(blocks)
+    ladder = FreeWave(data, grid, np.array([0.5, 1.0, 2.0]))
+    laddered = ladder._p.nbytes + ladder._q.nbytes
+
+    monkeypatch.setattr(os, "sysconf", lambda name: 1)
+    for count, call in ((allocated, lambda: march(data, spec, grid)),
+                        (laddered, lambda: lifespan_sweep(data, spec, [0.5, 1.0, 2.0], grid))):
+        with pytest.raises(ValueError, match=f"allocates {count} bytes, more than the 1 bytes"):
+            call()
 
 
 # differential: the lattice path against the adaptive-quadrature oracle at
@@ -347,6 +397,14 @@ def test_grid_cover_refuses_a_bad_step_or_horizon(h, horizon, name):
         CharacteristicGrid.cover(h, horizon, 1.0)
 
 
+@pytest.mark.parametrize("horizon", [0.001, 0.025])
+def test_grid_cover_refuses_a_horizon_of_no_level(horizon):
+    # a horizon up to h/2 rounds to no level; the refusal names both inputs
+    with pytest.raises(ValueError, match=f"^horizon={horizon:g} rounds to no level at h=0.05"):
+        CharacteristicGrid.cover(0.05, horizon, 1.0)
+    assert CharacteristicGrid.cover(0.05, 0.0251, 1.0).t_levels == 1
+
+
 def test_grid_beyond_memory_rejected_before_allocation():
     grid = CharacteristicGrid.cover(1e-6, 1e6, 1.0)
     with pytest.raises(ValueError, match="bytes"):
@@ -513,6 +571,32 @@ def test_forcing_refuses_what_mu_eval_refuses(name):
                 mu_eval(spec, abs_u)
             with pytest.raises(ValueError, match=f"^{re.escape(str(refused.value))}$"):
                 mu_power(spec, P3, abs_u)
+
+
+@pytest.mark.parametrize("name", sorted(set(CONE_SPECS) - {"linear"}))
+def test_resolved_forcing_judges_only_a_peak_past_tau0(name, monkeypatch):
+    # the kernel a march resolves once per spec: below tau0 it calls no
+    # past_tau0 and gives mu_power's bits; past tau0 it judges the peak once
+    spec = CONE_SPECS[name]
+    judged = []
+    monkeypatch.setattr(modulus, "past_tau0",
+                        lambda spec, peak: judged.append(peak) or past_tau0(spec, peak))
+    kernel = forcing(spec, P3)
+    top = 1e6 if math.isinf(spec.tau0) else spec.tau0
+    abs_u = top * np.array([[0.0, 1e-9, 0.3], [0.5, 0.9, 1.0]])
+    out = np.empty_like(abs_u)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        assert kernel(abs_u, out, abs_u.max()) is out
+    assert out.tobytes() == mu_power(spec, P3, abs_u, peak=abs_u.max()).tobytes()
+    assert judged == []
+    past = np.append(abs_u, 2.0 * top)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if name in ("iterlog", "doublelog", "triplelog"):
+            with pytest.raises(ValueError, match="beyond tau0"):
+                kernel(past, np.empty_like(past), past.max())
+        else:
+            kernel(past, np.empty_like(past), past.max())
+    assert judged == ([] if math.isinf(spec.tau0) else [2.0 * top])
 
 
 @pytest.mark.parametrize("family, tau0", [(PowerLaw(1.0), 5.0), (LogOnePlus(1.0), 0.5)])
