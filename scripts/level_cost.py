@@ -1,10 +1,10 @@
 """Fit a march's cost as a fixed cost per level plus a cost per node.
 
-    PYTHONPATH=src python scripts/level_cost.py [--repeat 5] [--json]
+    PYTHONPATH=src python scripts/level_cost.py
 
 For each modulus setting, ``solver.march`` of ``default_bump(eps)`` runs at
-h = 1/16 over the horizons 12.5, 25, 50, 75 and 100, best of ``--repeat``
-rounds (each round runs every horizon once); the model
+h = 1/16 over the horizons 12.5, 25, 50, 75 and 100, best of 5 rounds
+(each round runs every horizon once); the model
 
     time = a * levels + b * nodes
 
@@ -15,13 +15,12 @@ alike: unweighted, the horizon-100 march (68 ms, against 6 ms at 12.5)
 would set both coefficients.  ``nodes`` counts the nodes the march
 computes: level i holds nodes 0..ceil(R/h) + 1 + i, capped at the grid.
 The settings are PowerLaw at eps = 0.01 (the global side) and LogPower(0.2,
-10) at eps = 0.5, which stays below its continuation.  ``--json`` prints
-one JSON object instead of the table.
+10) at eps = 0.5, which stays below its continuation.  It prints one JSON
+object: per setting, the two coefficients and each horizon's best time.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import time
@@ -33,6 +32,7 @@ from wavecrit.solver import CharacteristicGrid, cone_edge, default_bump, march
 
 H = 1.0 / 16.0
 HORIZONS = (12.5, 25.0, 50.0, 75.0, 100.0)
+REPEAT = 5  # rounds; a horizon's best round counts
 SETTINGS = (("powerlaw", PowerLaw(1.0), 0.01), ("logpower", LogPower(0.2, 10.0), 0.5))
 
 
@@ -49,11 +49,11 @@ def coefficients(levels, nodes, seconds) -> tuple:
     return a * 1e6, b * 1e9
 
 
-def fit(family, eps: float, repeat: int) -> dict:
+def fit(family, eps: float) -> dict:
     data, spec = default_bump(eps), make_spec(family)
     grids = [CharacteristicGrid.cover(H, horizon, data.support_radius) for horizon in HORIZONS]
     best = [math.inf] * len(grids)
-    for _ in range(repeat):  # every horizon once a round, so a slow spell hits them alike
+    for _ in range(REPEAT):  # every horizon once a round, so a slow spell hits them alike
         for k, grid in enumerate(grids):
             start = time.perf_counter()
             run = march(data, spec, grid)
@@ -68,21 +68,9 @@ def fit(family, eps: float, repeat: int) -> dict:
                      for hz, lv, nd, t in zip(HORIZONS, levels, nodes, best)]}
 
 
-def main(argv=None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeat", type=int, default=5, help="runs per horizon; the best counts")
-    parser.add_argument("--json", action="store_true", help="print one JSON object")
-    args = parser.parse_args(argv)
-    if args.repeat < 1:
-        parser.error("--repeat must be at least 1")
+def main() -> None:
     march(default_bump(0.01), make_spec(PowerLaw(1.0)), CharacteristicGrid.cover(H, 2.0, 1.0))  # warm-up
-    result = {name: fit(family, eps, args.repeat) for name, family, eps in SETTINGS}
-    if args.json:
-        print(json.dumps(result, indent=1))
-        return
-    print(f"{'setting':<10} {'us/level':>9} {'ns/node':>8}")
-    for name, row in result.items():
-        print(f"{name:<10} {row['us_per_level']:9.2f} {row['ns_per_node']:8.2f}")
+    print(json.dumps({name: fit(family, eps) for name, family, eps in SETTINGS}, indent=1))
 
 
 if __name__ == "__main__":

@@ -116,8 +116,8 @@ class RadialData:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        if self.support_radius <= 0.0:
-            raise ValueError("support radius must be positive")
+        if not 0.0 < self.support_radius < math.inf:  # refuses nan too
+            raise ValueError(f"support radius must be positive and finite, got {self.support_radius}")
         if not 0.0 <= self.amplitude < math.inf:
             raise ValueError(f"amplitude must be finite and non-negative, got {self.amplitude}")
 

@@ -8,12 +8,15 @@ lattice, with the u1 window integrated by adaptive quadrature instead of
 read from a trapezoid table; ``duhamel_apply`` re-sums the whole forcing
 history at one level, with the forcing |u|^p ``mu_direct``(|u|), instead of
 advancing the lattice recurrence of ``wavecrit.solver.march`` with its
-log-space forcing.  None is part of the package.
+log-space forcing; ``march_level_by_level`` is that march as a plain loop
+of one level at a time, every node written, which ``march`` must match bit
+for bit.  None is part of the package.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 from scipy import integrate
@@ -27,8 +30,9 @@ from wavecrit.modulus import (
     ModulusSpec,
     PowerLaw,
     TripleLogGlobal,
+    mu_power,
 )
-from wavecrit.solver import CharacteristicGrid, RadialData, SolutionRun
+from wavecrit.solver import CharacteristicGrid, FreeWave, RadialData, SolutionRun, cone_edge
 
 
 def _near(family, tau: np.ndarray) -> np.ndarray:
@@ -180,3 +184,50 @@ def duhamel_apply(run: SolutionRun, t_level: int, r):
     lu = np.where(j == 0, out[0], out[j] / (np.maximum(j, 1) * grid.h))
     return float(lu) if lu.ndim == 0 else lu
 
+
+
+def march_level_by_level(data: RadialData, spec, grid: CharacteristicGrid, cap: float = 1e6):
+    """(field, status, last level) of ``wavecrit.solver.march``, marched one
+    level at a time: each level's free part read by ``FreeWave.level`` on
+    its Huygens band, every node of it written (0.0 off the band and past
+    the cone), its forcing ``mu_power`` judged on its own peak.  The
+    arithmetic is the march's, in its order, so on any machine a march
+    matches it bit for bit, sign bits included; a forcing argument
+    ``past_tau0`` refuses is raised."""
+    free = FreeWave(data, grid)
+    h, nt, nr = grid.h, grid.t_levels, grid.r_nodes
+    p, r = strauss_exponent(3), free.r
+    reach = cone_edge(grid, data, 0)  # half-width of the Huygens band
+    limit = min(cap, sys.float_info.max)
+    field = np.full((nt + 1, nr), np.nan)  # every entry of a marched level is written
+    field[0] = free.u0[:nr] * data.amplitude
+    rlu, rlu_prev, q = np.zeros(nr + 1), np.zeros(nr + 1), np.zeros(nr + 1)  # W_{i-1}, W_{i-2}
+    axis = np.zeros(nt + 1)
+    g = np.zeros(nr)
+    n = cone_edge(grid, data, 1) + 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(nt + 1):
+            if i:
+                e = n - 1
+                work = 0.5 * r[:n] * g[:n]
+                q[1:n] = np.cumsum((work[1:] + work[:-1]) * 0.5 * h)
+                q[n] = q[e]
+                weight = 0.5 * h if i == 1 else h
+                m_top = min(nt - (i - 1), e)
+                axis[i:i + m_top] += r[1:m_top + 1] * weight * g[1:m_top + 1]
+                rlu_prev[1:n] = rlu[:e] + rlu[2:n + 1] - rlu_prev[1:n] + (q[2:n + 1] - q[:e]) * weight
+                rlu_prev, rlu = rlu, rlu_prev
+                level = field[i]
+                lo = max(1, i - reach)
+                level[1:lo] = level[n:] = 0.0
+                level[lo:n] = free.level(i, lo, n)
+                level[0] = free.axis[i] + axis[i]
+                level[1:n] += rlu[1:n] / r[1:n]
+                n = cone_edge(grid, data, i + 1) + 1
+            abs_level = np.abs(field[i])
+            peak = abs_level[:n].max()
+            if i > 0 and not peak <= limit:
+                return field[:i + 1], "blew_up", i
+            if spec is not None and i < nt:
+                g[:n] = mu_power(spec, p, abs_level[:n], peak=peak)
+    return field, "completed", nt

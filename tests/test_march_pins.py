@@ -1,18 +1,24 @@
-"""Bit-identity pins of the march: the sha256 of marched fields, sign bits
-included, and of lifespan ladder rows.
+"""Bit-identity pins of the march: marched fields, sign bits included, and
+lifespan ladder rows.
 
-The digests were taken before the level loop's fixed costs were hoisted
-(forcing resolved once per spec, the free band in blocks); any rewrite of
-the loop must leave every one of them unchanged.  They hold for IEEE
-float64 numpy arithmetic on one platform and numpy version; a pin that
-moves on an upgrade says so, and is re-taken there from the older code.
+Every pinned march is held bit for bit to ``oracles.march_level_by_level``,
+the same arithmetic as a plain loop of one level at a time, on whatever
+machine the tests run.  Its sha256 is pinned as well, taken before the
+level loop's fixed costs were hoisted (forcing resolved once per spec, the
+free band in blocks).  numpy picks its float64 exp, log, log1p and power
+kernels by CPU feature, and those kernels may differ by an ulp between
+targets and numpy builds, so a digest is compared only in the environment
+it was taken in (``TAKEN_IN``); elsewhere that test is skipped, naming both
+environments.
 """
 
 import hashlib
+import platform
 
 import numpy as np
 import pytest
 
+from oracles import march_level_by_level
 from wavecrit.modulus import (
     DoubleLogGlobal,
     IteratedLogBlowup,
@@ -31,49 +37,85 @@ from wavecrit.solver import (
     velocity_bump,
 )
 
+TAKEN_IN = {"numpy": "2.4.6", "machine": "x86_64",
+            "exp": "X86_V4", "log": "X86_V4", "log1p": "X86_V4", "power": "X86_V4"}
+
+
+def _environment() -> dict:
+    """numpy's version, the machine, and the CPU target numpy dispatches
+    each float64 kernel of the forcing to (none before numpy 2.1, which
+    does not say)."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+        info = opt_func_info(func_name="^(exp|log|log1p|power)$")
+    except ImportError:
+        info = {}
+    targets = {name: (sigs.get("dd") or sigs.get("ddd") or {}).get("current")
+               for name, sigs in info.items()}
+    return {"numpy": np.__version__, "machine": platform.machine(), **targets}
+
 
 def _digest(field):
     return hashlib.sha256(np.ascontiguousarray(field, dtype=np.float64).tobytes()).hexdigest()
 
 
-@pytest.mark.parametrize("horizon, shape, digest", [
-    (12.5, (201, 218), "e3d0c2bcb1c6cb538d3ce51cd13becc9774e1802c644c3848a79962b1109d2ab"),
-    (50.0, (801, 818), "762613bcfe883de7f1017ab6df8113626c9d5c93092ef547d1811f9b61fe7c76"),
-])
-def test_powerlaw_field_is_pinned(horizon, shape, digest):
+# (data, family, grid, (status, t_detect, shape), sha256 of the field)
+CASES = {
     # verify-global's march: PowerLaw, eps = 0.01, h = 1/16
-    run = march(default_bump(0.01), make_spec(PowerLaw(1.0)),
-                CharacteristicGrid.cover(0.0625, horizon, 1.0))
-    assert run.status == "completed"
-    assert run.field.shape == shape
-    assert _digest(run.field) == digest
-
-
-def test_logpower_blow_up_past_tau0_is_pinned():
+    "powerlaw-12.5": (default_bump(0.01), PowerLaw(1.0), CharacteristicGrid.cover(0.0625, 12.5, 1.0),
+                      ("completed", None, (201, 218)),
+                      "e3d0c2bcb1c6cb538d3ce51cd13becc9774e1802c644c3848a79962b1109d2ab"),
+    "powerlaw-50": (default_bump(0.01), PowerLaw(1.0), CharacteristicGrid.cover(0.0625, 50.0, 1.0),
+                    ("completed", None, (801, 818)),
+                    "762613bcfe883de7f1017ab6df8113626c9d5c93092ef547d1811f9b61fe7c76"),
     # the continuation past tau0 = 0.301, up to the level that crosses the cap
-    run = march(default_bump(2.0), make_spec(LogPower(0.2, 10.0)),
-                CharacteristicGrid.cover(0.01, 6.0, 1.0))
-    assert (run.status, run.t_detect, run.field.shape) == ("blew_up", 0.99, (100, 702))
-    assert _digest(run.field) == "a86ad0fe91512f8ec2ad93400f21956822f792e62a1fda7571a7aa2103e1a7f6"
-
-
-@pytest.mark.parametrize("family, eps, digest", [
-    (None, 1.0, "23c81764a28c8d7d485e994a21aa06d16ece93c9fff74ac4754b1324963f94ed"),
-    (LogOnePlus(0.5), 3.0, "f02d89641ad2cd2551cbb20e9216f689a26101fc9db8e31100959f2f7cbdbcde"),
-    (DoubleLogGlobal(-1.0), 0.01,
-     "c23171631a75007953ab4b6271301c342c18a918e6dbb9d037db2b5e819d76ee"),
-    (IteratedLogBlowup(1.0), 4e-6,
-     "d4ccd5c87a2a7c2aa64ec23c506fc0a407f404fcc68af4b8ad61d4fcd033a746"),
-    (TripleLogGlobal(-0.5), 1e-7,
-     "bc9b079b324f41e22254da4cc2f64a857a487705c672c4bf98f75a3c16bc34d1"),
-], ids=["linear", "log1p", "doublelog", "iterlog", "triplelog"])
-def test_velocity_field_is_pinned(family, eps, digest):
+    "logpower-blowup": (default_bump(2.0), LogPower(0.2, 10.0), CharacteristicGrid.cover(0.01, 6.0, 1.0),
+                        ("blew_up", 0.99, (100, 702)),
+                        "a86ad0fe91512f8ec2ad93400f21956822f792e62a1fda7571a7aa2103e1a7f6"),
     # linear mode, and every family whose forcing kernel differs (the
     # iterated-log ones below tau0 need their zero mask)
-    spec = None if family is None else make_spec(family)
-    run = march(velocity_bump(eps), spec, CharacteristicGrid.cover(0.05, 4.0, 1.0))
-    assert (run.status, run.field.shape) == ("completed", (81, 102))
-    assert _digest(run.field) == digest
+    "linear": (velocity_bump(1.0), None, CharacteristicGrid.cover(0.05, 4.0, 1.0),
+               ("completed", None, (81, 102)),
+               "23c81764a28c8d7d485e994a21aa06d16ece93c9fff74ac4754b1324963f94ed"),
+    "log1p": (velocity_bump(3.0), LogOnePlus(0.5), CharacteristicGrid.cover(0.05, 4.0, 1.0),
+              ("completed", None, (81, 102)),
+              "f02d89641ad2cd2551cbb20e9216f689a26101fc9db8e31100959f2f7cbdbcde"),
+    "doublelog": (velocity_bump(0.01), DoubleLogGlobal(-1.0), CharacteristicGrid.cover(0.05, 4.0, 1.0),
+                  ("completed", None, (81, 102)),
+                  "c23171631a75007953ab4b6271301c342c18a918e6dbb9d037db2b5e819d76ee"),
+    "iterlog": (velocity_bump(4e-6), IteratedLogBlowup(1.0), CharacteristicGrid.cover(0.05, 4.0, 1.0),
+                ("completed", None, (81, 102)),
+                "d4ccd5c87a2a7c2aa64ec23c506fc0a407f404fcc68af4b8ad61d4fcd033a746"),
+    "triplelog": (velocity_bump(1e-7), TripleLogGlobal(-0.5), CharacteristicGrid.cover(0.05, 4.0, 1.0),
+                  ("completed", None, (81, 102)),
+                  "bc9b079b324f41e22254da4cc2f64a857a487705c672c4bf98f75a3c16bc34d1"),
+}
+
+
+def _march(name):
+    data, family, grid, _, _ = CASES[name]
+    return march(data, None if family is None else make_spec(family), grid)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_march_is_the_level_by_level_march_bit_for_bit(name):
+    data, family, grid, (status, t_detect, shape), _ = CASES[name]
+    run = _march(name)
+    assert (run.status, run.t_detect, run.field.shape) == (status, t_detect, shape)
+    field, ref_status, last = march_level_by_level(
+        data, None if family is None else make_spec(family), grid)
+    assert (ref_status, last) == (status, shape[0] - 1)
+    assert run.field.tobytes() == field.tobytes()
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_march_field_digest_is_pinned(name):
+    here = _environment()
+    if here != TAKEN_IN:
+        pytest.skip(f"digests were taken in {TAKEN_IN}; this run's float64 kernels ({here}) "
+                    "may round differently, and the march is held to the level-by-level "
+                    "march bit for bit instead")
+    assert _digest(_march(name).field) == CASES[name][4]
 
 
 def test_lifespan_ladder_rows_are_pinned():

@@ -442,6 +442,14 @@ def test_radial_data_refuses_a_nonfinite_or_negative_amplitude(amplitude):
         default_bump(amplitude)
 
 
+@pytest.mark.parametrize("radius", [float("nan"), float("inf"), 0.0, -1.0])
+def test_radial_data_refuses_a_nonfinite_or_nonpositive_support_radius(radius):
+    # a nan radius used to reach the march's memory guard and fail in math.ceil,
+    # an inf one with an OverflowError
+    with pytest.raises(ValueError, match=f"support radius must be positive and finite, got {radius}"):
+        replace(default_bump(1.0), support_radius=radius)
+
+
 @pytest.mark.parametrize("cap", [0.0, -1.0, float("nan")])
 def test_march_refuses_a_cap_that_is_not_positive(cap):
     # every such cap used to stop the march at its first level
