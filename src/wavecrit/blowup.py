@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .exponents import strauss_exponent
-from .kernels import KernelConfig, data_kernel, source_kernel
+from .kernels import KernelConfig, data_and_source_kernels, source_kernel
 from .modulus import ModulusSpec, convex_companion, mu_power, threshold_product
 
 
@@ -155,12 +155,12 @@ def integral_identity_residual(run, cfg: KernelConfig, q: float, t: float) -> fl
     # one row per level time s_k = k h; the last row at exactly t (s <= t)
     s = h * np.arange(i + 1)
     s[i] = t
-    eta = source_kernel(cfg, q, t, s, r)
+    cosh_row, eta = data_and_source_kernels(cfg, q, t, s, r)
     lhs = float(np.trapezoid(run.field[i] * eta[i] * meas, dx=h))
 
     u0v = eps * run.data.u0(r)
     u1v = eps * run.data.u1(r)
-    data_term = float(np.trapezoid(u0v * data_kernel(cfg, q, t, r) * meas, dx=h))
+    data_term = float(np.trapezoid(u0v * cosh_row * meas, dx=h))
     vel_term = t * float(np.trapezoid(u1v * eta[0] * meas, dx=h))
 
     # trapezoid in s over levels 0..i; the level-i term has (t - s) = 0

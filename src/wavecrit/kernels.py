@@ -11,9 +11,10 @@ transforms of it appear everywhere downstream:
 Both are integrals over a spectral variable lam in (0, lam0] with an
 algebraic endpoint factor lam**q; the quadrature uses a graded mesh
 lam_i = lam0 * (i/N)**3 so the endpoint is resolved even for fractional
-q in (-1, 0).  The exponentially growing eigenfunction is always paired
-with the decaying envelope analytically, so nothing here overflows for the
-sweep ranges used (t up to a few hundred).
+q in (-1, 0).  The table w_i lam_i^q phi(lam_i r) is built once per
+distinct radius set and contracted with each decaying envelope.  The
+envelopes never overflow, but phi(lam0 r) does once lam0 r passes about
+708 (n = 3), so the kernel-bound sweep refuses such a lam0.
 """
 
 from __future__ import annotations
@@ -45,9 +46,7 @@ def laplace_eigenfunction(n: int, r):
     (2 pi)^{n/2} r^{-nu} I_nu(r), nu = n/2 - 1, for n >= 4, with the
     two-term series of r^{-nu} I_nu(r) below r = 1e-6.
     """
-    arr = np.asarray(r, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
+    arr = np.atleast_1d(np.asarray(r, dtype=float))
     if np.any(arr < 0.0):
         raise ValueError("radius must be non-negative")
     if n == 3:
@@ -71,14 +70,12 @@ def laplace_eigenfunction(n: int, r):
         )
     else:
         raise ValueError(f"eigenfunction needs n >= 2, got n={n}")
-    return float(out[0]) if scalar else out
+    return float(out[0]) if np.ndim(r) == 0 else out
 
 
 def log_laplace_eigenfunction(n: int, r):
     """log of the eigenfunction; safe for radii far beyond overflow."""
-    arr = np.asarray(r, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
+    arr = np.atleast_1d(np.asarray(r, dtype=float))
     if np.any(arr < 0.0):
         raise ValueError("radius must be non-negative")
     if n == 3:
@@ -102,7 +99,7 @@ def log_laplace_eigenfunction(n: int, r):
         )
     else:
         raise ValueError(f"eigenfunction needs n >= 2, got n={n}")
-    return float(out[0]) if scalar else out
+    return float(out[0]) if np.ndim(r) == 0 else out
 
 
 def eigenfunction_growth_ratio(n: int, r):
@@ -110,13 +107,11 @@ def eigenfunction_growth_ratio(n: int, r):
 
     Stays inside a fixed positive bracket as r grows; evaluated in log space.
     """
-    arr = np.asarray(r, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
+    arr = np.atleast_1d(np.asarray(r, dtype=float))
     if np.any(arr < 1.0):
         raise ValueError("growth ratio is meaningful for r >= 1")
     out = np.exp(log_laplace_eigenfunction(n, arr) + 0.5 * (n - 1) * np.log(arr) - arr)
-    return float(out[0]) if scalar else out
+    return float(out[0]) if np.ndim(r) == 0 else out
 
 
 def free_wave_ball_integral(n: int, R: float, t: float) -> float:
@@ -154,29 +149,50 @@ class KernelConfig:
             raise ValueError("quad_points must be at least 16")
 
 
-def _graded_mesh(cfg: KernelConfig) -> np.ndarray:
+def _lam_rule(cfg: KernelConfig, q: float):
+    """(lam, w lam^q, first cell): the graded mesh past 0, its trapezoid
+    weights times lam^q, and the first cell, its smooth part frozen at lam = 0
+    (both envelopes are 1) and lam^q integrated exactly for q in (-1, 0)."""
+    if q <= -1.0:
+        raise ValueError("lam^q is not integrable for q <= -1")
     i = np.arange(cfg.quad_points + 1, dtype=float)
-    return cfg.lambda0 * (i / cfg.quad_points) ** 3
-
-
-def _lam_integral(cfg: KernelConfig, q: float, envelope, r) -> np.ndarray:
-    """Integrate envelope(lam) * phi(lam r) * lam^q over (0, lam0].
-
-    The table w_i lam_i^q phi(lam_i r) of the graded mesh past 0 (trapezoid
-    weights w_i) is built once per radius set; ``envelope`` maps that mesh
-    to one row per kernel parameter, and each row is contracted with the
-    table.  The first graded cell is handled analytically so fractional
-    q in (-1, 0) stays accurate.  Returns shape (rows, r.size).
-    """
-    lam = _graded_mesh(cfg)[1:]
-    r_arr = np.abs(np.ravel(np.asarray(r, dtype=float)))
+    lam = (cfg.lambda0 * (i / cfg.quad_points) ** 3)[1:]  # the graded mesh past 0
     half_dl = 0.5 * np.diff(lam)
     w = np.append(half_dl, 0.0) + np.insert(half_dl, 0, 0.0)
-    table = (w * lam ** q)[:, None] * laplace_eigenfunction(cfg.n, lam[:, None] * r_arr)
-    # first cell: smooth part frozen at lam = 0, where both envelopes equal 1;
-    # lam^q integrated exactly
     first = laplace_eigenfunction(cfg.n, 0.0) * lam[0] ** (q + 1.0) / (q + 1.0)
-    return np.atleast_2d(envelope(lam)) @ table + first
+    return lam, w * lam ** q, first
+
+
+def _lam_table(cfg: KernelConfig, rule, r):
+    """Build w_i lam_i^q phi(lam_i r) once for one radius set, however many
+    envelope rows it takes; returns rows -> rows @ table + first cell."""
+    lam, wq, first = rule
+    r_arr = np.abs(np.ravel(np.asarray(r, dtype=float)))
+    table = wq[:, None] * laplace_eigenfunction(cfg.n, lam[:, None] * r_arr)
+    return lambda rows: np.atleast_2d(rows) @ table + first
+
+
+def _data_envelope(cfg: KernelConfig, t: float, lam):
+    if t < 0.0:
+        raise ValueError("time must be non-negative")
+    return 0.5 * (np.exp(-lam * cfg.R) + np.exp(-lam * (cfg.R + 2.0 * t)))
+
+
+def _source_envelope(cfg: KernelConfig, t: float, s, lam):
+    s_col = np.atleast_1d(np.asarray(s, dtype=float))[:, None]
+    if np.any(s_col > t) or np.any(s_col < 0.0):
+        raise ValueError("need t >= s >= 0")
+    z = lam * (t - s_col)
+    small = np.abs(z) < _SERIES_CUT
+    safe = np.where(small, 1.0, z)
+    out = (np.exp(-lam * (cfg.R + s_col)) - np.exp(-lam * (cfg.R + 2.0 * t - s_col))) / (
+        2.0 * safe
+    )
+    # the difference form never overflows; where it cancels, sinh(z)/z by its 4-term series
+    decay = np.broadcast_to(np.exp(-lam * (cfg.R + t)), z.shape)
+    z2 = z[small] ** 2
+    out[small] = decay[small] * (1.0 + z2 / 6.0 * (1.0 + z2 / 20.0 * (1.0 + z2 / 42.0)))
+    return out
 
 
 def data_kernel(cfg: KernelConfig, q: float, t: float, r):
@@ -186,15 +202,9 @@ def data_kernel(cfg: KernelConfig, q: float, t: float, r):
     The envelope is computed as 0.5 (e^{-lam R} + e^{-lam(R+2t)}), which
     never overflows.
     """
-    if q <= -1.0:
-        raise ValueError("lam^q is not integrable for q <= -1")
-    if t < 0.0:
-        raise ValueError("time must be non-negative")
-
-    def envelope(lam):
-        return 0.5 * (np.exp(-lam * cfg.R) + np.exp(-lam * (cfg.R + 2.0 * t)))
-
-    out = _lam_integral(cfg, q, envelope, r).reshape(np.shape(r))
+    rule = _lam_rule(cfg, q)
+    rows = _data_envelope(cfg, t, rule[0])
+    out = _lam_table(cfg, rule, r)(rows).reshape(np.shape(r))
     return float(out) if out.ndim == 0 else out
 
 
@@ -206,27 +216,19 @@ def source_kernel(cfg: KernelConfig, q: float, t: float, s, r):
     with the removable t == s singularity replaced by its series value.
     An array of s gives one row per s.
     """
-    if q <= -1.0:
-        raise ValueError("lam^q is not integrable for q <= -1")
-    s_col = np.atleast_1d(np.asarray(s, dtype=float))[:, None]
-    if np.any(s_col > t) or np.any(s_col < 0.0):
-        raise ValueError("need t >= s >= 0")
-
-    def envelope(lam):
-        z = lam * (t - s_col)
-        small = np.abs(z) < _SERIES_CUT
-        safe = np.where(small, 1.0, z)
-        out = (np.exp(-lam * (cfg.R + s_col)) - np.exp(-lam * (cfg.R + 2.0 * t - s_col))) / (
-            2.0 * safe
-        )
-        # the difference form never overflows; where it cancels, sinh(z)/z by its 4-term series
-        decay = np.broadcast_to(np.exp(-lam * (cfg.R + t)), z.shape)
-        z2 = z[small] ** 2
-        out[small] = decay[small] * (1.0 + z2 / 6.0 * (1.0 + z2 / 20.0 * (1.0 + z2 / 42.0)))
-        return out
-
-    out = _lam_integral(cfg, q, envelope, r).reshape(np.shape(s) + np.shape(r))
+    rule = _lam_rule(cfg, q)
+    rows = _source_envelope(cfg, t, s, rule[0])
+    out = _lam_table(cfg, rule, r)(rows).reshape(np.shape(s) + np.shape(r))
     return float(out) if out.ndim == 0 else out
+
+
+def data_and_source_kernels(cfg: KernelConfig, q: float, t: float, s, r):
+    """``data_kernel(cfg, q, t, r)`` and ``source_kernel(cfg, q, t, s, r)``
+    for 1-D s and r, bit for bit, from one table of the radii r."""
+    rule = _lam_rule(cfg, q)
+    data, source = _data_envelope(cfg, t, rule[0]), _source_envelope(cfg, t, s, rule[0])
+    contract = _lam_table(cfg, rule, r)
+    return contract(data)[0], contract(source)
 
 
 @dataclass
@@ -252,47 +254,65 @@ def kernel_bounds_check(cfg: KernelConfig, q: float) -> KernelBoundsReport:
     (iii) the diagonal source kernel <= b2 <t>^{-(n-1)/2} <t-r>^{(n-3)/2-q}
           for |r| <= R+t.
 
-    Pass means every fitted constant is positive and finite.
+    One table is built per distinct radius set fracs (R + s), 447 for 963
+    evaluations at R = 1, and contracted with each evaluation's envelope, so
+    every value is the public kernel call's, bit for bit.  A lambda0 whose
+    phi(lambda0 (R + 50)) is not a finite float is refused.  Pass means
+    every fitted constant is positive and finite.
     """
     n = cfg.n
     if q <= max(-1.0, (n - 3) / 2.0):
         raise ValueError("bounds need q > max(-1, (n-3)/2)")
-    t_grid = np.linspace(0.0, 50.0, 41)
-    fracs = np.linspace(0.0, 1.0, 9)  # of each disc's radius
-    samples = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not math.isfinite(laplace_eigenfunction(n, cfg.lambda0 * (cfg.R + 50.0))):
+            lo, hi = 0.0, 1e4  # phi(lo) is finite, phi(hi) is not
+            while hi - lo > 1e-6 * hi:
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if math.isfinite(laplace_eigenfunction(n, mid)) else (lo, mid)
+            raise ValueError(f"lambda0={cfg.lambda0:g} overflows the eigenfunction at lambda0*"
+                             f"(R+50); the sweep needs lambda0 below {lo / (cfg.R + 50.0):.6g}")
+    fracs = np.linspace(0.0, 1.0, 9)  # of each disc's radius R + s
+    calls, groups = [], {}  # (item, t, s) in sweep order; disc radius R + s -> its calls
+    for t in np.linspace(0.0, 50.0, 41):
+        lower = [("lower", s) for s in (np.linspace(0.0, 0.95 * t, 21) if t > 0 else [])]
+        for item, s in [("a0", 0.0), ("b0", 0.0), *lower, ("upper", t)]:  # a0: data kernel
+            groups.setdefault(cfg.R + s, []).append(len(calls))
+            calls.append((item, t, s))
+    rule = _lam_rule(cfg, q)
+    values = np.empty((len(calls), fracs.size))
+    for radius, members in groups.items():
+        contract = _lam_table(cfg, rule, fracs * radius)
+        for k in members:
+            item, t, s = calls[k]
+            rows = (_data_envelope(cfg, t, rule[0]) if item == "a0"
+                    else _source_envelope(cfg, t, s, rule[0]))
+            values[k] = contract(rows)[0]
 
-    a0 = math.inf
-    b0 = math.inf
-    b1 = math.inf
+    a0 = b0 = b1 = math.inf
     b2 = 0.0
-    for t in t_grid:
-        r_in = fracs * cfg.R
-        a0 = min(a0, float(np.min(data_kernel(cfg, q, t, r_in))))
-        b0 = min(b0, float(np.min(source_kernel(cfg, q, t, 0.0, r_in) * bracket(t))))
-
-        for s in np.linspace(0.0, 0.95 * t, 21) if t > 0 else []:
-            r_s = fracs * (cfg.R + s)
-            ratio = source_kernel(cfg, q, t, s, r_s) * bracket(t) * bracket(s) ** q
+    samples = []
+    for (item, t, s), value in zip(calls, values):
+        r = fracs * (cfg.R + s)
+        if item == "a0":
+            a0 = min(a0, float(np.min(value)))
+        elif item == "b0":
+            b0 = min(b0, float(np.min(value * bracket(t))))
+        elif item == "lower":
+            ratio = value * bracket(t) * bracket(s) ** q
             k = int(np.argmin(ratio))
             b1 = min(b1, float(ratio[k]))
-            samples.append(("lower", float(t), float(s), float(r_s[k]), float(ratio[k])))
-
-        r_t = fracs * (cfg.R + t)
-        diag = source_kernel(cfg, q, t, t, r_t)
-        ratio = diag * bracket(t) ** (0.5 * (n - 1)) * bracket(t - r_t) ** (q - 0.5 * (n - 3))
-        k = int(np.argmax(ratio))
-        b2 = max(b2, float(ratio[k]))
-        samples.append(("upper", float(t), float(t), float(r_t[k]), float(ratio[k])))
+        else:
+            ratio = value * bracket(t) ** (0.5 * (n - 1)) * bracket(t - r) ** (q - 0.5 * (n - 3))
+            k = int(np.argmax(ratio))
+            b2 = max(b2, float(ratio[k]))
+        if item in ("lower", "upper"):
+            samples.append((item, float(t), float(s), float(r[k]), float(ratio[k])))
 
     constants = (a0, b0, b1, b2)
     passed = all(math.isfinite(c) and c > 0.0 for c in constants)
     return KernelBoundsReport(
         region=f"n={n}, q={q:.6g}, t in [0, 50], lam0={cfg.lambda0:g}, R={cfg.R:g}",
-        a0=a0,
-        b0=b0,
-        b1=b1,
-        b2=b2,
-        passed=passed,
+        a0=a0, b0=b0, b1=b1, b2=b2, passed=passed,
         columns=("item", "t", "s", "r", "ratio"),
         samples=samples,
     )

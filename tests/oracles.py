@@ -10,7 +10,9 @@ history at one level, with the forcing |u|^p ``mu_direct``(|u|), instead of
 advancing the lattice recurrence of ``wavecrit.solver.march`` with its
 log-space forcing; ``march_level_by_level`` is that march as a plain loop
 of one level at a time, every node written, which ``march`` must match bit
-for bit.  None is part of the package.
+for bit; ``kernel_bounds_by_call`` is ``wavecrit.kernels.kernel_bounds_check``
+as one public kernel call per (t, s), each building its own table, which the
+grouped sweep must match bit for bit.  None is part of the package.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 from scipy import integrate
 
 from wavecrit.exponents import strauss_exponent
+from wavecrit.kernels import KernelBoundsReport, KernelConfig, data_kernel, source_kernel
 from wavecrit.modulus import (
     DoubleLogGlobal,
     IteratedLogBlowup,
@@ -33,6 +36,7 @@ from wavecrit.modulus import (
     mu_power,
 )
 from wavecrit.solver import CharacteristicGrid, FreeWave, RadialData, SolutionRun, cone_edge
+from wavecrit.weights import bracket
 
 
 def _near(family, tau: np.ndarray) -> np.ndarray:
@@ -231,3 +235,45 @@ def march_level_by_level(data: RadialData, spec, grid: CharacteristicGrid, cap: 
             if spec is not None and i < nt:
                 g[:n] = mu_power(spec, p, abs_level[:n], peak=peak)
     return field, "completed", nt
+
+
+def kernel_bounds_by_call(cfg: KernelConfig, q: float) -> KernelBoundsReport:
+    """``wavecrit.kernels.kernel_bounds_check`` evaluated call by call: at
+    each t the data kernel and the source kernel at s = 0 on |r| <= R, the
+    source kernel at 21 values of s < t on |r| <= R + s, and the diagonal
+    source kernel on |r| <= R + t, each a public kernel call that builds
+    its own table."""
+    n = cfg.n
+    if q <= max(-1.0, (n - 3) / 2.0):
+        raise ValueError("bounds need q > max(-1, (n-3)/2)")
+    fracs = np.linspace(0.0, 1.0, 9)
+    samples = []
+    a0 = b0 = b1 = math.inf
+    b2 = 0.0
+    for t in np.linspace(0.0, 50.0, 41):
+        r_in = fracs * cfg.R
+        a0 = min(a0, float(np.min(data_kernel(cfg, q, t, r_in))))
+        b0 = min(b0, float(np.min(source_kernel(cfg, q, t, 0.0, r_in) * bracket(t))))
+
+        for s in np.linspace(0.0, 0.95 * t, 21) if t > 0 else []:
+            r_s = fracs * (cfg.R + s)
+            ratio = source_kernel(cfg, q, t, s, r_s) * bracket(t) * bracket(s) ** q
+            k = int(np.argmin(ratio))
+            b1 = min(b1, float(ratio[k]))
+            samples.append(("lower", float(t), float(s), float(r_s[k]), float(ratio[k])))
+
+        r_t = fracs * (cfg.R + t)
+        diag = source_kernel(cfg, q, t, t, r_t)
+        ratio = diag * bracket(t) ** (0.5 * (n - 1)) * bracket(t - r_t) ** (q - 0.5 * (n - 3))
+        k = int(np.argmax(ratio))
+        b2 = max(b2, float(ratio[k]))
+        samples.append(("upper", float(t), float(t), float(r_t[k]), float(ratio[k])))
+
+    constants = (a0, b0, b1, b2)
+    return KernelBoundsReport(
+        region=f"n={n}, q={q:.6g}, t in [0, 50], lam0={cfg.lambda0:g}, R={cfg.R:g}",
+        a0=a0, b0=b0, b1=b1, b2=b2,
+        passed=all(math.isfinite(c) and c > 0.0 for c in constants),
+        columns=("item", "t", "s", "r", "ratio"),
+        samples=samples,
+    )

@@ -16,7 +16,7 @@ from wavecrit.blowup import (
 )
 from wavecrit.exponents import kernel_exponent, strauss_exponent
 from wavecrit.kernels import KernelConfig, data_kernel, source_kernel
-from wavecrit.modulus import LogPower, PowerLaw, make_spec, mu_eval
+from wavecrit.modulus import LogPower, PowerLaw, make_spec, mu_eval, mu_power
 from wavecrit.solver import CharacteristicGrid, RadialData, SolutionRun, default_bump, march
 
 P3 = strauss_exponent(3)
@@ -244,7 +244,33 @@ def test_identity_builds_the_kernel_tables_once(monkeypatch):
                 CharacteristicGrid.cover(0.03125, 5.0, 1.0))
     monkeypatch.setattr(kernels, "laplace_eigenfunction", counted)
     integral_identity_residual(run, CFG, Q3, 5.0)
-    assert len(calls) <= 4  # one table and one phi(0) per kernel call
+    assert len(calls) == 2  # one table for both kernels, and phi(0)
+
+
+def _residual_two_tables(run, cfg, q, t):
+    """The residual with its data row and source rows from the two public
+    kernel calls, each building its own table on the same radii."""
+    i, h, r = run.level_index(t), run.grid.h, run.radii
+    meas = 4.0 * math.pi * r * r
+    s = h * np.arange(i + 1)
+    s[i] = t
+    eta = source_kernel(cfg, q, t, s, r)
+    lhs = float(np.trapezoid(run.field[i] * eta[i] * meas, dx=h))
+    u0v = run.data.amplitude * run.data.u0(r)
+    u1v = run.data.amplitude * run.data.u1(r)
+    data_term = float(np.trapezoid(u0v * data_kernel(cfg, q, t, r) * meas, dx=h))
+    vel_term = t * float(np.trapezoid(u1v * eta[0] * meas, dx=h))
+    inner = np.trapezoid(mu_power(run.spec, P3, np.abs(run.field[:i])) * eta[:i] * meas,
+                         dx=h, axis=1)
+    w = np.full(i, h)
+    w[:1] = 0.5 * h
+    return lhs - (data_term + vel_term + float((w * (t - s[:i])) @ inner))
+
+
+@pytest.mark.parametrize("h", [0.0625, 0.03125])
+def test_identity_with_one_table_equals_two_kernel_calls(h):
+    run = march(default_bump(0.5), make_spec(PowerLaw(1.0)), CharacteristicGrid.cover(h, 5.0, 1.0))
+    assert integral_identity_residual(run, CFG, Q3, 5.0) == _residual_two_tables(run, CFG, Q3, 5.0)
 
 
 def test_identity_time_bounds():

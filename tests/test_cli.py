@@ -2,10 +2,13 @@ import argparse
 import csv
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
 
+import wavecrit.cli
+from oracles import kernel_bounds_by_call
 from wavecrit.blowup import build_ledger, exponent_sequences, slicing_level
 from wavecrit.cli import build_parser, main
 from wavecrit.exponents import holder_conjugate, kernel_exponent, strauss_exponent, weight_exponent
@@ -232,6 +235,48 @@ def test_nonfinite_run_input_exits_one(capsys, tmp_path, argv, name):
     assert code == 1
     assert "error:" in err and name in err and "usage:" not in err
     assert not any(tmp_path.iterdir())
+
+
+def test_negative_exponent_value_needs_the_equals_form(capsys, tmp_path):
+    # argparse reads "-1e300" after a space as an option, not as the value
+    with pytest.raises(SystemExit) as exc:
+        main(["mu", "check", "--family", "doublelog", "--gamma", "-1e300",
+              "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "argument --gamma: expected one argument" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["mu", "check", "--family", "doublelog", "--gamma=-1e300",
+              "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "DoubleLogGlobal at gamma=-1e+300" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_kernel_bounds_refuse_an_overflowing_lambda0(capsys, tmp_path):
+    # phi(3, lambda0 * 51) is finite at 13 and overflows at 14
+    argv = ["lemmas", "verify", "--which", "kernel-bounds", "--n", "3", "--quiet"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv + ["--lambda0=14", "--out-dir", str(tmp_path / "14")])
+        assert main(argv + ["--lambda0=13", "--out-dir", str(tmp_path / "13")]) == 0
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error: lambda0=14 overflows" in err and "lambda0 below 13.88" in err
+    assert not (tmp_path / "14").exists()
+    report = json.loads((latest(tmp_path / "13", "lemmas") / "report.json").read_text())
+    assert report["pass"] and math.isfinite(report["b2"])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_kernel_bounds_files_equal_the_call_by_call_sweep(monkeypatch, tmp_path, n):
+    # the grouped sweep writes the bytes the call-by-call oracle's report renders to
+    argv = ["lemmas", "verify", "--which", "kernel-bounds", "--n", str(n), "--quiet"]
+    assert main(argv + ["--out-dir", str(tmp_path / "sweep")]) == 0
+    monkeypatch.setattr(wavecrit.cli, "kernel_bounds_check", kernel_bounds_by_call)
+    assert main(argv + ["--out-dir", str(tmp_path / "oracle")]) == 0
+    for name in ("ratios.csv", "report.json"):
+        got = (latest(tmp_path / "sweep", "lemmas") / name).read_bytes()
+        assert got == (latest(tmp_path / "oracle", "lemmas") / name).read_bytes()
 
 
 # -------------------------------------------------------------- persistence

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from oracles import kernel_bounds_by_call
 from wavecrit.exponents import kernel_exponent
 from wavecrit.kernels import (
     KernelConfig,
+    data_and_source_kernels,
     data_kernel,
     eigenfunction_growth_ratio,
     free_wave_ball_integral,
@@ -279,6 +281,34 @@ def test_bound_at_origin_is_kernel_value():
     cfg = KernelConfig(n=3, lambda0=1.0, R=1.0, quad_points=1024)
     report = kernel_bounds_check(cfg, Q3)
     assert report.a0 <= data_kernel(cfg, Q3, 0.0, 0.0) + 1e-12
+
+
+@pytest.mark.parametrize("quad_points", [64, 1024])
+@pytest.mark.parametrize("lambda0", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_kernel_bounds_equal_the_call_by_call_sweep(n, lambda0, quad_points):
+    # one table per distinct radius set gives every constant and every
+    # sample of one table per kernel call, bit for bit
+    cfg = KernelConfig(n=n, lambda0=lambda0, R=1.0, quad_points=quad_points)
+    got = kernel_bounds_check(cfg, kernel_exponent(n))
+    ref = kernel_bounds_by_call(cfg, kernel_exponent(n))
+    assert (got.a0, got.b0, got.b1, got.b2) == (ref.a0, ref.b0, ref.b1, ref.b2)
+    assert got.passed == ref.passed and got.region == ref.region
+    assert got.samples == ref.samples and len(got.samples) == 40 * 21 + 41
+
+
+def test_paired_kernels_equal_the_two_kernel_calls():
+    s, r = np.array([0.0, 0.7, 2.5]), np.linspace(0.0, 3.0, 7)
+    data, source = data_and_source_kernels(CFG, Q3, 2.5, s, r)
+    assert data.tobytes() == data_kernel(CFG, Q3, 2.5, r).tobytes()
+    assert source.tobytes() == source_kernel(CFG, Q3, 2.5, s, r).tobytes()
+
+
+def test_kernel_bounds_refuse_an_overflowing_lambda0():
+    # phi(3, 14 * 51) overflows in 4 pi sinh(714), before any table is built
+    cfg = KernelConfig(n=3, lambda0=14.0, R=1.0, quad_points=64)
+    with pytest.raises(ValueError, match=r"lambda0=14 .* lambda0 below 13\.88"):
+        kernel_bounds_check(cfg, Q3)
 
 
 def test_kernel_bounds_rejects_bad_exponent():
