@@ -12,9 +12,10 @@ Both are integrals over a spectral variable lam in (0, lam0] with an
 algebraic endpoint factor lam**q; the quadrature uses a graded mesh
 lam_i = lam0 * (i/N)**3 so the endpoint is resolved even for fractional
 q in (-1, 0).  The table w_i lam_i^q phi(lam_i r) is built once per
-distinct radius set and contracted with each decaying envelope.  The
-envelopes never overflow, but phi(lam0 r) does once lam0 r passes about
-708 (n = 3), so the kernel-bound sweep refuses such a lam0.
+distinct radius set and contracted with each decaying envelope; both are
+filled in blocks of rows, bit for bit.  The envelopes never overflow, but
+phi(lam0 r) does once lam0 r passes about 708 (n = 3): such a table is
+refused, and the kernel-bound sweep refuses such a lam0 up front.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from scipy import special as sc
 from .weights import bracket
 
 _SERIES_CUT = 1e-4
+_BLOCK = 65536  # elements per block of a table or envelope fill
 
 
 def sphere_area(m: int) -> float:
@@ -163,12 +165,24 @@ def _lam_rule(cfg: KernelConfig, q: float):
     return lam, w * lam ** q, first
 
 
+def _row_blocks(rows: int, cols: int):
+    """Slices of at least one and at most _BLOCK // cols rows that cover ``rows`` rows."""
+    step = max(1, _BLOCK // max(cols, 1))
+    return (slice(i, i + step) for i in range(0, rows, step))
+
+
 def _lam_table(cfg: KernelConfig, rule, r):
     """Build w_i lam_i^q phi(lam_i r) once for one radius set, however many
     envelope rows it takes; returns rows -> rows @ table + first cell."""
     lam, wq, first = rule
     r_arr = np.abs(np.ravel(np.asarray(r, dtype=float)))
-    table = wq[:, None] * laplace_eigenfunction(cfg.n, lam[:, None] * r_arr)
+    table = np.empty((lam.size, r_arr.size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b in _row_blocks(*table.shape):
+            table[b] = wq[b, None] * laplace_eigenfunction(cfg.n, lam[b, None] * r_arr)
+    if not np.isfinite(table).all():
+        raise ValueError(f"lambda0={cfg.lambda0:g} overflows the eigenfunction at the largest "
+                         f"radius {r_arr.max():g}")
     return lambda rows: np.atleast_2d(rows) @ table + first
 
 
@@ -182,16 +196,16 @@ def _source_envelope(cfg: KernelConfig, t: float, s, lam):
     s_col = np.atleast_1d(np.asarray(s, dtype=float))[:, None]
     if np.any(s_col > t) or np.any(s_col < 0.0):
         raise ValueError("need t >= s >= 0")
-    z = lam * (t - s_col)
-    small = np.abs(z) < _SERIES_CUT
-    safe = np.where(small, 1.0, z)
-    out = (np.exp(-lam * (cfg.R + s_col)) - np.exp(-lam * (cfg.R + 2.0 * t - s_col))) / (
-        2.0 * safe
-    )
-    # the difference form never overflows; where it cancels, sinh(z)/z by its 4-term series
-    decay = np.broadcast_to(np.exp(-lam * (cfg.R + t)), z.shape)
-    z2 = z[small] ** 2
-    out[small] = decay[small] * (1.0 + z2 / 6.0 * (1.0 + z2 / 20.0 * (1.0 + z2 / 42.0)))
+    out = np.empty((len(s_col), lam.size))
+    for b in _row_blocks(*out.shape):
+        z = lam * (t - s_col[b])
+        small = np.abs(z) < _SERIES_CUT
+        # the difference form never overflows; where it cancels, sinh(z)/z by its 4-term series
+        out[b] = np.exp(-lam * (cfg.R + s_col[b])) - np.exp(-lam * (cfg.R + 2.0 * t - s_col[b]))
+        out[b] /= 2.0 * np.where(small, 1.0, z)
+        decay = np.broadcast_to(np.exp(-lam * (cfg.R + t)), z.shape)
+        z2 = z[small] ** 2
+        out[b][small] = decay[small] * (1.0 + z2 / 6.0 * (1.0 + z2 / 20.0 * (1.0 + z2 / 42.0)))
     return out
 
 

@@ -21,7 +21,7 @@ limit of
     mu(tau) * log(1/tau)**(1/p(n)),
 
 which ``classify_strauss_threshold`` estimates from the tail trend on a
-log-spaced grid.
+log-spaced grid.  The pair checks sweep their grids in blocks, bit for bit.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .exponents import strauss_exponent
 from .reporting import WeightReport
 
 _LN10 = math.log(10.0)
+_PAIR_BLOCK = 64  # grid rows per block of the pair sweeps
 
 
 def _tower(k: int) -> float:
@@ -217,6 +218,14 @@ def make_spec(family, tau0: float | None = None) -> ModulusSpec:
     return ModulusSpec(family=family, tau0=tau0)
 
 
+def _pair_max(x, v, gap) -> float:
+    """max of gap(0.5 (x_a + x_b), 0.5 (v_a + v_b)) over all grid pairs; both are symmetric in
+    a and b, so each block of rows pairs with the columns from its start on, bit for bit."""
+    return float(np.max([np.max(gap(0.5 * (x[i:i + _PAIR_BLOCK, None] + x[None, i:]),
+                                    0.5 * (v[i:i + _PAIR_BLOCK, None] + v[None, i:])))
+                         for i in range(0, len(x), _PAIR_BLOCK)]))
+
+
 def _monotone_concave(family, taus):
     """(increasing, concave, margin) of mu's near-zero formula on ``taus``.
 
@@ -229,8 +238,7 @@ def _monotone_concave(family, taus):
         vals = np.exp(family.log_mu(-np.log(taus)))
         if not np.all(np.diff(vals) > 0.0):
             return False, False, math.nan
-    mid = np.exp(family.log_mu(-np.log(0.5 * (taus[:, None] + taus[None, :]))))
-    margin = float(np.max(0.5 * (vals[:, None] + vals[None, :]) - mid))
+    margin = _pair_max(taus, vals, lambda mid, avg: avg - np.exp(family.log_mu(-np.log(mid))))
     return True, margin <= 1e-12 * float(np.max(vals)), margin
 
 
@@ -372,8 +380,7 @@ def convexity_check(spec: ModulusSpec, n: int, grid) -> WeightReport:
         raise ValueError("need a grid with at least two non-negative points")
     vals = convex_companion(spec, n, pos)
     slack = 1e-12 * max(float(np.max(np.abs(vals))), 1e-300)
-    mid = convex_companion(spec, n, 0.5 * (pos[:, None] + pos[None, :]))
-    worst = float(np.max(mid - 0.5 * (vals[:, None] + vals[None, :])))
+    worst = _pair_max(pos, vals, lambda mid, avg: convex_companion(spec, n, mid) - avg)
     return WeightReport(
         region=f"pairs from [{pos[0]:g}, {pos[-1]:g}]",
         fitted_constant=max(worst, 0.0),

@@ -12,7 +12,12 @@ log-space forcing; ``march_level_by_level`` is that march as a plain loop
 of one level at a time, every node written, which ``march`` must match bit
 for bit; ``kernel_bounds_by_call`` is ``wavecrit.kernels.kernel_bounds_check``
 as one public kernel call per (t, s), each building its own table, which the
-grouped sweep must match bit for bit.  None is part of the package.
+grouped sweep must match bit for bit; ``concavity_whole_grid`` and
+``convexity_whole_grid`` are the pair checks of ``wavecrit.modulus`` with
+every grid pair in one array, and ``kernels_whole_array`` is
+``wavecrit.kernels.data_and_source_kernels`` with its table and source
+envelope each built as one array, which the blocked sweeps and fills must
+match bit for bit.  None is part of the package.
 """
 
 from __future__ import annotations
@@ -24,7 +29,14 @@ import numpy as np
 from scipy import integrate
 
 from wavecrit.exponents import strauss_exponent
-from wavecrit.kernels import KernelBoundsReport, KernelConfig, data_kernel, source_kernel
+from wavecrit.kernels import (
+    KernelBoundsReport,
+    KernelConfig,
+    _lam_rule,
+    data_kernel,
+    laplace_eigenfunction,
+    source_kernel,
+)
 from wavecrit.modulus import (
     DoubleLogGlobal,
     IteratedLogBlowup,
@@ -33,6 +45,7 @@ from wavecrit.modulus import (
     ModulusSpec,
     PowerLaw,
     TripleLogGlobal,
+    convex_companion,
     mu_power,
 )
 from wavecrit.solver import CharacteristicGrid, FreeWave, RadialData, SolutionRun, cone_edge
@@ -277,3 +290,56 @@ def kernel_bounds_by_call(cfg: KernelConfig, q: float) -> KernelBoundsReport:
         columns=("item", "t", "s", "r", "ratio"),
         samples=samples,
     )
+
+
+def concavity_whole_grid(family, taus):
+    """(increasing, concave, margin) of ``wavecrit.modulus._monotone_concave``
+    with the midpoints and averages of every ordered grid pair in one
+    (len(taus), len(taus)) array."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        vals = np.exp(family.log_mu(-np.log(taus)))
+        if not np.all(np.diff(vals) > 0.0):
+            return False, False, math.nan
+    mid = np.exp(family.log_mu(-np.log(0.5 * (taus[:, None] + taus[None, :]))))
+    margin = float(np.max(0.5 * (vals[:, None] + vals[None, :]) - mid))
+    return True, margin <= 1e-12 * float(np.max(vals)), margin
+
+
+def convexity_whole_grid(spec: ModulusSpec, n: int, grid):
+    """(worst, passed) of ``wavecrit.modulus.convexity_check``, the largest
+    midpoint excess of the convex companion over every ordered pair of the
+    grid's non-negative points in one array, and its verdict."""
+    g = np.asarray(grid, dtype=float)
+    pos = np.sort(g[g >= 0.0])
+    vals = convex_companion(spec, n, pos)
+    slack = 1e-12 * max(float(np.max(np.abs(vals))), 1e-300)
+    mid = convex_companion(spec, n, 0.5 * (pos[:, None] + pos[None, :]))
+    worst = float(np.max(mid - 0.5 * (vals[:, None] + vals[None, :])))
+    return worst, worst <= slack
+
+
+def _source_envelope_whole(cfg: KernelConfig, t: float, s, lam):
+    """The sinh envelope of every s (rows) and lam (columns) in one array."""
+    s_col = np.atleast_1d(np.asarray(s, dtype=float))[:, None]
+    z = lam * (t - s_col)
+    small = np.abs(z) < 1e-4  # the series cut
+    safe = np.where(small, 1.0, z)
+    out = (np.exp(-lam * (cfg.R + s_col)) - np.exp(-lam * (cfg.R + 2.0 * t - s_col))) / (
+        2.0 * safe
+    )
+    decay = np.broadcast_to(np.exp(-lam * (cfg.R + t)), z.shape)
+    z2 = z[small] ** 2
+    out[small] = decay[small] * (1.0 + z2 / 6.0 * (1.0 + z2 / 20.0 * (1.0 + z2 / 42.0)))
+    return out
+
+
+def kernels_whole_array(cfg: KernelConfig, q: float, t: float, s, r):
+    """``wavecrit.kernels.data_and_source_kernels(cfg, q, t, s, r)`` with the
+    table w_i lam_i^q phi(lam_i r) and the source envelope each built as one
+    whole array, contracted by the same products; the quadrature rule is the
+    package's."""
+    lam, wq, first = _lam_rule(cfg, q)
+    table = wq[:, None] * laplace_eigenfunction(cfg.n, lam[:, None] * np.abs(np.ravel(r)))
+    data_row = 0.5 * (np.exp(-lam * cfg.R) + np.exp(-lam * (cfg.R + 2.0 * t)))
+    data = np.atleast_2d(data_row) @ table + first
+    return data[0], np.atleast_2d(_source_envelope_whole(cfg, t, s, lam)) @ table + first

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,18 +234,32 @@ def test_identity_matches_level_by_level_sum(levels):
 def test_identity_builds_the_kernel_tables_once(monkeypatch):
     import wavecrit.kernels as kernels
 
-    calls = []
+    evaluated = []
     original = kernels.laplace_eigenfunction
 
     def counted(n, r):
-        calls.append(n)
+        evaluated.append(np.size(r))
         return original(n, r)
 
     run = march(default_bump(0.5), make_spec(PowerLaw(1.0)),
                 CharacteristicGrid.cover(0.03125, 5.0, 1.0))
     monkeypatch.setattr(kernels, "laplace_eigenfunction", counted)
     integral_identity_residual(run, CFG, Q3, 5.0)
-    assert len(calls) == 2  # one table for both kernels, and phi(0)
+    # one table for both kernels, filled in blocks, and phi(0)
+    assert sum(evaluated) == CFG.quad_points * run.radii.size + 1
+
+
+def test_identity_residual_works_in_blocks():
+    # the whole (161 x 2048) envelope and (2048 x 194) table took 18 MB
+    run = march(default_bump(0.5), make_spec(PowerLaw(1.0)),
+                CharacteristicGrid.cover(0.03125, 5.0, 1.0))
+    tracemalloc.start()
+    try:
+        integral_identity_residual(run, CFG, Q3, 5.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 def _residual_two_tables(run, cfg, q, t):

@@ -1,11 +1,12 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate, special
 
-from oracles import kernel_bounds_by_call
+from oracles import kernel_bounds_by_call, kernels_whole_array
 from wavecrit.exponents import kernel_exponent
 from wavecrit.kernels import (
     KernelConfig,
@@ -302,6 +303,31 @@ def test_paired_kernels_equal_the_two_kernel_calls():
     data, source = data_and_source_kernels(CFG, Q3, 2.5, s, r)
     assert data.tobytes() == data_kernel(CFG, Q3, 2.5, r).tobytes()
     assert source.tobytes() == source_kernel(CFG, Q3, 2.5, s, r).tobytes()
+
+
+# the table and the envelope are filled in blocks of 65536 elements: these
+# (quad_points, len(s), len(r)) take one block, or two, on each side
+@pytest.mark.parametrize("quad_points, n_s, n_r", [
+    (2048, 1, 1), (2048, 32, 32), (2048, 33, 33), (2048, 161, 193), (64, 1025, 1025)])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_kernels_equal_the_whole_array_fills(n, quad_points, n_s, n_r):
+    cfg, q, t = KernelConfig(n=n, quad_points=quad_points), kernel_exponent(n), 2.5
+    s, r = np.linspace(0.0, t, n_s), np.linspace(0.0, 3.0, n_r)
+    data, source = data_and_source_kernels(cfg, q, t, s, r)
+    ref_data, ref_source = kernels_whole_array(cfg, q, t, s, r)
+    assert data.tobytes() == ref_data.tobytes() and source.tobytes() == ref_source.tobytes()
+    assert source_kernel(cfg, q, t, s, r).tobytes() == ref_source.tobytes()
+
+
+def test_an_overflowing_table_is_refused_without_a_warning():
+    # phi(3, 800) and phi(3, 14 * 51) pass the largest float: the products
+    # with the decaying envelopes were nan and inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"lambda0=1 .* largest radius 800"):
+            source_kernel(KernelConfig(n=3, quad_points=64), Q3, 800.0, 800.0, 800.0)
+        with pytest.raises(ValueError, match=r"lambda0=14 .* largest radius 51"):
+            data_kernel(KernelConfig(n=3, lambda0=14.0, quad_points=64), Q3, 1.0, 51.0)
 
 
 def test_kernel_bounds_refuse_an_overflowing_lambda0():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,8 +24,9 @@ from wavecrit.modulus import (
     mu_eval,
     threshold_product,
 )
+from wavecrit.modulus import _monotone_concave  # the blocked pair sweep itself
 
-from oracles import mu_direct
+from oracles import concavity_whole_grid, convexity_whole_grid, mu_direct
 
 P3 = strauss_exponent(3)
 
@@ -214,6 +216,73 @@ def test_convexity_reads_the_nonnegative_half(spec):
         report = convexity_check(spec, 3, grid)
         assert (report.passed, report.fitted_constant) == (expected.passed,
                                                            expected.fitted_constant)
+
+
+# the pair sweeps run in blocks of 64 rows; these grids sit on both sides of
+# one and two blocks, and doublelog at gamma = -1.72 fails its concavity check
+PAIR_SPECS = [*ALL_DEFAULT_SPECS, make_spec(DoubleLogGlobal(-1.72))]
+PAIR_GRID_SIZES = [2, 63, 64, 65, 129, 1000]
+
+
+def _bits(x) -> bytes:
+    """A float's IEEE bytes: equal for equal values, nan, and the sign of zero."""
+    return np.float64(x).tobytes()
+
+
+@pytest.mark.parametrize("size", PAIR_GRID_SIZES)
+@pytest.mark.parametrize("spec", PAIR_SPECS, ids=repr)
+def test_concavity_margin_equals_the_whole_grid(spec, size):
+    top = min(spec.tau0, 0.99)
+    taus = np.minimum(np.exp(np.linspace(math.log(top) - 12.0, math.log(top), size)), top)
+    for grid in (taus, taus[::-1]):  # the reversed grid is not increasing: nan at once
+        got, ref = _monotone_concave(spec.family, grid), concavity_whole_grid(spec.family, grid)
+        assert got[:2] == ref[:2] and _bits(got[2]) == _bits(ref[2])
+    if size == 1000:  # axioms_check's own grid
+        increasing, concave, margin = concavity_whole_grid(spec.family, taus)
+        report = axioms_check(spec)
+        assert report.passed == (increasing and concave)
+        assert _bits(report.fitted_constant) == _bits(max(margin, 0.0))
+        if spec.family == DoubleLogGlobal(-1.72):  # the standing failure
+            assert not concave and 6e-8 < margin < 7e-8
+
+
+def test_concavity_margin_keeps_a_nan_pair_of_the_last_block():
+    class NanBetweenTheLastTwo:
+        """mu(tau) = tau, but nan strictly between the two largest grid points."""
+
+        def __init__(self, taus):
+            self.hi, self.lo = -np.log(taus[-2:])
+
+        def log_mu(self, L):
+            return np.where((L > self.lo) & (L < self.hi), np.nan, -L)
+
+    taus = np.exp(np.linspace(-12.0, 0.0, 200))
+    family = NanBetweenTheLastTwo(taus)
+    got, ref = _monotone_concave(family, taus), concavity_whole_grid(family, taus)
+    assert got[:2] == ref[:2] == (True, False) and math.isnan(got[2]) and math.isnan(ref[2])
+
+
+@pytest.mark.parametrize("size", PAIR_GRID_SIZES)
+@pytest.mark.parametrize("spec", PAIR_SPECS, ids=repr)
+def test_convexity_margin_equals_the_whole_grid(spec, size):
+    top = min(spec.tau0, 2.0)
+    grid = np.linspace(-top, top, 2 * size - 1)  # ``size`` non-negative points
+    for n in (2, 3):
+        report = convexity_check(spec, n, grid)
+        worst, passed = convexity_whole_grid(spec, n, grid)
+        assert report.passed == passed and _bits(report.fitted_constant) == _bits(max(worst, 0.0))
+
+
+@pytest.mark.parametrize("spec", ALL_DEFAULT_SPECS, ids=lambda s: type(s.family).__name__)
+def test_axioms_check_works_in_blocks(spec):
+    # one 1000 x 1000 pair temporary alone is 8 MB; the check took 15-39 MB
+    tracemalloc.start()
+    try:
+        axioms_check(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 # ------------------------------------------------------------- classification
