@@ -13,7 +13,7 @@ algebraic endpoint factor lam**q; the quadrature uses a graded mesh
 lam_i = lam0 * (i/N)**3 so the endpoint is resolved even for fractional
 q in (-1, 0).  The table w_i lam_i^q phi(lam_i r) is built once per
 distinct radius set and contracted with each decaying envelope; both are
-filled in blocks of rows, bit for bit.  The envelopes never overflow, but
+filled in ``row_blocks``, bit for bit.  The envelopes never overflow, but
 phi(lam0 r) does once lam0 r passes about 708 (n = 3): such a table is
 refused, and the kernel-bound sweep refuses such a lam0 up front.
 """
@@ -26,10 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special as sc
 
+from .reporting import row_blocks
 from .weights import bracket
 
 _SERIES_CUT = 1e-4
-_BLOCK = 65536  # elements per block of a table or envelope fill
 
 
 def sphere_area(m: int) -> float:
@@ -165,12 +165,6 @@ def _lam_rule(cfg: KernelConfig, q: float):
     return lam, w * lam ** q, first
 
 
-def _row_blocks(rows: int, cols: int):
-    """Slices of at least one and at most _BLOCK // cols rows that cover ``rows`` rows."""
-    step = max(1, _BLOCK // max(cols, 1))
-    return (slice(i, i + step) for i in range(0, rows, step))
-
-
 def _lam_table(cfg: KernelConfig, rule, r):
     """Build w_i lam_i^q phi(lam_i r) once for one radius set, however many
     envelope rows it takes; returns rows -> rows @ table + first cell."""
@@ -178,7 +172,7 @@ def _lam_table(cfg: KernelConfig, rule, r):
     r_arr = np.abs(np.ravel(np.asarray(r, dtype=float)))
     table = np.empty((lam.size, r_arr.size))
     with np.errstate(over="ignore", invalid="ignore"):
-        for b in _row_blocks(*table.shape):
+        for b in row_blocks(*table.shape):
             table[b] = wq[b, None] * laplace_eigenfunction(cfg.n, lam[b, None] * r_arr)
     if not np.isfinite(table).all():
         raise ValueError(f"lambda0={cfg.lambda0:g} overflows the eigenfunction at the largest "
@@ -197,7 +191,7 @@ def _source_envelope(cfg: KernelConfig, t: float, s, lam):
     if np.any(s_col > t) or np.any(s_col < 0.0):
         raise ValueError("need t >= s >= 0")
     out = np.empty((len(s_col), lam.size))
-    for b in _row_blocks(*out.shape):
+    for b in row_blocks(*out.shape):
         z = lam * (t - s_col[b])
         small = np.abs(z) < _SERIES_CUT
         # the difference form never overflows; where it cancels, sinh(z)/z by its 4-term series

@@ -21,7 +21,7 @@ limit of
     mu(tau) * log(1/tau)**(1/p(n)),
 
 which ``classify_strauss_threshold`` estimates from the tail trend on a
-log-spaced grid.  The pair checks sweep their grids in blocks, bit for bit.
+log-spaced grid.  The pair checks sweep their grids in ``row_blocks``, bit for bit.
 """
 
 from __future__ import annotations
@@ -33,10 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exponents import strauss_exponent
-from .reporting import WeightReport
+from .reporting import WeightReport, row_blocks
 
 _LN10 = math.log(10.0)
-_PAIR_BLOCK = 64  # grid rows per block of the pair sweeps
 
 
 def _tower(k: int) -> float:
@@ -221,9 +220,9 @@ def make_spec(family, tau0: float | None = None) -> ModulusSpec:
 def _pair_max(x, v, gap) -> float:
     """max of gap(0.5 (x_a + x_b), 0.5 (v_a + v_b)) over all grid pairs; both are symmetric in
     a and b, so each block of rows pairs with the columns from its start on, bit for bit."""
-    return float(np.max([np.max(gap(0.5 * (x[i:i + _PAIR_BLOCK, None] + x[None, i:]),
-                                    0.5 * (v[i:i + _PAIR_BLOCK, None] + v[None, i:])))
-                         for i in range(0, len(x), _PAIR_BLOCK)]))
+    return float(np.max([np.max(gap(0.5 * (x[b, None] + x[None, b.start:]),
+                                    0.5 * (v[b, None] + v[None, b.start:])))
+                         for b in row_blocks(len(x), len(x))]))
 
 
 def _monotone_concave(family, taus):
@@ -332,21 +331,17 @@ def forcing(spec: ModulusSpec, p: float):
     return kernel
 
 
-def mu_power(spec: ModulusSpec, p: float, abs_u: np.ndarray, out=None, peak=None) -> np.ndarray:
+def mu_power(spec: ModulusSpec, p: float, abs_u: np.ndarray) -> np.ndarray:
     """|u|^p mu(|u|) for ``abs_u`` = |u| (any shape): the ``forcing`` kernel
     of ``spec`` applied once.  It is 0 at |u| = 0 and takes LogPower's
     continuation past tau0; the arguments ``past_tau0`` refuses are
-    refused.  ``peak`` is the largest entry of a non-negative ``abs_u``
-    when the caller has taken it; otherwise the least and the largest entry
-    are judged.  Written into ``out`` when given."""
-    out = np.empty_like(abs_u) if out is None else out
-    if peak is None:
-        peak = 0.0
-        if abs_u.size:
-            past_tau0(spec, abs_u.min())
-            peak = abs_u.max()
+    refused: the least and the largest entry are judged."""
+    peak = 0.0
+    if abs_u.size:
+        past_tau0(spec, abs_u.min())
+        peak = abs_u.max()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return forcing(spec, p)(abs_u, out, peak)
+        return forcing(spec, p)(abs_u, np.empty_like(abs_u), peak)
 
 
 def mu_eval(spec: ModulusSpec, tau):

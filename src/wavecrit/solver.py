@@ -62,7 +62,7 @@ of stored levels at once: on the band the foot t + r of node i - c + k is
 the table node 2i + k - c and the foot t - r the node c - k on every
 level, so ``FreeWave.band`` evaluates the two-point formula's six
 operations on strided views of the tables, straight into the field, for
-blocks that stay within the size of one foot table.  A stored level then
+the blocks of levels of ``reporting.row_blocks``.  A stored level then
 pays 6 numpy calls for the history prefix, 2 for the axis term, 5 for the
 W recurrence, 2 for u = v + W/r, 2 for its modulus and max and 6 (PowerLaw)
 to 8 (LogPower) for the next forcing.  The slow oracles the tests hold the
@@ -93,6 +93,7 @@ import numpy as np
 
 from .exponents import strauss_exponent
 from .modulus import ModulusSpec, forcing, past_tau0
+from .reporting import row_blocks
 
 DEFAULT_CAP = 1e6
 
@@ -252,19 +253,14 @@ def _validate_data(data: RadialData, grid: CharacteristicGrid):
         raise ValueError(f"data do not vanish beyond the support at r={probe[1:][outside][0]:g}")
 
 
-def _band_rows(grid: CharacteristicGrid, reach: int) -> int:
-    """Levels per block of a march's free band: as many as keep the block,
-    2 reach + 1 nodes a level, within the size of one foot table."""
-    return max(1, (grid.t_levels + 2 * grid.r_nodes - 1) // (2 * reach + 1))
-
-
 def _refuse_beyond_memory(grid: CharacteristicGrid, data: RadialData, rungs: int,
                           stored_levels: int) -> None:
     """Refuses, before anything is allocated, a march whose stored levels,
     the two foot tables of its ``rungs`` free waves and, when it stores
-    levels, one block of its free band exceed physical memory."""
-    nt, nr, reach = grid.t_levels, grid.r_nodes, cone_edge(grid, data, 0)
-    block = _band_rows(grid, reach) * (2 * reach + 1) if stored_levels else 0
+    levels, the largest block of its free band exceed physical memory."""
+    nt, nr, width = grid.t_levels, grid.r_nodes, 2 * cone_edge(grid, data, 0) + 1
+    first = next(row_blocks(stored_levels, width), slice(0, 0))  # no later block is larger
+    block = (first.stop - first.start) * width
     nbytes = 8 * (stored_levels * nr + 2 * (nt + 2 * nr - 1) * rungs + block)
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if nbytes > memory:
@@ -450,9 +446,11 @@ def _march_levels(free, spec, data, cap, field=None) -> dict:
     work = np.empty((nr,) + rungs)
     trap = np.empty((nr - 1,) + rungs)
     # a stored level whose band lies whole in nodes 1..nr-1 finds its free part in the field,
-    # written there a block of levels at a time: ``banded`` is the first level not yet written
+    # written there by blocks: ``bands`` maps a block's first level to its stop
     blocked = range(reach + 1, min(nt, nr - 1 - reach) + 1) if field is not None else range(0)
-    block, banded = _band_rows(grid, reach), 0
+    bands = {blocked.start + b.start: blocked.start + b.stop
+             for b in row_blocks(len(blocked), 2 * reach + 1)}
+    banded = 0  # the first level not yet written
     n = min(reach + 2, nr)  # the nodes of level 1 (cone_edge + 1): those level 0 forces
     # the forcing takes log 0; |u| past ~4.8e127 overflows |u|^p, and that non-finite
     # level is the stop "blew_up"
@@ -483,15 +481,14 @@ def _march_levels(free, spec, data, cap, field=None) -> dict:
 
                 # v on the Huygens band, nodes lo..e, then u = v + W/r
                 level = abs_level if field is None else field[i]
-                if i >= banded:
-                    if i in blocked:
-                        banded = min(i + block, blocked.stop)
-                        free.band(i, banded, reach, out=_rows(
-                            field.reshape(-1), i * (nr + 1) - reach, banded - i, 2 * reach + 1, nr + 1))
-                    else:
-                        lo = max(1, i - reach)
-                        level[1:lo] = 0.0  # v = 0 off the band; the ladder's buffer holds |u|
-                        free.level(i, lo, n, out=level[lo:n])
+                if i in bands:
+                    banded = bands[i]
+                    free.band(i, banded, reach, out=_rows(
+                        field.reshape(-1), i * (nr + 1) - reach, banded - i, 2 * reach + 1, nr + 1))
+                elif i >= banded:
+                    lo = max(1, i - reach)
+                    level[1:lo] = 0.0  # v = 0 off the band; the ladder's buffer holds |u|
+                    free.level(i, lo, n, out=level[lo:n])
                 level[0] = free.axis[i] + axis[i]
                 level[1:n] += np.divide(rlu[1:n], r[1:n], out=w)
                 np.abs(level[:n], out=abs_level[:n])

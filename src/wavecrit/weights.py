@@ -10,12 +10,11 @@ from scipy import integrate
 
 from .exponents import strauss_exponent, weight_exponent
 from .modulus import ModulusSpec, mu_eval, threshold_product
-from .reporting import WeightReport
+from .reporting import WeightReport, row_blocks
 from .solver import CharacteristicGrid, FreeWave, cone_edge
 
 _DECAY_STEP = 0.5  # time between the levels ``linear_decay_check`` samples
 _DECAY_DR = 0.125  # radius between its samples in the Huygens band
-_BLOCK_LEVELS = 64  # levels per block of the weighted reduction of a marched field
 
 
 def bracket(y):
@@ -44,16 +43,15 @@ def _cone_weight(t, r):
 
 def _level_maxima(run) -> np.ndarray:
     """The cone-weighted max of |u| on each stored level of ``run``, reduced
-    over blocks of _BLOCK_LEVELS levels, each cut at the cone edge of its
-    last level (the field is 0 past it): temporaries scale with the block."""
+    over ``row_blocks`` of levels, each cut at the cone edge of its last
+    level (the field is 0 past it): temporaries scale with the block."""
     if run.field.size == 0:
         raise ValueError("run stores no levels")
     t, r, field = run.times, run.radii, run.field
     out = np.empty(len(field))
-    for a in range(0, len(field), _BLOCK_LEVELS):
-        b = min(a + _BLOCK_LEVELS, len(field))
-        n = cone_edge(run.grid, run.data, b - 1) + 1
-        out[a:b] = (_cone_weight(t[a:b, None], r[None, :n]) * np.abs(field[a:b, :n])).max(axis=1)
+    for b in row_blocks(*field.shape):
+        n = cone_edge(run.grid, run.data, b.stop - 1) + 1
+        out[b] = (_cone_weight(t[b, None], r[None, :n]) * np.abs(field[b, :n])).max(axis=1)
     return out
 
 

@@ -246,7 +246,7 @@ def march_level_by_level(data: RadialData, spec, grid: CharacteristicGrid, cap: 
             if i > 0 and not peak <= limit:
                 return field[:i + 1], "blew_up", i
             if spec is not None and i < nt:
-                g[:n] = mu_power(spec, p, abs_level[:n], peak=peak)
+                g[:n] = mu_power(spec, p, abs_level[:n])
     return field, "completed", nt
 
 

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +7,7 @@ from scipy import integrate, special
 
 from oracles import kernel_bounds_by_call, kernels_whole_array
 from wavecrit.exponents import kernel_exponent
+from wavecrit.reporting import BLOCK_ELEMENTS
 from wavecrit.kernels import (
     KernelConfig,
     data_and_source_kernels,
@@ -86,16 +86,10 @@ def test_eigenfunction_general_dimension_elementwise(n):
         assert np.max(np.abs(got - scalar) / np.abs(scalar)) <= 1e-14
 
 
-def test_data_kernel_general_dimension_memory():
+def test_data_kernel_general_dimension_memory(traced_peak):
     # the n >= 4 eigenfunction is elementwise: no per-radius quadrature array
     radii = np.linspace(0.0, 2.0, 100)
-    tracemalloc.start()
-    try:
-        data_kernel(KernelConfig(n=4), kernel_exponent(4), 1.0, radii)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 30e6
+    assert traced_peak(lambda: data_kernel(KernelConfig(n=4), kernel_exponent(4), 1.0, radii))[1] < 30e6
 
 
 def test_data_kernel_general_dimension_matches_scalar_calls():
@@ -305,10 +299,15 @@ def test_paired_kernels_equal_the_two_kernel_calls():
     assert source.tobytes() == source_kernel(CFG, Q3, 2.5, s, r).tobytes()
 
 
-# the table and the envelope are filled in blocks of 65536 elements: these
-# (quad_points, len(s), len(r)) take one block, or two, on each side
+# the (quad_points x len(r)) table and the (len(s) x quad_points) envelope are filled in
+# row_blocks: at FULL quad points 8 radii or 8 times fill one block exactly and 9 take
+# a second, FULL + 1 points take one table row over, and the last two take many blocks
+FULL = BLOCK_ELEMENTS // 8
+
+
 @pytest.mark.parametrize("quad_points, n_s, n_r", [
-    (2048, 1, 1), (2048, 32, 32), (2048, 33, 33), (2048, 161, 193), (64, 1025, 1025)])
+    (FULL, 1, 1), (FULL, 8, 8), (FULL, 9, 9), (FULL + 1, 8, 8), (2048, 161, 193),
+    (64, 1025, 1025)])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_kernels_equal_the_whole_array_fills(n, quad_points, n_s, n_r):
     cfg, q, t = KernelConfig(n=n, quad_points=quad_points), kernel_exponent(n), 2.5

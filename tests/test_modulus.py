@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +24,7 @@ from wavecrit.modulus import (
     threshold_product,
 )
 from wavecrit.modulus import _monotone_concave  # the blocked pair sweep itself
+from wavecrit.reporting import BLOCK_ELEMENTS
 
 from oracles import concavity_whole_grid, convexity_whole_grid, mu_direct
 
@@ -218,10 +218,15 @@ def test_convexity_reads_the_nonnegative_half(spec):
                                                            expected.fitted_constant)
 
 
-# the pair sweeps run in blocks of 64 rows; these grids sit on both sides of
-# one and two blocks, and doublelog at gamma = -1.72 fails its concavity check
+# the pair sweeps of n points run in row_blocks(n, n): the largest n with n^2 <=
+# BLOCK_ELEMENTS and the n below it take one block, the next n two, the least n
+# past it whose last block is one row three, and axioms_check's 1000 points many;
+# doublelog at gamma = -1.72 fails its concavity check
 PAIR_SPECS = [*ALL_DEFAULT_SPECS, make_spec(DoubleLogGlobal(-1.72))]
-PAIR_GRID_SIZES = [2, 63, 64, 65, 129, 1000]
+_ONE_BLOCK = math.isqrt(BLOCK_ELEMENTS)
+PAIR_GRID_SIZES = [2, _ONE_BLOCK - 1, _ONE_BLOCK, _ONE_BLOCK + 1,
+                   next(n for n in range(_ONE_BLOCK + 2, 1000) if n % (BLOCK_ELEMENTS // n) == 1),
+                   1000]
 
 
 def _bits(x) -> bytes:
@@ -274,15 +279,9 @@ def test_convexity_margin_equals_the_whole_grid(spec, size):
 
 
 @pytest.mark.parametrize("spec", ALL_DEFAULT_SPECS, ids=lambda s: type(s.family).__name__)
-def test_axioms_check_works_in_blocks(spec):
-    # one 1000 x 1000 pair temporary alone is 8 MB; the check took 15-39 MB
-    tracemalloc.start()
-    try:
-        axioms_check(spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4e6
+def test_axioms_check_works_in_blocks(spec, traced_peak):
+    # one 1000 x 1000 pair temporary alone is 8 MB; in blocks the check peaks at 0.53-0.93 MB
+    assert traced_peak(lambda: axioms_check(spec))[1] < 1.4e6
 
 
 # ------------------------------------------------------------- classification

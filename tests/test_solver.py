@@ -3,7 +3,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -37,6 +36,7 @@ from wavecrit.solver import (
     velocity_bump,
 )
 from wavecrit.exponents import strauss_exponent
+from wavecrit.reporting import BLOCK_ELEMENTS
 
 from oracles import duhamel_apply, linear_propagator, mu_direct
 
@@ -136,9 +136,12 @@ def test_free_band_is_the_level_reads_bit_for_bit(datum, eps):
 def test_memory_guard_counts_what_a_march_allocates(monkeypatch):
     # with the memory made tiny the guard refuses every grid and names its count:
     # the stored field, the two foot tables and the largest block of the free band
-    # a march holds; a ladder holds the tables of its rungs only
-    data, spec = default_bump(0.5), make_spec(PowerLaw(1.0))
-    grid = CharacteristicGrid.cover(0.05, 4.0, 1.0)
+    # a march holds; a ladder holds the tables of its rungs only.  The first grid's
+    # band takes three blocks, the second's one: there the count is an upper bound
+    data, spec, h = default_bump(0.5), make_spec(PowerLaw(1.0)), 0.05
+    width = 2 * (math.ceil(1.0 / h) + 1) + 1  # nodes per level of the free band
+    grid = CharacteristicGrid.cover(h, 2 * h * (BLOCK_ELEMENTS // width + width), 1.0)
+    small = CharacteristicGrid.cover(h, 4.0, 1.0)
     blocks = []
     band = FreeWave.band
 
@@ -146,11 +149,16 @@ def test_memory_guard_counts_what_a_march_allocates(monkeypatch):
         blocks.append(out.nbytes)
         return band(self, i0, i1, reach, out)
 
+    def held(grid):  # what a march on ``grid`` allocates
+        blocks.clear()
+        field = march(data, spec, grid).field.base
+        free = FreeWave(data, grid)
+        assert field.nbytes == 8 * (grid.t_levels + 1) * grid.r_nodes
+        return field.nbytes + free._p.nbytes + free._q.nbytes + max(blocks), len(blocks)
+
     monkeypatch.setattr(FreeWave, "band", spy)
-    run = march(data, spec, grid)
-    tables = FreeWave(data, grid)._p.nbytes + FreeWave(data, grid)._q.nbytes
-    assert len(blocks) > 1 and run.field.base.nbytes == 8 * (grid.t_levels + 1) * grid.r_nodes
-    allocated = run.field.base.nbytes + tables + max(blocks)
+    (allocated, n_blocks), (small_allocated, n_small) = held(grid), held(small)
+    assert n_blocks == 3 and n_small == 1
     ladder = FreeWave(data, grid, np.array([0.5, 1.0, 2.0]))
     laddered = ladder._p.nbytes + ladder._q.nbytes
 
@@ -159,6 +167,9 @@ def test_memory_guard_counts_what_a_march_allocates(monkeypatch):
                         (laddered, lambda: lifespan_sweep(data, spec, [0.5, 1.0, 2.0], grid))):
         with pytest.raises(ValueError, match=f"allocates {count} bytes, more than the 1 bytes"):
             call()
+    with pytest.raises(ValueError, match="more than the 1 bytes") as refused:
+        march(data, spec, small)
+    assert int(re.search(r"allocates (\d+) bytes", str(refused.value))[1]) >= small_allocated
 
 
 # differential: the lattice path against the adaptive-quadrature oracle at
@@ -357,14 +368,9 @@ def test_march_samples_u0_once_per_lattice_node():
     assert len(calls) <= grid.t_levels + grid.r_nodes + 8
 
 
-def test_march_stores_the_field_once():
+def test_march_stores_the_field_once(traced_peak):
     grid = CharacteristicGrid.cover(1 / 16, 25.0, 1.0)
-    tracemalloc.start()
-    try:
-        run = march(default_bump(0.01), make_spec(PowerLaw(1.0)), grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    run, peak = traced_peak(lambda: march(default_bump(0.01), make_spec(PowerLaw(1.0)), grid))
     assert run.status == "completed"
     assert peak <= 1.25 * run.field.nbytes
 
@@ -556,10 +562,6 @@ def test_forcing_matches_the_direct_formula(name, data):
         abs_u = abs_u[:len(abs_u) // 2 * 2].reshape(2, -1)
     want = abs_u ** P3 * mu_direct(spec, abs_u)
     got = mu_power(spec, P3, abs_u)
-    out = np.full_like(abs_u, np.nan)
-    assert mu_power(spec, P3, abs_u, out=out) is out and np.array_equal(out, got)
-    # the march hands in the peak its cap check took, in place of the reductions
-    assert np.array_equal(mu_power(spec, P3, abs_u, peak=abs_u.max()), got)
     zero = want == 0.0
     assert np.array_equal(zero, abs_u == 0.0)
     assert np.all(got[zero] == 0.0) and not np.any(np.signbit(got[zero]))
@@ -586,16 +588,17 @@ def test_resolved_forcing_judges_only_a_peak_past_tau0(name, monkeypatch):
     # the kernel a march resolves once per spec: below tau0 it calls no
     # past_tau0 and gives mu_power's bits; past tau0 it judges the peak once
     spec = CONE_SPECS[name]
+    top = 1e6 if math.isinf(spec.tau0) else spec.tau0
+    abs_u = top * np.array([[0.0, 1e-9, 0.3], [0.5, 0.9, 1.0]])
+    want = mu_power(spec, P3, abs_u)  # judges its least and largest entry, before the count
     judged = []
     monkeypatch.setattr(modulus, "past_tau0",
                         lambda spec, peak: judged.append(peak) or past_tau0(spec, peak))
     kernel = forcing(spec, P3)
-    top = 1e6 if math.isinf(spec.tau0) else spec.tau0
-    abs_u = top * np.array([[0.0, 1e-9, 0.3], [0.5, 0.9, 1.0]])
     out = np.empty_like(abs_u)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         assert kernel(abs_u, out, abs_u.max()) is out
-    assert out.tobytes() == mu_power(spec, P3, abs_u, peak=abs_u.max()).tobytes()
+    assert out.tobytes() == want.tobytes()
     assert judged == []
     past = np.append(abs_u, 2.0 * top)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

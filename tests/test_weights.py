@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from wavecrit.exponents import strauss_exponent
 from wavecrit.modulus import DoubleLogGlobal, LogPower, PowerLaw, make_spec
+from wavecrit.reporting import BLOCK_ELEMENTS, row_blocks
 from wavecrit.solver import (
     CharacteristicGrid,
     RadialData,
@@ -18,6 +18,7 @@ from wavecrit.solver import (
 )
 from wavecrit.weights import (
     _cone_weight,
+    _level_maxima,
     bracket,
     classify_zone,
     data_norms,
@@ -337,40 +338,54 @@ def test_level_maxima_equal_the_full_field_formula(data, h, horizon):
     assert weighted_sup_norm(run) == full.max()
 
 
-def test_level_maxima_read_up_to_the_cone_edge():
-    # a field that is 0 past the cone edge ceil(R/h) + 1 + i and largest on it
-    h = 0.05
-    grid = CharacteristicGrid.cover(h, 7.5, 1.0)
-    field = np.random.default_rng(7).uniform(-1.0, 1.0, (grid.t_levels + 1, grid.r_nodes))
+def _edge_run(grid, levels):
+    """A run of ``levels`` stored levels whose field is 0 past the cone edge
+    ceil(R/h) + 1 + i and largest on it."""
+    field = np.random.default_rng(7).uniform(-1.0, 1.0, (levels, grid.r_nodes))
     for i, level in enumerate(field):
-        edge = min(math.ceil(1.0 / h) + 1 + i, grid.r_nodes - 1)
+        edge = min(math.ceil(1.0 / grid.h) + 1 + i, grid.r_nodes - 1)
         level[edge] = 2.0
         level[edge + 1:] = 0.0
-    run = SolutionRun(grid=grid, data=default_bump(1.0), spec=None, field=field,
-                      status="completed")
+    return SolutionRun(grid=grid, data=default_bump(1.0), spec=None, field=field,
+                       status="completed")
+
+
+def test_level_maxima_read_up_to_the_cone_edge():
+    grid = CharacteristicGrid.cover(0.05, 7.5, 1.0)
+    run = _edge_run(grid, grid.t_levels + 1)
     full = _full_field_maxima(run)
     assert [m for _, m in decay_profile_check(run).samples] == full.tolist()
     assert weighted_sup_norm(run) == full.max()
+
+
+# one row, one full block of levels, one row over it and many blocks
+@pytest.mark.parametrize("full_blocks, rows", [(0, 1), (1, 0), (1, 1), (3, 1)],
+                         ids=["one-row", "one-block", "one-row-over", "many-blocks"])
+def test_level_maxima_equal_the_full_field_formula_across_block_edges(full_blocks, rows):
+    grid = CharacteristicGrid.cover(0.05, 20.0, 1.0)
+    run = _edge_run(grid, full_blocks * (BLOCK_ELEMENTS // grid.r_nodes) + rows)
+    assert _level_maxima(run).tolist() == _full_field_maxima(run).tolist()
 
 
 @pytest.mark.parametrize("cap", [1e6, math.inf])  # inf: the last level holds nan
 def test_sup_norm_of_a_blown_up_run_equals_the_full_field_formula(cap):
     run = march(default_bump(1.75), make_spec(LogPower(0.2, 10.0)),
                 CharacteristicGrid.cover(0.02, 10.0, 1.0), cap=cap)
-    assert run.status == "blew_up" and run.field.shape[0] > 2 * 64
+    assert run.status == "blew_up" and len(list(row_blocks(*run.field.shape))) > 2
     assert np.array_equal([weighted_sup_norm(run)], [_full_field_maxima(run).max()],
                           equal_nan=True)
 
 
-def test_decay_reduction_allocates_by_block():
-    # temporaries scale with a block of levels, not with the stored field
+def test_decay_reduction_allocates_by_block(traced_peak):
+    # temporaries scale with a block of levels, not with the stored field: 0.03 of it here
     run = march(default_bump(0.01), make_spec(PowerLaw(1.0)),
                 CharacteristicGrid.cover(1 / 16, 100.0, 1.0))
     norms = data_norms(run.data)
-    tracemalloc.start()
-    try:
-        decay_profile_check(run, norms)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 0.25 * run.field.nbytes
+    assert traced_peak(lambda: decay_profile_check(run, norms))[1] <= 0.05 * run.field.nbytes
+
+
+def test_decay_profile_check_peak(traced_peak):
+    # the check peaks at 0.65 MB here
+    run = march(default_bump(0.01), make_spec(PowerLaw(1.0)),
+                CharacteristicGrid.cover(1 / 16, 50.0, 1.0))
+    assert traced_peak(lambda: decay_profile_check(run))[1] < 1.0e6
