@@ -53,6 +53,7 @@ from .weights import (
     data_norms,
     decay_profile_check,
     key_integral,
+    march_level_maxima,
     zone_bound_check,
 )
 
@@ -365,13 +366,13 @@ def _cmd_verify_global(args, spec):
                                  [(100.0, 10.0), (0.5, 0.9), (150.0, 100.0)])
         if not zones.passed:
             failures.append("zone bound check failed")
-        run = march(data, spec, grid, cap=args.cap)
+        run, maxima = march_level_maxima(data, spec, grid, cap=args.cap)
         if run.status != "completed":
             failures.append(f"run status {run.status}")
             profile = None
             norm = None
         else:
-            profile = decay_profile_check(run, norms)
+            profile = decay_profile_check(run, norms, maxima)
             norm = max(level for _, level in profile.samples)
             if not profile.passed:
                 failures.append("decay profile grew over the outer half")

@@ -21,7 +21,8 @@ limit of
     mu(tau) * log(1/tau)**(1/p(n)),
 
 which ``classify_strauss_threshold`` estimates from the tail trend on a
-log-spaced grid.  The pair checks sweep their grids in ``row_blocks``, bit for bit.
+log-spaced grid.  The pair checks sweep their grids, and the Jensen check
+its trials, in ``row_blocks``, bit for bit.
 """
 
 from __future__ import annotations
@@ -487,15 +488,23 @@ def jensen_margin(
 
     Draws random non-negative step functions v and weights alpha on [0,1]
     and compares g(weighted mean of v) against the weighted mean of g(v).
-    Non-positive results mean the inequality held on every trial.
+    Non-positive results mean the inequality held on every trial.  The
+    trials are drawn and reduced in ``row_blocks``, v and alpha each from
+    its own part of the one stream of ``seed``, so every draw is the one a
+    single draw of all trials gives.
     """
-    rng = np.random.default_rng(seed)
-    v = rng.uniform(0.0, v_max, size=(trials, cells))
-    alpha = rng.uniform(0.0, 1.0, size=(trials, cells))
-    total = alpha.sum(axis=1)
-    total = np.where(total > 0.0, total, 1.0)
-    mean = (v * alpha).sum(axis=1) / total
-    lhs = convex_companion(spec, n, mean)
-    rhs = (convex_companion(spec, n, v) * alpha).sum(axis=1) / total
-    denom = np.maximum(np.abs(rhs), 1e-300)
-    return float(np.max((lhs - rhs) / denom))
+    draw_v = np.random.Generator(np.random.PCG64(seed))
+    # alpha follows the trials x cells draws of v in one stream of ``seed``
+    draw_alpha = np.random.Generator(np.random.PCG64(seed).advance(trials * cells))
+    worst = []
+    for b in row_blocks(trials, cells):
+        v = draw_v.uniform(0.0, v_max, size=(b.stop - b.start, cells))
+        alpha = draw_alpha.uniform(0.0, 1.0, size=v.shape)
+        total = alpha.sum(axis=1)
+        total = np.where(total > 0.0, total, 1.0)
+        mean = (v * alpha).sum(axis=1) / total
+        lhs = convex_companion(spec, n, mean)
+        rhs = (convex_companion(spec, n, v) * alpha).sum(axis=1) / total
+        denom = np.maximum(np.abs(rhs), 1e-300)
+        worst.append(np.max((lhs - rhs) / denom))
+    return float(np.max(worst))

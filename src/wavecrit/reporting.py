@@ -1,7 +1,8 @@
 """What the modules share: the result container of a numerically checked
 inequality, and the one block rule for the temporaries of a sweep too large
-to hold whole (the modulus pair checks, the kernel tables and envelopes, the
-weighted maxima of a marched field and a march's free band): a block stays
+to hold whole (the modulus pair checks and Jensen trials, the kernel tables
+and envelopes, the weighted maxima of a marched field, a march's blocks of
+levels and its free band): a block stays
 in the heap a fresh process reuses, not in memory mapped and trimmed anew."""
 
 from __future__ import annotations

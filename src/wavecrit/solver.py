@@ -50,9 +50,17 @@ below, ``weights.linear_decay_check`` every m-th.  For data supported in
 r <= R, with c = ceil(R/h) + 1, u is exactly 0 past the cone edge
 e_i = c + i (``cone_edge``) and v off the Huygens band |i - j| <= c, so
 level i computes nodes 0..e_i and v on the band only, in place from
-preallocated buffers; ``march``'s field is zero-filled, so nothing is
-written off the band or past the cone.  A march costs about
-t_levels (t_levels / 2 + R / h) node updates.
+preallocated buffers; the rows a march stores its levels in are
+zero-filled, so nothing is written off the band or past the cone.  A march
+costs about t_levels (t_levels / 2 + R / h) node updates.
+
+A march writes its levels by the blocks of ``reporting.row_blocks(t_levels
++ 1, r_nodes)``, each at most 16000 doubles.  By default the blocks are
+views of the stored field.  A level stream (``march(..., reduce=fn)``)
+writes every block into one reused buffer and hands each finished block to
+``fn``, so it stores no field: ``weights.march_level_maxima`` reduces each
+block to its cone-weighted maxima, which is all ``verify-global`` reads,
+and ``convergence_study`` keeps the one level it compares.
 
 A level pays only for what the state changes.  The forcing kernel is
 resolved once per march by ``modulus.forcing``, so below tau0 a level's
@@ -61,8 +69,8 @@ and the free part, which no state changes, is computed ahead for a block
 of stored levels at once: on the band the foot t + r of node i - c + k is
 the table node 2i + k - c and the foot t - r the node c - k on every
 level, so ``FreeWave.band`` evaluates the two-point formula's six
-operations on strided views of the tables, straight into the field, for
-the blocks of levels of ``reporting.row_blocks``.  A stored level then
+operations on strided views of the tables, straight into a block's rows,
+once per block of levels.  A stored level then
 pays 6 numpy calls for the history prefix, 2 for the axis term, 5 for the
 W recurrence, 2 for u = v + W/r, 2 for its modulus and max and 6 (PowerLaw)
 to 8 (LogPower) for the next forcing.  The slow oracles the tests hold the
@@ -73,8 +81,9 @@ level whose max exceeds the cap or goes non-finite.  That max also judges
 the next level's forcing by ``modulus.past_tau0``, so a level is reduced
 once.  There is one level loop, and a march is a ladder of one rung: the
 state has shape (nodes,) + shape(eps), 1-D for ``march``'s amplitude,
-which stores the field, and (nodes x rungs) for ``lifespan_sweep``'s
-ladder, which stores none and so reads its free part level by level.
+which stores its levels by blocks, and (nodes x rungs) for
+``lifespan_sweep``'s ladder, which stores none and so reads its free part
+level by level.
 Only when the max stops the level are the rungs judged one at a time, and
 a rung that stops leaves the state, so a ladder pays the fixed cost per
 level once, not once per rung: its numpy calls are those of its longest
@@ -197,9 +206,11 @@ def cone_edge(grid: CharacteristicGrid, data: RadialData, i: int) -> int:
 class SolutionRun:
     """A marched field with its provenance.
 
-    ``field`` holds u(t_i, r_j) for the stored levels; when the run blew
-    up storage ends at the detection level.  status is "completed" or
-    "blew_up".
+    ``field`` holds u(t_i, r_j) for the marched levels; when the run blew
+    up it ends at the detection level.  A level stream (``march`` with
+    ``reduce``) stores no level: its field has a row per marched level and
+    no column, so ``times`` still lists the levels.  status is "completed"
+    or "blew_up".
     """
 
     grid: CharacteristicGrid
@@ -253,15 +264,24 @@ def _validate_data(data: RadialData, grid: CharacteristicGrid):
         raise ValueError(f"data do not vanish beyond the support at r={probe[1:][outside][0]:g}")
 
 
+def _banded(grid: CharacteristicGrid, reach: int) -> range:
+    """The levels whose Huygens band of half-width ``reach`` lies whole in
+    the off-axis nodes: a march that stores levels writes their free part
+    by blocks."""
+    return range(reach + 1, min(grid.t_levels, grid.r_nodes - 1 - reach) + 1)
+
+
 def _refuse_beyond_memory(grid: CharacteristicGrid, data: RadialData, rungs: int,
                           stored_levels: int) -> None:
-    """Refuses, before anything is allocated, a march whose stored levels,
-    the two foot tables of its ``rungs`` free waves and, when it stores
-    levels, the largest block of its free band exceed physical memory."""
-    nt, nr, width = grid.t_levels, grid.r_nodes, 2 * cone_edge(grid, data, 0) + 1
-    first = next(row_blocks(stored_levels, width), slice(0, 0))  # no later block is larger
-    block = (first.stop - first.start) * width
-    nbytes = 8 * (stored_levels * nr + 2 * (nt + 2 * nr - 1) * rungs + block)
+    """Refuses, before anything is allocated, a march whose stored levels
+    (all of them, or one block of them for a reduced march; none for a
+    ladder), the two foot tables of its ``rungs`` free waves and, when it
+    stores levels, the largest block of its free band exceed physical
+    memory.  A band block is cut at the edges of a block of levels."""
+    nt, nr, reach = grid.t_levels, grid.r_nodes, cone_edge(grid, data, 0)
+    first = next(row_blocks(nt + 1, nr))  # no later block of levels is larger
+    band = min(first.stop, len(_banded(grid, reach))) * (2 * reach + 1) if stored_levels else 0
+    nbytes = 8 * (stored_levels * nr + 2 * (nt + 2 * nr - 1) * rungs + band)
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if nbytes > memory:
         raise ValueError(f"a march of {nt + 1} x {nr} levels allocates {nbytes} bytes, "
@@ -378,6 +398,7 @@ def march(
     spec: Optional[ModulusSpec],
     grid: CharacteristicGrid,
     cap: float = DEFAULT_CAP,
+    reduce: Optional[Callable[[int, np.ndarray], None]] = None,
 ) -> SolutionRun:
     """Causal characteristic marching of the integral equation: a ladder of
     one rung, the data's amplitude, whose levels are stored.
@@ -387,35 +408,56 @@ def march(
     "blew_up" at the first level whose max modulus exceeds ``cap`` or is
     not finite; ``cap = inf`` stops on a non-finite level only.  A forcing
     argument ``modulus.past_tau0`` refuses is raised, and so is a grid
-    whose field, foot tables and band block exceed physical memory.
+    whose stored levels, foot tables and band block exceed physical memory.
+
+    With ``reduce`` the march is a level stream and stores no field: each
+    block of levels of ``reporting.row_blocks(t_levels + 1, r_nodes)`` is
+    written into one reused buffer and handed, the last block cut at the
+    stop, to ``reduce(i0, rows)``, where rows[k] is level i0 + k and is
+    overwritten by the next block.  The run's field then has its levels
+    but no columns.
     """
     if not cap > 0.0:
         raise ValueError(f"cap must be positive, got {cap}")
-    _refuse_beyond_memory(grid, data, 1, grid.t_levels + 1)
+    nt, nr = grid.t_levels, grid.r_nodes
+    stored = nt + 1 if reduce is None else next(row_blocks(nt + 1, nr)).stop
+    _refuse_beyond_memory(grid, data, 1, stored)
     free = FreeWave(data, grid)
-    field = np.zeros((grid.t_levels + 1, grid.r_nodes))  # +0.0 off the band and past the cone
-    status, last = _march_levels(free, spec, data, cap, field).get(0, ("completed", grid.t_levels))
+    field = np.zeros((stored, nr))  # +0.0 off the band and past the cone
+    if reduce is None:
+        rows = field.__getitem__
+    else:
+        def rows(b):  # the buffer's rows for the levels of b, zero-filled
+            block = field[:b.stop - b.start]
+            block.fill(0.0)
+            return block
+    status, last = _march_levels(free, spec, data, cap, rows, reduce).get(0, ("completed", nt))
     if isinstance(status, ValueError):
         raise status
     return SolutionRun(
         grid=grid,
         data=data,
         spec=spec,
-        field=field[:last + 1],  # the last level filled
+        field=field[:last + 1] if reduce is None else np.zeros((last + 1, 0)),  # levels 0..last
         status=status,
         t_detect=last * grid.h if status == "blew_up" else None,
     )
 
 
-def _march_levels(free, spec, data, cap, field=None) -> dict:
+def _march_levels(free, spec, data, cap, rows=None, done=None) -> dict:
     """Levels 0..t_levels of the march of every rung of ``free``: the
     package's one level update.
 
     The state holds a value per node and rung, shape (nodes,) + the shape
-    of the wave's amplitude: 1-D for ``march``'s scalar.  Level i is written to
-    field[i] when a zero-filled ``field`` is given, else to the reused |level|
-    buffer, so no field is stored.  Returns {rung: (status, level)} for the rungs
-    that stopped, each leaving the state: ("blew_up", i) at the first level
+    of the wave's amplitude: 1-D for ``march``'s scalar.  With ``rows`` the
+    levels are written by the blocks b of ``reporting.row_blocks(t_levels +
+    1, r_nodes)``: ``rows(b)`` hands out the zero-filled rows of b's levels,
+    the free band of those levels is written there first, and level i goes
+    to row i - b.start; ``done(b.start, block)``, when given, receives each
+    finished block, the last one cut at the stop.  Without ``rows`` level i
+    is written to the reused |level| buffer, so no field is stored.
+    Returns {rung: (status, level)} for the rungs that stopped, each
+    leaving the state: ("blew_up", i) at the first level
     i >= 1 whose max modulus exceeds ``cap`` or is not finite, and (the
     ValueError, None) for a rung whose next forcing ``past_tau0`` refuses.
     """
@@ -440,17 +482,24 @@ def _march_levels(free, spec, data, cap, field=None) -> dict:
     half_r = 0.5 * r
     axis_weights = (r * (0.5 * h), r * h)  # w_k m h on node m: w_0 = h/2, then h
     abs_level = np.empty((nr,) + rungs)  # |u| on level i, the cap check and the next forcing
-    level = np.multiply.outer(free.u0[:nr], free._eps, out=abs_level if field is None else field[0])
+    banded = _banded(grid, reach) if rows is not None else range(0)
+    width = 2 * reach + 1
+
+    def take(b):  # the rows of the block of levels b, with the free band of its banded levels
+        block = rows(b)
+        lo, hi = max(b.start, banded.start), min(b.stop, banded.stop)
+        if lo < hi:
+            free.band(lo, hi, reach, out=_rows(block.reshape(-1), (lo - b.start) * nr + lo - reach,
+                                               hi - lo, width, nr + 1))
+        return block, b.start, b.stop
+
+    blocks = row_blocks(nt + 1, nr)
+    block, i0, i1 = take(next(blocks)) if rows is not None else (None, 0, nt + 1)
+    level = np.multiply.outer(free.u0[:nr], free._eps, out=abs_level if block is None else block[0])
     np.abs(level, out=abs_level)
     g = np.zeros((nr,) + rungs)  # the forcing; it stays 0 in linear mode
     work = np.empty((nr,) + rungs)
     trap = np.empty((nr - 1,) + rungs)
-    # a stored level whose band lies whole in nodes 1..nr-1 finds its free part in the field,
-    # written there by blocks: ``bands`` maps a block's first level to its stop
-    blocked = range(reach + 1, min(nt, nr - 1 - reach) + 1) if field is not None else range(0)
-    bands = {blocked.start + b.start: blocked.start + b.stop
-             for b in row_blocks(len(blocked), 2 * reach + 1)}
-    banded = 0  # the first level not yet written
     n = min(reach + 2, nr)  # the nodes of level 1 (cone_edge + 1): those level 0 forces
     # the forcing takes log 0; |u| past ~4.8e127 overflows |u|^p, and that non-finite
     # level is the stop "blew_up"
@@ -480,12 +529,12 @@ def _march_levels(free, spec, data, cap, field=None) -> dict:
                 rlu_prev, rlu = rlu, rlu_prev
 
                 # v on the Huygens band, nodes lo..e, then u = v + W/r
-                level = abs_level if field is None else field[i]
-                if i in bands:
-                    banded = bands[i]
-                    free.band(i, banded, reach, out=_rows(
-                        field.reshape(-1), i * (nr + 1) - reach, banded - i, 2 * reach + 1, nr + 1))
-                elif i >= banded:
+                if i == i1:  # the block of levels is finished
+                    if done is not None:
+                        done(i0, block)
+                    block, i0, i1 = take(next(blocks))
+                level = abs_level if block is None else block[i - i0]
+                if i not in banded:
                     lo = max(1, i - reach)
                     level[1:lo] = 0.0  # v = 0 off the band; the ladder's buffer holds |u|
                     free.level(i, lo, n, out=level[lo:n])
@@ -524,6 +573,8 @@ def _march_levels(free, spec, data, cap, field=None) -> dict:
                 free._keep(keep)
                 if forced:
                     force(abs_level[:n], g[:n], peaks[keep].max())
+    if done is not None:
+        done(i0, block[:i + 1 - i0])
     return stops
 
 
@@ -592,7 +643,8 @@ def convergence_study(
 
     Requires at least three steps, each half the previous, and a ``t_check``
     that is a level of the coarsest grid, so of every grid; fields are
-    compared on the common (coarsest) radial nodes.
+    compared on the common (coarsest) radial nodes.  Each grid marches as a
+    level stream that keeps only its level at ``t_check``, its horizon.
     """
     h_list = list(h_list)
     if len(h_list) < 3:
@@ -606,11 +658,11 @@ def convergence_study(
     fields = []
     for h in h_list:
         grid = CharacteristicGrid.cover(h, t_check, data.support_radius)
-        run = march(data, spec, grid)
+        level = np.empty(grid.r_nodes)  # the newest level streamed: t_check, once completed
+        run = march(data, spec, grid, reduce=lambda i0, rows, level=level: np.copyto(level, rows[-1]))
         if run.status != "completed":
             raise ValueError(f"run at h={h} did not complete")
         stride = int(round(h_list[0] / h))
-        level = run.field[run.level_index(grid.horizon)]
         fields.append(level[::stride][: int(round((data.support_radius + t_check) / h_list[0])) + 1])
     n_common = min(len(f) for f in fields)
     diffs = tuple(

@@ -11,7 +11,7 @@ from scipy import integrate
 from .exponents import strauss_exponent, weight_exponent
 from .modulus import ModulusSpec, mu_eval, threshold_product
 from .reporting import WeightReport, row_blocks
-from .solver import CharacteristicGrid, FreeWave, cone_edge
+from .solver import DEFAULT_CAP, CharacteristicGrid, FreeWave, cone_edge, march
 
 _DECAY_STEP = 0.5  # time between the levels ``linear_decay_check`` samples
 _DECAY_DR = 0.125  # radius between its samples in the Huygens band
@@ -41,18 +41,34 @@ def _cone_weight(t, r):
     return log_weight(tmr) * tpr * tmr ** inv_p
 
 
+def _block_maxima(grid, data, i0: int, rows: np.ndarray) -> np.ndarray:
+    """The cone-weighted max of |u| on each of the levels i0, i0 + 1, ...
+    held in ``rows``, cut at the cone edge of the last one (u is 0 past
+    it): the one block reduction of a stored field and of a level stream."""
+    i1 = i0 + len(rows)
+    n = cone_edge(grid, data, i1 - 1) + 1
+    t, r = grid.h * np.arange(i0, i1), grid.h * np.arange(n)
+    return (_cone_weight(t[:, None], r[None, :]) * np.abs(rows[:, :n])).max(axis=1)
+
+
 def _level_maxima(run) -> np.ndarray:
     """The cone-weighted max of |u| on each stored level of ``run``, reduced
-    over ``row_blocks`` of levels, each cut at the cone edge of its last
-    level (the field is 0 past it): temporaries scale with the block."""
+    over ``row_blocks`` of levels: temporaries scale with the block."""
     if run.field.size == 0:
         raise ValueError("run stores no levels")
-    t, r, field = run.times, run.radii, run.field
-    out = np.empty(len(field))
-    for b in row_blocks(*field.shape):
-        n = cone_edge(run.grid, run.data, b.stop - 1) + 1
-        out[b] = (_cone_weight(t[b, None], r[None, :n]) * np.abs(field[b, :n])).max(axis=1)
-    return out
+    return np.concatenate([_block_maxima(run.grid, run.data, b.start, run.field[b])
+                           for b in row_blocks(*run.field.shape)])
+
+
+def march_level_maxima(data, spec, grid, cap: float = DEFAULT_CAP):
+    """``march`` as a level stream reduced to the cone-weighted max of |u|
+    on each level: the run, which stores no field, and the maxima of its
+    levels, bit for bit those of the stored march's ``_level_maxima``
+    (the march's blocks of levels are those of its field)."""
+    blocks = []
+    run = march(data, spec, grid, cap,
+                reduce=lambda i0, rows: blocks.append(_block_maxima(grid, data, i0, rows)))
+    return run, np.concatenate(blocks)
 
 
 def weighted_sup_norm(run) -> float:
@@ -234,17 +250,20 @@ def zone_bound_check(spec: ModulusSpec, eps0: float, region_samples) -> WeightRe
     )
 
 
-def decay_profile_check(run, norms=None) -> WeightReport:
+def decay_profile_check(run, norms=None, maxima=None) -> WeightReport:
     """Pointwise-decay verification on a completed run.
 
     Applies the decay rule of ``_decay_report`` to the level maxima that
     ``weighted_sup_norm`` reduces too, so the final constant times the data
     norms is the weighted sup norm, the largest entry of the ``weighted_max``
-    column.  ``norms`` is ``data_norms(run.data)`` when the caller already
-    has it (each evaluation samples three profiles).
+    column.  ``maxima`` are those a level stream reduced
+    (``march_level_maxima``, whose run stores no field); by default they
+    are reduced from the run's stored field.  ``norms`` is
+    ``data_norms(run.data)`` when the caller already has it (each
+    evaluation samples three profiles).
     """
     if run.status == "blew_up":
         raise ValueError("decay profile is undefined for a run that blew up")
     t = run.times
-    return _decay_report(t, _level_maxima(run), sum(norms or data_norms(run.data)),
-                         f"t in [0, {t[-1]:g}], {len(t)} levels")
+    return _decay_report(t, _level_maxima(run) if maxima is None else maxima,
+                         sum(norms or data_norms(run.data)), f"t in [0, {t[-1]:g}], {len(t)} levels")

@@ -16,8 +16,10 @@ grouped sweep must match bit for bit; ``concavity_whole_grid`` and
 ``convexity_whole_grid`` are the pair checks of ``wavecrit.modulus`` with
 every grid pair in one array, and ``kernels_whole_array`` is
 ``wavecrit.kernels.data_and_source_kernels`` with its table and source
-envelope each built as one array, which the blocked sweeps and fills must
-match bit for bit.  None is part of the package.
+envelope each built as one array, and ``jensen_whole_draw`` is
+``wavecrit.modulus.jensen_margin`` with every trial drawn and reduced in one
+array, which the blocked sweeps, fills and draws must match bit for bit.
+None is part of the package.
 """
 
 from __future__ import annotations
@@ -316,6 +318,20 @@ def convexity_whole_grid(spec: ModulusSpec, n: int, grid):
     mid = convex_companion(spec, n, 0.5 * (pos[:, None] + pos[None, :]))
     worst = float(np.max(mid - 0.5 * (vals[:, None] + vals[None, :])))
     return worst, worst <= slack
+
+
+def jensen_whole_draw(spec: ModulusSpec, n: int, trials: int, cells: int, seed: int,
+                      v_max: float = 2.0) -> float:
+    """``wavecrit.modulus.jensen_margin`` with v and alpha each drawn as one
+    (trials, cells) array, in turn, from ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    v = rng.uniform(0.0, v_max, size=(trials, cells))
+    alpha = rng.uniform(0.0, 1.0, size=(trials, cells))
+    total = alpha.sum(axis=1)
+    total = np.where(total > 0.0, total, 1.0)
+    lhs = convex_companion(spec, n, (v * alpha).sum(axis=1) / total)
+    rhs = (convex_companion(spec, n, v) * alpha).sum(axis=1) / total
+    return float(np.max((lhs - rhs) / np.maximum(np.abs(rhs), 1e-300)))
 
 
 def _source_envelope_whole(cfg: KernelConfig, t: float, s, lam):

@@ -135,41 +135,55 @@ def test_free_band_is_the_level_reads_bit_for_bit(datum, eps):
 
 def test_memory_guard_counts_what_a_march_allocates(monkeypatch):
     # with the memory made tiny the guard refuses every grid and names its count:
-    # the stored field, the two foot tables and the largest block of the free band
-    # a march holds; a ladder holds the tables of its rungs only.  The first grid's
-    # band takes three blocks, the second's one: there the count is an upper bound
+    # the stored field (one block of levels for a level stream), the two foot tables
+    # and the largest block of the free band a march holds; a ladder holds the tables
+    # of its rungs only.  The band is cut at the edges of the blocks of levels: the
+    # first grid's band spans many of them, the second's lies in one
     data, spec, h = default_bump(0.5), make_spec(PowerLaw(1.0)), 0.05
     width = 2 * (math.ceil(1.0 / h) + 1) + 1  # nodes per level of the free band
     grid = CharacteristicGrid.cover(h, 2 * h * (BLOCK_ELEMENTS // width + width), 1.0)
     small = CharacteristicGrid.cover(h, 4.0, 1.0)
-    blocks = []
+    blocks, buffers = [], []
     band = FreeWave.band
 
     def spy(self, i0, i1, reach, out=None):
         blocks.append(out.nbytes)
         return band(self, i0, i1, reach, out)
 
-    def held(grid):  # what a march on ``grid`` allocates
+    def stream(i0, rows):
+        buffers.append(rows.base)
+
+    def held(grid, reduce=None):  # what a march on ``grid`` allocates
         blocks.clear()
-        field = march(data, spec, grid).field.base
+        buffers.clear()
+        run = march(data, spec, grid, reduce=reduce)
+        stored = run.field.base if reduce is None else buffers[0]
+        levels = grid.t_levels + 1 if reduce is None else BLOCK_ELEMENTS // grid.r_nodes
+        assert stored.nbytes == 8 * levels * grid.r_nodes
+        assert all(buffer is stored for buffer in buffers)  # one buffer, reused
         free = FreeWave(data, grid)
-        assert field.nbytes == 8 * (grid.t_levels + 1) * grid.r_nodes
-        return field.nbytes + free._p.nbytes + free._q.nbytes + max(blocks), len(blocks)
+        return stored.nbytes + free._p.nbytes + free._q.nbytes + max(blocks), len(blocks)
 
     monkeypatch.setattr(FreeWave, "band", spy)
     (allocated, n_blocks), (small_allocated, n_small) = held(grid), held(small)
-    assert n_blocks == 3 and n_small == 1
+    streamed, n_streamed = held(grid, stream)
+    assert n_blocks == n_streamed > 1 and n_small == 1
+    assert streamed < allocated / 10
     ladder = FreeWave(data, grid, np.array([0.5, 1.0, 2.0]))
     laddered = ladder._p.nbytes + ladder._q.nbytes
 
     monkeypatch.setattr(os, "sysconf", lambda name: 1)
     for count, call in ((allocated, lambda: march(data, spec, grid)),
+                        (small_allocated, lambda: march(data, spec, small)),
+                        (streamed, lambda: march(data, spec, grid, reduce=stream)),
                         (laddered, lambda: lifespan_sweep(data, spec, [0.5, 1.0, 2.0], grid))):
         with pytest.raises(ValueError, match=f"allocates {count} bytes, more than the 1 bytes"):
             call()
-    with pytest.raises(ValueError, match="more than the 1 bytes") as refused:
-        march(data, spec, small)
-    assert int(re.search(r"allocates (\d+) bytes", str(refused.value))[1]) >= small_allocated
+    # with memory for the stream alone, the stored march is refused and the stream runs
+    monkeypatch.setattr(os, "sysconf", lambda name: streamed if name == "SC_PAGE_SIZE" else 1)
+    with pytest.raises(ValueError, match=f"allocates {allocated} bytes, more than the {streamed}"):
+        march(data, spec, grid)
+    assert march(data, spec, grid, reduce=stream).status == "completed"
 
 
 # differential: the lattice path against the adaptive-quadrature oracle at

@@ -1,12 +1,20 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from wavecrit.exponents import strauss_exponent
-from wavecrit.modulus import DoubleLogGlobal, LogPower, PowerLaw, make_spec
+from wavecrit.modulus import (
+    DoubleLogGlobal,
+    IteratedLogBlowup,
+    LogOnePlus,
+    LogPower,
+    PowerLaw,
+    make_spec,
+)
 from wavecrit.reporting import BLOCK_ELEMENTS, row_blocks
 from wavecrit.solver import (
     CharacteristicGrid,
@@ -26,6 +34,7 @@ from wavecrit.weights import (
     key_integral,
     linear_decay_check,
     log_weight,
+    march_level_maxima,
     weighted_sup_norm,
     zone_bound_check,
 )
@@ -309,6 +318,11 @@ def test_decay_profile_small_data_run():
     assert abs(report.fitted_constant * (a + b) - weighted_sup_norm(run)) < 1e-9
     # norms handed in by the caller give the same report
     assert decay_profile_check(run, (a, b)) == report
+    # and so do the maxima of a level stream, whose run stores no level to reduce
+    streamed, maxima = march_level_maxima(run.data, run.spec, run.grid)
+    assert decay_profile_check(streamed, (a, b), maxima) == report
+    with pytest.raises(ValueError, match="run stores no levels"):
+        decay_profile_check(streamed)
 
 
 def test_decay_profile_rejects_blown_up_run():
@@ -389,3 +403,71 @@ def test_decay_profile_check_peak(traced_peak):
     run = march(default_bump(0.01), make_spec(PowerLaw(1.0)),
                 CharacteristicGrid.cover(1 / 16, 50.0, 1.0))
     assert traced_peak(lambda: decay_profile_check(run))[1] < 1.0e6
+
+
+# differential: the level stream against the stored march, for the linear mode
+# and five families, on grids of one block of levels, a block plus or minus one
+# level and several blocks, and on grids whose band never leaves the axis; runs
+# complete, cross a cap at a drawn level, or are refused past tau0 (iterlog,
+# doublelog)
+STREAM_SPECS = {"linear": None, **{name: make_spec(family) for name, family in {
+    "powerlaw": PowerLaw(1.0), "log1p": LogOnePlus(1.0), "logpower": LogPower(0.2, 10.0),
+    "iterlog": IteratedLogBlowup(1.0), "doublelog": DoubleLogGlobal(-1.0)}.items()}}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_level_stream_equals_the_stored_march(data):
+    name = data.draw(st.sampled_from(sorted(STREAM_SPECS)))
+    spec = STREAM_SPECS[name]
+    # iterated-log amplitudes around tau0; LogPower's velocity data at 3.0 to 4.2, which
+    # blow up from level 124 down to level 33, in any block
+    scale = spec.tau0 if name in ("iterlog", "doublelog") else 1.0
+    low, high = {"iterlog": (-3.0, 0.8), "doublelog": (-3.0, 0.8),
+                 "logpower": (0.47, 0.62)}.get(name, (-2.0, 0.8))
+    amplitude = scale * 10.0 ** data.draw(st.floats(low, high))
+    data_shapes = [velocity_bump] if name == "logpower" else [default_bump, velocity_bump]
+    datum = data.draw(st.sampled_from(data_shapes))(amplitude)
+    r_nodes = data.draw(st.integers(240, 400))  # covers 3 blocks of levels at h = 1/16
+    block = BLOCK_ELEMENTS // r_nodes
+    # (blocks, levels over them); 0 blocks: t_levels <= ceil(R/h) + 1, the band never leaves the axis
+    k, d = data.draw(st.sampled_from([(0, 0), (1, -1), (1, 0), (1, 1), (2, 0), (3, -1), (3, 1)]))
+    levels = k * block + d if k else data.draw(st.integers(2, 18))
+    grid = CharacteristicGrid(h=1 / 16, t_levels=levels - 1, r_nodes=r_nodes)
+    cap = data.draw(st.sampled_from([1e6, math.inf, None]))
+    if cap is None:  # a cap the run crosses at a drawn level past the first, in any block
+        try:
+            peaks = np.max(np.abs(march(datum, spec, grid, math.inf).field[1:]), axis=1)
+        except ValueError:  # refused past tau0: so is every march below
+            peaks = np.ones(1)
+        cap = float(np.quantile(peaks[np.isfinite(peaks)], data.draw(st.floats(0.0, 1.0))))
+    try:
+        stored = march(datum, spec, grid, cap)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            march_level_maxima(datum, spec, grid, cap)
+        return
+    streamed = []
+
+    def keep(i0, rows):
+        assert i0 == block * len(streamed)
+        streamed.append(rows.copy())
+
+    run = march(datum, spec, grid, cap, reduce=keep)
+    assert (run.status, run.t_detect) == (stored.status, stored.t_detect)
+    assert run.field.shape == (len(stored.field), 0) and run.times.tolist() == stored.times.tolist()
+    assert all(len(rows) == block for rows in streamed[:-1])
+    assert np.concatenate(streamed).tobytes() == stored.field.tobytes()
+    run, maxima = march_level_maxima(datum, spec, grid, cap)
+    assert (run.status, run.t_detect) == (stored.status, stored.t_detect)
+    assert maxima.tobytes() == _level_maxima(stored).tobytes()
+
+
+def test_level_stream_stores_no_field(traced_peak):
+    # the stored march and its reduction peak at 5.9 MB here, the stream at 0.91 MB
+    grid = CharacteristicGrid.cover(1 / 16, 50.0, 1.0)
+    (run, maxima), peak = traced_peak(
+        lambda: march_level_maxima(default_bump(0.01), make_spec(PowerLaw(1.0)), grid))
+    assert run.status == "completed" and run.field.nbytes == 0
+    assert len(maxima) == grid.t_levels + 1
+    assert peak < 1.5e6
