@@ -6,7 +6,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate
 
 from .exponents import strauss_exponent, weight_exponent
 from .modulus import ModulusSpec, mu_eval, threshold_product
@@ -15,6 +14,9 @@ from .solver import DEFAULT_CAP, CharacteristicGrid, FreeWave, cone_edge, march
 
 _DECAY_STEP = 0.5  # time between the levels ``linear_decay_check`` samples
 _DECAY_DR = 0.125  # radius between its samples in the Huygens band
+_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)  # on [-1, 1]
+_RULE_TOL = 1e-13  # relative agreement of two successive sums of _log_bracket_gauss
+_MAX_PANELS = 512  # its largest sum, 8192 nodes, fits one reporting.row_blocks block
 
 
 def bracket(y):
@@ -156,12 +158,43 @@ class KeyIntegralResult(NamedTuple):
     ratio: float
 
 
-def key_integral(xi: float, eps0: float, spec: ModulusSpec) -> KeyIntegralResult:
-    """Adaptive quadrature of the cone-interaction integral and its bound ratio.
+def _log_bracket_gauss(f, lo: float, hi: float):
+    """The integral of f(3 + x) over x in [lo, hi], 0 <= lo <= hi, and its
+    error estimate.
 
-    The integrand weights the modulus evaluated along the decaying argument
-    eps0 / (omega(<eta>) <xi> <eta>^{1/p}) across the window [-|xi|, |xi|];
-    the companion ratio divides by
+    ``f`` takes the bracket b = 3 + x as an array.  The rule is composite
+    16-node Gauss-Legendre in u = log b on equal panels, which spreads a
+    peak of width O(1) near x = 0 over panels as wide in u as the tail's.
+    The panel count doubles from one, each sum one call of ``f`` on all its
+    nodes, until two successive sums agree to _RULE_TOL relative or the
+    next doubling would pass _MAX_PANELS.  The estimate is the last
+    difference of two sums: above _RULE_TOL * |value| the sum did not
+    converge, and a non-finite integrand leaves it nan.
+    """
+    u0, u1 = math.log(3.0 + lo), math.log(3.0 + hi)
+    panels, prev = 1, None
+    while True:
+        half = 0.5 * (u1 - u0) / panels
+        mid = u0 + half * (2.0 * np.arange(panels) + 1.0)
+        b = np.exp(mid[:, None] + half * _GAUSS_NODES)
+        value = half * float(np.sum((f(b) * b) @ _GAUSS_WEIGHTS))
+        if prev is not None:
+            err = abs(value - prev)
+            if err <= _RULE_TOL * abs(value) or 2 * panels > _MAX_PANELS:
+                return value, err
+        prev, panels = value, 2 * panels
+
+
+def key_integral(xi: float, eps0: float, spec: ModulusSpec) -> KeyIntegralResult:
+    """The cone-interaction integral and its bound ratio.
+
+    The integrand g(eta) = omega(<eta>)^{-p} <xi + eta> mu(arg) / <eta>
+    weights the modulus evaluated along the decaying argument
+    arg = eps0 / (omega(<eta>) <xi> <eta>^{1/p}) across the window
+    [-|xi|, |xi|].  On the window g(eta) + g(-eta) = 2 <xi> g(eta) / <xi + eta>,
+    so the integral, even in xi, is 2 <xi> times the integral of the rest
+    over [0, |xi|], summed by ``_log_bracket_gauss``; a sum that does not
+    converge is refused, naming xi.  The companion ratio divides by
     <xi> [log <xi>]^{-1/p} (loglog <xi>) * threshold_product(eps0/<xi>),
     which is the quantity the zone analysis consumes.
     """
@@ -172,24 +205,24 @@ def key_integral(xi: float, eps0: float, spec: ModulusSpec) -> KeyIntegralResult
     p = strauss_exponent(3)
     if xi == 0.0:
         return KeyIntegralResult(0.0, 0.0)
-    a = abs(xi)
     bx = bracket(xi)
 
-    def integrand(eta):
-        wbr = log_weight(bracket(eta))
-        arg = eps0 / (wbr * bx * bracket(eta) ** (1.0 / p))
-        return wbr ** (-p) * bracket(xi + eta) * mu_eval(spec, arg) / bracket(eta)
+    def integrand(b):
+        wbr = log_weight(b)
+        return wbr ** (-p) * mu_eval(spec, eps0 / bx / (wbr * b ** (1.0 / p))) / b
 
-    value, _ = integrate.quad(
-        integrand, -a, a, points=[-0.5 * a, 0.5 * a], limit=400
-    )
+    half, err = _log_bracket_gauss(integrand, 0.0, abs(xi))
+    if not err <= _RULE_TOL * abs(half):
+        raise ValueError(f"key integral did not converge at xi={xi}: "
+                         f"{half:.17g} with error estimate {err:.3g}")
+    value = 2.0 * bx * half
     bound = (
         bx
         * math.log(bx) ** (-1.0 / p)
         * math.log(math.log(bx))
         * threshold_product(spec, 3, eps0 / bx)
     )
-    return KeyIntegralResult(float(value), float(value / bound))
+    return KeyIntegralResult(value, value / bound)
 
 
 _ZONES = {
@@ -212,11 +245,19 @@ def zone_bound_check(spec: ModulusSpec, eps0: float, region_samples) -> WeightRe
     The inner integral runs over xi in [t-r, t+r] with the integrand
     <xi>^{1-p} [log <xi>]^{-1/p} (loglog <xi>) threshold_product(eps0/<xi>);
     the prefactor [log <t-r>]^{1/p} <t+r> <t-r>^{1/p} / r multiplies it.
-    Pass needs every sample finite with a converged quadrature.
+    The integrand is even in xi: a window that straddles 0 is split there,
+    its negative part reflected, and each part summed by
+    ``_log_bracket_gauss``.  Pass needs every sample finite with an error
+    estimate within 1e-6 relative (plus 1e-12).
     """
     if not 0.0 < eps0 < 1.0:
         raise ValueError("eps0 must lie in (0, 1)")
     p = strauss_exponent(3)
+
+    def integrand(b):
+        return (b ** (1.0 - p) * np.log(b) ** (-1.0 / p) * np.log(np.log(b))
+                * threshold_product(spec, 3, eps0 / b))
+
     rows = []
     sup = {name: 0.0 for name in _ZONES}
     ok = True
@@ -224,18 +265,10 @@ def zone_bound_check(spec: ModulusSpec, eps0: float, region_samples) -> WeightRe
         if r <= 0.0:
             raise ValueError("zone samples need r > 0")
         zone = classify_zone(t, r)
-
-        def integrand(x):
-            bx = bracket(x)
-            return (
-                bx ** (1.0 - p)
-                * math.log(bx) ** (-1.0 / p)
-                * math.log(math.log(bx))
-                * threshold_product(spec, 3, eps0 / bx)
-            )
-
-        pts = [0.0] if t - r < 0.0 < t + r else None
-        integral, err = integrate.quad(integrand, t - r, t + r, points=pts, limit=400)
+        parts = [_log_bracket_gauss(integrand, lo, hi)
+                 for lo, hi in ((max(t - r, 0.0), t + r), (max(-t - r, 0.0), r - t)) if lo < hi]
+        integral = sum(v for v, _ in parts)
+        err = sum(e for _, e in parts)
         value = _cone_weight(t, r) / r * integral
         stable = err <= 1e-6 * abs(integral) + 1e-12
         ok = ok and math.isfinite(value) and stable

@@ -18,8 +18,14 @@ every grid pair in one array, and ``kernels_whole_array`` is
 ``wavecrit.kernels.data_and_source_kernels`` with its table and source
 envelope each built as one array, and ``jensen_whole_draw`` is
 ``wavecrit.modulus.jensen_margin`` with every trial drawn and reduced in one
-array, which the blocked sweeps, fills and draws must match bit for bit.
-None is part of the package.
+array, which the blocked sweeps, fills and draws must match bit for bit;
+``key_integral_quad`` and ``zone_value_quad`` are the key integral of
+``wavecrit.weights.key_integral`` and one sample of
+``wavecrit.weights.zone_bound_check`` by scipy's adaptive quadrature over
+the whole window, as the package summed them before its log-bracket Gauss
+rule, and ``key_integral_mp`` is the key integral by mpmath's tanh-sinh
+quadrature, one interval per decade of the window.  None is part of the
+package.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from __future__ import annotations
 import math
 import sys
 
+import mpmath
 import numpy as np
 from scipy import integrate
 
@@ -48,10 +55,12 @@ from wavecrit.modulus import (
     PowerLaw,
     TripleLogGlobal,
     convex_companion,
+    mu_eval,
     mu_power,
+    threshold_product,
 )
 from wavecrit.solver import CharacteristicGrid, FreeWave, RadialData, SolutionRun, cone_edge
-from wavecrit.weights import bracket
+from wavecrit.weights import _cone_weight, bracket, log_weight
 
 
 def _near(family, tau: np.ndarray) -> np.ndarray:
@@ -359,3 +368,53 @@ def kernels_whole_array(cfg: KernelConfig, q: float, t: float, s, r):
     data_row = 0.5 * (np.exp(-lam * cfg.R) + np.exp(-lam * (cfg.R + 2.0 * t)))
     data = np.atleast_2d(data_row) @ table + first
     return data[0], np.atleast_2d(_source_envelope_whole(cfg, t, s, lam)) @ table + first
+
+
+def _key_integrand(xi: float, eps0: float, spec: ModulusSpec):
+    """g(eta) = omega(<eta>)^{-p} <xi + eta> mu(arg) / <eta> of the key
+    integral, arg = eps0 / (omega(<eta>) <xi> <eta>^{1/p}), on one float."""
+    p = strauss_exponent(3)
+    bx = bracket(xi)
+
+    def g(eta):
+        wbr = log_weight(bracket(eta))
+        arg = eps0 / (wbr * bx * bracket(eta) ** (1.0 / p))
+        return wbr ** (-p) * bracket(xi + eta) * mu_eval(spec, arg) / bracket(eta)
+
+    return g
+
+
+def key_integral_quad(xi: float, eps0: float, spec: ModulusSpec) -> float:
+    """The key integral: g over [-|xi|, |xi|] by adaptive quadrature with
+    breakpoints at +-|xi|/2.  It leaves the peak at eta = 0 unresolved once
+    |xi| >> 1 (it collapses at xi = 1e8), so it holds only moderate xi."""
+    a = abs(xi)
+    return integrate.quad(_key_integrand(xi, eps0, spec), -a, a,
+                          points=[-0.5 * a, 0.5 * a], limit=400)[0]
+
+
+def key_integral_mp(xi: float, eps0: float, spec: ModulusSpec) -> float:
+    """The key integral: g over [-|xi|, |xi|] by mpmath's tanh-sinh
+    quadrature on the intervals cut at 0 and at +-10^k, k >= 0, so the peak
+    at eta = 0 and every decade of the tail each get their own."""
+    a = abs(xi)
+    cuts = [10.0 ** k for k in range(int(math.log10(a)) + 1) if 10.0 ** k < a]
+    points = [-a, *(-c for c in reversed(cuts)), 0.0, *cuts, a]
+    g = _key_integrand(xi, eps0, spec)
+    return float(mpmath.quad(lambda eta: g(float(eta)), points))
+
+
+def zone_value_quad(spec: ModulusSpec, eps0: float, t: float, r: float) -> float:
+    """One sample's bound value of ``zone_bound_check``: the prefactor
+    times the inner integral over [t - r, t + r] by adaptive quadrature,
+    with a breakpoint at 0 when the window straddles it."""
+    p = strauss_exponent(3)
+
+    def integrand(x):
+        bx = bracket(x)
+        return (bx ** (1.0 - p) * math.log(bx) ** (-1.0 / p) * math.log(math.log(bx))
+                * threshold_product(spec, 3, eps0 / bx))
+
+    pts = [0.0] if t - r < 0.0 < t + r else None
+    integral = integrate.quad(integrand, t - r, t + r, points=pts, limit=400)[0]
+    return _cone_weight(t, r) / r * integral

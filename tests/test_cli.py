@@ -367,6 +367,26 @@ def test_key_integral_csv(tmp_path):
     assert len(rows) == 3
 
 
+def test_key_integral_keeps_its_mass_at_large_xi(tmp_path):
+    # adaptive quadrature over the whole window warned and wrote a ratio of
+    # 3.25e-4 at 1e8 against 0.308 at 1e7
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["key-integral", "--family", "powerlaw", "--xi-list", "1e6,1e7,1e8",
+                        "--quiet"], tmp_path) == 0
+    with (latest(tmp_path, "key-integral") / "key_integral.csv").open() as fh:
+        ratio = {float(xi): float(r) for xi, _, r in list(csv.reader(fh))[1:]}
+    assert ratio[1e8] == pytest.approx(ratio[1e7], rel=0.05)
+
+
+def test_key_integral_that_does_not_converge_exits_one(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(wavecrit.weights, "_MAX_PANELS", 2)
+    assert run_cli(["key-integral", "--family", "powerlaw", "--xi-list", "10,1e8", "--quiet"],
+                   tmp_path) == 1
+    assert "did not converge at xi=100000000.0" in capsys.readouterr().err
+    assert not (tmp_path / "key-integral").exists()
+
+
 def test_mu_check_report_keys(tmp_path):
     assert run_cli(
         ["mu", "check", "--family", "powerlaw", "--gamma", "1", "--quiet"],

@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import re
@@ -828,11 +829,19 @@ def test_blowup_time_stable_under_refinement():
 
 
 def test_import_loads_no_scipy():
-    # the package front door is numpy only; scipy loads with kernels/weights
+    # the package front door is numpy only; scipy.special loads with kernels,
+    # and the command line, which imports every module, loads no other subpackage
     src = os.path.dirname(os.path.dirname(wavecrit.__file__))
-    probe = ("import sys, wavecrit; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    assert done.stdout.strip() == "[]"
+
+    def scipy_modules(module):
+        probe = (f"import sys, {module}; "
+                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        return ast.literal_eval(done.stdout.strip())
+
+    assert scipy_modules("wavecrit") == []
+    loaded = {m.split(".")[1] for m in scipy_modules("wavecrit.cli") if "." in m}
+    assert "special" in loaded
+    assert not loaded & {"integrate", "sparse", "linalg", "optimize"}

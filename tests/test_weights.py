@@ -1,6 +1,7 @@
 import math
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from wavecrit.modulus import (
     LogOnePlus,
     LogPower,
     PowerLaw,
+    TripleLogGlobal,
     make_spec,
 )
+from wavecrit import weights
 from wavecrit.reporting import BLOCK_ELEMENTS, row_blocks
 from wavecrit.solver import (
     CharacteristicGrid,
@@ -39,7 +42,7 @@ from wavecrit.weights import (
     zone_bound_check,
 )
 
-from oracles import linear_propagator
+from oracles import key_integral_mp, key_integral_quad, linear_propagator, zone_value_quad
 
 P3 = strauss_exponent(3)
 
@@ -275,6 +278,50 @@ def test_key_integral_domain_propagates():
         key_integral(10.0, 0.9, spec)
 
 
+@pytest.mark.parametrize("xi", [10.0, 1e4, 1e8, 1e12])
+def test_key_integral_matches_mpmath(xi):
+    # 1e8 is where adaptive quadrature over the whole window lost the peak
+    # at eta = 0 and returned 5.04e-5 for 0.04599
+    spec = make_spec(PowerLaw(1.0))
+    assert key_integral(xi, 0.05, spec).value == pytest.approx(
+        key_integral_mp(xi, 0.05, spec), rel=1e-12)
+
+
+def _benchmark_xi_lists(monkeypatch):
+    """The key-integral xi lists of the lemma-suite benchmark, seeds 0-20."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    return [[float(x) for x in workloads.build("lemma-suite", seed).inputs["xi_list"].split(",")]
+            for seed in range(21)]
+
+
+@pytest.mark.parametrize("family", [PowerLaw(1.0), DoubleLogGlobal(-1.0)])
+def test_key_integral_matches_quad_on_the_benchmark_lists(monkeypatch, family):
+    spec = make_spec(family)
+    for xi_list in _benchmark_xi_lists(monkeypatch):
+        for xi in xi_list:
+            assert key_integral(xi, 0.05, spec).value == pytest.approx(
+                key_integral_quad(xi, 0.05, spec), rel=1e-11)
+
+
+def test_key_integral_refuses_a_sum_that_does_not_converge(monkeypatch):
+    monkeypatch.setattr(weights, "_MAX_PANELS", 2)
+    with pytest.raises(ValueError, match=r"did not converge at xi=100000000\.0"):
+        key_integral(1e8, 0.05, make_spec(PowerLaw(1.0)))
+
+
+def test_key_integral_near_the_float_maximum():
+    # the rule converges far past the benchmark's xi; near the float maximum
+    # the modulus argument underflows and the sum is refused by name
+    spec = make_spec(DoubleLogGlobal(-1.0))
+    res = key_integral(1e200, 0.05, spec)
+    assert math.isfinite(res.value) and math.isfinite(res.ratio)
+    for xi in (1e308, -1.7e308):
+        with pytest.raises(ValueError, match=f"did not converge at xi={re.escape(str(xi))}"):
+            key_integral(xi, 0.05, spec)
+
+
 # --------------------------------------------------------------------- zones
 
 def test_zone_classification():
@@ -291,6 +338,20 @@ def test_zone_bound_prescribed_samples():
     assert report.passed
     zones = {row[0] for row in report.samples}
     assert zones == {"I", "II", "III"}
+
+
+@pytest.mark.parametrize("family", [PowerLaw(1.0), DoubleLogGlobal(-1.0),
+                                    TripleLogGlobal(-0.5), LogOnePlus(1.0)])
+def test_zone_bound_matches_quad(family):
+    # verify-global's and criterion 10's samples, then windows that straddle
+    # 0 or lie below it (zone II takes t < 0); eps0 keeps eps0 / <xi> <= tau0
+    spec = make_spec(family)
+    eps0 = min(0.05, spec.tau0)
+    samples = [(100.0, 10.0), (0.5, 0.9), (150.0, 100.0), (-0.5, 0.9), (-2.0, 0.5)]
+    report = zone_bound_check(spec, eps0, samples)
+    assert report.passed
+    for (_, t, r, value) in report.samples:
+        assert value == pytest.approx(zone_value_quad(spec, eps0, t, r), rel=1e-12)
 
 
 def test_zone_bound_rejects_axis_sample():
