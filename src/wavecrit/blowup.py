@@ -182,7 +182,9 @@ def divergence_onset(n: int, spec: ModulusSpec, t_max: float,
     product and c6, c7 > 0; once the base exceeds 1, the j -> infinity limit
     of the lower-bound sequence blows up.  Returns None when the base never
     exceeds 1 up to t_max (the global-existence-side prediction), which
-    must be positive and finite.
+    must be positive and finite.  A t_max below t_lo, the first time whose
+    tau(t) lies in the near-zero regime (tau <= min(tau0, 1/e)), predicts
+    nothing and is refused, naming both.
     """
     if not (0.0 < c6 < math.inf and 0.0 < c7 < math.inf):  # refuses nan too
         raise ValueError(f"onset constants must be positive and finite, got c6={c6}, c7={c7}")
@@ -194,7 +196,8 @@ def divergence_onset(n: int, spec: ModulusSpec, t_max: float,
     # nudge inside the admissible regime so rounding cannot push tau past tau0
     t_lo = tau_cap ** (-1.0 / alpha) / c6 * (1.0 + 1e-9)
     if t_lo > t_max:
-        return None
+        raise ValueError(f"t_max={t_max:g} never reaches the near-zero regime, "
+                         f"which starts at t_lo={t_lo:.6g}")
 
     def base(t: float) -> float:
         tau = (c6 * t) ** (-alpha)

@@ -2,8 +2,10 @@
 
 The machinery rests on the positive eigenfunction of the Laplacian built
 from the spherical average of ``exp(x . w)``; in closed form it is
-(2 pi)^{n/2} r^{1-n/2} I_{n/2-1}(r) (DLMF 10.39).  Two one-parameter
-transforms of it appear everywhere downstream:
+(2 pi)^{n/2} r^{1-n/2} I_{n/2-1}(r) (DLMF 10.39).  Every function here reads
+it through one scaled form, phi(z) e^{-z}, which is finite and positive at
+every radius.  Two one-parameter transforms of it appear everywhere
+downstream:
 
 * the data kernel, weighting initial data (cosh time factor), and
 * the source kernel, weighting the forcing history (sinh time factor).
@@ -11,11 +13,14 @@ transforms of it appear everywhere downstream:
 Both are integrals over a spectral variable lam in (0, lam0] with an
 algebraic endpoint factor lam**q; the quadrature uses a graded mesh
 lam_i = lam0 * (i/N)**3 so the endpoint is resolved even for fractional
-q in (-1, 0).  The table w_i lam_i^q phi(lam_i r) is built once per
-distinct radius set and contracted with each decaying envelope; both are
-filled in ``row_blocks``, bit for bit.  The envelopes never overflow, but
-phi(lam0 r) does once lam0 r passes about 708 (n = 3): such a table is
-refused, and the kernel-bound sweep refuses such a lam0 up front.
+q in (-1, 0).  The rule's weights are those of x = lam / lam0, and the
+kernel is lam0^{q+1} times their sum.  For the largest radius m of a
+radius set, the table w_i x_i^q phi(lam_i r) e^{-lam_i m} is built once
+and contracted with each decaying envelope times e^{lam m}; both are
+filled in ``row_blocks``, bit for bit.  Where the kernels are used
+(r <= R + s) the shifted envelope is at most 1 and the table at most
+phi(0) times the weights, so no lam0 overflows there; a kernel value that
+does pass the float range is refused, naming lam0 and the radius.
 """
 
 from __future__ import annotations
@@ -39,80 +44,65 @@ def sphere_area(m: int) -> float:
     return 2.0 * math.pi ** ((m + 1) / 2.0) / math.gamma((m + 1) / 2.0)
 
 
+def _scaled_eigenfunction(n: int, z):
+    """phi(z) e^{-z} on an array of radii z >= 0; at most phi(0) and
+    positive however large z is.  Closed forms: -2 pi expm1(-2z)/z for
+    n = 3, 4 pi exactly at z <= 1e-300, 2 pi i0e(z) for n = 2, and
+    (2 pi)^{n/2} z^{-nu} ive(nu, z), nu = n/2 - 1, for n >= 4, with the
+    two-term series of z^{-nu} I_nu(z) below z = 1e-6."""
+    if n == 3:
+        safe = np.maximum(z, 1e-300)
+        return np.expm1(-2.0 * safe) / safe * (-2.0 * math.pi)
+    if n == 2:
+        return 2.0 * math.pi * sc.i0e(z)
+    if n >= 4:
+        nu = 0.5 * n - 1.0
+        small = z < 1e-6
+        safe = np.where(small, 1.0, z)
+        return (2.0 * math.pi) ** (0.5 * n) * np.where(
+            small,
+            (1.0 + z * z / (4.0 * (nu + 1.0))) * np.exp(-z) / (2.0 ** nu * math.gamma(nu + 1.0)),
+            sc.ive(nu, safe) * safe ** -nu,
+        )
+    raise ValueError(f"eigenfunction needs n >= 2, got n={n}")
+
+
+def _radii(r, least: float = 0.0):
+    """r as a float array of at least one dimension, refused below ``least``."""
+    arr = np.atleast_1d(np.asarray(r, dtype=float))
+    if np.any(arr < least):
+        raise ValueError(f"radius must be at least {least:g}")
+    return arr
+
+
 def laplace_eigenfunction(n: int, r):
     """Radial profile of the positive eigenfunction of the Laplacian.
 
     Spherical average of exp(x . w) at radius r; smooth, increasing, and
-    asymptotically r**(-(n-1)/2) e**r up to a constant.  Closed forms:
-    2 pi I_0(r) for n = 2, 4 pi sinh(r)/r for n = 3, and
-    (2 pi)^{n/2} r^{-nu} I_nu(r), nu = n/2 - 1, for n >= 4, with the
-    two-term series of r^{-nu} I_nu(r) below r = 1e-6.
+    asymptotically r**(-(n-1)/2) e**r up to a constant: 2 pi I_0(r) for
+    n = 2, 4 pi sinh(r)/r for n = 3, (2 pi)^{n/2} r^{-nu} I_nu(r),
+    nu = n/2 - 1, for n >= 4.  It is the scaled form times e^r, so it
+    passes the float range once r passes about 710.
     """
-    arr = np.atleast_1d(np.asarray(r, dtype=float))
-    if np.any(arr < 0.0):
-        raise ValueError("radius must be non-negative")
-    if n == 3:
-        small = arr < 1e-6
-        safe = np.where(small, 1.0, arr)
-        out = np.where(
-            small,
-            4.0 * math.pi * (1.0 + arr * arr / 6.0),
-            4.0 * math.pi * np.sinh(safe) / safe,
-        )
-    elif n == 2:
-        out = 2.0 * math.pi * sc.i0(arr)
-    elif n >= 4:
-        nu = 0.5 * n - 1.0
-        small = arr < 1e-6
-        safe = np.where(small, 1.0, arr)
-        out = (2.0 * math.pi) ** (0.5 * n) * np.where(
-            small,
-            (1.0 + arr * arr / (4.0 * (nu + 1.0))) / (2.0 ** nu * math.gamma(nu + 1.0)),
-            sc.iv(nu, safe) / safe ** nu,
-        )
-    else:
-        raise ValueError(f"eigenfunction needs n >= 2, got n={n}")
+    arr = _radii(r)
+    out = _scaled_eigenfunction(n, arr) * np.exp(arr)
     return float(out[0]) if np.ndim(r) == 0 else out
 
 
 def log_laplace_eigenfunction(n: int, r):
     """log of the eigenfunction; safe for radii far beyond overflow."""
-    arr = np.atleast_1d(np.asarray(r, dtype=float))
-    if np.any(arr < 0.0):
-        raise ValueError("radius must be non-negative")
-    if n == 3:
-        small = arr < 1e-6
-        safe = np.where(small, 1.0, arr)
-        out = np.where(
-            small,
-            math.log(4.0 * math.pi) + np.log1p(arr * arr / 6.0),
-            math.log(2.0 * math.pi) + arr + np.log1p(-np.exp(-2.0 * safe)) - np.log(safe),
-        )
-    elif n == 2:
-        out = math.log(2.0 * math.pi) + arr + np.log(sc.i0e(arr))
-    elif n >= 4:
-        nu = 0.5 * n - 1.0
-        small = arr < 1e-6
-        safe = np.where(small, 1.0, arr)
-        out = 0.5 * n * math.log(2.0 * math.pi) + np.where(
-            small,
-            np.log1p(arr * arr / (4.0 * (nu + 1.0))) - nu * math.log(2.0) - math.lgamma(nu + 1.0),
-            arr + np.log(sc.ive(nu, safe)) - nu * np.log(safe),
-        )
-    else:
-        raise ValueError(f"eigenfunction needs n >= 2, got n={n}")
+    arr = _radii(r)
+    out = np.log(_scaled_eigenfunction(n, arr)) + arr
     return float(out[0]) if np.ndim(r) == 0 else out
 
 
 def eigenfunction_growth_ratio(n: int, r):
     """Eigenfunction compensated by its growth law: phi(r) r^{(n-1)/2} e^{-r}.
 
-    Stays inside a fixed positive bracket as r grows; evaluated in log space.
+    Stays inside a fixed positive bracket as r grows.
     """
-    arr = np.atleast_1d(np.asarray(r, dtype=float))
-    if np.any(arr < 1.0):
-        raise ValueError("growth ratio is meaningful for r >= 1")
-    out = np.exp(log_laplace_eigenfunction(n, arr) + 0.5 * (n - 1) * np.log(arr) - arr)
+    arr = _radii(r, least=1.0)
+    out = _scaled_eigenfunction(n, arr) * arr ** (0.5 * (n - 1))
     return float(out[0]) if np.ndim(r) == 0 else out
 
 
@@ -125,9 +115,8 @@ def free_wave_ball_integral(n: int, R: float, t: float) -> float:
     if R <= 0.0 or t < 0.0:
         raise ValueError("need R > 0 and t >= 0")
     zeta = np.linspace(0.0, R + t, 4097)  # odd, as Simpson needs
-    vals = sphere_area(n - 1) * zeta ** (n - 1) * np.exp(
-        log_laplace_eigenfunction(n, zeta) - t
-    )
+    vals = sphere_area(n - 1) * zeta ** (n - 1) * _scaled_eigenfunction(n, zeta) * np.exp(
+        zeta - t)
     if not np.all(np.isfinite(vals)):
         raise FloatingPointError("ball integrand is not finite")
     h = zeta[1] - zeta[0]
@@ -152,41 +141,55 @@ class KernelConfig:
 
 
 def _lam_rule(cfg: KernelConfig, q: float):
-    """(lam, w lam^q, first cell): the graded mesh past 0, its trapezoid
-    weights times lam^q, and the first cell, its smooth part frozen at lam = 0
-    (both envelopes are 1) and lam^q integrated exactly for q in (-1, 0)."""
+    """(lam, w x^q, first cell, q + 1): the graded mesh past 0; the
+    trapezoid weights of x = lam / lam0 on it times x^q; the first cell,
+    its smooth part frozen at lam = 0 (both envelopes are 1) and x^q
+    integrated exactly for q in (-1, 0); and the power of lam0 that takes
+    the rule in x back to lam."""
     if q <= -1.0:
         raise ValueError("lam^q is not integrable for q <= -1")
     i = np.arange(cfg.quad_points + 1, dtype=float)
-    lam = (cfg.lambda0 * (i / cfg.quad_points) ** 3)[1:]  # the graded mesh past 0
-    half_dl = 0.5 * np.diff(lam)
-    w = np.append(half_dl, 0.0) + np.insert(half_dl, 0, 0.0)
-    first = laplace_eigenfunction(cfg.n, 0.0) * lam[0] ** (q + 1.0) / (q + 1.0)
-    return lam, w * lam ** q, first
+    x = ((i / cfg.quad_points) ** 3)[1:]  # the graded mesh past 0
+    half_dx = 0.5 * np.diff(x)
+    w = np.append(half_dx, 0.0) + np.insert(half_dx, 0, 0.0)
+    first = _scaled_eigenfunction(cfg.n, np.zeros(1))[0] * x[0] ** (q + 1.0) / (q + 1.0)
+    return cfg.lambda0 * x, w * x ** q, first, q + 1.0
 
 
 def _lam_table(cfg: KernelConfig, rule, r):
-    """Build w_i lam_i^q phi(lam_i r) once for one radius set, however many
-    envelope rows it takes; returns rows -> rows @ table + first cell."""
-    lam, wq, first = rule
+    """Build w_i x_i^q phi(lam_i r) e^{-lam_i m}, m the largest radius, once
+    for one radius set, however many envelopes it takes.  Returns
+    (envelope, *args) -> lam0^{q+1} (rows @ table + first cell), the rows
+    envelope(cfg, *args, lam, m): the envelope times e^{lam m}.  A value
+    past the float range is refused, naming lambda0 and m."""
+    lam, wq, first, power = rule
     r_arr = np.abs(np.ravel(np.asarray(r, dtype=float)))
+    m = r_arr.max(initial=0.0)
     table = np.empty((lam.size, r_arr.size))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for b in row_blocks(*table.shape):
-            table[b] = wq[b, None] * laplace_eigenfunction(cfg.n, lam[b, None] * r_arr)
-    if not np.isfinite(table).all():
-        raise ValueError(f"lambda0={cfg.lambda0:g} overflows the eigenfunction at the largest "
-                         f"radius {r_arr.max():g}")
-    return lambda rows: np.atleast_2d(rows) @ table + first
+    for b in row_blocks(*table.shape):
+        z = lam[b, None] * r_arr
+        table[b] = (wq[b, None] * _scaled_eigenfunction(cfg.n, z)
+                    * np.exp(lam[b, None] * (r_arr - m)))
+
+    def contract(envelope, *args):
+        with np.errstate(over="ignore", invalid="ignore"):  # past the float range: refused below
+            rows = np.atleast_2d(envelope(cfg, *args, lam, m))
+            out = (rows @ table + first) * np.power(cfg.lambda0, power)
+        if not np.isfinite(out).all():
+            raise ValueError(f"lambda0={cfg.lambda0:g} takes the kernel at radius {m:g} "
+                             "past the float range")
+        return out
+
+    return contract
 
 
-def _data_envelope(cfg: KernelConfig, t: float, lam):
+def _data_envelope(cfg: KernelConfig, t: float, lam, m: float):
     if t < 0.0:
         raise ValueError("time must be non-negative")
-    return 0.5 * (np.exp(-lam * cfg.R) + np.exp(-lam * (cfg.R + 2.0 * t)))
+    return 0.5 * (np.exp(-lam * (cfg.R - m)) + np.exp(-lam * (cfg.R + 2.0 * t - m)))
 
 
-def _source_envelope(cfg: KernelConfig, t: float, s, lam):
+def _source_envelope(cfg: KernelConfig, t: float, s, lam, m: float):
     s_col = np.atleast_1d(np.asarray(s, dtype=float))[:, None]
     if np.any(s_col > t) or np.any(s_col < 0.0):
         raise ValueError("need t >= s >= 0")
@@ -194,10 +197,12 @@ def _source_envelope(cfg: KernelConfig, t: float, s, lam):
     for b in row_blocks(*out.shape):
         z = lam * (t - s_col[b])
         small = np.abs(z) < _SERIES_CUT
-        # the difference form never overflows; where it cancels, sinh(z)/z by its 4-term series
-        out[b] = np.exp(-lam * (cfg.R + s_col[b])) - np.exp(-lam * (cfg.R + 2.0 * t - s_col[b]))
+        # the difference form is at most 1 where m <= R + s; where it cancels, sinh(z)/z by
+        # its 4-term series
+        out[b] = (np.exp(-lam * (cfg.R + s_col[b] - m))
+                  - np.exp(-lam * (cfg.R + 2.0 * t - s_col[b] - m)))
         out[b] /= 2.0 * np.where(small, 1.0, z)
-        decay = np.broadcast_to(np.exp(-lam * (cfg.R + t)), z.shape)
+        decay = np.broadcast_to(np.exp(-lam * (cfg.R + t - m)), z.shape)
         z2 = z[small] ** 2
         out[b][small] = decay[small] * (1.0 + z2 / 6.0 * (1.0 + z2 / 20.0 * (1.0 + z2 / 42.0)))
     return out
@@ -207,12 +212,9 @@ def data_kernel(cfg: KernelConfig, q: float, t: float, r):
     """Kernel weighting initial data: the cosh-envelope lam-transform.
 
     integral over (0, lam0] of e^{-lam(R+t)} cosh(lam t) phi(lam r) lam^q.
-    The envelope is computed as 0.5 (e^{-lam R} + e^{-lam(R+2t)}), which
-    never overflows.
+    The envelope is computed as 0.5 (e^{-lam R} + e^{-lam(R+2t)}).
     """
-    rule = _lam_rule(cfg, q)
-    rows = _data_envelope(cfg, t, rule[0])
-    out = _lam_table(cfg, rule, r)(rows).reshape(np.shape(r))
+    out = _lam_table(cfg, _lam_rule(cfg, q), r)(_data_envelope, t).reshape(np.shape(r))
     return float(out) if out.ndim == 0 else out
 
 
@@ -224,19 +226,16 @@ def source_kernel(cfg: KernelConfig, q: float, t: float, s, r):
     with the removable t == s singularity replaced by its series value.
     An array of s gives one row per s.
     """
-    rule = _lam_rule(cfg, q)
-    rows = _source_envelope(cfg, t, s, rule[0])
-    out = _lam_table(cfg, rule, r)(rows).reshape(np.shape(s) + np.shape(r))
+    contract = _lam_table(cfg, _lam_rule(cfg, q), r)
+    out = contract(_source_envelope, t, s).reshape(np.shape(s) + np.shape(r))
     return float(out) if out.ndim == 0 else out
 
 
 def data_and_source_kernels(cfg: KernelConfig, q: float, t: float, s, r):
     """``data_kernel(cfg, q, t, r)`` and ``source_kernel(cfg, q, t, s, r)``
     for 1-D s and r, bit for bit, from one table of the radii r."""
-    rule = _lam_rule(cfg, q)
-    data, source = _data_envelope(cfg, t, rule[0]), _source_envelope(cfg, t, s, rule[0])
-    contract = _lam_table(cfg, rule, r)
-    return contract(data)[0], contract(source)
+    contract = _lam_table(cfg, _lam_rule(cfg, q), r)
+    return contract(_data_envelope, t)[0], contract(_source_envelope, t, s)
 
 
 @dataclass
@@ -264,21 +263,12 @@ def kernel_bounds_check(cfg: KernelConfig, q: float) -> KernelBoundsReport:
 
     One table is built per distinct radius set fracs (R + s), 447 for 963
     evaluations at R = 1, and contracted with each evaluation's envelope, so
-    every value is the public kernel call's, bit for bit.  A lambda0 whose
-    phi(lambda0 (R + 50)) is not a finite float is refused.  Pass means
-    every fitted constant is positive and finite.
+    every value is the public kernel call's, bit for bit.  Pass means every
+    fitted constant is positive and finite.
     """
     n = cfg.n
     if q <= max(-1.0, (n - 3) / 2.0):
         raise ValueError("bounds need q > max(-1, (n-3)/2)")
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not math.isfinite(laplace_eigenfunction(n, cfg.lambda0 * (cfg.R + 50.0))):
-            lo, hi = 0.0, 1e4  # phi(lo) is finite, phi(hi) is not
-            while hi - lo > 1e-6 * hi:
-                mid = 0.5 * (lo + hi)
-                lo, hi = (mid, hi) if math.isfinite(laplace_eigenfunction(n, mid)) else (lo, mid)
-            raise ValueError(f"lambda0={cfg.lambda0:g} overflows the eigenfunction at lambda0*"
-                             f"(R+50); the sweep needs lambda0 below {lo / (cfg.R + 50.0):.6g}")
     fracs = np.linspace(0.0, 1.0, 9)  # of each disc's radius R + s
     calls, groups = [], {}  # (item, t, s) in sweep order; disc radius R + s -> its calls
     for t in np.linspace(0.0, 50.0, 41):
@@ -292,9 +282,8 @@ def kernel_bounds_check(cfg: KernelConfig, q: float) -> KernelBoundsReport:
         contract = _lam_table(cfg, rule, fracs * radius)
         for k in members:
             item, t, s = calls[k]
-            rows = (_data_envelope(cfg, t, rule[0]) if item == "a0"
-                    else _source_envelope(cfg, t, s, rule[0]))
-            values[k] = contract(rows)[0]
+            values[k] = (contract(_data_envelope, t) if item == "a0"
+                         else contract(_source_envelope, t, s))[0]
 
     a0 = b0 = b1 = math.inf
     b2 = 0.0

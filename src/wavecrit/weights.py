@@ -226,17 +226,19 @@ def key_integral(xi: float, eps0: float, spec: ModulusSpec) -> KeyIntegralResult
 
 
 _ZONES = {
-    "I": lambda t, r: t >= 2.0 * r >= 0.0,
-    "II": lambda t, r: 0.0 <= r <= 1.0 and t <= 2.0 * r,
+    "I": lambda t, r: t >= 2.0 * r,
+    "II": lambda t, r: r <= 1.0 and t <= 2.0 * r,
     "III": lambda t, r: r >= 1.0 and r <= t <= 2.0 * r,
 }
 
 
 def classify_zone(t: float, r: float) -> str:
+    if not (t >= 0.0 and r >= 0.0):  # refuses nan too
+        raise ValueError(f"zone samples need t, r >= 0, got t={t}, r={r}")
     for name, pred in _ZONES.items():
         if pred(t, r):
             return name
-    raise ValueError(f"({t}, {r}) lies in no zone (needs t, r >= 0)")
+    raise ValueError(f"({t}, {r}) lies in no zone")
 
 
 def zone_bound_check(spec: ModulusSpec, eps0: float, region_samples) -> WeightReport:
@@ -266,7 +268,7 @@ def zone_bound_check(spec: ModulusSpec, eps0: float, region_samples) -> WeightRe
             raise ValueError("zone samples need r > 0")
         zone = classify_zone(t, r)
         parts = [_log_bracket_gauss(integrand, lo, hi)
-                 for lo, hi in ((max(t - r, 0.0), t + r), (max(-t - r, 0.0), r - t)) if lo < hi]
+                 for lo, hi in ((max(t - r, 0.0), t + r), (0.0, r - t)) if lo < hi]
         integral = sum(v for v, _ in parts)
         err = sum(e for _, e in parts)
         value = _cone_weight(t, r) / r * integral

@@ -15,8 +15,8 @@ as one public kernel call per (t, s), each building its own table, which the
 grouped sweep must match bit for bit; ``concavity_whole_grid`` and
 ``convexity_whole_grid`` are the pair checks of ``wavecrit.modulus`` with
 every grid pair in one array, and ``kernels_whole_array`` is
-``wavecrit.kernels.data_and_source_kernels`` with its table and source
-envelope each built as one array, and ``jensen_whole_draw`` is
+``wavecrit.kernels.data_and_source_kernels`` with its scaled table and
+source envelope each built as one array, and ``jensen_whole_draw`` is
 ``wavecrit.modulus.jensen_margin`` with every trial drawn and reduced in one
 array, which the blocked sweeps, fills and draws must match bit for bit;
 ``key_integral_quad`` and ``zone_value_quad`` are the key integral of
@@ -24,8 +24,8 @@ array, which the blocked sweeps, fills and draws must match bit for bit;
 ``wavecrit.weights.zone_bound_check`` by scipy's adaptive quadrature over
 the whole window, as the package summed them before its log-bracket Gauss
 rule, and ``key_integral_mp`` is the key integral by mpmath's tanh-sinh
-quadrature, one interval per decade of the window.  None is part of the
-package.
+quadrature, one interval per decade of the window, and ``zone_value_mp``
+one zone sample by the same mpmath rule.  None is part of the package.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ from wavecrit.kernels import (
     KernelBoundsReport,
     KernelConfig,
     _lam_rule,
+    _scaled_eigenfunction,
     data_kernel,
-    laplace_eigenfunction,
     source_kernel,
 )
 from wavecrit.modulus import (
@@ -343,16 +343,17 @@ def jensen_whole_draw(spec: ModulusSpec, n: int, trials: int, cells: int, seed: 
     return float(np.max((lhs - rhs) / np.maximum(np.abs(rhs), 1e-300)))
 
 
-def _source_envelope_whole(cfg: KernelConfig, t: float, s, lam):
-    """The sinh envelope of every s (rows) and lam (columns) in one array."""
+def _source_envelope_whole(cfg: KernelConfig, t: float, s, lam, m: float):
+    """The sinh envelope times e^{lam m} of every s (rows) and lam (columns)
+    in one array."""
     s_col = np.atleast_1d(np.asarray(s, dtype=float))[:, None]
     z = lam * (t - s_col)
     small = np.abs(z) < 1e-4  # the series cut
     safe = np.where(small, 1.0, z)
-    out = (np.exp(-lam * (cfg.R + s_col)) - np.exp(-lam * (cfg.R + 2.0 * t - s_col))) / (
+    out = (np.exp(-lam * (cfg.R + s_col - m)) - np.exp(-lam * (cfg.R + 2.0 * t - s_col - m))) / (
         2.0 * safe
     )
-    decay = np.broadcast_to(np.exp(-lam * (cfg.R + t)), z.shape)
+    decay = np.broadcast_to(np.exp(-lam * (cfg.R + t - m)), z.shape)
     z2 = z[small] ** 2
     out[small] = decay[small] * (1.0 + z2 / 6.0 * (1.0 + z2 / 20.0 * (1.0 + z2 / 42.0)))
     return out
@@ -360,14 +361,53 @@ def _source_envelope_whole(cfg: KernelConfig, t: float, s, lam):
 
 def kernels_whole_array(cfg: KernelConfig, q: float, t: float, s, r):
     """``wavecrit.kernels.data_and_source_kernels(cfg, q, t, s, r)`` with the
-    table w_i lam_i^q phi(lam_i r) and the source envelope each built as one
-    whole array, contracted by the same products; the quadrature rule is the
+    table w_i x_i^q phi(lam_i r) e^{-lam_i m}, m the largest radius, and the
+    source envelope each built as one whole array, contracted by the same
+    products; the quadrature rule and the scaled eigenfunction are the
     package's."""
-    lam, wq, first = _lam_rule(cfg, q)
-    table = wq[:, None] * laplace_eigenfunction(cfg.n, lam[:, None] * np.abs(np.ravel(r)))
-    data_row = 0.5 * (np.exp(-lam * cfg.R) + np.exp(-lam * (cfg.R + 2.0 * t)))
-    data = np.atleast_2d(data_row) @ table + first
-    return data[0], np.atleast_2d(_source_envelope_whole(cfg, t, s, lam)) @ table + first
+    lam, wq, first, power = _lam_rule(cfg, q)
+    scale = np.power(cfg.lambda0, power)
+    r_arr = np.abs(np.ravel(r))
+    m = r_arr.max()
+    table = wq[:, None] * _scaled_eigenfunction(cfg.n, lam[:, None] * r_arr) * np.exp(
+        lam[:, None] * (r_arr - m))
+    data_row = 0.5 * (np.exp(-lam * (cfg.R - m)) + np.exp(-lam * (cfg.R + 2.0 * t - m)))
+    data = (np.atleast_2d(data_row) @ table + first) * scale
+    source = (np.atleast_2d(_source_envelope_whole(cfg, t, s, lam, m)) @ table + first) * scale
+    return data[0], source
+
+
+def _phi_mp(n: int, z):
+    """The eigenfunction at one mpf radius z >= 0, unscaled (DLMF 10.39)."""
+    nu = mpmath.mpf(n) / 2 - 1
+    if z == 0:
+        return (2 * mpmath.pi) ** (mpmath.mpf(n) / 2) / (2 ** nu * mpmath.gamma(nu + 1))
+    return (2 * mpmath.pi) ** (mpmath.mpf(n) / 2) * mpmath.besseli(nu, z) / z ** nu
+
+
+def kernels_mp(cfg: KernelConfig, q: float, t: float, s: float, r):
+    """``data_kernel(cfg, q, t, r)`` and ``source_kernel(cfg, q, t, s, r)``
+    at one s: the package's lam rule, the graded mesh lam_i = lam0 (i/N)^3
+    with trapezoid weights and its first cell phi(0) lam_1^{q+1} / (q + 1),
+    summed in mpmath from the unscaled eigenfunction and envelopes
+    e^{-lam(R+t)} cosh(lam t) and e^{-lam(R+t)} sinh(lam(t-s)) / (lam(t-s)),
+    where nothing overflows or cancels."""
+    with mpmath.workdps(30):
+        big_n, lam0, R, t, s = cfg.quad_points, *map(mpmath.mpf, (cfg.lambda0, cfg.R, t, s))
+        lam = [lam0 * (mpmath.mpf(i) / big_n) ** 3 for i in range(big_n + 1)]
+        # the trapezoid rule on lam_1, ..., lam_N; the first cell [0, lam_1] is its own
+        w = [(lam[min(i + 1, big_n)] - lam[max(i - 1, 1)]) / 2 for i in range(1, big_n + 1)]
+        first = _phi_mp(cfg.n, 0) * lam[1] ** (q + 1) / (q + 1)
+        data, source = [], []
+        for rj in np.abs(np.ravel(r)):
+            terms = [(wi * li ** q * mpmath.exp(-li * (R + t)) * _phi_mp(cfg.n, li * mpmath.mpf(rj)),
+                      li) for wi, li in zip(w, lam[1:])]
+            data.append(first + sum(g * mpmath.cosh(li * t) for g, li in terms))
+            source.append(first + sum(g * (mpmath.sinh(li * (t - s)) / (li * (t - s)) if t > s
+                                           else 1) for g, li in terms))
+        shape = np.shape(r)
+        return (np.array([float(v) for v in data]).reshape(shape),
+                np.array([float(v) for v in source]).reshape(shape))
 
 
 def _key_integrand(xi: float, eps0: float, spec: ModulusSpec):
@@ -404,10 +444,9 @@ def key_integral_mp(xi: float, eps0: float, spec: ModulusSpec) -> float:
     return float(mpmath.quad(lambda eta: g(float(eta)), points))
 
 
-def zone_value_quad(spec: ModulusSpec, eps0: float, t: float, r: float) -> float:
-    """One sample's bound value of ``zone_bound_check``: the prefactor
-    times the inner integral over [t - r, t + r] by adaptive quadrature,
-    with a breakpoint at 0 when the window straddles it."""
+def _zone_integrand(spec: ModulusSpec, eps0: float):
+    """<x>^{1-p} [log <x>]^{-1/p} (loglog <x>) threshold_product(eps0/<x>)
+    of the zone bound, on one float."""
     p = strauss_exponent(3)
 
     def integrand(x):
@@ -415,6 +454,27 @@ def zone_value_quad(spec: ModulusSpec, eps0: float, t: float, r: float) -> float
         return (bx ** (1.0 - p) * math.log(bx) ** (-1.0 / p) * math.log(math.log(bx))
                 * threshold_product(spec, 3, eps0 / bx))
 
+    return integrand
+
+
+def zone_value_quad(spec: ModulusSpec, eps0: float, t: float, r: float) -> float:
+    """One sample's bound value of ``zone_bound_check``: the prefactor
+    times the inner integral over [t - r, t + r] by adaptive quadrature,
+    with a breakpoint at 0 when the window straddles it."""
     pts = [0.0] if t - r < 0.0 < t + r else None
-    integral = integrate.quad(integrand, t - r, t + r, points=pts, limit=400)[0]
+    integral = integrate.quad(_zone_integrand(spec, eps0), t - r, t + r, points=pts,
+                              limit=400)[0]
     return _cone_weight(t, r) / r * integral
+
+
+def zone_value_mp(spec: ModulusSpec, eps0: float, t: float, r: float) -> float:
+    """One sample's bound value of ``zone_bound_check``: the prefactor
+    times the inner integral over [t - r, t + r] by mpmath's tanh-sinh
+    quadrature on the intervals cut at 0 and at +-10^k, k >= 0, so a window
+    of many decades gets one interval per decade."""
+    lo, hi = t - r, t + r
+    top = max(abs(lo), abs(hi))
+    cuts = [c for k in range(int(math.log10(top)) + 1) for c in (-(10.0 ** k), 10.0 ** k)]
+    points = sorted({lo, hi, *(c for c in [0.0, *cuts] if lo < c < hi)})
+    g = _zone_integrand(spec, eps0)
+    return _cone_weight(t, r) / r * float(mpmath.quad(lambda x: g(float(x)), points))

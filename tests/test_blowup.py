@@ -16,7 +16,14 @@ from wavecrit.blowup import (
 )
 from wavecrit.exponents import kernel_exponent, strauss_exponent
 from wavecrit.kernels import KernelConfig, data_kernel, source_kernel
-from wavecrit.modulus import LogPower, PowerLaw, make_spec, mu_eval, mu_power
+from wavecrit.modulus import (
+    IteratedLogBlowup,
+    LogPower,
+    PowerLaw,
+    make_spec,
+    mu_eval,
+    mu_power,
+)
 from wavecrit.solver import CharacteristicGrid, RadialData, SolutionRun, default_bump, march
 
 P3 = strauss_exponent(3)
@@ -234,15 +241,15 @@ def test_identity_builds_the_kernel_tables_once(monkeypatch):
     import wavecrit.kernels as kernels
 
     evaluated = []
-    original = kernels.laplace_eigenfunction
+    original = kernels._scaled_eigenfunction
 
-    def counted(n, r):
-        evaluated.append(np.size(r))
-        return original(n, r)
+    def counted(n, z):
+        evaluated.append(np.size(z))
+        return original(n, z)
 
     run = march(default_bump(0.5), make_spec(PowerLaw(1.0)),
                 CharacteristicGrid.cover(0.03125, 5.0, 1.0))
-    monkeypatch.setattr(kernels, "laplace_eigenfunction", counted)
+    monkeypatch.setattr(kernels, "_scaled_eigenfunction", counted)
     integral_identity_residual(run, CFG, Q3, 5.0)
     # one table for both kernels, filled in blocks, and phi(0)
     assert sum(evaluated) == CFG.quad_points * run.radii.size + 1
@@ -300,6 +307,13 @@ def test_onset_finite_for_threshold_family():
 
 def test_onset_none_for_global_family():
     assert divergence_onset(3, make_spec(PowerLaw(1.0)), 1e6) is None
+
+
+def test_onset_refuses_a_t_max_before_the_near_zero_regime():
+    # tau0 = 3.4e-55 puts t_lo = tau0^(-1/alpha) / c6 near 1.74e38; None would read
+    # as the global-side prediction for the paper's sharp blow-up family
+    with pytest.raises(ValueError, match=r"t_max=1e\+06 .* t_lo=1\.7416\d*e\+38"):
+        divergence_onset(3, make_spec(IteratedLogBlowup(2.0)), 1e6)
 
 
 def test_onset_none_for_tiny_calibration():

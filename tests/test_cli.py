@@ -252,19 +252,15 @@ def test_negative_exponent_value_needs_the_equals_form(capsys, tmp_path):
     assert not any(tmp_path.iterdir())
 
 
-def test_kernel_bounds_refuse_an_overflowing_lambda0(capsys, tmp_path):
-    # phi(3, lambda0 * 51) is finite at 13 and overflows at 14
+def test_kernel_bounds_hold_past_the_eigenfunction_overflow(tmp_path):
+    # phi(3, lambda0 * 51) is finite at 13 and passes the largest float at 14
     argv = ["lemmas", "verify", "--which", "kernel-bounds", "--n", "3", "--quiet"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = main(argv + ["--lambda0=14", "--out-dir", str(tmp_path / "14")])
-        assert main(argv + ["--lambda0=13", "--out-dir", str(tmp_path / "13")]) == 0
-    err = capsys.readouterr().err
-    assert code == 1
-    assert "error: lambda0=14 overflows" in err and "lambda0 below 13.88" in err
-    assert not (tmp_path / "14").exists()
-    report = json.loads((latest(tmp_path / "13", "lemmas") / "report.json").read_text())
-    assert report["pass"] and math.isfinite(report["b2"])
+        assert main(argv + ["--lambda0=14", "--out-dir", str(tmp_path)]) == 0
+    report = json.loads((latest(tmp_path, "lemmas") / "report.json").read_text())
+    constants = [report[c] for c in ("a0", "b0", "b1", "b2")]
+    assert report["pass"] and all(0.0 < c < math.inf for c in constants)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -418,6 +414,14 @@ def test_onset_nonpositive_constant_exits_one(capsys, tmp_path, flag, name):
         assert code == 1
         assert "error:" in err and name in err and "usage:" not in err
         assert not any(tmp_path.iterdir())
+
+
+def test_onset_before_the_near_zero_regime_exits_one(capsys, tmp_path):
+    code = main(["onset", "--family", "iterlog", "--gamma", "2", "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error: t_max=1e+06 never reaches the near-zero regime" in err and "t_lo=1.7416" in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_determinism_byte_identical_csv(tmp_path):

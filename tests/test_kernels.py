@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from oracles import kernel_bounds_by_call, kernels_whole_array
+from oracles import kernel_bounds_by_call, kernels_mp, kernels_whole_array
 from wavecrit.exponents import kernel_exponent
 from wavecrit.reporting import BLOCK_ELEMENTS
 from wavecrit.kernels import (
@@ -318,22 +318,45 @@ def test_kernels_equal_the_whole_array_fills(n, quad_points, n_s, n_r):
     assert source_kernel(cfg, q, t, s, r).tobytes() == ref_source.tobytes()
 
 
-def test_an_overflowing_table_is_refused_without_a_warning():
-    # phi(3, 800) and phi(3, 14 * 51) pass the largest float: the products
-    # with the decaying envelopes were nan and inf
+def test_only_a_kernel_value_past_the_float_range_is_refused():
+    # phi(3, 800) and phi(3, 14 * 51) pass the largest float, but the kernels there do
+    # not; at s = 0 the source kernel at r = 800 is about e^{799}, and at lam0 = 1e300
+    # the rule's lam0^{q+1} passes the float range
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=r"lambda0=1 .* largest radius 800"):
-            source_kernel(KernelConfig(n=3, quad_points=64), Q3, 800.0, 800.0, 800.0)
-        with pytest.raises(ValueError, match=r"lambda0=14 .* largest radius 51"):
-            data_kernel(KernelConfig(n=3, lambda0=14.0, quad_points=64), Q3, 1.0, 51.0)
+        diag = source_kernel(KernelConfig(n=3, quad_points=64), Q3, 800.0, 800.0, 800.0)
+        wide = data_kernel(KernelConfig(n=3, lambda0=14.0, quad_points=64), Q3, 1.0, 51.0)
+        assert 0.0 < diag < math.inf and 0.0 < wide < math.inf
+        with pytest.raises(ValueError, match=r"lambda0=1 .* radius 800 past the float range"):
+            source_kernel(KernelConfig(n=3, quad_points=64), Q3, 800.0, 0.0, 800.0)
+        with pytest.raises(ValueError, match=r"lambda0=1e\+300 .* radius 0\.5 past the float"):
+            data_kernel(KernelConfig(n=3, lambda0=1e300, quad_points=64), Q3, 1.0, 0.5)
 
 
-def test_kernel_bounds_refuse_an_overflowing_lambda0():
-    # phi(3, 14 * 51) overflows in 4 pi sinh(714), before any table is built
-    cfg = KernelConfig(n=3, lambda0=14.0, R=1.0, quad_points=64)
-    with pytest.raises(ValueError, match=r"lambda0=14 .* lambda0 below 13\.88"):
-        kernel_bounds_check(cfg, Q3)
+@pytest.mark.parametrize("lambda0", [14.0, 30.0, 100.0])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_kernel_bounds_hold_past_the_eigenfunction_overflow(n, lambda0):
+    # phi(lambda0 * 51) passes the largest float from lambda0 = 13.88 (n = 3) on
+    cfg = KernelConfig(n=n, lambda0=lambda0, R=1.0, quad_points=64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = kernel_bounds_check(cfg, kernel_exponent(n))
+    constants = (rep.a0, rep.b0, rep.b1, rep.b2)
+    assert rep.passed and all(0.0 < c < math.inf for c in constants)
+
+
+@pytest.mark.parametrize("lambda0", [1.0, 14.0, 30.0, 100.0])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_kernels_equal_the_rule_in_mpmath(n, lambda0):
+    # the same lam rule summed from the unscaled eigenfunction and envelopes, at the
+    # sweep's last time, on the discs the sweep samples, out to phi(100 * 51) ~ e^5100
+    cfg, q, t = KernelConfig(n=n, lambda0=lambda0, quad_points=32), kernel_exponent(n), 50.0
+    for s in (0.0, 47.5, 50.0):
+        r = np.linspace(0.0, cfg.R + s, 3)
+        data, source = kernels_mp(cfg, q, t, s, r)
+        assert np.max(np.abs(source_kernel(cfg, q, t, s, r) / source - 1.0)) <= 1e-12
+        if s == 0.0:
+            assert np.max(np.abs(data_kernel(cfg, q, t, r) / data - 1.0)) <= 1e-12
 
 
 def test_kernel_bounds_rejects_bad_exponent():

@@ -42,7 +42,13 @@ from wavecrit.weights import (
     zone_bound_check,
 )
 
-from oracles import key_integral_mp, key_integral_quad, linear_propagator, zone_value_quad
+from oracles import (
+    key_integral_mp,
+    key_integral_quad,
+    linear_propagator,
+    zone_value_mp,
+    zone_value_quad,
+)
 
 P3 = strauss_exponent(3)
 
@@ -332,6 +338,15 @@ def test_zone_classification():
         classify_zone(-1.0, 5.0)
 
 
+@pytest.mark.parametrize("t, r", [(-5.0, 0.5), (-0.5, 0.9), (1.0, -0.5), (math.nan, 0.5)])
+def test_zone_refuses_a_sample_before_t_0(t, r):
+    # (-5, 0.5) was zone II, and its window, wholly before t = 0, a passing sample
+    with pytest.raises(ValueError, match=r"zone samples need t, r >= 0"):
+        classify_zone(t, r)
+    with pytest.raises(ValueError, match=r"zone samples need"):
+        zone_bound_check(make_spec(PowerLaw(1.0)), 0.1, [(t, r)])
+
+
 def test_zone_bound_prescribed_samples():
     report = zone_bound_check(make_spec(PowerLaw(1.0)), 0.1,
                               [(100.0, 10.0), (0.5, 0.9), (150.0, 100.0)])
@@ -352,6 +367,17 @@ def test_zone_bound_matches_quad(family):
     assert report.passed
     for (_, t, r, value) in report.samples:
         assert value == pytest.approx(zone_value_quad(spec, eps0, t, r), rel=1e-12)
+
+
+@pytest.mark.parametrize("family", [PowerLaw(1.0), DoubleLogGlobal(-1.0)])
+@pytest.mark.parametrize("t, r", [(1e12, 1e12), (1e6, 1e6)])
+def test_zone_bound_matches_mpmath_on_a_wide_window(family, t, r):
+    # windows [0, 2e12] and [0, 2e6] of 12 and 6 decades, each decade its own interval
+    spec = make_spec(family)
+    eps0 = min(0.05, spec.tau0)
+    report = zone_bound_check(spec, eps0, [(t, r)])
+    assert report.passed
+    assert report.samples[0][3] == pytest.approx(zone_value_mp(spec, eps0, t, r), rel=1e-10)
 
 
 def test_zone_bound_rejects_axis_sample():
