@@ -20,7 +20,8 @@ and contracted with each decaying envelope times e^{lam m}; both are
 filled in ``row_blocks``, bit for bit.  Where the kernels are used
 (r <= R + s) the shifted envelope is at most 1 and the table at most
 phi(0) times the weights, so no lam0 overflows there; a kernel value that
-does pass the float range is refused, naming lam0 and the radius.
+does pass the float range is refused, naming lam0 and the radius, and so is
+a time t or s that is not finite, naming it.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ from scipy import special as sc
 
 from .reporting import row_blocks
 from .weights import bracket
-
-_SERIES_CUT = 1e-4
 
 
 def sphere_area(m: int) -> float:
@@ -184,27 +183,25 @@ def _lam_table(cfg: KernelConfig, rule, r):
 
 
 def _data_envelope(cfg: KernelConfig, t: float, lam, m: float):
-    if t < 0.0:
-        raise ValueError("time must be non-negative")
+    if not 0.0 <= t < math.inf:  # refuses nan too
+        raise ValueError(f"time must be finite and non-negative, got t={t}")
     return 0.5 * (np.exp(-lam * (cfg.R - m)) + np.exp(-lam * (cfg.R + 2.0 * t - m)))
 
 
 def _source_envelope(cfg: KernelConfig, t: float, s, lam, m: float):
-    s_col = np.atleast_1d(np.asarray(s, dtype=float))[:, None]
-    if np.any(s_col > t) or np.any(s_col < 0.0):
-        raise ValueError("need t >= s >= 0")
+    if not 0.0 <= t < math.inf:
+        raise ValueError(f"time must be finite and non-negative, got t={t}")
+    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
+    inside = (0.0 <= s_arr) & (s_arr <= t)  # false at nan
+    if not inside.all():
+        raise ValueError(f"need 0 <= s <= t={t:g}, got s={s_arr[~inside][0]}")
+    s_col = s_arr[:, None]
     out = np.empty((len(s_col), lam.size))
     for b in row_blocks(*out.shape):
-        z = lam * (t - s_col[b])
-        small = np.abs(z) < _SERIES_CUT
-        # the difference form is at most 1 where m <= R + s; where it cancels, sinh(z)/z by
-        # its 4-term series
-        out[b] = (np.exp(-lam * (cfg.R + s_col[b] - m))
-                  - np.exp(-lam * (cfg.R + 2.0 * t - s_col[b] - m)))
-        out[b] /= 2.0 * np.where(small, 1.0, z)
-        decay = np.broadcast_to(np.exp(-lam * (cfg.R + t - m)), z.shape)
-        z2 = z[small] ** 2
-        out[b][small] = decay[small] * (1.0 + z2 / 6.0 * (1.0 + z2 / 20.0 * (1.0 + z2 / 42.0)))
+        # sinh(z)/z e^{-z} = expm1(-2z)/(-2z), z = lam (t - s): at most 1, and exactly 1 at
+        # s = t, where z is held at 1e-300
+        z = np.maximum(lam * (t - s_col[b]), 1e-300)
+        out[b] = np.expm1(-2.0 * z) / (-2.0 * z) * np.exp(-lam * (cfg.R + s_col[b] - m))
     return out
 
 
@@ -222,9 +219,10 @@ def source_kernel(cfg: KernelConfig, q: float, t: float, s, r):
     """Kernel weighting the forcing history: the sinh-envelope transform.
 
     integral over (0, lam0] of
-        e^{-lam(R+t)} sinh(lam(t-s))/(lam(t-s)) phi(lam r) lam^q,
-    with the removable t == s singularity replaced by its series value.
-    An array of s gives one row per s.
+        e^{-lam(R+t)} sinh(lam(t-s))/(lam(t-s)) phi(lam r) lam^q.
+    The envelope is computed as e^{-lam(R+s)} expm1(-2z)/(-2z), z =
+    lam(t-s), which is exactly e^{-lam(R+t)} at t == s.  An array of s
+    gives one row per s.
     """
     contract = _lam_table(cfg, _lam_rule(cfg, q), r)
     out = contract(_source_envelope, t, s).reshape(np.shape(s) + np.shape(r))

@@ -40,13 +40,15 @@ the first from the exact u0' that ``RadialData`` requires, the second
 accumulated forward: each new level k adds w_k m h g_k(m) to the axis slot
 of level k + m.  Off the axis the free part is the two-point formula
 
-    r v(t, r) = (P(t+r) - P(t-r)) / 2 + Q1(|t+r|) - Q1(|t-r|),
+    r v(t, r) = (P(t+r) - P(t-r)) / 2 + Q1(|t+r|) - Q1(|t-r|)
+              = S(t+r) - S(t-r),
 
-P(x) = x u0(|x|) odd and Q1 the cumulative trapezoid of (rho/2) u1.  On
-the lattice its feet h (i ± j) are nodes, so ``FreeWave`` reads them from
-two tables built once per (data, grid), the feet i + j as forward slices
-and i - j as backward ones: ``march`` reads every node of the Huygens band
-below, ``weights.linear_decay_check`` every m-th.  For data supported in
+P(x) = x u0(|x|) odd, Q1 the cumulative trapezoid of (rho/2) u1 and
+S(x) = P(x)/2 + Q1(|x|).  On the lattice its feet h (i ± j) are nodes, so
+``FreeWave`` reads them from one table of S built once per (data, grid),
+the feet i + j as forward slices and i - j as backward ones: ``march``
+reads every node of the Huygens band below, ``weights.linear_decay_check``
+every m-th.  For data supported in
 r <= R, with c = ceil(R/h) + 1, u is exactly 0 past the cone edge
 e_i = c + i (``cone_edge``) and v off the Huygens band |i - j| <= c, so
 level i computes nodes 0..e_i and v on the band only, in place from
@@ -68,12 +70,12 @@ forcing is its ufuncs alone; the axis weights r h/2 and r h are tables;
 and the free part, which no state changes, is computed ahead for a block
 of stored levels at once: on the band the foot t + r of node i - c + k is
 the table node 2i + k - c and the foot t - r the node c - k on every
-level, so ``FreeWave.band`` evaluates the two-point formula's six
-operations on strided views of the tables, straight into a block's rows,
-once per block of levels.  A stored level then
-pays 6 numpy calls for the history prefix, 2 for the axis term, 5 for the
-W recurrence, 2 for u = v + W/r, 2 for its modulus and max and 6 (PowerLaw)
-to 8 (LogPower) for the next forcing.  The slow oracles the tests hold the
+level, so ``FreeWave.band`` evaluates the two-point formula's subtract
+and divide on strided views of the table, straight into a block's rows,
+once per block of levels.  A stored level then pays 6 numpy calls for the
+history prefix, 2 for the axis term, 5 for the W recurrence, 2 for u = v +
+W/r, 2 for its modulus and max and 6 (PowerLaw) to 8 (LogPower) for the
+next forcing, 23 to 25 in all.  The slow oracles the tests hold the
 recurrence, the forcing and the free part to live in ``tests/oracles.py``.
 
 Blow-up is detected by a cap on the sup norm: marching stops at the first
@@ -275,13 +277,13 @@ def _refuse_beyond_memory(grid: CharacteristicGrid, data: RadialData, rungs: int
                           stored_levels: int) -> None:
     """Refuses, before anything is allocated, a march whose stored levels
     (all of them, or one block of them for a reduced march; none for a
-    ladder), the two foot tables of its ``rungs`` free waves and, when it
+    ladder), the foot table of its ``rungs`` free waves and, when it
     stores levels, the largest block of its free band exceed physical
     memory.  A band block is cut at the edges of a block of levels."""
     nt, nr, reach = grid.t_levels, grid.r_nodes, cone_edge(grid, data, 0)
     first = next(row_blocks(nt + 1, nr))  # no later block of levels is larger
     band = min(first.stop, len(_banded(grid, reach))) * (2 * reach + 1) if stored_levels else 0
-    nbytes = 8 * (stored_levels * nr + 2 * (nt + 2 * nr - 1) * rungs + band)
+    nbytes = 8 * (stored_levels * nr + (nt + 2 * nr - 1) * rungs + band)
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if nbytes > memory:
         raise ValueError(f"a march of {nt + 1} x {nr} levels allocates {nbytes} bytes, "
@@ -296,15 +298,11 @@ def _rows(a: np.ndarray, start: int, rows: int, width: int, step: int) -> np.nda
     return np.ndarray((rows, width) + a.shape[1:], a.dtype, a, start * s, (step * s,) + a.strides)
 
 
-def _two_point(p_plus, p_minus, q_plus, q_minus, r, out=None) -> np.ndarray:
-    """(P(t+r) - P(t-r)) / (2 r) + (Q1(|t+r|) - Q1(|t-r|)) / r from the
-    feet's table entries, in the one order of operations of every reader."""
-    out = np.subtract(p_plus, p_minus, out=out)
-    out *= 0.5
+def _two_point(s_plus, s_minus, r, out=None) -> np.ndarray:
+    """(S(t+r) - S(t-r)) / r from the feet's table entries, in the one
+    order of operations of every reader."""
+    out = np.subtract(s_plus, s_minus, out=out)
     out /= r
-    window = np.subtract(q_plus, q_minus)
-    window /= r
-    out += window
     return out
 
 
@@ -313,18 +311,19 @@ class FreeWave:
     data ``march`` refuses are refused.
 
     Every foot h (i +- j) of a lattice node is a node n = -(r_nodes -
-    1)..t_levels + r_nodes - 1, so v is read from two tables at offset
-    r_nodes - 1: P(hn) = hn eps u0(h|n|), odd in n, and the u1 prefix
-    Q1(h|n|), the cumulative trapezoid of (rho/2) eps u1 on the radial
-    nodes, constant past the last one.  The feet i + j of a level's nodes
-    are a forward slice of a table, the feet i - j a backward one, so
-    neither table is copied; ``level`` reads the nodes of one level,
-    ``band`` the Huygens bands of a block of levels.  ``u0`` holds the u0 samples on h n, n =
-    0..t_levels + r_nodes, ``r`` the radial nodes and ``axis`` the limit
-    v(t_i, 0) = eps (u0(t) + t u0'(t) + t u1(t)) on every level.  ``eps``
-    is the data's amplitude, or a lifespan ladder's vector of amplitudes:
-    then the tables and ``axis`` gain a trailing rung axis, each rung's
-    entries bit for bit those of its own wave.
+    1)..t_levels + r_nodes - 1, so v is read from one table at offset
+    r_nodes - 1: S(hn) = P(hn) / 2 + Q1(h|n|), with P(hn) = hn eps u0(h|n|),
+    odd in n, and the u1 prefix Q1, the cumulative trapezoid of (rho/2) eps
+    u1 on the radial nodes, constant past the last one.  The feet i + j of
+    a level's nodes are a forward slice of the table, the feet i - j a
+    backward one, so it is not copied; ``level`` reads the nodes of one
+    level, ``band`` the Huygens bands of a block of levels.  ``u0`` holds
+    the u0 samples on h n, n = 0..t_levels + r_nodes, ``r`` the radial
+    nodes and ``axis`` the limit v(t_i, 0) = eps (u0(t) + t u0'(t) + t
+    u1(t)) on every level.  ``eps`` is the data's amplitude, or a lifespan
+    ladder's vector of amplitudes: then the table and ``axis`` gain a
+    trailing rung axis, each rung's entries bit for bit those of its own
+    wave.
     """
 
     def __init__(self, data: RadialData, grid: CharacteristicGrid, eps=None):
@@ -332,7 +331,7 @@ class FreeWave:
         h, nt, nr = grid.h, grid.t_levels, grid.r_nodes
         self._eps = eps = data.amplitude if eps is None else eps
 
-        def col(x):  # a value per node, against tables with one column per rung
+        def col(x):  # a value per node, against a table with one column per rung
             return x[:, None] if np.ndim(eps) else x
 
         self.grid = grid
@@ -340,24 +339,24 @@ class FreeWave:
         t = h * np.arange(nt + 1)
         self.axis = np.multiply.outer(data.u0(t) + t * data.u0_prime(t) + t * data.u1(t), eps)
         feet = np.arange(-(nr - 1), nt + nr)
-        self._p = col(h * feet) * np.multiply.outer(self.u0[np.abs(feet)], eps)
         self.r = h * np.arange(nr)
         self._r = col(self.r)
         vals = np.multiply.outer(0.5 * self.r, eps) * col(data.u1(self.r))
         q1 = np.zeros_like(vals)
         np.cumsum(0.5 * (vals[1:] + vals[:-1]) * col(np.diff(self.r)), axis=0, out=q1[1:])
-        self._q = q1[np.minimum(np.abs(feet), nr - 1)]
+        self._s = col(0.5 * h * feet) * np.multiply.outer(self.u0[np.abs(feet)], eps)
+        self._s += q1[np.minimum(np.abs(feet), nr - 1)]
 
     def _keep(self, keep: np.ndarray) -> None:
         """Keeps the waves of a ladder's rungs ``keep`` only, in the tables' own memory."""
         self._eps = self._eps[keep]
-        self._p, self._q, self.axis = (_columns(table, keep) for table in (self._p, self._q, self.axis))
+        self._s, self.axis = _columns(self._s, keep), _columns(self.axis, keep)
 
     def level(self, i: int, lo: int, stop: int, step: int = 1, out=None) -> np.ndarray:
         """v(t_i, r_j) on the nodes j = lo, lo + step, ... < stop off the axis,
         by the two-point formula
 
-            v = (P(t+r) - P(t-r)) / (2 r) + (Q1(|t+r|) - Q1(|t-r|)) / r,
+            v = (S(t+r) - S(t-r)) / r,
 
         the one free-wave formula of the package, for every rung of a ladder.
         Written into ``out`` when given; a level or node range off the grid
@@ -370,8 +369,7 @@ class FreeWave:
         plus = slice(nr - 1 + i + lo, nr - 1 + i + stop, step)
         end = nr - 1 + i - stop  # the foot of node stop, -1 at the table's start
         minus = slice(nr - 1 + i - lo, end if end >= 0 else None, -step)
-        return _two_point(self._p[plus], self._p[minus], self._q[plus], self._q[minus],
-                          self._r[lo:stop:step], out)
+        return _two_point(self._s[plus], self._s[minus], self._r[lo:stop:step], out)
 
     def band(self, i0: int, i1: int, reach: int, out=None) -> np.ndarray:
         """v on the Huygens bands of the levels i0..i1 - 1 at once: row i - i0,
@@ -388,8 +386,7 @@ class FreeWave:
                              f"the grid has levels 0..{nt} and off-axis nodes 1..{nr - 1}")
         rows, width, plus = i1 - i0, 2 * reach + 1, nr - 1 - reach + 2 * i0
         minus = slice(nr - 1 - reach, nr + reach)
-        return _two_point(_rows(self._p, plus, rows, width, 2), self._p[minus][::-1],
-                          _rows(self._q, plus, rows, width, 2), self._q[minus][::-1],
+        return _two_point(_rows(self._s, plus, rows, width, 2), self._s[minus][::-1],
                           _rows(self._r, i0 - reach, rows, width, 1), out)
 
 
@@ -408,7 +405,7 @@ def march(
     "blew_up" at the first level whose max modulus exceeds ``cap`` or is
     not finite; ``cap = inf`` stops on a non-finite level only.  A forcing
     argument ``modulus.past_tau0`` refuses is raised, and so is a grid
-    whose stored levels, foot tables and band block exceed physical memory.
+    whose stored levels, foot table and band block exceed physical memory.
 
     With ``reduce`` the march is a level stream and stores no field: each
     block of levels of ``reporting.row_blocks(t_levels + 1, r_nodes)`` is
@@ -606,7 +603,7 @@ def lifespan_sweep(
 
     The rungs march as the columns of one (nodes x rungs) state, through
     ``march``'s level loop, and no field is stored.  Errors every rung
-    shares (amplitudes, cap, data, a grid whose foot tables exceed physical
+    shares (amplitudes, cap, data, a grid whose foot table exceeds physical
     memory) are raised before the first level; a rung whose forcing
     argument ``modulus.past_tau0`` refuses (a modulus argument past tau0)
     becomes that rung's "failed: ..." row, and the other rungs go on.

@@ -5,10 +5,14 @@ writes it, and LogPower's continuation in the cubic Hermite basis, instead
 of in log space and Horner form as ``wavecrit.modulus.mu_power`` does;
 ``linear_propagator`` evaluates the free solution at one point, off the
 lattice, with the u1 window integrated by adaptive quadrature instead of
-read from a trapezoid table; ``duhamel_apply`` re-sums the whole forcing
-history at one level, with the forcing |u|^p ``mu_direct``(|u|), instead of
-advancing the lattice recurrence of ``wavecrit.solver.march`` with its
-log-space forcing; ``march_level_by_level`` is that march as a plain loop
+read from a trapezoid table; ``free_wave_two_tables`` is the free part on
+every lattice node by the two-point formula with its displacement and
+velocity terms read from two foot tables, as ``wavecrit.solver.FreeWave``
+read it before one table of their sum replaced them, and ``mixed_bump`` a
+datum on which the two round differently; ``duhamel_apply`` re-sums the
+whole forcing history at one level, with the forcing |u|^p
+``mu_direct``(|u|), instead of advancing the lattice recurrence of
+``wavecrit.solver.march`` with its log-space forcing; ``march_level_by_level`` is that march as a plain loop
 of one level at a time, every node written, which ``march`` must match bit
 for bit; ``kernel_bounds_by_call`` is ``wavecrit.kernels.kernel_bounds_check``
 as one public kernel call per (t, s), each building its own table, which the
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import math
 import sys
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -59,7 +64,14 @@ from wavecrit.modulus import (
     mu_power,
     threshold_product,
 )
-from wavecrit.solver import CharacteristicGrid, FreeWave, RadialData, SolutionRun, cone_edge
+from wavecrit.solver import (
+    CharacteristicGrid,
+    FreeWave,
+    RadialData,
+    SolutionRun,
+    cone_edge,
+    default_bump,
+)
 from wavecrit.weights import _cone_weight, bracket, log_weight
 
 
@@ -147,6 +159,40 @@ def linear_propagator(data: RadialData, t: float, r: float) -> float:
     window = integrate.quad(h1, xm, xp, points=pts or None, limit=200)[0]
     two_point = 0.5 * (xp * (eps * data.u0(abs(xp))) - xm * (eps * data.u0(abs(xm)))) / ra
     return float(two_point + window / ra)
+
+
+def mixed_bump(amplitude: float = 1.0) -> RadialData:
+    """``default_bump`` with the velocity 0.7 times its displacement: both
+    profiles nonzero, the one kind of datum whose free part
+    ``free_wave_two_tables`` and ``FreeWave`` round differently."""
+    bump = default_bump(amplitude)
+    return replace(bump, u1=lambda r: 0.7 * bump.u0(r))
+
+
+def free_wave_two_tables(data: RadialData, grid: CharacteristicGrid, eps=None) -> np.ndarray:
+    """v(t_i, r_j) on every level i and off-axis node j = 1..r_nodes - 1,
+    by the two-point formula (P(t+r) - P(t-r)) / (2r) + (Q1(|t+r|) -
+    Q1(|t-r|)) / r read from two foot tables, P(hn) = hn eps u0(h|n|) and
+    the u1 prefix Q1(h|n|), in ``FreeWave``'s former order of operations.
+    ``eps`` is the data's amplitude or a vector of amplitudes, which then
+    gains a trailing rung axis."""
+    h, nt, nr = grid.h, grid.t_levels, grid.r_nodes
+    eps = data.amplitude if eps is None else eps
+
+    def col(x):
+        return x[:, None] if np.ndim(eps) else x
+
+    feet = np.arange(-(nr - 1), nt + nr)
+    p = col(h * feet) * np.multiply.outer(data.u0(h * np.abs(feet)), eps)
+    r = h * np.arange(nr)
+    vals = np.multiply.outer(0.5 * r, eps) * col(data.u1(r))
+    q1 = np.zeros_like(vals)
+    q1[1:] = np.cumsum(0.5 * (vals[1:] + vals[:-1]) * col(np.diff(r)), axis=0)
+    q = q1[np.minimum(np.abs(feet), nr - 1)]
+    i, j = np.arange(nt + 1)[:, None], np.arange(1, nr)
+    plus, minus = nr - 1 + i + j, nr - 1 + i - j
+    rj = col(r[1:])
+    return (p[plus] - p[minus]) * 0.5 / rj + (q[plus] - q[minus]) / rj
 
 
 def _history_prefix(grid: CharacteristicGrid, g_level: np.ndarray) -> np.ndarray:
@@ -347,16 +393,8 @@ def _source_envelope_whole(cfg: KernelConfig, t: float, s, lam, m: float):
     """The sinh envelope times e^{lam m} of every s (rows) and lam (columns)
     in one array."""
     s_col = np.atleast_1d(np.asarray(s, dtype=float))[:, None]
-    z = lam * (t - s_col)
-    small = np.abs(z) < 1e-4  # the series cut
-    safe = np.where(small, 1.0, z)
-    out = (np.exp(-lam * (cfg.R + s_col - m)) - np.exp(-lam * (cfg.R + 2.0 * t - s_col - m))) / (
-        2.0 * safe
-    )
-    decay = np.broadcast_to(np.exp(-lam * (cfg.R + t - m)), z.shape)
-    z2 = z[small] ** 2
-    out[small] = decay[small] * (1.0 + z2 / 6.0 * (1.0 + z2 / 20.0 * (1.0 + z2 / 42.0)))
-    return out
+    z = np.maximum(lam * (t - s_col), 1e-300)
+    return np.expm1(-2.0 * z) / (-2.0 * z) * np.exp(-lam * (cfg.R + s_col - m))
 
 
 def kernels_whole_array(cfg: KernelConfig, q: float, t: float, s, r):

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special
@@ -10,6 +11,7 @@ from wavecrit.exponents import kernel_exponent
 from wavecrit.reporting import BLOCK_ELEMENTS
 from wavecrit.kernels import (
     KernelConfig,
+    _source_envelope,
     data_and_source_kernels,
     data_kernel,
     eigenfunction_growth_ratio,
@@ -231,12 +233,31 @@ def test_config_refuses_nonfinite_lambda0_or_radius():
             KernelConfig(**fields)
 
 
-def test_sinh_ratio_seam():
-    # series and direct paths agree across the switch point
-    for z in np.geomspace(1e-5, 1e-3, 25):
-        direct = math.sinh(z) / z
-        series = 1.0 + z * z / 6.0 * (1.0 + z * z / 20.0 * (1.0 + z * z / 42.0))
-        assert abs(direct - series) < 1e-10
+def test_source_envelope_against_mpmath():
+    # with lam = z, t = 1, s = 0 and m = R the envelope is e^{-z} sinh(z)/z alone, which
+    # a difference of exponentials loses to cancellation at small z (1.9e-13 at 1.01e-4)
+    zs = np.array([0.0, 1e-300, 1e-8, 0.99e-4, 1.01e-4, 1e-3, 0.1, 1.0, 30.0])
+    got = _source_envelope(CFG, 1.0, 0.0, zs, CFG.R)[0]
+    with mpmath.workdps(40):
+        want = np.array([float(mpmath.exp(-z) * mpmath.sinh(z) / z) if z else 1.0
+                         for z in map(mpmath.mpf, zs)])
+    assert np.all(np.abs(got - want) <= 1e-15 * want)
+    # at s = t the sinh factor is exactly 1
+    lam = np.linspace(0.0, 2.0, 9)
+    assert np.array_equal(_source_envelope(CFG, 2.0, 2.0, lam, 0.5)[0],
+                          np.exp(-lam * (CFG.R + 2.0 - 0.5)))
+
+
+def test_kernels_refuse_non_finite_times_by_name():
+    cfg = KernelConfig(n=3, quad_points=64)
+    for t in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"t={t}"):
+            data_kernel(cfg, 0.5, t, 0.3)
+        with pytest.raises(ValueError, match=f"t={t}"):
+            source_kernel(cfg, 0.5, t, 1.0, 0.3)
+    for s in (math.nan, np.array([0.5, math.nan])):
+        with pytest.raises(ValueError, match="s=nan"):
+            source_kernel(cfg, 0.5, 1.0, s, 0.3)
 
 
 def test_source_kernel_continuous_across_seam():

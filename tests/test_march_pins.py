@@ -18,7 +18,7 @@ import platform
 import numpy as np
 import pytest
 
-from oracles import march_level_by_level
+from oracles import march_level_by_level, mixed_bump
 from wavecrit.modulus import (
     DoubleLogGlobal,
     IteratedLogBlowup,
@@ -89,6 +89,11 @@ CASES = {
     "triplelog": (velocity_bump(1e-7), TripleLogGlobal(-0.5), CharacteristicGrid.cover(0.05, 4.0, 1.0),
                   ("completed", None, (81, 102)),
                   "bc9b079b324f41e22254da4cc2f64a857a487705c672c4bf98f75a3c16bc34d1"),
+    # both profiles nonzero, the one datum whose free part S(t+r) - S(t-r), S = P/2 + Q1,
+    # rounds differently from P and Q1 read apart; its digest was taken with one foot table
+    "mixed": (mixed_bump(0.8), LogPower(0.2, 10.0), CharacteristicGrid.cover(0.0625, 12.5, 1.0),
+              ("completed", None, (201, 218)),
+              "ceff683bc349e04a2cbb877dbd902fae65995421f86c43a7f80a15cbd4381a94"),
 }
 
 

@@ -39,7 +39,7 @@ from wavecrit.solver import (
 from wavecrit.exponents import strauss_exponent
 from wavecrit.reporting import BLOCK_ELEMENTS
 
-from oracles import duhamel_apply, linear_propagator, mu_direct
+from oracles import duhamel_apply, free_wave_two_tables, linear_propagator, mixed_bump, mu_direct
 
 P3 = strauss_exponent(3)
 
@@ -116,7 +116,7 @@ def test_free_wave_refuses_nodes_off_the_grid():
 
 
 @pytest.mark.parametrize("eps", [None, np.array([0.5, 2.0, 1.0])], ids=["wave", "ladder"])
-@pytest.mark.parametrize("datum", [default_bump, velocity_bump])
+@pytest.mark.parametrize("datum", [default_bump, velocity_bump, mixed_bump])
 def test_free_band_is_the_level_reads_bit_for_bit(datum, eps):
     # a block of bands reads the feet through strided views; every entry is
     # the one ``level`` gives, sign bits included
@@ -134,10 +134,27 @@ def test_free_band_is_the_level_reads_bit_for_bit(datum, eps):
             free.band(a, b, reach)
 
 
+@pytest.mark.parametrize("eps", [None, np.array([0.5, 2.0, 1.0])], ids=["wave", "ladder"])
+@pytest.mark.parametrize("datum", [default_bump, velocity_bump, mixed_bump])
+def test_free_wave_is_the_two_table_formula(datum, eps):
+    # one table of S = P/2 + Q1 gives the free part of P and Q1 read from two tables:
+    # bit for bit when one profile is 0, to rounding when both are not
+    grid = CharacteristicGrid.cover(1 / 16, 12.5, 1.0)
+    data = datum(0.8)
+    free = FreeWave(data, grid, eps)
+    reference = free_wave_two_tables(data, grid, eps)
+    for i, ref in enumerate(reference):
+        level = free.level(i, 1, grid.r_nodes)
+        if datum is mixed_bump:
+            assert np.all(np.abs(level - ref) <= 1e-14 * np.max(np.abs(ref), axis=0))
+        else:
+            assert level.tobytes() == ref.tobytes()
+
+
 def test_memory_guard_counts_what_a_march_allocates(monkeypatch):
     # with the memory made tiny the guard refuses every grid and names its count:
-    # the stored field (one block of levels for a level stream), the two foot tables
-    # and the largest block of the free band a march holds; a ladder holds the tables
+    # the stored field (one block of levels for a level stream), the foot table
+    # and the largest block of the free band a march holds; a ladder holds the table
     # of its rungs only.  The band is cut at the edges of the blocks of levels: the
     # first grid's band spans many of them, the second's lies in one
     data, spec, h = default_bump(0.5), make_spec(PowerLaw(1.0)), 0.05
@@ -163,7 +180,7 @@ def test_memory_guard_counts_what_a_march_allocates(monkeypatch):
         assert stored.nbytes == 8 * levels * grid.r_nodes
         assert all(buffer is stored for buffer in buffers)  # one buffer, reused
         free = FreeWave(data, grid)
-        return stored.nbytes + free._p.nbytes + free._q.nbytes + max(blocks), len(blocks)
+        return stored.nbytes + free._s.nbytes + max(blocks), len(blocks)
 
     monkeypatch.setattr(FreeWave, "band", spy)
     (allocated, n_blocks), (small_allocated, n_small) = held(grid), held(small)
@@ -171,7 +188,7 @@ def test_memory_guard_counts_what_a_march_allocates(monkeypatch):
     assert n_blocks == n_streamed > 1 and n_small == 1
     assert streamed < allocated / 10
     ladder = FreeWave(data, grid, np.array([0.5, 1.0, 2.0]))
-    laddered = ladder._p.nbytes + ladder._q.nbytes
+    laddered = ladder._s.nbytes
 
     monkeypatch.setattr(os, "sysconf", lambda name: 1)
     for count, call in ((allocated, lambda: march(data, spec, grid)),
