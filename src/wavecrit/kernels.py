@@ -4,8 +4,10 @@ The machinery rests on the positive eigenfunction of the Laplacian built
 from the spherical average of ``exp(x . w)``; in closed form it is
 (2 pi)^{n/2} r^{1-n/2} I_{n/2-1}(r) (DLMF 10.39).  Every function here reads
 it through one scaled form, phi(z) e^{-z}, which is finite and positive at
-every radius.  Two one-parameter transforms of it appear everywhere
-downstream:
+every radius.  For n = 2 that is 2 pi i0e(z), evaluated in numpy by the
+Cephes rule (two Chebyshev series, split at z = 8) bit for bit as
+scipy.special.i0e; only n >= 4 imports scipy, on first use.  Two
+one-parameter transforms of it appear everywhere downstream:
 
 * the data kernel, weighting initial data (cosh time factor), and
 * the source kernel, weighting the forcing history (sinh time factor).
@@ -30,7 +32,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special as sc
 
 from .reporting import row_blocks
 from .weights import bracket
@@ -43,6 +44,59 @@ def sphere_area(m: int) -> float:
     return 2.0 * math.pi ** ((m + 1) / 2.0) / math.gamma((m + 1) / 2.0)
 
 
+# Cephes i0e (DLMF 10.25), highest order first: the Chebyshev series of e^(-z) I_0(z)
+# in z/2 - 2 on [0, 8], and of sqrt(z) e^(-z) I_0(z) in 32/z - 2 past 8
+_I0E_NEAR = (
+    -4.41534164647933937950E-18, 3.33079451882223809783E-17, -2.43127984654795469359E-16,
+    1.71539128555513303061E-15, -1.16853328779934516808E-14, 7.67618549860493561688E-14,
+    -4.85644678311192946090E-13, 2.95505266312963983461E-12, -1.72682629144155570723E-11,
+    9.67580903537323691224E-11, -5.18979560163526290666E-10, 2.65982372468238665035E-9,
+    -1.30002500998624804212E-8, 6.04699502254191894932E-8, -2.67079385394061173391E-7,
+    1.11738753912010371815E-6, -4.41673835845875056359E-6, 1.64484480707288970893E-5,
+    -5.75419501008210370398E-5, 1.88502885095841655729E-4, -5.76375574538582365885E-4,
+    1.63947561694133579842E-3, -4.32430999505057594430E-3, 1.05464603945949983183E-2,
+    -2.37374148058994688156E-2, 4.93052842396707084878E-2, -9.49010970480476444210E-2,
+    1.71620901522208775349E-1, -3.04682672343198398683E-1, 6.76795274409476084995E-1,
+)
+_I0E_FAR = (
+    -7.23318048787475395456E-18, -4.83050448594418207126E-18, 4.46562142029675999901E-17,
+    3.46122286769746109310E-17, -2.82762398051658348494E-16, -3.42548561967721913462E-16,
+    1.77256013305652638360E-15, 3.81168066935262242075E-15, -9.55484669882830764870E-15,
+    -4.15056934728722208663E-14, 1.54008621752140982691E-14, 3.85277838274214270114E-13,
+    7.18012445138366623367E-13, -1.79417853150680611778E-12, -1.32158118404477131188E-11,
+    -3.14991652796324136454E-11, 1.18891471078464383424E-11, 4.94060238822496958910E-10,
+    3.39623202570838634515E-9, 2.26666899049817806459E-8, 2.04891858946906374183E-7,
+    2.89137052083475648297E-6, 6.88975834691682398426E-5, 3.36911647825569408990E-3,
+    8.04490411014108831608E-1,
+)
+
+
+def _chbevl(x, coeffs):
+    """Cephes chbevl: Clenshaw's recurrence b0 = x b1 - b2 + c over the
+    coefficients, then (b0 - b2)/2, in place on three buffers."""
+    b0, b1, b2 = np.full_like(x, coeffs[0]), np.zeros_like(x), np.empty_like(x)
+    for c in coeffs[1:]:
+        b0, b1, b2 = b2, b0, b1
+        np.multiply(x, b1, out=b0)
+        np.subtract(b0, b2, out=b0)
+        np.add(b0, c, out=b0)
+    np.subtract(b0, b2, out=b0)
+    return np.multiply(b0, 0.5, out=b0)
+
+
+def _i0e(z):
+    """e^(-z) I_0(z) on an array of z >= 0 by the Cephes rule, bit for bit
+    ``scipy.special.i0e``; 0 at inf, nan at nan."""
+    out = np.empty_like(z)
+    near = z <= 8.0  # false at nan
+    x = z[near] / 2.0
+    out[near] = _chbevl(np.subtract(x, 2.0, out=x), _I0E_NEAR)
+    far = z[~near]
+    x = 32.0 / far
+    out[~near] = _chbevl(np.subtract(x, 2.0, out=x), _I0E_FAR) / np.sqrt(far)
+    return out
+
+
 def _scaled_eigenfunction(n: int, z):
     """phi(z) e^{-z} on an array of radii z >= 0; at most phi(0) and
     positive however large z is.  Closed forms: -2 pi expm1(-2z)/z for
@@ -53,15 +107,17 @@ def _scaled_eigenfunction(n: int, z):
         safe = np.maximum(z, 1e-300)
         return np.expm1(-2.0 * safe) / safe * (-2.0 * math.pi)
     if n == 2:
-        return 2.0 * math.pi * sc.i0e(z)
+        return 2.0 * math.pi * _i0e(z)
     if n >= 4:
+        from scipy import special
+
         nu = 0.5 * n - 1.0
         small = z < 1e-6
         safe = np.where(small, 1.0, z)
         return (2.0 * math.pi) ** (0.5 * n) * np.where(
             small,
             (1.0 + z * z / (4.0 * (nu + 1.0))) * np.exp(-z) / (2.0 ** nu * math.gamma(nu + 1.0)),
-            sc.ive(nu, safe) * safe ** -nu,
+            special.ive(nu, safe) * safe ** -nu,
         )
     raise ValueError(f"eigenfunction needs n >= 2, got n={n}")
 
@@ -111,8 +167,8 @@ def free_wave_ball_integral(n: int, R: float, t: float) -> float:
 
     Grows like (R+t)^{(n-1)/2} within fixed constants.
     """
-    if R <= 0.0 or t < 0.0:
-        raise ValueError("need R > 0 and t >= 0")
+    if not (0.0 < R < math.inf and 0.0 <= t < math.inf):  # refuses nan too
+        raise ValueError(f"need finite R > 0 and t >= 0, got R={R}, t={t}")
     zeta = np.linspace(0.0, R + t, 4097)  # odd, as Simpson needs
     vals = sphere_area(n - 1) * zeta ** (n - 1) * _scaled_eigenfunction(n, zeta) * np.exp(
         zeta - t)

@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # noqa: F401  (jensen_margin's; numpy loads it lazily)
 
 from .exponents import strauss_exponent
 from .reporting import WeightReport, row_blocks

@@ -11,6 +11,8 @@ from wavecrit.exponents import kernel_exponent
 from wavecrit.reporting import BLOCK_ELEMENTS
 from wavecrit.kernels import (
     KernelConfig,
+    _i0e,
+    _scaled_eigenfunction,
     _source_envelope,
     data_and_source_kernels,
     data_kernel,
@@ -49,6 +51,24 @@ def test_eigenfunction_two_dim_against_angle_integral():
     r = 2.5
     oracle = integrate.quad(lambda th: math.exp(r * math.cos(th)), 0.0, 2.0 * math.pi)[0]
     assert abs(laplace_eigenfunction(2, r) - oracle) < 1e-10 * oracle
+
+
+def test_i0e_is_scipy_bit_for_bit():
+    # the Cephes rule scipy runs: both series, the seam at 8 from either side, the
+    # subnormal and overflow ends, inf and nan, and dense log and linear grids
+    z = np.concatenate([
+        [0.0, 5e-324, 1e-300, 1e-8, np.nextafter(8.0, 0.0), 8.0, np.nextafter(8.0, 16.0),
+         700.0, 1e300, np.inf, np.nan],
+        np.logspace(-320.0, 300.0, 20001),
+        np.linspace(0.0, 40.0, 20001),
+    ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, want = _i0e(z), special.i0e(z)
+        scaled = _scaled_eigenfunction(2, z)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(scaled.view(np.int64), (2.0 * math.pi * want).view(np.int64))
+    assert got[0] == 1.0 and got[9] == 0.0 and np.isnan(got[10])  # at 0, inf and nan
 
 
 @pytest.mark.parametrize("r", [0.0, 1e-3, 3.0, 40.0])
@@ -153,6 +173,15 @@ def test_ball_integral_growth_bracket(n):
     ]
     assert min(ratios) > 0.0
     assert max(ratios) / min(ratios) <= 20.0
+
+
+@pytest.mark.parametrize("R, t", [(1.0, math.nan), (math.nan, 1.0), (math.inf, 1.0),
+                                  (1.0, math.inf), (0.0, 1.0), (1.0, -0.5)])
+def test_ball_integral_refuses_bad_radius_or_time_by_name(R, t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"got R={R}, t={t}"):
+            free_wave_ball_integral(3, R, t)
 
 
 def test_ball_integral_shrunk_lower_bound():

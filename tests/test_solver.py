@@ -846,19 +846,21 @@ def test_blowup_time_stable_under_refinement():
 
 
 def test_import_loads_no_scipy():
-    # the package front door is numpy only; scipy.special loads with kernels,
-    # and the command line, which imports every module, loads no other subpackage
+    # the command line, which imports every module, loads no scipy, and neither do
+    # the n = 2 and n = 3 kernels; only the n >= 4 eigenfunction loads scipy.special
     src = os.path.dirname(os.path.dirname(wavecrit.__file__))
     env = {**os.environ, "PYTHONPATH": src}
 
-    def scipy_modules(module):
-        probe = (f"import sys, {module}; "
+    def scipy_modules(statement):
+        probe = (f"import sys; {statement}; "
                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                               text=True, timeout=120, check=True)
         return ast.literal_eval(done.stdout.strip())
 
-    assert scipy_modules("wavecrit") == []
-    loaded = {m.split(".")[1] for m in scipy_modules("wavecrit.cli") if "." in m}
-    assert "special" in loaded
-    assert not loaded & {"integrate", "sparse", "linalg", "optimize"}
+    assert scipy_modules("import wavecrit.cli") == []
+    kernel = ("from wavecrit.kernels import KernelConfig, data_kernel; "
+              "data_kernel(KernelConfig(n={n}, quad_points=64), 0.5, 1.0, [0.0, 0.5, 20.0])")
+    assert scipy_modules(kernel.format(n=2)) == []
+    assert scipy_modules(kernel.format(n=3)) == []
+    assert "scipy.special" in scipy_modules(kernel.format(n=4))
