@@ -1,7 +1,8 @@
 """Iteration apparatus for the blow-up side: slicing levels, exponent
 recursions with closed forms, the iteration ledger (one record: the
 exponent rows, the doubly-exponential amplitudes and their growth floor),
-the weighted solution functional and a divergence-onset predictor.
+the kernel-weighted integral identity residual and a divergence-onset
+predictor.
 
 All growth arithmetic lives in log space; the amplitude sequence grows like
 p**j in the exponent and would overflow floats within a handful of steps.
@@ -16,8 +17,8 @@ from typing import Optional
 import numpy as np
 
 from .exponents import strauss_exponent
-from .kernels import KernelConfig, data_and_source_kernels, source_kernel
-from .modulus import ModulusSpec, convex_companion, mu_power, threshold_product
+from .kernels import KernelConfig, data_and_source_kernels
+from .modulus import ModulusSpec, mu_power, threshold_product
 
 
 def slicing_level(j: int) -> float:
@@ -119,22 +120,7 @@ def build_ledger(n: int, J: int) -> IterationLedger:
 
 
 # --------------------------------------------------------------------------
-# solution functionals
-
-def weighted_functional(run, cfg: KernelConfig, q: float, t: float) -> float:
-    """Radial integral of u(t) mu(|u(t)|)^{1/p} against the diagonal source
-    kernel, over the stored radius range (4 pi r^2 measure).
-
-    Non-negative whenever the field, data and forcing are.
-    """
-    if run.spec is None:
-        raise ValueError("functional needs a modulus-bearing run")
-    i = run.level_index(t)
-    r = run.radii
-    kernel = source_kernel(cfg, q, t, t, r)
-    vals = convex_companion(run.spec, 3, run.field[i]) * kernel * 4.0 * math.pi * r * r
-    return float(np.trapezoid(vals, dx=run.grid.h))
-
+# the integral identity
 
 def integral_identity_residual(run, cfg: KernelConfig, q: float, t: float) -> float:
     """Defect of the kernel-weighted space-average identity at time t.

@@ -17,9 +17,13 @@ algebraic endpoint factor lam**q; the quadrature uses a graded mesh
 lam_i = lam0 * (i/N)**3 so the endpoint is resolved even for fractional
 q in (-1, 0).  The rule's weights are those of x = lam / lam0, and the
 kernel is lam0^{q+1} times their sum.  For the largest radius m of a
-radius set, the table w_i x_i^q phi(lam_i r) e^{-lam_i m} is built once
-and contracted with each decaying envelope times e^{lam m}; both are
-filled in ``row_blocks``, bit for bit.  Where the kernels are used
+radius set, the table w_i x_i^q phi(lam_i r) e^{-lam_i m} is walked in
+the lam blocks of ``row_blocks(N, len(r))``: each block is built once and
+contracted with every decaying envelope times e^{lam m} on its own lam,
+in row blocks of the envelope, the products summed block by block, so no
+call holds the whole table or a whole envelope.  The blocks depend on
+the envelope's rows, N and len(r) alone, so one kernel call and a paired
+call agree bit for bit.  Where the kernels are used
 (r <= R + s) the shifted envelope is at most 1 and the table at most
 phi(0) times the weights, so no lam0 overflows there; a kernel value that
 does pass the float range is refused, naming lam0 and the radius, and so is
@@ -122,45 +126,6 @@ def _scaled_eigenfunction(n: int, z):
     raise ValueError(f"eigenfunction needs n >= 2, got n={n}")
 
 
-def _radii(r, least: float = 0.0):
-    """r as a float array of at least one dimension, refused below ``least``."""
-    arr = np.atleast_1d(np.asarray(r, dtype=float))
-    if np.any(arr < least):
-        raise ValueError(f"radius must be at least {least:g}")
-    return arr
-
-
-def laplace_eigenfunction(n: int, r):
-    """Radial profile of the positive eigenfunction of the Laplacian.
-
-    Spherical average of exp(x . w) at radius r; smooth, increasing, and
-    asymptotically r**(-(n-1)/2) e**r up to a constant: 2 pi I_0(r) for
-    n = 2, 4 pi sinh(r)/r for n = 3, (2 pi)^{n/2} r^{-nu} I_nu(r),
-    nu = n/2 - 1, for n >= 4.  It is the scaled form times e^r, so it
-    passes the float range once r passes about 710.
-    """
-    arr = _radii(r)
-    out = _scaled_eigenfunction(n, arr) * np.exp(arr)
-    return float(out[0]) if np.ndim(r) == 0 else out
-
-
-def log_laplace_eigenfunction(n: int, r):
-    """log of the eigenfunction; safe for radii far beyond overflow."""
-    arr = _radii(r)
-    out = np.log(_scaled_eigenfunction(n, arr)) + arr
-    return float(out[0]) if np.ndim(r) == 0 else out
-
-
-def eigenfunction_growth_ratio(n: int, r):
-    """Eigenfunction compensated by its growth law: phi(r) r^{(n-1)/2} e^{-r}.
-
-    Stays inside a fixed positive bracket as r grows.
-    """
-    arr = _radii(r, least=1.0)
-    out = _scaled_eigenfunction(n, arr) * arr ** (0.5 * (n - 1))
-    return float(out[0]) if np.ndim(r) == 0 else out
-
-
 def free_wave_ball_integral(n: int, R: float, t: float) -> float:
     """Integral over the ball of radius R+t of the decaying free-wave
     solution e^{-t} phi(|x|); composite Simpson in the radius on 4097 points.
@@ -211,40 +176,54 @@ def _lam_rule(cfg: KernelConfig, q: float):
     return cfg.lambda0 * x, w * x ** q, first, q + 1.0
 
 
-def _lam_table(cfg: KernelConfig, rule, r):
-    """Build w_i x_i^q phi(lam_i r) e^{-lam_i m}, m the largest radius, once
-    for one radius set, however many envelopes it takes.  Returns
-    (envelope, *args) -> lam0^{q+1} (rows @ table + first cell), the rows
-    envelope(cfg, *args, lam, m): the envelope times e^{lam m}.  A value
-    past the float range is refused, naming lambda0 and m."""
+def _lam_transform(cfg: KernelConfig, rule, r, *envelopes):
+    """lam0^{q+1} (rows @ table + first cell) for each envelope (rows, f),
+    where f(lam, m, c) gives the envelope's rows c times e^{lam m} and the
+    table is w_i x_i^q phi(lam_i r) e^{-lam_i m}, m the largest radius.  lam
+    runs in the blocks of ``row_blocks(N, len(r))``; each table block is
+    built once and feeds every envelope, whose rows are evaluated on the
+    block's lam and contracted in ``row_blocks`` of at most one block each
+    of envelope and product.  So no call holds the N x len(r) table or a
+    len(s) x N envelope, and each envelope's sum depends only on its row
+    count, N and len(r).  A value past the float range is refused, naming
+    lambda0 and m."""
     lam, wq, first, power = rule
     r_arr = np.abs(np.ravel(np.asarray(r, dtype=float)))
     m = r_arr.max(initial=0.0)
-    table = np.empty((lam.size, r_arr.size))
-    for b in row_blocks(*table.shape):
+    outs = [np.zeros((rows, r_arr.size)) for rows, _ in envelopes]
+    for b in row_blocks(lam.size, r_arr.size):
         z = lam[b, None] * r_arr
-        table[b] = (wq[b, None] * _scaled_eigenfunction(cfg.n, z)
-                    * np.exp(lam[b, None] * (r_arr - m)))
-
-    def contract(envelope, *args):
+        table = wq[b, None] * _scaled_eigenfunction(cfg.n, z) * np.exp(lam[b, None] * (r_arr - m))
         with np.errstate(over="ignore", invalid="ignore"):  # past the float range: refused below
-            rows = np.atleast_2d(envelope(cfg, *args, lam, m))
-            out = (rows @ table + first) * np.power(cfg.lambda0, power)
-        if not np.isfinite(out).all():
-            raise ValueError(f"lambda0={cfg.lambda0:g} takes the kernel at radius {m:g} "
-                             "past the float range")
-        return out
+            for (rows, envelope), out in zip(envelopes, outs):
+                for c in row_blocks(rows, max(table.shape)):
+                    out[c] += envelope(lam[b], m, c) @ table
+    with np.errstate(over="ignore", invalid="ignore"):
+        for out in outs:
+            out += first
+            out *= np.power(cfg.lambda0, power)
+    if not all(np.isfinite(out).all() for out in outs):
+        raise ValueError(f"lambda0={cfg.lambda0:g} takes the kernel at radius {m:g} "
+                         "past the float range")
+    return outs
 
-    return contract
 
-
-def _data_envelope(cfg: KernelConfig, t: float, lam, m: float):
+def _data_envelope(cfg: KernelConfig, t: float):
+    """The cosh envelope times e^{lam m} as one row (1, f(lam, m, c)):
+    0.5 (e^{-lam(R - m)} + e^{-lam(R + 2t - m)})."""
     if not 0.0 <= t < math.inf:  # refuses nan too
         raise ValueError(f"time must be finite and non-negative, got t={t}")
-    return 0.5 * (np.exp(-lam * (cfg.R - m)) + np.exp(-lam * (cfg.R + 2.0 * t - m)))
+
+    def envelope(lam, m, c):
+        return 0.5 * (np.exp(-lam * (cfg.R - m)) + np.exp(-lam * (cfg.R + 2.0 * t - m)))[None]
+
+    return 1, envelope
 
 
-def _source_envelope(cfg: KernelConfig, t: float, s, lam, m: float):
+def _source_envelope(cfg: KernelConfig, t: float, s):
+    """The sinh envelope times e^{lam m} as one row per s (len(s), f(lam, m,
+    c)): sinh(z)/z e^{-z} e^{-lam(R + s - m)}, z = lam (t - s), for the s of
+    rows c."""
     if not 0.0 <= t < math.inf:
         raise ValueError(f"time must be finite and non-negative, got t={t}")
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
@@ -252,13 +231,14 @@ def _source_envelope(cfg: KernelConfig, t: float, s, lam, m: float):
     if not inside.all():
         raise ValueError(f"need 0 <= s <= t={t:g}, got s={s_arr[~inside][0]}")
     s_col = s_arr[:, None]
-    out = np.empty((len(s_col), lam.size))
-    for b in row_blocks(*out.shape):
-        # sinh(z)/z e^{-z} = expm1(-2z)/(-2z), z = lam (t - s): at most 1, and exactly 1 at
-        # s = t, where z is held at 1e-300
-        z = np.maximum(lam * (t - s_col[b]), 1e-300)
-        out[b] = np.expm1(-2.0 * z) / (-2.0 * z) * np.exp(-lam * (cfg.R + s_col[b] - m))
-    return out
+
+    def envelope(lam, m, c):
+        # sinh(z)/z e^{-z} = expm1(-2z)/(-2z): at most 1, and exactly 1 at s = t, where z
+        # is held at 1e-300
+        z = np.maximum(lam * (t - s_col[c]), 1e-300)
+        return np.expm1(-2.0 * z) / (-2.0 * z) * np.exp(-lam * (cfg.R + s_col[c] - m))
+
+    return len(s_col), envelope
 
 
 def data_kernel(cfg: KernelConfig, q: float, t: float, r):
@@ -267,7 +247,8 @@ def data_kernel(cfg: KernelConfig, q: float, t: float, r):
     integral over (0, lam0] of e^{-lam(R+t)} cosh(lam t) phi(lam r) lam^q.
     The envelope is computed as 0.5 (e^{-lam R} + e^{-lam(R+2t)}).
     """
-    out = _lam_table(cfg, _lam_rule(cfg, q), r)(_data_envelope, t).reshape(np.shape(r))
+    envelope = _data_envelope(cfg, t)
+    out = _lam_transform(cfg, _lam_rule(cfg, q), r, envelope)[0].reshape(np.shape(r))
     return float(out) if out.ndim == 0 else out
 
 
@@ -280,16 +261,18 @@ def source_kernel(cfg: KernelConfig, q: float, t: float, s, r):
     lam(t-s), which is exactly e^{-lam(R+t)} at t == s.  An array of s
     gives one row per s.
     """
-    contract = _lam_table(cfg, _lam_rule(cfg, q), r)
-    out = contract(_source_envelope, t, s).reshape(np.shape(s) + np.shape(r))
+    envelope = _source_envelope(cfg, t, s)
+    out = _lam_transform(cfg, _lam_rule(cfg, q), r, envelope)[0]
+    out = out.reshape(np.shape(s) + np.shape(r))
     return float(out) if out.ndim == 0 else out
 
 
 def data_and_source_kernels(cfg: KernelConfig, q: float, t: float, s, r):
     """``data_kernel(cfg, q, t, r)`` and ``source_kernel(cfg, q, t, s, r)``
-    for 1-D s and r, bit for bit, from one table of the radii r."""
-    contract = _lam_table(cfg, _lam_rule(cfg, q), r)
-    return contract(_data_envelope, t)[0], contract(_source_envelope, t, s)
+    for 1-D s and r, bit for bit, from one pass over the table of the radii r."""
+    envelopes = _data_envelope(cfg, t), _source_envelope(cfg, t, s)
+    data, source = _lam_transform(cfg, _lam_rule(cfg, q), r, *envelopes)
+    return data[0], source
 
 
 @dataclass
@@ -316,9 +299,9 @@ def kernel_bounds_check(cfg: KernelConfig, q: float) -> KernelBoundsReport:
           for |r| <= R+t.
 
     One table is built per distinct radius set fracs (R + s), 447 for 963
-    evaluations at R = 1, and contracted with each evaluation's envelope, so
-    every value is the public kernel call's, bit for bit.  Pass means every
-    fitted constant is positive and finite.
+    evaluations at R = 1, and feeds every envelope of that set in one
+    transform, so every value is the public kernel call's, bit for bit.
+    Pass means every fitted constant is positive and finite.
     """
     n = cfg.n
     if q <= max(-1.0, (n - 3) / 2.0):
@@ -333,11 +316,9 @@ def kernel_bounds_check(cfg: KernelConfig, q: float) -> KernelBoundsReport:
     rule = _lam_rule(cfg, q)
     values = np.empty((len(calls), fracs.size))
     for radius, members in groups.items():
-        contract = _lam_table(cfg, rule, fracs * radius)
-        for k in members:
-            item, t, s = calls[k]
-            values[k] = (contract(_data_envelope, t) if item == "a0"
-                         else contract(_source_envelope, t, s))[0]
+        envelopes = [_data_envelope(cfg, t) if item == "a0" else _source_envelope(cfg, t, s)
+                     for item, t, s in (calls[k] for k in members)]
+        values[members] = np.concatenate(_lam_transform(cfg, rule, fracs * radius, *envelopes))
 
     a0 = b0 = b1 = math.inf
     b2 = 0.0

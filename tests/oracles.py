@@ -20,7 +20,8 @@ grouped sweep must match bit for bit; ``concavity_whole_grid`` and
 ``convexity_whole_grid`` are the pair checks of ``wavecrit.modulus`` with
 every grid pair in one array, and ``kernels_whole_array`` is
 ``wavecrit.kernels.data_and_source_kernels`` with its scaled table and
-source envelope each built as one array, and ``jensen_whole_draw`` is
+source envelope each built as one array and contracted over the package's
+blocks, and ``jensen_whole_draw`` is
 ``wavecrit.modulus.jensen_margin`` with every trial drawn and reduced in one
 array, which the blocked sweeps, fills and draws must match bit for bit;
 ``key_integral_quad`` and ``zone_value_quad`` are the key integral of
@@ -64,6 +65,7 @@ from wavecrit.modulus import (
     mu_power,
     threshold_product,
 )
+from wavecrit.reporting import row_blocks
 from wavecrit.solver import (
     CharacteristicGrid,
     FreeWave,
@@ -400,9 +402,10 @@ def _source_envelope_whole(cfg: KernelConfig, t: float, s, lam, m: float):
 def kernels_whole_array(cfg: KernelConfig, q: float, t: float, s, r):
     """``wavecrit.kernels.data_and_source_kernels(cfg, q, t, s, r)`` with the
     table w_i x_i^q phi(lam_i r) e^{-lam_i m}, m the largest radius, and the
-    source envelope each built as one whole array, contracted by the same
-    products; the quadrature rule and the scaled eigenfunction are the
-    package's."""
+    source envelope each built as one whole array, then contracted over the
+    lam blocks of ``row_blocks(N, len(r))`` and, within each, the package's
+    row blocks of the envelope, in order, as the package sums them; the
+    quadrature rule and the scaled eigenfunction are the package's."""
     lam, wq, first, power = _lam_rule(cfg, q)
     scale = np.power(cfg.lambda0, power)
     r_arr = np.abs(np.ravel(r))
@@ -410,9 +413,17 @@ def kernels_whole_array(cfg: KernelConfig, q: float, t: float, s, r):
     table = wq[:, None] * _scaled_eigenfunction(cfg.n, lam[:, None] * r_arr) * np.exp(
         lam[:, None] * (r_arr - m))
     data_row = 0.5 * (np.exp(-lam * (cfg.R - m)) + np.exp(-lam * (cfg.R + 2.0 * t - m)))
-    data = (np.atleast_2d(data_row) @ table + first) * scale
-    source = (np.atleast_2d(_source_envelope_whole(cfg, t, s, lam, m)) @ table + first) * scale
-    return data[0], source
+    source_rows = _source_envelope_whole(cfg, t, s, lam, m)
+
+    def contract(rows):
+        rows = np.atleast_2d(rows)
+        out = np.zeros((len(rows), r_arr.size))
+        for b in row_blocks(*table.shape):
+            for c in row_blocks(len(rows), max(table[b].shape)):
+                out[c] += np.ascontiguousarray(rows[c, b]) @ table[b]
+        return (out + first) * scale
+
+    return contract(data_row)[0], contract(source_rows)
 
 
 def _phi_mp(n: int, z):

@@ -16,11 +16,8 @@ from wavecrit.kernels import (
     _source_envelope,
     data_and_source_kernels,
     data_kernel,
-    eigenfunction_growth_ratio,
     free_wave_ball_integral,
     kernel_bounds_check,
-    laplace_eigenfunction,
-    log_laplace_eigenfunction,
     source_kernel,
     sphere_area,
 )
@@ -31,26 +28,32 @@ CFG = KernelConfig(n=3, lambda0=1.0, R=1.0, quad_points=4096)
 
 # ------------------------------------------------------------- eigenfunction
 
+def _phi_scaled(n, r):
+    """phi(r) e^{-r} at one radius, through the package's scaled form."""
+    return float(_scaled_eigenfunction(n, np.array([r]))[0])
+
+
 def test_eigenfunction_at_origin():
-    assert abs(laplace_eigenfunction(3, 0.0) - 4.0 * math.pi) < 1e-12
-    assert abs(laplace_eigenfunction(2, 0.0) - 2.0 * math.pi) < 1e-12
+    assert abs(_phi_scaled(3, 0.0) - 4.0 * math.pi) < 1e-12
+    assert abs(_phi_scaled(2, 0.0) - 2.0 * math.pi) < 1e-12
 
 
 def test_eigenfunction_three_dim_closed_form():
-    assert abs(laplace_eigenfunction(3, 1.0) - 4.0 * math.pi * math.sinh(1.0)) < 1e-12
+    # 4 pi sinh(1) e^{-1}
+    assert abs(_phi_scaled(3, 1.0) - 2.0 * math.pi * -math.expm1(-2.0)) < 1e-12
 
 
 def test_eigenfunction_against_quadrature_oracle():
-    # oracle: 1-d sphere reduction 2*pi * int_{-1}^{1} e^{r s} ds, adaptively
+    # oracle: 1-d sphere reduction 2*pi * int_{-1}^{1} e^{r (s - 1)} ds, adaptively
     r = 1.7
-    oracle = 2.0 * math.pi * integrate.quad(lambda s: math.exp(r * s), -1.0, 1.0)[0]
-    assert abs(laplace_eigenfunction(3, r) - oracle) < 1e-10 * oracle
+    oracle = 2.0 * math.pi * integrate.quad(lambda s: math.exp(r * (s - 1.0)), -1.0, 1.0)[0]
+    assert abs(_phi_scaled(3, r) - oracle) < 1e-10 * oracle
 
 
 def test_eigenfunction_two_dim_against_angle_integral():
     r = 2.5
-    oracle = integrate.quad(lambda th: math.exp(r * math.cos(th)), 0.0, 2.0 * math.pi)[0]
-    assert abs(laplace_eigenfunction(2, r) - oracle) < 1e-10 * oracle
+    oracle = integrate.quad(lambda th: math.exp(r * (math.cos(th) - 1.0)), 0.0, 2.0 * math.pi)[0]
+    assert abs(_phi_scaled(2, r) - oracle) < 1e-10 * oracle
 
 
 def test_i0e_is_scipy_bit_for_bit():
@@ -77,35 +80,28 @@ def test_eigenfunction_general_dimension(n, r):
     # oracle: the 1-d sphere reduction |S^{n-2}| int e^{r s} (1 - s^2)^{(n-3)/2} ds,
     # adaptively, with the algebraic endpoint weight and e^r taken out
     alpha = 0.5 * (n - 3)
-    oracle = sphere_area(n - 2) * math.exp(r) * integrate.quad(
+    oracle = sphere_area(n - 2) * integrate.quad(
         lambda s: math.exp(r * (s - 1.0)), -1.0, 1.0, weight="alg",
         wvar=(alpha, alpha), epsabs=0.0, epsrel=1e-13,
     )[0]
-    assert abs(laplace_eigenfunction(n, r) - oracle) <= 1e-12 * oracle
-    assert abs(log_laplace_eigenfunction(n, r) - math.log(oracle)) <= 1e-12 * max(
-        1.0, abs(math.log(oracle)))
+    assert abs(_phi_scaled(n, r) - oracle) <= 1e-12 * oracle
 
 
-def test_eigenfunction_monotone():
-    for n in (2, 3):
-        vals = laplace_eigenfunction(n, np.linspace(0.0, 50.0, 400))
-        assert np.all(np.diff(vals) > 0.0)
-
-
-def test_eigenfunction_rejects_negative_radius():
-    with pytest.raises(ValueError):
-        laplace_eigenfunction(3, -1.0)
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_eigenfunction_monotone(n):
+    # phi increases: its log, log(phi e^{-z}) + z, does, out past phi's overflow
+    z = np.linspace(0.0, 2000.0, 8001)
+    assert np.all(np.diff(np.log(_scaled_eigenfunction(n, z)) + z) > 0.0)
 
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_eigenfunction_general_dimension_elementwise(n):
     # the Bessel branch must broadcast over a lam x r table
     radii = np.array([[0.0, 0.5, 2.0], [3.0, 7.5, 40.0]])
-    for fn in (laplace_eigenfunction, log_laplace_eigenfunction):
-        got = fn(n, radii)
-        scalar = np.array([[fn(n, x) for x in row] for row in radii])
-        assert got.shape == radii.shape
-        assert np.max(np.abs(got - scalar) / np.abs(scalar)) <= 1e-14
+    got = _scaled_eigenfunction(n, radii)
+    scalar = np.array([[_phi_scaled(n, x) for x in row] for row in radii])
+    assert got.shape == radii.shape
+    assert np.max(np.abs(got - scalar) / np.abs(scalar)) <= 1e-14
 
 
 def test_data_kernel_general_dimension_memory(traced_peak):
@@ -123,9 +119,14 @@ def test_data_kernel_general_dimension_matches_scalar_calls():
     assert np.max(np.abs(got - scalar) / scalar) <= 1e-14
 
 
+def _growth_ratio(n, r):
+    """phi(r) r^{(n-1)/2} e^{-r}: the eigenfunction compensated by its growth law."""
+    return _phi_scaled(n, r) * r ** (0.5 * (n - 1))
+
+
 def test_growth_ratio_three_dim():
-    assert abs(eigenfunction_growth_ratio(3, 20.0) - 2.0 * math.pi) < 1e-8
-    big = eigenfunction_growth_ratio(3, 5000.0)  # far beyond naive overflow
+    assert abs(_growth_ratio(3, 20.0) - 2.0 * math.pi) < 1e-8
+    big = _growth_ratio(3, 5000.0)  # far beyond naive overflow
     assert abs(big - 2.0 * math.pi) < 1e-10
 
 
@@ -134,11 +135,11 @@ def test_growth_ratio_general_dimension_far_out(n):
     # phi_n(r) r^{(n-1)/2} e^{-r} -> (2 pi)^{(n-1)/2}, with a relative O(1/r)
     # correction of (n^2 - 4n + 3) / (8r), at most 6e-4 for n <= 7 at r = 5000
     limit = (2.0 * math.pi) ** (0.5 * (n - 1))
-    assert abs(eigenfunction_growth_ratio(n, 5000.0) / limit - 1.0) <= 1e-3
+    assert abs(_growth_ratio(n, 5000.0) / limit - 1.0) <= 1e-3
 
 
 def test_growth_ratio_two_dim_stabilizes():
-    vals = [eigenfunction_growth_ratio(2, r) for r in (10.0, 20.0, 40.0)]
+    vals = [_growth_ratio(2, r) for r in (10.0, 20.0, 40.0)]
     assert max(vals) / min(vals) < 1.05
 
 
@@ -156,8 +157,8 @@ def test_ball_integral_closed_form():
 
 
 def test_ball_integral_adaptive_oracle():
-    def integrand(z, t):
-        return 4.0 * math.pi * z * z * laplace_eigenfunction(3, z) * math.exp(-t)
+    def integrand(z, t):  # 4 pi z^2 phi(z) e^{-t}, phi(z) = 4 pi sinh(z) / z
+        return 16.0 * math.pi**2 * z * math.sinh(z) * math.exp(-t)
 
     for t in (0.5, 7.0):
         oracle = integrate.quad(integrand, 0.0, 1.0 + t, args=(t,), limit=200)[0]
@@ -188,7 +189,7 @@ def test_ball_integral_shrunk_lower_bound():
     # restricting the radial integral to [t, R+t] already carries the growth
     for t in (5.0, 40.0):
         zeta = np.linspace(t, 1.0 + t, 2001)
-        vals = 4.0 * math.pi * zeta**2 * laplace_eigenfunction(3, zeta) * math.exp(-t)
+        vals = 16.0 * math.pi**2 * zeta * np.sinh(zeta) * math.exp(-t)
         shrunk = np.trapezoid(vals, zeta)
         assert shrunk / (1.0 + t) > 1.0  # strictly positive fixed fraction
 
@@ -239,7 +240,7 @@ def test_source_kernel_diagonal_formula():
     # at s = t the time factor is identically 1
     t, r = 3.0, 0.8
     lam = CFG.lambda0 * (np.arange(CFG.quad_points + 1) / CFG.quad_points) ** 3
-    integrand = np.exp(-lam * (CFG.R + t)) * laplace_eigenfunction(3, lam * r) * lam**Q3
+    integrand = np.exp(-lam * (CFG.R + t - r)) * _scaled_eigenfunction(3, lam * r) * lam**Q3
     oracle = np.trapezoid(integrand[1:], lam[1:])
     got = source_kernel(CFG, Q3, t, t, r)
     assert abs(got - oracle) < 1e-6 * abs(got)
@@ -266,14 +267,14 @@ def test_source_envelope_against_mpmath():
     # with lam = z, t = 1, s = 0 and m = R the envelope is e^{-z} sinh(z)/z alone, which
     # a difference of exponentials loses to cancellation at small z (1.9e-13 at 1.01e-4)
     zs = np.array([0.0, 1e-300, 1e-8, 0.99e-4, 1.01e-4, 1e-3, 0.1, 1.0, 30.0])
-    got = _source_envelope(CFG, 1.0, 0.0, zs, CFG.R)[0]
+    got = _source_envelope(CFG, 1.0, 0.0)[1](zs, CFG.R, slice(None))[0]
     with mpmath.workdps(40):
         want = np.array([float(mpmath.exp(-z) * mpmath.sinh(z) / z) if z else 1.0
                          for z in map(mpmath.mpf, zs)])
     assert np.all(np.abs(got - want) <= 1e-15 * want)
     # at s = t the sinh factor is exactly 1
     lam = np.linspace(0.0, 2.0, 9)
-    assert np.array_equal(_source_envelope(CFG, 2.0, 2.0, lam, 0.5)[0],
+    assert np.array_equal(_source_envelope(CFG, 2.0, 2.0)[1](lam, 0.5, slice(None))[0],
                           np.exp(-lam * (CFG.R + 2.0 - 0.5)))
 
 
@@ -342,6 +343,27 @@ def test_kernel_bounds_equal_the_call_by_call_sweep(n, lambda0, quad_points):
     assert got.samples == ref.samples and len(got.samples) == 40 * 21 + 41
 
 
+def test_kernel_bounds_build_one_table_per_radius_set(monkeypatch):
+    # each distinct disc radius R + s fills its table once, however many of the sweep's
+    # evaluations it feeds (123 at s = 0), and the rule reads phi(0) once
+    import wavecrit.kernels as kernels
+
+    evaluated = []
+    original = kernels._scaled_eigenfunction
+
+    def counted(n, z):
+        evaluated.append(np.size(z))
+        return original(n, z)
+
+    monkeypatch.setattr(kernels, "_scaled_eigenfunction", counted)
+    cfg = KernelConfig(n=3, quad_points=64)
+    kernel_bounds_check(cfg, Q3)
+    radii = {cfg.R + s for t in np.linspace(0.0, 50.0, 41)
+             for s in (0.0, t, *(np.linspace(0.0, 0.95 * t, 21) if t > 0 else ()))}
+    assert len(radii) == 447
+    assert sum(evaluated) == len(radii) * cfg.quad_points * 9 + 1
+
+
 def test_paired_kernels_equal_the_two_kernel_calls():
     s, r = np.array([0.0, 0.7, 2.5]), np.linspace(0.0, 3.0, 7)
     data, source = data_and_source_kernels(CFG, Q3, 2.5, s, r)
@@ -349,9 +371,9 @@ def test_paired_kernels_equal_the_two_kernel_calls():
     assert source.tobytes() == source_kernel(CFG, Q3, 2.5, s, r).tobytes()
 
 
-# the (quad_points x len(r)) table and the (len(s) x quad_points) envelope are filled in
-# row_blocks: at FULL quad points 8 radii or 8 times fill one block exactly and 9 take
-# a second, FULL + 1 points take one table row over, and the last two take many blocks
+# the kernels walk lam in row_blocks(quad_points, len(r)): at FULL quad points 8 radii
+# fill one block exactly and 9 take a second, FULL + 1 points take one table row over,
+# and the last two take many blocks
 FULL = BLOCK_ELEMENTS // 8
 
 
@@ -366,6 +388,19 @@ def test_kernels_equal_the_whole_array_fills(n, quad_points, n_s, n_r):
     ref_data, ref_source = kernels_whole_array(cfg, q, t, s, r)
     assert data.tobytes() == ref_data.tobytes() and source.tobytes() == ref_source.tobytes()
     assert source_kernel(cfg, q, t, s, r).tobytes() == ref_source.tobytes()
+
+
+@pytest.mark.parametrize("quad_points, n_s, n_r", [
+    (2048, 161, 193), (64, 1025, 1025), (2048, 1000, 1)])
+@pytest.mark.parametrize("n", [2, 3])
+def test_kernels_hold_no_whole_table_or_envelope(traced_peak, n, quad_points, n_s, n_r):
+    # beyond the outputs only one block of table, of envelope rows and of product are
+    # held: 0.6-1.2 MB here (the whole table and envelope at 2048 points are 5.8 MB,
+    # the whole envelope of 1000 times 16 MB)
+    cfg, q, t = KernelConfig(n=n, quad_points=quad_points), kernel_exponent(n), 2.5
+    s, r = np.linspace(0.0, t, n_s), np.linspace(0.0, 3.0, n_r)
+    (data, source), peak = traced_peak(lambda: data_and_source_kernels(cfg, q, t, s, r))
+    assert peak < data.nbytes + source.nbytes + 1.75e6
 
 
 def test_only_a_kernel_value_past_the_float_range_is_refused():
