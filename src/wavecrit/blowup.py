@@ -1,8 +1,8 @@
 """Iteration apparatus for the blow-up side: slicing levels, exponent
 recursions with closed forms, the iteration ledger (one record: the
 exponent rows, the doubly-exponential amplitudes and their growth floor),
-the kernel-weighted integral identity residual and a divergence-onset
-predictor.
+the kernel-weighted integral identity residual, whose Duhamel history is
+walked in ``row_blocks`` of levels, and a divergence-onset predictor.
 
 All growth arithmetic lives in log space; the amplitude sequence grows like
 p**j in the exponent and would overflow floats within a handful of steps.
@@ -19,6 +19,7 @@ import numpy as np
 from .exponents import strauss_exponent
 from .kernels import KernelConfig, data_and_source_kernels
 from .modulus import ModulusSpec, mu_power, threshold_product
+from .reporting import row_blocks
 
 
 def slicing_level(j: int) -> float:
@@ -149,10 +150,13 @@ def integral_identity_residual(run, cfg: KernelConfig, q: float, t: float) -> fl
     data_term = float(np.trapezoid(u0v * cosh_row * meas, dx=h))
     vel_term = t * float(np.trapezoid(u1v * eta[0] * meas, dx=h))
 
-    # trapezoid in s over levels 0..i; the level-i term has (t - s) = 0
-    abs_u = np.abs(run.field[:i])
-    forcing = np.zeros_like(abs_u) if run.spec is None else mu_power(run.spec, p, abs_u)
-    inner = np.trapezoid(forcing * eta[:i] * meas, dx=h, axis=1)
+    # trapezoid in s over levels 0..i; the level-i term has (t - s) = 0.  Each level's
+    # radial trapezoid reduces its own row, so blocks of levels give the whole-array bits
+    inner = np.zeros(i)
+    if run.spec is not None:
+        for b in row_blocks(i, r.size):
+            forcing = mu_power(run.spec, p, np.abs(run.field[b]))
+            inner[b] = np.trapezoid(forcing * eta[b] * meas, dx=h, axis=1)
     w = np.full(i, h)
     w[:1] = 0.5 * h
     duhamel = float((w * (t - s[:i])) @ inner)

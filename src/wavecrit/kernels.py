@@ -18,10 +18,11 @@ lam_i = lam0 * (i/N)**3 so the endpoint is resolved even for fractional
 q in (-1, 0).  The rule's weights are those of x = lam / lam0, and the
 kernel is lam0^{q+1} times their sum.  For the largest radius m of a
 radius set, the table w_i x_i^q phi(lam_i r) e^{-lam_i m} is walked in
-the lam blocks of ``row_blocks(N, len(r))``: each block is built once and
-contracted with every decaying envelope times e^{lam m} on its own lam,
-in row blocks of the envelope, the products summed block by block, so no
-call holds the whole table or a whole envelope.  The blocks depend on
+the lam blocks of ``row_blocks(N, len(r))``: each block is built once, in
+place in the eigenfunction's output with one scratch array, and contracted
+with every decaying envelope times e^{lam m} on its own lam, in row blocks
+of the envelope, the products summed block by block, so no call holds the
+whole table or a whole envelope.  The blocks depend on
 the envelope's rows, N and len(r) alone, so one kernel call and a paired
 call agree bit for bit.  Where the kernels are used
 (r <= R + s) the shifted envelope is at most 1 and the table at most
@@ -109,9 +110,13 @@ def _scaled_eigenfunction(n: int, z):
     two-term series of z^{-nu} I_nu(z) below z = 1e-6."""
     if n == 3:
         safe = np.maximum(z, 1e-300)
-        return np.expm1(-2.0 * safe) / safe * (-2.0 * math.pi)
+        out = np.multiply(safe, -2.0)
+        np.expm1(out, out=out)
+        np.divide(out, safe, out=out)
+        return np.multiply(out, -2.0 * math.pi, out=out)
     if n == 2:
-        return 2.0 * math.pi * _i0e(z)
+        out = _i0e(z)
+        return np.multiply(out, 2.0 * math.pi, out=out)
     if n >= 4:
         from scipy import special
 
@@ -192,12 +197,16 @@ def _lam_transform(cfg: KernelConfig, rule, r, *envelopes):
     m = r_arr.max(initial=0.0)
     outs = [np.zeros((rows, r_arr.size)) for rows, _ in envelopes]
     for b in row_blocks(lam.size, r_arr.size):
-        z = lam[b, None] * r_arr
-        table = wq[b, None] * _scaled_eigenfunction(cfg.n, z) * np.exp(lam[b, None] * (r_arr - m))
+        scratch = lam[b, None] * r_arr
+        table = _scaled_eigenfunction(cfg.n, scratch)
+        table *= wq[b, None]
+        table *= np.exp(np.multiply(lam[b, None], r_arr - m, out=scratch), out=scratch)
+        del scratch  # the table block is contracted alone ...
         with np.errstate(over="ignore", invalid="ignore"):  # past the float range: refused below
             for (rows, envelope), out in zip(envelopes, outs):
                 for c in row_blocks(rows, max(table.shape)):
                     out[c] += envelope(lam[b], m, c) @ table
+        del table  # ... and released before the next one is built
     with np.errstate(over="ignore", invalid="ignore"):
         for out in outs:
             out += first
@@ -236,7 +245,12 @@ def _source_envelope(cfg: KernelConfig, t: float, s):
         # sinh(z)/z e^{-z} = expm1(-2z)/(-2z): at most 1, and exactly 1 at s = t, where z
         # is held at 1e-300
         z = np.maximum(lam * (t - s_col[c]), 1e-300)
-        return np.expm1(-2.0 * z) / (-2.0 * z) * np.exp(-lam * (cfg.R + s_col[c] - m))
+        decay = np.multiply(z, -2.0)  # -2z until the decay factor takes its place
+        ratio = np.expm1(decay, out=z)
+        ratio /= decay
+        np.multiply(-lam, cfg.R + s_col[c] - m, out=decay)
+        ratio *= np.exp(decay, out=decay)
+        return ratio
 
     return len(s_col), envelope
 

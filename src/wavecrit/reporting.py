@@ -2,9 +2,9 @@
 inequality, and the one block rule for the temporaries of a sweep too large
 to hold whole (the modulus pair checks and Jensen trials, the lam blocks of
 the kernels' table and envelopes and the row blocks of their products, the
-weighted maxima of a marched field, a march's blocks of levels and its free
-band): a block stays in the heap a fresh process reuses, not in memory
-mapped and trimmed anew."""
+identity residual's blocks of history levels, the weighted maxima of a
+marched field, a march's blocks of levels and its free band): a block stays
+in the heap a fresh process reuses, not in memory mapped and trimmed anew."""
 
 from __future__ import annotations
 

@@ -11,7 +11,10 @@ from wavecrit.exponents import kernel_exponent
 from wavecrit.reporting import BLOCK_ELEMENTS
 from wavecrit.kernels import (
     KernelConfig,
+    _data_envelope,
     _i0e,
+    _lam_rule,
+    _lam_transform,
     _scaled_eigenfunction,
     _source_envelope,
     data_and_source_kernels,
@@ -390,17 +393,33 @@ def test_kernels_equal_the_whole_array_fills(n, quad_points, n_s, n_r):
     assert source_kernel(cfg, q, t, s, r).tobytes() == ref_source.tobytes()
 
 
-@pytest.mark.parametrize("quad_points, n_s, n_r", [
-    (2048, 161, 193), (64, 1025, 1025), (2048, 1000, 1)])
+@pytest.mark.parametrize("quad_points, n_s, n_r, held", [
+    (2048, 161, 193, 1.25e6), (64, 1025, 1025, 1.75e6), (2048, 1000, 1, 0.65e6)])
 @pytest.mark.parametrize("n", [2, 3])
-def test_kernels_hold_no_whole_table_or_envelope(traced_peak, n, quad_points, n_s, n_r):
-    # beyond the outputs only one block of table, of envelope rows and of product are
-    # held: 0.6-1.2 MB here (the whole table and envelope at 2048 points are 5.8 MB,
-    # the whole envelope of 1000 times 16 MB)
+def test_kernels_hold_no_whole_table_or_envelope(traced_peak, n, quad_points, n_s, n_r, held):
+    # beyond the outputs one block of table and of product and two of envelope rows are
+    # held, and i0e's Clenshaw buffers for n = 2: 0.42-0.81 MB (the whole table and
+    # envelope at 2048 points are 5.8 MB, the whole envelope of 1000 times 16 MB); at
+    # 1025 x 1025 the output's finiteness mask, 1.05 MB, sets the peak
     cfg, q, t = KernelConfig(n=n, quad_points=quad_points), kernel_exponent(n), 2.5
     s, r = np.linspace(0.0, t, n_s), np.linspace(0.0, 3.0, n_r)
     (data, source), peak = traced_peak(lambda: data_and_source_kernels(cfg, q, t, s, r))
-    assert peak < data.nbytes + source.nbytes + 1.75e6
+    assert peak < data.nbytes + source.nbytes + held
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_kernels_leave_their_arguments_unchanged(n):
+    # the table and envelope blocks are filled in place, in buffers of their own
+    cfg, q, t = KernelConfig(n=n, quad_points=64), kernel_exponent(n), 2.5
+    z, s, r = np.linspace(0.0, 20.0, 41), np.linspace(0.0, t, 5), np.linspace(0.0, 3.0, 7)
+    rule = _lam_rule(cfg, q)
+    arguments = (z, s, r, *rule[:2])
+    before = [a.copy() for a in arguments]
+    _scaled_eigenfunction(n, z)
+    for envelope in (_data_envelope(cfg, t), _source_envelope(cfg, t, s)):
+        envelope[1](rule[0], 3.0, slice(None))
+    _lam_transform(cfg, rule, r, _data_envelope(cfg, t), _source_envelope(cfg, t, s))
+    assert all(np.array_equal(a, b) for a, b in zip(arguments, before))
 
 
 def test_only_a_kernel_value_past_the_float_range_is_refused():
