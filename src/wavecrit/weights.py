@@ -9,7 +9,7 @@ import numpy as np
 
 from .exponents import strauss_exponent, weight_exponent
 from .modulus import ModulusSpec, mu_eval, threshold_product
-from .reporting import WeightReport, row_blocks
+from .reporting import WeightReport
 from .solver import DEFAULT_CAP, CharacteristicGrid, FreeWave, cone_edge, march
 
 _DECAY_STEP = 0.5  # time between the levels ``linear_decay_check`` samples
@@ -46,36 +46,21 @@ def _cone_weight(t, r):
 def _block_maxima(grid, data, i0: int, rows: np.ndarray) -> np.ndarray:
     """The cone-weighted max of |u| on each of the levels i0, i0 + 1, ...
     held in ``rows``, cut at the cone edge of the last one (u is 0 past
-    it): the one block reduction of a stored field and of a level stream."""
+    it): the one block reduction of a march's levels."""
     i1 = i0 + len(rows)
     n = cone_edge(grid, data, i1 - 1) + 1
     t, r = grid.h * np.arange(i0, i1), grid.h * np.arange(n)
     return (_cone_weight(t[:, None], r[None, :]) * np.abs(rows[:, :n])).max(axis=1)
 
 
-def _level_maxima(run) -> np.ndarray:
-    """The cone-weighted max of |u| on each stored level of ``run``, reduced
-    over ``row_blocks`` of levels: temporaries scale with the block."""
-    if run.field.size == 0:
-        raise ValueError("run stores no levels")
-    return np.concatenate([_block_maxima(run.grid, run.data, b.start, run.field[b])
-                           for b in row_blocks(*run.field.shape)])
-
-
 def march_level_maxima(data, spec, grid, cap: float = DEFAULT_CAP):
     """``march`` as a level stream reduced to the cone-weighted max of |u|
     on each level: the run, which stores no field, and the maxima of its
-    levels, bit for bit those of the stored march's ``_level_maxima``
-    (the march's blocks of levels are those of its field)."""
+    levels, the lab's one reduction of a march to weighted maxima."""
     blocks = []
     run = march(data, spec, grid, cap,
                 reduce=lambda i0, rows: blocks.append(_block_maxima(grid, data, i0, rows)))
     return run, np.concatenate(blocks)
-
-
-def weighted_sup_norm(run) -> float:
-    """Sup of the cone-weighted field, reduced block by block inside the light cone."""
-    return float(np.max(_level_maxima(run)))
 
 
 def _decay_report(times, level_max, denom: float, region: str) -> WeightReport:
@@ -285,20 +270,16 @@ def zone_bound_check(spec: ModulusSpec, eps0: float, region_samples) -> WeightRe
     )
 
 
-def decay_profile_check(run, norms=None, maxima=None) -> WeightReport:
+def decay_profile_check(run, norms, maxima) -> WeightReport:
     """Pointwise-decay verification on a completed run.
 
-    Applies the decay rule of ``_decay_report`` to the level maxima that
-    ``weighted_sup_norm`` reduces too, so the final constant times the data
-    norms is the weighted sup norm, the largest entry of the ``weighted_max``
-    column.  ``maxima`` are those a level stream reduced
-    (``march_level_maxima``, whose run stores no field); by default they
-    are reduced from the run's stored field.  ``norms`` is
-    ``data_norms(run.data)`` when the caller already has it (each
-    evaluation samples three profiles).
+    Applies the decay rule of ``_decay_report`` to ``maxima``, the level
+    maxima of the run that ``march_level_maxima`` reduced, over the data
+    norms ``norms = data_norms(run.data)``: the final constant times their
+    sum is the weighted sup norm, the largest entry of the ``weighted_max``
+    column.
     """
     if run.status == "blew_up":
         raise ValueError("decay profile is undefined for a run that blew up")
     t = run.times
-    return _decay_report(t, _level_maxima(run) if maxima is None else maxima,
-                         sum(norms or data_norms(run.data)), f"t in [0, {t[-1]:g}], {len(t)} levels")
+    return _decay_report(t, maxima, sum(norms), f"t in [0, {t[-1]:g}], {len(t)} levels")

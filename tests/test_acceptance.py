@@ -43,9 +43,10 @@ from wavecrit.solver import (
     velocity_bump,
 )
 from wavecrit.weights import (
+    data_norms,
     decay_profile_check,
     key_integral,
-    weighted_sup_norm,
+    march_level_maxima,
     zone_bound_check,
 )
 from wavecrit.modulus import mu_eval
@@ -217,11 +218,12 @@ def test_criterion_08_blowup_side():
 def test_criterion_09_global_side():
     spec = make_spec(PowerLaw(1.0))
     grid = CharacteristicGrid.cover(0.0625, 100.0, 1.0)
-    run = march(default_bump(0.01), spec, grid)
+    data = default_bump(0.01)
+    run, maxima = march_level_maxima(data, spec, grid)  # a stream, as verify-global marches
     assert run.status == "completed"
-    norm = weighted_sup_norm(run)
+    norm = float(maxima.max())
     assert math.isfinite(norm) and norm > 0.0
-    profile = decay_profile_check(run)
+    profile = decay_profile_check(run, data_norms(data), maxima)
     assert profile.passed
     report(9, f"horizon-100 run completed; weighted sup norm {norm:.4g}; "
               f"decay constant {profile.fitted_constant:.4g} stable over the outer half")

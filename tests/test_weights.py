@@ -28,8 +28,8 @@ from wavecrit.solver import (
     velocity_bump,
 )
 from wavecrit.weights import (
+    _block_maxima,
     _cone_weight,
-    _level_maxima,
     bracket,
     classify_zone,
     data_norms,
@@ -38,7 +38,6 @@ from wavecrit.weights import (
     linear_decay_check,
     log_weight,
     march_level_maxima,
-    weighted_sup_norm,
     zone_bound_check,
 )
 
@@ -95,14 +94,15 @@ def test_triangle_bracket_inequality():
 
 # ----------------------------------------------------------------- sup norm
 
-def _run_with_field(field, h=0.1):
+def _field_maxima(field, h=0.1):
+    """The cone-weighted maxima of a synthetic field of levels 0, 1, ...,
+    reduced as one block (the cone of its data covers every node)."""
     grid = CharacteristicGrid(h=h, t_levels=field.shape[0] - 1, r_nodes=field.shape[1])
-    return SolutionRun(grid=grid, data=default_bump(0.0), spec=None,
-                       field=field, status="completed")
+    return _block_maxima(grid, default_bump(0.0), 0, field)
 
 
 def test_sup_norm_zero_run():
-    assert weighted_sup_norm(_run_with_field(np.zeros((5, 8)))) == 0.0
+    assert _field_maxima(np.zeros((5, 8))).tolist() == [0.0] * 5
 
 
 def test_sup_norm_single_point():
@@ -111,16 +111,14 @@ def test_sup_norm_single_point():
     field[0, 0] = delta
     kappa = 1.0 + 1.0 / P3
     expected = log_weight(3.0) * 3.0 * 3.0 ** (kappa - 1.0) * delta
-    assert abs(weighted_sup_norm(_run_with_field(field)) - expected) < 1e-14
+    assert abs(_field_maxima(field).max() - expected) < 1e-14
 
 
 def test_sup_norm_monotone_under_domination():
     rng = np.random.default_rng(5)
     small = rng.uniform(-1.0, 1.0, (6, 9))
     large = small * rng.uniform(1.0, 2.0, small.shape)
-    assert weighted_sup_norm(_run_with_field(np.abs(small))) <= weighted_sup_norm(
-        _run_with_field(np.abs(large))
-    )
+    assert np.all(_field_maxima(np.abs(small)) <= _field_maxima(np.abs(large)))
 
 
 # --------------------------------------------------------------- data norms
@@ -387,37 +385,37 @@ def test_zone_bound_rejects_axis_sample():
 
 # ------------------------------------------------------------- decay profile
 
+def _decay_profile(data, spec, grid, **kw):
+    """``decay_profile_check`` of the level stream of ``data``, as ``verify-global`` runs it."""
+    run, maxima = march_level_maxima(data, spec, grid, **kw)
+    return decay_profile_check(run, data_norms(data), maxima)
+
+
 def test_decay_profile_zero_run():
     zero = RadialData(u0=np.zeros_like, u1=np.zeros_like, support_radius=1.0,
                       u0_prime=np.zeros_like)
-    run = march(zero, make_spec(PowerLaw(1.0)), CharacteristicGrid.cover(0.0625, 5.0, 1.0))
-    report = decay_profile_check(run)
+    report = _decay_profile(zero, make_spec(PowerLaw(1.0)), CharacteristicGrid.cover(0.0625, 5.0, 1.0))
     assert report.passed and report.fitted_constant == 0.0
 
 
 def test_decay_profile_small_data_run():
     run = march(default_bump(0.01), make_spec(PowerLaw(1.0)),
                 CharacteristicGrid.cover(0.0625, 20.0, 1.0))
-    report = decay_profile_check(run)
-    assert report.passed
-    # definitional identity with the weighted sup norm
     a, b = data_norms(run.data)
-    assert abs(report.fitted_constant * (a + b) - weighted_sup_norm(run)) < 1e-9
-    # norms handed in by the caller give the same report
-    assert decay_profile_check(run, (a, b)) == report
-    # and so do the maxima of a level stream, whose run stores no level to reduce
     streamed, maxima = march_level_maxima(run.data, run.spec, run.grid)
-    assert decay_profile_check(streamed, (a, b), maxima) == report
-    with pytest.raises(ValueError, match="run stores no levels"):
+    report = decay_profile_check(streamed, (a, b), maxima)
+    assert report.passed
+    # definitional identity with the weighted sup norm of the stored field
+    assert abs(report.fitted_constant * (a + b) - _full_field_maxima(run).max()) < 1e-9
+    # the norms and the maxima are the caller's: the check reduces no field
+    with pytest.raises(TypeError):
         decay_profile_check(streamed)
 
 
 def test_decay_profile_rejects_blown_up_run():
     spec = make_spec(LogPower(0.2, 10.0))
-    run = march(default_bump(5.0), spec, CharacteristicGrid.cover(0.02, 10.0, 1.0), cap=1e6)
-    assert run.status == "blew_up"
-    with pytest.raises(ValueError):
-        decay_profile_check(run)
+    with pytest.raises(ValueError, match="a run that blew up"):
+        _decay_profile(default_bump(5.0), spec, CharacteristicGrid.cover(0.02, 10.0, 1.0), cap=1e6)
 
 
 # the per-level maxima are reduced in blocks cut at the light cone; they
@@ -426,17 +424,25 @@ def _full_field_maxima(run):
     return (_cone_weight(run.times[:, None], run.radii[None, :]) * np.abs(run.field)).max(axis=1)
 
 
+def _blocked_maxima(run):
+    """``_block_maxima`` over the blocks of levels a level stream hands its reduction."""
+    return np.concatenate([_block_maxima(run.grid, run.data, b.start, run.field[b])
+                           for b in row_blocks(*run.field.shape)])
+
+
 @pytest.mark.parametrize("data, h, horizon", [
     (default_bump(0.3), 0.05, 7.0),  # three blocks, the last one partial
     (default_bump(0.01), 1 / 16, 12.5),
     (velocity_bump(0.5), 1 / 24, 4.0),
 ], ids=["h0.05", "h1_16", "velocity-h1_24"])
 def test_level_maxima_equal_the_full_field_formula(data, h, horizon):
-    run = march(data, make_spec(PowerLaw(1.0)), CharacteristicGrid.cover(h, horizon, 1.0))
-    assert run.status == "completed"
-    full = _full_field_maxima(run)
-    assert [m for _, m in decay_profile_check(run).samples] == full.tolist()
-    assert weighted_sup_norm(run) == full.max()
+    spec, grid = make_spec(PowerLaw(1.0)), CharacteristicGrid.cover(h, horizon, 1.0)
+    stored = march(data, spec, grid)
+    assert stored.status == "completed"
+    full = _full_field_maxima(stored)
+    run, maxima = march_level_maxima(data, spec, grid)
+    assert maxima.tolist() == full.tolist()
+    assert [m for _, m in decay_profile_check(run, data_norms(data), maxima).samples] == full.tolist()
 
 
 def _edge_run(grid, levels):
@@ -454,9 +460,7 @@ def _edge_run(grid, levels):
 def test_level_maxima_read_up_to_the_cone_edge():
     grid = CharacteristicGrid.cover(0.05, 7.5, 1.0)
     run = _edge_run(grid, grid.t_levels + 1)
-    full = _full_field_maxima(run)
-    assert [m for _, m in decay_profile_check(run).samples] == full.tolist()
-    assert weighted_sup_norm(run) == full.max()
+    assert _blocked_maxima(run).tolist() == _full_field_maxima(run).tolist()
 
 
 # one row, one full block of levels, one row over it and many blocks
@@ -465,31 +469,36 @@ def test_level_maxima_read_up_to_the_cone_edge():
 def test_level_maxima_equal_the_full_field_formula_across_block_edges(full_blocks, rows):
     grid = CharacteristicGrid.cover(0.05, 20.0, 1.0)
     run = _edge_run(grid, full_blocks * (BLOCK_ELEMENTS // grid.r_nodes) + rows)
-    assert _level_maxima(run).tolist() == _full_field_maxima(run).tolist()
+    assert _blocked_maxima(run).tolist() == _full_field_maxima(run).tolist()
 
 
 @pytest.mark.parametrize("cap", [1e6, math.inf])  # inf: the last level holds nan
 def test_sup_norm_of_a_blown_up_run_equals_the_full_field_formula(cap):
-    run = march(default_bump(1.75), make_spec(LogPower(0.2, 10.0)),
-                CharacteristicGrid.cover(0.02, 10.0, 1.0), cap=cap)
-    assert run.status == "blew_up" and len(list(row_blocks(*run.field.shape))) > 2
-    assert np.array_equal([weighted_sup_norm(run)], [_full_field_maxima(run).max()],
-                          equal_nan=True)
+    args = (default_bump(1.75), make_spec(LogPower(0.2, 10.0)),
+            CharacteristicGrid.cover(0.02, 10.0, 1.0), cap)
+    stored = march(*args)
+    assert stored.status == "blew_up" and len(list(row_blocks(*stored.field.shape))) > 2
+    run, maxima = march_level_maxima(*args)
+    assert run.status == "blew_up"
+    assert np.array_equal(maxima, _full_field_maxima(stored), equal_nan=True)
 
 
 def test_decay_reduction_allocates_by_block(traced_peak):
-    # temporaries scale with a block of levels, not with the stored field: 0.03 of it here
-    run = march(default_bump(0.01), make_spec(PowerLaw(1.0)),
-                CharacteristicGrid.cover(1 / 16, 100.0, 1.0))
-    norms = data_norms(run.data)
-    assert traced_peak(lambda: decay_profile_check(run, norms))[1] <= 0.05 * run.field.nbytes
+    # temporaries scale with a block of levels, not with the field: the stream and
+    # its reduction peak at 0.98 MB here, where a stored field takes 20.7 MB
+    grid = CharacteristicGrid.cover(1 / 16, 100.0, 1.0)
+    (run, maxima), peak = traced_peak(
+        lambda: march_level_maxima(default_bump(0.01), make_spec(PowerLaw(1.0)), grid))
+    assert run.status == "completed" and len(maxima) == grid.t_levels + 1
+    assert peak <= 0.06 * 8 * (grid.t_levels + 1) * grid.r_nodes
 
 
 def test_decay_profile_check_peak(traced_peak):
-    # the check peaks at 0.65 MB here
-    run = march(default_bump(0.01), make_spec(PowerLaw(1.0)),
-                CharacteristicGrid.cover(1 / 16, 50.0, 1.0))
-    assert traced_peak(lambda: decay_profile_check(run))[1] < 1.0e6
+    # the check, data norms included, peaks at 0.26 MB here
+    data = default_bump(0.01)
+    run, maxima = march_level_maxima(data, make_spec(PowerLaw(1.0)),
+                                     CharacteristicGrid.cover(1 / 16, 50.0, 1.0))
+    assert traced_peak(lambda: decay_profile_check(run, data_norms(data), maxima))[1] < 1.0e6
 
 
 # differential: the level stream against the stored march, for the linear mode
@@ -547,11 +556,11 @@ def test_level_stream_equals_the_stored_march(data):
     assert np.concatenate(streamed).tobytes() == stored.field.tobytes()
     run, maxima = march_level_maxima(datum, spec, grid, cap)
     assert (run.status, run.t_detect) == (stored.status, stored.t_detect)
-    assert maxima.tobytes() == _level_maxima(stored).tobytes()
+    assert np.array_equal(maxima, _full_field_maxima(stored), equal_nan=True)
 
 
 def test_level_stream_stores_no_field(traced_peak):
-    # the stored march and its reduction peak at 5.9 MB here, the stream at 0.91 MB
+    # the stored march peaks at 5.4 MB here, the stream and its reduction at 0.89 MB
     grid = CharacteristicGrid.cover(1 / 16, 50.0, 1.0)
     (run, maxima), peak = traced_peak(
         lambda: march_level_maxima(default_bump(0.01), make_spec(PowerLaw(1.0)), grid))
