@@ -19,16 +19,14 @@ def strauss_residual(n: int, p: float) -> float:
 
 
 def strauss_exponent(n: int) -> float:
-    """Positive root of (n-1)p^2 - (n+1)p - 2 = 0 for n >= 2, by the
-    cancellation-free quadratic branch."""
+    """Positive root of (n-1)p^2 - (n+1)p - 2 = 0 for n >= 2,
+    (n + 1 + sqrt((n + 1)^2 + 8(n - 1))) / (2(n - 1)): both terms of the
+    numerator are positive, so nothing cancels."""
     if n < 2:
         raise ValueError(f"the Strauss exponent needs n >= 2, got n={n} "
                          f"(p(1) is +infinity by convention)")
-    a, b, c = n - 1.0, -(n + 1.0), -2.0
-    disc = math.sqrt(b * b - 4.0 * a * c)
-    # q-form of the quadratic formula; the subtraction below never cancels.
-    qq = -0.5 * (b - math.copysign(disc, b))
-    return max(qq / a, c / qq)
+    a, b = n - 1.0, n + 1.0
+    return (b + math.sqrt(b * b + 8.0 * a)) / (2.0 * a)
 
 
 def holder_conjugate(p: float) -> float:

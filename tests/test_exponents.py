@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
@@ -26,6 +27,21 @@ def bisect_root(n, lo=1.0, hi=10.0, iters=200):
 
 def test_three_dimensional_root():
     assert abs(strauss_exponent(3) - (1.0 + math.sqrt(2.0))) < 1e-12
+    assert strauss_exponent(3) == 2.414213562373095  # 1 + sqrt(2) correctly rounded
+
+
+def _strauss_mp(n):
+    with mpmath.workdps(60):
+        n = mpmath.mpf(n)
+        return (n + 1 + mpmath.sqrt((n + 1) ** 2 + 8 * (n - 1))) / (2 * (n - 1))
+
+
+# every n of the first dimensions, and large n, where p(n) = 1 + 2/n + ... and a
+# root formed as a difference of two numbers near n + 1 cancels to 1.0 by n = 1e12
+@pytest.mark.parametrize("n", [*range(2, 65), *(10**k for k in range(2, 16))])
+def test_root_agrees_with_mpmath(n):
+    exact = _strauss_mp(n)
+    assert abs(mpmath.mpf(strauss_exponent(n)) - exact) <= 1.5 * math.ulp(float(exact))
 
 
 def test_two_dimensional_root_closed_form_and_bisection():
