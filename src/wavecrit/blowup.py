@@ -174,7 +174,8 @@ def divergence_onset(n: int, spec: ModulusSpec, t_max: float,
     exceeds 1 up to t_max (the global-existence-side prediction), which
     must be positive and finite.  A t_max below t_lo, the first time whose
     tau(t) lies in the near-zero regime (tau <= min(tau0, 1/e)), predicts
-    nothing and is refused, naming both.
+    nothing and is refused, naming both; so is a t_max whose tau(t_max)
+    underflows to 0 (past about t = 1e227 / c6 at n = 3).
     """
     if not (0.0 < c6 < math.inf and 0.0 < c7 < math.inf):  # refuses nan too
         raise ValueError(f"onset constants must be positive and finite, got c6={c6}, c7={c7}")
@@ -188,6 +189,10 @@ def divergence_onset(n: int, spec: ModulusSpec, t_max: float,
     if t_lo > t_max:
         raise ValueError(f"t_max={t_max:g} never reaches the near-zero regime, "
                          f"which starts at t_lo={t_lo:.6g}")
+    if (c6 * t_max) ** (-alpha) == 0.0:
+        t_hi = math.ulp(0.0) ** (-1.0 / alpha) / c6
+        raise ValueError(f"t_max={t_max:g} is past t={t_hi:.6g}, where tau(t) = (c6 t)^(-{alpha:.6g}) "
+                         f"underflows to 0")
 
     def base(t: float) -> float:
         tau = (c6 * t) ** (-alpha)

@@ -127,19 +127,16 @@ def _svg_polyline(points, title: str) -> str:
     if not pts:
         return f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}"/>\n'
     xs, ys = zip(*pts)
-    x0, x1 = min(xs), max(xs) or 1.0
-    y0, y1 = min(ys), max(ys)
-    if x1 == x0:
-        x1 = x0 + 1.0
-    if y1 == y0:
-        y1 = y0 + 1.0
+    x0, y0 = min(xs), min(ys)
+    # a span of 0 (every point equal) maps to the first pixel; x0 + 1.0 == x0 past 2**53
+    dx, dy = (max(xs) - x0) or 1.0, (max(ys) - y0) or 1.0
     pad = 40
 
     def sx(x):
-        return pad + (x - x0) / (x1 - x0) * (width - 2 * pad)
+        return pad + (x - x0) / dx * (width - 2 * pad)
 
     def sy(y):
-        return height - pad - (y - y0) / (y1 - y0) * (height - 2 * pad)
+        return height - pad - (y - y0) / dy * (height - 2 * pad)
 
     poly = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pts)
     return (

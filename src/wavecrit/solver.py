@@ -184,6 +184,9 @@ class CharacteristicGrid:
         for name, value in (("h", h), ("horizon", horizon)):
             if not 0.0 < value < math.inf:  # refuses nan too
                 raise ValueError(f"{name} must be positive and finite, got {name}={value}")
+        if horizon / h == math.inf:
+            raise ValueError(f"horizon={horizon:g} / h={h:g} overflows: a grid needs "
+                             f"a finite number of levels")
         t_levels = int(round(horizon / h))
         if t_levels < 1:
             raise ValueError(f"horizon={horizon:g} rounds to no level at h={h:g}: "

@@ -280,6 +280,18 @@ def test_onset_refuses_a_t_max_before_the_near_zero_regime():
         divergence_onset(3, make_spec(IteratedLogBlowup(2.0)), 1e6)
 
 
+def test_onset_refuses_a_t_max_whose_tau_underflows():
+    # tau(t) = (c6 t)^(-alpha) is a subnormal at t = 1e227 and 0 past t = 1.016e227;
+    # a smaller c6 moves that edge out by 1/c6
+    spec = make_spec(PowerLaw(1.0))
+    assert divergence_onset(3, spec, 1e227) is None
+    with pytest.raises(ValueError, match=r"^t_max=1e\+250 is past t=1\.01587e\+227, where tau"):
+        divergence_onset(3, spec, 1e250)
+    with pytest.raises(ValueError, match=r"^t_max=1e\+300 is past t=1\.01587e\+229"):
+        divergence_onset(3, spec, 1e300, c6=0.01)
+    assert divergence_onset(3, spec, 1e250, c6=1e-30) is None
+
+
 def test_onset_none_for_tiny_calibration():
     spec = make_spec(LogPower(1.0 / P3, 5.0))
     assert divergence_onset(3, spec, 1e6, c7=1e-12) is None

@@ -424,6 +424,34 @@ def test_onset_before_the_near_zero_regime_exits_one(capsys, tmp_path):
     assert not any(tmp_path.iterdir())
 
 
+def test_onset_past_the_underflow_of_tau_exits_one(capsys, tmp_path):
+    # was "threshold product needs 0 < tau < 1" from inside the scan
+    code = main(["onset", "--family", "powerlaw", "--tmax", "1e250", "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error: t_max=1e+250 is past t=1.01587e+227" in err and "usage:" not in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_solve_of_levels_that_overflow_exits_one(capsys, tmp_path):
+    # was "cannot convert float infinity to integer"
+    code = main(["solve", "--family", "powerlaw", "--eps", "0.01", "--h", "1e-300",
+                 "--horizon", "1e300", "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error: horizon=1e+300 / h=1e-300 overflows" in err and "usage:" not in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_lifespan_plot_of_one_huge_amplitude(tmp_path):
+    # every x equal and past 2**53, where x0 + 1.0 == x0: was a division by zero
+    # after the march had finished; the one point sits at the plot's first pixel
+    assert run_cli(["lifespan", "--family", "powerlaw", "--eps-list", "1e300", "--h", "0.05",
+                    "--horizon", "2", "--quiet"], tmp_path) == 0
+    svg = (latest(tmp_path, "lifespan") / "lifespan.svg").read_text()
+    assert '<polyline points="40.00,360.00"' in svg
+
+
 def test_determinism_byte_identical_csv(tmp_path):
     run_cli(["sequences", "--n", "2", "--J", "20", "--quiet"], tmp_path)
     run_cli(["sequences", "--n", "2", "--J", "20", "--quiet"], tmp_path)

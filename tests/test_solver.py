@@ -443,6 +443,12 @@ def test_grid_cover_refuses_a_horizon_of_no_level(horizon):
     assert CharacteristicGrid.cover(0.05, 0.0251, 1.0).t_levels == 1
 
 
+def test_grid_cover_refuses_levels_that_overflow():
+    # horizon / h = inf was "cannot convert float infinity to integer"
+    with pytest.raises(ValueError, match=r"^horizon=1e\+300 / h=1e-300 overflows"):
+        CharacteristicGrid.cover(1e-300, 1e300, 1.0)
+
+
 def test_grid_beyond_memory_rejected_before_allocation():
     grid = CharacteristicGrid.cover(1e-6, 1e6, 1.0)
     with pytest.raises(ValueError, match="bytes"):
