@@ -53,7 +53,6 @@ from .weights import (
     data_norms,
     decay_profile_check,
     key_integral,
-    march_level_maxima,
     zone_bound_check,
 )
 
@@ -289,7 +288,7 @@ def _cmd_lemmas(args, spec):
     else:
         args.lambda0 = getattr(args, "lambda0", 1.0)  # the default enters the manifest too
         cfg = KernelConfig(n=args.n, lambda0=args.lambda0, R=1.0, quad_points=1024)
-        report = kernel_bounds_check(cfg, kernel_exponent(args.n))
+        report = kernel_bounds_check(cfg)
         payload = {"which": "kernel-bounds", "n": args.n, "a0": report.a0,
                    "b0": report.b0, "b1": report.b1, "b2": report.b2,
                    "region": report.region, "pass": bool(report.passed)}
@@ -351,25 +350,19 @@ def _cmd_verify_global(args, spec):
     verdict = classify_strauss_threshold(spec, 3)
     data = default_bump(args.eps)
     grid = CharacteristicGrid.cover(args.h, args.horizon, data.support_radius)
-    norms = data_norms(data)
     failures = []
-    zones = None
+    zones = profile = norm = None
     if verdict.threshold_class != "zero":
         failures.append(f"threshold class is {verdict.threshold_class}, not zero")
-        profile = None
-        norm = None
     else:
         zones = zone_bound_check(spec, args.eps0,
                                  [(100.0, 10.0), (0.5, 0.9), (150.0, 100.0)])
         if not zones.passed:
             failures.append("zone bound check failed")
-        run, maxima = march_level_maxima(data, spec, grid, cap=args.cap)
-        if run.status != "completed":
+        run, profile = decay_profile_check(data, spec, grid, cap=args.cap)
+        if profile is None:
             failures.append(f"run status {run.status}")
-            profile = None
-            norm = None
         else:
-            profile = decay_profile_check(run, norms, maxima)
             norm = max(level for _, level in profile.samples)
             if not profile.passed:
                 failures.append("decay profile grew over the outer half")
@@ -379,7 +372,7 @@ def _cmd_verify_global(args, spec):
         "family": args.family,
         "threshold_class": verdict.threshold_class,
         "weighted_sup_norm": norm,
-        "data_norms": list(norms),
+        "data_norms": list(data_norms(data)),
         "decay_constant": profile.fitted_constant if profile else None,
         "zone_sups": zones.region if zones else None,
         "pass": not failures,

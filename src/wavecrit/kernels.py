@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .exponents import kernel_exponent
 from .reporting import row_blocks
 from .weights import bracket
 
@@ -303,8 +304,9 @@ class KernelBoundsReport:
     samples: list = field(default_factory=list)
 
 
-def kernel_bounds_check(cfg: KernelConfig, q: float) -> KernelBoundsReport:
-    """Sweep the three kernel estimates and fit their constants.
+def kernel_bounds_check(cfg: KernelConfig) -> KernelBoundsReport:
+    """Sweep the three kernel estimates at q = ``kernel_exponent(n)`` and fit
+    their constants.
 
     (i)   data kernel >= a0 on |r| <= R, and the source kernel at s=0
           >= b0 / <t>;
@@ -318,8 +320,7 @@ def kernel_bounds_check(cfg: KernelConfig, q: float) -> KernelBoundsReport:
     Pass means every fitted constant is positive and finite.
     """
     n = cfg.n
-    if q <= max(-1.0, (n - 3) / 2.0):
-        raise ValueError("bounds need q > max(-1, (n-3)/2)")
+    q = kernel_exponent(n)
     fracs = np.linspace(0.0, 1.0, 9)  # of each disc's radius R + s
     calls, groups = [], {}  # (item, t, s) in sweep order; disc radius R + s -> its calls
     for t in np.linspace(0.0, 50.0, 41):

@@ -60,7 +60,7 @@ A march writes its levels by the blocks of ``reporting.row_blocks(t_levels
 + 1, r_nodes)``, each at most 16000 doubles.  By default the blocks are
 views of the stored field.  A level stream (``march(..., reduce=fn)``)
 writes every block into one reused buffer and hands each finished block to
-``fn``, so it stores no field: ``weights.march_level_maxima`` reduces each
+``fn``, so it stores no field: ``weights.decay_profile_check`` reduces each
 block to its cone-weighted maxima, which is all ``verify-global`` reads,
 and ``convergence_study`` keeps the one level it compares.
 

@@ -53,16 +53,6 @@ def _block_maxima(grid, data, i0: int, rows: np.ndarray) -> np.ndarray:
     return (_cone_weight(t[:, None], r[None, :]) * np.abs(rows[:, :n])).max(axis=1)
 
 
-def march_level_maxima(data, spec, grid, cap: float = DEFAULT_CAP):
-    """``march`` as a level stream reduced to the cone-weighted max of |u|
-    on each level: the run, which stores no field, and the maxima of its
-    levels, the lab's one reduction of a march to weighted maxima."""
-    blocks = []
-    run = march(data, spec, grid, cap,
-                reduce=lambda i0, rows: blocks.append(_block_maxima(grid, data, i0, rows)))
-    return run, np.concatenate(blocks)
-
-
 def _decay_report(times, level_max, denom: float, region: str) -> WeightReport:
     """The decay rule shared by marched and free fields.
 
@@ -270,16 +260,21 @@ def zone_bound_check(spec: ModulusSpec, eps0: float, region_samples) -> WeightRe
     )
 
 
-def decay_profile_check(run, norms, maxima) -> WeightReport:
-    """Pointwise-decay verification on a completed run.
+def decay_profile_check(data, spec, grid, cap: float = DEFAULT_CAP):
+    """Pointwise-decay verification of the march of ``data``.
 
-    Applies the decay rule of ``_decay_report`` to ``maxima``, the level
-    maxima of the run that ``march_level_maxima`` reduced, over the data
-    norms ``norms = data_norms(run.data)``: the final constant times their
-    sum is the weighted sup norm, the largest entry of the ``weighted_max``
-    column.
+    Marches a level stream, which stores no field, and reduces each block
+    of levels to their cone-weighted maxima (``_block_maxima``); the decay
+    rule of ``_decay_report`` reads them over the sum of ``data_norms(data)``:
+    the final constant times that sum is the weighted sup norm, the largest
+    entry of the ``weighted_max`` column.  Returns (run, report), the report
+    None when the run did not complete.
     """
-    if run.status == "blew_up":
-        raise ValueError("decay profile is undefined for a run that blew up")
+    blocks = []
+    run = march(data, spec, grid, cap,
+                reduce=lambda i0, rows: blocks.append(_block_maxima(grid, data, i0, rows)))
+    if run.status != "completed":
+        return run, None
     t = run.times
-    return _decay_report(t, maxima, sum(norms), f"t in [0, {t[-1]:g}], {len(t)} levels")
+    return run, _decay_report(t, np.concatenate(blocks), sum(data_norms(data)),
+                              f"t in [0, {t[-1]:g}], {len(t)} levels")

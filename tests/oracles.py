@@ -43,7 +43,7 @@ import mpmath
 import numpy as np
 from scipy import integrate
 
-from wavecrit.exponents import strauss_exponent
+from wavecrit.exponents import kernel_exponent, strauss_exponent
 from wavecrit.kernels import (
     KernelBoundsReport,
     KernelConfig,
@@ -309,15 +309,13 @@ def march_level_by_level(data: RadialData, spec, grid: CharacteristicGrid, cap: 
     return field, "completed", nt
 
 
-def kernel_bounds_by_call(cfg: KernelConfig, q: float) -> KernelBoundsReport:
+def kernel_bounds_by_call(cfg: KernelConfig) -> KernelBoundsReport:
     """``wavecrit.kernels.kernel_bounds_check`` evaluated call by call: at
     each t the data kernel and the source kernel at s = 0 on |r| <= R, the
     source kernel at 21 values of s < t on |r| <= R + s, and the diagonal
     source kernel on |r| <= R + t, each a public kernel call that builds
     its own table."""
-    n = cfg.n
-    if q <= max(-1.0, (n - 3) / 2.0):
-        raise ValueError("bounds need q > max(-1, (n-3)/2)")
+    n, q = cfg.n, kernel_exponent(cfg.n)
     fracs = np.linspace(0.0, 1.0, 9)
     samples = []
     a0 = b0 = b1 = math.inf

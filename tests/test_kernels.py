@@ -320,7 +320,7 @@ def test_quad_points_floor():
 @pytest.mark.parametrize("n", [2, 3])
 def test_kernel_bounds_pass(n):
     cfg = KernelConfig(n=n, lambda0=1.0, R=1.0, quad_points=1024)
-    report = kernel_bounds_check(cfg, kernel_exponent(n))
+    report = kernel_bounds_check(cfg)
     assert report.passed
     for c in (report.a0, report.b0, report.b1, report.b2):
         assert math.isfinite(c) and c > 0.0
@@ -328,7 +328,7 @@ def test_kernel_bounds_pass(n):
 
 def test_bound_at_origin_is_kernel_value():
     cfg = KernelConfig(n=3, lambda0=1.0, R=1.0, quad_points=1024)
-    report = kernel_bounds_check(cfg, Q3)
+    report = kernel_bounds_check(cfg)
     assert report.a0 <= data_kernel(cfg, Q3, 0.0, 0.0) + 1e-12
 
 
@@ -339,8 +339,8 @@ def test_kernel_bounds_equal_the_call_by_call_sweep(n, lambda0, quad_points):
     # one table per distinct radius set gives every constant and every
     # sample of one table per kernel call, bit for bit
     cfg = KernelConfig(n=n, lambda0=lambda0, R=1.0, quad_points=quad_points)
-    got = kernel_bounds_check(cfg, kernel_exponent(n))
-    ref = kernel_bounds_by_call(cfg, kernel_exponent(n))
+    got = kernel_bounds_check(cfg)
+    ref = kernel_bounds_by_call(cfg)
     assert (got.a0, got.b0, got.b1, got.b2) == (ref.a0, ref.b0, ref.b1, ref.b2)
     assert got.passed == ref.passed and got.region == ref.region
     assert got.samples == ref.samples and len(got.samples) == 40 * 21 + 41
@@ -360,7 +360,7 @@ def test_kernel_bounds_build_one_table_per_radius_set(monkeypatch):
 
     monkeypatch.setattr(kernels, "_scaled_eigenfunction", counted)
     cfg = KernelConfig(n=3, quad_points=64)
-    kernel_bounds_check(cfg, Q3)
+    kernel_bounds_check(cfg)
     radii = {cfg.R + s for t in np.linspace(0.0, 50.0, 41)
              for s in (0.0, t, *(np.linspace(0.0, 0.95 * t, 21) if t > 0 else ()))}
     assert len(radii) == 447
@@ -444,7 +444,7 @@ def test_kernel_bounds_hold_past_the_eigenfunction_overflow(n, lambda0):
     cfg = KernelConfig(n=n, lambda0=lambda0, R=1.0, quad_points=64)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rep = kernel_bounds_check(cfg, kernel_exponent(n))
+        rep = kernel_bounds_check(cfg)
     constants = (rep.a0, rep.b0, rep.b1, rep.b2)
     assert rep.passed and all(0.0 < c < math.inf for c in constants)
 
@@ -461,8 +461,3 @@ def test_kernels_equal_the_rule_in_mpmath(n, lambda0):
         assert np.max(np.abs(source_kernel(cfg, q, t, s, r) / source - 1.0)) <= 1e-12
         if s == 0.0:
             assert np.max(np.abs(data_kernel(cfg, q, t, r) / data - 1.0)) <= 1e-12
-
-
-def test_kernel_bounds_rejects_bad_exponent():
-    with pytest.raises(ValueError):
-        kernel_bounds_check(KernelConfig(n=3), -1.5)

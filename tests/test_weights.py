@@ -37,7 +37,6 @@ from wavecrit.weights import (
     key_integral,
     linear_decay_check,
     log_weight,
-    march_level_maxima,
     zone_bound_check,
 )
 
@@ -385,16 +384,11 @@ def test_zone_bound_rejects_axis_sample():
 
 # ------------------------------------------------------------- decay profile
 
-def _decay_profile(data, spec, grid, **kw):
-    """``decay_profile_check`` of the level stream of ``data``, as ``verify-global`` runs it."""
-    run, maxima = march_level_maxima(data, spec, grid, **kw)
-    return decay_profile_check(run, data_norms(data), maxima)
-
-
 def test_decay_profile_zero_run():
     zero = RadialData(u0=np.zeros_like, u1=np.zeros_like, support_radius=1.0,
                       u0_prime=np.zeros_like)
-    report = _decay_profile(zero, make_spec(PowerLaw(1.0)), CharacteristicGrid.cover(0.0625, 5.0, 1.0))
+    _, report = decay_profile_check(zero, make_spec(PowerLaw(1.0)),
+                                    CharacteristicGrid.cover(0.0625, 5.0, 1.0))
     assert report.passed and report.fitted_constant == 0.0
 
 
@@ -402,20 +396,17 @@ def test_decay_profile_small_data_run():
     run = march(default_bump(0.01), make_spec(PowerLaw(1.0)),
                 CharacteristicGrid.cover(0.0625, 20.0, 1.0))
     a, b = data_norms(run.data)
-    streamed, maxima = march_level_maxima(run.data, run.spec, run.grid)
-    report = decay_profile_check(streamed, (a, b), maxima)
-    assert report.passed
+    streamed, report = decay_profile_check(run.data, run.spec, run.grid)
+    assert report.passed and streamed.field.nbytes == 0
     # definitional identity with the weighted sup norm of the stored field
     assert abs(report.fitted_constant * (a + b) - _full_field_maxima(run).max()) < 1e-9
-    # the norms and the maxima are the caller's: the check reduces no field
-    with pytest.raises(TypeError):
-        decay_profile_check(streamed)
 
 
-def test_decay_profile_rejects_blown_up_run():
+def test_decay_profile_of_a_blown_up_run_is_none():
     spec = make_spec(LogPower(0.2, 10.0))
-    with pytest.raises(ValueError, match="a run that blew up"):
-        _decay_profile(default_bump(5.0), spec, CharacteristicGrid.cover(0.02, 10.0, 1.0), cap=1e6)
+    run, report = decay_profile_check(default_bump(5.0), spec,
+                                      CharacteristicGrid.cover(0.02, 10.0, 1.0), cap=1e6)
+    assert run.status == "blew_up" and report is None
 
 
 # the per-level maxima are reduced in blocks cut at the light cone; they
@@ -439,10 +430,8 @@ def test_level_maxima_equal_the_full_field_formula(data, h, horizon):
     spec, grid = make_spec(PowerLaw(1.0)), CharacteristicGrid.cover(h, horizon, 1.0)
     stored = march(data, spec, grid)
     assert stored.status == "completed"
-    full = _full_field_maxima(stored)
-    run, maxima = march_level_maxima(data, spec, grid)
-    assert maxima.tolist() == full.tolist()
-    assert [m for _, m in decay_profile_check(run, data_norms(data), maxima).samples] == full.tolist()
+    _, report = decay_profile_check(data, spec, grid)
+    assert [m for _, m in report.samples] == _full_field_maxima(stored).tolist()
 
 
 def _edge_run(grid, levels):
@@ -472,34 +461,16 @@ def test_level_maxima_equal_the_full_field_formula_across_block_edges(full_block
     assert _blocked_maxima(run).tolist() == _full_field_maxima(run).tolist()
 
 
-@pytest.mark.parametrize("cap", [1e6, math.inf])  # inf: the last level holds nan
-def test_sup_norm_of_a_blown_up_run_equals_the_full_field_formula(cap):
-    args = (default_bump(1.75), make_spec(LogPower(0.2, 10.0)),
-            CharacteristicGrid.cover(0.02, 10.0, 1.0), cap)
-    stored = march(*args)
-    assert stored.status == "blew_up" and len(list(row_blocks(*stored.field.shape))) > 2
-    run, maxima = march_level_maxima(*args)
-    assert run.status == "blew_up"
-    assert np.array_equal(maxima, _full_field_maxima(stored), equal_nan=True)
-
-
 def test_decay_reduction_allocates_by_block(traced_peak):
-    # temporaries scale with a block of levels, not with the field: the stream and
-    # its reduction peak at 0.98 MB here, where a stored field would take 20.7 MB,
-    # and under the bound of test_level_stream_stores_no_field at a quarter of the field
+    # temporaries scale with a block of levels, not with the field: the check, its
+    # stream, reduction and data norms, peaks at 0.98 MB here, where a stored field
+    # would take 20.7 MB, and under the bound of test_level_stream_stores_no_field
+    # at a quarter of the field
     grid = CharacteristicGrid.cover(1 / 16, 100.0, 1.0)
-    (run, maxima), peak = traced_peak(
-        lambda: march_level_maxima(default_bump(0.01), make_spec(PowerLaw(1.0)), grid))
-    assert run.status == "completed" and len(maxima) == grid.t_levels + 1
+    (run, report), peak = traced_peak(
+        lambda: decay_profile_check(default_bump(0.01), make_spec(PowerLaw(1.0)), grid))
+    assert run.status == "completed" and len(report.samples) == grid.t_levels + 1
     assert peak < 1.5e6
-
-
-def test_decay_profile_check_peak(traced_peak):
-    # the check, data norms included, peaks at 0.26 MB here
-    data = default_bump(0.01)
-    run, maxima = march_level_maxima(data, make_spec(PowerLaw(1.0)),
-                                     CharacteristicGrid.cover(1 / 16, 50.0, 1.0))
-    assert traced_peak(lambda: decay_profile_check(run, data_norms(data), maxima))[1] < 1.0e6
 
 
 # differential: the level stream against the stored march, for the linear mode
@@ -542,7 +513,7 @@ def test_level_stream_equals_the_stored_march(data):
         stored = march(datum, spec, grid, cap)
     except ValueError as exc:
         with pytest.raises(ValueError, match=re.escape(str(exc))):
-            march_level_maxima(datum, spec, grid, cap)
+            decay_profile_check(datum, spec, grid, cap)
         return
     streamed = []
 
@@ -555,16 +526,24 @@ def test_level_stream_equals_the_stored_march(data):
     assert run.field.shape == (len(stored.field), 0) and run.times.tolist() == stored.times.tolist()
     assert all(len(rows) == block for rows in streamed[:-1])
     assert np.concatenate(streamed).tobytes() == stored.field.tobytes()
-    run, maxima = march_level_maxima(datum, spec, grid, cap)
-    assert (run.status, run.t_detect) == (stored.status, stored.t_detect)
+    # the block reduction of the stream, nan past a cap of inf included, is the
+    # full-field formula's, and the decay check reads it for a completed run only
+    maxima = np.concatenate([_block_maxima(grid, datum, block * k, rows)
+                             for k, rows in enumerate(streamed)])
     assert np.array_equal(maxima, _full_field_maxima(stored), equal_nan=True)
+    run, report = decay_profile_check(datum, spec, grid, cap)
+    assert (run.status, run.t_detect) == (stored.status, stored.t_detect)
+    if run.status == "completed":
+        assert [m for _, m in report.samples] == maxima.tolist()
+    else:
+        assert report is None
 
 
 def test_level_stream_stores_no_field(traced_peak):
-    # the stored march peaks at 5.4 MB here, the stream and its reduction at 0.89 MB
+    # the stored march peaks at 5.4 MB here, the decay check on its stream at 0.89 MB
     grid = CharacteristicGrid.cover(1 / 16, 50.0, 1.0)
-    (run, maxima), peak = traced_peak(
-        lambda: march_level_maxima(default_bump(0.01), make_spec(PowerLaw(1.0)), grid))
+    (run, report), peak = traced_peak(
+        lambda: decay_profile_check(default_bump(0.01), make_spec(PowerLaw(1.0)), grid))
     assert run.status == "completed" and run.field.nbytes == 0
-    assert len(maxima) == grid.t_levels + 1
+    assert len(report.samples) == grid.t_levels + 1
     assert peak < 1.5e6
