@@ -244,7 +244,7 @@ def _cmd_exponents(args, spec):
                    "q": None, "kappa": None}
     else:
         p = strauss_exponent(n)
-        payload = {"n": n, "p_strauss": p, "p_conjugate": holder_conjugate(p),
+        payload = {"n": n, "p_strauss": p, "p_conjugate": holder_conjugate(n),
                    "q": kernel_exponent(n), "kappa": weight_exponent(n)}
     return payload, {"exponents.json": payload}, 0
 

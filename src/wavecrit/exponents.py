@@ -18,21 +18,29 @@ def strauss_residual(n: int, p: float) -> float:
     return (n - 1.0) * p * p - (n + 1.0) * p - 2.0
 
 
-def strauss_exponent(n: int) -> float:
-    """Positive root of (n-1)p^2 - (n+1)p - 2 = 0 for n >= 2,
-    (n + 1 + sqrt((n + 1)^2 + 8(n - 1))) / (2(n - 1)): both terms of the
-    numerator are positive, so nothing cancels."""
+def _discriminant_root(n: int) -> float:
+    """sqrt((n + 1)^2 + 8(n - 1)), the root of the discriminant of the
+    Strauss quadratic, for n >= 2."""
     if n < 2:
         raise ValueError(f"the Strauss exponent needs n >= 2, got n={n} "
                          f"(p(1) is +infinity by convention)")
-    a, b = n - 1.0, n + 1.0
-    return (b + math.sqrt(b * b + 8.0 * a)) / (2.0 * a)
+    b = n + 1.0
+    return math.sqrt(b * b + 8.0 * (n - 1.0))
 
 
-def holder_conjugate(p: float) -> float:
-    if p <= 1.0:
-        raise ValueError(f"conjugate needs p > 1, got p={p}")
-    return p / (p - 1.0)
+def strauss_exponent(n: int) -> float:
+    """Positive root of (n-1)p^2 - (n+1)p - 2 = 0 for n >= 2,
+    (n + 1 + d) / (2(n - 1)) with d = ``_discriminant_root(n)``: both terms
+    of the numerator are positive, so nothing cancels."""
+    return (n + 1.0 + _discriminant_root(n)) / (2.0 * (n - 1.0))
+
+
+def holder_conjugate(n: int) -> float:
+    """Holder conjugate p/(p - 1) of p = p(n) for n >= 2, 1 + (d + n - 3) / 8
+    with d = ``_discriminant_root(n)``: 1/p = (d - n - 1) / 4, so the
+    conjugate needs no p - 1, which cancels as p tends to 1, and d + n - 3
+    is positive (d > 4 at n = 2), so nothing cancels."""
+    return 1.0 + (_discriminant_root(n) + n - 3.0) / 8.0
 
 
 def kernel_exponent(n: int) -> float:
@@ -57,7 +65,7 @@ def exponent_identities_report(n: int) -> WeightReport:
       -q - (n-1)(p/2 - 1)             ==  -1
     """
     p = strauss_exponent(n)
-    pc = holder_conjugate(p)
+    pc = holder_conjugate(n)
     q = kernel_exponent(n)
     res1 = q / (p - 1.0) - (n - 1.0) / 2.0 * pc + (n - 1.0) - pc / p
     res2 = (-q - (n - 1.0) * (p / 2.0 - 1.0)) - (-1.0)

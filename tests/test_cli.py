@@ -49,9 +49,18 @@ def test_exponents_in_one_dimension(tmp_path):
 def test_exponents_in_three_dimensions(tmp_path):
     assert run_cli(["exponents", "--n", "3", "--quiet"], tmp_path) == 0
     payload = json.loads((latest(tmp_path, "exponents") / "exponents.json").read_text())
-    p = strauss_exponent(3)
-    assert payload == {"n": 3, "p_strauss": p, "p_conjugate": holder_conjugate(p),
+    assert payload == {"n": 3, "p_strauss": strauss_exponent(3), "p_conjugate": holder_conjugate(3),
                        "q": kernel_exponent(3), "kappa": weight_exponent(3)}
+    assert payload["p_conjugate"] == 1.7071067811865475  # 1 + sqrt(2)/2 correctly rounded
+
+
+def test_exponents_in_a_huge_dimension(tmp_path):
+    # p(n) rounds to 1.0 here, so p / (p - 1) has no float: the conjugate is n/4 + ...
+    n = 99999999999999999999
+    assert run_cli(["exponents", "--n", str(n), "--quiet"], tmp_path) == 0
+    payload = json.loads((latest(tmp_path, "exponents") / "exponents.json").read_text())
+    assert payload["p_strauss"] == 1.0 and payload["p_conjugate"] == holder_conjugate(n)
+    assert math.isclose(payload["p_conjugate"], n / 4.0, rel_tol=1e-15)
 
 
 def test_unknown_flag_rejected():
