@@ -148,12 +148,13 @@ def _svg_polyline(points, title: str) -> str:
 
 
 def _svg_heatmap(matrix, title: str) -> str:
-    """Shade each cell by its share of the largest finite value; a cell that
-    is not finite (a blown-up run's last levels) gets the full shade."""
+    """Stride ``matrix`` by its shape // _HEATMAP_CELLS, then shade each cell
+    of the strided |matrix| by its share of the largest finite value; a cell
+    that is not finite (a blown-up run's last levels) gets the full shade."""
     m = np.asarray(matrix, dtype=float)
     si = max(1, m.shape[0] // _HEATMAP_CELLS)
     sj = max(1, m.shape[1] // _HEATMAP_CELLS)
-    m = m[::si, ::sj]
+    m = np.abs(m[::si, ::sj])
     finite = np.isfinite(m)
     top = float(np.max(m, where=finite, initial=0.0)) or 1.0
     share = np.where(finite, m, top) / top
@@ -328,7 +329,7 @@ def _cmd_solve(args, spec):
             rows.append((t, float(run.radii[j]), float(run.field[i, j])))
     files = {"run.json": payload,
              "field.csv": (("t", "r", "u"), rows),
-             "field.svg": _svg_heatmap(np.abs(run.field), f"|u|, status={run.status}")}
+             "field.svg": _svg_heatmap(run.field, f"|u|, status={run.status}")}
     return payload, files, 0
 
 

@@ -12,6 +12,7 @@ from oracles import kernel_bounds_by_call
 from wavecrit.blowup import build_ledger, exponent_sequences, slicing_level
 from wavecrit.cli import build_parser, main
 from wavecrit.exponents import holder_conjugate, kernel_exponent, strauss_exponent, weight_exponent
+from wavecrit.solver import CharacteristicGrid
 
 
 def run_cli(args, tmp_path):
@@ -331,6 +332,16 @@ def test_solve_nonfinite_field_is_persisted(tmp_path, cap):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["outputs"] == sorted(p.name for p in out.iterdir())
     assert manifest["outputs"] == ["field.csv", "field.svg", "manifest.json", "run.json"]
+
+
+def test_solve_heatmap_copies_no_field(traced_peak, tmp_path):
+    # the heatmap takes |u| of the strided field: solve peaks at 25.5 MB here, its
+    # stored field 20.7 MB of it, where |u| of the whole field took 20.7 MB more
+    argv = ["solve", "--family", "powerlaw", "--eps", "0.01", "--h", "0.0625",
+            "--horizon", "100", "--quiet"]
+    code, peak = traced_peak(lambda: run_cli(argv, tmp_path))
+    grid = CharacteristicGrid.cover(0.0625, 100.0, 1.0)
+    assert code == 0 and peak < 1.5 * 8 * (grid.t_levels + 1) * grid.r_nodes
 
 
 def test_verify_global_failing_family_exits_two(tmp_path):
