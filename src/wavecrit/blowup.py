@@ -29,7 +29,7 @@ def slicing_level(j: int) -> float:
     return 2.0 - 2.0 ** (-(j + 1))
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow fails the drift check
+@np.errstate(over="ignore")  # p^J past the float range is refused, naming J
 def exponent_sequences(n: int, J: int):
     """Recursions a_{j+1} = 1 + a_j p, b_{j+1} = p-1 + b_j p,
     s_{j+1} = 1/p + s_j p from (1, 0, 1 + 1/p); rows 0..J.
@@ -38,11 +38,17 @@ def exponent_sequences(n: int, J: int):
         a_j = (p/(p-1)) p^j - 1/(p-1),
         b_j = p^j - 1,
         s_j = (p/(p-1)) p^j - 1/((p-1) p),
-    and a drift beyond 1e-9 relative, or a nan one (p^J overflows), raises.
+    and a drift beyond 1e-9 relative raises.  A J whose (p/(p-1)) p^J, the
+    largest term, passes the float range is refused first, in the words of
+    ``build_ledger``'s refusal.
     """
     if J < 0:
         raise ValueError("J must be non-negative")
     p = strauss_exponent(n)
+    pj = p ** np.arange(J + 1, dtype=float)
+    a_closed = p / (p - 1.0) * pj - 1.0 / (p - 1.0)
+    if not np.isfinite(a_closed[-1]):
+        raise ArithmeticError(f"J={J} overflows the ledger: a_J is {a_closed[-1]:g}")
     a = np.empty(J + 1)
     b = np.empty(J + 1)
     s = np.empty(J + 1)
@@ -51,8 +57,6 @@ def exponent_sequences(n: int, J: int):
         a[j + 1] = 1.0 + a[j] * p
         b[j + 1] = (p - 1.0) + b[j] * p
         s[j + 1] = 1.0 / p + s[j] * p
-    pj = p ** np.arange(J + 1, dtype=float)
-    a_closed = p / (p - 1.0) * pj - 1.0 / (p - 1.0)
     b_closed = pj - 1.0
     s_closed = p / (p - 1.0) * pj - 1.0 / ((p - 1.0) * p)
     for rec, closed, name in ((a, a_closed, "a"), (b, b_closed, "b"), (s, s_closed, "sigma")):

@@ -234,10 +234,13 @@ def test_family_field_out_of_range_rejected(capsys, tmp_path):
      "lambda0="),
     (["lemmas", "verify", "--which", "kernel-bounds", "--n", "3", "--lambda0", "inf"],
      "lambda0="),
-    (["sequences", "--n", "3", "--J", "2000"], "J=2000"),
-    (["sequences", "--n", "3", "--J", "803"], "J=803"),
+    (["sequences", "--n", "3", "--J", "2000"], "J=2000 overflows the ledger"),
+    (["sequences", "--n", "3", "--J", "803"], "J=803 overflows the ledger"),
+    (["sequences", "--n", "3", "--J", "805"], "J=805 overflows the ledger"),
+    (["sequences", "--n", "3", "--J", "1000"], "J=1000 overflows the ledger"),
 ], ids=["lifespan-h-nan", "solve-horizon-inf", "verify-global-horizon-nan", "xi-nan",
-        "xi-inf", "lambda0-nan", "lambda0-inf", "sequences-J-2000", "sequences-J-803"])
+        "xi-inf", "lambda0-nan", "lambda0-inf", "sequences-J-2000", "sequences-J-803",
+        "sequences-J-805", "sequences-J-1000"])
 def test_nonfinite_run_input_exits_one(capsys, tmp_path, argv, name):
     # refused by name as a runtime error, before any result directory exists
     code = main(argv + ["--out-dir", str(tmp_path)])
