@@ -38,9 +38,8 @@ def exponent_sequences(n: int, J: int):
         a_j = (p/(p-1)) p^j - 1/(p-1),
         b_j = p^j - 1,
         s_j = (p/(p-1)) p^j - 1/((p-1) p),
-    and a drift beyond 1e-9 relative raises.  A J whose (p/(p-1)) p^J, the
-    largest term, passes the float range is refused first, in the words of
-    ``build_ledger``'s refusal.
+    and a drift beyond 1e-9 relative raises; a J whose largest term, a_J,
+    passes the float range is refused first, as ``build_ledger`` refuses it.
     """
     if J < 0:
         raise ValueError("J must be non-negative")

@@ -148,9 +148,8 @@ def _svg_polyline(points, title: str) -> str:
 
 
 def _svg_heatmap(matrix, title: str) -> str:
-    """Stride ``matrix`` by its shape // _HEATMAP_CELLS, then shade each cell
-    of the strided |matrix| by its share of the largest finite value; a cell
-    that is not finite (a blown-up run's last levels) gets the full shade."""
+    """Shade each cell of |matrix|, strided by shape // _HEATMAP_CELLS, by its
+    share of the largest finite value; a non-finite cell gets the full shade."""
     m = np.asarray(matrix, dtype=float)
     si = max(1, m.shape[0] // _HEATMAP_CELLS)
     sj = max(1, m.shape[1] // _HEATMAP_CELLS)

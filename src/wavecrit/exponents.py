@@ -19,8 +19,7 @@ def strauss_residual(n: int, p: float) -> float:
 
 
 def _discriminant_root(n: int) -> float:
-    """sqrt((n + 1)^2 + 8(n - 1)), the root of the discriminant of the
-    Strauss quadratic, for n >= 2."""
+    """sqrt((n + 1)^2 + 8(n - 1)) for n >= 2, read by p(n) and its conjugate."""
     if n < 2:
         raise ValueError(f"the Strauss exponent needs n >= 2, got n={n} "
                          f"(p(1) is +infinity by convention)")
@@ -37,9 +36,8 @@ def strauss_exponent(n: int) -> float:
 
 def holder_conjugate(n: int) -> float:
     """Holder conjugate p/(p - 1) of p = p(n) for n >= 2, 1 + (d + n - 3) / 8
-    with d = ``_discriminant_root(n)``: 1/p = (d - n - 1) / 4, so the
-    conjugate needs no p - 1, which cancels as p tends to 1, and d + n - 3
-    is positive (d > 4 at n = 2), so nothing cancels."""
+    with d = ``_discriminant_root(n)`` > 4: a sum of positive terms, where
+    p - 1 cancels as p tends to 1."""
     return 1.0 + (_discriminant_root(n) + n - 3.0) / 8.0
 
 
