@@ -2,7 +2,8 @@
 recursions with closed forms, the iteration ledger (one record: the
 exponent rows, the doubly-exponential amplitudes and their growth floor),
 the kernel-weighted integral identity residual, whose Duhamel history is
-walked in ``row_blocks`` of levels, and a divergence-onset predictor.
+reduced from a march's stream of level blocks, and a divergence-onset
+predictor.
 
 All growth arithmetic lives in log space; the amplitude sequence grows like
 p**j in the exponent and would overflow floats within a handful of steps.
@@ -19,7 +20,7 @@ import numpy as np
 from .exponents import strauss_exponent
 from .kernels import KernelConfig, data_and_source_kernels
 from .modulus import ModulusSpec, mu_power, threshold_product
-from .reporting import row_blocks
+from .solver import CharacteristicGrid, march
 
 
 def slicing_level(j: int) -> float:
@@ -134,9 +135,14 @@ def integral_identity_residual(run, cfg: KernelConfig, q: float, t: float) -> fl
     forcing history weighted by (t - s) and the source kernel.  For an
     exact solution the two sides agree; on a marched field the residual
     shrinks at the scheme's order under grid refinement.
+
+    t must be a level of ``run``, whose grid, cut at t, is marched again with
+    no cap: each block of the run's own levels adds its forcing terms.
     """
-    i = run.level_index(t)
     h = run.grid.h
+    i = int(round(t / h))
+    if abs(t - i * h) > 1e-9 * max(1.0, t) or not 0 <= i < run.field.shape[0]:
+        raise ValueError(f"time {t} is not a marched level")
     p = strauss_exponent(3)
     r = run.radii
     meas = 4.0 * math.pi * r * r
@@ -146,24 +152,28 @@ def integral_identity_residual(run, cfg: KernelConfig, q: float, t: float) -> fl
     s = h * np.arange(i + 1)
     s[i] = t
     cosh_row, eta = data_and_source_kernels(cfg, q, t, s, r)
-    lhs = float(np.trapezoid(run.field[i] * eta[i] * meas, dx=h))
 
+    # trapezoid in s over levels 0..i; the level-i term has (t - s) = 0.  Each level's
+    # radial trapezoid reduces its own row, so blocks of levels give the whole-array bits
+    inner, lhs = np.zeros(i), []
+
+    def reduce(i0, rows):
+        b = slice(i0, min(i0 + len(rows), i))  # the block's history levels
+        if run.spec is not None and b.start < b.stop:
+            forcing = mu_power(run.spec, p, np.abs(rows[:b.stop - i0]))
+            inner[b] = np.trapezoid(forcing * eta[b] * meas, dx=h, axis=1)
+        if i0 <= i < i0 + len(rows):
+            lhs.append(float(np.trapezoid(rows[i - i0] * eta[i] * meas, dx=h)))
+
+    march(run.data, run.spec, CharacteristicGrid(h, max(i, 1), run.grid.r_nodes), math.inf, reduce)
     u0v = eps * run.data.u0(r)
     u1v = eps * run.data.u1(r)
     data_term = float(np.trapezoid(u0v * cosh_row * meas, dx=h))
     vel_term = t * float(np.trapezoid(u1v * eta[0] * meas, dx=h))
-
-    # trapezoid in s over levels 0..i; the level-i term has (t - s) = 0.  Each level's
-    # radial trapezoid reduces its own row, so blocks of levels give the whole-array bits
-    inner = np.zeros(i)
-    if run.spec is not None:
-        for b in row_blocks(i, r.size):
-            forcing = mu_power(run.spec, p, np.abs(run.field[b]))
-            inner[b] = np.trapezoid(forcing * eta[b] * meas, dx=h, axis=1)
     w = np.full(i, h)
     w[:1] = 0.5 * h
     duhamel = float((w * (t - s[:i])) @ inner)
-    return lhs - (data_term + vel_term + duhamel)
+    return lhs[0] - (data_term + vel_term + duhamel)
 
 
 def divergence_onset(n: int, spec: ModulusSpec, t_max: float,

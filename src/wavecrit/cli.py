@@ -48,7 +48,8 @@ from .modulus import (
     loglog_bound_check,
     make_spec,
 )
-from .solver import DEFAULT_CAP, CharacteristicGrid, default_bump, lifespan_sweep, march
+from .solver import (DEFAULT_CAP, CharacteristicGrid, default_bump, lifespan_sweep, march,
+                     refuse_beyond_memory)
 from .weights import (
     data_norms,
     decay_profile_check,
@@ -115,8 +116,8 @@ def _fmt(x):
 _RENDER = {".json": _json_text, ".csv": _csv_text, ".svg": str}
 
 
-# the line plot's canvas in pixels; the heatmap strides a field down to at
-# most this many cells per axis
+# the line plot's canvas in pixels; solve strides its heatmap down to about
+# this many cells per axis
 _SVG_WIDTH, _SVG_HEIGHT, _HEATMAP_CELLS = 640, 400, 120
 
 
@@ -148,12 +149,9 @@ def _svg_polyline(points, title: str) -> str:
 
 
 def _svg_heatmap(matrix, title: str) -> str:
-    """Shade each cell of |matrix|, strided by shape // _HEATMAP_CELLS, by its
-    share of the largest finite value; a non-finite cell gets the full shade."""
-    m = np.asarray(matrix, dtype=float)
-    si = max(1, m.shape[0] // _HEATMAP_CELLS)
-    sj = max(1, m.shape[1] // _HEATMAP_CELLS)
-    m = np.abs(m[::si, ::sj])
+    """Shade each cell of |matrix| by its share of the largest finite value;
+    a non-finite cell gets the full shade."""
+    m = np.abs(np.asarray(matrix, dtype=float))
     finite = np.isfinite(m)
     top = float(np.max(m, where=finite, initial=0.0)) or 1.0
     share = np.where(finite, m, top) / top
@@ -315,20 +313,25 @@ def _cmd_onset(args, spec):
 def _cmd_solve(args, spec):
     data = default_bump(args.eps)
     grid = CharacteristicGrid.cover(args.h, args.horizon, data.support_radius)
-    run = march(data, spec, grid, cap=args.cap)
+    # each level keeps the nodes field.csv, then the heatmap, reads; their levels are picked at the stop
+    nr = grid.r_nodes
+    csv_nodes = np.arange(0, nr, max(1, nr // 200))
+    nodes = np.concatenate([csv_nodes, np.arange(0, nr, max(1, nr // _HEATMAP_CELLS))])
+    refuse_beyond_memory(grid, data, 1, nodes.size)
+    kept = np.empty((grid.t_levels + 1, nodes.size))
+    run = march(data, spec, grid, cap=args.cap,
+                reduce=lambda i0, rows: rows.take(nodes, axis=1, out=kept[i0:i0 + len(rows)]))
     payload = {"h": grid.h, "t_levels": grid.t_levels, "r_nodes": grid.r_nodes,
                "cap": args.cap, "amplitude": data.amplitude, "status": run.status,
                "t_detect": run.t_detect}
     n_levels = run.field.shape[0]
-    keep = sorted(set(np.linspace(0, n_levels - 1, min(25, n_levels)).astype(int)))
-    rows = []
-    for i in keep:
-        t = float(run.times[i])
-        for j in range(0, run.grid.r_nodes, max(1, run.grid.r_nodes // 200)):
-            rows.append((t, float(run.radii[j]), float(run.field[i, j])))
+    picked = sorted(set(np.linspace(0, n_levels - 1, min(25, n_levels)).astype(int)))
+    rows = [(float(run.times[i]), float(run.radii[j]), u) for i in picked
+            for j, u in zip(csv_nodes, kept[i, :csv_nodes.size].tolist())]
+    heatmap = kept[:n_levels:max(1, n_levels // _HEATMAP_CELLS), csv_nodes.size:]
     files = {"run.json": payload,
              "field.csv": (("t", "r", "u"), rows),
-             "field.svg": _svg_heatmap(run.field, f"|u|, status={run.status}")}
+             "field.svg": _svg_heatmap(heatmap, f"|u|, status={run.status}")}
     return payload, files, 0
 
 

@@ -52,27 +52,26 @@ every m-th.  For data supported in
 r <= R, with c = ceil(R/h) + 1, u is exactly 0 past the cone edge
 e_i = c + i (``cone_edge``) and v off the Huygens band |i - j| <= c, so
 level i computes nodes 0..e_i and v on the band only, in place from
-preallocated buffers; the rows a march stores its levels in are
+preallocated buffers; the rows a march writes its levels in are
 zero-filled, so nothing is written off the band or past the cone.  A march
 costs about t_levels (t_levels / 2 + R / h) node updates.
 
-A march writes its levels by the blocks of ``reporting.row_blocks(t_levels
-+ 1, r_nodes)``, each at most 16000 doubles.  By default the blocks are
-views of the stored field.  A level stream (``march(..., reduce=fn)``)
-writes every block into one reused buffer and hands each finished block to
-``fn``, so it stores no field: ``weights.decay_profile_check`` reduces each
-block to its cone-weighted maxima, which is all ``verify-global`` reads,
-and ``convergence_study`` keeps the one level it compares.
+A march is a level stream that stores no field: it writes its levels by
+the blocks of ``reporting.row_blocks(t_levels + 1, r_nodes)``, at most 16000
+doubles each, into one reused buffer and hands each finished block to its
+``reduce``.  ``weights.decay_profile_check`` keeps their cone-weighted
+maxima, ``convergence_study`` one level, the identity residual their
+forcing terms, ``solve`` the nodes its files read.
 
 A level pays only for what the state changes.  The forcing kernel is
 resolved once per march by ``modulus.forcing``, so below tau0 a level's
 forcing is its ufuncs alone; the axis weights r h/2 and r h are tables;
 and the free part, which no state changes, is computed ahead for a block
-of stored levels at once: on the band the foot t + r of node i - c + k is
+of levels at once: on the band the foot t + r of node i - c + k is
 the table node 2i + k - c and the foot t - r the node c - k on every
 level, so ``FreeWave.band`` evaluates the two-point formula's subtract
 and divide on strided views of the table, straight into a block's rows,
-once per block of levels.  A stored level then pays 6 numpy calls for the
+once per block of levels.  A level then pays 6 numpy calls for the
 history prefix, 2 for the axis term, 5 for the W recurrence, 2 for u = v +
 W/r, 2 for its modulus and max and 6 (PowerLaw) to 8 (LogPower) for the
 next forcing, 23 to 25 in all.  The slow oracles the tests hold the
@@ -83,8 +82,8 @@ level whose max exceeds the cap or goes non-finite.  That max also judges
 the next level's forcing by ``modulus.past_tau0``, so a level is reduced
 once.  There is one level loop, and a march is a ladder of one rung: the
 state has shape (nodes,) + shape(eps), 1-D for ``march``'s amplitude,
-which stores its levels by blocks, and (nodes x rungs) for
-``lifespan_sweep``'s ladder, which stores none and so reads its free part
+which writes its levels by blocks, and (nodes x rungs) for
+``lifespan_sweep``'s ladder, which writes none and so reads its free part
 level by level.
 Only when the max stops the level are the rungs judged one at a time, and
 a rung that stops leaves the state, so a ladder pays the fixed cost per
@@ -167,7 +166,7 @@ class CharacteristicGrid:
     """Lattice with the same step in t and r.
 
     ``r_nodes`` must cover the forward light cone of the data support at
-    the last stored level: (r_nodes - 1) h >= support + t_levels h.  A grid
+    the last level: (r_nodes - 1) h >= support + t_levels h.  A grid
     stores nothing: what a march on it allocates is judged by the march.
     """
 
@@ -209,13 +208,11 @@ def cone_edge(grid: CharacteristicGrid, data: RadialData, i: int) -> int:
 
 @dataclass
 class SolutionRun:
-    """A marched field with its provenance.
+    """A march's outcome with its provenance.
 
-    ``field`` holds u(t_i, r_j) for the marched levels; when the run blew
-    up it ends at the detection level.  A level stream (``march`` with
-    ``reduce``) stores no level: its field has a row per marched level and
-    no column, so ``times`` still lists the levels.  status is "completed"
-    or "blew_up".
+    A march stores no level: ``field`` has a row per marched level and no
+    column, so ``times`` lists the levels, up to the detection level when
+    the run blew up.  status is "completed" or "blew_up".
     """
 
     grid: CharacteristicGrid
@@ -232,12 +229,6 @@ class SolutionRun:
     @property
     def radii(self) -> np.ndarray:
         return self.grid.h * np.arange(self.grid.r_nodes)
-
-    def level_index(self, t: float) -> int:
-        i = int(round(t / self.grid.h))
-        if abs(t - i * self.grid.h) > 1e-9 * max(1.0, t) or not 0 <= i < self.field.shape[0]:
-            raise ValueError(f"time {t} is not a stored level")
-        return i
 
 
 # --------------------------------------------------------------------------
@@ -271,22 +262,20 @@ def _validate_data(data: RadialData, grid: CharacteristicGrid):
 
 def _banded(grid: CharacteristicGrid, reach: int) -> range:
     """The levels whose Huygens band of half-width ``reach`` lies whole in
-    the off-axis nodes: a march that stores levels writes their free part
-    by blocks."""
+    the off-axis nodes: a march writes their free part by blocks."""
     return range(reach + 1, min(grid.t_levels, grid.r_nodes - 1 - reach) + 1)
 
 
-def _refuse_beyond_memory(grid: CharacteristicGrid, data: RadialData, rungs: int,
-                          stored_levels: int) -> None:
-    """Refuses, before anything is allocated, a march whose stored levels
-    (all of them, or one block of them for a reduced march; none for a
-    ladder), the foot table of its ``rungs`` free waves and, when it
-    stores levels, the largest block of its free band exceed physical
-    memory.  A band block is cut at the edges of a block of levels."""
+def refuse_beyond_memory(grid: CharacteristicGrid, data: RadialData, rungs: int,
+                         kept: Optional[int]) -> None:
+    """Refuses, before anything is allocated, a march whose foot table of
+    ``rungs`` free waves and, unless a ladder (``kept`` None), its buffer of
+    a block of levels, largest band block (cut at the block's edges) and
+    ``kept`` doubles per level for its reduction exceed physical memory."""
     nt, nr, reach = grid.t_levels, grid.r_nodes, cone_edge(grid, data, 0)
-    first = next(row_blocks(nt + 1, nr))  # no later block of levels is larger
-    band = min(first.stop, len(_banded(grid, reach))) * (2 * reach + 1) if stored_levels else 0
-    nbytes = 8 * (stored_levels * nr + (nt + 2 * nr - 1) * rungs + band)
+    rows = 0 if kept is None else next(row_blocks(nt + 1, nr)).stop  # no later block is larger
+    band = min(rows, len(_banded(grid, reach))) * (2 * reach + 1)
+    nbytes = 8 * ((nt + 1) * (kept or 0) + (nt + 2 * nr - 1) * rungs + rows * nr + band)
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if nbytes > memory:
         raise ValueError(f"a march of {nt + 1} x {nr} levels allocates {nbytes} bytes, "
@@ -401,61 +390,48 @@ def march(
     reduce: Optional[Callable[[int, np.ndarray], None]] = None,
 ) -> SolutionRun:
     """Causal characteristic marching of the integral equation: a ladder of
-    one rung, the data's amplitude, whose levels are stored.
+    one rung, the data's amplitude, marched as a level stream.
 
     ``spec=None`` disables the nonlinearity (linear probe mode).  Levels
     are filled in increasing time; the run stops early with status
     "blew_up" at the first level whose max modulus exceeds ``cap`` or is
     not finite; ``cap = inf`` stops on a non-finite level only.  A forcing
     argument ``modulus.past_tau0`` refuses is raised, and so is a grid
-    whose stored levels, foot table and band block exceed physical memory.
+    whose foot table and blocks exceed physical memory.
 
-    With ``reduce`` the march is a level stream and stores no field: each
-    block of levels of ``reporting.row_blocks(t_levels + 1, r_nodes)`` is
-    written into one reused buffer and handed, the last block cut at the
-    stop, to ``reduce(i0, rows)``, where rows[k] is level i0 + k and is
-    overwritten by the next block.  The run's field then has its levels
-    but no columns.
+    No field is stored: each block of levels of ``reporting.row_blocks(
+    t_levels + 1, r_nodes)`` is written into one reused buffer and handed,
+    the last block cut at the stop, to ``reduce(i0, rows)`` when given;
+    rows[k] is level i0 + k until the next block overwrites it.
     """
     if not cap > 0.0:
         raise ValueError(f"cap must be positive, got {cap}")
-    nt, nr = grid.t_levels, grid.r_nodes
-    stored = nt + 1 if reduce is None else next(row_blocks(nt + 1, nr)).stop
-    _refuse_beyond_memory(grid, data, 1, stored)
+    refuse_beyond_memory(grid, data, 1, 0)
     free = FreeWave(data, grid)
-    field = np.zeros((stored, nr))  # +0.0 off the band and past the cone
-    if reduce is None:
-        rows = field.__getitem__
-    else:
-        def rows(b):  # the buffer's rows for the levels of b, zero-filled
-            block = field[:b.stop - b.start]
-            block.fill(0.0)
-            return block
-    status, last = _march_levels(free, spec, data, cap, rows, reduce).get(0, ("completed", nt))
+    done = reduce or (lambda i0, rows: None)
+    status, last = _march_levels(free, spec, data, cap, done).get(0, ("completed", grid.t_levels))
     if isinstance(status, ValueError):
         raise status
     return SolutionRun(
         grid=grid,
         data=data,
         spec=spec,
-        field=field[:last + 1] if reduce is None else np.zeros((last + 1, 0)),  # levels 0..last
+        field=np.zeros((last + 1, 0)),  # levels 0..last
         status=status,
         t_detect=last * grid.h if status == "blew_up" else None,
     )
 
 
-def _march_levels(free, spec, data, cap, rows=None, done=None) -> dict:
+def _march_levels(free, spec, data, cap, done=None) -> dict:
     """Levels 0..t_levels of the march of every rung of ``free``: the
     package's one level update.
 
     The state holds a value per node and rung, shape (nodes,) + the shape
-    of the wave's amplitude: 1-D for ``march``'s scalar.  With ``rows`` the
+    of the wave's amplitude: 1-D for ``march``'s scalar.  With ``done`` the
     levels are written by the blocks b of ``reporting.row_blocks(t_levels +
-    1, r_nodes)``: ``rows(b)`` hands out the zero-filled rows of b's levels,
-    the free band of those levels is written there first, and level i goes
-    to row i - b.start; ``done(b.start, block)``, when given, receives each
-    finished block, the last one cut at the stop.  Without ``rows`` level i
-    is written to the reused |level| buffer, so no field is stored.
+    1, r_nodes)`` into the zero-filled rows of one reused buffer, the free
+    band first, and ``done(b.start, rows)`` receives each finished block,
+    the last one cut at the stop; without, to the reused |level| buffer.
     Returns {rung: (status, level)} for the rungs that stopped, each
     leaving the state: ("blew_up", i) at the first level
     i >= 1 whose max modulus exceeds ``cap`` or is not finite, and (the
@@ -482,19 +458,23 @@ def _march_levels(free, spec, data, cap, rows=None, done=None) -> dict:
     half_r = 0.5 * r
     axis_weights = (r * (0.5 * h), r * h)  # w_k m h on node m: w_0 = h/2, then h
     abs_level = np.empty((nr,) + rungs)  # |u| on level i, the cap check and the next forcing
-    banded = _banded(grid, reach) if rows is not None else range(0)
     width = 2 * reach + 1
 
-    def take(b):  # the rows of the block of levels b, with the free band of its banded levels
-        block = rows(b)
+    def take(b):  # the zero-filled rows of the levels of block b, with their free band
+        block = buffer[:b.stop - b.start]
+        block.fill(0.0)
         lo, hi = max(b.start, banded.start), min(b.stop, banded.stop)
         if lo < hi:
             free.band(lo, hi, reach, out=_rows(block.reshape(-1), (lo - b.start) * nr + lo - reach,
                                                hi - lo, width, nr + 1))
         return block, b.start, b.stop
 
-    blocks = row_blocks(nt + 1, nr)
-    block, i0, i1 = take(next(blocks)) if rows is not None else (None, 0, nt + 1)
+    banded, block, i0, i1 = range(0), None, 0, nt + 1  # a ladder writes no block
+    if done is not None:
+        banded, blocks = _banded(grid, reach), row_blocks(nt + 1, nr)
+        first = next(blocks)  # no later block of levels is larger
+        buffer = np.empty((first.stop, nr))
+        block, i0, i1 = take(first)
     level = np.multiply.outer(free.u0[:nr], free._eps, out=abs_level if block is None else block[0])
     np.abs(level, out=abs_level)
     g = np.zeros((nr,) + rungs)  # the forcing; it stays 0 in linear mode
@@ -530,8 +510,7 @@ def _march_levels(free, spec, data, cap, rows=None, done=None) -> dict:
 
                 # v on the Huygens band, nodes lo..e, then u = v + W/r
                 if i == i1:  # the block of levels is finished
-                    if done is not None:
-                        done(i0, block)
+                    done(i0, block)
                     block, i0, i1 = take(next(blocks))
                 level = abs_level if block is None else block[i - i0]
                 if i not in banded:
@@ -615,7 +594,7 @@ def lifespan_sweep(
     epsilons = list(epsilons)
     if not (cap > 0.0 and all(0.0 < eps < math.inf for eps in epsilons)):
         raise ValueError("lifespans need positive finite amplitudes and a positive cap")
-    _refuse_beyond_memory(grid, data_template, len(epsilons), 0)
+    refuse_beyond_memory(grid, data_template, len(epsilons), None)
     free = FreeWave(data_template, grid, np.array(epsilons, dtype=float))  # checks the data once
     stops = _march_levels(free, spec, data_template, cap) if epsilons else {}
     rows = []

@@ -12,9 +12,11 @@ read it before one table of their sum replaced them, and ``mixed_bump`` a
 datum on which the two round differently; ``duhamel_apply`` re-sums the
 whole forcing history at one level, with the forcing |u|^p
 ``mu_direct``(|u|), instead of advancing the lattice recurrence of
-``wavecrit.solver.march`` with its log-space forcing; ``march_level_by_level`` is that march as a plain loop
-of one level at a time, every node written, which ``march`` must match bit
-for bit; ``kernel_bounds_by_call`` is ``wavecrit.kernels.kernel_bounds_check``
+``wavecrit.solver.march`` with its log-space forcing; ``march_field`` is
+that march with its level stream collected into the field the march does
+not store, and ``march_level_by_level`` the march as a plain loop of one
+level at a time, every node written, which ``march`` must match bit for
+bit; ``kernel_bounds_by_call`` is ``wavecrit.kernels.kernel_bounds_check``
 as one public kernel call per (t, s), each building its own table, which the
 grouped sweep must match bit for bit; ``concavity_whole_grid`` and
 ``convexity_whole_grid`` are the pair checks of ``wavecrit.modulus`` with
@@ -67,12 +69,13 @@ from wavecrit.modulus import (
 )
 from wavecrit.reporting import row_blocks
 from wavecrit.solver import (
+    DEFAULT_CAP,
     CharacteristicGrid,
     FreeWave,
     RadialData,
-    SolutionRun,
     cone_edge,
     default_bump,
+    march,
 )
 from wavecrit.weights import _cone_weight, bracket, log_weight
 
@@ -234,17 +237,25 @@ def _duhamel_level(
     return out
 
 
-def duhamel_apply(run: SolutionRun, t_level: int, r):
-    """Forcing term Lu at stored level ``t_level`` and lattice radius r, or
-    at an array of lattice radii (returning an array of the same shape).
+def march_field(data: RadialData, spec, grid: CharacteristicGrid, cap: float = DEFAULT_CAP):
+    """(run, field) of ``wavecrit.solver.march``: every block of levels its
+    stream hands out, copied and joined into the (levels x r_nodes) field."""
+    blocks = []
+    run = march(data, spec, grid, cap, reduce=lambda i0, rows: blocks.append(rows.copy()))
+    return run, np.concatenate(blocks)
 
-    The slow oracle for ``march``: every term of the forcing history is
-    summed afresh.  Every level strictly below must already be computed
-    (it is, for any completed or blown-up run).
+
+def duhamel_apply(field: np.ndarray, grid: CharacteristicGrid, spec, t_level: int, r):
+    """Forcing term Lu at level ``t_level`` of ``field`` and lattice radius
+    r, or at an array of lattice radii (returning an array of the same
+    shape).
+
+    The slow oracle for ``march``: every term of the forcing history of
+    ``spec`` is summed afresh.  Every level strictly below must be in
+    ``field`` (it is, for any completed or blown-up run).
     """
-    grid = run.grid
-    if not 0 <= t_level < run.field.shape[0]:
-        raise ValueError(f"level {t_level} not stored")
+    if not 0 <= t_level < field.shape[0]:
+        raise ValueError(f"level {t_level} not in the field")
     r_arr = np.asarray(r, dtype=float)
     j = np.rint(r_arr / grid.h).astype(int)
     if np.any(np.abs(r_arr - j * grid.h) > 1e-9 * np.maximum(1.0, np.abs(r_arr))) \
@@ -253,8 +264,8 @@ def duhamel_apply(run: SolutionRun, t_level: int, r):
     p = strauss_exponent(3)
     g_levels = []
     for k in range(t_level):  # the direct formula, not the march's log-space kernel
-        a = np.abs(run.field[k])
-        g_levels.append(a ** p * mu_direct(run.spec, a) if run.spec else np.zeros_like(a))
+        a = np.abs(field[k])
+        g_levels.append(a ** p * mu_direct(spec, a) if spec else np.zeros_like(a))
     prefixes = [_history_prefix(grid, g) for g in g_levels]
     out = _duhamel_level(grid, prefixes, g_levels, t_level)
     lu = np.where(j == 0, out[0], out[j] / (np.maximum(j, 1) * grid.h))

@@ -49,7 +49,7 @@ from wavecrit.weights import (
 )
 from wavecrit.modulus import mu_eval
 
-from oracles import linear_propagator
+from oracles import linear_propagator, march_field
 
 P3 = strauss_exponent(3)
 Q3 = kernel_exponent(3)
@@ -115,13 +115,13 @@ def test_criterion_05_jensen_property():
 def test_criterion_06_linear_exactness_and_order():
     data = default_bump(0.7)
     grid = CharacteristicGrid.cover(0.05, 3.0, 1.0)
-    run = march(data, None, grid)
+    _, field = march_field(data, None, grid)
     worst = 0.0
-    for i in range(0, run.field.shape[0], 6):
+    for i in range(0, field.shape[0], 6):
         t = i * grid.h
         for j in range(0, grid.r_nodes, 9):
             r = j * grid.h
-            worst = max(worst, abs(run.field[i, j] - linear_propagator(data, t, r)))
+            worst = max(worst, abs(field[i, j] - linear_propagator(data, t, r)))
     assert worst < 1e-12
 
     result = convergence_study(velocity_bump(1.0), None, [0.05, 0.025, 0.0125], t_check=2.0)
@@ -129,8 +129,8 @@ def test_criterion_06_linear_exactness_and_order():
 
     zero = RadialData(u0=np.zeros_like, u1=np.zeros_like, support_radius=1.0,
                       u0_prime=np.zeros_like)
-    zrun = march(zero, None, CharacteristicGrid.cover(0.05, 2.0, 1.0))
-    assert np.max(np.abs(zrun.field)) == 0.0
+    _, zfield = march_field(zero, None, CharacteristicGrid.cover(0.05, 2.0, 1.0))
+    assert np.max(np.abs(zfield)) == 0.0
     report(6, f"linear probe matches propagator to {worst:.2e}; order {result.order:.2f}; zero data exact")
 
 
@@ -138,8 +138,8 @@ def test_criterion_07_structural_invariants():
     spec = make_spec(PowerLaw(1.0))
     grid = CharacteristicGrid.cover(0.05, 10.0, 1.0)  # 200 levels x 222 radial nodes
     assert grid.t_levels == 200
-    run = march(default_bump(0.5), spec, grid)
-    scale = float(np.max(np.abs(run.field)))
+    run, field = march_field(default_bump(0.5), spec, grid)
+    scale = float(np.max(np.abs(field)))
 
     # evenness of the extension path
     for t, r in [(0.5, 0.25), (2.0, 1.5)]:
@@ -166,25 +166,25 @@ def test_criterion_07_structural_invariants():
         u0_prime=lambda r: base.u0_prime(r) + 2.0 * outer_prime(r),
         amplitude=0.5,
     )
-    run_b = march(perturbed, spec, grid)
+    _, field_b = march_field(perturbed, spec, grid)
     cone_worst = 0.0
     for i, t in enumerate(run.times):
         mask = run.radii + t < rho0 - 1e-9
         if np.any(mask):
-            cone_worst = max(cone_worst, float(np.max(np.abs(run.field[i, mask] - run_b.field[i, mask]))))
-    assert cone_worst <= 1e-12 * max(scale, float(np.max(np.abs(run_b.field))))
+            cone_worst = max(cone_worst, float(np.max(np.abs(field[i, mask] - field_b[i, mask]))))
+    assert cone_worst <= 1e-12 * max(scale, float(np.max(np.abs(field_b))))
 
     # support growth r <= R + t
     support_worst = 0.0
     for i, t in enumerate(run.times):
         outside = run.radii > 1.0 + t + 1e-9
         if np.any(outside):
-            support_worst = max(support_worst, float(np.max(np.abs(run.field[i, outside]))))
+            support_worst = max(support_worst, float(np.max(np.abs(field[i, outside]))))
     assert support_worst <= 1e-12 * scale
 
     # odd-window identity on the symmetric sub-window (t <= r)
     k, i, j = 40, 120, 150
-    level = run.field[k]
+    level = field[k]
     g = np.abs(level) ** P3 * mu_eval(spec, np.abs(level))
     hvals = 0.5 * run.radii * g
     m = j - (i - k)

@@ -13,7 +13,7 @@ from wavecrit.blowup import (
     slicing_level,
 )
 from wavecrit.exponents import kernel_exponent, strauss_exponent
-from wavecrit.kernels import KernelConfig, data_kernel, source_kernel
+from wavecrit.kernels import KernelConfig, data_and_source_kernels, data_kernel, source_kernel
 from wavecrit.modulus import (
     IteratedLogBlowup,
     LogPower,
@@ -22,7 +22,10 @@ from wavecrit.modulus import (
     mu_eval,
     mu_power,
 )
+from wavecrit.reporting import row_blocks
 from wavecrit.solver import CharacteristicGrid, RadialData, default_bump, march
+
+from oracles import march_field
 
 P3 = strauss_exponent(3)
 Q3 = kernel_exponent(3)
@@ -161,10 +164,10 @@ def test_identity_residual_shrinks_under_refinement():
     assert residuals[0] / residuals[1] >= 3.0
 
 
-def _residual_by_levels(run, cfg, q, t):
+def _residual_by_levels(run, field, cfg, q, t):
     """Reference: the identity summed level by level with scalar-s kernels."""
-    i = run.level_index(t)
     h = run.grid.h
+    i = int(round(t / h))
     r = run.radii
     meas = 4.0 * math.pi * r * r
     eps = run.data.amplitude
@@ -177,21 +180,22 @@ def _residual_by_levels(run, cfg, q, t):
     total = float(np.trapezoid(u0v * data_kernel(cfg, q, t, r) * meas, dx=h))
     total += t * integral(u1v, 0.0)
     for k in range(i):
-        u = np.abs(run.field[k])
+        u = np.abs(field[k])
         w = 0.5 * h if k == 0 else h
         total += w * (t - k * h) * integral(u**P3 * mu_eval(run.spec, u), k * h)
-    return integral(run.field[i], t) - total
+    return integral(field[i], t) - total
 
 
 @pytest.mark.parametrize("levels", [0, 1, 2, 20])
 def test_identity_matches_level_by_level_sum(levels):
     # t = 0 has no history and t = h a single level
     h = 0.0625
-    run = march(default_bump(0.5), make_spec(PowerLaw(1.0)), CharacteristicGrid.cover(h, 2.0, 1.0))
+    run, field = march_field(default_bump(0.5), make_spec(PowerLaw(1.0)),
+                             CharacteristicGrid.cover(h, 2.0, 1.0))
     t = levels * h
     got = integral_identity_residual(run, CFG, Q3, t)
-    ref = _residual_by_levels(run, CFG, Q3, t)
-    scale = abs(np.trapezoid(run.field[levels] * source_kernel(CFG, Q3, t, t, run.radii)
+    ref = _residual_by_levels(run, field, CFG, Q3, t)
+    scale = abs(np.trapezoid(field[levels] * source_kernel(CFG, Q3, t, t, run.radii)
                              * 4.0 * math.pi * run.radii**2, dx=h))
     assert abs(got - ref) <= 1e-13 * scale
 
@@ -216,27 +220,29 @@ def test_identity_builds_the_kernel_tables_once(monkeypatch):
 
 def test_identity_residual_works_in_blocks(traced_peak):
     # the kernels hold one lam block of table and envelope beside their (161 x 194)
-    # output, and the Duhamel history is walked in row_blocks of levels: 1.0 MB, where
-    # the whole (160 x 194) history arrays took 1.5 MB
+    # output, and the Duhamel history is reduced from the march's blocks of levels:
+    # 1.0 MB, where the whole (160 x 194) history arrays took 1.5 MB
     run = march(default_bump(0.5), make_spec(PowerLaw(1.0)),
                 CharacteristicGrid.cover(0.03125, 5.0, 1.0))
     assert traced_peak(lambda: integral_identity_residual(run, CFG, Q3, 5.0))[1] < 1.5e6
 
 
-def _residual_two_tables(run, cfg, q, t):
-    """The residual with its data row and source rows from the two public
-    kernel calls, each building its own table on the same radii."""
-    i, h, r = run.level_index(t), run.grid.h, run.radii
+def _residual_two_tables(run, field, cfg, q, t):
+    """The residual of the levels of ``field`` with its data row and source
+    rows from the two public kernel calls, each building its own table on
+    the same radii."""
+    h, r = run.grid.h, run.radii
+    i = int(round(t / h))
     meas = 4.0 * math.pi * r * r
     s = h * np.arange(i + 1)
     s[i] = t
     eta = source_kernel(cfg, q, t, s, r)
-    lhs = float(np.trapezoid(run.field[i] * eta[i] * meas, dx=h))
+    lhs = float(np.trapezoid(field[i] * eta[i] * meas, dx=h))
     u0v = run.data.amplitude * run.data.u0(r)
     u1v = run.data.amplitude * run.data.u1(r)
     data_term = float(np.trapezoid(u0v * data_kernel(cfg, q, t, r) * meas, dx=h))
     vel_term = t * float(np.trapezoid(u1v * eta[0] * meas, dx=h))
-    inner = np.trapezoid(mu_power(run.spec, P3, np.abs(run.field[:i])) * eta[:i] * meas,
+    inner = np.trapezoid(mu_power(run.spec, P3, np.abs(field[:i])) * eta[:i] * meas,
                          dx=h, axis=1)
     w = np.full(i, h)
     w[:1] = 0.5 * h
@@ -246,17 +252,70 @@ def _residual_two_tables(run, cfg, q, t):
 @pytest.mark.parametrize("h", [0.0625, 0.03125, 0.015625])
 def test_identity_with_one_table_equals_two_kernel_calls(h):
     # at h = 1/64 the 320 levels of history take 8 level blocks, the last one short
-    run = march(default_bump(0.5), make_spec(PowerLaw(1.0)), CharacteristicGrid.cover(h, 5.0, 1.0))
-    field = run.field.copy()
-    assert integral_identity_residual(run, CFG, Q3, 5.0) == _residual_two_tables(run, CFG, Q3, 5.0)
-    assert np.array_equal(run.field, field)
+    run, field = march_field(default_bump(0.5), make_spec(PowerLaw(1.0)),
+                             CharacteristicGrid.cover(h, 5.0, 1.0))
+    got = integral_identity_residual(run, CFG, Q3, 5.0)
+    assert got == _residual_two_tables(run, field, CFG, Q3, 5.0)
+
+
+def _residual_of_a_stored_field(run, field, cfg, q, t):
+    """The residual as it was computed from a march's stored field: its
+    Duhamel history walked in ``row_blocks`` of the field's levels."""
+    h = run.grid.h
+    i = int(round(t / h))
+    if abs(t - i * h) > 1e-9 * max(1.0, t) or not 0 <= i < field.shape[0]:
+        raise ValueError(f"time {t} is not a stored level")
+    r = run.radii
+    meas = 4.0 * math.pi * r * r
+    eps = run.data.amplitude
+    s = h * np.arange(i + 1)
+    s[i] = t
+    cosh_row, eta = data_and_source_kernels(cfg, q, t, s, r)
+    lhs = float(np.trapezoid(field[i] * eta[i] * meas, dx=h))
+    data_term = float(np.trapezoid(eps * run.data.u0(r) * cosh_row * meas, dx=h))
+    vel_term = t * float(np.trapezoid(eps * run.data.u1(r) * eta[0] * meas, dx=h))
+    inner = np.zeros(i)
+    if run.spec is not None:
+        for b in row_blocks(i, r.size):
+            forcing = mu_power(run.spec, P3, np.abs(field[b]))
+            inner[b] = np.trapezoid(forcing * eta[b] * meas, dx=h, axis=1)
+    w = np.full(i, h)
+    w[:1] = 0.5 * h
+    return lhs - (data_term + vel_term + float((w * (t - s[:i])) @ inner))
+
+
+@pytest.mark.parametrize("family, eps, h, horizon, t", [
+    (PowerLaw(1.0), 0.5, 0.0625, 5.0, 5.0),  # the two grids of criterion 12
+    (PowerLaw(1.0), 0.5, 0.03125, 5.0, 5.0),
+    (LogPower(0.2, 10.0), 2.0, 0.0625, 1.0, 0.5),  # past tau0: mu_power's bridge
+    (LogPower(0.2, 10.0), 5.0, 0.05, 5.0, None),  # at the level of a blow-up
+], ids=["powerlaw-h1_16", "powerlaw-h1_32", "logpower-bridge", "logpower-blowup"])
+def test_streamed_residual_is_the_stored_field_formula(family, eps, h, horizon, t):
+    # the residual re-marches the run as a level stream; on the run's collected
+    # field the stored-field formula gives the same bits
+    spec = make_spec(family)
+    run, field = march_field(default_bump(eps), spec, CharacteristicGrid.cover(h, horizon, 1.0))
+    if t is None:
+        assert run.status == "blew_up"
+        t = run.t_detect
+    i = int(round(t / h))
+    if isinstance(family, LogPower):
+        assert np.max(np.abs(field[:i])) > spec.tau0
+    got = integral_identity_residual(run, CFG, Q3, t)
+    assert got == _residual_of_a_stored_field(run, field, CFG, Q3, t)
 
 
 def test_identity_time_bounds():
     run = march(default_bump(0.2), make_spec(PowerLaw(1.0)),
                 CharacteristicGrid.cover(0.05, 1.0, 1.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a marched level"):
         integral_identity_residual(run, CFG, Q3, 2.0)
+    # past a blow-up's last level there is no level to reduce
+    blown = march(default_bump(5.0), make_spec(LogPower(0.2, 10.0)),
+                  CharacteristicGrid.cover(0.05, 5.0, 1.0))
+    assert blown.status == "blew_up"
+    with pytest.raises(ValueError, match="not a marched level"):
+        integral_identity_residual(blown, CFG, Q3, blown.t_detect + 0.05)
 
 
 # ------------------------------------------------------------------- onset

@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import warnings
 from pathlib import Path
 
@@ -12,7 +13,8 @@ from oracles import kernel_bounds_by_call
 from wavecrit.blowup import build_ledger, exponent_sequences, slicing_level
 from wavecrit.cli import build_parser, main
 from wavecrit.exponents import holder_conjugate, kernel_exponent, strauss_exponent, weight_exponent
-from wavecrit.solver import CharacteristicGrid
+from wavecrit.modulus import PowerLaw, make_spec
+from wavecrit.solver import CharacteristicGrid, default_bump, march
 
 
 def run_cli(args, tmp_path):
@@ -62,6 +64,23 @@ def test_exponents_in_a_huge_dimension(tmp_path):
     payload = json.loads((latest(tmp_path, "exponents") / "exponents.json").read_text())
     assert payload["p_strauss"] == 1.0 and payload["p_conjugate"] == holder_conjugate(n)
     assert math.isclose(payload["p_conjugate"], n / 4.0, rel_tol=1e-15)
+
+
+def test_exponents_past_the_square_of_a_float(tmp_path):
+    # (n + 1)^2 overflows at n = 10^200: p and its conjugate came out as Infinity
+    n = 10**200
+    assert run_cli(["exponents", "--n", str(n), "--quiet"], tmp_path) == 0
+    payload = json.loads((latest(tmp_path, "exponents") / "exponents.json").read_text())
+    assert payload == {"n": n, "p_strauss": 1.0, "p_conjugate": 2.5e199, "q": 5e199, "kappa": 2.0}
+
+
+def test_exponents_past_the_float_range_exits_one(capsys, tmp_path):
+    # 10^400 has no float: the error said "int too large to convert to float"
+    code = main(["exponents", "--n", str(10**400), "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: n={10**400} is past the float range") and "usage:" not in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_unknown_flag_rejected():
@@ -338,13 +357,26 @@ def test_solve_nonfinite_field_is_persisted(tmp_path, cap):
 
 
 def test_solve_heatmap_copies_no_field(traced_peak, tmp_path):
-    # the heatmap takes |u| of the strided field: solve peaks at 25.5 MB here, its
-    # stored field 20.7 MB of it, where |u| of the whole field took 20.7 MB more
+    # solve keeps per level only the columns its files read, 4.2 MB here, and
+    # peaks at 9.4 MB, where the stored field alone took 20.7 MB and solve 25.9 MB
     argv = ["solve", "--family", "powerlaw", "--eps", "0.01", "--h", "0.0625",
             "--horizon", "100", "--quiet"]
     code, peak = traced_peak(lambda: run_cli(argv, tmp_path))
-    grid = CharacteristicGrid.cover(0.0625, 100.0, 1.0)
-    assert code == 0 and peak < 1.5 * 8 * (grid.t_levels + 1) * grid.r_nodes
+    assert code == 0 and peak < 15e6
+
+
+def test_solve_refuses_the_columns_it_keeps_beyond_memory(capsys, monkeypatch, tmp_path):
+    # 512 KiB holds the march of this grid, 0.15 MB, but not the 1.1 MB of columns
+    # solve keeps besides: refused before anything is allocated
+    grid = CharacteristicGrid.cover(0.0625, 25.0, 1.0)
+    monkeypatch.setattr(os, "sysconf", lambda name: 4096 if name == "SC_PAGE_SIZE" else 128)
+    assert march(default_bump(0.01), make_spec(PowerLaw(1.0)), grid).status == "completed"
+    code = main(["solve", "--family", "powerlaw", "--eps", "0.01", "--h", "0.0625",
+                 "--horizon", "25", "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "bytes" in err and "usage:" not in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_verify_global_failing_family_exits_two(tmp_path):

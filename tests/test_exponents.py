@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import pytest
@@ -30,15 +31,22 @@ def test_three_dimensional_root():
     assert strauss_exponent(3) == 2.414213562373095  # 1 + sqrt(2) correctly rounded
 
 
+def _digits(n):
+    """Decimal digits enough for p(n) - 1 = 2/n + ... to keep 60 of its own."""
+    return 60 + 2 * len(str(n))
+
+
 def _strauss_mp(n):
-    with mpmath.workdps(60):
+    with mpmath.workdps(_digits(n)):
         n = mpmath.mpf(n)
         return (n + 1 + mpmath.sqrt((n + 1) ** 2 + 8 * (n - 1))) / (2 * (n - 1))
 
 
 # every n of the first dimensions, and large n, where p(n) = 1 + 2/n + ... and a
-# root formed as a difference of two numbers near n + 1 cancels to 1.0 by n = 1e12
-MP_DIMENSIONS = [*range(2, 65), *(10**k for k in range(2, 16))]
+# root formed as a difference of two numbers near n + 1 cancels to 1.0 by n = 1e12;
+# past n = 1.3e154 the square (n + 1)^2 overflows, up to the largest float
+MP_DIMENSIONS = [*range(2, 65), *(10**k for k in range(2, 16)),
+                 10**154, 10**155, 10**200, int(sys.float_info.max)]
 
 
 @pytest.mark.parametrize("n", MP_DIMENSIONS)
@@ -50,7 +58,7 @@ def test_root_agrees_with_mpmath(n):
 # p / (p - 1) of the float p cancels: 1.6e-9 relative off at n = 1e8, 8e-4 at n = 1e15
 @pytest.mark.parametrize("n", MP_DIMENSIONS)
 def test_conjugate_agrees_with_mpmath(n):
-    with mpmath.workdps(60):
+    with mpmath.workdps(_digits(n)):
         p = _strauss_mp(n)
         exact = p / (p - 1)
     assert abs(mpmath.mpf(holder_conjugate(n)) - exact) <= 1.5 * math.ulp(float(exact))
@@ -69,6 +77,14 @@ def test_one_dimensional_exponent_refused():
                  exponent_identities_report):
         with pytest.raises(ValueError, match="n >= 2, got n=1"):
             of_n(1)
+
+
+def test_dimension_past_the_float_range_refused():
+    # 10^400 has no float: refused by name, by every function of p
+    for of_n in (strauss_exponent, holder_conjugate, kernel_exponent, weight_exponent,
+                 exponent_identities_report):
+        with pytest.raises(ValueError, match=r"^n=10{400} is past the float range"):
+            of_n(10**400)
 
 
 @pytest.mark.parametrize("n", [0, -1])
@@ -120,6 +136,13 @@ def test_identities_tight(n):
     report = exponent_identities_report(n)
     assert report.passed
     assert report.fitted_constant < 1e-10
+
+
+def test_identities_report_where_p_rounds_to_one():
+    # p(10^20) rounds to 1.0, and q / (p - 1) divided by zero; q p' / p does not
+    report = exponent_identities_report(10**20)
+    assert report.region == f"exponent identities, n={10**20}"
+    assert math.isfinite(report.fitted_constant)
 
 
 def test_identities_moderate_dimensions():

@@ -1,5 +1,5 @@
-"""Bit-identity pins of the march: marched fields, sign bits included, and
-lifespan ladder rows.
+"""Bit-identity pins of the march: marched fields, the levels its stream
+hands out collected, sign bits included, and lifespan ladder rows.
 
 Every pinned march is held bit for bit to ``oracles.march_level_by_level``,
 the same arithmetic as a plain loop of one level at a time, on whatever
@@ -19,7 +19,7 @@ import platform
 import numpy as np
 import pytest
 
-from oracles import march_level_by_level, mixed_bump
+from oracles import march_field, march_level_by_level, mixed_bump
 from wavecrit.modulus import (
     DoubleLogGlobal,
     IteratedLogBlowup,
@@ -34,7 +34,6 @@ from wavecrit.solver import (
     LifespanRow,
     default_bump,
     lifespan_sweep,
-    march,
     velocity_bump,
 )
 
@@ -99,19 +98,21 @@ CASES = {
 
 
 def _march(name):
+    """(run, field) of the march of case ``name``."""
     data, family, grid, _, _ = CASES[name]
-    return march(data, None if family is None else make_spec(family), grid)
+    return march_field(data, None if family is None else make_spec(family), grid)
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_march_is_the_level_by_level_march_bit_for_bit(name):
     data, family, grid, (status, t_detect, shape), _ = CASES[name]
-    run = _march(name)
-    assert (run.status, run.t_detect, run.field.shape) == (status, t_detect, shape)
-    field, ref_status, last = march_level_by_level(
+    run, field = _march(name)
+    assert (run.status, run.t_detect, field.shape) == (status, t_detect, shape)
+    assert run.field.shape == (shape[0], 0)
+    reference, ref_status, last = march_level_by_level(
         data, None if family is None else make_spec(family), grid)
     assert (ref_status, last) == (status, shape[0] - 1)
-    assert run.field.tobytes() == field.tobytes()
+    assert field.tobytes() == reference.tobytes()
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -121,7 +122,7 @@ def test_march_field_digest_is_pinned(name):
         pytest.skip(f"digests were taken in {TAKEN_IN}; this run's float64 kernels ({here}) "
                     "may round differently, and the march is held to the level-by-level "
                     "march bit for bit instead")
-    assert _digest(_march(name).field) == CASES[name][4]
+    assert _digest(_march(name)[1]) == CASES[name][4]
 
 
 def test_lifespan_ladder_rows_are_pinned():

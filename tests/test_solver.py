@@ -30,6 +30,7 @@ from wavecrit.solver import (
     FreeWave,
     LifespanRow,
     RadialData,
+    refuse_beyond_memory,
     convergence_study,
     default_bump,
     lifespan_sweep,
@@ -39,7 +40,14 @@ from wavecrit.solver import (
 from wavecrit.exponents import strauss_exponent
 from wavecrit.reporting import BLOCK_ELEMENTS
 
-from oracles import duhamel_apply, free_wave_two_tables, linear_propagator, mixed_bump, mu_direct
+from oracles import (
+    duhamel_apply,
+    free_wave_two_tables,
+    linear_propagator,
+    march_field,
+    mixed_bump,
+    mu_direct,
+)
 
 P3 = strauss_exponent(3)
 
@@ -94,9 +102,9 @@ def test_propagator_axis_limit_continuous():
 def test_propagator_lattice_vs_adaptive():
     data = velocity_bump(1.0)
     grid = CharacteristicGrid.cover(0.0125, 1.5, 1.0)
-    run = march(data, None, grid)
+    _, field = march_field(data, None, grid)
     for t, r in [(0.5, 0.25), (1.5, 0.75)]:
-        lattice = run.field[run.level_index(t), int(round(r / grid.h))]
+        lattice = field[int(round(t / grid.h)), int(round(r / grid.h))]
         adaptive = linear_propagator(data, t, r)
         assert abs(lattice - adaptive) < 1e-3
 
@@ -106,7 +114,7 @@ def test_free_wave_refuses_nodes_off_the_grid():
     data, grid = velocity_bump(1.0), CharacteristicGrid.cover(1 / 16, 2.0, 1.0)
     free = FreeWave(data, grid)
     nt, nr = grid.t_levels, grid.r_nodes
-    linear = march(data, None, grid).field
+    _, linear = march_field(data, None, grid)
     for i in (0, nt // 2, nt):
         assert np.array_equal(free.level(i, 1, nr), linear[i, 1:])
     assert len(free.level(nt, 1, nr, 3)) == len(range(1, nr, 3))
@@ -153,10 +161,10 @@ def test_free_wave_is_the_two_table_formula(datum, eps):
 
 def test_memory_guard_counts_what_a_march_allocates(monkeypatch):
     # with the memory made tiny the guard refuses every grid and names its count:
-    # the stored field (one block of levels for a level stream), the foot table
-    # and the largest block of the free band a march holds; a ladder holds the table
-    # of its rungs only.  The band is cut at the edges of the blocks of levels: the
-    # first grid's band spans many of them, the second's lies in one
+    # the buffer of one block of levels, the foot table and the largest block of the
+    # free band a march holds, and the doubles per level its reduction keeps; a ladder
+    # holds the table of its rungs only.  The band is cut at the edges of the blocks
+    # of levels: the first grid's band spans many of them, the second's lies in one
     data, spec, h = default_bump(0.5), make_spec(PowerLaw(1.0)), 0.05
     width = 2 * (math.ceil(1.0 / h) + 1) + 1  # nodes per level of the free band
     grid = CharacteristicGrid.cover(h, 2 * h * (BLOCK_ELEMENTS // width + width), 1.0)
@@ -171,36 +179,35 @@ def test_memory_guard_counts_what_a_march_allocates(monkeypatch):
     def stream(i0, rows):
         buffers.append(rows.base)
 
-    def held(grid, reduce=None):  # what a march on ``grid`` allocates
+    def held(grid):  # what a march on ``grid`` allocates
         blocks.clear()
         buffers.clear()
-        run = march(data, spec, grid, reduce=reduce)
-        stored = run.field.base if reduce is None else buffers[0]
-        levels = grid.t_levels + 1 if reduce is None else BLOCK_ELEMENTS // grid.r_nodes
-        assert stored.nbytes == 8 * levels * grid.r_nodes
-        assert all(buffer is stored for buffer in buffers)  # one buffer, reused
+        march(data, spec, grid, reduce=stream)
+        buffer = buffers[0]
+        levels = min(BLOCK_ELEMENTS // grid.r_nodes, grid.t_levels + 1)
+        assert buffer.nbytes == 8 * levels * grid.r_nodes
+        assert all(b is buffer for b in buffers)  # one buffer, reused
         free = FreeWave(data, grid)
-        return stored.nbytes + free._s.nbytes + max(blocks), len(blocks)
+        return buffer.nbytes + free._s.nbytes + max(blocks), len(blocks)
 
     monkeypatch.setattr(FreeWave, "band", spy)
     (allocated, n_blocks), (small_allocated, n_small) = held(grid), held(small)
-    streamed, n_streamed = held(grid, stream)
-    assert n_blocks == n_streamed > 1 and n_small == 1
-    assert streamed < allocated / 10
+    assert n_blocks > 1 and n_small == 1
+    kept = allocated + 8 * (grid.t_levels + 1) * 7  # and 7 doubles kept per level
     ladder = FreeWave(data, grid, np.array([0.5, 1.0, 2.0]))
     laddered = ladder._s.nbytes
 
     monkeypatch.setattr(os, "sysconf", lambda name: 1)
     for count, call in ((allocated, lambda: march(data, spec, grid)),
                         (small_allocated, lambda: march(data, spec, small)),
-                        (streamed, lambda: march(data, spec, grid, reduce=stream)),
+                        (kept, lambda: refuse_beyond_memory(grid, data, 1, 7)),
                         (laddered, lambda: lifespan_sweep(data, spec, [0.5, 1.0, 2.0], grid))):
         with pytest.raises(ValueError, match=f"allocates {count} bytes, more than the 1 bytes"):
             call()
-    # with memory for the stream alone, the stored march is refused and the stream runs
-    monkeypatch.setattr(os, "sysconf", lambda name: streamed if name == "SC_PAGE_SIZE" else 1)
-    with pytest.raises(ValueError, match=f"allocates {allocated} bytes, more than the {streamed}"):
-        march(data, spec, grid)
+    # with memory for the march alone, the columns a reduction keeps are refused
+    monkeypatch.setattr(os, "sysconf", lambda name: allocated if name == "SC_PAGE_SIZE" else 1)
+    with pytest.raises(ValueError, match=f"allocates {kept} bytes, more than the {allocated}"):
+        refuse_beyond_memory(grid, data, 1, 7)
     assert march(data, spec, grid, reduce=stream).status == "completed"
 
 
@@ -216,27 +223,27 @@ def velocity_probes():
     for h in (0.05, 0.025):
         grid = CharacteristicGrid(h=h, t_levels=int(round(6.0 / h)),
                                   r_nodes=int(round(8.0 / h)) + 1)
-        runs[h] = march(velocity_bump(1.0), None, grid)
+        runs[h] = march_field(velocity_bump(1.0), None, grid)[1]
     return runs
 
 
 @settings(max_examples=60, deadline=None)
 @given(h=st.sampled_from([0.05, 0.025]), **feet)
 def test_march_linear_probe_matches_oracle(velocity_probes, h, t, r):
-    run = velocity_probes[h]
+    field = velocity_probes[h]
     i, j = int(round(t / h)), int(round(r / h))
-    oracle = linear_propagator(run.data, i * h, j * h)
-    assert abs(run.field[i, j] - oracle) <= 0.5 * h * h
+    oracle = linear_propagator(velocity_bump(1.0), i * h, j * h)
+    assert abs(field[i, j] - oracle) <= 0.5 * h * h
 
 
 def test_lattice_free_part_matches_propagator_oracle():
     # u1 = 0: the two-point formula from the march's foot tables against the
     # oracle's u0 samples at the feet, at every node, axis included
     data = default_bump(0.7)
-    run = march(data, None, CharacteristicGrid.cover(0.05, 4.0, 1.0))
+    run, field = march_field(data, None, CharacteristicGrid.cover(0.05, 4.0, 1.0))
     oracle = np.array([[linear_propagator(data, t, r) for r in run.radii] for t in run.times])
-    assert np.max(np.abs(run.field - oracle)) <= 1e-13 * np.max(np.abs(run.field))
-    assert np.array_equal(run.field[:, 0], oracle[:, 0])
+    assert np.max(np.abs(field - oracle)) <= 1e-13 * np.max(np.abs(field))
+    assert np.array_equal(field[:, 0], oracle[:, 0])
 
 
 def test_profiles_on_an_array_equal_the_scalar_calls():
@@ -272,39 +279,34 @@ def test_data_without_an_exact_derivative_are_refused():
 
 # ------------------------------------------------------------------ duhamel
 
-def flat_run(c, h=0.05, levels=40, radius=50.0):
-    from wavecrit.solver import SolutionRun
-
+def flat_field(c, h=0.05, levels=40, radius=50.0):
+    """(field, grid, spec) of the constant field c for ``duhamel_apply``."""
     grid = CharacteristicGrid(h=h, t_levels=levels, r_nodes=int(radius / h) + 3)
-    field = np.full((levels + 1, grid.r_nodes), c)
-    return SolutionRun(grid=grid, data=default_bump(0.0),
-                       spec=make_spec(PowerLaw(1.0)), field=field,
-                       status="completed")
+    return np.full((levels + 1, grid.r_nodes), c), grid, make_spec(PowerLaw(1.0))
 
 
 def test_duhamel_zero_field():
-    run = flat_run(0.0)
-    assert duhamel_apply(run, 30, 1.0) == 0.0
+    assert duhamel_apply(*flat_field(0.0), 30, 1.0) == 0.0
 
 
 def test_duhamel_constant_field_closed_form():
     # inner integral of (rho/2) c^{p+1} over the window is c^{p+1} (t-s) r,
     # so Lu = c^{p+1} t^2 / 2, exactly reproduced by the lattice trapezoid
     c = 0.8
-    run = flat_run(c)
+    field, grid, spec = flat_field(c)
     for level, r in [(40, 1.0), (40, 0.05), (20, 3.7), (30, 0.0)]:
-        t = level * run.grid.h
+        t = level * grid.h
         expected = c ** (P3 + 1.0) * t * t / 2.0
-        assert abs(duhamel_apply(run, level, r) - expected) < 1e-12 * expected
+        assert abs(duhamel_apply(field, grid, spec, level, r) - expected) < 1e-12 * expected
 
 
 def test_duhamel_odd_window_cancels():
     # for t <= r the symmetric part of the window integrates to zero
-    run = march(default_bump(0.5), make_spec(PowerLaw(1.0)),
-                CharacteristicGrid.cover(0.05, 3.0, 1.0))
+    run, field = march_field(default_bump(0.5), make_spec(PowerLaw(1.0)),
+                             CharacteristicGrid.cover(0.05, 3.0, 1.0))
     h = run.grid.h
     k, i, j = 10, 40, 50  # s-level, t-level, r-node with r > t
-    level = run.field[k]
+    level = field[k]
     g = np.abs(level) ** P3 * mu_eval(run.spec, np.abs(level))
     hvals = 0.5 * run.radii * g
     m = j - (i - k)  # half-width of the symmetric window in nodes
@@ -316,36 +318,35 @@ def test_duhamel_odd_window_cancels():
 
 
 def test_duhamel_rejects_off_lattice_radius():
-    run = flat_run(0.5)
     with pytest.raises(ValueError):
-        duhamel_apply(run, 10, 0.51234)
+        duhamel_apply(*flat_field(0.5), 10, 0.51234)
 
 
 # -------------------------------------------------------------------- march
 
 def test_march_zero_amplitude_is_zero():
-    run = march(default_bump(0.0), make_spec(PowerLaw(1.0)),
-                CharacteristicGrid.cover(0.05, 3.0, 1.0))
+    run, field = march_field(default_bump(0.0), make_spec(PowerLaw(1.0)),
+                             CharacteristicGrid.cover(0.05, 3.0, 1.0))
     assert run.status == "completed"
-    assert np.max(np.abs(run.field)) == 0.0
+    assert np.max(np.abs(field)) == 0.0
 
 
 def test_march_level_zero_is_sampled_data():
-    run = march(default_bump(0.7), make_spec(PowerLaw(1.0)),
-                CharacteristicGrid.cover(0.05, 1.0, 1.0))
+    run, field = march_field(default_bump(0.7), make_spec(PowerLaw(1.0)),
+                             CharacteristicGrid.cover(0.05, 1.0, 1.0))
     expected = 0.7 * np.asarray([run.data.u0(r) for r in run.radii])
-    assert np.array_equal(run.field[0], expected)
+    assert np.array_equal(field[0], expected)
 
 
 def test_march_linear_probe_matches_propagator():
     data = default_bump(0.7)
     grid = CharacteristicGrid.cover(0.05, 3.0, 1.0)
-    run = march(data, None, grid)
+    _, field = march_field(data, None, grid)
     for i in (0, 17, 40, 60):
         t = i * grid.h
         for j in (0, 3, 19, 44):
             r = j * grid.h
-            assert abs(run.field[i, j] - linear_propagator(data, t, r)) < 1e-12
+            assert abs(field[i, j] - linear_propagator(data, t, r)) < 1e-12
 
 
 # every family, and the linear mode; the iterated-log families take data
@@ -370,16 +371,16 @@ def test_march_matches_history_oracle(name, velocity, scale, h, horizon):
     data = (velocity_bump if velocity else default_bump)(eps)
     grid = CharacteristicGrid.cover(h, horizon, 1.0)
     cap = 1e6
-    run = march(data, spec, grid, cap=cap)
-    free = march(data, None, grid).field
+    run, field = march_field(data, spec, grid, cap=cap)
+    _, free = march_field(data, None, grid)
     status, t_detect = "completed", None
-    for i in range(1, run.field.shape[0]):
-        oracle = free[i] + duhamel_apply(run, i, run.radii)
-        peak = np.max(np.abs(run.field[i]))
+    for i in range(1, field.shape[0]):
+        oracle = free[i] + duhamel_apply(field, grid, spec, i, run.radii)
+        peak = np.max(np.abs(field[i]))
         if run.status == "completed":
-            assert np.max(np.abs(run.field[i] - oracle)) <= 1e-13 * np.max(np.abs(run.field))
+            assert np.max(np.abs(field[i] - oracle)) <= 1e-13 * np.max(np.abs(field))
         elif peak <= 10.0:
-            assert np.max(np.abs(run.field[i] - oracle)) <= 1e-12 * peak
+            assert np.max(np.abs(field[i] - oracle)) <= 1e-12 * peak
         oracle_peak = np.max(np.abs(oracle))
         if not np.isfinite(oracle_peak) or oracle_peak > cap:
             status, t_detect = "blew_up", i * h
@@ -400,18 +401,20 @@ def test_march_samples_u0_once_per_lattice_node():
     assert len(calls) <= grid.t_levels + grid.r_nodes + 8
 
 
-def test_march_stores_the_field_once(traced_peak):
+def test_march_stores_no_field(traced_peak):
+    # the march holds one block of levels, its state and its foot table: it peaks
+    # at 0.23 MB here, where its field would take 1.34 MB
     grid = CharacteristicGrid.cover(1 / 16, 25.0, 1.0)
     run, peak = traced_peak(lambda: march(default_bump(0.01), make_spec(PowerLaw(1.0)), grid))
-    assert run.status == "completed"
-    assert peak <= 1.25 * run.field.nbytes
+    assert run.status == "completed" and run.field.nbytes == 0
+    assert peak <= 0.25 * 8 * (grid.t_levels + 1) * grid.r_nodes
 
 
 def test_march_small_data_completes():
-    run = march(default_bump(0.05), make_spec(PowerLaw(1.0)),
-                CharacteristicGrid.cover(0.05, 10.0, 1.0))
+    run, field = march_field(default_bump(0.05), make_spec(PowerLaw(1.0)),
+                             CharacteristicGrid.cover(0.05, 10.0, 1.0))
     assert run.status == "completed"
-    assert np.max(np.abs(run.field)) < 1.0
+    assert np.max(np.abs(field)) < 1.0
 
 
 def test_march_blows_up_for_large_data():
@@ -422,7 +425,7 @@ def test_march_blows_up_for_large_data():
     assert run.t_detect is not None and run.t_detect < 15.0
     # detection at level boundary: t_detect is an integer multiple of h
     assert abs(run.t_detect / run.grid.h - round(run.t_detect / run.grid.h)) < 1e-9
-    # storage ends at the detection level
+    # the levels end at the detection level
     assert run.field.shape[0] == round(run.t_detect / run.grid.h) + 1
 
 
@@ -538,13 +541,13 @@ def test_finite_propagation_speed():
     )
     inner = RadialData(u0=lambda r: 0.5 * bump_profile(r), u1=np.zeros_like,
                        support_radius=1.0, u0_prime=lambda r: 0.5 * bump_prime(r))
-    run_a = march(inner, spec, grid)
-    run_b = march(perturbed, spec, grid)
-    scale = np.max(np.abs(run_b.field))
+    run_a, field_a = march_field(inner, spec, grid)
+    _, field_b = march_field(perturbed, spec, grid)
+    scale = np.max(np.abs(field_b))
     for i, t in enumerate(run_a.times):
         mask = run_a.radii + t < rho0 - 1e-9
         if np.any(mask):
-            diff = np.max(np.abs(run_a.field[i, mask] - run_b.field[i, mask]))
+            diff = np.max(np.abs(field_a[i, mask] - field_b[i, mask]))
             assert diff <= 1e-12 * scale
 
 
@@ -557,21 +560,21 @@ def test_field_is_positive_zero_past_the_cone_edge(name, velocity, scale, h, hor
     eps = 0.01 * scale * spec.tau0 if name in ("iterlog", "doublelog", "triplelog") else scale
     data = (velocity_bump if velocity else default_bump)(eps)
     grid = CharacteristicGrid.cover(h, horizon, data.support_radius)
-    run = march(data, spec, grid, cap=1e6)
+    run, field = march_field(data, spec, grid, cap=1e6)
     reach = math.ceil(data.support_radius / h) + 1
-    for i, level in enumerate(run.field):
+    for i, level in enumerate(field):
         past = level[reach + i + 1:]
         assert np.all(past == 0.0) and not np.any(np.signbit(past)), (i, run.status)
 
 
 def test_support_grows_at_unit_speed():
-    run = march(default_bump(0.5), make_spec(PowerLaw(1.0)),
-                CharacteristicGrid.cover(0.05, 3.0, 1.0))
-    scale = np.max(np.abs(run.field))
+    run, field = march_field(default_bump(0.5), make_spec(PowerLaw(1.0)),
+                             CharacteristicGrid.cover(0.05, 3.0, 1.0))
+    scale = np.max(np.abs(field))
     for i, t in enumerate(run.times):
         outside = run.radii > 1.0 + t + 1e-9
         if np.any(outside):
-            assert np.max(np.abs(run.field[i, outside])) <= 1e-12 * scale
+            assert np.max(np.abs(field[i, outside])) <= 1e-12 * scale
 
 
 # ----------------------------------------------------------------- forcing
@@ -659,9 +662,9 @@ def test_global_families_take_no_cutoff_from_tau0(family, tau0):
     assert mu_eval(spec, 6.0) == mu_eval(default, 6.0)
     assert np.array_equal(mu_power(spec, P3, abs_u), mu_power(default, P3, abs_u))
     data, grid = default_bump(2.0 * tau0), CharacteristicGrid.cover(1 / 16, 1.0, 1.0)
-    run = march(data, spec, grid)
-    assert np.max(np.abs(run.field)) > tau0
-    assert np.array_equal(run.field, march(data, default, grid).field)
+    _, field = march_field(data, spec, grid)
+    assert np.max(np.abs(field)) > tau0
+    assert np.array_equal(field, march_field(data, default, grid)[1])
 
 
 # --------------------------------------------------------------- lifespans
@@ -773,8 +776,8 @@ def velocity_rung_passing_tau0(spec, h=0.05):
     first level k whose peak passes tau0, with every earlier level at or
     below it."""
     grid = CharacteristicGrid.cover(h, 2.0, 1.0)
-    eps = 2.0 * spec.tau0 / np.max(np.abs(march(velocity_bump(1.0), None, grid).field))
-    peaks = np.max(np.abs(march(velocity_bump(eps), None, grid).field), axis=1)
+    eps = 2.0 * spec.tau0 / np.max(np.abs(march_field(velocity_bump(1.0), None, grid)[1]))
+    peaks = np.max(np.abs(march_field(velocity_bump(eps), None, grid)[1]), axis=1)
     k = int(np.argmax(peaks > spec.tau0))
     assert k >= 2 and peaks[k] > spec.tau0 >= np.max(peaks[:k])
     return eps, k
@@ -787,8 +790,8 @@ def test_ladder_stops_where_a_one_rung_march_stops(name):
     below = 0.1 * eps  # a rung that completes beside the others
     # the last level is never forced: a rung whose last level passes tau0 completes
     last = CharacteristicGrid.cover(h, k * h, 1.0)
-    run = march(velocity_bump(eps), spec, last)
-    assert run.status == "completed" and np.max(np.abs(run.field[-1])) > spec.tau0
+    run, field = march_field(velocity_bump(eps), spec, last)
+    assert run.status == "completed" and np.max(np.abs(field[-1])) > spec.tau0
     assert assert_rows_are_one_rung_marches(velocity_bump(1.0), spec, [eps, below], last) == [
         "completed", "completed"]
     # one level more and that level is forced: the rung fails, its neighbour goes on

@@ -22,7 +22,6 @@ from wavecrit.reporting import BLOCK_ELEMENTS, row_blocks
 from wavecrit.solver import (
     CharacteristicGrid,
     RadialData,
-    SolutionRun,
     default_bump,
     march,
     velocity_bump,
@@ -44,6 +43,8 @@ from oracles import (
     key_integral_mp,
     key_integral_quad,
     linear_propagator,
+    march_field,
+    march_level_by_level,
     zone_value_mp,
     zone_value_quad,
 )
@@ -201,13 +202,14 @@ def test_linear_decay_reads_the_march_free_part(data, m):
     # weighed with the rest of the band in one array call
     report = linear_decay_check(data, horizon=10.0)
     h = 0.125 / m
-    run = march(data, None, CharacteristicGrid.cover(h, 10.0, data.support_radius))
+    run, field = march_field(data, None, CharacteristicGrid.cover(h, 10.0, data.support_radius))
     half_band = m * math.floor(data.support_radius / 0.125)
     nodes = np.arange(run.grid.r_nodes)
     for t, level_max in report.samples:
-        i = run.level_index(t)
+        i = int(round(t / h))
+        assert t == run.times[i]
         band = (np.abs(nodes - i) <= half_band) & (nodes % m == 0)
-        level, r = run.field[i, band], run.radii[band]
+        level, r = field[i, band], run.radii[band]
         assert level_max == np.max(_cone_weight(t, r) * np.abs(level))
 
 
@@ -393,13 +395,13 @@ def test_decay_profile_zero_run():
 
 
 def test_decay_profile_small_data_run():
-    run = march(default_bump(0.01), make_spec(PowerLaw(1.0)),
-                CharacteristicGrid.cover(0.0625, 20.0, 1.0))
+    run, field = march_field(default_bump(0.01), make_spec(PowerLaw(1.0)),
+                             CharacteristicGrid.cover(0.0625, 20.0, 1.0))
     a, b = data_norms(run.data)
     streamed, report = decay_profile_check(run.data, run.spec, run.grid)
     assert report.passed and streamed.field.nbytes == 0
-    # definitional identity with the weighted sup norm of the stored field
-    assert abs(report.fitted_constant * (a + b) - _full_field_maxima(run).max()) < 1e-9
+    # definitional identity with the weighted sup norm of the collected field
+    assert abs(report.fitted_constant * (a + b) - _full_field_maxima(run.grid, field).max()) < 1e-9
 
 
 def test_decay_profile_of_a_blown_up_run_is_none():
@@ -411,14 +413,15 @@ def test_decay_profile_of_a_blown_up_run_is_none():
 
 # the per-level maxima are reduced in blocks cut at the light cone; they
 # must equal the full-field formula bit for bit
-def _full_field_maxima(run):
-    return (_cone_weight(run.times[:, None], run.radii[None, :]) * np.abs(run.field)).max(axis=1)
+def _full_field_maxima(grid, field):
+    times, radii = grid.h * np.arange(len(field)), grid.h * np.arange(grid.r_nodes)
+    return (_cone_weight(times[:, None], radii[None, :]) * np.abs(field)).max(axis=1)
 
 
-def _blocked_maxima(run):
+def _blocked_maxima(grid, field):
     """``_block_maxima`` over the blocks of levels a level stream hands its reduction."""
-    return np.concatenate([_block_maxima(run.grid, run.data, b.start, run.field[b])
-                           for b in row_blocks(*run.field.shape)])
+    return np.concatenate([_block_maxima(grid, default_bump(1.0), b.start, field[b])
+                           for b in row_blocks(*field.shape)])
 
 
 @pytest.mark.parametrize("data, h, horizon", [
@@ -428,28 +431,27 @@ def _blocked_maxima(run):
 ], ids=["h0.05", "h1_16", "velocity-h1_24"])
 def test_level_maxima_equal_the_full_field_formula(data, h, horizon):
     spec, grid = make_spec(PowerLaw(1.0)), CharacteristicGrid.cover(h, horizon, 1.0)
-    stored = march(data, spec, grid)
-    assert stored.status == "completed"
+    run, field = march_field(data, spec, grid)
+    assert run.status == "completed"
     _, report = decay_profile_check(data, spec, grid)
-    assert [m for _, m in report.samples] == _full_field_maxima(stored).tolist()
+    assert [m for _, m in report.samples] == _full_field_maxima(grid, field).tolist()
 
 
-def _edge_run(grid, levels):
-    """A run of ``levels`` stored levels whose field is 0 past the cone edge
-    ceil(R/h) + 1 + i and largest on it."""
+def _edge_field(grid, levels):
+    """A field of ``levels`` levels that is 0 past the cone edge ceil(R/h) +
+    1 + i of data of support R = 1 and largest on it."""
     field = np.random.default_rng(7).uniform(-1.0, 1.0, (levels, grid.r_nodes))
     for i, level in enumerate(field):
         edge = min(math.ceil(1.0 / grid.h) + 1 + i, grid.r_nodes - 1)
         level[edge] = 2.0
         level[edge + 1:] = 0.0
-    return SolutionRun(grid=grid, data=default_bump(1.0), spec=None, field=field,
-                       status="completed")
+    return field
 
 
 def test_level_maxima_read_up_to_the_cone_edge():
     grid = CharacteristicGrid.cover(0.05, 7.5, 1.0)
-    run = _edge_run(grid, grid.t_levels + 1)
-    assert _blocked_maxima(run).tolist() == _full_field_maxima(run).tolist()
+    field = _edge_field(grid, grid.t_levels + 1)
+    assert _blocked_maxima(grid, field).tolist() == _full_field_maxima(grid, field).tolist()
 
 
 # one row, one full block of levels, one row over it and many blocks
@@ -457,13 +459,13 @@ def test_level_maxima_read_up_to_the_cone_edge():
                          ids=["one-row", "one-block", "one-row-over", "many-blocks"])
 def test_level_maxima_equal_the_full_field_formula_across_block_edges(full_blocks, rows):
     grid = CharacteristicGrid.cover(0.05, 20.0, 1.0)
-    run = _edge_run(grid, full_blocks * (BLOCK_ELEMENTS // grid.r_nodes) + rows)
-    assert _blocked_maxima(run).tolist() == _full_field_maxima(run).tolist()
+    field = _edge_field(grid, full_blocks * (BLOCK_ELEMENTS // grid.r_nodes) + rows)
+    assert _blocked_maxima(grid, field).tolist() == _full_field_maxima(grid, field).tolist()
 
 
 def test_decay_reduction_allocates_by_block(traced_peak):
     # temporaries scale with a block of levels, not with the field: the check, its
-    # stream, reduction and data norms, peaks at 0.98 MB here, where a stored field
+    # stream, reduction and data norms, peaks at 0.98 MB here, where the field
     # would take 20.7 MB, and under the bound of test_level_stream_stores_no_field
     # at a quarter of the field
     grid = CharacteristicGrid.cover(1 / 16, 100.0, 1.0)
@@ -473,11 +475,11 @@ def test_decay_reduction_allocates_by_block(traced_peak):
     assert peak < 1.5e6
 
 
-# differential: the level stream against the stored march, for the linear mode
-# and five families, on grids of one block of levels, a block plus or minus one
-# level and several blocks, and on grids whose band never leaves the axis; runs
-# complete, cross a cap at a drawn level, or are refused past tau0 (iterlog,
-# doublelog)
+# differential: the level stream against the level-by-level march of
+# ``oracles``, for the linear mode and five families, on grids of one block of
+# levels, a block plus or minus one level and several blocks, and on grids
+# whose band never leaves the axis; runs complete, cross a cap at a drawn
+# level, or are refused past tau0 (iterlog, doublelog)
 STREAM_SPECS = {"linear": None, **{name: make_spec(family) for name, family in {
     "powerlaw": PowerLaw(1.0), "log1p": LogOnePlus(1.0), "logpower": LogPower(0.2, 10.0),
     "iterlog": IteratedLogBlowup(1.0), "doublelog": DoubleLogGlobal(-1.0)}.items()}}
@@ -485,7 +487,7 @@ STREAM_SPECS = {"linear": None, **{name: make_spec(family) for name, family in {
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
-def test_level_stream_equals_the_stored_march(data):
+def test_level_stream_equals_the_level_by_level_march(data):
     name = data.draw(st.sampled_from(sorted(STREAM_SPECS)))
     spec = STREAM_SPECS[name]
     # iterated-log amplitudes around tau0; LogPower's velocity data at 3.0 to 4.2, which
@@ -505,16 +507,19 @@ def test_level_stream_equals_the_stored_march(data):
     cap = data.draw(st.sampled_from([1e6, math.inf, None]))
     if cap is None:  # a cap the run crosses at a drawn level past the first, in any block
         try:
-            peaks = np.max(np.abs(march(datum, spec, grid, math.inf).field[1:]), axis=1)
+            peaks = np.max(np.abs(march_level_by_level(datum, spec, grid, math.inf)[0][1:]), axis=1)
         except ValueError:  # refused past tau0: so is every march below
             peaks = np.ones(1)
         cap = float(np.quantile(peaks[np.isfinite(peaks)], data.draw(st.floats(0.0, 1.0))))
     try:
-        stored = march(datum, spec, grid, cap)
-    except ValueError as exc:
-        with pytest.raises(ValueError, match=re.escape(str(exc))):
+        field, status, last = march_level_by_level(datum, spec, grid, cap)
+    except ValueError:  # refused past tau0: the march and its decay check refuse alike
+        with pytest.raises(ValueError) as refused:
+            march(datum, spec, grid, cap)
+        with pytest.raises(ValueError, match=re.escape(str(refused.value))):
             decay_profile_check(datum, spec, grid, cap)
         return
+    t_detect = last * grid.h if status == "blew_up" else None
     streamed = []
 
     def keep(i0, rows):
@@ -522,17 +527,16 @@ def test_level_stream_equals_the_stored_march(data):
         streamed.append(rows.copy())
 
     run = march(datum, spec, grid, cap, reduce=keep)
-    assert (run.status, run.t_detect) == (stored.status, stored.t_detect)
-    assert run.field.shape == (len(stored.field), 0) and run.times.tolist() == stored.times.tolist()
+    assert (run.status, run.t_detect, run.field.shape) == (status, t_detect, (last + 1, 0))
     assert all(len(rows) == block for rows in streamed[:-1])
-    assert np.concatenate(streamed).tobytes() == stored.field.tobytes()
+    assert np.concatenate(streamed).tobytes() == field.tobytes()
     # the block reduction of the stream, nan past a cap of inf included, is the
     # full-field formula's, and the decay check reads it for a completed run only
     maxima = np.concatenate([_block_maxima(grid, datum, block * k, rows)
                              for k, rows in enumerate(streamed)])
-    assert np.array_equal(maxima, _full_field_maxima(stored), equal_nan=True)
+    assert np.array_equal(maxima, _full_field_maxima(grid, field), equal_nan=True)
     run, report = decay_profile_check(datum, spec, grid, cap)
-    assert (run.status, run.t_detect) == (stored.status, stored.t_detect)
+    assert (run.status, run.t_detect) == (status, t_detect)
     if run.status == "completed":
         assert [m for _, m in report.samples] == maxima.tolist()
     else:
@@ -540,7 +544,7 @@ def test_level_stream_equals_the_stored_march(data):
 
 
 def test_level_stream_stores_no_field(traced_peak):
-    # the stored march peaks at 5.4 MB here, the decay check on its stream at 0.89 MB
+    # the field of this grid would take 5.2 MB; the decay check on its stream peaks at 0.89 MB
     grid = CharacteristicGrid.cover(1 / 16, 50.0, 1.0)
     (run, report), peak = traced_peak(
         lambda: decay_profile_check(default_bump(0.01), make_spec(PowerLaw(1.0)), grid))
