@@ -10,13 +10,13 @@ as a function of L = log(1/tau), and every reader of the law calls it.
 A family's fields are its free parameters, each refused outside its range
 (NaN and +-inf too); the iterated-log global families fix k as a constant.
 ``forcing(spec, p)`` is the one evaluation of mu: it resolves a spec once
-(the family's law, whether the formula needs a zero mask, whether a peak
-can pass tau0) into a kernel that gives |u|^p mu(|u|) in log space, the
-solver's forcing at every level; ``mu_power`` is that kernel applied once,
-and ``mu_eval`` is ``mu_power`` at p = 0.  ``past_tau0`` is its one
-refusal rule, judged on the largest argument.  The quantity that separates
-the blow-up families from the global-existence ones is the small-argument
-limit of
+(the family's law, whether the formula needs a zero mask, LogPower's
+bridge) into a kernel that gives |u|^p mu(|u|) in log space, the solver's
+forcing at every level; ``mu_power`` is that kernel applied once, and
+``mu_eval`` is ``mu_power`` at p = 0.  ``admissible(spec)`` resolves once
+the largest argument mu accepts and the reason past it.  The quantity that
+separates the blow-up families from the global-existence ones is the
+small-argument limit of
 
     mu(tau) * log(1/tau)**(1/p(n)),
 
@@ -27,7 +27,6 @@ its trials, in ``row_blocks``, bit for bit.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -243,7 +242,6 @@ def _monotone_concave(family, taus):
     return True, margin <= 1e-12 * float(np.max(vals)), margin
 
 
-@functools.lru_cache(maxsize=None)
 def _hermite_bridge(spec: ModulusSpec):
     """Monotone cubic bridge for LogPower on [tau0, 3].
 
@@ -273,8 +271,7 @@ def _hermite_bridge(spec: ModulusSpec):
 
 def _bridge_eval(spec: ModulusSpec, bridge: tuple, tau: np.ndarray) -> np.ndarray:
     """LogPower's mu on an array of arguments past tau0: the ``bridge`` cubic
-    ``past_tau0`` returned, in Horner form, below 3 and cl*(log tau)**gamma
-    from 3 on."""
+    in Horner form below 3, and cl*(log tau)**gamma from 3 on."""
     a, w, c0, c1, c2, c3 = bridge
     s = (np.minimum(tau, 3.0) - a) / w  # s <= 1: the cubic stays finite where the top takes over
     out = ((c3 * s + c2) * s + c1) * s + c0
@@ -284,21 +281,22 @@ def _bridge_eval(spec: ModulusSpec, bridge: tuple, tau: np.ndarray) -> np.ndarra
     return out
 
 
-def past_tau0(spec: ModulusSpec, peak: float):
-    """LogPower's bridge coefficients when arguments of mu as large as
-    ``peak`` take its continuation past tau0, None when none does: the
-    forcing's one refusal rule.  A negative or NaN peak is refused, and so
-    is a peak past tau0 of the other log types, or of LogPower when its
-    bridge is not increasing.  A ``forcing`` kernel judges by it a peak
-    past tau0; a march so judges each level's cap-check peak and, when that
-    is refused, each rung's own peak."""
-    if not peak >= 0.0:  # refuses nan too
-        raise ValueError("mu is defined for non-negative arguments only")
-    if not peak > spec.tau0 or isinstance(spec.family, _GLOBAL_DOMAIN):
-        return None
-    if not isinstance(spec.family, LogPower):
-        raise ValueError(f"mu argument beyond tau0={spec.tau0:g} needs a continuation")
-    return _hermite_bridge(spec)  # refuses a bridge that is not increasing
+def admissible(spec: ModulusSpec):
+    """(ceiling, reason, bridge): the largest argument mu accepts, inf for
+    PowerLaw, LogOnePlus and a LogPower whose bridge can be built and tau0
+    otherwise, the refusal of an argument past it, and LogPower's bridge
+    coefficients, None where there are none (no ceiling has no reason)."""
+    family, tau0 = spec.family, spec.tau0
+    if isinstance(family, _GLOBAL_DOMAIN):
+        return math.inf, None, None
+    if not isinstance(family, LogPower):
+        return tau0, f"mu argument beyond tau0={tau0:g} needs a continuation", None
+    try:
+        return math.inf, None, _hermite_bridge(spec)
+    except OverflowError:
+        return tau0, "continuation bridge overflows for these parameters", None
+    except ValueError as exc:
+        return tau0, str(exc), None
 
 
 def forcing(spec: ModulusSpec, p: float):
@@ -306,18 +304,17 @@ def forcing(spec: ModulusSpec, p: float):
     for ``abs_u`` = |u| into ``out`` in log space, exp(log mu(-lu) + p lu)
     with lu = log|u|: the package's one evaluation of mu.  The spec is
     resolved once, not per call: the family's law, the zero mask the
-    iterated-log laws need (they read -inf + inf at |u| = 0), and the tau0
-    (none for PowerLaw and LogOnePlus) past which ``past_tau0`` judges
-    ``peak``, the largest entry of ``abs_u``, and LogPower's continuation
-    overwrites the entries past it.  The caller ignores divide, invalid
+    iterated-log laws need (they read -inf + inf at |u| = 0), and
+    LogPower's bridge from ``admissible``, which overwrites the entries past
+    tau0 when ``peak``, the largest entry of ``abs_u``, passes it.  Its
+    caller refuses a peak past the ceiling, and ignores divide, invalid
     and over in np.errstate."""
     family, tau0 = spec.family, spec.tau0
     law = family.log_mu
     zero_mask = isinstance(family, _ITERATED_LOG)
-    judged = math.inf if isinstance(family, _GLOBAL_DOMAIN) else tau0
+    bridge = admissible(spec)[2]
 
     def kernel(abs_u: np.ndarray, out: np.ndarray, peak: float) -> np.ndarray:
-        bridge = None if 0.0 <= peak <= judged else past_tau0(spec, peak)
         lu = np.log(abs_u)
         log_mu = law(-lu)
         if p != 0.0:  # 0 * lu would be nan at |u| = 0
@@ -325,7 +322,7 @@ def forcing(spec: ModulusSpec, p: float):
         np.exp(log_mu, out=out)
         if zero_mask:
             out[abs_u == 0.0] = 0.0
-        if bridge is not None:
+        if bridge is not None and peak > tau0:
             past = abs_u > tau0
             out[past] = abs_u[past] ** p * _bridge_eval(spec, bridge, abs_u[past])
         return out
@@ -336,12 +333,16 @@ def forcing(spec: ModulusSpec, p: float):
 def mu_power(spec: ModulusSpec, p: float, abs_u: np.ndarray) -> np.ndarray:
     """|u|^p mu(|u|) for ``abs_u`` = |u| (any shape): the ``forcing`` kernel
     of ``spec`` applied once.  It is 0 at |u| = 0 and takes LogPower's
-    continuation past tau0; the arguments ``past_tau0`` refuses are
-    refused: the least and the largest entry are judged."""
+    continuation past tau0; a negative or NaN entry is refused, and so is
+    one past the ``admissible`` ceiling, with its reason."""
     peak = 0.0
     if abs_u.size:
-        past_tau0(spec, abs_u.min())
+        if not abs_u.min() >= 0.0:  # refuses nan too
+            raise ValueError("mu is defined for non-negative arguments only")
         peak = abs_u.max()
+    ceiling, reason, _ = admissible(spec)
+    if peak > ceiling:
+        raise ValueError(reason)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return forcing(spec, p)(abs_u, np.empty_like(abs_u), peak)
 

@@ -78,9 +78,11 @@ next forcing, 23 to 25 in all.  The slow oracles the tests hold the
 recurrence, the forcing and the free part to live in ``tests/oracles.py``.
 
 Blow-up is detected by a cap on the sup norm: marching stops at the first
-level whose max exceeds the cap or goes non-finite.  That max also judges
-the next level's forcing by ``modulus.past_tau0``, so a level is reduced
-once.  There is one level loop, and a march is a ladder of one rung: the
+level whose max exceeds the cap or goes non-finite.  The one stop rule
+also compares the max of a level still to be forced with the ceiling of
+``modulus.admissible`` (tau0 for a family with no continuation past it),
+so a level is reduced once and forced once.  There is one
+level loop, and a march is a ladder of one rung: the
 state has shape (nodes,) + shape(eps), 1-D for ``march``'s amplitude,
 which writes its levels by blocks, and (nodes x rungs) for
 ``lifespan_sweep``'s ladder, which writes none and so reads its free part
@@ -102,7 +104,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .exponents import strauss_exponent
-from .modulus import ModulusSpec, forcing, past_tau0
+from .modulus import ModulusSpec, admissible, forcing
 from .reporting import row_blocks
 
 DEFAULT_CAP = 1e6
@@ -395,9 +397,9 @@ def march(
     ``spec=None`` disables the nonlinearity (linear probe mode).  Levels
     are filled in increasing time; the run stops early with status
     "blew_up" at the first level whose max modulus exceeds ``cap`` or is
-    not finite; ``cap = inf`` stops on a non-finite level only.  A forcing
-    argument ``modulus.past_tau0`` refuses is raised, and so is a grid
-    whose foot table and blocks exceed physical memory.
+    not finite; ``cap = inf`` stops on a non-finite level only.  A level
+    to be forced past the ``modulus.admissible`` ceiling raises its reason,
+    and so does a grid whose foot table and blocks exceed physical memory.
 
     No field is stored: each block of levels of ``reporting.row_blocks(
     t_levels + 1, r_nodes)`` is written into one reused buffer and handed,
@@ -410,8 +412,8 @@ def march(
     free = FreeWave(data, grid)
     done = reduce or (lambda i0, rows: None)
     status, last = _march_levels(free, spec, data, cap, done).get(0, ("completed", grid.t_levels))
-    if isinstance(status, ValueError):
-        raise status
+    if last is None:
+        raise ValueError(status.removeprefix("failed: "))
     return SolutionRun(
         grid=grid,
         data=data,
@@ -433,19 +435,27 @@ def _march_levels(free, spec, data, cap, done=None) -> dict:
     band first, and ``done(b.start, rows)`` receives each finished block,
     the last one cut at the stop; without, to the reused |level| buffer.
     Returns {rung: (status, level)} for the rungs that stopped, each
-    leaving the state: ("blew_up", i) at the first level
-    i >= 1 whose max modulus exceeds ``cap`` or is not finite, and (the
-    ValueError, None) for a rung whose next forcing ``past_tau0`` refuses.
+    leaving the state: ("blew_up", i) at the first level i >= 1 whose max
+    modulus exceeds ``cap`` or is not finite, else ("failed: " + reason,
+    None) at the first level to be forced past the ``admissible`` ceiling.
     """
     grid = free.grid
     h, nt, nr = grid.h, grid.t_levels, grid.r_nodes
     force = None if spec is None else forcing(spec, strauss_exponent(3))  # resolved once
+    ceiling, reason, _ = (math.inf, None, None) if spec is None else admissible(spec)  # linear: no ceiling
     r = free._r  # the radial nodes, a column against a ladder's state
     reach = cone_edge(grid, data, 0)  # half-width of the Huygens band, in nodes
     rungs = np.shape(free._eps)  # () for one amplitude, (rungs,) for a ladder
     ids = np.arange(np.size(free._eps))  # the rungs still marching
     limit = min(cap, sys.float_info.max)  # peak <= limit is False past the cap, at inf and at nan
     stops = {}
+
+    def stop(i, top):  # a rung's stop at level i, where its |u| peaks at top; None marches on
+        if i > 0 and not top <= limit:
+            return "blew_up", i
+        if i < nt and top > ceiling:
+            return f"failed: {reason}", None
+        return None
 
     # rlu and rlu_prev hold W_{i-1} and W_{i-2} (W = r Lu) on nodes 0..nr; W = 0 on the axis
     # (node 0) and past the cone edge, where nothing is written (node nr is a ghost); q is the
@@ -522,27 +532,14 @@ def _march_levels(free, spec, data, cap, done=None) -> dict:
                 np.abs(level[:n], out=abs_level[:n])
                 n = min(reach + i + 2, nr)  # the nodes of level i + 1; |u| = 0 on node e + 1
 
-            # one reduction judges the cap and the next level's forcing; only when it stops
-            # a rung are the rungs judged one at a time, and the stopped ones leave the state
-            reads = abs_level[:n]  # |u| on the nodes the next level reads
-            peak = reads.max()
-            forced = force is not None and i < nt  # the last level is never forced
-            stopped = i > 0 and not peak <= limit
-            if forced and not stopped:
-                try:
-                    force(reads, g[:n], peak)
-                except ValueError:
-                    stopped = True
-            if stopped:
+            # one reduction judges the stop rule; only when it stops a rung are the rungs
+            # judged one at a time, and the stopped ones leave the state before the forcing
+            peak = abs_level[:n].max()  # |u| on the nodes the next level reads
+            if stop(i, peak):
                 peaks = np.atleast_1d(abs_level[:n].max(axis=0))
                 for rung, top in zip(ids.tolist(), peaks.tolist()):
-                    if i > 0 and not top <= limit:
-                        stops[rung] = ("blew_up", i)
-                    elif forced:
-                        try:
-                            past_tau0(spec, top)
-                        except ValueError as exc:
-                            stops[rung] = (exc, None)
+                    if why := stop(i, top):
+                        stops[rung] = why
                 keep = np.flatnonzero([rung not in stops for rung in ids.tolist()])
                 if not keep.size:
                     break
@@ -550,8 +547,9 @@ def _march_levels(free, spec, data, cap, done=None) -> dict:
                 rlu, rlu_prev, q, axis, abs_level, g, work, trap = (
                     _columns(a, keep) for a in (rlu, rlu_prev, q, axis, abs_level, g, work, trap))
                 free._keep(keep)
-                if forced:
-                    force(abs_level[:n], g[:n], peaks[keep].max())
+                peak = peaks[keep].max()
+            if force is not None and i < nt:  # the last level is never forced
+                force(abs_level[:n], g[:n], peak)
     if done is not None:
         done(i0, block[:i + 1 - i0])
     return stops
@@ -586,9 +584,9 @@ def lifespan_sweep(
     The rungs march as the columns of one (nodes x rungs) state, through
     ``march``'s level loop, and no field is stored.  Errors every rung
     shares (amplitudes, cap, data, a grid whose foot table exceeds physical
-    memory) are raised before the first level; a rung whose forcing
-    argument ``modulus.past_tau0`` refuses (a modulus argument past tau0)
-    becomes that rung's "failed: ..." row, and the other rungs go on.
+    memory) are raised before the first level; a rung that stops at the
+    ``modulus.admissible`` ceiling (a modulus argument past tau0) becomes
+    that rung's "failed: ..." row, and the other rungs go on.
     Every row is the one a march of its amplitude alone gives.
     """
     epsilons = list(epsilons)
@@ -600,8 +598,6 @@ def lifespan_sweep(
     rows = []
     for j, eps in enumerate(epsilons):
         status, level = stops.get(j, ("completed", None))
-        if isinstance(status, ValueError):
-            status = f"failed: {status}"
         rows.append(LifespanRow(float(eps), None if level is None else level * grid.h, status))
     return rows
 

@@ -279,8 +279,8 @@ def march_level_by_level(data: RadialData, spec, grid: CharacteristicGrid, cap: 
     its Huygens band, every node of it written (0.0 off the band and past
     the cone), its forcing ``mu_power`` judged on its own peak.  The
     arithmetic is the march's, in its order, so on any machine a march
-    matches it bit for bit, sign bits included; a forcing argument
-    ``past_tau0`` refuses is raised."""
+    matches it bit for bit, sign bits included; a forcing argument past
+    the ``admissible`` ceiling is raised by ``mu_power``."""
     free = FreeWave(data, grid)
     h, nt, nr = grid.h, grid.t_levels, grid.r_nodes
     p, r = strauss_exponent(3), free.r

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import wavecrit
-from wavecrit import modulus
 from wavecrit.modulus import (
     DoubleLogGlobal,
     IteratedLogBlowup,
@@ -19,11 +18,11 @@ from wavecrit.modulus import (
     LogPower,
     PowerLaw,
     TripleLogGlobal,
+    admissible,
     forcing,
     make_spec,
     mu_eval,
     mu_power,
-    past_tau0,
 )
 from wavecrit.solver import (
     CharacteristicGrid,
@@ -625,30 +624,49 @@ def test_forcing_refuses_what_mu_eval_refuses(name):
 
 
 @pytest.mark.parametrize("name", sorted(set(CONE_SPECS) - {"linear"}))
-def test_resolved_forcing_judges_only_a_peak_past_tau0(name, monkeypatch):
-    # the kernel a march resolves once per spec: below tau0 it calls no
-    # past_tau0 and gives mu_power's bits; past tau0 it judges the peak once
+def test_resolved_forcing_gives_mu_power_bits_and_refuses_nothing(name):
+    # the kernel a march resolves once per spec gives mu_power's bits below
+    # tau0 and, through LogPower's bridge, past it; it refuses nothing: a peak
+    # past the admissible ceiling is mu_power's to refuse, and the march's
     spec = CONE_SPECS[name]
+    ceiling, reason, _ = admissible(spec)
     top = 1e6 if math.isinf(spec.tau0) else spec.tau0
-    abs_u = top * np.array([[0.0, 1e-9, 0.3], [0.5, 0.9, 1.0]])
-    want = mu_power(spec, P3, abs_u)  # judges its least and largest entry, before the count
-    judged = []
-    monkeypatch.setattr(modulus, "past_tau0",
-                        lambda spec, peak: judged.append(peak) or past_tau0(spec, peak))
+    below = top * np.array([[0.0, 1e-9, 0.3], [0.5, 0.9, 1.0]])
     kernel = forcing(spec, P3)
-    out = np.empty_like(abs_u)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        assert kernel(abs_u, out, abs_u.max()) is out
-    assert out.tobytes() == want.tobytes()
-    assert judged == []
-    past = np.append(abs_u, 2.0 * top)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if name in ("iterlog", "doublelog", "triplelog"):
-            with pytest.raises(ValueError, match="beyond tau0"):
-                kernel(past, np.empty_like(past), past.max())
+    for abs_u in (below, np.append(below, 2.0 * top)):
+        out = np.empty_like(abs_u)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            assert kernel(abs_u, out, abs_u.max()) is out
+        if abs_u.max() <= ceiling:
+            assert out.tobytes() == mu_power(spec, P3, abs_u).tobytes()
         else:
-            kernel(past, np.empty_like(past), past.max())
-    assert judged == ([] if math.isinf(spec.tau0) else [2.0 * top])
+            assert name in ITERATED
+            with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
+                mu_power(spec, P3, abs_u)
+
+
+def test_admissible_range_of_each_spec():
+    # resolved once per spec: the largest argument mu accepts and the reason
+    # past it; a LogPower bridge that cannot be built only lowers it to tau0
+    for name in ("powerlaw", "log1p", "logpower"):
+        ceiling, reason, bridge = admissible(CONE_SPECS[name])
+        assert ceiling == math.inf and reason is None
+        assert (bridge is not None) == (name == "logpower")
+    for name in ITERATED:
+        tau0 = CONE_SPECS[name].tau0
+        assert admissible(CONE_SPECS[name]) == (
+            tau0, f"mu argument beyond tau0={tau0:g} needs a continuation", None)
+    assert admissible(make_spec(LogPower(0.2, 10.0), tau0=0.9)) == (
+        0.9, "continuation bridge is not increasing for these parameters", None)
+    # the bridge's coefficients overflow: near zero mu underflows to 0, as
+    # before; past tau0 a ValueError with its reason, where it was an OverflowError
+    huge = make_spec(LogPower(1e4), tau0=0.5)
+    assert admissible(huge) == (0.5, "continuation bridge overflows for these parameters", None)
+    assert mu_eval(huge, 0.1) == 0.0
+    for refused in (lambda: mu_eval(huge, 0.6),
+                    lambda: march(default_bump(1.0), huge, CharacteristicGrid.cover(0.05, 1.0, 1.0))):
+        with pytest.raises(ValueError, match="^continuation bridge overflows for these parameters$"):
+            refused()
 
 
 @pytest.mark.parametrize("family, tau0", [(PowerLaw(1.0), 5.0), (LogOnePlus(1.0), 0.5)])
