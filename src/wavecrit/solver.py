@@ -302,7 +302,8 @@ def _two_point(s_plus, s_minus, r, out=None) -> np.ndarray:
 
 class FreeWave:
     """The free wave v of ``data`` on the lattice of ``grid``, built once;
-    data ``march`` refuses are refused.
+    data ``march`` refuses are refused, and so is a profile with a
+    non-finite sample on a node it reads, by name and radius.
 
     Every foot h (i +- j) of a lattice node is a node n = -(r_nodes -
     1)..t_levels + r_nodes - 1, so v is read from one table at offset
@@ -328,14 +329,22 @@ class FreeWave:
         def col(x):  # a value per node, against a table with one column per rung
             return x[:, None] if np.ndim(eps) else x
 
+        def sampled(name, radii):  # a profile on nodes of the grid, a non-finite sample refused
+            values = getattr(data, name)(radii)
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise ValueError(f"profile {name} is not finite at r={radii[bad[0]]:g}")
+            return values
+
         self.grid = grid
-        self.u0 = data.u0(h * np.arange(nt + nr + 1))
+        self.u0 = sampled("u0", h * np.arange(nt + nr + 1))
         t = h * np.arange(nt + 1)
-        self.axis = np.multiply.outer(data.u0(t) + t * data.u0_prime(t) + t * data.u1(t), eps)
+        self.axis = np.multiply.outer(sampled("u0", t) + t * sampled("u0_prime", t)
+                                      + t * sampled("u1", t), eps)
         feet = np.arange(-(nr - 1), nt + nr)
         self.r = h * np.arange(nr)
         self._r = col(self.r)
-        vals = np.multiply.outer(0.5 * self.r, eps) * col(data.u1(self.r))
+        vals = np.multiply.outer(0.5 * self.r, eps) * col(sampled("u1", self.r))
         q1 = np.zeros_like(vals)
         np.cumsum(0.5 * (vals[1:] + vals[:-1]) * col(np.diff(self.r)), axis=0, out=q1[1:])
         self._s = col(0.5 * h * feet) * np.multiply.outer(self.u0[np.abs(feet)], eps)

@@ -511,6 +511,23 @@ def test_march_validates_support():
         march(bad, None, CharacteristicGrid.cover(0.05, 1.0, 1.0))
 
 
+@pytest.mark.parametrize("spec", [None, make_spec(PowerLaw(1.0))], ids=["linear", "powerlaw"])
+@pytest.mark.parametrize("name", ["u0", "u1", "u0_prime"])
+def test_march_refuses_nonfinite_data_by_profile_and_radius(spec, name):
+    # NaN on (0.3, 0.4) passes the probe of four radii: linear data marched to
+    # "blew_up" at t = h, and PowerLaw's forcing refused a NaN argument of mu
+    data = default_bump(1.0)
+    profile = getattr(data, name)
+    holed = replace(data, **{name: lambda r: np.where((0.3 < r) & (r < 0.4), np.nan, profile(r))})
+    grid = CharacteristicGrid.cover(0.05, 1.0, 1.0)
+    refused = f"^profile {name} is not finite at r=0.3$"  # node 6, 0.30000000000000004
+    with pytest.raises(ValueError, match=refused):
+        march(holed, spec, grid)
+    if spec is not None:
+        with pytest.raises(ValueError, match=refused):
+            lifespan_sweep(holed, spec, [1.0, 2.0], grid)
+
+
 # -------------------------------------------------------- structural checks
 
 def test_finite_propagation_speed():
