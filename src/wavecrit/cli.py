@@ -339,8 +339,9 @@ def _cmd_lifespan(args, spec):
     data = default_bump(1.0)
     grid = CharacteristicGrid.cover(args.h, args.horizon, data.support_radius)
     rows = lifespan_sweep(data, spec, args.eps_list, grid, cap=args.cap)
-    table = [(r.eps, r.t_detect if r.t_detect is not None else args.horizon, r.status)
-             for r in rows]
+    # a completed rung reaches the horizon; a failed one has no time, so no point in the plot
+    table = [(r.eps, r.t_detect if r.t_detect is not None else
+              args.horizon if r.status == "completed" else math.nan, r.status) for r in rows]
     payload = {"rows": [{"eps": r.eps, "t_detect": r.t_detect, "status": r.status}
                         for r in rows]}
     files = {"lifespan.csv": (("eps", "t", "status"), table),

@@ -96,12 +96,28 @@ def test_lemma_dimension_rejected(tmp_path):
 
 
 def test_solve_runtime_error_exits_one(capsys, tmp_path):
-    # iterlog's modulus has no continuation past tau0: march raises mid-run
+    # iterlog's modulus has no continuation past tau0: the march stops with the
+    # reason, one error line, and no result directory is made
     code = main(["solve", "--family", "iterlog", "--gamma", "1", "--eps", "1",
                  "--h", "0.05", "--horizon", "2", "--out-dir", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 1
-    assert "error:" in err and "usage:" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "beyond tau0=8.04712e-06" in errors[0]
+    assert "usage:" not in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_lifespan_failed_row_has_no_time(tmp_path):
+    # a refused rung's t was the horizon, and the plot drew it at t = 2; a
+    # completed rung keeps the horizon
+    assert run_cli(["lifespan", "--family", "iterlog", "--gamma", "1", "--eps-list", "1e-6,1",
+                    "--h", "0.05", "--horizon", "2", "--quiet"], tmp_path) == 0
+    out = latest(tmp_path, "lifespan")
+    assert (out / "lifespan.csv").read_text().splitlines() == [
+        "eps,t,status", "1e-06,2.0,completed",
+        "1.0,nan,failed: mu argument beyond tau0=8.04712e-06 needs a continuation"]
+    assert '<polyline points="40.00,360.00"' in (out / "lifespan.svg").read_text()
 
 
 @pytest.mark.parametrize("argv", [
