@@ -67,13 +67,17 @@ def exponent_identities_report(n: int) -> WeightReport:
     Both reduce to the defining quadratic:
       q/(p-1) - (n-1)/2 * p' + (n-1)  ==  p'/p
       -q - (n-1)(p/2 - 1)             ==  -1
-    q/(p-1) is formed as q p'/p, which stays finite where p rounds to 1.
+    Each is judged relative to its largest term, since where p rounds to 1
+    terms of size n^2/8 cancel.  q/(p-1) is formed as q p'/p, which stays
+    finite there, and the first identity is divided by n - 1, so no term
+    overflows up to the largest float.
     """
     p = strauss_exponent(n)
     pc = holder_conjugate(n)
     q = kernel_exponent(n)
-    res1 = q * pc / p - (n - 1.0) / 2.0 * pc + (n - 1.0) - pc / p
-    res2 = (-q - (n - 1.0) * (p / 2.0 - 1.0)) - (-1.0)
-    worst = max(abs(res1), abs(res2))
+    m = n - 1.0
+    worst = max(abs(sum(terms)) / max(map(abs, terms)) for terms in (
+        (q / m * pc / p, -0.5 * pc, 1.0, -pc / p / m),
+        (-q, -m * (p / 2.0 - 1.0), 1.0)))
     return WeightReport(region=f"exponent identities, n={n}", fitted_constant=worst,
                         passed=worst < 1e-9)

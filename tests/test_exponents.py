@@ -149,3 +149,13 @@ def test_identities_moderate_dimensions():
     for n in range(2, 11):
         assert exponent_identities_report(n).fitted_constant < 1e-10
     assert exponent_identities_report(10).fitted_constant < 1e-9
+
+
+def test_identities_hold_relative_to_their_largest_term():
+    # an absolute residual failed from n = 10^8 (2.2e-8 > 1e-9), read 7.5e19 at
+    # n = 10^20, where p rounds to 1, and nan at 10^200, where q p' overflowed
+    dims = [*range(2, 65), *(10**k for k in range(1, 16)), 10**20, 10**200,
+            int(sys.float_info.max)]
+    for n in dims:
+        report = exponent_identities_report(n)
+        assert report.passed and 0.0 <= report.fitted_constant < 1e-15, (n, report)
