@@ -451,7 +451,7 @@ def _march_levels(free, spec, data, cap, done=None) -> dict:
     grid = free.grid
     h, nt, nr = grid.h, grid.t_levels, grid.r_nodes
     force = None if spec is None else forcing(spec, strauss_exponent(3))  # resolved once
-    ceiling, reason, _ = (math.inf, None, None) if spec is None else admissible(spec)  # linear: no ceiling
+    ceiling, reason, _ = (math.inf, None, None) if spec is None else admissible(spec)
     r = free._r  # the radial nodes, a column against a ladder's state
     reach = cone_edge(grid, data, 0)  # half-width of the Huygens band, in nodes
     rungs = np.shape(free._eps)  # () for one amplitude, (rungs,) for a ladder
