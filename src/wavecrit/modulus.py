@@ -13,10 +13,10 @@ A family's fields are its free parameters, each refused outside its range
 (the family's law, whether the formula needs a zero mask, LogPower's
 bridge) into a kernel that gives |u|^p mu(|u|) in log space, the solver's
 forcing at every level; ``mu_power`` is that kernel applied once, and
-``mu_eval`` is ``mu_power`` at p = 0.  ``admissible(spec)`` resolves once
-the largest argument mu accepts and the reason past it.  The quantity that
-separates the blow-up families from the global-existence ones is the
-small-argument limit of
+``mu_eval`` is ``mu_power`` at p = 0.  ``admissible(spec)`` resolves the
+largest argument mu accepts and the reason past it, which ``forcing``
+returns with its kernel.  The quantity that separates the blow-up
+families from the global-existence ones is the small-argument limit of
 
     mu(tau) * log(1/tau)**(1/p(n)),
 
@@ -300,19 +300,20 @@ def admissible(spec: ModulusSpec):
 
 
 def forcing(spec: ModulusSpec, p: float):
-    """The kernel ``(abs_u, out, peak) -> out`` that writes |u|^p mu(|u|)
-    for ``abs_u`` = |u| into ``out`` in log space, exp(log mu(-lu) + p lu)
-    with lu = log|u|: the package's one evaluation of mu.  The spec is
-    resolved once, not per call: the family's law, the zero mask the
+    """(kernel, ceiling, reason): the kernel ``(abs_u, out, peak) -> out``
+    that writes |u|^p mu(|u|) for ``abs_u`` = |u| into ``out`` in log
+    space, exp(log mu(-lu) + p lu) with lu = log|u|, the package's one
+    evaluation of mu, and the ``admissible`` range it holds on.  The spec
+    is resolved once, not per call: the family's law, the zero mask the
     iterated-log laws need (they read -inf + inf at |u| = 0), and
-    LogPower's bridge from ``admissible``, which overwrites the entries past
-    tau0 when ``peak``, the largest entry of ``abs_u``, passes it.  Its
-    caller refuses a peak past the ceiling, and ignores divide, invalid
-    and over in np.errstate."""
+    LogPower's bridge, which overwrites the entries past tau0 when
+    ``peak``, the largest entry of ``abs_u``, passes it.  The caller
+    refuses a peak past ``ceiling`` with ``reason``, and ignores divide,
+    invalid and over in np.errstate."""
     family, tau0 = spec.family, spec.tau0
     law = family.log_mu
     zero_mask = isinstance(family, _ITERATED_LOG)
-    bridge = admissible(spec)[2]
+    ceiling, reason, bridge = admissible(spec)
 
     def kernel(abs_u: np.ndarray, out: np.ndarray, peak: float) -> np.ndarray:
         lu = np.log(abs_u)
@@ -327,7 +328,7 @@ def forcing(spec: ModulusSpec, p: float):
             out[past] = abs_u[past] ** p * _bridge_eval(spec, bridge, abs_u[past])
         return out
 
-    return kernel
+    return kernel, ceiling, reason
 
 
 def mu_power(spec: ModulusSpec, p: float, abs_u: np.ndarray) -> np.ndarray:
@@ -340,11 +341,11 @@ def mu_power(spec: ModulusSpec, p: float, abs_u: np.ndarray) -> np.ndarray:
         if not abs_u.min() >= 0.0:  # refuses nan too
             raise ValueError("mu is defined for non-negative arguments only")
         peak = abs_u.max()
-    ceiling, reason, _ = admissible(spec)
+    kernel, ceiling, reason = forcing(spec, p)
     if peak > ceiling:
         raise ValueError(reason)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return forcing(spec, p)(abs_u, np.empty_like(abs_u), peak)
+        return kernel(abs_u, np.empty_like(abs_u), peak)
 
 
 def mu_eval(spec: ModulusSpec, tau):

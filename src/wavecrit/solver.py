@@ -104,7 +104,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .exponents import strauss_exponent
-from .modulus import ModulusSpec, admissible, forcing
+from .modulus import ModulusSpec, forcing
 from .reporting import row_blocks
 
 DEFAULT_CAP = 1e6
@@ -450,8 +450,9 @@ def _march_levels(free, spec, data, cap, done=None) -> dict:
     """
     grid = free.grid
     h, nt, nr = grid.h, grid.t_levels, grid.r_nodes
-    force = None if spec is None else forcing(spec, strauss_exponent(3))  # resolved once
-    ceiling, reason, _ = (math.inf, None, None) if spec is None else admissible(spec)
+    force, ceiling, reason = None, math.inf, None  # linear mode: no forcing, no ceiling
+    if spec is not None:
+        force, ceiling, reason = forcing(spec, strauss_exponent(3))  # resolved once
     r = free._r  # the radial nodes, a column against a ladder's state
     reach = cone_edge(grid, data, 0)  # half-width of the Huygens band, in nodes
     rungs = np.shape(free._eps)  # () for one amplitude, (rungs,) for a ladder

@@ -646,10 +646,10 @@ def test_resolved_forcing_gives_mu_power_bits_and_refuses_nothing(name):
     # tau0 and, through LogPower's bridge, past it; it refuses nothing: a peak
     # past the admissible ceiling is mu_power's to refuse, and the march's
     spec = CONE_SPECS[name]
-    ceiling, reason, _ = admissible(spec)
+    kernel, ceiling, reason = forcing(spec, P3)
+    assert (ceiling, reason) == admissible(spec)[:2]
     top = 1e6 if math.isinf(spec.tau0) else spec.tau0
     below = top * np.array([[0.0, 1e-9, 0.3], [0.5, 0.9, 1.0]])
-    kernel = forcing(spec, P3)
     for abs_u in (below, np.append(below, 2.0 * top)):
         out = np.empty_like(abs_u)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
