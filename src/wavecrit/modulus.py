@@ -204,14 +204,15 @@ class ModulusSpec:
 def make_spec(family, tau0: float | None = None) -> ModulusSpec:
     """Build a spec with the family's default near-zero cutoff, or with
     ``tau0`` when given: a cutoff at which the near-zero formula is not
-    finite (past the domain of its logarithms) is refused."""
+    finite (past the domain of its logarithms, or where mu overflows) is
+    refused."""
     if not isinstance(family, (*_GLOBAL_DOMAIN, LogPower, *_ITERATED_LOG)):
         raise TypeError(f"unknown modulus family: {family!r}")
     if tau0 is None:
         tau0 = _default_tau0(family)
     elif tau0 > 0.0 and not isinstance(family, _GLOBAL_DOMAIN):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            finite = bool(np.isfinite(family.log_mu(-math.log(tau0))))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            finite = bool(np.isfinite(np.exp(family.log_mu(-math.log(tau0)))))
         if not finite:
             raise ValueError(f"tau0={tau0:g} is past the near-zero domain of "
                              f"{type(family).__name__}: mu(tau0) is not finite")

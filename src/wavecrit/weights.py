@@ -1,4 +1,10 @@
-"""Light-cone weights, weighted norms and the decay verification toolkit."""
+"""Light-cone weights, weighted norms and the decay verification toolkit.
+
+On the march's lattice t - r = h(i - j) and t + r = h(i + j), so the cone
+weight of level i at node j depends on j - i and i + j alone: the decay
+check takes its logarithm and powers once per lattice diagonal
+(``_cone_tables``) and reads each block of levels through strided views.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +12,7 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .exponents import strauss_exponent, weight_exponent
 from .modulus import ModulusSpec, mu_eval, threshold_product
@@ -43,14 +50,36 @@ def _cone_weight(t, r):
     return log_weight(tmr) * tpr * tmr ** inv_p
 
 
-def _block_maxima(grid, data, i0: int, rows: np.ndarray) -> np.ndarray:
+def _cone_tables(grid):
+    """``_cone_weight``'s factors on the lattice of ``grid``, each one array
+    call: omega(<t-r>) and <t-r>^{1/p} at t - r = h(i - j) for j - i =
+    -t_levels..r_nodes - 1 (the bracket is even), and <t+r> at t + r =
+    h(i + j) for i + j = 0..t_levels + r_nodes - 1."""
+    h, nt, nr = grid.h, grid.t_levels, grid.r_nodes
+    tmr = bracket(h * np.arange(-nt, nr))
+    return log_weight(tmr), tmr ** (1.0 / strauss_exponent(3)), bracket(h * np.arange(nt + nr))
+
+
+def _block_maxima(grid, data, tables, i0: int, rows: np.ndarray) -> np.ndarray:
     """The cone-weighted max of |u| on each of the levels i0, i0 + 1, ...
     held in ``rows``, cut at the cone edge of the last one (u is 0 past
-    it): the one block reduction of a march's levels."""
-    i1 = i0 + len(rows)
+    it): the one block reduction of a march's levels.
+
+    Level i reads nodes 0..n-1 of the ``_cone_tables(grid)`` entries from
+    j - i = -i and i + j = i on, as rows of windows over each table, and
+    weighs them in ``_cone_weight``'s order.  At a dyadic h every lattice
+    coordinate is exact, so the maxima are those of ``_cone_weight`` at
+    t = ih, r = jh bit for bit; at another h, t - r is fl(h(i - j)), not
+    fl(ih) - fl(jh), and a maximum may move in its last bits.
+    """
+    lw, tmr_p, tpr = tables
+    nt, i1 = grid.t_levels, i0 + len(rows)
     n = cone_edge(grid, data, i1 - 1) + 1
-    t, r = grid.h * np.arange(i0, i1), grid.h * np.arange(n)
-    return (_cone_weight(t[:, None], r[None, :]) * np.abs(rows[:, :n])).max(axis=1)
+    diagonals = slice(nt - i1 + 1, nt - i0 + 1)  # j - i + t_levels at j = 0, last level first
+    w = sliding_window_view(lw, n)[diagonals][::-1] * sliding_window_view(tpr, n)[i0:i1]
+    w *= sliding_window_view(tmr_p, n)[diagonals][::-1]
+    w *= rows[:, :n]  # w > 0, so |w u| = w |u| in floats
+    return np.abs(w, out=w).max(axis=1)
 
 
 def _decay_report(times, level_max, denom: float, region: str) -> WeightReport:
@@ -210,6 +239,8 @@ _ZONES = {
 def classify_zone(t: float, r: float) -> str:
     if not (t >= 0.0 and r >= 0.0):  # refuses nan too
         raise ValueError(f"zone samples need t, r >= 0, got t={t}, r={r}")
+    if not (t < math.inf and r < math.inf):
+        raise ValueError(f"zone samples need finite t and r, got t={t}, r={r}")
     for name, pred in _ZONES.items():
         if pred(t, r):
             return name
@@ -264,15 +295,21 @@ def decay_profile_check(data, spec, grid, cap: float = DEFAULT_CAP):
     """Pointwise-decay verification of the march of ``data``.
 
     Marches a level stream, which stores no field, and reduces each block
-    of levels to their cone-weighted maxima (``_block_maxima``); the decay
+    of levels to their cone-weighted maxima (``_block_maxima``) over the
+    grid's ``_cone_tables``, built at the first block; the decay
     rule of ``_decay_report`` reads them over the sum of ``data_norms(data)``:
     the final constant times that sum is the weighted sup norm, the largest
     entry of the ``weighted_max`` column.  Returns (run, report), the report
     None when the run did not complete.
     """
-    blocks = []
-    run = march(data, spec, grid, cap,
-                reduce=lambda i0, rows: blocks.append(_block_maxima(grid, data, i0, rows)))
+    blocks, tables = [], None
+
+    def reduce(i0, rows):
+        nonlocal tables
+        tables = tables or _cone_tables(grid)  # past the march's refusals
+        blocks.append(_block_maxima(grid, data, tables, i0, rows))
+
+    run = march(data, spec, grid, cap, reduce=reduce)
     if run.status != "completed":
         return run, None
     t = run.times

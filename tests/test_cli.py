@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import pytest
 
 import wavecrit.cli
 from oracles import kernel_bounds_by_call
+from test_march_pins import TAKEN_IN, _environment
 from wavecrit.blowup import build_ledger, exponent_sequences, slicing_level
 from wavecrit.cli import build_parser, main
 from wavecrit.exponents import holder_conjugate, kernel_exponent, strauss_exponent, weight_exponent
@@ -196,6 +198,23 @@ def test_tau0_past_the_log_domain_is_a_usage_error(capsys, tmp_path, family):
         main(["mu", "check", "--family", *family, "--tau0", "0.5", "--out-dir", str(tmp_path)])
     assert exc.value.code == 2
     assert "wavecrit mu: error: tau0=0.5" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ["mu", "check"],
+    ["solve", "--eps", "0.1", "--h", "0.05", "--horizon", "1"],
+], ids=["mu-check", "solve"])
+def test_tau0_where_mu_overflows_is_a_usage_error(capsys, tmp_path, argv):
+    # mu(0.5) of LogPower(1e4) overflows: mu check exited 2 after a RuntimeWarning
+    # from its convexity check, and solve marched the spec and exited 0
+    family = ["--family", "logpower", "--gamma", "10000", "--tau0", "0.5"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + family + ["--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and f"wavecrit {argv[0]}: error: tau0=0.5 " in errors[0]
     assert not any(tmp_path.iterdir())
 
 
@@ -413,6 +432,27 @@ def test_verify_global_passes_on_global_family(tmp_path):
         tmp_path,
     )
     assert code == 0
+
+
+# sha256 of the files of verify-global at the default h = 1/16, taken before the
+# decay reduction read its cone weights from lattice tables; numpy's float64
+# kernels may round differently elsewhere, so they are compared only where taken
+VERIFY_GLOBAL_DIGESTS = {
+    "profile.csv": "de12488cb9277586f5aaea87071c5889ac8b130fc1f046503e8e941f680dfbfb",
+    "report.json": "0e05b7e77e56f3bf2b3fa1a2e49d404546cd51cacaf8ae21db122747a55c104c",
+}
+
+
+def test_verify_global_files_are_pinned(tmp_path):
+    here = _environment()
+    if here != TAKEN_IN:
+        pytest.skip(f"digests were taken in {TAKEN_IN}; this run's float64 kernels ({here}) "
+                    "may round differently")
+    assert run_cli(["verify-global", "--family", "powerlaw", "--eps", "0.01",
+                    "--horizon", "12.5", "--quiet"], tmp_path) == 0
+    run = latest(tmp_path, "verify-global")
+    assert {name: hashlib.sha256((run / name).read_bytes()).hexdigest()
+            for name in VERIFY_GLOBAL_DIGESTS} == VERIFY_GLOBAL_DIGESTS
 
 
 def test_onset_payload(tmp_path):

@@ -126,6 +126,15 @@ def test_make_spec_refuses_tau0_past_the_log_domain(family, tau0):
         make_spec(family, tau0=tau0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_make_spec_refuses_tau0_where_mu_overflows():
+    # log mu(0.5) = 3665 is finite but mu(0.5) is not: the spec was accepted,
+    # mu_eval read inf there and axioms_check a nan constant
+    with pytest.raises(ValueError, match=r"^tau0=0\.5 .*: mu\(tau0\) is not finite$"):
+        make_spec(LogPower(1e4), tau0=0.5)
+    assert make_spec(LogPower(1e4), tau0=0.3).tau0 == 0.3  # there mu underflows to 0
+
+
 def test_make_spec_keeps_admissible_tau0():
     for family, tau0 in ((DoubleLogGlobal(-1.0), math.exp(-math.e)), (LogPower(0.3, 7.0), 0.4),
                          (PowerLaw(1.0), 5.0), (LogOnePlus(1.0), 1e300)):

@@ -28,6 +28,7 @@ from wavecrit.solver import (
 )
 from wavecrit.weights import (
     _block_maxima,
+    _cone_tables,
     _cone_weight,
     bracket,
     classify_zone,
@@ -98,7 +99,7 @@ def _field_maxima(field, h=0.1):
     """The cone-weighted maxima of a synthetic field of levels 0, 1, ...,
     reduced as one block (the cone of its data covers every node)."""
     grid = CharacteristicGrid(h=h, t_levels=field.shape[0] - 1, r_nodes=field.shape[1])
-    return _block_maxima(grid, default_bump(0.0), 0, field)
+    return _block_maxima(grid, default_bump(0.0), _cone_tables(grid), 0, field)
 
 
 def test_sup_norm_zero_run():
@@ -346,6 +347,14 @@ def test_zone_refuses_a_sample_before_t_0(t, r):
         zone_bound_check(make_spec(PowerLaw(1.0)), 0.1, [(t, r)])
 
 
+@pytest.mark.parametrize("t, r", [(math.inf, 1.0), (1.0, math.inf)], ids=["t-inf", "r-inf"])
+def test_zone_refuses_a_sample_that_is_not_finite(t, r):
+    # (inf, 1) failed with constant 0 beside a nan row, since max(0.0, nan) is 0;
+    # (1, inf) lay "in no zone", naming neither value
+    with pytest.raises(ValueError, match=f"^zone samples need finite t and r, got t={t}, r={r}$"):
+        zone_bound_check(make_spec(PowerLaw(1.0)), 0.1, [(t, r)])
+
+
 def test_zone_bound_prescribed_samples():
     report = zone_bound_check(make_spec(PowerLaw(1.0)), 0.1,
                               [(100.0, 10.0), (0.5, 0.9), (150.0, 100.0)])
@@ -414,13 +423,24 @@ def test_decay_profile_of_a_blown_up_run_is_none():
 # the per-level maxima are reduced in blocks cut at the light cone; they
 # must equal the full-field formula bit for bit
 def _full_field_maxima(grid, field):
+    """``_cone_weight``'s formula on every node of ``field``, at the lattice
+    distances t - r = h(i - j) and t + r = h(i + j)."""
+    i, j = np.arange(len(field))[:, None], np.arange(grid.r_nodes)[None, :]
+    tmr, tpr = bracket(grid.h * (i - j)), bracket(grid.h * (i + j))
+    weight = log_weight(tmr) * tpr * tmr ** (1.0 / P3)
+    return (weight * np.abs(field)).max(axis=1)
+
+
+def _float_coordinate_maxima(grid, field):
+    """``_cone_weight`` at the float coordinates t = ih, r = jh."""
     times, radii = grid.h * np.arange(len(field)), grid.h * np.arange(grid.r_nodes)
     return (_cone_weight(times[:, None], radii[None, :]) * np.abs(field)).max(axis=1)
 
 
 def _blocked_maxima(grid, field):
     """``_block_maxima`` over the blocks of levels a level stream hands its reduction."""
-    return np.concatenate([_block_maxima(grid, default_bump(1.0), b.start, field[b])
+    tables = _cone_tables(grid)
+    return np.concatenate([_block_maxima(grid, default_bump(1.0), tables, b.start, field[b])
                            for b in row_blocks(*field.shape)])
 
 
@@ -463,11 +483,62 @@ def test_level_maxima_equal_the_full_field_formula_across_block_edges(full_block
     assert _blocked_maxima(grid, field).tolist() == _full_field_maxima(grid, field).tolist()
 
 
+# at a dyadic h every lattice coordinate ih, jh, their sum and their difference
+# is exact, so the lattice tables give the float-coordinate formula bit for bit
+@pytest.mark.parametrize("h", [1 / 8, 1 / 16, 1 / 32])
+def test_level_maxima_at_a_dyadic_step_equal_the_float_coordinate_formula(h):
+    # a support of 2 is resolved by 16 nodes at h = 1/8 too
+    data, spec = replace(default_bump(0.01), support_radius=2.0), make_spec(PowerLaw(1.0))
+    grid = CharacteristicGrid.cover(h, 20.0, 2.0)
+    run, field = march_field(data, spec, grid)
+    _, report = decay_profile_check(data, spec, grid)
+    assert [m for _, m in report.samples] == _float_coordinate_maxima(grid, field).tolist()
+    grid = CharacteristicGrid.cover(h, 20.0, 1.0)
+    edge = _edge_field(grid, grid.t_levels + 1)
+    assert _blocked_maxima(grid, edge).tolist() == _float_coordinate_maxima(grid, edge).tolist()
+
+
+# at another h, t - r is fl(h(i - j)), not fl(ih) - fl(jh): a maximum moves
+# in its last bits at most, and on level 0, where both are -fl(jh), not at all
+@pytest.mark.parametrize("data, h", [(default_bump(0.3), 0.05), (velocity_bump(0.5), 1 / 24)],
+                         ids=["h0.05", "velocity-h1_24"])
+def test_level_maxima_at_another_step_stay_near_the_float_coordinate_formula(data, h):
+    spec, grid = make_spec(PowerLaw(1.0)), CharacteristicGrid.cover(h, 20.0, 1.0)
+    run, field = march_field(data, spec, grid)
+    _, report = decay_profile_check(data, spec, grid)
+    maxima = np.array([m for _, m in report.samples])
+    oracle = _float_coordinate_maxima(grid, field)
+    assert maxima[0] == oracle[0]
+    assert np.all(np.abs(maxima - oracle) <= 5e-15 * oracle)
+    assert np.any(maxima != oracle)  # the two formulas do differ here
+
+
+def test_decay_check_takes_the_log_once_per_lattice_diagonal(monkeypatch):
+    sizes = []
+
+    def counted(tau):
+        sizes.append(np.size(tau))
+        return log_weight(tau)
+
+    monkeypatch.setattr(weights, "log_weight", counted)
+    grid = CharacteristicGrid.cover(1 / 16, 50.0, 1.0)
+    decay_profile_check(default_bump(0.01), make_spec(PowerLaw(1.0)), grid)
+    # one value per diagonal j - i of the lattice, and the 4097 radii of data_norms,
+    # against 655 k nodes of the marched levels
+    assert sorted(sizes) == sorted([grid.t_levels + grid.r_nodes, 4097])
+
+
+def test_decay_check_refuses_a_grid_beyond_memory_before_its_tables():
+    grid = CharacteristicGrid.cover(1e-6, 1e6, 1.0)
+    with pytest.raises(ValueError, match="bytes"):
+        decay_profile_check(default_bump(0.01), make_spec(PowerLaw(1.0)), grid)
+
+
 def test_decay_reduction_allocates_by_block(traced_peak):
     # temporaries scale with a block of levels, not with the field: the check, its
-    # stream, reduction and data norms, peaks at 0.98 MB here, where the field
-    # would take 20.7 MB, and under the bound of test_level_stream_stores_no_field
-    # at a quarter of the field
+    # stream, lattice tables, reduction and data norms, peaks at 0.74 MB here, where
+    # the field would take 20.7 MB, and under the bound of
+    # test_level_stream_stores_no_field at a quarter of the field
     grid = CharacteristicGrid.cover(1 / 16, 100.0, 1.0)
     (run, report), peak = traced_peak(
         lambda: decay_profile_check(default_bump(0.01), make_spec(PowerLaw(1.0)), grid))
@@ -532,7 +603,8 @@ def test_level_stream_equals_the_level_by_level_march(data):
     assert np.concatenate(streamed).tobytes() == field.tobytes()
     # the block reduction of the stream, nan past a cap of inf included, is the
     # full-field formula's, and the decay check reads it for a completed run only
-    maxima = np.concatenate([_block_maxima(grid, datum, block * k, rows)
+    tables = _cone_tables(grid)
+    maxima = np.concatenate([_block_maxima(grid, datum, tables, block * k, rows)
                              for k, rows in enumerate(streamed)])
     assert np.array_equal(maxima, _full_field_maxima(grid, field), equal_nan=True)
     run, report = decay_profile_check(datum, spec, grid, cap)
@@ -544,7 +616,7 @@ def test_level_stream_equals_the_level_by_level_march(data):
 
 
 def test_level_stream_stores_no_field(traced_peak):
-    # the field of this grid would take 5.2 MB; the decay check on its stream peaks at 0.89 MB
+    # the field of this grid would take 5.2 MB; the decay check on its stream peaks at 0.56 MB
     grid = CharacteristicGrid.cover(1 / 16, 50.0, 1.0)
     (run, report), peak = traced_peak(
         lambda: decay_profile_check(default_bump(0.01), make_spec(PowerLaw(1.0)), grid))
