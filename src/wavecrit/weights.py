@@ -1,10 +1,7 @@
 """Light-cone weights, weighted norms and the decay verification toolkit.
 
-On the march's lattice t - r = h(i - j) and t + r = h(i + j), so the cone
-weight of level i at node j depends on j - i and i + j alone: the decay
-check takes its logarithm and powers once per lattice diagonal
-(``_cone_tables``) and reads each block of levels through strided views.
-"""
+The decay check weighs a march's levels from tables with one entry per
+lattice diagonal (``_cone_tables``), not one per node."""
 
 from __future__ import annotations
 
@@ -51,10 +48,9 @@ def _cone_weight(t, r):
 
 
 def _cone_tables(grid):
-    """``_cone_weight``'s factors on the lattice of ``grid``, each one array
-    call: omega(<t-r>) and <t-r>^{1/p} at t - r = h(i - j) for j - i =
-    -t_levels..r_nodes - 1 (the bracket is even), and <t+r> at t + r =
-    h(i + j) for i + j = 0..t_levels + r_nodes - 1."""
+    """``_cone_weight``'s factors at t - r = h(i - j), t + r = h(i + j):
+    omega(<t-r>) and <t-r>^{1/p} for j - i = -t_levels..r_nodes - 1 (the
+    bracket is even), and <t+r> for i + j = 0..t_levels + r_nodes - 1."""
     h, nt, nr = grid.h, grid.t_levels, grid.r_nodes
     tmr = bracket(h * np.arange(-nt, nr))
     return log_weight(tmr), tmr ** (1.0 / strauss_exponent(3)), bracket(h * np.arange(nt + nr))
@@ -65,12 +61,12 @@ def _block_maxima(grid, data, tables, i0: int, rows: np.ndarray) -> np.ndarray:
     held in ``rows``, cut at the cone edge of the last one (u is 0 past
     it): the one block reduction of a march's levels.
 
-    Level i reads nodes 0..n-1 of the ``_cone_tables(grid)`` entries from
-    j - i = -i and i + j = i on, as rows of windows over each table, and
-    weighs them in ``_cone_weight``'s order.  At a dyadic h every lattice
-    coordinate is exact, so the maxima are those of ``_cone_weight`` at
-    t = ih, r = jh bit for bit; at another h, t - r is fl(h(i - j)), not
-    fl(ih) - fl(jh), and a maximum may move in its last bits.
+    Level i reads the ``_cone_tables(grid)`` entries of j - i and i + j,
+    j = 0..n-1, through windows over each table, in ``_cone_weight``'s
+    order.  At a dyadic h every lattice coordinate is exact, so these are
+    ``_cone_weight``'s maxima at t = ih, r = jh bit for bit; elsewhere
+    t - r is fl(h(i - j)), not fl(ih) - fl(jh), and a maximum may move in
+    its last bits.
     """
     lw, tmr_p, tpr = tables
     nt, i1 = grid.t_levels, i0 + len(rows)

@@ -119,25 +119,20 @@ def test_make_spec_refuses_a_non_family():
     (TripleLogGlobal(-0.5), 0.5),
     (LogPower(0.2, 10.0), 1.0),
     (LogPower(0.2, 10.0), math.inf),
-], ids=["iterlog", "doublelog", "triplelog", "logpower-one", "logpower-inf"])
+    # log mu(0.5) = 3665 is finite, mu(0.5) is not: the spec was accepted, and
+    # mu_eval read inf there and axioms_check a nan constant
+    (LogPower(1e4), 0.5),
+], ids=["iterlog", "doublelog", "triplelog", "logpower-one", "logpower-inf", "logpower-overflow"])
 def test_make_spec_refuses_tau0_past_the_log_domain(family, tau0):
     # mu's near-zero formula is not finite at such a cutoff
-    with pytest.raises(ValueError, match="tau0"):
+    with pytest.raises(ValueError, match=r"^tau0=.*: mu\(tau0\) is not finite$"):
         make_spec(family, tau0=tau0)
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_make_spec_refuses_tau0_where_mu_overflows():
-    # log mu(0.5) = 3665 is finite but mu(0.5) is not: the spec was accepted,
-    # mu_eval read inf there and axioms_check a nan constant
-    with pytest.raises(ValueError, match=r"^tau0=0\.5 .*: mu\(tau0\) is not finite$"):
-        make_spec(LogPower(1e4), tau0=0.5)
-    assert make_spec(LogPower(1e4), tau0=0.3).tau0 == 0.3  # there mu underflows to 0
 
 
 def test_make_spec_keeps_admissible_tau0():
     for family, tau0 in ((DoubleLogGlobal(-1.0), math.exp(-math.e)), (LogPower(0.3, 7.0), 0.4),
-                         (PowerLaw(1.0), 5.0), (LogOnePlus(1.0), 1e300)):
+                         (PowerLaw(1.0), 5.0), (LogOnePlus(1.0), 1e300),
+                         (LogPower(1e4), 0.3)):  # mu underflows to 0 there
         assert make_spec(family, tau0=tau0).tau0 == tau0
     for spec in ALL_DEFAULT_SPECS:  # every default, set explicitly
         assert make_spec(spec.family, tau0=spec.tau0) == spec
