@@ -284,10 +284,10 @@ def refuse_beyond_memory(grid: CharacteristicGrid, data: RadialData, rungs: int,
                          f"more than the {memory} bytes of physical memory")
 
 
-def _rows(a: np.ndarray, start: int, rows: int, width: int, step: int) -> np.ndarray:
+def strided_rows(a: np.ndarray, start: int, rows: int, width: int, step: int) -> np.ndarray:
     """The view of the C-contiguous ``a`` whose row b holds its entries
-    start + b step .. start + b step + width - 1 along the first axis;
-    numpy refuses a view past the end of ``a``."""
+    start + b step .. start + b step + width - 1 along the first axis, a
+    negative step included; numpy refuses a view outside ``a``."""
     s = a.strides[0]
     return np.ndarray((rows, width) + a.shape[1:], a.dtype, a, start * s, (step * s,) + a.strides)
 
@@ -389,8 +389,8 @@ class FreeWave:
                              f"the grid has levels 0..{nt} and off-axis nodes 1..{nr - 1}")
         rows, width, plus = i1 - i0, 2 * reach + 1, nr - 1 - reach + 2 * i0
         minus = slice(nr - 1 - reach, nr + reach)
-        return _two_point(_rows(self._s, plus, rows, width, 2), self._s[minus][::-1],
-                          _rows(self._r, i0 - reach, rows, width, 1), out)
+        return _two_point(strided_rows(self._s, plus, rows, width, 2), self._s[minus][::-1],
+                          strided_rows(self._r, i0 - reach, rows, width, 1), out)
 
 
 def march(
@@ -485,8 +485,8 @@ def _march_levels(free, spec, data, cap, done=None) -> dict:
         block.fill(0.0)
         lo, hi = max(b.start, banded.start), min(b.stop, banded.stop)
         if lo < hi:
-            free.band(lo, hi, reach, out=_rows(block.reshape(-1), (lo - b.start) * nr + lo - reach,
-                                               hi - lo, width, nr + 1))
+            start = (lo - b.start) * nr + lo - reach
+            free.band(lo, hi, reach, out=strided_rows(block.reshape(-1), start, hi - lo, width, nr + 1))
         return block, b.start, b.stop
 
     banded, block, i0, i1 = range(0), None, 0, nt + 1  # a ladder writes no block

@@ -9,12 +9,11 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .exponents import strauss_exponent, weight_exponent
 from .modulus import ModulusSpec, mu_eval, threshold_product
 from .reporting import WeightReport
-from .solver import DEFAULT_CAP, CharacteristicGrid, FreeWave, cone_edge, march
+from .solver import DEFAULT_CAP, CharacteristicGrid, FreeWave, cone_edge, march, strided_rows
 
 _DECAY_STEP = 0.5  # time between the levels ``linear_decay_check`` samples
 _DECAY_DR = 0.125  # radius between its samples in the Huygens band
@@ -62,18 +61,17 @@ def _block_maxima(grid, data, tables, i0: int, rows: np.ndarray) -> np.ndarray:
     it): the one block reduction of a march's levels.
 
     Level i reads the ``_cone_tables(grid)`` entries of j - i and i + j,
-    j = 0..n-1, through windows over each table, in ``_cone_weight``'s
+    j = 0..n-1, through strided views of the tables, in ``_cone_weight``'s
     order.  At a dyadic h every lattice coordinate is exact, so these are
     ``_cone_weight``'s maxima at t = ih, r = jh bit for bit; elsewhere
     t - r is fl(h(i - j)), not fl(ih) - fl(jh), and a maximum may move in
     its last bits.
     """
     lw, tmr_p, tpr = tables
-    nt, i1 = grid.t_levels, i0 + len(rows)
-    n = cone_edge(grid, data, i1 - 1) + 1
-    diagonals = slice(nt - i1 + 1, nt - i0 + 1)  # j - i + t_levels at j = 0, last level first
-    w = sliding_window_view(lw, n)[diagonals][::-1] * sliding_window_view(tpr, n)[i0:i1]
-    w *= sliding_window_view(tmr_p, n)[diagonals][::-1]
+    k, start = len(rows), grid.t_levels - i0  # j - i + t_levels of level i0 at j = 0
+    n = cone_edge(grid, data, i0 + k - 1) + 1
+    w = strided_rows(lw, start, k, n, -1) * strided_rows(tpr, i0, k, n, 1)
+    w *= strided_rows(tmr_p, start, k, n, -1)
     w *= rows[:, :n]  # w > 0, so |w u| = w |u| in floats
     return np.abs(w, out=w).max(axis=1)
 

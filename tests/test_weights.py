@@ -536,7 +536,7 @@ def test_decay_check_refuses_a_grid_beyond_memory_before_its_tables():
 
 def test_decay_reduction_allocates_by_block(traced_peak):
     # temporaries scale with a block of levels, not with the field: the check, its
-    # stream, lattice tables, reduction and data norms, peaks at 0.74 MB here, where
+    # stream, lattice tables, reduction and data norms, peaks at 0.71 MB here, where
     # the field would take 20.7 MB, and under the bound of
     # test_level_stream_stores_no_field at a quarter of the field
     grid = CharacteristicGrid.cover(1 / 16, 100.0, 1.0)
