@@ -490,7 +490,7 @@ def test_level_maxima_at_a_dyadic_step_equal_the_float_coordinate_formula(h):
     # a support of 2 is resolved by 16 nodes at h = 1/8 too
     data, spec = replace(default_bump(0.01), support_radius=2.0), make_spec(PowerLaw(1.0))
     grid = CharacteristicGrid.cover(h, 20.0, 2.0)
-    run, field = march_field(data, spec, grid)
+    _, field = march_field(data, spec, grid)
     _, report = decay_profile_check(data, spec, grid)
     assert [m for _, m in report.samples] == _float_coordinate_maxima(grid, field).tolist()
     grid = CharacteristicGrid.cover(h, 20.0, 1.0)
@@ -504,7 +504,7 @@ def test_level_maxima_at_a_dyadic_step_equal_the_float_coordinate_formula(h):
                          ids=["h0.05", "velocity-h1_24"])
 def test_level_maxima_at_another_step_stay_near_the_float_coordinate_formula(data, h):
     spec, grid = make_spec(PowerLaw(1.0)), CharacteristicGrid.cover(h, 20.0, 1.0)
-    run, field = march_field(data, spec, grid)
+    _, field = march_field(data, spec, grid)
     _, report = decay_profile_check(data, spec, grid)
     maxima = np.array([m for _, m in report.samples])
     oracle = _float_coordinate_maxima(grid, field)
