@@ -49,7 +49,7 @@ from .modulus import (
     make_spec,
 )
 from .solver import (DEFAULT_CAP, CharacteristicGrid, default_bump, lifespan_sweep, march,
-                     refuse_beyond_memory)
+                     march_free_wave, refuse_beyond_memory)
 from .weights import (
     data_norms,
     decay_profile_check,
@@ -357,6 +357,9 @@ def _cmd_verify_global(args, spec):
     failures = []
     zones = profile = norm = None
     if verdict.threshold_class != "zero":
+        # the zero class's refusals, in its order: every family refuses an input alike
+        zone_bound_check(spec, args.eps0, [])
+        march_free_wave(data, grid, args.cap)
         failures.append(f"threshold class is {verdict.threshold_class}, not zero")
     else:
         zones = zone_bound_check(spec, args.eps0,

@@ -380,7 +380,8 @@ def convexity_check(spec: ModulusSpec, n: int, grid) -> WeightReport:
         raise ValueError("need a grid with at least two non-negative points")
     vals = convex_companion(spec, n, pos)
     slack = 1e-12 * max(float(np.max(np.abs(vals))), 1e-300)
-    worst = _pair_max(pos, vals, lambda mid, avg: convex_companion(spec, n, mid) - avg)
+    with np.errstate(invalid="ignore"):  # a companion past the float range: nan gaps, which fail
+        worst = _pair_max(pos, vals, lambda mid, avg: convex_companion(spec, n, mid) - avg)
     return WeightReport(
         region=f"pairs from [{pos[0]:g}, {pos[-1]:g}]",
         fitted_constant=max(worst, 0.0),
@@ -397,7 +398,8 @@ def _log_threshold_product(spec: ModulusSpec, n: int, L):
 
 
 def threshold_product(spec: ModulusSpec, n: int, tau):
-    """mu(tau) * log(1/tau)**(1/p(n)), evaluated in log space."""
+    """mu(tau) * log(1/tau)**(1/p(n)), evaluated in log space; a product
+    past the largest float is inf."""
     arr = np.asarray(tau, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
@@ -406,7 +408,8 @@ def threshold_product(spec: ModulusSpec, n: int, tau):
     if np.any(arr > spec.tau0):
         raise ValueError("threshold product is a near-zero quantity; tau > tau0")
     L = -np.log(arr)
-    out = np.exp(_log_threshold_product(spec, n, L))
+    with np.errstate(over="ignore"):
+        out = np.exp(_log_threshold_product(spec, n, L))
     return float(out[0]) if scalar else out
 
 
@@ -439,15 +442,16 @@ def classify_strauss_threshold(spec: ModulusSpec, n: int) -> ThresholdVerdict:
     L = _decades_below(min(spec.tau0, math.exp(-1.0)))
     log_y = _log_threshold_product(spec, n, L)
     growth = log_y[-1] - log_y[-(_TREND_WINDOW + 1)]
-    if growth > math.log1p(_TREND_TOL):
-        cls, estimate = "infinite", math.inf
-    elif growth < -math.log1p(_TREND_TOL):
-        cls, estimate = "zero", float(np.exp(log_y[-1]))
-    else:
-        cls, estimate = "finite", float(np.exp(log_y[-1]))
-    samples = tuple(
-        (float(np.exp(-Lk)), float(np.exp(yk))) for Lk, yk in zip(L, log_y)
-    )
+    with np.errstate(over="ignore"):  # a product past the largest float is inf
+        if growth > math.log1p(_TREND_TOL):
+            cls, estimate = "infinite", math.inf
+        elif growth < -math.log1p(_TREND_TOL):
+            cls, estimate = "zero", float(np.exp(log_y[-1]))
+        else:
+            cls, estimate = "finite", float(np.exp(log_y[-1]))
+        samples = tuple(
+            (float(np.exp(-Lk)), float(np.exp(yk))) for Lk, yk in zip(L, log_y)
+        )
     return ThresholdVerdict(threshold_class=cls, estimate=estimate, samples=samples)
 
 
@@ -462,7 +466,8 @@ def loglog_bound_check(spec: ModulusSpec, n: int) -> WeightReport:
     distinguish slowly divergent products at finite depth.
     """
     L = _decades_below(min(spec.tau0, math.exp(-_tower(2)) * 0.999))
-    values = np.exp(_log_threshold_product(spec, n, L)) * np.log(L)
+    with np.errstate(over="ignore"):  # a product past the largest float is inf, and fails
+        values = np.exp(_log_threshold_product(spec, n, L)) * np.log(L)
     sup = float(np.max(values))
     tail_ok = values[-1] <= values[-(_TREND_WINDOW + 1)] * (1.0 + _TREND_TOL)
     return WeightReport(

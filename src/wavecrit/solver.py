@@ -199,9 +199,6 @@ class CharacteristicGrid:
     def horizon(self) -> float:
         return self.h * self.t_levels
 
-    def covers(self, support_radius: float) -> bool:
-        return (self.r_nodes - 1) * self.h >= support_radius + self.horizon - 1e-9
-
 
 def cone_edge(grid: CharacteristicGrid, data: RadialData, i: int) -> int:
     """ceil(R/h) + 1 + i: the last node of level i in the data's cone, one node of margin."""
@@ -235,32 +232,6 @@ class SolutionRun:
 
 # --------------------------------------------------------------------------
 # free propagator
-
-def _validate_data(data: RadialData, grid: CharacteristicGrid):
-    if grid.h * 16 > data.support_radius:
-        raise ValueError(
-            f"grid step {grid.h:g} does not resolve the support "
-            f"{data.support_radius:g} with 16 nodes"
-        )
-    if not grid.covers(data.support_radius):
-        raise ValueError("grid does not cover the forward light cone of the data")
-    # one array probe of every profile: the axis, then three radii beyond the support
-    probe = data.support_radius * np.array([0.0, 1.0 + 1e-9, 1.5, 2.0])
-    sampled = {}
-    for name, profile in (("u0", data.u0), ("u1", data.u1), ("u0_prime", data.u0_prime)):
-        try:
-            sampled[name] = np.asarray(profile(probe), dtype=float)
-        except (TypeError, ValueError) as exc:  # None, or a profile of scalars only
-            raise ValueError(f"profile {name} cannot be called on an array of radii: {exc}") from exc
-        if sampled[name].shape != probe.shape:
-            raise ValueError(f"profile {name} returns shape {sampled[name].shape} for "
-                             f"{probe.size} radii, not one value per radius")
-    if abs(sampled["u0_prime"][0]) > 1e-6:
-        raise ValueError("radial C^2 data needs u0'(0) = 0")
-    outside = (np.abs(sampled["u0"][1:]) > 0.0) | (np.abs(sampled["u1"][1:]) > 0.0)
-    if np.any(outside):
-        raise ValueError(f"data do not vanish beyond the support at r={probe[1:][outside][0]:g}")
-
 
 def _banded(grid: CharacteristicGrid, reach: int) -> range:
     """The levels whose Huygens band of half-width ``reach`` lies whole in
@@ -301,9 +272,10 @@ def _two_point(s_plus, s_minus, r, out=None) -> np.ndarray:
 
 
 class FreeWave:
-    """The free wave v of ``data`` on the lattice of ``grid``, built once;
-    data ``march`` refuses are refused, and so is a profile with a
-    non-finite sample on a node it reads, by name and radius.
+    """The free wave v of ``data`` on the lattice of ``grid``, built once.
+    It calls each profile once, on the nodes it reads followed by three
+    probe radii past the support, and every check of the data and grid
+    reads those samples; a non-finite node sample is refused by name and radius.
 
     Every foot h (i +- j) of a lattice node is a node n = -(r_nodes -
     1)..t_levels + r_nodes - 1, so v is read from one table at offset
@@ -322,29 +294,45 @@ class FreeWave:
     """
 
     def __init__(self, data: RadialData, grid: CharacteristicGrid, eps=None):
-        _validate_data(data, grid)
-        h, nt, nr = grid.h, grid.t_levels, grid.r_nodes
+        h, nt, nr, radius = grid.h, grid.t_levels, grid.r_nodes, data.support_radius
+        if h * 16 > radius:
+            raise ValueError(f"grid step {h:g} does not resolve the support {radius:g} with 16 nodes")
+        if (nr - 1) * h < radius + grid.horizon - 1e-9:
+            raise ValueError("grid does not cover the forward light cone of the data")
+        probe = radius * np.array([1.0 + 1e-9, 1.5, 2.0])  # three radii beyond the support
+        samples = []  # u0 on the nodes of the feet, u1 on the radial nodes, u0' on the levels
+        for name, n in (("u0", nt + nr + 1), ("u1", nr), ("u0_prime", nt + 1)):
+            radii = np.concatenate((h * np.arange(n), probe))
+            try:
+                samples.append(np.asarray(getattr(data, name)(radii), dtype=float))
+            except (TypeError, ValueError) as exc:  # None, or a profile of scalars only
+                raise ValueError(f"profile {name} cannot be called on an array of radii: {exc}") from exc
+            if samples[-1].shape != radii.shape:
+                raise ValueError(f"profile {name} returns shape {samples[-1].shape} for "
+                                 f"{radii.size} radii, not one value per radius")
+        u0, u1, du0 = samples
+        if abs(du0[0]) > 1e-6:
+            raise ValueError("radial C^2 data needs u0'(0) = 0")
+        outside = (np.abs(u0[-3:]) > 0.0) | (np.abs(u1[-3:]) > 0.0)
+        if np.any(outside):
+            raise ValueError(f"data do not vanish beyond the support at r={probe[outside][0]:g}")
+        u0, u1, du0 = u0[:-3], u1[:-3], du0[:-3]
+        for name, values in (("u0", u0), ("u0_prime", du0), ("u1", u1)):
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:
+                raise ValueError(f"profile {name} is not finite at r={h * bad[0]:g}")
+
         self._eps = eps = data.amplitude if eps is None else eps
 
         def col(x):  # a value per node, against a table with one column per rung
             return x[:, None] if np.ndim(eps) else x
 
-        def sampled(name, radii):  # a profile on nodes of the grid, a non-finite sample refused
-            values = getattr(data, name)(radii)
-            bad = np.flatnonzero(~np.isfinite(values))
-            if bad.size:
-                raise ValueError(f"profile {name} is not finite at r={radii[bad[0]]:g}")
-            return values
-
-        self.grid = grid
-        self.u0 = sampled("u0", h * np.arange(nt + nr + 1))
-        t = h * np.arange(nt + 1)
-        self.axis = np.multiply.outer(sampled("u0", t) + t * sampled("u0_prime", t)
-                                      + t * sampled("u1", t), eps)
+        self.grid, self.u0, self.r = grid, u0, h * np.arange(nr)
+        t = self.r[:nt + 1]  # the levels t_i = i h, also nodes: u0 and u1 read there too
+        self.axis = np.multiply.outer(u0[:nt + 1] + t * du0 + t * u1[:nt + 1], eps)
         feet = np.arange(-(nr - 1), nt + nr)
-        self.r = h * np.arange(nr)
         self._r = col(self.r)
-        vals = np.multiply.outer(0.5 * self.r, eps) * col(sampled("u1", self.r))
+        vals = np.multiply.outer(0.5 * self.r, eps) * col(u1)
         q1 = np.zeros_like(vals)
         np.cumsum(0.5 * (vals[1:] + vals[:-1]) * col(np.diff(self.r)), axis=0, out=q1[1:])
         self._s = col(0.5 * h * feet) * np.multiply.outer(self.u0[np.abs(feet)], eps)
@@ -393,6 +381,16 @@ class FreeWave:
                           strided_rows(self._r, i0 - reach, rows, width, 1), out)
 
 
+def march_free_wave(data: RadialData, grid: CharacteristicGrid, cap: float) -> FreeWave:
+    """The free wave ``march`` starts from, built past its refusals in their
+    order: a cap that is not positive, a grid beyond physical memory, then
+    ``FreeWave``'s checks of the data and grid."""
+    if not cap > 0.0:
+        raise ValueError(f"cap must be positive, got {cap}")
+    refuse_beyond_memory(grid, data, 1, 0)
+    return FreeWave(data, grid)
+
+
 def march(
     data: RadialData,
     spec: Optional[ModulusSpec],
@@ -415,10 +413,7 @@ def march(
     the last block cut at the stop, to ``reduce(i0, rows)`` when given;
     rows[k] is level i0 + k until the next block overwrites it.
     """
-    if not cap > 0.0:
-        raise ValueError(f"cap must be positive, got {cap}")
-    refuse_beyond_memory(grid, data, 1, 0)
-    free = FreeWave(data, grid)
+    free = march_free_wave(data, grid, cap)
     done = reduce or (lambda i0, rows: None)
     status, last = _march_levels(free, spec, data, cap, done).get(0, ("completed", grid.t_levels))
     if last is None:

@@ -1,18 +1,22 @@
 import argparse
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 import wavecrit.cli
 from oracles import kernel_bounds_by_call
 from test_march_pins import TAKEN_IN, _environment
-from wavecrit.blowup import build_ledger, exponent_sequences, slicing_level
+from wavecrit.blowup import EPSILON_EXP, build_ledger, exponent_sequences, slicing_level
 from wavecrit.cli import build_parser, main
 from wavecrit.exponents import holder_conjugate, kernel_exponent, strauss_exponent, weight_exponent
 from wavecrit.modulus import PowerLaw, make_spec
@@ -425,6 +429,25 @@ def test_verify_global_failing_family_exits_two(tmp_path):
     assert payload["pass"] is False
 
 
+@pytest.mark.parametrize("family", [["powerlaw"], ["logpower", "--gamma", "0.2", "--cl", "10"]],
+                         ids=["powerlaw", "logpower"])
+@pytest.mark.parametrize("flags, message", [
+    (["--cap", "0"], "cap must be positive, got 0.0"),
+    (["--eps0", "1.5"], "eps0 must lie in (0, 1)"),
+    (["--h", "0.1"], "grid step 0.1 does not resolve the support 1 with 16 nodes"),
+    (["--cap", "-1", "--h", "0.1"], "cap must be positive, got -1.0"),
+], ids=["cap", "eps0", "h", "cap-before-h"])
+def test_verify_global_refuses_its_input_alike_for_every_family(capsys, tmp_path, family,
+                                                                flags, message):
+    # logpower's threshold class is infinite: it skipped these checks, which only the
+    # zero class's zone and decay checks made, and exited 2 with a result directory
+    code = main(["verify-global", "--family", *family, "--horizon", "2", *flags,
+                 "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not any(tmp_path.iterdir())
+
+
 def test_verify_global_passes_on_global_family(tmp_path):
     code = run_cli(
         ["verify-global", "--family", "powerlaw", "--eps", "0.01",
@@ -510,6 +533,27 @@ def test_mu_check_loglog_bound_in_the_dimension_asked(tmp_path):
                     "--n", "2", "--quiet"], tmp_path) == 0
     payload = json.loads((latest(tmp_path, "mu") / "report.json").read_text())
     assert payload["loglog_bound_pass"] is True
+
+
+@pytest.mark.parametrize("argv, code", [(["onset"], 0), (["mu", "check"], 2),
+                                         (["verify-global", "--horizon", "2"], 2)],
+                         ids=["onset", "mu-check", "verify-global"])
+def test_threshold_product_past_the_float_range_warns_nothing(tmp_path, argv, code):
+    # iterlog's mu at gamma = 1e300 is finite at tau0 = 0.1 and overflows below it:
+    # exp warned of the overflow and the convexity gaps of inf - inf; the product is
+    # inf once loglog(1/tau) passes 1, where the onset is, and the checks fail
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(argv + ["--family", "iterlog", "--gamma=1e300", "--tau0=0.1",
+                               "--quiet"], tmp_path) == code
+    files = [json.loads(path.read_text()) for path in tmp_path.glob("*/*/*.json")
+             if path.name != "manifest.json"]
+    assert len(files) == 1
+    if code:
+        assert files[0]["threshold_class"] == "infinite"
+    else:
+        alpha = 1.0 + 1.0 / strauss_exponent(3) + EPSILON_EXP  # tau(t) = t^-alpha
+        assert files[0]["onset_t"] == pytest.approx(math.exp(math.e / alpha), rel=1e-9)
 
 
 @pytest.mark.parametrize("flag, name", [
@@ -705,3 +749,78 @@ def test_parser_built_once_keeps_runs_independent(tmp_path):
         manifest = json.loads((latest(out_dir, argv[0]) / "manifest.json").read_text())
         assert manifest["parameters"] == parameters, name
     assert build_parser().parse_args(["exponents", "--n", "3"]).modulus == {}
+
+
+# ------------------------------------------------------------ contract fuzz
+
+# every flag a fuzzed subcommand or family reads, with a typical value; a
+# flag takes that value half the time, else one of _EXTREMES.  A subcommand's
+# own flags are always given: the defaults of lifespan and verify-global march
+# for seconds, so an --h below 0.05 and a --horizon above 5 are left out
+_FUZZED = {
+    "mu": (["mu", "check"], {"--n": "3"}),
+    "onset": (["onset"], {"--tmax": "1000", "--c6": "1", "--c7": "1"}),
+    "solve": (["solve"], {"--eps": "0.5", "--h": "0.0625", "--horizon": "2", "--cap": "1e6"}),
+    "lifespan": (["lifespan"], {"--eps-list": "2", "--h": "0.0625", "--horizon": "2",
+                                "--cap": "1e6"}),
+    "verify-global": (["verify-global"], {"--eps": "0.01", "--eps0": "0.05", "--h": "0.0625",
+                                          "--horizon": "2", "--cap": "1e6"}),
+    "key-integral": (["key-integral"], {"--xi-list": "10,100", "--eps0": "0.05"}),
+}
+_FUZZED_FAMILIES = {
+    "powerlaw": {"--gamma": "1"}, "log1p": {"--gamma": "1"},
+    "logpower": {"--gamma": "0.2", "--cl": "10"}, "iterlog": {"--gamma": "1", "--k": "2"},
+    "doublelog": {"--gamma": "-1"}, "triplelog": {"--gamma": "-0.5"},
+}
+_EXTREMES = ["nan", "inf", "-inf", "0", "-1", "1e-300", "1e-12", "1e300", "1e20"]
+_KEPT = {"--h": lambda v: not float(v) < 0.05, "--horizon": lambda v: not float(v) > 5.0}
+
+
+@st.composite
+def _fuzzed_argv(draw):
+    command = draw(st.sampled_from(sorted(_FUZZED)))
+    family = draw(st.sampled_from(sorted(_FUZZED_FAMILIES)))
+    words, flags = _FUZZED[command]
+    argv = [*words, "--family", family]
+    for flag, typical in {**flags, **_FUZZED_FAMILIES[family], "--tau0": "0.1"}.items():
+        if flag not in flags and not draw(st.booleans()):
+            continue
+        extremes = [v for v in _EXTREMES if _KEPT.get(flag, bool)(v)]
+        argv.append(f"{flag}={draw(st.one_of(st.just(typical), st.sampled_from(extremes)))}")
+    return argv
+
+
+def _says_it_failed(report: dict) -> bool:
+    """Whether a mu check's or verify-global's report records a failed check."""
+    if "pass" in report:
+        return report["pass"] is False
+    return not (report["axioms_pass"] and report["g_convex"])
+
+
+@seed(40)
+@settings(max_examples=60, deadline=None, database=None)
+@given(_fuzzed_argv())
+def test_command_line_contract_under_extreme_flag_values(argv):
+    # exit 0 writes one result directory, exit 1 one error line and none, exit 2
+    # a usage line and none or a report that records its failed check; nothing
+    # escapes main and no warning is raised
+    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                code = main(argv + ["--quiet", f"--out-dir={out}"])
+            except SystemExit as exc:  # argparse's usage error
+                code = exc.code
+        err = err.getvalue()
+        runs = sorted(Path(out).glob("*/*"))
+        assert code in (0, 1, 2), (argv, code)
+        if code == 0:
+            assert len(runs) == 1 and not err, (argv, err)
+        elif code == 1:
+            assert err.startswith("error: ") and err.count("\n") == 1 and not runs, (argv, err)
+        elif runs:
+            assert len(runs) == 1 and not err, (argv, err)
+            assert _says_it_failed(json.loads((runs[0] / "report.json").read_text())), argv
+        else:
+            assert err.startswith("usage: "), (argv, err)

@@ -1,4 +1,5 @@
 import ast
+import collections
 import math
 import os
 import re
@@ -509,6 +510,45 @@ def test_march_validates_support():
                      support_radius=1.0, u0_prime=np.zeros_like)
     with pytest.raises(ValueError, match="do not vanish"):
         march(bad, None, CharacteristicGrid.cover(0.05, 1.0, 1.0))
+
+
+def test_march_refuses_data_that_do_not_vanish_before_a_nonfinite_node():
+    # one sample of each profile serves both checks: the probe radius 1.5 R is
+    # judged before the NaN nodes of (0.3, 0.4)
+    base = default_bump(1.0)
+    bad = replace(base, u0=lambda r: np.where(np.abs(r - 1.5) < 0.01, 1.0,
+                                              np.where((0.3 < r) & (r < 0.4), np.nan, base.u0(r))))
+    with pytest.raises(ValueError, match="^data do not vanish beyond the support at r=1.5$"):
+        march(bad, None, CharacteristicGrid.cover(0.05, 1.0, 1.0))
+
+
+def counted_profiles(data):
+    """``data`` with each profile wrapped to count its calls, and the counter."""
+    calls = collections.Counter()
+
+    def counted(name):
+        profile = getattr(data, name)
+
+        def call(r):
+            calls[name] += 1
+            return profile(r)
+
+        return call
+
+    return replace(data, **{name: counted(name) for name in ("u0", "u1", "u0_prime")}), calls
+
+
+def test_a_march_and_a_ladder_call_each_profile_once():
+    # the data probe and the axis limit read the free wave's own samples: a march
+    # called the profiles 8 times, twice on the probe radii and levels alone
+    spec = make_spec(PowerLaw(1.0))
+    grid = CharacteristicGrid.cover(0.05, 2.0, 1.0)
+    data, calls = counted_profiles(default_bump(0.1))
+    assert march(data, spec, grid).status == "completed"
+    assert calls == {"u0": 1, "u1": 1, "u0_prime": 1}
+    calls.clear()
+    lifespan_sweep(data, spec, [0.1, 1.0, 10.0], grid)
+    assert calls == {"u0": 1, "u1": 1, "u0_prime": 1}
 
 
 @pytest.mark.parametrize("spec", [None, make_spec(PowerLaw(1.0))], ids=["linear", "powerlaw"])

@@ -49,6 +49,7 @@ from oracles import (
     zone_value_mp,
     zone_value_quad,
 )
+from test_solver import counted_profiles
 
 P3 = strauss_exponent(3)
 
@@ -176,7 +177,16 @@ def test_linear_decay_builds_the_u1_table_once():
         return base.u1(r)
 
     assert linear_decay_check(replace(base, u1=u1), 100.0).passed
-    assert len(calls) < 30000
+    assert len(calls) == 2  # the free wave and the data_norms scan
+
+
+def test_decay_profile_check_calls_each_profile_twice():
+    # once for the march's free wave and once for the data_norms scan
+    data, calls = counted_profiles(default_bump(0.01))
+    run, report = decay_profile_check(data, make_spec(PowerLaw(1.0)),
+                                      CharacteristicGrid.cover(0.0625, 5.0, 1.0))
+    assert run.status == "completed" and report is not None
+    assert calls == {"u0": 2, "u1": 2, "u0_prime": 2}
 
 
 def band_nodes(t, radii):
