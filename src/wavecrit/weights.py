@@ -191,10 +191,12 @@ def key_integral(xi: float, eps0: float, spec: ModulusSpec) -> KeyIntegralResult
     arg = eps0 / (omega(<eta>) <xi> <eta>^{1/p}) across the window
     [-|xi|, |xi|].  On the window g(eta) + g(-eta) = 2 <xi> g(eta) / <xi + eta>,
     so the integral, even in xi, is 2 <xi> times the integral of the rest
-    over [0, |xi|], summed by ``_log_bracket_gauss``; a sum that does not
-    converge is refused, naming xi.  The companion ratio divides by
+    over [0, |xi|], summed by ``_log_bracket_gauss``; a sum that is not
+    finite (mu past the largest float on the window) or does not converge
+    is refused, naming xi.  The companion ratio divides by
     <xi> [log <xi>]^{-1/p} (loglog <xi>) * threshold_product(eps0/<xi>),
-    which is the quantity the zone analysis consumes.
+    which is the quantity the zone analysis consumes; a threshold product
+    that underflows to 0 is refused, naming xi.
     """
     if not 0.0 < eps0 < 1.0:
         raise ValueError("eps0 must lie in (0, 1)")
@@ -210,16 +212,18 @@ def key_integral(xi: float, eps0: float, spec: ModulusSpec) -> KeyIntegralResult
         return wbr ** (-p) * mu_eval(spec, eps0 / bx / (wbr * b ** (1.0 / p))) / b
 
     half, err = _log_bracket_gauss(integrand, 0.0, abs(xi))
+    if not math.isfinite(half):
+        raise ValueError(f"key integral's integrand is not finite on the window at xi={xi}: "
+                         f"the sum is {half}")
     if not err <= _RULE_TOL * abs(half):
         raise ValueError(f"key integral did not converge at xi={xi}: "
                          f"{half:.17g} with error estimate {err:.3g}")
     value = 2.0 * bx * half
-    bound = (
-        bx
-        * math.log(bx) ** (-1.0 / p)
-        * math.log(math.log(bx))
-        * threshold_product(spec, 3, eps0 / bx)
-    )
+    product = threshold_product(spec, 3, eps0 / bx)
+    if product == 0.0:
+        raise ValueError(f"threshold product underflows to 0 at xi={xi} "
+                         f"(tau=eps0/<xi>={eps0 / bx:.6g}): the ratio has no bound to divide by")
+    bound = bx * math.log(bx) ** (-1.0 / p) * math.log(math.log(bx)) * product
     return KeyIntegralResult(value, value / bound)
 
 

@@ -517,6 +517,20 @@ def test_key_integral_that_does_not_converge_exits_one(capsys, monkeypatch, tmp_
     assert not (tmp_path / "key-integral").exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, message", [
+    (["--family", "logpower", "--gamma", "2", "--cl", "5e-324", "--xi-list", "10"],
+     "threshold product underflows to 0 at xi=10.0"),
+    (["--family", "iterlog", "--gamma=1e300", "--tau0=0.1", "--xi-list", "10,100"],
+     "key integral's integrand is not finite on the window at xi=10.0"),
+], ids=["threshold-product-underflow", "integrand-not-finite"])
+def test_key_integral_refusal_names_the_cause_and_xi(capsys, tmp_path, argv, message):
+    assert run_cli(["key-integral"] + argv, tmp_path) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and message in errors[0]
+    assert not any(tmp_path.iterdir())
+
+
 def test_mu_check_report_keys(tmp_path):
     assert run_cli(
         ["mu", "check", "--family", "powerlaw", "--gamma", "1", "--quiet"],

@@ -931,20 +931,22 @@ def test_blowup_time_stable_under_refinement():
 
 def test_import_loads_no_scipy():
     # the command line, which imports every module, loads no scipy, and neither do
-    # the n = 2 and n = 3 kernels; only the n >= 4 eigenfunction loads scipy.special
+    # the n = 2 and n = 3 kernels; only the n >= 4 eigenfunction loads scipy.special.
+    # The package root defines only __version__: it loads no submodule and no numpy
     src = os.path.dirname(os.path.dirname(wavecrit.__file__))
     env = {**os.environ, "PYTHONPATH": src}
 
-    def scipy_modules(statement):
+    def loaded(statement, packages=("scipy",)):
         probe = (f"import sys; {statement}; "
-                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+                 f"print(sorted(m for m in sys.modules if m.split('.')[0] in {packages!r}))")
         done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                               text=True, timeout=120, check=True)
         return ast.literal_eval(done.stdout.strip())
 
-    assert scipy_modules("import wavecrit.cli") == []
+    assert loaded("import wavecrit", ("wavecrit", "numpy")) == ["wavecrit"]
+    assert loaded("import wavecrit.cli") == []
     kernel = ("from wavecrit.kernels import KernelConfig, data_kernel; "
               "data_kernel(KernelConfig(n={n}, quad_points=64), 0.5, 1.0, [0.0, 0.5, 20.0])")
-    assert scipy_modules(kernel.format(n=2)) == []
-    assert scipy_modules(kernel.format(n=3)) == []
-    assert "scipy.special" in scipy_modules(kernel.format(n=4))
+    assert loaded(kernel.format(n=2)) == []
+    assert loaded(kernel.format(n=3)) == []
+    assert "scipy.special" in loaded(kernel.format(n=4))

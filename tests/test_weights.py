@@ -338,6 +338,18 @@ def test_key_integral_near_the_float_maximum():
             key_integral(xi, 0.05, spec)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("family, tau0, message", [
+    # mu is past the largest float on the window, so the sum is inf
+    (IteratedLogBlowup(1e300), 0.1, "integrand is not finite on the window"),
+    # mu(eps0/<xi>) underflows to 0, and the ratio would divide by it
+    (LogPower(2.0, 5e-324), None, "threshold product underflows to 0"),
+], ids=["integrand-not-finite", "threshold-product-underflow"])
+def test_key_integral_refuses_by_cause_and_xi(family, tau0, message):
+    with pytest.raises(ValueError, match=rf"{message} at xi=10\.0"):
+        key_integral(10.0, 0.05, make_spec(family, tau0))
+
+
 # --------------------------------------------------------------------- zones
 
 def test_zone_classification():
