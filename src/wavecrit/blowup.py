@@ -208,8 +208,11 @@ def divergence_onset(n: int, spec: ModulusSpec, t_max: float,
                          f"underflows to 0")
 
     def base(t: float) -> float:
-        tau = (c6 * t) ** (-alpha)
-        return c7 * threshold_product(spec, n, tau) ** (p / (p - 1.0))
+        product = threshold_product(spec, n, (c6 * t) ** (-alpha))
+        try:
+            return c7 * product ** (p / (p - 1.0))
+        except OverflowError:  # a power past the largest float exceeds 1
+            return math.inf
 
     ts = np.geomspace(t_lo, t_max, 512)
     values = np.asarray([base(t) for t in ts])

@@ -220,10 +220,13 @@ def make_spec(family, tau0: float | None = None) -> ModulusSpec:
 
 
 def _pair_max(x, v, gap) -> float:
-    """max of gap(0.5 (x_a + x_b), 0.5 (v_a + v_b)) over all grid pairs; both are symmetric in
-    a and b, so each block of rows pairs with the columns from its start on, bit for bit."""
+    """max of gap(0.5 (x_a + x_b), v_a / 2 + v_b / 2) over all grid pairs; both are symmetric
+    in a and b, so each block of rows pairs with the columns from its start on, bit for bit.
+    The halves are added so that two values near the largest float average without overflow;
+    wherever v_a + v_b is a finite double above the subnormals, the mean is the same."""
+    half = 0.5 * v
     return float(np.max([np.max(gap(0.5 * (x[b, None] + x[None, b.start:]),
-                                    0.5 * (v[b, None] + v[None, b.start:])))
+                                    half[b, None] + half[None, b.start:]))
                          for b in row_blocks(len(x), len(x))]))
 
 
@@ -403,7 +406,7 @@ def threshold_product(spec: ModulusSpec, n: int, tau):
     arr = np.asarray(tau, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    if np.any(arr >= 1.0) or np.any(arr <= 0.0):
+    if not np.all((arr > 0.0) & (arr < 1.0)):  # refuses nan too
         raise ValueError("threshold product needs 0 < tau < 1")
     if np.any(arr > spec.tau0):
         raise ValueError("threshold product is a near-zero quantity; tau > tau0")
@@ -437,12 +440,14 @@ def classify_strauss_threshold(spec: ModulusSpec, n: int) -> ThresholdVerdict:
     Samples tau on 40 decades below min(tau0, 1/e) and compares the last
     sample against 10 decades earlier: growth beyond 5% means the limit is
     infinite, decay beyond it means zero, anything else is reported finite
-    with the last sample as estimate.
+    with the last sample as estimate.  A last sample whose log is +-inf (an
+    extreme gamma) is infinite or zero by its sign.
     """
     L = _decades_below(min(spec.tau0, math.exp(-1.0)))
-    log_y = _log_threshold_product(spec, n, L)
-    growth = log_y[-1] - log_y[-(_TREND_WINDOW + 1)]
     with np.errstate(over="ignore"):  # a product past the largest float is inf
+        log_y = _log_threshold_product(spec, n, L)
+        # a tail past the float range in log space decides the class by its sign
+        growth = log_y[-1] - log_y[-(_TREND_WINDOW + 1)] if np.isfinite(log_y[-1]) else log_y[-1]
         if growth > math.log1p(_TREND_TOL):
             cls, estimate = "infinite", math.inf
         elif growth < -math.log1p(_TREND_TOL):

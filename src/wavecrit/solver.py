@@ -275,7 +275,8 @@ class FreeWave:
     """The free wave v of ``data`` on the lattice of ``grid``, built once.
     It calls each profile once, on the nodes it reads followed by three
     probe radii past the support, and every check of the data and grid
-    reads those samples; a non-finite node sample is refused by name and radius.
+    reads those samples; a non-finite node sample is refused by name and radius,
+    and an amplitude that takes the table past the largest float by its value.
 
     Every foot h (i +- j) of a lattice node is a node n = -(r_nodes -
     1)..t_levels + r_nodes - 1, so v is read from one table at offset
@@ -329,14 +330,19 @@ class FreeWave:
 
         self.grid, self.u0, self.r = grid, u0, h * np.arange(nr)
         t = self.r[:nt + 1]  # the levels t_i = i h, also nodes: u0 and u1 read there too
-        self.axis = np.multiply.outer(u0[:nt + 1] + t * du0 + t * u1[:nt + 1], eps)
         feet = np.arange(-(nr - 1), nt + nr)
         self._r = col(self.r)
-        vals = np.multiply.outer(0.5 * self.r, eps) * col(u1)
-        q1 = np.zeros_like(vals)
-        np.cumsum(0.5 * (vals[1:] + vals[:-1]) * col(np.diff(self.r)), axis=0, out=q1[1:])
-        self._s = col(0.5 * h * feet) * np.multiply.outer(self.u0[np.abs(feet)], eps)
-        self._s += q1[np.minimum(np.abs(feet), nr - 1)]
+        with np.errstate(over="ignore", invalid="ignore"):  # past the float range: refused below
+            self.axis = np.multiply.outer(u0[:nt + 1] + t * du0 + t * u1[:nt + 1], eps)
+            vals = np.multiply.outer(0.5 * self.r, eps) * col(u1)
+            q1 = np.zeros_like(vals)
+            np.cumsum(0.5 * (vals[1:] + vals[:-1]) * col(np.diff(self.r)), axis=0, out=q1[1:])
+            self._s = col(0.5 * h * feet) * np.multiply.outer(self.u0[np.abs(feet)], eps)
+            self._s += q1[np.minimum(np.abs(feet), nr - 1)]
+        finite = np.isfinite(self._s).all(axis=0) & np.isfinite(self.axis).all(axis=0)
+        if not np.all(finite):
+            bad = np.atleast_1d(eps)[~np.atleast_1d(finite)]
+            raise ValueError(f"amplitude {bad[0]:g} takes the free wave's table past the largest float")
 
     def _keep(self, keep: np.ndarray) -> None:
         """Keeps the waves of a ladder's rungs ``keep`` only, in the tables' own memory."""

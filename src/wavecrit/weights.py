@@ -175,7 +175,9 @@ def _log_bracket_gauss(f, lo: float, hi: float):
         half = 0.5 * (u1 - u0) / panels
         mid = u0 + half * (2.0 * np.arange(panels) + 1.0)
         b = np.exp(mid[:, None] + half * _GAUSS_NODES)
-        value = half * float(np.sum((f(b) * b) @ _GAUSS_WEIGHTS))
+        fb = f(b) * b
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan, which each caller tests
+            value = half * float(np.sum(fb @ _GAUSS_WEIGHTS))
         if prev is not None:
             err = abs(value - prev)
             if err <= _RULE_TOL * abs(value) or 2 * panels > _MAX_PANELS:
@@ -196,7 +198,7 @@ def key_integral(xi: float, eps0: float, spec: ModulusSpec) -> KeyIntegralResult
     is refused, naming xi.  The companion ratio divides by
     <xi> [log <xi>]^{-1/p} (loglog <xi>) * threshold_product(eps0/<xi>),
     which is the quantity the zone analysis consumes; a threshold product
-    that underflows to 0 is refused, naming xi.
+    (or its tau) or a bound that underflows to 0 is refused, naming xi.
     """
     if not 0.0 < eps0 < 1.0:
         raise ValueError("eps0 must lie in (0, 1)")
@@ -219,11 +221,15 @@ def key_integral(xi: float, eps0: float, spec: ModulusSpec) -> KeyIntegralResult
         raise ValueError(f"key integral did not converge at xi={xi}: "
                          f"{half:.17g} with error estimate {err:.3g}")
     value = 2.0 * bx * half
-    product = threshold_product(spec, 3, eps0 / bx)
+    tau = eps0 / bx
+    product = threshold_product(spec, 3, tau) if tau > 0.0 else 0.0
     if product == 0.0:
         raise ValueError(f"threshold product underflows to 0 at xi={xi} "
-                         f"(tau=eps0/<xi>={eps0 / bx:.6g}): the ratio has no bound to divide by")
+                         f"(tau=eps0/<xi>={tau:.6g}): the ratio has no bound to divide by")
     bound = bx * math.log(bx) ** (-1.0 / p) * math.log(math.log(bx)) * product
+    if bound == 0.0:
+        raise ValueError(f"the ratio's bound underflows to 0 at xi={xi} "
+                         f"(threshold product {product:.6g}): it has no bound to divide by")
     return KeyIntegralResult(value, value / bound)
 
 
@@ -254,7 +260,9 @@ def zone_bound_check(spec: ModulusSpec, eps0: float, region_samples) -> WeightRe
     The integrand is even in xi: a window that straddles 0 is split there,
     its negative part reflected, and each part summed by
     ``_log_bracket_gauss``.  Pass needs every sample finite with an error
-    estimate within 1e-6 relative (plus 1e-12).
+    estimate within 1e-6 relative (plus 1e-12); a sample whose t + r passes
+    the largest float, or whose smallest tau = eps0 / <t + r> underflows to
+    0, is refused by name.
     """
     if not 0.0 < eps0 < 1.0:
         raise ValueError("eps0 must lie in (0, 1)")
@@ -268,9 +276,15 @@ def zone_bound_check(spec: ModulusSpec, eps0: float, region_samples) -> WeightRe
     sup = {name: 0.0 for name in _ZONES}
     ok = True
     for t, r in region_samples:
+        t, r = float(t), float(r)
         if r <= 0.0:
             raise ValueError("zone samples need r > 0")
         zone = classify_zone(t, r)
+        if t + r == math.inf:
+            raise ValueError(f"zone sample t + r overflows at t={t}, r={r}")
+        if eps0 / bracket(t + r) == 0.0:
+            raise ValueError(f"eps0={eps0:g} / <t + r> underflows to 0 at t={t}, r={r}: "
+                             f"the threshold product needs tau > 0")
         parts = [_log_bracket_gauss(integrand, lo, hi)
                  for lo, hi in ((max(t - r, 0.0), t + r), (0.0, r - t)) if lo < hi]
         integral = sum(v for v, _ in parts)
@@ -279,7 +293,7 @@ def zone_bound_check(spec: ModulusSpec, eps0: float, region_samples) -> WeightRe
         stable = err <= 1e-6 * abs(integral) + 1e-12
         ok = ok and math.isfinite(value) and stable
         sup[zone] = max(sup[zone], value)
-        rows.append((zone, float(t), float(r), float(value)))
+        rows.append((zone, t, r, float(value)))
     return WeightReport(
         region="zones " + ", ".join(f"{z}: sup={sup[z]:.4g}" for z in sup),
         fitted_constant=max(sup.values()),

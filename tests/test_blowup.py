@@ -351,6 +351,14 @@ def test_onset_refuses_a_t_max_whose_tau_underflows():
     assert divergence_onset(3, spec, 1e250, c6=1e-30) is None
 
 
+@pytest.mark.filterwarnings("error")
+def test_onset_where_the_base_passes_the_float_range():
+    # K ~ 1.49e300 at t_lo ~ 8.194, and K^(p/(p-1)) raised OverflowError; such a base
+    # exceeds 1, so the onset is t_lo
+    spec = make_spec(LogPower(0.05, 1e300), 0.05)
+    assert divergence_onset(3, spec, 1e20) == 8.19422072649404
+
+
 def test_onset_none_for_tiny_calibration():
     spec = make_spec(LogPower(1.0 / P3, 5.0))
     assert divergence_onset(3, spec, 1e6, c7=1e-12) is None

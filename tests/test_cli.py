@@ -296,9 +296,12 @@ def test_family_field_out_of_range_rejected(capsys, tmp_path):
     (["sequences", "--n", "3", "--J", "803"], "J=803 overflows the ledger"),
     (["sequences", "--n", "3", "--J", "805"], "J=805 overflows the ledger"),
     (["sequences", "--n", "3", "--J", "1000"], "J=1000 overflows the ledger"),
+    # 0.5 r eps overflows the free wave's table: a RuntimeWarning, then a blow-up of nan levels
+    (["solve", "--family", "powerlaw", "--eps", "1.7e308", "--h", "0.0625", "--horizon", "2"],
+     "amplitude 1.7e+308"),
 ], ids=["lifespan-h-nan", "solve-horizon-inf", "verify-global-horizon-nan", "xi-nan",
         "xi-inf", "lambda0-nan", "lambda0-inf", "sequences-J-2000", "sequences-J-803",
-        "sequences-J-805", "sequences-J-1000"])
+        "sequences-J-805", "sequences-J-1000", "solve-eps-past-the-float-range"])
 def test_nonfinite_run_input_exits_one(capsys, tmp_path, argv, name):
     # refused by name as a runtime error, before any result directory exists
     code = main(argv + ["--out-dir", str(tmp_path)])
@@ -523,7 +526,16 @@ def test_key_integral_that_does_not_converge_exits_one(capsys, monkeypatch, tmp_
      "threshold product underflows to 0 at xi=10.0"),
     (["--family", "iterlog", "--gamma=1e300", "--tau0=0.1", "--xi-list", "10,100"],
      "key integral's integrand is not finite on the window at xi=10.0"),
-], ids=["threshold-product-underflow", "integrand-not-finite"])
+    # the product is 5e-324 and the bound it scales underflows: was "float division by zero"
+    (["--family", "logpower", "--gamma", "0.3", "--cl", "5e-324", "--xi-list", "1e-12"],
+     "the ratio's bound underflows to 0 at xi=1e-12"),
+    # the sum passes the largest float: refused after a RuntimeWarning from the sum
+    (["--family", "logpower", "--gamma", "1e-12", "--cl", "1.7e308", "--xi-list", "1e-300"],
+     "key integral's integrand is not finite on the window at xi=1e-300"),
+    (["--family", "logpower", "--gamma", "2.2e-308", "--cl", "1.7e308", "--xi-list", "1.7e308"],
+     "key integral's integrand is not finite on the window at xi=1.7e+308"),
+], ids=["threshold-product-underflow", "integrand-not-finite", "bound-underflow",
+        "sum-nan-at-tiny-xi", "sum-inf-at-huge-xi"])
 def test_key_integral_refusal_names_the_cause_and_xi(capsys, tmp_path, argv, message):
     assert run_cli(["key-integral"] + argv, tmp_path) == 1
     errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
@@ -568,6 +580,33 @@ def test_threshold_product_past_the_float_range_warns_nothing(tmp_path, argv, co
     else:
         alpha = 1.0 + 1.0 / strauss_exponent(3) + EPSILON_EXP  # tau(t) = t^-alpha
         assert files[0]["onset_t"] == pytest.approx(math.exp(math.e / alpha), rel=1e-9)
+
+
+def test_onset_whose_base_passes_the_float_range(tmp_path):
+    # K ~ 1.49e300 at t_lo, and K^(p/(p-1)) overflowed the Python float power:
+    # "error: (34, 'Numerical result out of range')"; the base exceeds 1 at t_lo
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["onset", "--family", "logpower", "--gamma", "0.05", "--cl", "1e300",
+                        "--tau0", "0.05", "--tmax", "1e20", "--quiet"], tmp_path) == 0
+    payload = json.loads((latest(tmp_path, "onset") / "onset.json").read_text())
+    assert payload["onset_t"] == 8.19422072649404
+
+
+@pytest.mark.parametrize("argv, code, verdict", [
+    # (v_a + v_b) / 2 overflowed: a warning, and axioms failed on an increasing, concave mu
+    (["--family", "logpower", "--gamma", "0.05", "--cl", "1e308"], 0,
+     {"axioms_pass": True, "g_convex": True}),
+    # gamma * loglog L overflows, and the tail's growth was inf - inf: class finite, estimate inf
+    (["--family", "iterlog", "--gamma=1.7e308", "--tau0=0.3"], 2,
+     {"threshold_class": "infinite", "threshold_estimate": None}),
+], ids=["logpower-cl-at-the-float-maximum", "iterlog-gamma-at-the-float-maximum"])
+def test_mu_check_at_the_float_maximum(tmp_path, argv, code, verdict):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["mu", "check", *argv, "--quiet"], tmp_path) == code
+    report = json.loads((latest(tmp_path, "mu") / "report.json").read_text())
+    assert {key: report[key] for key in verdict} == verdict
 
 
 @pytest.mark.parametrize("flag, name", [
@@ -786,7 +825,8 @@ _FUZZED_FAMILIES = {
     "logpower": {"--gamma": "0.2", "--cl": "10"}, "iterlog": {"--gamma": "1", "--k": "2"},
     "doublelog": {"--gamma": "-1"}, "triplelog": {"--gamma": "-0.5"},
 }
-_EXTREMES = ["nan", "inf", "-inf", "0", "-1", "1e-300", "1e-12", "1e300", "1e20"]
+_EXTREMES = ["nan", "inf", "-inf", "0", "-1", "5e-324", "2.2e-308", "1e-300", "1e-12",
+             "1e300", "1e20", "1.7e308"]
 _KEPT = {"--h": lambda v: not float(v) < 0.05, "--horizon": lambda v: not float(v) > 5.0}
 
 

@@ -306,6 +306,14 @@ def test_threshold_product_domain():
         threshold_product(pw, 3, 0.0)
 
 
+def test_threshold_product_refuses_nan():
+    # nan passed both comparisons, and the product was nan
+    with pytest.raises(ValueError, match=r"^threshold product needs 0 < tau < 1$"):
+        threshold_product(make_spec(PowerLaw(1.0)), 3, math.nan)
+    with pytest.raises(ValueError, match=r"^threshold product needs 0 < tau < 1$"):
+        threshold_product(make_spec(PowerLaw(1.0)), 3, np.array([0.01, math.nan]))
+
+
 @pytest.mark.parametrize(
     "family,expected",
     [
@@ -323,6 +331,28 @@ def test_threshold_product_domain():
 def test_classification(family, expected):
     verdict = classify_strauss_threshold(make_spec(family), 3)
     assert verdict.threshold_class == expected
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("family, tau0, expected", [
+    (IteratedLogBlowup(1.7e308), 0.3, "infinite"),
+    (DoubleLogGlobal(-1.7e308), 0.01, "zero"),
+], ids=["iterlog", "doublelog"])
+def test_classification_of_a_tail_past_the_float_range(family, tau0, expected):
+    # gamma * loglog L overflows to +-inf, and the tail's growth inf - inf was nan:
+    # class finite, after warnings; iterlog's limit is infinite at every gamma > 0
+    verdict = classify_strauss_threshold(make_spec(family, tau0), 3)
+    assert verdict.threshold_class == expected
+    assert verdict.estimate == (math.inf if expected == "infinite" else 0.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_concavity_of_a_mu_near_the_float_maximum():
+    # mu of LogPower(0.05, 1e308) is near 1e308 on its grid: (v_a + v_b) / 2 overflowed
+    # and failed the axioms of a mu that is increasing and concave there
+    spec = make_spec(LogPower(0.05, 1e308))
+    assert axioms_check(spec).passed
+    assert _monotone_concave(spec.family, np.geomspace(1e-30, spec.tau0, 200))[:2] == (True, True)
 
 
 def test_finite_class_estimates_cl():

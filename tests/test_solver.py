@@ -505,6 +505,17 @@ def test_march_refuses_a_cap_that_is_not_positive(cap):
               CharacteristicGrid.cover(0.05, 1.0, 1.0), cap=cap)
 
 
+@pytest.mark.filterwarnings("error")
+def test_free_wave_refuses_an_amplitude_past_the_float_range():
+    # 0.5 r eps overflowed in the u1 prefix, a RuntimeWarning before a nan table;
+    # a ladder names the rung, and refuses it before the first level, as it does a nan
+    grid = CharacteristicGrid.cover(0.0625, 3.0, 1.0)
+    with pytest.raises(ValueError, match=r"^amplitude 1\.7e\+308 takes the free wave's table past"):
+        march(default_bump(1.7e308), make_spec(PowerLaw(1.0)), grid)
+    with pytest.raises(ValueError, match=r"^amplitude 1\.7e\+308 takes the free wave's table past"):
+        lifespan_sweep(default_bump(1.0), make_spec(DoubleLogGlobal(-1.0)), [2.0, 1.7e308], grid)
+
+
 def test_march_validates_support():
     bad = RadialData(u0=np.ones_like, u1=np.zeros_like,
                      support_radius=1.0, u0_prime=np.zeros_like)

@@ -350,6 +350,21 @@ def test_key_integral_refuses_by_cause_and_xi(family, tau0, message):
         key_integral(10.0, 0.05, make_spec(family, tau0))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("family, xi, eps0, message", [
+    # the product is 5e-324 and the bound it scales underflows: was a ZeroDivisionError
+    (LogPower(0.3, 5e-324), 1e-12, 0.05, "the ratio's bound underflows to 0"),
+    # the sum passes the largest float: nan, then inf, each after a RuntimeWarning
+    (LogPower(1e-12, 1.7e308), 1e-300, 0.05, "integrand is not finite on the window"),
+    (LogPower(2.2e-308, 1.7e308), 1.7e308, 0.05, "integrand is not finite on the window"),
+    # tau = eps0/<xi> underflows: was "threshold product needs 0 < tau < 1", naming no xi
+    (PowerLaw(1.0), 1.7e308, 5e-324, "threshold product underflows to 0"),
+], ids=["bound-underflow", "sum-nan-at-tiny-xi", "sum-inf-at-huge-xi", "tau-underflow"])
+def test_key_integral_refuses_at_the_float_range_edges(family, xi, eps0, message):
+    with pytest.raises(ValueError, match=rf"{message} at xi={re.escape(str(xi))}"):
+        key_integral(xi, eps0, make_spec(family))
+
+
 # --------------------------------------------------------------------- zones
 
 def test_zone_classification():
@@ -375,6 +390,19 @@ def test_zone_refuses_a_sample_that_is_not_finite(t, r):
     # (1, inf) lay "in no zone", naming neither value
     with pytest.raises(ValueError, match=f"^zone samples need finite t and r, got t={t}, r={r}$"):
         zone_bound_check(make_spec(PowerLaw(1.0)), 0.1, [(t, r)])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("eps0, sample, message", [
+    # t + r overflows: "invalid value encountered in add" from the window's quadrature
+    (0.05, (1.7e308, 1.7e308), r"^zone sample t \+ r overflows at t=1\.7e\+308"),
+    (0.05, (np.float64(1.7e308), np.float64(1.7e308)), r"^zone sample t \+ r overflows"),
+    # eps0 / <xi> is 0 on the whole window: was "threshold product needs 0 < tau < 1"
+    (5e-324, (10.0, 5.0), r"^eps0=4\.94066e-324 / <t \+ r> underflows to 0 at t=10\.0, r=5\.0"),
+], ids=["window-overflows", "window-overflows-numpy", "tau-underflows"])
+def test_zone_refuses_a_sample_at_the_float_range_edges(eps0, sample, message):
+    with pytest.raises(ValueError, match=message):
+        zone_bound_check(make_spec(PowerLaw(1.0)), eps0, [sample])
 
 
 def test_zone_bound_prescribed_samples():
