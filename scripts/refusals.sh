@@ -73,11 +73,11 @@ wavecrit onset --family powerlaw --c7 0
 wavecrit onset --family iterlog --gamma 2
 wavecrit onset --family powerlaw --tmax 1e250
 wavecrit solve --family logpower --gamma 0.2 --cl 10 --eps nan --h 0.05 --horizon 2
-wavecrit solve --family powerlaw --eps 1.7e308 --h 0.0625 --horizon 2
 wavecrit solve --family powerlaw --eps 1 --h 0.05 --horizon inf
 wavecrit solve --family powerlaw --eps 0.01 --h 1e-300 --horizon 1e300
 wavecrit solve --family logpower --gamma 0.2 --cl 10 --eps 1 --h 0.05 --horizon 2 --cap -1
 wavecrit solve --family iterlog --gamma 1 --eps 1 --h 0.05 --horizon 2
+wavecrit solve --family logpower --gamma 0.2 --cl 10 --tau0 0.9 --eps 1 --h 0.05 --horizon 2
 wavecrit lifespan --family logpower --gamma 0.2 --cl 10 --eps-list 2,x
 wavecrit lifespan --family logpower --gamma 0.2 --cl 10 --eps-list 2 --h nan
 wavecrit lifespan --family powerlaw --eps-list 2 --horizon 0.001

@@ -317,7 +317,7 @@ def _cmd_solve(args, spec):
     nr = grid.r_nodes
     csv_nodes = np.arange(0, nr, max(1, nr // 200))
     nodes = np.concatenate([csv_nodes, np.arange(0, nr, max(1, nr // _HEATMAP_CELLS))])
-    refuse_beyond_memory(grid, data, 1, nodes.size)
+    refuse_beyond_memory(grid, 1, nodes.size)
     kept = np.empty((grid.t_levels + 1, nodes.size))
     run = march(data, spec, grid, cap=args.cap,
                 reduce=lambda i0, rows: rows.take(nodes, axis=1, out=kept[i0:i0 + len(rows)]))

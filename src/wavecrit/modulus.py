@@ -263,7 +263,8 @@ def _hermite_bridge(spec: ModulusSpec):
     d1 = fam.cl * fam.gamma * math.log(b) ** (fam.gamma - 1.0) / b
     delta = (v1 - v0) / (b - a)
     if delta <= 0.0:
-        raise ValueError("continuation bridge is not increasing for these parameters")
+        raise ValueError(f"continuation bridge is not increasing for gamma={fam.gamma:g}, "
+                         f"cl={fam.cl:g}, tau0={a:g}")
     alpha, beta = max(d0 / delta, 0.0), max(d1 / delta, 0.0)
     norm = alpha * alpha + beta * beta
     if norm > 9.0:
@@ -298,7 +299,8 @@ def admissible(spec: ModulusSpec):
     try:
         return math.inf, None, _hermite_bridge(spec)
     except OverflowError:
-        return tau0, "continuation bridge overflows for these parameters", None
+        return tau0, (f"continuation bridge overflows for gamma={family.gamma:g}, "
+                      f"cl={family.cl:g}, tau0={tau0:g}"), None
     except ValueError as exc:
         return tau0, str(exc), None
 

@@ -59,7 +59,7 @@ costs about t_levels (t_levels / 2 + R / h) node updates.
 A march is a level stream that stores no field: it writes its levels by
 the blocks of ``reporting.row_blocks(t_levels + 1, r_nodes)``, at most 16000
 doubles each, into one reused buffer and hands each finished block to its
-``reduce``.  ``weights.decay_profile_check`` keeps their cone-weighted
+``reduce``, if any.  ``weights.decay_profile_check`` keeps their cone-weighted
 maxima, ``convergence_study`` one level, the identity residual their
 forcing terms, ``solve`` the nodes its files read.
 
@@ -81,16 +81,14 @@ Blow-up is detected by a cap on the sup norm: marching stops at the first
 level whose max exceeds the cap or goes non-finite.  The one stop rule
 also compares the max of a level still to be forced with the ceiling of
 ``modulus.admissible`` (tau0 for a family with no continuation past it),
-so a level is reduced once and forced once.  There is one
-level loop, and a march is a ladder of one rung: the
-state has shape (nodes,) + shape(eps), 1-D for ``march``'s amplitude,
-which writes its levels by blocks, and (nodes x rungs) for
-``lifespan_sweep``'s ladder, which writes none and so reads its free part
-level by level.
-Only when the max stops the level are the rungs judged one at a time, and
-a rung that stops leaves the state, so a ladder pays the fixed cost per
-level once, not once per rung: its numpy calls are those of its longest
-rung alone.
+so a level is reduced once and forced once.  There is one level loop,
+and a march is a ladder of one rung: the state has shape (nodes,) +
+shape(eps), 1-D for ``march``'s amplitude, which writes its levels by
+blocks for a reducer, and (nodes x rungs) for a ladder, which writes none
+and so reads its free part level by level.  Only when the max stops the
+level are the rungs judged one at a time, and a rung that stops leaves the
+state, so a ladder pays the fixed cost per level once, not once per rung:
+its numpy calls are those of its longest rung alone.
 """
 
 from __future__ import annotations
@@ -233,23 +231,21 @@ class SolutionRun:
 # --------------------------------------------------------------------------
 # free propagator
 
-def _banded(grid: CharacteristicGrid, reach: int) -> range:
-    """The levels whose Huygens band of half-width ``reach`` lies whole in
-    the off-axis nodes: a march writes their free part by blocks."""
-    return range(reach + 1, min(grid.t_levels, grid.r_nodes - 1 - reach) + 1)
-
-
-def refuse_beyond_memory(grid: CharacteristicGrid, data: RadialData, rungs: int,
-                         kept: Optional[int]) -> None:
-    """Refuses, before anything is allocated, a march whose foot table of
-    ``rungs`` free waves and, unless a ladder (``kept`` None), its buffer of
-    a block of levels, largest band block (cut at the block's edges) and
-    ``kept`` doubles per level for its reduction exceed physical memory."""
-    nt, nr, reach = grid.t_levels, grid.r_nodes, cone_edge(grid, data, 0)
-    rows = 0 if kept is None else next(row_blocks(nt + 1, nr)).stop  # no later block is larger
-    band = min(rows, len(_banded(grid, reach))) * (2 * reach + 1)
-    nbytes = 8 * ((nt + 1) * (kept or 0) + (nt + 2 * nr - 1) * rungs + rows * nr + band)
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+def refuse_beyond_memory(grid: CharacteristicGrid, rungs: int, kept: Optional[int]) -> None:
+    """Refuses, before anything is allocated, a run of ``rungs`` waves on
+    ``grid`` whose working set exceeds physical memory: a march, which keeps
+    ``kept`` doubles per level, or a ladder (``kept`` None).  The count adds
+    the shapes ``FreeWave`` and ``_march_levels`` allocate, so it bounds
+    what a run holds at once from the grid alone."""
+    nt, nr = grid.t_levels, grid.r_nodes
+    feet = nt + 2 * nr  # the feet h (i +- j) of the lattice's nodes: a foot table's rows
+    # per rung: the foot table and the copy that builds or sheds it, the axis limit and history,
+    # the level state (3 of nr + 1 nodes, 4 of nr) and the forcing's scratch (up to 8 levels);
+    # per run: the feet, their scaled copy and the u0 samples a table is built from, 4 radial tables
+    doubles = rungs * (2 * feet + 2 * (nt + 1) + 3 * (nr + 1) + 12 * nr) + 3 * feet + 4 * nr
+    if kept is not None:  # a march: its block of levels and up to 4 blocks of free-band buffers
+        doubles += 5 * next(row_blocks(nt + 1, nr)).stop * nr + (nt + 1) * kept
+    nbytes, memory = 8 * doubles, os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if nbytes > memory:
         raise ValueError(f"a march of {nt + 1} x {nr} levels allocates {nbytes} bytes, "
                          f"more than the {memory} bytes of physical memory")
@@ -291,7 +287,7 @@ class FreeWave:
     u1(t)) on every level.  ``eps`` is the data's amplitude, or a lifespan
     ladder's vector of amplitudes: then the table and ``axis`` gain a
     trailing rung axis, each rung's entries bit for bit those of its own
-    wave.
+    wave.  Q1's terms are 0 where u1 is, even where 0.5 r eps overflows.
     """
 
     def __init__(self, data: RadialData, grid: CharacteristicGrid, eps=None):
@@ -334,7 +330,7 @@ class FreeWave:
         self._r = col(self.r)
         with np.errstate(over="ignore", invalid="ignore"):  # past the float range: refused below
             self.axis = np.multiply.outer(u0[:nt + 1] + t * du0 + t * u1[:nt + 1], eps)
-            vals = np.multiply.outer(0.5 * self.r, eps) * col(u1)
+            vals = np.where(col(u1) == 0.0, 0.0, np.multiply.outer(0.5 * self.r, eps) * col(u1))
             q1 = np.zeros_like(vals)
             np.cumsum(0.5 * (vals[1:] + vals[:-1]) * col(np.diff(self.r)), axis=0, out=q1[1:])
             self._s = col(0.5 * h * feet) * np.multiply.outer(self.u0[np.abs(feet)], eps)
@@ -389,11 +385,11 @@ class FreeWave:
 
 def march_free_wave(data: RadialData, grid: CharacteristicGrid, cap: float) -> FreeWave:
     """The free wave ``march`` starts from, built past its refusals in their
-    order: a cap that is not positive, a grid beyond physical memory, then
-    ``FreeWave``'s checks of the data and grid."""
+    order: a cap that is not positive, a march whose working set on the grid
+    exceeds physical memory, then ``FreeWave``'s checks of the data and grid."""
     if not cap > 0.0:
         raise ValueError(f"cap must be positive, got {cap}")
-    refuse_beyond_memory(grid, data, 1, 0)
+    refuse_beyond_memory(grid, 1, 0)
     return FreeWave(data, grid)
 
 
@@ -412,16 +408,16 @@ def march(
     "blew_up" at the first level whose max modulus exceeds ``cap`` or is
     not finite; ``cap = inf`` stops on a non-finite level only.  A level
     to be forced past the ``modulus.admissible`` ceiling raises its reason,
-    and so does a grid whose foot table and blocks exceed physical memory.
+    and so does a grid on which its working set exceeds physical memory.
 
     No field is stored: each block of levels of ``reporting.row_blocks(
     t_levels + 1, r_nodes)`` is written into one reused buffer and handed,
     the last block cut at the stop, to ``reduce(i0, rows)`` when given;
-    rows[k] is level i0 + k until the next block overwrites it.
+    rows[k] is level i0 + k until the next block overwrites it.  Without
+    ``reduce`` no block is held: the levels and stop are a ladder's of one rung.
     """
     free = march_free_wave(data, grid, cap)
-    done = reduce or (lambda i0, rows: None)
-    status, last = _march_levels(free, spec, data, cap, done).get(0, ("completed", grid.t_levels))
+    status, last = _march_levels(free, spec, data, cap, reduce).get(0, ("completed", grid.t_levels))
     if last is None:
         raise ValueError(status.removeprefix("failed: "))
     return SolutionRun(
@@ -492,7 +488,8 @@ def _march_levels(free, spec, data, cap, done=None) -> dict:
 
     banded, block, i0, i1 = range(0), None, 0, nt + 1  # a ladder writes no block
     if done is not None:
-        banded, blocks = _banded(grid, reach), row_blocks(nt + 1, nr)
+        # the levels whose band lies whole in the off-axis nodes take their free part by blocks
+        banded, blocks = range(reach + 1, min(nt, nr - 1 - reach) + 1), row_blocks(nt + 1, nr)
         first = next(blocks)  # no later block of levels is larger
         buffer = np.empty((first.stop, nr))
         block, i0, i1 = take(first)
@@ -594,16 +591,16 @@ def lifespan_sweep(
 
     The rungs march as the columns of one (nodes x rungs) state, through
     ``march``'s level loop, and no field is stored.  Errors every rung
-    shares (amplitudes, cap, data, a grid whose foot table exceeds physical
-    memory) are raised before the first level; a rung that stops at the
-    ``modulus.admissible`` ceiling (a modulus argument past tau0) becomes
-    that rung's "failed: ..." row, and the other rungs go on.
+    shares (amplitudes, cap, data, a grid on which its working set exceeds
+    physical memory) are raised before the first level; a rung that stops
+    at the ``modulus.admissible`` ceiling (a modulus argument past tau0)
+    becomes that rung's "failed: ..." row, and the other rungs go on.
     Every row is the one a march of its amplitude alone gives.
     """
     epsilons = list(epsilons)
     if not (cap > 0.0 and all(0.0 < eps < math.inf for eps in epsilons)):
         raise ValueError("lifespans need positive finite amplitudes and a positive cap")
-    refuse_beyond_memory(grid, data_template, len(epsilons), None)
+    refuse_beyond_memory(grid, len(epsilons), None)
     free = FreeWave(data_template, grid, np.array(epsilons, dtype=float))  # checks the data once
     stops = _march_levels(free, spec, data_template, cap) if epsilons else {}
     rows = []

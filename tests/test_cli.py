@@ -296,12 +296,9 @@ def test_family_field_out_of_range_rejected(capsys, tmp_path):
     (["sequences", "--n", "3", "--J", "803"], "J=803 overflows the ledger"),
     (["sequences", "--n", "3", "--J", "805"], "J=805 overflows the ledger"),
     (["sequences", "--n", "3", "--J", "1000"], "J=1000 overflows the ledger"),
-    # 0.5 r eps overflows the free wave's table: a RuntimeWarning, then a blow-up of nan levels
-    (["solve", "--family", "powerlaw", "--eps", "1.7e308", "--h", "0.0625", "--horizon", "2"],
-     "amplitude 1.7e+308"),
 ], ids=["lifespan-h-nan", "solve-horizon-inf", "verify-global-horizon-nan", "xi-nan",
         "xi-inf", "lambda0-nan", "lambda0-inf", "sequences-J-2000", "sequences-J-803",
-        "sequences-J-805", "sequences-J-1000", "solve-eps-past-the-float-range"])
+        "sequences-J-805", "sequences-J-1000"])
 def test_nonfinite_run_input_exits_one(capsys, tmp_path, argv, name):
     # refused by name as a runtime error, before any result directory exists
     code = main(argv + ["--out-dir", str(tmp_path)])
@@ -309,6 +306,17 @@ def test_nonfinite_run_input_exits_one(capsys, tmp_path, argv, name):
     assert code == 1
     assert "error:" in err and name in err and "usage:" not in err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_solve_at_the_largest_amplitude_blows_up(tmp_path):
+    # the free wave's table of eps = 1.7e308 is finite, as u1 = 0: it was refused as
+    # past the largest float, because 0.5 r eps overflowed and inf * 0 is nan
+    code = run_cli(["solve", "--family", "powerlaw", "--eps", "1.7e308", "--h", "0.0625",
+                    "--horizon", "2", "--quiet"], tmp_path)
+    assert code == 0
+    payload = json.loads((latest(tmp_path, "solve") / "run.json").read_text())
+    assert (payload["status"], payload["t_detect"]) == ("blew_up", 0.0625)
 
 
 def test_negative_exponent_value_needs_the_equals_form(capsys, tmp_path):
@@ -408,16 +416,32 @@ def test_solve_heatmap_copies_no_field(traced_peak, tmp_path):
 
 
 def test_solve_refuses_the_columns_it_keeps_beyond_memory(capsys, monkeypatch, tmp_path):
-    # 512 KiB holds the march of this grid, 0.15 MB, but not the 1.1 MB of columns
-    # solve keeps besides: refused before anything is allocated
+    # 1 MiB holds the working set of a march of this grid, 0.75 MB, but not the 1.1 MB
+    # of columns solve keeps besides: refused before anything is allocated
     grid = CharacteristicGrid.cover(0.0625, 25.0, 1.0)
-    monkeypatch.setattr(os, "sysconf", lambda name: 4096 if name == "SC_PAGE_SIZE" else 128)
+    monkeypatch.setattr(os, "sysconf", lambda name: 4096 if name == "SC_PAGE_SIZE" else 256)
     assert march(default_bump(0.01), make_spec(PowerLaw(1.0)), grid).status == "completed"
     code = main(["solve", "--family", "powerlaw", "--eps", "0.01", "--h", "0.0625",
                  "--horizon", "25", "--out-dir", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error:") and "bytes" in err and "usage:" not in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_lifespan_refuses_a_working_set_beyond_memory(capsys, monkeypatch, tmp_path):
+    # 64 KiB holds the foot tables of these two rungs, 20 KB, all that the guard once
+    # counted, but not their working set of 0.2 MB: refused before anything is allocated
+    monkeypatch.setattr(os, "sysconf", lambda name: 4096 if name == "SC_PAGE_SIZE" else 16)
+    grid = CharacteristicGrid.cover(0.05, 20.0, 1.0)
+    assert 2 * 8 * (grid.t_levels + 2 * grid.r_nodes - 1) < 65536
+    code = main(["lifespan", "--family", "logpower", "--gamma", "0.2", "--cl", "10",
+                 "--eps-list", "2,3", "--h", "0.05", "--horizon", "20", "--out-dir", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "more than the 65536 bytes of physical memory" in errors[0]
+    assert "usage:" not in err
     assert not any(tmp_path.iterdir())
 
 

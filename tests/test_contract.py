@@ -38,9 +38,9 @@ _FAMILIES = {
     TripleLogGlobal: {"gamma": -0.5},
 }
 
-# the words a refusal may name: the family's fields, the cutoff and LogPower's
-# continuation bridge, which is built from all three, then each call's own arguments
-_SPEC_NAMES = ("gamma", "cl", "tau0", "mu", "continuation bridge")
+# the words a refusal may name: the family's fields and the cutoff, then each
+# call's own arguments
+_SPEC_NAMES = ("gamma", "cl", "tau0", "mu")
 
 
 def _value(typical):

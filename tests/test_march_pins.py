@@ -29,11 +29,13 @@ from wavecrit.modulus import (
     TripleLogGlobal,
     make_spec,
 )
+from wavecrit.reporting import row_blocks
 from wavecrit.solver import (
     CharacteristicGrid,
     LifespanRow,
     default_bump,
     lifespan_sweep,
+    march,
     velocity_bump,
 )
 
@@ -123,6 +125,21 @@ def test_march_field_digest_is_pinned(name):
                     "may round differently, and the march is held to the level-by-level "
                     "march bit for bit instead")
     assert _digest(_march(name)[1]) == CASES[name][4]
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_march_without_a_reducer_holds_no_block(traced_peak, name):
+    # with no reducer a march is a ladder of one rung: its stop, detection time and
+    # levels are those of the march with one, and its peak falls by the block of
+    # levels and the free band's buffers (1.0 to 1.9 blocks here)
+    data, family, grid, (status, t_detect, shape), _ = CASES[name]
+    spec = None if family is None else make_spec(family)
+    bare, bare_peak = traced_peak(lambda: march(data, spec, grid))
+    run, peak = traced_peak(lambda: march(data, spec, grid, reduce=lambda i0, rows: None))
+    for marched in (bare, run):
+        assert (marched.status, marched.t_detect, marched.field.shape) == (status, t_detect, (shape[0], 0))
+    block = 8 * next(row_blocks(grid.t_levels + 1, grid.r_nodes)).stop * grid.r_nodes
+    assert 0.75 * block < peak - bare_peak < 2.5 * block
 
 
 def test_lifespan_ladder_rows_are_pinned():

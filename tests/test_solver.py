@@ -38,7 +38,6 @@ from wavecrit.solver import (
     velocity_bump,
 )
 from wavecrit.exponents import strauss_exponent
-from wavecrit.reporting import BLOCK_ELEMENTS
 
 from oracles import (
     duhamel_apply,
@@ -157,58 +156,6 @@ def test_free_wave_is_the_two_table_formula(datum, eps):
             assert np.all(np.abs(level - ref) <= 1e-14 * np.max(np.abs(ref), axis=0))
         else:
             assert level.tobytes() == ref.tobytes()
-
-
-def test_memory_guard_counts_what_a_march_allocates(monkeypatch):
-    # with the memory made tiny the guard refuses every grid and names its count:
-    # the buffer of one block of levels, the foot table and the largest block of the
-    # free band a march holds, and the doubles per level its reduction keeps; a ladder
-    # holds the table of its rungs only.  The band is cut at the edges of the blocks
-    # of levels: the first grid's band spans many of them, the second's lies in one
-    data, spec, h = default_bump(0.5), make_spec(PowerLaw(1.0)), 0.05
-    width = 2 * (math.ceil(1.0 / h) + 1) + 1  # nodes per level of the free band
-    grid = CharacteristicGrid.cover(h, 2 * h * (BLOCK_ELEMENTS // width + width), 1.0)
-    small = CharacteristicGrid.cover(h, 4.0, 1.0)
-    blocks, buffers = [], []
-    band = FreeWave.band
-
-    def spy(self, i0, i1, reach, out=None):
-        blocks.append(out.nbytes)
-        return band(self, i0, i1, reach, out)
-
-    def stream(i0, rows):
-        buffers.append(rows.base)
-
-    def held(grid):  # what a march on ``grid`` allocates
-        blocks.clear()
-        buffers.clear()
-        march(data, spec, grid, reduce=stream)
-        buffer = buffers[0]
-        levels = min(BLOCK_ELEMENTS // grid.r_nodes, grid.t_levels + 1)
-        assert buffer.nbytes == 8 * levels * grid.r_nodes
-        assert all(b is buffer for b in buffers)  # one buffer, reused
-        free = FreeWave(data, grid)
-        return buffer.nbytes + free._s.nbytes + max(blocks), len(blocks)
-
-    monkeypatch.setattr(FreeWave, "band", spy)
-    (allocated, n_blocks), (small_allocated, n_small) = held(grid), held(small)
-    assert n_blocks > 1 and n_small == 1
-    kept = allocated + 8 * (grid.t_levels + 1) * 7  # and 7 doubles kept per level
-    ladder = FreeWave(data, grid, np.array([0.5, 1.0, 2.0]))
-    laddered = ladder._s.nbytes
-
-    monkeypatch.setattr(os, "sysconf", lambda name: 1)
-    for count, call in ((allocated, lambda: march(data, spec, grid)),
-                        (small_allocated, lambda: march(data, spec, small)),
-                        (kept, lambda: refuse_beyond_memory(grid, data, 1, 7)),
-                        (laddered, lambda: lifespan_sweep(data, spec, [0.5, 1.0, 2.0], grid))):
-        with pytest.raises(ValueError, match=f"allocates {count} bytes, more than the 1 bytes"):
-            call()
-    # with memory for the march alone, the columns a reduction keeps are refused
-    monkeypatch.setattr(os, "sysconf", lambda name: allocated if name == "SC_PAGE_SIZE" else 1)
-    with pytest.raises(ValueError, match=f"allocates {kept} bytes, more than the {allocated}"):
-        refuse_beyond_memory(grid, data, 1, 7)
-    assert march(data, spec, grid, reduce=stream).status == "completed"
 
 
 # differential: the lattice path against the adaptive-quadrature oracle at
@@ -356,6 +303,52 @@ CONE_SPECS = {"linear": None, **{name: make_spec(family) for name, family in {
     "iterlog": IteratedLogBlowup(1.0), "doublelog": DoubleLogGlobal(-1.0),
     "triplelog": TripleLogGlobal(-0.5)}.items()}}
 ITERATED = ("iterlog", "doublelog", "triplelog")
+
+
+def guarded_bytes(monkeypatch, grid, rungs, kept):
+    """The bytes the memory guard counts for a run, read from its refusal at 1 byte of memory."""
+    with monkeypatch.context() as patched:
+        patched.setattr(os, "sysconf", lambda name: 1)
+        with pytest.raises(ValueError, match="more than the 1 bytes") as refusal:
+            refuse_beyond_memory(grid, rungs, kept)
+    return int(re.search(r"allocates (\d+) bytes", str(refusal.value))[1])
+
+
+def test_memory_guard_bounds_the_traced_peak_of_every_run(monkeypatch, traced_peak):
+    # the guard's count of a run lies between its traced peak and twice that peak + 1 MB
+    # (0.51 to 0.78 of the count here).  On the smallest grid a march with a reducer, one
+    # keeping the columns solve keeps and a ladder of 12 rungs go to the horizon, so the
+    # forcing's scratch grows to whole levels; on every grid ladders of 1, 12 and, on two
+    # grids, 200 rungs blow up, or are refused past tau0, at their first levels
+    smallest = CharacteristicGrid.cover(0.005, 2.0, 1.0)
+    nr = smallest.r_nodes
+    nodes = np.concatenate([np.arange(0, nr, nr // 200), np.arange(0, nr, nr // 120)])
+
+    def holds(grid, rungs, kept, call):
+        _, peak = traced_peak(call)
+        count = guarded_bytes(monkeypatch, grid, rungs, kept)
+        assert peak <= count <= 2 * peak + 2 ** 20, (grid, rungs, kept, peak, count)
+
+    def keep_columns(data, spec):  # solve's march: its reducer keeps a few columns per level
+        kept = np.empty((smallest.t_levels + 1, nodes.size))
+        return march(data, spec, smallest,
+                     reduce=lambda i0, rows: rows.take(nodes, axis=1, out=kept[i0:i0 + len(rows)]))
+
+    for name in sorted(set(CONE_SPECS) - {"linear"}):
+        spec = CONE_SPECS[name]
+        ceiling = admissible(spec)[0]
+        small = min(0.5, 0.5 * ceiling)  # marches to the horizon
+        large = 8.0 if ceiling == math.inf else 4.0 * ceiling  # stops at once
+        holds(smallest, 1, 0, lambda: march(default_bump(small), spec, smallest,
+                                            reduce=lambda i0, rows: None))
+        holds(smallest, 1, nodes.size, lambda: keep_columns(default_bump(small), spec))
+        holds(smallest, 12, None, lambda: lifespan_sweep(
+            default_bump(1.0), spec, np.geomspace(0.1, 1.0, 12) * small, smallest))
+        for h, horizon in ((1 / 16, 50.0), (0.01, 20.0), (0.05, 100.0), (0.005, 2.0)):
+            grid = CharacteristicGrid.cover(h, horizon, 1.0)
+            for rungs in (1, 12, 200) if h in (1 / 16, 0.005) else (1, 12):
+                holds(grid, rungs, None, lambda: lifespan_sweep(
+                    default_bump(1.0), spec, np.geomspace(1.0, 4.0, rungs) * large, grid))
 
 
 # differential: the diamond recurrence of march against the history re-sum
@@ -507,13 +500,19 @@ def test_march_refuses_a_cap_that_is_not_positive(cap):
 
 @pytest.mark.filterwarnings("error")
 def test_free_wave_refuses_an_amplitude_past_the_float_range():
-    # 0.5 r eps overflowed in the u1 prefix, a RuntimeWarning before a nan table;
-    # a ladder names the rung, and refuses it before the first level, as it does a nan
+    # a table past the largest float is refused by its amplitude, without a RuntimeWarning,
+    # and a ladder refuses its rung before the first level, as it does a nan.  The table
+    # of u1 = 0 is finite at any amplitude: 0.5 r eps overflowed in the u1 prefix, and
+    # inf * 0 = nan refused default_bump(1.7e308), which blows up at its first level
     grid = CharacteristicGrid.cover(0.0625, 3.0, 1.0)
-    with pytest.raises(ValueError, match=r"^amplitude 1\.7e\+308 takes the free wave's table past"):
-        march(default_bump(1.7e308), make_spec(PowerLaw(1.0)), grid)
-    with pytest.raises(ValueError, match=r"^amplitude 1\.7e\+308 takes the free wave's table past"):
-        lifespan_sweep(default_bump(1.0), make_spec(DoubleLogGlobal(-1.0)), [2.0, 1.7e308], grid)
+    bump = default_bump(1e10)
+    huge = replace(bump, u0=lambda r: 1e300 * bump.u0(r), u0_prime=lambda r: 1e300 * bump.u0_prime(r))
+    with pytest.raises(ValueError, match=r"^amplitude 1e\+10 takes the free wave's table past"):
+        march(huge, make_spec(PowerLaw(1.0)), grid)
+    with pytest.raises(ValueError, match=r"^amplitude 1e\+10 takes the free wave's table past"):
+        lifespan_sweep(replace(huge, amplitude=1.0), make_spec(DoubleLogGlobal(-1.0)), [2.0, 1e10], grid)
+    run = march(default_bump(1.7e308), make_spec(PowerLaw(1.0)), grid)
+    assert (run.status, run.t_detect, run.field.shape[0]) == ("blew_up", 0.0625, 2)
 
 
 def test_march_validates_support():
@@ -725,15 +724,16 @@ def test_admissible_range_of_each_spec():
         assert admissible(CONE_SPECS[name]) == (
             tau0, f"mu argument beyond tau0={tau0:g} needs a continuation", None)
     assert admissible(make_spec(LogPower(0.2, 10.0), tau0=0.9)) == (
-        0.9, "continuation bridge is not increasing for these parameters", None)
+        0.9, "continuation bridge is not increasing for gamma=0.2, cl=10, tau0=0.9", None)
     # the bridge's coefficients overflow: near zero mu underflows to 0, as
     # before; past tau0 a ValueError with its reason, where it was an OverflowError
     huge = make_spec(LogPower(1e4), tau0=0.3)
-    assert admissible(huge) == (0.3, "continuation bridge overflows for these parameters", None)
+    overflows = "continuation bridge overflows for gamma=10000, cl=1, tau0=0.3"
+    assert admissible(huge) == (0.3, overflows, None)
     assert mu_eval(huge, 0.1) == 0.0
     for refused in (lambda: mu_eval(huge, 0.6),
                     lambda: march(default_bump(1.0), huge, CharacteristicGrid.cover(0.05, 1.0, 1.0))):
-        with pytest.raises(ValueError, match="^continuation bridge overflows for these parameters$"):
+        with pytest.raises(ValueError, match=f"^{overflows}$"):
             refused()
 
 
