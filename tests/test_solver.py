@@ -316,7 +316,7 @@ def guarded_bytes(monkeypatch, grid, rungs, kept):
 
 def test_memory_guard_bounds_the_traced_peak_of_every_run(monkeypatch, traced_peak):
     # the guard's count of a run lies between its traced peak and twice that peak + 1 MB
-    # (0.51 to 0.78 of the count here).  On the smallest grid a march with a reducer, one
+    # (the peaks are 0.51 to 0.79 of the counts here).  On the smallest grid a march with a reducer, one
     # keeping the columns solve keeps and a ladder of 12 rungs go to the horizon, so the
     # forcing's scratch grows to whole levels; on every grid ladders of 1, 12 and, on two
     # grids, 200 rungs blow up, or are refused past tau0, at their first levels
@@ -395,8 +395,8 @@ def test_march_samples_u0_once_per_lattice_node():
 
 
 def test_march_stores_no_field(traced_peak):
-    # the march holds one block of levels, its state and its foot table: it peaks
-    # at 0.23 MB here, where its field would take 1.34 MB
+    # the march holds its state and its foot table, and with no reducer no block of
+    # levels: it peaks at 0.08 MB here (0.23 MB with one), where its field would take 1.34 MB
     grid = CharacteristicGrid.cover(1 / 16, 25.0, 1.0)
     run, peak = traced_peak(lambda: march(default_bump(0.01), make_spec(PowerLaw(1.0)), grid))
     assert run.status == "completed" and run.field.nbytes == 0
