@@ -239,10 +239,10 @@ def refuse_beyond_memory(grid: CharacteristicGrid, rungs: int, kept: Optional[in
     what a run holds at once from the grid alone."""
     nt, nr = grid.t_levels, grid.r_nodes
     feet = nt + 2 * nr  # the feet h (i +- j) of the lattice's nodes: a foot table's rows
-    # per rung: the foot table and the copy that builds or sheds it, the axis limit and history,
-    # the level state (3 of nr + 1 nodes, 4 of nr) and the forcing's scratch (up to 8 levels);
+    # per rung: the foot table, the axis limit and history, the level state (3 of nr + 1 nodes,
+    # 4 of nr) and the forcing's scratch (up to 8 levels, or the rows that shed a rung);
     # per run: the feet, their scaled copy and the u0 samples a table is built from, 4 radial tables
-    doubles = rungs * (2 * feet + 2 * (nt + 1) + 3 * (nr + 1) + 12 * nr) + 3 * feet + 4 * nr
+    doubles = rungs * (feet + 2 * (nt + 1) + 3 * (nr + 1) + 12 * nr) + 3 * feet + 4 * nr
     if kept is not None:  # a march: its block of levels and up to 4 blocks of free-band buffers
         doubles += 5 * next(row_blocks(nt + 1, nr)).stop * nr + (nt + 1) * kept
     nbytes, memory = 8 * doubles, os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -333,17 +333,15 @@ class FreeWave:
             vals = np.where(col(u1) == 0.0, 0.0, np.multiply.outer(0.5 * self.r, eps) * col(u1))
             q1 = np.zeros_like(vals)
             np.cumsum(0.5 * (vals[1:] + vals[:-1]) * col(np.diff(self.r)), axis=0, out=q1[1:])
-            self._s = col(0.5 * h * feet) * np.multiply.outer(self.u0[np.abs(feet)], eps)
-            self._s += q1[np.minimum(np.abs(feet), nr - 1)]
+            self._s = np.multiply.outer(self.u0[np.abs(feet)], eps)
+            self._s *= col(0.5 * h * feet)
+            self._s[:nr - 1] += q1[:0:-1]  # the feet -(nr - 1)..-1
+            self._s[nr - 1:2 * nr - 1] += q1
+            self._s[2 * nr - 1:] += q1[-1]  # past the last node Q1 is constant
         finite = np.isfinite(self._s).all(axis=0) & np.isfinite(self.axis).all(axis=0)
         if not np.all(finite):
             bad = np.atleast_1d(eps)[~np.atleast_1d(finite)]
             raise ValueError(f"amplitude {bad[0]:g} takes the free wave's table past the largest float")
-
-    def _keep(self, keep: np.ndarray) -> None:
-        """Keeps the waves of a ladder's rungs ``keep`` only, in the tables' own memory."""
-        self._eps = self._eps[keep]
-        self._s, self.axis = _columns(self._s, keep), _columns(self.axis, keep)
 
     def level(self, i: int, lo: int, stop: int, step: int = 1, out=None) -> np.ndarray:
         """v(t_i, r_j) on the nodes j = lo, lo + step, ... < stop off the axis,
@@ -551,10 +549,10 @@ def _march_levels(free, spec, data, cap, done=None) -> dict:
                 keep = np.flatnonzero([rung not in stops for rung in ids.tolist()])
                 if not keep.size:
                     break
-                ids = ids[keep]
-                rlu, rlu_prev, q, axis, abs_level, g, work, trap = (
-                    _columns(a, keep) for a in (rlu, rlu_prev, q, axis, abs_level, g, work, trap))
-                free._keep(keep)
+                ids, free._eps = ids[keep], free._eps[keep]  # the stopped rungs leave every table
+                rlu, rlu_prev, q, axis, abs_level, g, work, trap, free._s, free.axis = (
+                    _columns(a, keep)
+                    for a in (rlu, rlu_prev, q, axis, abs_level, g, work, trap, free._s, free.axis))
                 peak = peaks[keep].max()
             if force is not None and i < nt:  # the last level is never forced
                 force(abs_level[:n], g[:n], peak)
@@ -565,11 +563,12 @@ def _march_levels(free, spec, data, cap, done=None) -> dict:
 
 def _columns(a: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """The columns ``keep`` of the C-contiguous 2-D ``a``, moved to the front
-    of its memory as one C-contiguous array: a ladder sheds a stopped rung
-    without a second copy of its state."""
-    kept = a.take(keep, axis=1)
-    out = a.reshape(-1)[:kept.size].reshape(kept.shape)
-    out[...] = kept
+    of its memory as one C-contiguous array 256 rows at a time, each landing
+    before the rows still to move: a ladder sheds a stopped rung without a
+    copy of its state or foot table."""
+    out = a.reshape(-1)[:len(a) * keep.size].reshape(len(a), keep.size)
+    for i in range(0, len(a), 256):
+        out[i:i + 256] = a[i:i + 256, keep]
     return out
 
 

@@ -310,8 +310,8 @@ def test_nonfinite_run_input_exits_one(capsys, tmp_path, argv, name):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_solve_at_the_largest_amplitude_blows_up(tmp_path):
-    # the free wave's table of eps = 1.7e308 is finite, as u1 = 0: it was refused as
-    # past the largest float, because 0.5 r eps overflowed and inf * 0 is nan
+    # the free wave's table of eps = 1.7e308 is finite, as u1 = 0, though 0.5 r eps
+    # overflows: the run blows up at its first level
     code = run_cli(["solve", "--family", "powerlaw", "--eps", "1.7e308", "--h", "0.0625",
                     "--horizon", "2", "--quiet"], tmp_path)
     assert code == 0
@@ -416,7 +416,7 @@ def test_solve_heatmap_copies_no_field(traced_peak, tmp_path):
 
 
 def test_solve_refuses_the_columns_it_keeps_beyond_memory(capsys, monkeypatch, tmp_path):
-    # 1 MiB holds the working set of a march of this grid, 0.75 MB, but not the 1.1 MB
+    # 1 MiB holds the working set of a march of this grid, 0.74 MB, but not the 1.1 MB
     # of columns solve keeps besides: refused before anything is allocated
     grid = CharacteristicGrid.cover(0.0625, 25.0, 1.0)
     monkeypatch.setattr(os, "sysconf", lambda name: 4096 if name == "SC_PAGE_SIZE" else 256)
@@ -430,8 +430,8 @@ def test_solve_refuses_the_columns_it_keeps_beyond_memory(capsys, monkeypatch, t
 
 
 def test_lifespan_refuses_a_working_set_beyond_memory(capsys, monkeypatch, tmp_path):
-    # 64 KiB holds the foot tables of these two rungs, 20 KB, all that the guard once
-    # counted, but not their working set of 0.2 MB: refused before anything is allocated
+    # 64 KiB holds the foot tables of these two rungs, 20 KB, but not their working set
+    # of 0.18 MB: refused before anything is allocated
     monkeypatch.setattr(os, "sysconf", lambda name: 4096 if name == "SC_PAGE_SIZE" else 16)
     grid = CharacteristicGrid.cover(0.05, 20.0, 1.0)
     assert 2 * 8 * (grid.t_levels + 2 * grid.r_nodes - 1) < 65536

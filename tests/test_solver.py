@@ -26,6 +26,7 @@ from wavecrit.modulus import (
     mu_power,
 )
 from wavecrit.solver import (
+    _columns,
     CharacteristicGrid,
     FreeWave,
     LifespanRow,
@@ -316,10 +317,11 @@ def guarded_bytes(monkeypatch, grid, rungs, kept):
 
 def test_memory_guard_bounds_the_traced_peak_of_every_run(monkeypatch, traced_peak):
     # the guard's count of a run lies between its traced peak and twice that peak + 1 MB
-    # (the peaks are 0.51 to 0.79 of the counts here).  On the smallest grid a march with a reducer, one
-    # keeping the columns solve keeps and a ladder of 12 rungs go to the horizon, so the
-    # forcing's scratch grows to whole levels; on every grid ladders of 1, 12 and, on two
-    # grids, 200 rungs blow up, or are refused past tau0, at their first levels
+    # (the peaks are 0.53 to 0.89 of the counts here).  On the smallest grid a march with a
+    # reducer, one keeping the columns solve keeps and a ladder of 12 rungs go to the horizon,
+    # so the forcing's scratch grows to whole levels, and a ladder of 12 rungs sheds its rungs
+    # one stop at a time; on every grid ladders of 1, 12 and, on two grids, 200 rungs blow up,
+    # or are refused past tau0, at their first levels
     smallest = CharacteristicGrid.cover(0.005, 2.0, 1.0)
     nr = smallest.r_nodes
     nodes = np.concatenate([np.arange(0, nr, nr // 200), np.arange(0, nr, nr // 120)])
@@ -344,6 +346,8 @@ def test_memory_guard_bounds_the_traced_peak_of_every_run(monkeypatch, traced_pe
         holds(smallest, 1, nodes.size, lambda: keep_columns(default_bump(small), spec))
         holds(smallest, 12, None, lambda: lifespan_sweep(
             default_bump(1.0), spec, np.geomspace(0.1, 1.0, 12) * small, smallest))
+        holds(smallest, 12, None, lambda: lifespan_sweep(
+            default_bump(1.0), spec, np.geomspace(small, 4.0 * large, 12), smallest))
         for h, horizon in ((1 / 16, 50.0), (0.01, 20.0), (0.05, 100.0), (0.005, 2.0)):
             grid = CharacteristicGrid.cover(h, horizon, 1.0)
             for rungs in (1, 12, 200) if h in (1 / 16, 0.005) else (1, 12):
@@ -465,6 +469,17 @@ def test_ladder_stores_no_field_so_its_grid_may_exceed_memory():
                                   CharacteristicGrid.cover(0.01, 10.0, 1.0))
 
 
+def test_ladder_sheds_a_stopped_rung_in_its_own_memory(traced_peak):
+    # the kept columns move to the front of the table 256 rows at a time, bit for bit
+    # numpy's take: a block of 8 KB is held, not a copy of the kept columns (64 KB)
+    table = np.random.default_rng(1).standard_normal((2003, 12))
+    keep = np.array([0, 2, 3, 11])
+    want = table.take(keep, axis=1)
+    kept, peak = traced_peak(lambda: _columns(table, keep))
+    assert np.shares_memory(kept, table) and kept.tobytes() == want.tobytes()
+    assert peak < 2 * 8 * 256 * keep.size
+
+
 def test_march_validates_grid_resolution():
     with pytest.raises(ValueError):
         march(default_bump(1.0), None, CharacteristicGrid.cover(0.2, 2.0, 1.0))
@@ -502,8 +517,8 @@ def test_march_refuses_a_cap_that_is_not_positive(cap):
 def test_free_wave_refuses_an_amplitude_past_the_float_range():
     # a table past the largest float is refused by its amplitude, without a RuntimeWarning,
     # and a ladder refuses its rung before the first level, as it does a nan.  The table
-    # of u1 = 0 is finite at any amplitude: 0.5 r eps overflowed in the u1 prefix, and
-    # inf * 0 = nan refused default_bump(1.7e308), which blows up at its first level
+    # of u1 = 0 is finite at any amplitude, though 0.5 r eps overflows in the u1 prefix:
+    # default_bump(1.7e308) blows up at its first level
     grid = CharacteristicGrid.cover(0.0625, 3.0, 1.0)
     bump = default_bump(1e10)
     huge = replace(bump, u0=lambda r: 1e300 * bump.u0(r), u0_prime=lambda r: 1e300 * bump.u0_prime(r))
