@@ -139,6 +139,8 @@ def integral_identity_residual(run, cfg: KernelConfig, q: float, t: float) -> fl
     t must be a level of ``run``, whose grid, cut at t, is marched again with
     no cap: each block of the run's own levels adds its forcing terms.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"time t={t} is not finite")
     h = run.grid.h
     i = int(round(t / h))
     if abs(t - i * h) > 1e-9 * max(1.0, t) or not 0 <= i < run.field.shape[0]:

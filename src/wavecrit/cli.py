@@ -326,7 +326,8 @@ def _cmd_solve(args, spec):
                "t_detect": run.t_detect}
     n_levels = run.field.shape[0]
     picked = sorted(set(np.linspace(0, n_levels - 1, min(25, n_levels)).astype(int)))
-    rows = [(float(run.times[i]), float(run.radii[j]), u) for i in picked
+    times, radii = run.times, run.radii  # each a property that builds its array
+    rows = [(float(times[i]), float(radii[j]), u) for i in picked
             for j, u in zip(csv_nodes, kept[i, :csv_nodes.size].tolist())]
     heatmap = kept[:n_levels:max(1, n_levels // _HEATMAP_CELLS), csv_nodes.size:]
     files = {"run.json": payload,

@@ -343,8 +343,8 @@ class FreeWave:
             bad = np.atleast_1d(eps)[~np.atleast_1d(finite)]
             raise ValueError(f"amplitude {bad[0]:g} takes the free wave's table past the largest float")
 
-    def level(self, i: int, lo: int, stop: int, step: int = 1, out=None) -> np.ndarray:
-        """v(t_i, r_j) on the nodes j = lo, lo + step, ... < stop off the axis,
+    def level(self, i: int, lo: int, stop: int, out=None) -> np.ndarray:
+        """v(t_i, r_j) on the nodes j = lo..stop - 1 off the axis,
         by the two-point formula
 
             v = (S(t+r) - S(t-r)) / r,
@@ -357,10 +357,10 @@ class FreeWave:
         if not (0 <= i <= nt and 1 <= lo and stop <= nr):
             raise ValueError(f"free wave on nodes {lo}..{stop - 1} of level {i}: the grid "
                              f"has levels 0..{nt} and off-axis nodes 1..{nr - 1}")
-        plus = slice(nr - 1 + i + lo, nr - 1 + i + stop, step)
+        plus = slice(nr - 1 + i + lo, nr - 1 + i + stop)
         end = nr - 1 + i - stop  # the foot of node stop, -1 at the table's start
-        minus = slice(nr - 1 + i - lo, end if end >= 0 else None, -step)
-        return _two_point(self._s[plus], self._s[minus], self._r[lo:stop:step], out)
+        minus = slice(nr - 1 + i - lo, end if end >= 0 else None, -1)
+        return _two_point(self._s[plus], self._s[minus], self._r[lo:stop], out)
 
     def band(self, i0: int, i1: int, reach: int, out=None) -> np.ndarray:
         """v on the Huygens bands of the levels i0..i1 - 1 at once: row i - i0,
@@ -634,7 +634,10 @@ def convergence_study(
     for a, b in zip(h_list, h_list[1:]):
         if abs(a / b - 2.0) > 1e-12:
             raise ValueError("each step must be half the previous")
-    if abs(round(t_check / h_list[0]) * h_list[0] - t_check) > 1e-9 * max(1.0, t_check):
+    if not 0.0 < t_check < math.inf:  # refuses nan too
+        raise ValueError(f"t_check must be positive and finite, got t_check={t_check}")
+    levels = round(t_check / h_list[0])
+    if levels < 1 or abs(levels * h_list[0] - t_check) > 1e-9 * max(1.0, t_check):
         raise ValueError(f"t_check={t_check:g} is not a level of the coarsest grid, "
                          f"h={h_list[0]:g}")
     fields = []

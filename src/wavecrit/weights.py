@@ -120,8 +120,9 @@ def data_norms(data):
 def linear_decay_check(data, horizon: float) -> WeightReport:
     """Verify the weighted boundedness of the linear evolution of ``data``.
 
-    Samples the free solution at t = k _DECAY_STEP <= horizon + _DECAY_STEP / 2
-    on the lattice of ``march`` with step h = _DECAY_DR / m, m the least
+    Samples the free solution at t = k _DECAY_STEP < horizon + _DECAY_STEP / 2,
+    k >= 0 (a horizon that is not finite and above _DECAY_STEP / 2 is
+    refused), on the lattice of ``march`` with step h = _DECAY_DR / m, m the least
     integer with 16 h <= R (the resolution ``march`` asks of the support
     radius R); data ``march`` refuses are refused.  By the strong Huygens
     principle the free wave vanishes off the band t - R <= r <= t + R, so
@@ -129,12 +130,16 @@ def linear_decay_check(data, horizon: float) -> WeightReport:
     ``solver.FreeWave``, its axis value included, weighs them in one array
     call and applies the decay rule shared with ``decay_profile_check``.
     """
+    end = horizon + 0.5 * _DECAY_STEP  # the sampled times are those below it
+    if not _DECAY_STEP < end < math.inf:  # refuses nan too
+        raise ValueError(f"horizon must be finite and above half the sample step "
+                         f"{_DECAY_STEP:g}, got horizon={horizon}")
     radius = data.support_radius
     m = math.ceil(2.0 / radius)
     if 2.0 / m > radius:  # 2 / m is 16 h, rounded as the march rounds it
         m += 1
     h = _DECAY_DR / m
-    times = np.arange(0.0, horizon + 0.5 * _DECAY_STEP, _DECAY_STEP)
+    times = np.arange(0.0, end, _DECAY_STEP)
     free = FreeWave(data, CharacteristicGrid.cover(h, times[-1], radius))
     levels_per_time = round(_DECAY_STEP / h)
     half_band = m * math.floor(radius / _DECAY_DR)  # in nodes
@@ -142,7 +147,7 @@ def linear_decay_check(data, horizon: float) -> WeightReport:
     for k, t in enumerate(times):
         i = k * levels_per_time
         lo, stop = max(i - half_band, 0), i + half_band + 1
-        v = np.abs(free.level(i, max(lo, m), stop, m))
+        v = np.abs(free.level(i, max(lo, m), stop)[::m])
         if lo == 0:  # the band reaches the axis
             v = np.concatenate(([abs(free.axis[i])], v))
         level_max[k] = np.max(_cone_weight(t, free.r[lo:stop:m]) * v)

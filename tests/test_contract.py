@@ -11,7 +11,9 @@ import warnings
 
 from hypothesis import given, seed, settings, strategies as st
 
-from wavecrit.blowup import divergence_onset
+from wavecrit.blowup import divergence_onset, integral_identity_residual
+from wavecrit.exponents import kernel_exponent
+from wavecrit.kernels import KernelConfig
 from wavecrit.modulus import (
     DoubleLogGlobal,
     IteratedLogBlowup,
@@ -24,12 +26,23 @@ from wavecrit.modulus import (
     mu_eval,
     threshold_product,
 )
-from wavecrit.solver import CharacteristicGrid, default_bump, lifespan_sweep, march
-from wavecrit.weights import key_integral, zone_bound_check
+from wavecrit.solver import (
+    CharacteristicGrid,
+    convergence_study,
+    default_bump,
+    lifespan_sweep,
+    march,
+)
+from wavecrit.weights import key_integral, linear_decay_check, zone_bound_check
 
 # the command-line fuzz's extremes, as floats
 _EXTREMES = [math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324, 2.2e-308, 1e-300, 1e-12,
              1e300, 1e20, 1.7e308]
+
+# a time a call marches or samples to: a level of ``_grid``, or an extreme short of
+# a huge finite time, whose refusal is a matter of memory
+_LEVELS = [1.0, 2.0, 3.0]
+_TIMES = [*_LEVELS, math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324]
 
 # each family with a typical value of each field
 _FAMILIES = {
@@ -93,6 +106,18 @@ _CALLS = {
                        lambda spec, a: lifespan_sweep(default_bump(1.0), spec, a["epsilons"],
                                                       _grid(a["horizon"]), a["cap"]),
                        lambda v, a: _lifespan_rows_hold(v, a["epsilons"])),
+    "linear_decay_check": ({"time": 3.0}, ("horizon",),
+                           lambda spec, a: linear_decay_check(default_bump(0.5), a["time"]),
+                           lambda v, a: isinstance(v.passed, bool) and v.fitted_constant >= 0.0),
+    "integral_identity_residual": ({"time": 2.0}, ("time", "tau0", "sample"),
+                                   lambda spec, a: integral_identity_residual(
+                                       march(default_bump(0.5), spec, _grid(3.0)),
+                                       KernelConfig(), kernel_exponent(3), a["time"]),
+                                   lambda v, a: math.isfinite(v)),
+    "convergence_study": ({"time": 1.0}, ("t_check", "tau0", "sample", "h="),
+                          lambda spec, a: convergence_study(
+                              default_bump(0.5), spec, [0.0625, 0.03125, 0.015625], a["time"]),
+                          lambda v, a: v.order is None or math.isfinite(v.order)),
 }
 
 
@@ -106,7 +131,9 @@ def _draws(draw):
     args = {}
     for arg, typical in _CALLS[name][0].items():
         if arg == "horizon":  # a grid of at most 48 levels
-            args[arg] = draw(st.sampled_from([1.0, 2.0, 3.0]))
+            args[arg] = draw(st.sampled_from(_LEVELS))
+        elif arg == "time":
+            args[arg] = draw(st.sampled_from(_TIMES))
         elif arg == "epsilons":
             args[arg] = tuple(draw(st.lists(_value(2.0), min_size=1, max_size=3)))
         else:
