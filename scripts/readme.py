@@ -49,8 +49,7 @@ def run(line: str, src: str, out_dir, **kwargs) -> subprocess.CompletedProcess:
 
 def examples_of(text: str) -> list:
     """The ``wavecrit`` lines of the "Command line" section, up to the next ``## `` heading."""
-    section = re.split(r"^## Command line.*$", text, maxsplit=1, flags=re.M)[1]
-    section = re.split(r"^## ", section, maxsplit=1, flags=re.M)[0]
+    section = text.split("\n## Command line", 1)[1].split("\n## ", 1)[0]
     return [line for line in section.splitlines() if line.startswith("wavecrit ")]
 
 
@@ -77,7 +76,7 @@ def refusals(src: str) -> None:
     if BEGIN not in stripped or END not in stripped:
         sys.exit(f"{README} has no {BEGIN} ... {END} block")
     begin, end = stripped.index(BEGIN), stripped.index(END)
-    commands = [m[1].strip() for m in
+    commands = [m[1] for m in
                 (re.match(r"\| `(wavecrit [^`]*)`", line) for line in stripped[begin:end]) if m]
     table = ["| Command line | Exit | Message |\n", "| --- | --- | --- |\n"]
     with tempfile.TemporaryDirectory() as tmp:

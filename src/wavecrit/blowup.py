@@ -139,12 +139,12 @@ def integral_identity_residual(run, cfg: KernelConfig, q: float, t: float) -> fl
     t must be a level of ``run``, whose grid, cut at t, is marched again with
     no cap: each block of the run's own levels adds its forcing terms.
     """
-    if not math.isfinite(t):
-        raise ValueError(f"time t={t} is not finite")
-    h = run.grid.h
+    h, levels = run.grid.h, run.field.shape[0]
+    if not abs(t) < h * levels:  # nan, inf or past the run, refused before it is rounded
+        raise ValueError(f"time t={t} is not a marched level")
     i = int(round(t / h))
-    if abs(t - i * h) > 1e-9 * max(1.0, t) or not 0 <= i < run.field.shape[0]:
-        raise ValueError(f"time {t} is not a marched level")
+    if abs(t - i * h) > 1e-9 * max(1.0, t) or not 0 <= i < levels:
+        raise ValueError(f"time t={t} is not a marched level")
     p = strauss_exponent(3)
     r = run.radii
     meas = 4.0 * math.pi * r * r

@@ -634,9 +634,11 @@ def convergence_study(
     for a, b in zip(h_list, h_list[1:]):
         if abs(a / b - 2.0) > 1e-12:
             raise ValueError("each step must be half the previous")
-    if not 0.0 < t_check < math.inf:  # refuses nan too
-        raise ValueError(f"t_check must be positive and finite, got t_check={t_check}")
-    levels = round(t_check / h_list[0])
+    ratio = t_check / h_list[0]  # the coarsest grid's levels up to t_check
+    if not 0.0 < ratio < math.inf:  # refuses nan too, before it is rounded
+        raise ValueError(f"t_check={t_check:g} / h={h_list[0]:g} is not a positive finite "
+                         f"number of levels")
+    levels = round(ratio)
     if levels < 1 or abs(levels * h_list[0] - t_check) > 1e-9 * max(1.0, t_check):
         raise ValueError(f"t_check={t_check:g} is not a level of the coarsest grid, "
                          f"h={h_list[0]:g}")
