@@ -94,12 +94,15 @@ def _i0e(z):
     """e^(-z) I_0(z) on an array of z >= 0 by the Cephes rule, bit for bit
     ``scipy.special.i0e``; 0 at inf, nan at nan."""
     out = np.empty_like(z)
-    near = z <= 8.0  # false at nan
-    x = z[near] / 2.0
-    out[near] = _chbevl(np.subtract(x, 2.0, out=x), _I0E_NEAR)
-    far = z[~near]
-    x = 32.0 / far
-    out[~near] = _chbevl(np.subtract(x, 2.0, out=x), _I0E_FAR) / np.sqrt(far)
+    mask = z <= 8.0  # the near entries; false at nan
+    x = z[mask]
+    x /= 2.0
+    out[mask] = _chbevl(np.subtract(x, 2.0, out=x), _I0E_NEAR)
+    np.logical_not(mask, out=mask)  # the far ones, nan included
+    x = np.divide(32.0, z[mask])
+    x = _chbevl(np.subtract(x, 2.0, out=x), _I0E_FAR)
+    x /= np.sqrt(z[mask])  # gathered again: held through Clenshaw, it would be a fifth buffer
+    out[mask] = x
     return out
 
 

@@ -274,15 +274,23 @@ def _hermite_bridge(spec: ModulusSpec):
     return a, b - a, v0, m0, 3.0 * (v1 - v0) - 2.0 * m0 - m1, 2.0 * (v0 - v1) + m0 + m1
 
 
-def _bridge_eval(spec: ModulusSpec, bridge: tuple, tau: np.ndarray) -> np.ndarray:
-    """LogPower's mu on an array of arguments past tau0: the ``bridge`` cubic
-    in Horner form below 3, and cl*(log tau)**gamma from 3 on."""
+def _bridge_eval(spec: ModulusSpec, bridge: tuple, tau: np.ndarray, peak: float) -> np.ndarray:
+    """LogPower's mu on an array of arguments past tau0 whose largest is
+    ``peak``: the ``bridge`` cubic in Horner form below 3, evaluated in
+    place, and cl*(log tau)**gamma from 3 on, only once ``peak`` reaches 3."""
     a, w, c0, c1, c2, c3 = bridge
-    s = (np.minimum(tau, 3.0) - a) / w  # s <= 1: the cubic stays finite where the top takes over
-    out = ((c3 * s + c2) * s + c1) * s + c0
-    top = tau >= 3.0
-    if top.any():
-        out[top] = spec.family.cl * np.log(tau[top]) ** spec.family.gamma
+    top = peak >= 3.0
+    s = np.subtract(np.minimum(tau, 3.0) if top else tau, a)
+    s /= w  # s <= 1: the cubic stays finite where the top takes over
+    out = np.multiply(c3, s)  # ((c3 s + c2) s + c1) s + c0
+    out += c2
+    out *= s
+    out += c1
+    out *= s
+    out += c0
+    if top:
+        above = tau >= 3.0
+        out[above] = spec.family.cl * np.log(tau[above]) ** spec.family.gamma
     return out
 
 
@@ -313,7 +321,8 @@ def forcing(spec: ModulusSpec, p: float):
     is resolved once, not per call: the family's law, the zero mask the
     iterated-log laws need (they read -inf + inf at |u| = 0), and
     LogPower's bridge, which overwrites the entries past tau0 when
-    ``peak``, the largest entry of ``abs_u``, passes it.  The caller
+    ``peak``, the largest entry of ``abs_u``, passes it: it gathers those
+    entries once, and reads ``peak`` for its tau >= 3 branch.  The caller
     refuses a peak past ``ceiling`` with ``reason``, and ignores divide,
     invalid and over in np.errstate."""
     family, tau0 = spec.family, spec.tau0
@@ -331,7 +340,8 @@ def forcing(spec: ModulusSpec, p: float):
             out[abs_u == 0.0] = 0.0
         if bridge is not None and peak > tau0:
             past = abs_u > tau0
-            out[past] = abs_u[past] ** p * _bridge_eval(spec, bridge, abs_u[past])
+            tau = abs_u[past]
+            out[past] = tau ** p * _bridge_eval(spec, bridge, tau, peak)
         return out
 
     return kernel, ceiling, reason

@@ -71,11 +71,13 @@ of levels at once: on the band the foot t + r of node i - c + k is
 the table node 2i + k - c and the foot t - r the node c - k on every
 level, so ``FreeWave.band`` evaluates the two-point formula's subtract
 and divide on strided views of the table, straight into a block's rows,
-once per block of levels.  A level then pays 6 numpy calls for the
+once per block of levels.  A level then pays 5 numpy calls for the
 history prefix, 2 for the axis term, 5 for the W recurrence, 2 for u = v +
 W/r, 2 for its modulus and max and 6 (PowerLaw) to 8 (LogPower) for the
-next forcing, 23 to 25 in all.  The slow oracles the tests hold the
-recurrence, the forcing and the free part to live in ``tests/oracles.py``.
+next forcing, 22 to 24 in all; once its max passes tau0, LogPower's bridge
+adds 13 more below a max of 3 and 20 from 3 on.  The slow oracles the
+tests hold the recurrence, the forcing and the free part to live in
+``tests/oracles.py``.
 
 Blow-up is detected by a cap on the sup norm: marching stops at the first
 level whose max exceeds the cap or goes non-finite.  The one stop rule
@@ -245,10 +247,15 @@ def refuse_beyond_memory(grid: CharacteristicGrid, rungs: int, kept: Optional[in
     doubles = rungs * (feet + 2 * (nt + 1) + 3 * (nr + 1) + 12 * nr) + 3 * feet + 4 * nr
     if kept is not None:  # a march: its block of levels and up to 4 blocks of free-band buffers
         doubles += 5 * next(row_blocks(nt + 1, nr)).stop * nr + (nt + 1) * kept
-    nbytes, memory = 8 * doubles, os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    refuse_bytes(8 * doubles, f"a march of {nt + 1} x {nr} levels")
+
+
+def refuse_bytes(nbytes: int, what: str) -> None:
+    """Refuses ``what``, which allocates ``nbytes``, when that exceeds physical memory."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if nbytes > memory:
-        raise ValueError(f"a march of {nt + 1} x {nr} levels allocates {nbytes} bytes, "
-                         f"more than the {memory} bytes of physical memory")
+        raise ValueError(f"{what} allocates {nbytes} bytes, more than the {memory} bytes of "
+                         f"physical memory")
 
 
 def strided_rows(a: np.ndarray, start: int, rows: int, width: int, step: int) -> np.ndarray:
@@ -470,8 +477,8 @@ def _march_levels(free, spec, data, cap, done=None) -> dict:
     rlu_prev = np.zeros((nr + 1,) + rungs)
     q = np.zeros((nr + 1,) + rungs)
     axis = np.zeros((nt + 1,) + rungs)  # axis[i] = sum over k < i of w_k (i-k) h g_k[i-k]
-    half_r = 0.5 * r
-    axis_weights = (r * (0.5 * h), r * h)  # w_k m h on node m: w_0 = h/2, then h
+    half_r, half_h = 0.5 * r, 0.5 * h
+    axis_weights = (r * half_h, r * h)  # w_k m h on node m: w_0 = h/2, then h
     abs_level = np.empty((nr,) + rungs)  # |u| on level i, the cap check and the next forcing
     width = 2 * reach + 1
 
@@ -506,11 +513,10 @@ def _march_levels(free, spec, data, cap, done=None) -> dict:
                 # level i - 1 joins the history with trapezoid weight w_{i-1}
                 np.multiply(half_r[:n], g[:n], out=work[:n])
                 tr = np.add(work[1:n], work[:e], out=trap[:e])
-                tr *= 0.5
-                tr *= h
+                tr *= half_h
                 np.add.accumulate(tr, axis=0, out=q[1:n])  # cumsum, without its wrapper
                 q[n] = q[e]
-                weight = 0.5 * h if i == 1 else h
+                weight = half_h if i == 1 else h
                 m_top = min(nt - (i - 1), e)
                 tail = np.multiply(axis_weights[i > 1][1:m_top + 1], g[1:m_top + 1], out=work[:m_top])
                 axis[i:i + m_top] += tail

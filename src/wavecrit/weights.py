@@ -6,6 +6,7 @@ lattice diagonal (``_cone_tables``), not one per node."""
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -13,7 +14,8 @@ import numpy as np
 from .exponents import strauss_exponent, weight_exponent
 from .modulus import ModulusSpec, mu_eval, threshold_product
 from .reporting import WeightReport
-from .solver import DEFAULT_CAP, CharacteristicGrid, FreeWave, cone_edge, march, strided_rows
+from .solver import (DEFAULT_CAP, CharacteristicGrid, FreeWave, cone_edge, march, refuse_bytes,
+                     strided_rows)
 
 _DECAY_STEP = 0.5  # time between the levels ``linear_decay_check`` samples
 _DECAY_DR = 0.125  # radius between its samples in the Huygens band
@@ -121,8 +123,10 @@ def linear_decay_check(data, horizon: float) -> WeightReport:
     """Verify the weighted boundedness of the linear evolution of ``data``.
 
     Samples the free solution at t = k _DECAY_STEP < horizon + _DECAY_STEP / 2,
-    k >= 0 (a horizon that is not finite and above _DECAY_STEP / 2 is
-    refused), on the lattice of ``march`` with step h = _DECAY_DR / m, m the least
+    k >= 0 (a horizon not between _DECAY_STEP / 2 and _DECAY_STEP times the
+    largest float is refused, and so, before anything is allocated, is one
+    whose samples and free wave exceed physical memory), on the lattice of
+    ``march`` with step h = _DECAY_DR / m, m the least
     integer with 16 h <= R (the resolution ``march`` asks of the support
     radius R); data ``march`` refuses are refused.  By the strong Huygens
     principle the free wave vanishes off the band t - R <= r <= t + R, so
@@ -131,16 +135,24 @@ def linear_decay_check(data, horizon: float) -> WeightReport:
     call and applies the decay rule shared with ``decay_profile_check``.
     """
     end = horizon + 0.5 * _DECAY_STEP  # the sampled times are those below it
-    if not _DECAY_STEP < end < math.inf:  # refuses nan too
-        raise ValueError(f"horizon must be finite and above half the sample step "
-                         f"{_DECAY_STEP:g}, got horizon={horizon}")
+    if not _DECAY_STEP < end < _DECAY_STEP * sys.float_info.max:  # refuses nan too
+        raise ValueError(f"horizon must be above half the sample step {_DECAY_STEP:g} and below "
+                         f"{_DECAY_STEP * sys.float_info.max:g}, got horizon={horizon}")
     radius = data.support_radius
     m = math.ceil(2.0 / radius)
     if 2.0 / m > radius:  # 2 / m is 16 h, rounded as the march rounds it
         m += 1
     h = _DECAY_DR / m
+    count = math.ceil(end / _DECAY_STEP)  # the sampled times, as np.arange counts them
+    grid = CharacteristicGrid.cover(h, (count - 1) * _DECAY_STEP, radius)
+    nt, nr = grid.t_levels, grid.r_nodes
+    # the times and their maxima; the free wave's table, its feet, their scaled copy and the
+    # u0 samples, its axis limit and u0' samples, and 4 radial tables
+    doubles = 2 * count + 4 * (nt + 2 * nr) + 2 * (nt + 1) + 4 * nr
+    refuse_bytes(8 * doubles, f"horizon={horizon}: {count} samples and a free wave of "
+                              f"{nt + 1} x {nr} levels")
     times = np.arange(0.0, end, _DECAY_STEP)
-    free = FreeWave(data, CharacteristicGrid.cover(h, times[-1], radius))
+    free = FreeWave(data, grid)
     levels_per_time = round(_DECAY_STEP / h)
     half_band = m * math.floor(radius / _DECAY_DR)  # in nodes
     level_max = np.empty(len(times))

@@ -297,7 +297,7 @@ def march_level_by_level(data: RadialData, spec, grid: CharacteristicGrid, cap: 
             if i:
                 e = n - 1
                 work = 0.5 * r[:n] * g[:n]
-                q[1:n] = np.cumsum((work[1:] + work[:-1]) * 0.5 * h)
+                q[1:n] = np.cumsum((work[1:] + work[:-1]) * (0.5 * h))
                 q[n] = q[e]
                 weight = 0.5 * h if i == 1 else h
                 m_top = min(nt - (i - 1), e)

@@ -74,6 +74,12 @@ CASES = {
     "logpower-blowup": (default_bump(2.0), LogPower(0.2, 10.0), CharacteristicGrid.cover(0.01, 6.0, 1.0),
                         ("blew_up", 0.99, (100, 702)),
                         "2932781342e0e1e02f9e31806f8a7b66947f070ade4ee5c05e898c1a00e2916f"),
+    # eps = 1e-92: the forcing ~ eps^3.41 and the history's trapezoid sums are subnormal, far
+    # below 2^-1021, where scaling a sum by h/2 rounds otherwise than halving it and then
+    # scaling by h (412 of the entries move); behind the wave v = 0, so u = W/r holds them
+    "powerlaw-subnormal": (default_bump(1e-92), PowerLaw(1.0), CharacteristicGrid.cover(0.05, 4.0, 1.0),
+                           ("completed", None, (81, 102)),
+                           "575000539217fe014126cf3f2d32e0409f58bf0ae0f4724e63e8b7df50006235"),
     # linear mode, and every family whose forcing kernel differs (the
     # iterated-log ones below tau0 need their zero mask)
     "linear": (velocity_bump(1.0), None, CharacteristicGrid.cover(0.05, 4.0, 1.0),

@@ -21,6 +21,7 @@ from wavecrit.modulus import (
     loglog_bound_check,
     make_spec,
     mu_eval,
+    mu_power,
     threshold_product,
 )
 from wavecrit.modulus import _monotone_concave  # the blocked pair sweep itself
@@ -457,6 +458,18 @@ def test_mu_eval_array_equals_elementwise(spec, data):
         past = data.draw(st.floats(spec.tau0, 1e6, exclude_min=True))
         with pytest.raises(ValueError, match="beyond tau0"):
             mu_eval(spec, np.append(taus, past))
+
+
+# below a peak of 3 the bridge skips its top branch: beside an argument past 3, which takes
+# it, the arguments below 3 keep their bits, the forcing's power of |u| included
+@pytest.mark.parametrize("spec", [s for s in ALL_DEFAULT_SPECS if isinstance(s.family, LogPower)],
+                         ids=repr)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_bridge_below_3_equals_its_values_beside_a_top_argument(spec, data):
+    a = np.array(data.draw(st.lists(st.floats(spec.tau0, 3.0, exclude_min=True, exclude_max=True),
+                                    min_size=1, max_size=40)))
+    assert mu_power(spec, P3, a).tobytes() == mu_power(spec, P3, np.append(a, 10.0))[:-1].tobytes()
 
 
 # mu_eval, on arrays and on scalars, against the closed forms of

@@ -1,4 +1,5 @@
 import math
+import os
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -239,6 +240,25 @@ def test_linear_decay_velocity_near_oracle():
 def test_linear_decay_refuses_what_march_refuses():
     with pytest.raises(ValueError, match="vanish beyond the support"):
         linear_decay_check(replace(default_bump(1.0), support_radius=0.5), horizon=2.0)
+
+
+def test_linear_decay_refuses_a_horizon_past_memory(monkeypatch, traced_peak):
+    # 1e300 asked np.arange for 2e300 times and was refused only by numpy's size limit
+    with pytest.raises(ValueError, match=r"horizon=1e\+300: \d+ samples .* bytes of physical memory"):
+        linear_decay_check(default_bump(1.0), 1e300)
+    # at 1 byte of memory a small horizon is refused before its times or its free wave
+    # exist: no profile is called, and less is traced than its 2001 times alone would take
+    data, calls = counted_profiles(default_bump(1.0))
+    monkeypatch.setattr(os, "sysconf", lambda name: 1)
+
+    def refused():
+        with pytest.raises(ValueError, match=r"horizon=1000.0: 2001 samples and a free wave of "
+                                             r"16001 x 16018 levels allocates \d+ bytes, "
+                                             r"more than the 1 bytes"):
+            linear_decay_check(data, 1000.0)
+
+    _, peak = traced_peak(refused)
+    assert not calls and peak < 8 * 2001
 
 
 def test_linear_decay_stable_under_longer_horizon():
