@@ -7,8 +7,7 @@
 # it attempts than it does today: lemma-suite's mu checks of iterlog (both
 # seeds) and doublelog (seed 0) exit 2, so 2/17 at seed 0 and 1/17 at seed
 # 11; nothing else fails.  Each run's last line, its JSON record, is echoed.
-# A RuntimeWarning fails the run.  PYTHON names the interpreter (default:
-# python3).
+# A RuntimeWarning fails the run.
 set -eu
 
 if [ "$#" -eq 0 ]; then
@@ -21,7 +20,7 @@ trap 'rm -r "$out"' EXIT
 
 for seed in "$@"; do
     for workload in lemma-suite global-verify lifespan-sweep; do
-        "${PYTHON:-python3}" -W error::RuntimeWarning "$run" --workload "$workload" \
+        python3 -W error::RuntimeWarning "$run" --workload "$workload" \
             --seed "$seed" --seconds 5 > "$out/$workload-$seed.out"
         tail -n 1 "$out/$workload-$seed.out"
         case "$workload-$seed" in
@@ -29,7 +28,7 @@ for seed in "$@"; do
             lemma-suite-11) share=1/17 ;;
             *) share=0 ;;
         esac
-        tail -n 1 "$out/$workload-$seed.out" | "${PYTHON:-python3}" -c '
+        tail -n 1 "$out/$workload-$seed.out" | python3 -c '
 import json, sys
 from fractions import Fraction
 r = json.load(sys.stdin)

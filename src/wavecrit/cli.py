@@ -102,14 +102,8 @@ def _csv_text(table) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
-    writer.writerows([_fmt(x) for x in row] for row in rows)
+    writer.writerows(rows)
     return buf.getvalue()
-
-
-def _fmt(x):
-    if isinstance(x, float):  # includes numpy float64; normalize its repr
-        return repr(float(x))
-    return x
 
 
 # one writer per file format, picked by the file name's suffix
@@ -326,8 +320,7 @@ def _cmd_solve(args, spec):
                "t_detect": run.t_detect}
     n_levels = run.field.shape[0]
     picked = sorted(set(np.linspace(0, n_levels - 1, min(25, n_levels)).astype(int)))
-    times, radii = run.times, run.radii  # each a property that builds its array
-    rows = [(float(times[i]), float(radii[j]), u) for i in picked
+    rows = [(grid.h * i, grid.h * j, u) for i in picked
             for j, u in zip(csv_nodes, kept[i, :csv_nodes.size].tolist())]
     heatmap = kept[:n_levels:max(1, n_levels // _HEATMAP_CELLS), csv_nodes.size:]
     files = {"run.json": payload,

@@ -13,7 +13,7 @@ import numpy as np
 
 from .exponents import strauss_exponent, weight_exponent
 from .modulus import ModulusSpec, mu_eval, threshold_product
-from .reporting import WeightReport
+from .reporting import WeightReport, bracket
 from .solver import (DEFAULT_CAP, CharacteristicGrid, FreeWave, cone_edge, march, refuse_bytes,
                      strided_rows)
 
@@ -22,13 +22,6 @@ _DECAY_DR = 0.125  # radius between its samples in the Huygens band
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)  # on [-1, 1]
 _RULE_TOL = 1e-13  # relative agreement of two successive sums of _log_bracket_gauss
 _MAX_PANELS = 512  # its largest sum, 8192 nodes, fits one reporting.row_blocks block
-
-
-def bracket(y):
-    """Shifted absolute bracket 3 + |y|; always >= 3 so log stays positive."""
-    arr = np.asarray(y, dtype=float)
-    out = 3.0 + np.abs(arr)
-    return float(out) if arr.ndim == 0 else out
 
 
 def log_weight(tau):

@@ -6,10 +6,12 @@ import io
 import json
 import math
 import os
+import sys
 import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
@@ -112,6 +114,20 @@ def test_solve_runtime_error_exits_one(capsys, tmp_path):
     assert len(errors) == 1 and "beyond tau0=8.04712e-06" in errors[0]
     assert "usage:" not in err
     assert not any(tmp_path.iterdir())
+
+
+_FLOAT_EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2e-308, 1e-320,
+                sys.float_info.max, -sys.float_info.max, 0.1, 1.0 / 3.0, 1e16, 1e-5]
+
+
+@seed(48)
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.lists(st.floats(), max_size=20))
+def test_csv_cells_are_the_repr_of_each_double(drawn):
+    # the csv module writes str() of a cell, and a float64's str is its double's repr
+    values = [*_FLOAT_EDGES, *drawn]
+    text = wavecrit.cli._csv_text((("python", "numpy"), [(x, np.float64(x)) for x in values]))
+    assert text.splitlines() == ["python,numpy", *(f"{x!r},{x!r}" for x in values)]
 
 
 def test_lifespan_failed_row_has_no_time(tmp_path):

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import wavecrit
@@ -21,3 +24,15 @@ def test_no_module_imports_a_private_name_of_another():
                 found += [f"{path.name}: from {'.' * node.level}{node.module or ''} import "
                           f"{alias.name}" for alias in node.names if _private(alias.name)]
     assert not found, found
+
+
+def test_the_kernels_load_no_lattice_module():
+    # the spectral layer is a leaf: a fresh process that imports it loads neither the
+    # march nor its modulus or weights
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(PACKAGE.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, wavecrit.kernels; print(*sorted(sys.modules))"],
+        env=env, capture_output=True, text=True, check=True).stdout.split()
+    assert "wavecrit.kernels" in loaded
+    assert not {"wavecrit.modulus", "wavecrit.solver", "wavecrit.weights"} & set(loaded)
