@@ -333,9 +333,10 @@ def _cmd_lifespan(args, spec):
     data = default_bump(1.0)
     grid = CharacteristicGrid.cover(args.h, args.horizon, data.support_radius)
     rows = lifespan_sweep(data, spec, args.eps_list, grid, cap=args.cap)
-    # a completed rung reaches the horizon; a failed one has no time, so no point in the plot
+    # a completed rung reaches the grid's last level, h * round(horizon / h); a failed one
+    # has no time, so no point in the plot
     table = [(r.eps, r.t_detect if r.t_detect is not None else
-              args.horizon if r.status == "completed" else math.nan, r.status) for r in rows]
+              grid.horizon if r.status == "completed" else math.nan, r.status) for r in rows]
     payload = {"rows": [{"eps": r.eps, "t_detect": r.t_detect, "status": r.status}
                         for r in rows]}
     files = {"lifespan.csv": (("eps", "t", "status"), table),

@@ -28,7 +28,7 @@ call agree bit for bit.  Where the kernels are used
 (r <= R + s) the shifted envelope is at most 1 and the table at most
 phi(0) times the weights, so no lam0 overflows there; a kernel value that
 does pass the float range is refused, naming lam0 and the radius, and so is
-a time t or s that is not finite, naming it.
+a time t or s or a radius r that is not finite, naming it.
 """
 
 from __future__ import annotations
@@ -135,17 +135,22 @@ def free_wave_ball_integral(n: int, R: float, t: float) -> float:
     """Integral over the ball of radius R+t of the decaying free-wave
     solution e^{-t} phi(|x|); composite Simpson in the radius on 4097 points.
 
-    Grows like (R+t)^{(n-1)/2} within fixed constants.
+    Grows like (R+t)^{(n-1)/2} within fixed constants.  A sum that passes
+    the float range (R past about 700, or R + t past about 1e154) is
+    refused, naming R and t.
     """
     if not (0.0 < R < math.inf and 0.0 <= t < math.inf):  # refuses nan too
         raise ValueError(f"need finite R > 0 and t >= 0, got R={R}, t={t}")
-    zeta = np.linspace(0.0, R + t, 4097)  # odd, as Simpson needs
-    vals = sphere_area(n - 1) * zeta ** (n - 1) * _scaled_eigenfunction(n, zeta) * np.exp(
-        zeta - t)
-    if not np.all(np.isfinite(vals)):
-        raise FloatingPointError("ball integrand is not finite")
-    h = zeta[1] - zeta[0]
-    return float(h / 3.0 * (vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum() + 2.0 * vals[2:-1:2].sum()))
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range: refused below
+        zeta = np.linspace(0.0, R + t, 4097)  # odd, as Simpson needs
+        vals = sphere_area(n - 1) * zeta ** (n - 1) * _scaled_eigenfunction(n, zeta) * np.exp(
+            zeta - t)
+        h = zeta[1] - zeta[0]
+        value = float(h / 3.0 * (vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum()
+                                 + 2.0 * vals[2:-1:2].sum()))
+    if not math.isfinite(value):
+        raise ValueError(f"the ball integral at R={R:g}, t={t:g} passes the float range")
+    return value
 
 
 @dataclass(frozen=True)
@@ -190,24 +195,25 @@ def _lam_transform(cfg: KernelConfig, rule, r, *envelopes):
     block's lam and contracted in ``row_blocks`` of at most one block each
     of envelope and product.  So no call holds the N x len(r) table or a
     len(s) x N envelope, and each envelope's sum depends only on its row
-    count, N and len(r).  A value past the float range is refused, naming
-    lambda0 and m."""
+    count, N and len(r).  A radius that is not finite is refused, naming
+    it, and so is a value past the float range, naming lambda0 and m."""
     lam, wq, first, power = rule
     r_arr = np.abs(np.ravel(np.asarray(r, dtype=float)))
+    if not np.isfinite(r_arr).all():
+        raise ValueError(f"radius must be finite, got r={r_arr[~np.isfinite(r_arr)][0]}")
     m = r_arr.max(initial=0.0)
     outs = [np.zeros((rows, r_arr.size)) for rows, _ in envelopes]
-    for b in row_blocks(lam.size, r_arr.size):
-        scratch = lam[b, None] * r_arr
-        table = _scaled_eigenfunction(cfg.n, scratch)
-        table *= wq[b, None]
-        table *= np.exp(np.multiply(lam[b, None], r_arr - m, out=scratch), out=scratch)
-        del scratch  # the table block is contracted alone ...
-        with np.errstate(over="ignore", invalid="ignore"):  # past the float range: refused below
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range: refused below
+        for b in row_blocks(lam.size, r_arr.size):
+            scratch = lam[b, None] * r_arr
+            table = _scaled_eigenfunction(cfg.n, scratch)
+            table *= wq[b, None]
+            table *= np.exp(np.multiply(lam[b, None], r_arr - m, out=scratch), out=scratch)
+            del scratch  # the table block is contracted alone ...
             for (rows, envelope), out in zip(envelopes, outs):
                 for c in row_blocks(rows, max(table.shape)):
                     out[c] += envelope(lam[b], m, c) @ table
-        del table  # ... and released before the next one is built
-    with np.errstate(over="ignore", invalid="ignore"):
+            del table  # ... and released before the next one is built
         for out in outs:
             out += first
             out *= np.power(cfg.lambda0, power)

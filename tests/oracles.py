@@ -32,7 +32,10 @@ array, which the blocked sweeps, fills and draws must match bit for bit;
 the whole window, as the package summed them before its log-bracket Gauss
 rule, and ``key_integral_mp`` is the key integral by mpmath's tanh-sinh
 quadrature, one interval per decade of the window, and ``zone_value_mp``
-one zone sample by the same mpmath rule.  None is part of the package.
+one zone sample by the same mpmath rule; ``data_kernel_n3`` is the data
+kernel's lam integral for n = 3 in closed form, and
+``source_kernel_quad`` the source kernel's by mpmath's quadrature, neither
+on the package's lam mesh.  None is part of the package.
 """
 
 from __future__ import annotations
@@ -466,6 +469,43 @@ def kernels_mp(cfg: KernelConfig, q: float, t: float, s: float, r):
         shape = np.shape(r)
         return (np.array([float(v) for v in data]).reshape(shape),
                 np.array([float(v) for v in source]).reshape(shape))
+
+
+def data_kernel_n3(cfg: KernelConfig, t: float, r: float) -> float:
+    """``data_kernel(cfg, kernel_exponent(3), t, r)`` at one radius, the
+    integral itself: phi(z) = 4 pi sinh(z)/z splits it into
+    (pi/r)[I(R-r) - I(R+r) + I(R+2t-r) - I(R+2t+r)], where I(a), the
+    integral of e^{-lam a} lam^{q-1} over (0, lam0], is a^{-q} gamma(q, lam0 a)
+    (its real part where a < 0) and lam0^q / q at a = 0; at r = 0, mpmath's
+    quadrature of the integrand."""
+    with mpmath.workdps(40):
+        q = mpmath.mpf(kernel_exponent(3))
+        lam0, R, t, r = (mpmath.mpf(v) for v in (cfg.lambda0, cfg.R, t, abs(r)))
+        if r == 0:
+            return float(mpmath.quad(lambda lam: mpmath.exp(-lam * (R + t)) * mpmath.cosh(lam * t)
+                                     * _phi_mp(3, 0) * lam ** q, [0, lam0]))
+
+        def part(a):
+            return lam0 ** q / q if a == 0 else mpmath.re(a ** -q * mpmath.gammainc(q, 0, lam0 * a))
+
+        return float(mpmath.pi / r * (part(R - r) - part(R + r) + part(R + 2 * t - r)
+                                      - part(R + 2 * t + r)))
+
+
+def source_kernel_quad(cfg: KernelConfig, t: float, s: float, r: float) -> float:
+    """``source_kernel(cfg, kernel_exponent(cfg.n), t, s, r)`` at one (s, r),
+    the integral itself: mpmath's quadrature of e^{-lam(R+t)}
+    sinh(lam(t-s))/(lam(t-s)) phi(lam r) lam^q over (0, lam0].  Its closed
+    form would need gamma(q - 1, .), which diverges term by term."""
+    with mpmath.workdps(30):
+        q = mpmath.mpf(kernel_exponent(cfg.n))
+        lam0, R, t, s, r = (mpmath.mpf(v) for v in (cfg.lambda0, cfg.R, t, s, abs(r)))
+
+        def integrand(lam):
+            ratio = mpmath.sinh(lam * (t - s)) / (lam * (t - s)) if t > s else 1
+            return mpmath.exp(-lam * (R + t)) * ratio * _phi_mp(cfg.n, lam * r) * lam ** q
+
+        return float(mpmath.quad(integrand, [0, lam0]))
 
 
 def _key_integrand(xi: float, eps0: float, spec: ModulusSpec):

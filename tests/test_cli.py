@@ -116,6 +116,19 @@ def test_solve_runtime_error_exits_one(capsys, tmp_path):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("horizon, last", [("1", "0.99"), ("1.01", "1.02")])
+def test_lifespan_completed_row_has_the_last_marched_level(tmp_path, horizon, last):
+    # h = 0.03 rounds the horizon to 33 or 34 levels: the rung's t is the grid's, as
+    # solve on the same grid shows, not the --horizon given
+    argv = ["--family", "powerlaw", "--h", "0.03", "--horizon", horizon, "--quiet"]
+    assert run_cli(["lifespan", "--eps-list", "0.01", *argv], tmp_path) == 0
+    assert run_cli(["solve", "--eps", "0.01", *argv], tmp_path) == 0
+    rows = (latest(tmp_path, "lifespan") / "lifespan.csv").read_text().splitlines()
+    assert rows == ["eps,t,status", f"0.01,{last},completed"]
+    field = (latest(tmp_path, "solve") / "field.csv").read_text().splitlines()
+    assert field[-1].startswith(f"{last},")
+
+
 _FLOAT_EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2e-308, 1e-320,
                 sys.float_info.max, -sys.float_info.max, 0.1, 1.0 / 3.0, 1e16, 1e-5]
 

@@ -1,8 +1,8 @@
 """The library's contract under extreme input, fuzzed as the command line is.
 
-Each public call of the modulus, weights, onset and solver layers, given
-values at the float range's edges, returns finite values (or the inf or
-None its docstring documents), or raises ``ValueError`` or the ledger's
+Each public call of the modulus, kernels, weights, onset and solver layers,
+given values at the float range's edges, returns finite values (or the inf
+or None its docstring documents), or raises ``ValueError`` or the ledger's
 ``ArithmeticError`` with a message that names one of its arguments; no call
 raises anything else and none warns.
 """
@@ -13,7 +13,7 @@ from hypothesis import given, seed, settings, strategies as st
 
 from wavecrit.blowup import divergence_onset, integral_identity_residual
 from wavecrit.exponents import kernel_exponent
-from wavecrit.kernels import KernelConfig
+from wavecrit.kernels import KernelConfig, data_kernel, free_wave_ball_integral, source_kernel
 from wavecrit.modulus import (
     DoubleLogGlobal,
     IteratedLogBlowup,
@@ -89,6 +89,19 @@ _CALLS = {
                                    lambda v, a: v.threshold_class in ("zero", "finite", "infinite")
                                    and (v.threshold_class == "infinite") == (v.estimate == math.inf)
                                    and v.estimate >= 0.0),
+    "data_kernel": ({"lambda0": 1.0, "R": 1.0, "t": 5.0, "r": 0.5},
+                    ("lambda0", "R=", "t=", "r="),
+                    lambda spec, a: data_kernel(KernelConfig(3, a["lambda0"], a["R"], 64),
+                                                kernel_exponent(3), a["t"], a["r"]),
+                    lambda v, a: 0.0 <= v < math.inf),
+    "source_kernel": ({"lambda0": 1.0, "R": 1.0, "t": 5.0, "s": 2.0, "r": 0.5},
+                      ("lambda0", "R=", "t=", "s=", "r="),
+                      lambda spec, a: source_kernel(KernelConfig(3, a["lambda0"], a["R"], 64),
+                                                    kernel_exponent(3), a["t"], a["s"], a["r"]),
+                      lambda v, a: 0.0 <= v < math.inf),
+    "free_wave_ball_integral": ({"R": 1.0, "t": 5.0}, ("R=", "t="),
+                                lambda spec, a: free_wave_ball_integral(3, a["R"], a["t"]),
+                                lambda v, a: 0.0 <= v < math.inf),
     "key_integral": ({"xi": 100.0, "eps0": 0.05}, ("xi", "eps0"),
                      lambda spec, a: key_integral(a["xi"], a["eps0"], spec),
                      lambda v, a: _finite(*v)),

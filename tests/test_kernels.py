@@ -1,12 +1,15 @@
 import math
+import re
 import warnings
+from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special
 
-from oracles import kernel_bounds_by_call, kernels_mp, kernels_whole_array
+from oracles import (data_kernel_n3, kernel_bounds_by_call, kernels_mp, kernels_whole_array,
+                     source_kernel_quad)
 from wavecrit.exponents import kernel_exponent
 from wavecrit.reporting import BLOCK_ELEMENTS
 from wavecrit.kernels import (
@@ -188,6 +191,14 @@ def test_ball_integral_refuses_bad_radius_or_time_by_name(R, t):
             free_wave_ball_integral(3, R, t)
 
 
+@pytest.mark.parametrize("R, t", [(1e20, 5.0), (1.0, 1e300), (1.7e308, 1.7e308)])
+def test_ball_integral_past_the_float_range_is_refused_by_name(R, t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"at R={R:g}, t={t:g} passes the float")):
+            free_wave_ball_integral(3, R, t)
+
+
 def test_ball_integral_shrunk_lower_bound():
     # restricting the radial integral to [t, R+t] already carries the growth
     for t in (5.0, 40.0):
@@ -291,6 +302,21 @@ def test_kernels_refuse_non_finite_times_by_name():
     for s in (math.nan, np.array([0.5, math.nan])):
         with pytest.raises(ValueError, match="s=nan"):
             source_kernel(cfg, 0.5, 1.0, s, 0.3)
+
+
+def test_kernels_refuse_non_finite_radii_by_name():
+    # the radius is named, not lambda0, and nothing warns on the way; a finite radius
+    # whose kernel passes the float range is refused as such
+    cfg = KernelConfig(n=3, quad_points=64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in (math.nan, math.inf, -math.inf, np.array([0.5, math.inf])):
+            with pytest.raises(ValueError, match="radius must be finite, got r=(nan|inf)"):
+                data_kernel(cfg, Q3, 1.0, r)
+            with pytest.raises(ValueError, match="radius must be finite, got r=(nan|inf)"):
+                source_kernel(cfg, Q3, 1.0, 0.5, r)
+        with pytest.raises(ValueError, match=r"radius 1\.7e\+308 past the float range"):
+            data_kernel(cfg, Q3, 1.0, 1.7e308)
 
 
 def test_source_kernel_continuous_across_seam():
@@ -461,3 +487,29 @@ def test_kernels_equal_the_rule_in_mpmath(n, lambda0):
         assert np.max(np.abs(source_kernel(cfg, q, t, s, r) / source - 1.0)) <= 1e-12
         if s == 0.0:
             assert np.max(np.abs(data_kernel(cfg, q, t, r) / data - 1.0)) <= 1e-12
+
+
+def test_kernels_hold_the_lam_integral_itself():
+    # the integrals, not the package's rule: the data kernel's n = 3 closed form and the
+    # source kernel by adaptive quadrature; the graded trapezoid's error falls as N^-2
+    tolerances = {1024: (2e-6, 1e-5), 2048: (5e-7, 3e-6)}  # data, source
+    radii = np.array([0.0, 0.5, 3.0])
+    for t in (0.0, 1.0, 5.0, 20.0, 50.0):
+        exact = np.array([data_kernel_n3(CFG, t, r) for r in radii])
+        for n_points, (tol, _) in tolerances.items():
+            got = data_kernel(replace(CFG, quad_points=n_points), Q3, t, radii)
+            assert np.max(np.abs(got / exact - 1.0)) <= tol
+    for t in (1.0, 5.0, 20.0, 50.0):
+        for s in (0.0, t / 2, t):
+            radii = np.array([0.0, 0.5, CFG.R + s])
+            exact = np.array([source_kernel_quad(CFG, t, s, r) for r in radii])
+            for n_points, (_, tol) in tolerances.items():
+                got = source_kernel(replace(CFG, quad_points=n_points), Q3, t, s, radii)
+                assert np.max(np.abs(got / exact - 1.0)) <= tol
+
+
+def test_the_kernel_oracles_coincide_at_origin_time():
+    # at t = s = 0 both envelopes are e^{-lam R}: the closed form meets the quadrature
+    for r in (0.0, 0.5, 3.0):
+        assert math.isclose(data_kernel_n3(CFG, 0.0, r), source_kernel_quad(CFG, 0.0, 0.0, r),
+                            rel_tol=1e-15)
