@@ -24,7 +24,12 @@ with every decaying envelope times e^{lam m} on its own lam, in row blocks
 of the envelope, the products summed block by block, so no call holds the
 whole table or a whole envelope.  The blocks depend on
 the envelope's rows, N and len(r) alone, so one kernel call and a paired
-call agree bit for bit.  Where the kernels are used
+call agree bit for bit.  The bound sweep walks the same table blocks once
+per radius set and evaluates the envelopes of all the set's (t, s) rows
+together, but contracts each row with the table alone: a product of many
+rows is a BLAS matrix-matrix product, which sums in another order than a
+kernel call's one-row matrix-vector product, so the sweep keeps the
+calls' bits.  Where the kernels are used
 (r <= R + s) the shifted envelope is at most 1 and the table at most
 phi(0) times the weights, so no lam0 overflows there; a kernel value that
 does pass the float range is refused, naming lam0 and the radius, and so is
@@ -135,12 +140,18 @@ def free_wave_ball_integral(n: int, R: float, t: float) -> float:
     """Integral over the ball of radius R+t of the decaying free-wave
     solution e^{-t} phi(|x|); composite Simpson in the radius on 4097 points.
 
-    Grows like (R+t)^{(n-1)/2} within fixed constants.  A sum that passes
-    the float range (R past about 700, or R + t past about 1e154) is
-    refused, naming R and t.
+    Grows like (R+t)^{(n-1)/2} within fixed constants.  The integrand lives
+    within about 1 of R + t, so the fixed rule loses accuracy as R + t
+    grows: its relative error is 2e-9 at R + t = 101, 9e-8 at 256 and 2e-5
+    at 1001, alike for n = 2, 3 and 4.  R + t past 256 is refused before
+    sampling, naming R, t and the bound.  A sum that passes the float range
+    (from about n = 150 on) is refused, naming R and t.
     """
     if not (0.0 < R < math.inf and 0.0 <= t < math.inf):  # refuses nan too
         raise ValueError(f"need finite R > 0 and t >= 0, got R={R}, t={t}")
+    if R + t > 256.0:
+        raise ValueError(f"the ball integral at R={R:g}, t={t:g} needs R + t <= 256, "
+                         "past which its rule's relative error passes 1e-7")
     with np.errstate(over="ignore", invalid="ignore"):  # past the float range: refused below
         zeta = np.linspace(0.0, R + t, 4097)  # odd, as Simpson needs
         vals = sphere_area(n - 1) * zeta ** (n - 1) * _scaled_eigenfunction(n, zeta) * np.exp(
@@ -186,6 +197,28 @@ def _lam_rule(cfg: KernelConfig, q: float):
     return cfg.lambda0 * x, w * x ** q, first, q + 1.0
 
 
+def _table_block(cfg: KernelConfig, rule, b: slice, r, m: float):
+    """Block b of the table w_i x_i^q phi(lam_i r) e^{-lam_i m} of the
+    radii r, m the largest: built in place in the eigenfunction's output with
+    one scratch array."""
+    lam, wq = rule[0][b, None], rule[1][b, None]
+    scratch = lam * r
+    table = _scaled_eigenfunction(cfg.n, scratch)
+    table *= wq
+    table *= np.exp(np.multiply(lam, r - m, out=scratch), out=scratch)
+    return table
+
+
+def _scale(cfg: KernelConfig, rule, out, m: float):
+    """lam0^{q+1} (out + first cell) in place; a value past the float range
+    is refused, naming lambda0 and the largest radius m."""
+    out += rule[2]
+    out *= np.power(cfg.lambda0, rule[3])
+    if not np.isfinite(out).all():
+        raise ValueError(f"lambda0={cfg.lambda0:g} takes the kernel at radius {m:g} "
+                         "past the float range")
+
+
 def _lam_transform(cfg: KernelConfig, rule, r, *envelopes):
     """lam0^{q+1} (rows @ table + first cell) for each envelope (rows, f),
     where f(lam, m, c) gives the envelope's rows c times e^{lam m} and the
@@ -197,7 +230,7 @@ def _lam_transform(cfg: KernelConfig, rule, r, *envelopes):
     len(s) x N envelope, and each envelope's sum depends only on its row
     count, N and len(r).  A radius that is not finite is refused, naming
     it, and so is a value past the float range, naming lambda0 and m."""
-    lam, wq, first, power = rule
+    lam = rule[0]
     r_arr = np.abs(np.ravel(np.asarray(r, dtype=float)))
     if not np.isfinite(r_arr).all():
         raise ValueError(f"radius must be finite, got r={r_arr[~np.isfinite(r_arr)][0]}")
@@ -205,40 +238,53 @@ def _lam_transform(cfg: KernelConfig, rule, r, *envelopes):
     outs = [np.zeros((rows, r_arr.size)) for rows, _ in envelopes]
     with np.errstate(over="ignore", invalid="ignore"):  # past the float range: refused below
         for b in row_blocks(lam.size, r_arr.size):
-            scratch = lam[b, None] * r_arr
-            table = _scaled_eigenfunction(cfg.n, scratch)
-            table *= wq[b, None]
-            table *= np.exp(np.multiply(lam[b, None], r_arr - m, out=scratch), out=scratch)
-            del scratch  # the table block is contracted alone ...
+            table = _table_block(cfg, rule, b, r_arr, m)  # contracted alone ...
             for (rows, envelope), out in zip(envelopes, outs):
                 for c in row_blocks(rows, max(table.shape)):
                     out[c] += envelope(lam[b], m, c) @ table
             del table  # ... and released before the next one is built
         for out in outs:
-            out += first
-            out *= np.power(cfg.lambda0, power)
-    if not all(np.isfinite(out).all() for out in outs):
-        raise ValueError(f"lambda0={cfg.lambda0:g} takes the kernel at radius {m:g} "
-                         "past the float range")
+            _scale(cfg, rule, out, m)
     return outs
 
 
+def _cosh_rows(cfg: KernelConfig, lam, m: float, t):
+    """The cosh envelope times e^{lam m}, 0.5 (e^{-lam(R - m)} + e^{-lam(R +
+    2t - m)}), one row per entry of a column of times t (one row for a
+    number), in one buffer."""
+    env = np.multiply(-lam, cfg.R + 2.0 * t - m)
+    np.exp(env, out=env)
+    env += np.exp(-lam * (cfg.R - m))
+    return np.multiply(env, 0.5, out=env)
+
+
+def _sinh_rows(lam, gap, shift):
+    """The sinh envelope times e^{lam m}, sinh(z)/z e^{-z} e^{-lam shift}
+    with z = lam gap, gap = t - s and shift = R + s - m: one row per entry
+    of the column gap, shift a like column or one number for every row; in
+    two buffers."""
+    # sinh(z)/z e^{-z} = expm1(-2z)/(-2z): at most 1, and exactly 1 at s = t, where z
+    # is held at 1e-300
+    z = np.multiply(lam, gap)
+    np.maximum(z, 1e-300, out=z)
+    decay = np.multiply(z, -2.0)  # -2z until the decay factor takes its place
+    ratio = np.expm1(decay, out=z)
+    ratio /= decay
+    np.multiply(-lam, shift, out=decay)
+    ratio *= np.exp(decay, out=decay)
+    return ratio
+
+
 def _data_envelope(cfg: KernelConfig, t: float):
-    """The cosh envelope times e^{lam m} as one row (1, f(lam, m, c)):
-    0.5 (e^{-lam(R - m)} + e^{-lam(R + 2t - m)})."""
+    """The cosh envelope times e^{lam m} as one row (1, f(lam, m, c))."""
     if not 0.0 <= t < math.inf:  # refuses nan too
         raise ValueError(f"time must be finite and non-negative, got t={t}")
-
-    def envelope(lam, m, c):
-        return 0.5 * (np.exp(-lam * (cfg.R - m)) + np.exp(-lam * (cfg.R + 2.0 * t - m)))[None]
-
-    return 1, envelope
+    return 1, lambda lam, m, c: _cosh_rows(cfg, lam, m, t)[None]
 
 
 def _source_envelope(cfg: KernelConfig, t: float, s):
     """The sinh envelope times e^{lam m} as one row per s (len(s), f(lam, m,
-    c)): sinh(z)/z e^{-z} e^{-lam(R + s - m)}, z = lam (t - s), for the s of
-    rows c."""
+    c)), for the s of rows c."""
     if not 0.0 <= t < math.inf:
         raise ValueError(f"time must be finite and non-negative, got t={t}")
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
@@ -246,19 +292,7 @@ def _source_envelope(cfg: KernelConfig, t: float, s):
     if not inside.all():
         raise ValueError(f"need 0 <= s <= t={t:g}, got s={s_arr[~inside][0]}")
     s_col = s_arr[:, None]
-
-    def envelope(lam, m, c):
-        # sinh(z)/z e^{-z} = expm1(-2z)/(-2z): at most 1, and exactly 1 at s = t, where z
-        # is held at 1e-300
-        z = np.maximum(lam * (t - s_col[c]), 1e-300)
-        decay = np.multiply(z, -2.0)  # -2z until the decay factor takes its place
-        ratio = np.expm1(decay, out=z)
-        ratio /= decay
-        np.multiply(-lam, cfg.R + s_col[c] - m, out=decay)
-        ratio *= np.exp(decay, out=decay)
-        return ratio
-
-    return len(s_col), envelope
+    return len(s_col), lambda lam, m, c: _sinh_rows(lam, t - s_col[c], cfg.R + s_col[c] - m)
 
 
 def data_kernel(cfg: KernelConfig, q: float, t: float, r):
@@ -309,6 +343,38 @@ class KernelBoundsReport:
     samples: list = field(default_factory=list)
 
 
+def _sweep_values(cfg: KernelConfig, rule, fracs, t, s, sets):
+    """One row per entry of t, each the public kernel call's value bit for
+    bit.  ``sets`` maps a radius R + s to its data rows, the data kernel at
+    t on fracs R, and its source rows, the source kernel at (t, s) on fracs
+    (R + s).  The sets run in their order, so a value past the float range
+    is refused as call by call, and a set's envelope blocks hold at most
+    len(fracs) rows, no more values than its table block."""
+    lam = rule[0]
+    values = np.empty((t.size, fracs.size))
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range: refused per set
+        for radius, (data, source) in sets.items():
+            r = fracs * radius
+            m = r.max()
+            rows = data + source
+            ts, ss = t[rows, None], s[rows, None]
+            blocks = [slice(i, min(i + r.size, stop)) for start, stop in
+                      ((0, len(data)), (len(data), len(rows))) for i in range(start, stop, r.size)]
+            out = np.zeros((len(rows), r.size))
+            for b in row_blocks(lam.size, r.size):
+                table = _table_block(cfg, rule, b, r, m)
+                for c in blocks:
+                    env = (_cosh_rows(cfg, lam[b], m, ts[c]) if c.stop <= len(data)
+                           else _sinh_rows(lam[b], ts[c] - ss[c], radius - m))
+                    for j in range(c.start, c.stop):  # each row alone, as a kernel call
+                        out[j] += env[j - c.start] @ table
+                    del env  # released before the next block is evaluated
+                del table
+            _scale(cfg, rule, out, m)
+            values[rows] = out
+    return values
+
+
 def kernel_bounds_check(cfg: KernelConfig) -> KernelBoundsReport:
     """Sweep the three kernel estimates at q = ``kernel_exponent(n)`` and fit
     their constants.
@@ -319,46 +385,48 @@ def kernel_bounds_check(cfg: KernelConfig) -> KernelBoundsReport:
     (iii) the diagonal source kernel <= b2 <t>^{-(n-1)/2} <t-r>^{(n-3)/2-q}
           for |r| <= R+t.
 
-    One table is built per distinct radius set fracs (R + s), 447 for 963
-    evaluations at R = 1, and feeds every envelope of that set in one
-    transform, so every value is the public kernel call's, bit for bit.
-    Pass means every fitted constant is positive and finite.
+    The 963 evaluations fall on 447 distinct radius sets fracs (R + s) at
+    R = 1.  Each set builds its table once and evaluates the envelopes of
+    its rows together, but contracts each row with the table alone: a
+    product of many rows is a matrix-matrix product, which sums in another
+    order than the public call's one-row matrix-vector product.  So every
+    value is the public kernel call's, bit for bit.  The constants and
+    samples are fitted from the array of all values at once.  Pass means
+    every fitted constant is positive and finite.
     """
     n = cfg.n
     q = kernel_exponent(n)
     fracs = np.linspace(0.0, 1.0, 9)  # of each disc's radius R + s
-    calls, groups = [], {}  # (item, t, s) in sweep order; disc radius R + s -> its calls
-    for t in np.linspace(0.0, 50.0, 41):
-        lower = [("lower", s) for s in (np.linspace(0.0, 0.95 * t, 21) if t > 0 else [])]
-        for item, s in [("a0", 0.0), ("b0", 0.0), *lower, ("upper", t)]:  # a0: data kernel
-            groups.setdefault(cfg.R + s, []).append(len(calls))
-            calls.append((item, t, s))
-    rule = _lam_rule(cfg, q)
-    values = np.empty((len(calls), fracs.size))
-    for radius, members in groups.items():
-        envelopes = [_data_envelope(cfg, t) if item == "a0" else _source_envelope(cfg, t, s)
-                     for item, t, s in (calls[k] for k in members)]
-        values[members] = np.concatenate(_lam_transform(cfg, rule, fracs * radius, *envelopes))
+    item, t, s, sets = [], [], [], {}  # the evaluations in order; R + s -> (data, source) rows
+    for time in np.linspace(0.0, 50.0, 41):
+        lower = np.linspace(0.0, 0.95 * time, 21) if time > 0 else []
+        for name, at in [("a0", 0.0), ("b0", 0.0), *(("lower", x) for x in lower), ("upper", time)]:
+            sets.setdefault(cfg.R + at, ([], []))[name != "a0"].append(len(item))  # a0: data kernel
+            item.append(name)
+            t.append(time)
+            s.append(at)
+    item, t, s = np.array(item), np.array(t), np.array(s)
+    values = _sweep_values(cfg, _lam_rule(cfg, q), fracs, t, s, sets)
 
-    a0 = b0 = b1 = math.inf
-    b2 = 0.0
-    samples = []
-    for (item, t, s), value in zip(calls, values):
-        r = fracs * (cfg.R + s)
-        if item == "a0":
-            a0 = min(a0, float(np.min(value)))
-        elif item == "b0":
-            b0 = min(b0, float(np.min(value * bracket(t))))
-        elif item == "lower":
-            ratio = value * bracket(t) * bracket(s) ** q
-            k = int(np.argmin(ratio))
-            b1 = min(b1, float(ratio[k]))
-        else:
-            ratio = value * bracket(t) ** (0.5 * (n - 1)) * bracket(t - r) ** (q - 0.5 * (n - 3))
-            k = int(np.argmax(ratio))
-            b2 = max(b2, float(ratio[k]))
-        if item in ("lower", "upper"):
-            samples.append((item, float(t), float(s), float(r[k]), float(ratio[k])))
+    # the powers of a number are taken in Python and those of an array by ndarray **,
+    # as call by call
+    lower, upper = item == "lower", item == "upper"
+    scale = bracket(t)
+    scale[upper] = [b ** (0.5 * (n - 1)) for b in scale[upper].tolist()]
+    ratio = values * scale[:, None]
+    ratio[lower] *= np.array([b ** q for b in bracket(s[lower]).tolist()])[:, None]
+    ratio[upper] *= bracket(t[upper, None] - fracs * (cfg.R + s[upper, None])) ** (
+        q - 0.5 * (n - 3))
+    fit = lower | upper
+    swept = ratio[fit]
+    k = np.where(upper[fit], swept.argmax(axis=1), swept.argmin(axis=1))
+    best = swept[np.arange(k.size), k]
+    a0 = float(values[item == "a0"].min())
+    b0 = float(ratio[item == "b0"].min())
+    b1 = float(best[lower[fit]].min())
+    b2 = float(best[upper[fit]].max())
+    samples = list(zip(item[fit].tolist(), t[fit].tolist(), s[fit].tolist(),
+                       (fracs[k] * (cfg.R + s[fit])).tolist(), best.tolist()))
 
     constants = (a0, b0, b1, b2)
     passed = all(math.isfinite(c) and c > 0.0 for c in constants)

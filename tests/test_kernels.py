@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import warnings
@@ -11,7 +12,7 @@ from scipy import integrate, special
 from oracles import (data_kernel_n3, kernel_bounds_by_call, kernels_mp, kernels_whole_array,
                      source_kernel_quad)
 from wavecrit.exponents import kernel_exponent
-from wavecrit.reporting import BLOCK_ELEMENTS
+from wavecrit.reporting import BLOCK_ELEMENTS, row_blocks
 from wavecrit.kernels import (
     KernelConfig,
     _data_envelope,
@@ -195,8 +196,26 @@ def test_ball_integral_refuses_bad_radius_or_time_by_name(R, t):
 def test_ball_integral_past_the_float_range_is_refused_by_name(R, t):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=re.escape(f"at R={R:g}, t={t:g} passes the float")):
+        with pytest.raises(ValueError, match=re.escape(f"at R={R:g}, t={t:g} needs R + t <= 256")):
             free_wave_ball_integral(3, R, t)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_ball_integral_holds_its_rule_to_r_plus_t_256(n):
+    # the 4097-point rule's relative error is 9e-8 at R + t = 256 and grows past it; the
+    # next double is refused before sampling
+    assert 0.0 < free_wave_ball_integral(n, 1.0, 255.0) < math.inf
+    past = math.nextafter(256.0, math.inf)
+    with pytest.raises(ValueError, match=re.escape(f"at R={past:g}, t=0 needs R + t <= 256")):
+        free_wave_ball_integral(n, past, 0.0)
+
+
+def test_ball_integral_of_a_high_dimension_past_the_float_range_is_refused_by_name():
+    # within R + t <= 256 the sum still passes the largest float from about n = 150 on
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape("at R=1, t=0 passes the float range")):
+            free_wave_ball_integral(200, 1.0, 0.0)
 
 
 def test_ball_integral_shrunk_lower_bound():
@@ -358,12 +377,12 @@ def test_bound_at_origin_is_kernel_value():
     assert report.a0 <= data_kernel(cfg, Q3, 0.0, 0.0) + 1e-12
 
 
-@pytest.mark.parametrize("quad_points", [64, 1024])
-@pytest.mark.parametrize("lambda0", [0.5, 1.0, 3.0])
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n, lambda0, quad_points", [
+    *itertools.product([2, 3, 4], [0.5, 1.0, 3.0], [64, 1024]), (2, 1.0, 2048), (3, 1.0, 2048)])
 def test_kernel_bounds_equal_the_call_by_call_sweep(n, lambda0, quad_points):
     # one table per distinct radius set gives every constant and every
-    # sample of one table per kernel call, bit for bit
+    # sample of one table per kernel call, bit for bit; at 2048 points the
+    # table takes two lam blocks, and each row's sum runs across both
     cfg = KernelConfig(n=n, lambda0=lambda0, R=1.0, quad_points=quad_points)
     got = kernel_bounds_check(cfg)
     ref = kernel_bounds_by_call(cfg)
@@ -391,6 +410,48 @@ def test_kernel_bounds_build_one_table_per_radius_set(monkeypatch):
              for s in (0.0, t, *(np.linspace(0.0, 0.95 * t, 21) if t > 0 else ()))}
     assert len(radii) == 447
     assert sum(evaluated) == len(radii) * cfg.quad_points * 9 + 1
+
+
+@pytest.mark.parametrize("quad_points", [64, 2048])
+def test_kernel_bounds_evaluate_envelopes_per_radius_set(monkeypatch, quad_points):
+    # each radius set evaluates the envelopes of its data rows and of its source rows
+    # in blocks of at most 9 rows, one per radius, on each lam block: 461 evaluations
+    # per lam block, not one per (t, s) (963)
+    import wavecrit.kernels as kernels
+
+    evaluated = []
+    for name in ("_cosh_rows", "_sinh_rows"):
+        def counted(*args, original=getattr(kernels, name)):
+            rows = original(*args)
+            evaluated.append(len(rows))
+            return rows
+
+        monkeypatch.setattr(kernels, name, counted)
+    cfg = KernelConfig(n=3, quad_points=quad_points)
+    kernel_bounds_check(cfg)
+    rows = {}
+    for t in np.linspace(0.0, 50.0, 41):
+        lower = np.linspace(0.0, 0.95 * t, 21) if t > 0 else ()
+        for key in [(cfg.R, "data"), (cfg.R, "source"), *((cfg.R + s, "source") for s in lower),
+                    (cfg.R + t, "source")]:
+            rows[key] = rows.get(key, 0) + 1
+    lam_blocks = len(list(row_blocks(cfg.quad_points, 9)))
+    assert sum(-(-count // 9) for count in rows.values()) == 461
+    assert len(evaluated) == 461 * lam_blocks and sum(evaluated) == 963 * lam_blocks
+
+
+@pytest.mark.parametrize("n, held", [(2, 0.70e6), (3, 0.51e6)])
+def test_kernel_bounds_hold_one_table_and_one_envelope_block(traced_peak, n, held):
+    # beyond its 963 x 9 values (69 kB) the sweep holds one 1024 x 9 table block and its
+    # scratch, one envelope block of at most 9 rows in two buffers, numpy's broadcast
+    # buffers (8192 values each) and, for n = 2, i0e's copies and Clenshaw buffers:
+    # 0.48 MB (n = 3) and 0.63 MB (n = 2) here; one envelope per (t, s) held 0.49 and
+    # 0.67 MB, and envelope blocks of 15 rows 0.57 MB at n = 3.  A 64-point sweep first
+    # keeps numpy's one-time set-up out of the count.
+    kernel_bounds_check(KernelConfig(n=n, quad_points=64))
+    cfg = KernelConfig(n=n, quad_points=1024)
+    report, peak = traced_peak(lambda: kernel_bounds_check(cfg))
+    assert report.passed and peak < 963 * 9 * 8 + held
 
 
 def test_paired_kernels_equal_the_two_kernel_calls():
