@@ -6,8 +6,9 @@ from the spherical average of ``exp(x . w)``; in closed form it is
 it through one scaled form, phi(z) e^{-z}, which is finite and positive at
 every radius.  For n = 2 that is 2 pi i0e(z), evaluated in numpy by the
 Cephes rule (two Chebyshev series, split at z = 8) bit for bit as
-scipy.special.i0e; only n >= 4 imports scipy, on first use.  Two
-one-parameter transforms of it appear everywhere downstream:
+scipy.special.i0e; only n >= 4, and the closed-form ball integral of
+n != 3, import scipy, on first use.  Two one-parameter transforms of it
+appear everywhere downstream:
 
 * the data kernel, weighting initial data (cosh time factor), and
 * the source kernel, weighting the forcing history (sinh time factor).
@@ -137,29 +138,34 @@ def _scaled_eigenfunction(n: int, z):
 
 
 def free_wave_ball_integral(n: int, R: float, t: float) -> float:
-    """Integral over the ball of radius R+t of the decaying free-wave
-    solution e^{-t} phi(|x|); composite Simpson in the radius on 4097 points.
-
-    Grows like (R+t)^{(n-1)/2} within fixed constants.  The integrand lives
-    within about 1 of R + t, so the fixed rule loses accuracy as R + t
-    grows: its relative error is 2e-9 at R + t = 101, 9e-8 at 256 and 2e-5
-    at 1001, alike for n = 2, 3 and 4.  R + t past 256 is refused before
-    sampling, naming R, t and the bound.  A sum that passes the float range
-    (from about n = 150 on) is refused, naming R and t.
-    """
+    """Integral over the ball of radius z = R+t of the decaying free-wave
+    solution e^{-t} phi(|x|), which grows like z^{(n-1)/2}, in closed form
+    (DLMF 10.43(i)): |S^{n-1}| (2 pi z)^{n/2} ive(n/2, z) e^R.  n = 3 takes
+    8 pi^2 e^R ((z - 1) + (z + 1) e^{-2z}) in ``math``, or below z = 1, where
+    that cancels, the series 16 pi^2 e^{-t} sum_{k>=1} 2k z^{2k+1}/(2k+1)!.
+    Other n import scipy on first use, whose ive is nan past z = 2^30 - 1/2
+    (about 1.07e9); such a z is refused, and so is a value or a factor of
+    it (e^R, (2 pi z)^{n/2}) past the float range, each naming R and t."""
     if not (0.0 < R < math.inf and 0.0 <= t < math.inf):  # refuses nan too
         raise ValueError(f"need finite R > 0 and t >= 0, got R={R}, t={t}")
-    if R + t > 256.0:
-        raise ValueError(f"the ball integral at R={R:g}, t={t:g} needs R + t <= 256, "
-                         "past which its rule's relative error passes 1e-7")
-    with np.errstate(over="ignore", invalid="ignore"):  # past the float range: refused below
-        zeta = np.linspace(0.0, R + t, 4097)  # odd, as Simpson needs
-        vals = sphere_area(n - 1) * zeta ** (n - 1) * _scaled_eigenfunction(n, zeta) * np.exp(
-            zeta - t)
-        h = zeta[1] - zeta[0]
-        value = float(h / 3.0 * (vals[0] + vals[-1] + 4.0 * vals[1:-1:2].sum()
-                                 + 2.0 * vals[2:-1:2].sum()))
-    if not math.isfinite(value):
+    z = R + t
+    try:
+        if n != 3:
+            from scipy import special
+
+            value = sphere_area(n - 1) * (2.0 * math.pi * z) ** (0.5 * n) * float(
+                special.ive(0.5 * n, z)) * math.exp(R)
+        elif z >= 1.0:
+            value = 8.0 * math.pi ** 2 * math.exp(R) * ((z - 1.0) + (z + 1.0) * math.exp(-2.0 * z))
+        else:
+            value = 16.0 * math.pi ** 2 * math.exp(-t) * math.fsum(
+                2 * k * z ** (2 * k + 1) / math.factorial(2 * k + 1) for k in range(1, 12))
+    except OverflowError:  # from math.exp or the float power
+        value = math.inf
+    if math.isnan(value):
+        raise ValueError(f"the ball integral at R={R:g}, t={t:g} needs R + t <= 2^30 - 1/2, "
+                         "where scipy's ive ends")
+    if value == math.inf:
         raise ValueError(f"the ball integral at R={R:g}, t={t:g} passes the float range")
     return value
 

@@ -53,14 +53,16 @@ def test_first_recursion_steps():
     assert abs(a[2] - (P3**3 - 1.0) / (P3 - 1.0)) < 1e-12  # geometric sum identity
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_recursion_matches_closed_form(n):
+@pytest.mark.parametrize("J", [30, 200])
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_recursion_matches_closed_form(n, J):
+    # the recursion drifts from the closed forms by a few ulps, far below the ledger's 1e-9
     p = strauss_exponent(n)
-    a, b, s = exponent_sequences(n, 30)
-    pj = p ** np.arange(31, dtype=float)
-    assert np.max(np.abs(a - (p / (p - 1) * pj - 1 / (p - 1))) / np.abs(pj)) < 1e-9
-    assert np.max(np.abs(b - (pj - 1.0)) / np.maximum(pj, 1.0)) < 1e-9
-    assert np.max(np.abs(s - (p / (p - 1) * pj - 1 / ((p - 1) * p))) / np.abs(pj)) < 1e-9
+    a, b, s = exponent_sequences(n, J)
+    pj = p ** np.arange(J + 1, dtype=float)
+    assert np.max(np.abs(a - (p / (p - 1) * pj - 1 / (p - 1))) / np.abs(pj)) < 1e-14
+    assert np.max(np.abs(b - (pj - 1.0)) / np.maximum(pj, 1.0)) < 1e-14
+    assert np.max(np.abs(s - (p / (p - 1) * pj - 1 / ((p - 1) * p))) / np.abs(pj)) < 1e-14
 
 
 def test_recursion_shift_identities():
@@ -130,8 +132,9 @@ def test_ledger_refuses_an_overflowing_J():
     for J in (803, 805, 2000):
         with pytest.raises(ArithmeticError, match=f"J={J}"):
             build_ledger(3, J)
-    with pytest.raises(ArithmeticError, match="J=2000 overflows the ledger: a_J is inf"):
-        exponent_sequences(3, 2000)
+    for J in (2000, 10**400):  # the second is past the largest float itself
+        with pytest.raises(ArithmeticError, match=f"J={J} overflows the ledger: a_J is inf"):
+            exponent_sequences(3, J)
 
 
 def test_ledger_rows():

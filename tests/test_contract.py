@@ -9,7 +9,7 @@ raises anything else and none warns.
 import math
 import warnings
 
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from wavecrit.blowup import divergence_onset, integral_identity_residual
 from wavecrit.exponents import kernel_exponent
@@ -102,6 +102,9 @@ _CALLS = {
     "free_wave_ball_integral": ({"R": 1.0, "t": 5.0}, ("R=", "t="),
                                 lambda spec, a: free_wave_ball_integral(3, a["R"], a["t"]),
                                 lambda v, a: 0.0 <= v < math.inf),
+    "free_wave_ball_integral_n2": ({"R": 1.0, "t": 5.0}, ("R=", "t="),  # scipy's ive
+                                   lambda spec, a: free_wave_ball_integral(2, a["R"], a["t"]),
+                                   lambda v, a: 0.0 <= v < math.inf),
     "key_integral": ({"xi": 100.0, "eps0": 0.05}, ("xi", "eps0"),
                      lambda spec, a: key_integral(a["xi"], a["eps0"], spec),
                      lambda v, a: _finite(*v)),
@@ -162,6 +165,9 @@ def _refusal_names_an_argument(exc, names) -> bool:
 @seed(43)
 @settings(max_examples=200, deadline=None, database=None)
 @given(_draws())
+# scipy's branch of the ball integral, where e^R overflows and where ive is nan
+@example((PowerLaw, {"gamma": 1.0}, None, "free_wave_ball_integral_n2", {"R": 1e300, "t": 5.0}))
+@example((PowerLaw, {"gamma": 1.0}, None, "free_wave_ball_integral_n2", {"R": 1.0, "t": 1e300}))
 def test_library_contract_under_extreme_input(drawn):
     family, fields, tau0, name, args = drawn
     _, names, call, holds = _CALLS[name]

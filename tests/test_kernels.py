@@ -152,25 +152,41 @@ def test_growth_ratio_two_dim_stabilizes():
 
 # -------------------------------------------------------------- ball integral
 
-def closed_ball_three(R, t):
-    z = R + t
-    return 16.0 * math.pi**2 * math.exp(-t) * (z * math.cosh(z) - math.sinh(z))
+def ball_mp(n, R, t):
+    """|S^{n-1}| (2 pi z)^{n/2} I_{n/2}(z) e^{-z} e^R, z = R + t, in mpmath at 40 digits;
+    e^{-z} scales I_{n/2}(z), so a z that rounds away R still gives e^R."""
+    with mpmath.workdps(40):
+        half, z = mpmath.mpf(n) / 2, mpmath.mpf(R) + mpmath.mpf(t)
+        area = 2 * mpmath.pi ** half / mpmath.gamma(half)
+        return (area * (2 * mpmath.pi * z) ** half * mpmath.besseli(half, z) * mpmath.exp(-z)
+                * mpmath.exp(R))
 
 
 def test_ball_integral_closed_form():
+    # 16 pi^2 e^{-t} (z cosh z - sinh z), z = R + t: the series below z = 1 and the
+    # elementary form from 1 on, on either side of their seam
+    for R, t in [(1e-3, 0.0), (0.11, 0.0), (0.2, 0.3), (math.nextafter(1.0, 0.0), 0.0),
+                 (1.0, 0.0), (0.5, 0.5), (1.0, 7.0)]:
+        with mpmath.workdps(40):
+            z = mpmath.mpf(R) + t
+            want = 16 * mpmath.pi ** 2 * mpmath.exp(-t) * (z * mpmath.cosh(z) - mpmath.sinh(z))
+        assert abs(free_wave_ball_integral(3, R, t) - want) <= 1e-15 * want
     got = free_wave_ball_integral(3, 1.0, 0.0)
-    assert abs(got - closed_ball_three(1.0, 0.0)) < 1e-9 * got
-    assert abs(got - 16.0 * math.pi**2 * math.exp(-1.0)) < 1e-9 * got
+    assert abs(got - 16.0 * math.pi**2 * math.exp(-1.0)) <= 1e-15 * got
 
 
-def test_ball_integral_adaptive_oracle():
-    def integrand(z, t):  # 4 pi z^2 phi(z) e^{-t}, phi(z) = 4 pi sinh(z) / z
-        return 16.0 * math.pi**2 * z * math.sinh(z) * math.exp(-t)
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_ball_integral_adaptive_oracle(n):
+    # |S^{n-1}| rho^{n-1} phi(rho) e^{-t} on [0, R + t], adaptively, through the scaled
+    # eigenfunction at one radius
+    def integrand(rho, t):
+        return sphere_area(n - 1) * rho ** (n - 1) * _phi_scaled(n, rho) * math.exp(rho - t)
 
-    for t in (0.5, 7.0):
-        oracle = integrate.quad(integrand, 0.0, 1.0 + t, args=(t,), limit=200)[0]
-        got = free_wave_ball_integral(3, 1.0, t)
-        assert abs(got - oracle) < 1e-8 * oracle
+    for t in (0.5, 7.0, 100.0):
+        oracle = integrate.quad(integrand, 0.0, 1.0 + t, args=(t,), epsabs=0.0, epsrel=1e-13,
+                                limit=200)[0]
+        got = free_wave_ball_integral(n, 1.0, t)
+        assert abs(got - oracle) < 1e-14 * oracle
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -192,30 +208,45 @@ def test_ball_integral_refuses_bad_radius_or_time_by_name(R, t):
             free_wave_ball_integral(3, R, t)
 
 
-@pytest.mark.parametrize("R, t", [(1e20, 5.0), (1.0, 1e300), (1.7e308, 1.7e308)])
-def test_ball_integral_past_the_float_range_is_refused_by_name(R, t):
+@pytest.mark.parametrize("n, R, t", [(3, 1e20, 5.0), (3, 1.7e308, 1.7e308), (3, 1.0, 1.7e308),
+                                     (2, 710.0, 0.0)])
+def test_ball_integral_past_the_float_range_is_refused_by_name(n, R, t):
+    # e^R overflows in math.exp, or the value itself passes the largest float
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=re.escape(f"at R={R:g}, t={t:g} needs R + t <= 256")):
-            free_wave_ball_integral(3, R, t)
+        with pytest.raises(ValueError, match=re.escape(f"at R={R:g}, t={t:g} passes the float range")):
+            free_wave_ball_integral(n, R, t)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_ball_integral_holds_its_rule_to_r_plus_t_256(n):
-    # the 4097-point rule's relative error is 9e-8 at R + t = 256 and grows past it; the
-    # next double is refused before sampling
-    assert 0.0 < free_wave_ball_integral(n, 1.0, 255.0) < math.inf
-    past = math.nextafter(256.0, math.inf)
-    with pytest.raises(ValueError, match=re.escape(f"at R={past:g}, t=0 needs R + t <= 256")):
-        free_wave_ball_integral(n, past, 0.0)
-
-
-def test_ball_integral_of_a_high_dimension_past_the_float_range_is_refused_by_name():
-    # within R + t <= 256 the sum still passes the largest float from about n = 150 on
+@pytest.mark.parametrize("n", [2, 4])
+def test_ball_integral_past_scipys_ive_is_refused_by_name(n):
+    # scipy's ive returns nan past z = 2^30 - 1/2; n = 3 needs no ive
+    t = math.nextafter(2.0**30 - 1.5, math.inf)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=re.escape("at R=1, t=0 passes the float range")):
-            free_wave_ball_integral(200, 1.0, 0.0)
+        message = f"at R=1, t={t:g} needs R + t <= 2^30 - 1/2, where scipy's ive ends"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            free_wave_ball_integral(n, 1.0, t)
+    assert 0.0 < free_wave_ball_integral(n, 1.0, 2.0**30 - 1.5) < math.inf
+
+
+def test_ball_integral_matches_besseli():
+    # the closed form against mpmath's I_{n/2} from R + t = 1e-3 to 1e300 (2.1e302 there)
+    points = [(n, R, t) for n in range(2, 9) for R in (1e-3, 0.3, 1.0, 5.0)
+              for t in (0.0, 1e-3, 0.5, 1.0, 50.0, 100.0, 255.0, 1e4, 1e6)]
+    for n, R, t in [*points, (3, 1.0, 1e300)]:
+        want = ball_mp(n, R, t)
+        assert abs(free_wave_ball_integral(n, R, t) - want) <= 1e-14 * want, (n, R, t)
+
+
+def test_ball_integral_of_a_high_dimension_holds_its_value_and_an_overflow_is_refused_by_name():
+    # n = 200 at R + t = 1 is 6.2e-215 (mpmath); e^R at R = 710 is past the largest float
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert free_wave_ball_integral(200, 1.0, 0.0) == pytest.approx(6.1954406129392086e-215,
+                                                                       rel=1e-14)
+        with pytest.raises(ValueError, match=re.escape("at R=710, t=0 passes the float range")):
+            free_wave_ball_integral(3, 710.0, 0.0)
 
 
 def test_ball_integral_shrunk_lower_bound():

@@ -956,7 +956,8 @@ def test_blowup_time_stable_under_refinement():
 
 def test_import_loads_no_scipy():
     # the command line, which imports every module, loads no scipy, and neither do
-    # the n = 2 and n = 3 kernels; only the n >= 4 eigenfunction loads scipy.special.
+    # the n = 2 and n = 3 kernels or the n = 3 ball integral; the n >= 4 eigenfunction
+    # and the ball integral of every other n load scipy.special.
     # The package root defines only __version__: it loads no submodule and no numpy
     src = os.path.dirname(os.path.dirname(wavecrit.__file__))
     env = {**os.environ, "PYTHONPATH": src}
@@ -975,3 +976,7 @@ def test_import_loads_no_scipy():
     assert loaded(kernel.format(n=2)) == []
     assert loaded(kernel.format(n=3)) == []
     assert "scipy.special" in loaded(kernel.format(n=4))
+    ball = ("from wavecrit.kernels import free_wave_ball_integral; "
+            "free_wave_ball_integral({n}, 1.0, 5.0)")
+    assert loaded(ball.format(n=3)) == []
+    assert "scipy.special" in loaded(ball.format(n=2))
