@@ -171,6 +171,20 @@ def integral_identity_residual(run, cfg: KernelConfig, q: float, t: float) -> fl
     return lhs[0] - (data_term + vel_term + duhamel)
 
 
+def _onset_bases(spec: ModulusSpec, n: int, taus: list, c7: float) -> np.ndarray:
+    """c7 K(tau)^(p/(p-1)) at each tau of a list, K the threshold product,
+    from one ``threshold_product`` call; the power in Python, point by
+    point (an array power differs in the last bits), inf past the floats."""
+    p = strauss_exponent(n)
+    values = []
+    for product in threshold_product(spec, n, np.array(taus)).tolist():
+        try:
+            values.append(c7 * product ** (p / (p - 1.0)))
+        except OverflowError:
+            values.append(math.inf)
+    return np.array(values)
+
+
 def divergence_onset(n: int, spec: ModulusSpec, t_max: float,
                      c6: float = 1.0, c7: float = 1.0) -> Optional[float]:
     """Earliest time at which the iterated lower bound starts to diverge.
@@ -178,12 +192,14 @@ def divergence_onset(n: int, spec: ModulusSpec, t_max: float,
     The iteration's base is c7 * K(tau(t))**(p/(p-1)) with
     tau(t) = (c6 t)^{-((n-1)/2 + 1/p + EPSILON_EXP)}, K the threshold
     product and c6, c7 > 0; once the base exceeds 1, the j -> infinity limit
-    of the lower-bound sequence blows up.  Returns None when the base never
-    exceeds 1 up to t_max (the global-existence-side prediction), which
-    must be positive and finite.  A t_max below t_lo, the first time whose
-    tau(t) lies in the near-zero regime (tau <= min(tau0, 1/e)), predicts
-    nothing and is refused, naming both; so is a t_max whose tau(t_max)
-    underflows to 0 (past about t = 1e227 / c6 at n = 3).
+    of the lower-bound sequence blows up; its first crossing of 1 on 512
+    geometric points of [t_lo, t_max], scanned at once, is bisected 80
+    times.  Returns None when the base never exceeds 1 up to t_max (the
+    global-existence-side prediction), which must be positive and finite.
+    A t_max below t_lo, the first time whose tau(t) lies in the near-zero
+    regime (tau <= min(tau0, 1/e)), predicts nothing and is refused, naming
+    both; so is a t_max whose tau(t_max) underflows to 0 (past about
+    t = 1e227 / c6 at n = 3).
     """
     if not (0.0 < c6 < math.inf and 0.0 < c7 < math.inf):  # refuses nan too
         raise ValueError(f"onset constants must be positive and finite, got c6={c6}, c7={c7}")
@@ -202,26 +218,21 @@ def divergence_onset(n: int, spec: ModulusSpec, t_max: float,
         raise ValueError(f"t_max={t_max:g} is past t={t_hi:.6g}, where tau(t) = (c6 t)^(-{alpha:.6g}) "
                          f"underflows to 0")
 
-    def base(t: float) -> float:
-        product = threshold_product(spec, n, (c6 * t) ** (-alpha))
-        try:
-            return c7 * product ** (p / (p - 1.0))
-        except OverflowError:  # a power past the largest float exceeds 1
-            return math.inf
+    def bases(ts: list) -> np.ndarray:
+        return _onset_bases(spec, n, [(c6 * t) ** (-alpha) for t in ts], c7)
 
-    ts = np.geomspace(t_lo, t_max, 512)
-    values = np.asarray([base(t) for t in ts])
-    above = np.nonzero(values > 1.0)[0]
+    ts = np.geomspace(t_lo, t_max, 512).tolist()
+    above = np.nonzero(bases(ts) > 1.0)[0]
     if len(above) == 0:
         return None
     k = int(above[0])
     if k == 0:
-        return float(ts[0])
+        return ts[0]
     lo, hi = ts[k - 1], ts[k]
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if base(mid) > 1.0:
+        if bases([mid])[0] > 1.0:
             hi = mid
         else:
             lo = mid
-    return float(hi)
+    return hi

@@ -19,22 +19,23 @@ lam_i = lam0 * (i/N)**3 so the endpoint is resolved even for fractional
 q in (-1, 0).  The rule's weights are those of x = lam / lam0, and the
 kernel is lam0^{q+1} times their sum.  For the largest radius m of a
 radius set, the table w_i x_i^q phi(lam_i r) e^{-lam_i m} is walked in
-the lam blocks of ``row_blocks(N, len(r))``: each block is built once, in
-place in the eigenfunction's output with one scratch array, and contracted
-with every decaying envelope times e^{lam m} on its own lam, in row blocks
-of the envelope, the products summed block by block, so no call holds the
-whole table or a whole envelope.  The blocks depend on
-the envelope's rows, N and len(r) alone, so one kernel call and a paired
-call agree bit for bit.  The bound sweep walks the same table blocks once
-per radius set and evaluates the envelopes of all the set's (t, s) rows
-together, but contracts each row with the table alone: a product of many
-rows is a BLAS matrix-matrix product, which sums in another order than a
-kernel call's one-row matrix-vector product, so the sweep keeps the
-calls' bits.  Where the kernels are used
-(r <= R + s) the shifted envelope is at most 1 and the table at most
-phi(0) times the weights, so no lam0 overflows there; a kernel value that
-does pass the float range is refused, naming lam0 and the radius, and so is
-a time t or s or a radius r that is not finite, naming it.
+the lam blocks of ``row_blocks(N, len(r))``: each block is built once
+along lam, in place in the eigenfunction's output, turned once into its
+one scratch array, and contracted with every decaying envelope times
+e^{lam m} on its own lam, in row blocks of the envelope, the products
+summed block by block, so no call holds the whole table or a whole
+envelope.  The blocks depend on the envelope's rows, N and len(r) alone,
+so one kernel call and a paired call agree bit for bit.  The bound sweep
+walks the same table blocks once per radius set and evaluates the
+envelopes of all the set's (t, s) rows together, but each row is still
+its own one-row product: a product of many rows is a BLAS matrix-matrix
+product, which sums in another order than a kernel call's one-row
+matrix-vector product, so the sweep keeps the calls' bits.  Where the
+kernels are used (r <= R + s) the shifted envelope is at most 1 and the
+table at most phi(0) times the weights, so no lam0 overflows there; a
+kernel value that does pass the float range is refused, naming lam0 and
+the radius, and so is a time t or s or a radius r that is not finite,
+naming it.
 """
 
 from __future__ import annotations
@@ -97,14 +98,19 @@ def _chbevl(x, coeffs):
 
 def _i0e(z):
     """e^(-z) I_0(z) on an array of z >= 0 by the Cephes rule, bit for bit
-    ``scipy.special.i0e``; 0 at inf, nan at nan."""
-    out = np.empty_like(z)
+    ``scipy.special.i0e``; 1 at 0 (the near series' value) and 0 at inf
+    without a series, nan at nan; a series with no entries is skipped."""
+    out = np.ones_like(z)
     near = z <= 8.0  # false at nan
-    x = z[near] / 2.0
-    out[near] = _chbevl(np.subtract(x, 2.0, out=x), _I0E_NEAR)
-    far = z[~near]
-    x = 32.0 / far
-    out[~near] = _chbevl(np.subtract(x, 2.0, out=x), _I0E_FAR) / np.sqrt(far)
+    far = ~near
+    near &= z != 0.0
+    if near.any():
+        x = z[near] / 2.0
+        out[near] = _chbevl(np.subtract(x, 2.0, out=x), _I0E_NEAR)
+    if far.any():
+        zf = z[far]
+        x = 32.0 / zf
+        out[far] = _chbevl(np.subtract(x, 2.0, out=x), _I0E_FAR) / np.sqrt(zf)
     return out
 
 
@@ -137,6 +143,24 @@ def _scaled_eigenfunction(n: int, z):
     raise ValueError(f"eigenfunction needs n >= 2, got n={n}")
 
 
+def _split_product(n: int, z: float, rest: float) -> float:
+    """|S^{n-1}| (2 pi z)^{n/2} rest where Gamma(n/2) or the power overflows:
+    the power in halves, Gamma(n/2) by Legendre's duplication (2^{n/2-1}
+    Gamma(n/4) Gamma(n/4 + 1/2) / sqrt pi), the factors multiplied apart
+    from their binary exponents; past the float range, OverflowError."""
+    try:
+        area = (sphere_area(n - 1),)
+    except OverflowError:
+        area = (4.0 * math.sqrt(math.pi) * (0.5 * math.pi) ** (0.5 * n),
+                1.0 / math.gamma(0.25 * n), 1.0 / math.gamma(0.25 * n + 0.5))
+    half = (2.0 * math.pi * z) ** (0.25 * n)
+    mantissa, exponent = 1.0, 0
+    for factor in (*area, half, half, rest):
+        m, e = math.frexp(factor)
+        mantissa, exponent = mantissa * m, exponent + e
+    return math.ldexp(mantissa, exponent)
+
+
 def free_wave_ball_integral(n: int, R: float, t: float) -> float:
     """Integral over the ball of radius z = R+t of the decaying free-wave
     solution e^{-t} phi(|x|), which grows like z^{(n-1)/2}, in closed form
@@ -145,7 +169,8 @@ def free_wave_ball_integral(n: int, R: float, t: float) -> float:
     that cancels, the series 16 pi^2 e^{-t} sum_{k>=1} 2k z^{2k+1}/(2k+1)!.
     Other n import scipy on first use, whose ive is nan past z = 2^30 - 1/2
     (about 1.07e9); such a z is refused, and so is a value or a factor of
-    it (e^R, (2 pi z)^{n/2}) past the float range, each naming R and t."""
+    it (e^R, a half of (2 pi z)^{n/2}) past the float range, each naming R
+    and t.  Where Gamma(n/2) or the power overflows alone, ``_split_product``."""
     if not (0.0 < R < math.inf and 0.0 <= t < math.inf):  # refuses nan too
         raise ValueError(f"need finite R > 0 and t >= 0, got R={R}, t={t}")
     z = R + t
@@ -153,8 +178,11 @@ def free_wave_ball_integral(n: int, R: float, t: float) -> float:
         if n != 3:
             from scipy import special
 
-            value = sphere_area(n - 1) * (2.0 * math.pi * z) ** (0.5 * n) * float(
-                special.ive(0.5 * n, z)) * math.exp(R)
+            ive = float(special.ive(0.5 * n, z))
+            try:
+                value = sphere_area(n - 1) * (2.0 * math.pi * z) ** (0.5 * n) * ive * math.exp(R)
+            except OverflowError:
+                value = _split_product(n, z, ive * math.exp(R))
         elif z >= 1.0:
             value = 8.0 * math.pi ** 2 * math.exp(R) * ((z - 1.0) + (z + 1.0) * math.exp(-2.0 * z))
         else:
@@ -205,14 +233,17 @@ def _lam_rule(cfg: KernelConfig, q: float):
 
 def _table_block(cfg: KernelConfig, rule, b: slice, r, m: float):
     """Block b of the table w_i x_i^q phi(lam_i r) e^{-lam_i m} of the
-    radii r, m the largest: built in place in the eigenfunction's output with
-    one scratch array."""
-    lam, wq = rule[0][b, None], rule[1][b, None]
-    scratch = lam * r
+    radii r, m the largest, (lam block x len(r)) in C order: built along
+    lam in place in the eigenfunction's output, then turned once into the
+    one scratch array (numpy buffers a broadcast whose inner axis is short)."""
+    lam, wq, col = rule[0][b], rule[1][b], r[:, None]
+    scratch = col * lam
     table = _scaled_eigenfunction(cfg.n, scratch)
     table *= wq
-    table *= np.exp(np.multiply(lam, r - m, out=scratch), out=scratch)
-    return table
+    table *= np.exp(np.multiply(col - m, lam, out=scratch), out=scratch)
+    turned = scratch.reshape(table.shape[::-1])
+    np.copyto(turned, table.T)
+    return turned
 
 
 def _scale(cfg: KernelConfig, rule, out, m: float):
@@ -276,8 +307,9 @@ def _sinh_rows(lam, gap, shift):
     decay = np.multiply(z, -2.0)  # -2z until the decay factor takes its place
     ratio = np.expm1(decay, out=z)
     ratio /= decay
-    np.multiply(-lam, shift, out=decay)
-    ratio *= np.exp(decay, out=decay)
+    if np.any(shift):  # a zero shift, as in every row of the sweep, multiplies by exactly 1
+        np.multiply(-lam, shift, out=decay)
+        ratio *= np.exp(decay, out=decay)
     return ratio
 
 
@@ -372,8 +404,7 @@ def _sweep_values(cfg: KernelConfig, rule, fracs, t, s, sets):
                 for c in blocks:
                     env = (_cosh_rows(cfg, lam[b], m, ts[c]) if c.stop <= len(data)
                            else _sinh_rows(lam[b], ts[c] - ss[c], radius - m))
-                    for j in range(c.start, c.stop):  # each row alone, as a kernel call
-                        out[j] += env[j - c.start] @ table
+                    out[c] += np.matmul(env[:, None], table)[:, 0]  # one-row products
                     del env  # released before the next block is evaluated
                 del table
             _scale(cfg, rule, out, m)

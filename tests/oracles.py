@@ -16,7 +16,10 @@ whole forcing history at one level, with the forcing |u|^p
 that march with its level stream collected into the field the march does
 not store, and ``march_level_by_level`` the march as a plain loop of one
 level at a time, every node written, which ``march`` must match bit for
-bit; ``kernel_bounds_by_call`` is ``wavecrit.kernels.kernel_bounds_check``
+bit; ``mol_level`` is the nonlinear field at one time by another
+discretization, the method of lines on w = r u with fourth-order
+differences in r and RK4 in time, to which the march must converge at its
+order; ``kernel_bounds_by_call`` is ``wavecrit.kernels.kernel_bounds_check``
 as one public kernel call per (t, s), each building its own table, which the
 grouped sweep must match bit for bit; ``concavity_whole_grid`` and
 ``convexity_whole_grid`` are the pair checks of ``wavecrit.modulus`` with
@@ -321,6 +324,50 @@ def march_level_by_level(data: RadialData, spec, grid: CharacteristicGrid, cap: 
             if spec is not None and i < nt:
                 g[:n] = mu_power(spec, p, abs_level[:n])
     return field, "completed", nt
+
+
+def mol_level(data: RadialData, spec, t: float, dr: float) -> np.ndarray:
+    """u(t, j dr), j = 0, 1, ..., out past the cone of the data, by the
+    method of lines on w = r u, which solves w_tt = w_rr + r |u|^p mu(|u|)
+    in n = 3 (no forcing for a spec of None), w odd in r: fourth-order
+    central differences in r (Fornberg 1988) with two odd ghost nodes at
+    the axis and w = 0 on the two nodes past the last, which lies 8 nodes
+    past the cone, and classical RK4 in time at dt = dr/4.  u = w/r off
+    the axis and u = w_r on it, by the fourth-order stencil; mu is
+    ``mu_direct``.  It shares no characteristic, trapezoid or
+    ``mu_power`` with ``wavecrit.solver.march``."""
+    p = strauss_exponent(3)
+    steps = int(round(4.0 * t / dr))
+    dt = t / steps
+    r = dr * np.arange(int(math.ceil((data.support_radius + t) / dr)) + 9)
+
+    def velocity_rate(w):
+        ext = np.concatenate([-w[2:0:-1], w, [0.0, 0.0]])
+        w_rr = (16.0 * (ext[1:-3] + ext[3:-1]) - (ext[:-4] + ext[4:]) - 30.0 * ext[2:-2]) / (
+            12.0 * dr * dr)
+        if spec is None:
+            return w_rr
+        u = np.abs(_mol_u(w, r, dr))
+        return w_rr + r * u ** p * mu_direct(spec, u)
+
+    w = r * (data.amplitude * data.u0(r))
+    v = r * (data.amplitude * data.u1(r))
+    for _ in range(steps):
+        a1 = velocity_rate(w)
+        a2 = velocity_rate(w + 0.5 * dt * v)
+        a3 = velocity_rate(w + 0.5 * dt * (v + 0.5 * dt * a1))
+        a4 = velocity_rate(w + dt * (v + 0.5 * dt * a2))
+        w = w + dt * (v + dt / 6.0 * (a1 + a2 + a3))
+        v = v + dt / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+    return _mol_u(w, r, dr)
+
+
+def _mol_u(w, r, dr):
+    """u = w/r off the axis and w_r = (8 w_1 - w_2)/(6 dr) on it."""
+    u = np.empty_like(w)
+    u[1:] = w[1:] / r[1:]
+    u[0] = (8.0 * w[1] - w[2]) / (6.0 * dr)
+    return u
 
 
 def kernel_bounds_by_call(cfg: KernelConfig) -> KernelBoundsReport:

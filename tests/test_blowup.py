@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from wavecrit.blowup import (
+    EPSILON_EXP,
     M0,
     IterationLedger,
+    _onset_bases,
     build_ledger,
     divergence_onset,
     exponent_sequences,
@@ -15,12 +17,16 @@ from wavecrit.blowup import (
 from wavecrit.exponents import kernel_exponent, strauss_exponent
 from wavecrit.kernels import KernelConfig, data_and_source_kernels, data_kernel, source_kernel
 from wavecrit.modulus import (
+    DoubleLogGlobal,
     IteratedLogBlowup,
+    LogOnePlus,
     LogPower,
     PowerLaw,
+    TripleLogGlobal,
     make_spec,
     mu_eval,
     mu_power,
+    threshold_product,
 )
 from wavecrit.reporting import row_blocks
 from wavecrit.solver import CharacteristicGrid, RadialData, default_bump, march
@@ -360,6 +366,31 @@ def test_onset_where_the_base_passes_the_float_range():
     # exceeds 1, so the onset is t_lo
     spec = make_spec(LogPower(0.05, 1e300), 0.05)
     assert divergence_onset(3, spec, 1e20) == 8.19422072649404
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("family, tau0", [
+    (LogPower(1.0 / P3, 5.0), None), (LogPower(0.2, 10.0), None), (LogPower(0.05, 1e300), 0.05),
+    (IteratedLogBlowup(1.0), None), (IteratedLogBlowup(0.5, k=3), None), (DoubleLogGlobal(-1.72), None),
+    (TripleLogGlobal(-0.5), None), (PowerLaw(1.0), None), (LogOnePlus(0.5), None),
+])
+def test_onset_scan_equals_the_per_point_bases(family, tau0):
+    # the scan's one threshold_product call on 512 taus, with its powers taken in Python,
+    # gives each point the value of a call at that point alone with numpy-scalar powers, bit
+    # for bit; cl = 1e300 takes K^(p/(p-1)) past the largest float, which reads inf
+    spec, c6, c7 = make_spec(family, tau0), 2.0, 0.3
+    alpha = 1.0 + 1.0 / P3 + EPSILON_EXP
+    t_lo = min(spec.tau0, math.exp(-1.0)) ** (-1.0 / alpha) / c6 * (1.0 + 1e-9)
+    ts = np.geomspace(t_lo, 1e12 * t_lo, 512)
+    want = []
+    for t in ts:
+        product = threshold_product(spec, 3, (c6 * t) ** (-alpha))
+        try:
+            want.append(c7 * product ** (P3 / (P3 - 1.0)))
+        except OverflowError:
+            want.append(math.inf)
+    got = _onset_bases(spec, 3, [(c6 * t) ** (-alpha) for t in ts.tolist()], c7)
+    assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
 
 
 def test_onset_none_for_tiny_calibration():

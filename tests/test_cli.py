@@ -386,6 +386,23 @@ def test_kernel_bounds_files_equal_the_call_by_call_sweep(monkeypatch, tmp_path,
         assert got == (latest(tmp_path / "oracle", "lemmas") / name).read_bytes()
 
 
+@pytest.mark.parametrize("n, low", [(250, 1.3699923915112238e-292), (300, 0.0), (400, 0.0)])
+def test_ball_integral_of_a_high_dimension_writes_its_report(tmp_path, n, low):
+    # the bracket spans far more than 20; at n = 300 and 400 the t = 0 value is below the
+    # float range (1.3e-374 and 4.7e-549), so the spread is infinite, and at n = 400 the
+    # growth scale 101^199.5 passes the float range while the ratio, 2.9e-185, does not
+    argv = ["lemmas", "verify", "--which", "ball-integral", "--n", str(n), "--quiet"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+    out = latest(tmp_path, "lemmas")
+    report = json.loads((out / "report.json").read_text())
+    assert report["bracket_low"] == low and not report["pass"]
+    assert report["dynamic_range"] > 1e200 if low else report["dynamic_range"] == math.inf
+    last = (out / "ratios.csv").read_text().splitlines()[-1].split(",")
+    assert last[0] == "100.0" and 0.0 < float(last[1]) == report["bracket_high"]
+
+
 # -------------------------------------------------------------- persistence
 
 def test_sequences_writes_ledger(capsys, tmp_path):

@@ -79,6 +79,13 @@ def test_i0e_is_scipy_bit_for_bit():
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert np.array_equal(scaled.view(np.int64), (2.0 * math.pi * want).view(np.int64))
     assert got[0] == 1.0 and got[9] == 0.0 and np.isnan(got[10])  # at 0, inf and nan
+    # inputs that leave a series with no entries: all zeros, none past 8, none at or below 8
+    past_eight = np.geomspace(np.nextafter(8.0, 16.0), 1e300, 101)
+    for z in [np.zeros(7), np.linspace(0.0, 8.0, 101), past_eight]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _i0e(z)
+        assert np.array_equal(got.view(np.int64), special.i0e(z).view(np.int64))
 
 
 @pytest.mark.parametrize("r", [0.0, 1e-3, 3.0, 40.0])
@@ -247,6 +254,17 @@ def test_ball_integral_of_a_high_dimension_holds_its_value_and_an_overflow_is_re
                                                                        rel=1e-14)
         with pytest.raises(ValueError, match=re.escape("at R=710, t=0 passes the float range")):
             free_wave_ball_integral(3, 710.0, 0.0)
+
+
+@pytest.mark.parametrize("n, R, t", [(250, 1.0, 46.0), (250, 1.0, 100.0), (400, 1.0, 50.0)])
+def test_ball_integral_of_a_high_dimension_past_gamma_or_the_power_holds_its_value(n, R, t):
+    # (2 pi z)^(n/2), and at n = 400 Gamma(n/2) too, pass the float range while the value
+    # (1.13e108, 9.81e173 and 2.37e114) does not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = free_wave_ball_integral(n, R, t)
+    want = ball_mp(n, R, t)
+    assert abs(got - want) <= 1e-13 * want
 
 
 def test_ball_integral_shrunk_lower_bound():

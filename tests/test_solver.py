@@ -46,6 +46,7 @@ from oracles import (
     linear_propagator,
     march_field,
     mixed_bump,
+    mol_level,
     mu_direct,
 )
 
@@ -590,6 +591,42 @@ def test_march_refuses_nonfinite_data_by_profile_and_radius(spec, name):
     if spec is not None:
         with pytest.raises(ValueError, match=refused):
             lifespan_sweep(holed, spec, [1.0, 2.0], grid)
+
+
+# ------------------------------------------------ method-of-lines oracle
+
+def _mol_distances(data, spec, t, dr, hs):
+    """The oracle's level at t, and the max-norm distance to it of the march's last
+    level on each lattice step h, at the lattice nodes (h a multiple of dr)."""
+    oracle = mol_level(data, spec, t, dr)
+    distances = []
+    for h in hs:
+        last = march_field(data, spec, CharacteristicGrid.cover(h, t, data.support_radius))[1][-1]
+        on_lattice = oracle[::int(round(h / dr))]
+        k = min(last.size, on_lattice.size)  # both are 0 past the cone
+        distances.append(float(np.max(np.abs(last[:k] - on_lattice[:k]))))
+    return oracle, distances
+
+
+def test_march_converges_at_second_order_to_the_method_of_lines():
+    # PowerLaw(1), eps = 1, t = 2: 2.03e-5, 5.15e-6 and 1.29e-6 at h = 1/16, 1/32, 1/64;
+    # the oracle at dr = 1/512 is within 1.2e-7 of dr = 1/1024. The nonlinear part u - v
+    # (1.8e-3) is about 1400 times the h = 1/64 distance, so the forcing is being judged
+    data, spec, hs = default_bump(1.0), make_spec(PowerLaw(1.0)), [1 / 16, 1 / 32, 1 / 64]
+    oracle, d = _mol_distances(data, spec, 2.0, 1 / 512, hs)
+    assert all(3.6 <= d[k] / d[k + 1] <= 4.4 for k in range(2)), d
+    free = march_field(data, None, CharacteristicGrid.cover(hs[-1], 2.0, 1.0))[1][-1]
+    k = min(free.size, oracle[::8].size)
+    assert np.max(np.abs(oracle[::8][:k] - free[:k])) > 100.0 * d[-1]
+
+
+def test_march_of_a_blow_up_run_converges_to_the_method_of_lines():
+    # LogPower(0.2, 10), eps = 2 (lifespan 0.968), t = 0.5: 0.40, 0.12 and 0.031 at
+    # h = 1/16, 1/32, 1/64, largest on or next to the axis; the oracle at dr = 1/256 is
+    # within 1.1e-6 of dr = 1/1024
+    data, spec = default_bump(2.0), make_spec(LogPower(0.2, 10.0))
+    d = _mol_distances(data, spec, 0.5, 1 / 256, [1 / 16, 1 / 32, 1 / 64])[1]
+    assert all(d[k] / d[k + 1] >= 3.0 for k in range(2)), d
 
 
 # -------------------------------------------------------- structural checks
