@@ -98,8 +98,8 @@ def _chbevl(x, coeffs):
 
 def _i0e(z):
     """e^(-z) I_0(z) on an array of z >= 0 by the Cephes rule, bit for bit
-    ``scipy.special.i0e``; 1 at 0 (the near series' value) and 0 at inf
-    without a series, nan at nan; a series with no entries is skipped."""
+    ``scipy.special.i0e``; 1 at 0 (the near series' value) without a
+    series, 0 at inf, nan at nan; a series with no entries is skipped."""
     out = np.ones_like(z)
     near = z <= 8.0  # false at nan
     far = ~near
